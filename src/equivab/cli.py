@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-json",
         metavar="PATH",
         default=None,
-        help="also write the machine-readable report to PATH",
+        help="also write the machine-readable report to PATH (not with --verify)",
     )
     p.add_argument(
         "--max-group-order",
@@ -52,7 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.verify and args.emit_json:
+        parser.error("--verify does not write a report; drop --emit-json")
     try:
         if args.input == "-":
             models, options = eio.parse_input(sys.stdin)

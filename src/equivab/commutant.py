@@ -29,7 +29,6 @@ from .exactlin import (
 from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
-    action_dim,
     check_no_trivial_summand,
     enumerate_group,
     invariance_constraints,
@@ -107,7 +106,7 @@ def compute_commutant(g: GroupAction, allow_trivial_summand: bool = False) -> Ma
             "action has nonzero fixed vectors; pass allow_trivial_summand=True "
             "to compute anyway"
         )
-    n = action_dim(g)
+    n = g.dim
     constraints = invariance_constraints(g)
     if not constraints:
         sol = Subspace.full(n * n)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from typing import Iterable, Sequence
 
 try:
@@ -159,19 +158,6 @@ class QMatrix:
             [v[i * cols : (i + 1) * cols] for i in range(rows)]
         )
 
-    def inverse(self) -> "QMatrix":
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        aug = [list(self.entries[i]) + [_ONE if j == i else _ZERO for j in range(n)]
-               for i in range(n)]
-        red, _ = _rref_rows(aug)
-        # pivots may fall in the augmented block if the left block is singular
-        for i in range(n):
-            if any(red[i][j] != (1 if j == i else 0) for j in range(n)):
-                raise ValueError("matrix is singular")
-        return QMatrix._of(row[n:] for row in red)
-
 
 def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(j, x) for j, x in enumerate(v) if x]
@@ -193,51 +179,30 @@ def _combine(
     return out
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
-    """In-place Gauss-Jordan; returns (rows, rank)."""
-    if not rows:
-        return rows, 0
-    nrows, ncols = len(rows), len(rows[0])
-    piv = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(piv, nrows):
-            if rows[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[piv], rows[pivot_row] = rows[pivot_row], rows[piv]
-        pivot = rows[piv]
-        inv = 1 / pivot[col]
-        # only the pivot row's nonzeros change anything
-        nonzeros = [(j, x * inv) for j, x in _nonzeros(pivot)]
-        for j, x in nonzeros:
-            pivot[j] = x
-        for r, row in enumerate(rows):
-            f = row[col]
-            if f and r != piv:
-                for j, x in nonzeros:
-                    row[j] -= f * x
-        piv += 1
-        if piv == nrows:
+def _eliminate(rows: Iterable[Sequence[Fraction]], ncols: int) -> "SparseRREF":
+    """One sparse engine holding the row space of the given exact rows."""
+    engine = SparseRREF(ncols)
+    for row in rows:
+        if engine.rank == ncols:
             break
-    return rows, piv
+        engine.insert(dict(_nonzeros(row)))
+    return engine
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
-    """Reduced row-echelon form and rank."""
-    rows = [list(r) for r in m.entries]
-    red, rank = _rref_rows(rows)
-    return QMatrix._of(red), rank
+    """Reduced row-echelon form, padded with zero rows to m.rows, and rank."""
+    basis = _eliminate(m.entries, m.cols).dense_basis()
+    zeros = ((_ZERO,) * m.cols,) * (m.rows - len(basis))
+    return QMatrix._of(basis + zeros), len(basis)
 
 
 class SparseRREF:
     """Incremental reduced row-echelon basis with sparse rows.
 
     Rows are dicts {col: coeff}, kept normalized (pivot coefficient 1) and
-    mutually reduced, ordered by pivot column.  Much faster than dense
-    elimination when vectors are sparse, which all the large systems here are.
+    mutually reduced, ordered by pivot column.  This is the one elimination
+    engine: `rref`, `nullspace`, `solve` and `Subspace` all run on it, since
+    the large systems here are sparse.
     """
 
     __slots__ = ("ambient", "rows")
@@ -329,12 +294,10 @@ class Subspace:
 
         def sparse(v):
             if coerce is not None:
-                v = list(v)
+                v = [coerce(x) for x in v]
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-            if coerce is None:
-                return dict(_nonzeros(v))
-            return {i: coerce(x) for i, x in enumerate(v) if x != 0}
+            return dict(_nonzeros(v))
 
         return Subspace._span_sparse(ambient_dim, map(sparse, vectors))
 
@@ -366,12 +329,10 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        vec = list(v)
+        vec = [_q(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return self._engine().contains(
-            {i: _q(x) for i, x in enumerate(vec) if x != 0}
-        )
+        return self._engine().contains(dict(_nonzeros(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
@@ -427,17 +388,13 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     bvec = [_q(x) for x in b]
     if len(bvec) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = [list(m.entries[i]) + [bvec[i]] for i in range(m.rows)]
-    red, _ = _rref_rows(aug)
     n = m.cols
-    x = [Q(0)] * n
-    for row in red:
-        lead = next((j for j in range(n) if row[j] != 0), None)
-        if lead is None:
-            if row[n] != 0:
-                return None
-            continue
-        x[lead] = row[n]
+    engine = _eliminate((row + (y,) for row, y in zip(m.entries, bvec)), n + 1)
+    x = [_ZERO] * n
+    for pc, row in engine.rows:
+        if pc == n:
+            return None
+        x[pc] = row.get(n, _ZERO)
     # verify (free variables set to 0 may not satisfy non-reduced systems)
     if m.mul_vec(x) != tuple(bvec):
         return None
@@ -446,20 +403,20 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 def nullspace(m: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
-    red, rk = rref(m)
     n = m.cols
-    lead_cols = []
-    for row in red.entries[:rk]:
-        lead_cols.append(next(j for j in range(n) if row[j] != 0))
-    free_cols = [j for j in range(n) if j not in lead_cols]
+    rows = _eliminate(m.entries, n).rows
+    pivots = {pc for pc, _ in rows}
     basis = []
-    for fc in free_cols:
-        v = [Q(0)] * n
-        v[fc] = Q(1)
-        for i, lc in enumerate(lead_cols):
-            v[lc] = -red.entries[i][fc]
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = {fc: _ONE}
+        for pc, row in rows:
+            x = row.get(fc)
+            if x:
+                v[pc] = -x
         basis.append(v)
-    return Subspace._span(n, basis)
+    return Subspace._span_sparse(n, basis)
 
 
 def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
@@ -581,13 +538,6 @@ class QPolynomial:
             r.pop()
         return QPolynomial.from_coeffs(q), QPolynomial.from_coeffs(r)
 
-    def evaluate_matrix(self, m: QMatrix) -> QMatrix:
-        n = m.rows
-        acc = QMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc @ m + QMatrix.identity(n).scale(c)
-        return acc
-
 
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     while not b.is_zero():
@@ -672,17 +622,6 @@ def count_real_roots(p: QPolynomial) -> tuple[int, int]:
     if rem:
         raise AssertionError("parity violation in root count")
     return real, pairs
-
-
-def count_real_roots_in_interval(p: QPolynomial, a, b) -> int:
-    """Distinct real roots of squarefree p in the half-open interval (a, b]."""
-    a, b = _q(a), _q(b)
-    seq = sturm_sequence(p)
-
-    def sgn(x):
-        return [0 if q(x) == 0 else (1 if q(x) > 0 else -1) for q in seq]
-
-    return _variations(sgn(a)) - _variations(sgn(b))
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +723,3 @@ def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
         f = rem[piv] // row[piv]
         rem = [a - f * b for a, b in zip(rem, row)]
     return all(x == 0 for x in rem)
-
-
-def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    if g == 0:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)

@@ -120,17 +120,6 @@ class LieAlgebraSC:
                 vecs.append(self.bracket(ei, ej))
         return Subspace.from_vectors(n, vecs)
 
-    def killing_form(self) -> QMatrix:
-        n = self.dim
-        ads = []
-        for i in range(n):
-            ei = [Fraction(0)] * n
-            ei[i] = Fraction(1)
-            ads.append(self.ad(ei))
-        return QMatrix.from_rows(
-            [[(ads[i] @ ads[j]).trace() for j in range(n)] for i in range(n)]
-        )
-
 
 def is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
     """Whether A preserves brackets: A[x,y] = [Ax, Ay] on basis pairs."""
@@ -207,11 +196,6 @@ def fixed_subalgebra(data: IsotropyData) -> Subspace:
             "fixed subspace is not bracket-closed; action data is invalid"
         )
     return fixed
-
-
-def fixed_sub_of_h(data: IsotropyData) -> Subspace:
-    """Fixed points of the action intersected with the isotropy subalgebra."""
-    return fixed_subalgebra(data).intersection(data.h_basis)
 
 
 def quotient_lie_algebra(

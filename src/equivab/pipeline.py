@@ -9,8 +9,7 @@ from . import liealg, strata
 from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
-    TorusAction,
-    action_dim,
+    action_generators,
     enumerate_group,
     fixed_vectors,
 )
@@ -289,7 +288,7 @@ def verify_models(
                 )
                 dims_ok = (
                     sum(b.multiplicity * b.irreducible_dim for b in blocks)
-                    == action_dim(g)
+                    == g.dim
                 )
                 add(label, "block-dimension-arithmetic", dims_ok)
             except comm.IllConditionedSplitError as exc:
@@ -317,15 +316,5 @@ def verify_models(
 
 
 def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:
-    if isinstance(g, FiniteMatrixAction):
-        gens = list(g.generators)
-        return all(
-            (gen @ b - b @ gen).is_zero() for b in algebra.basis for gen in gens
-        )
-    if isinstance(g, TorusAction):
-        gens = g.infinitesimal_generators()
-    else:
-        gens = list(g.lie_generators)
-    return all(
-        (gen @ b - b @ gen).is_zero() for b in algebra.basis for gen in gens
-    )
+    gens = action_generators(g)
+    return all((gen @ b - b @ gen).is_zero() for b in algebra.basis for gen in gens)

@@ -26,7 +26,6 @@ from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
     TorusAction,
-    action_dim,
     enumerate_group,
 )
 
@@ -209,7 +208,7 @@ def _finite_invariants(g: FiniteMatrixAction, degree: int, cap: int) -> list[lis
             if not avg.is_zero():
                 rows.append(avg.coefficients_on(monoms))
         if rows:
-            basis = Subspace.from_vectors(len(monoms), rows).basis
+            basis = Subspace._span(len(monoms), rows).basis
             out.append(
                 [Poly(n, dict(zip(monoms, row))) for row in basis]
             )
@@ -305,7 +304,7 @@ def _torus_invariants(
         monoms = monomials_of_degree(n, d)
         rows = [p.coefficients_on(monoms) for p in polys]
         if rows:
-            basis = Subspace.from_vectors(len(monoms), rows).basis
+            basis = Subspace._span(len(monoms), rows).basis
             out.append([Poly(n, dict(zip(monoms, row))) for row in basis])
         else:
             out.append([])
@@ -332,11 +331,9 @@ def _connected_invariants(
             # its transpose acting on coefficient vectors
             rows.extend(list(zip(*block)))
         if not rows:
-            basis = Subspace.from_vectors(
-                len(monoms), QMatrix.identity(len(monoms)).entries
-            ).basis
+            basis = Subspace.full(len(monoms)).basis
         else:
-            basis = nullspace(QMatrix.from_rows(rows)).basis
+            basis = nullspace(QMatrix._of(rows)).basis
         out.append([Poly(n, dict(zip(monoms, row))) for row in basis])
     return out
 
@@ -356,7 +353,7 @@ def invariants_up_to_degree(
     else:
         per = _connected_invariants(g, degree, cap)
     return InvariantSpace(
-        nvars=action_dim(g),
+        nvars=g.dim,
         degree_bound=degree,
         per_degree=tuple(tuple(p) for p in per),
         exponent_diffs=diffs,
@@ -398,7 +395,7 @@ def kernel_s(
     tori once the invariant exponent lattice saturates; otherwise the result
     is only an upper bound (superset) for the true kernel.
     """
-    n = action_dim(g)
+    n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
     inv = invariants if invariants is not None else invariants_up_to_degree(g, degree, cap)
@@ -418,7 +415,7 @@ def kernel_s(
             for mono in support:
                 rows.append([img.terms.get(mono, Fraction(0)) for img in images])
         if rows:
-            coeff_kernel = nullspace(QMatrix.from_rows(rows))
+            coeff_kernel = nullspace(QMatrix._of(rows))
         else:
             coeff_kernel = Subspace.full(len(center_mats))
         vecs = []
@@ -427,7 +424,7 @@ def kernel_s(
             for c, dm in zip(coords, center_mats):
                 acc = acc + dm.scale(c)
             vecs.append(acc.vec())
-        s = Subspace.from_vectors(n * n, vecs)
+        s = Subspace._span(n * n, vecs)
 
     if isinstance(g, FiniteMatrixAction):
         order = len(enumerate_group(g))

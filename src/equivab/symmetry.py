@@ -15,6 +15,8 @@ from fractions import Fraction
 from .exactlin import (
     QMatrix,
     Subspace,
+    _ZERO,
+    _nonzeros,
     common_nullspace,
     rank,
 )
@@ -114,8 +116,15 @@ class ConnectedLieAction:
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction
 
 
-def action_dim(g: GroupAction) -> int:
-    return g.dim
+def action_generators(g: GroupAction) -> list[QMatrix]:
+    """The matrices that generate the action: group generators of a finite
+    group, infinitesimal generators of a torus, Lie generators of a connected
+    group.  X commutes with the action exactly when it commutes with these."""
+    if isinstance(g, FiniteMatrixAction):
+        return list(g.generators)
+    if isinstance(g, TorusAction):
+        return g.infinitesimal_generators()
+    return list(g.lie_generators)
 
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
@@ -141,72 +150,48 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     return list(seen.values())
 
 
-def _conjugation_operator(g: QMatrix) -> QMatrix:
-    """Matrix of X -> g X g^{-1} on row-major vec(X)."""
-    ginv = g.inverse()
-    return kron(g, ginv.transpose())
+def commutator_operator(a: QMatrix) -> QMatrix:
+    """Matrix of X -> a X - X a on row-major vec(X).
 
-
-def kron(a: QMatrix, b: QMatrix) -> QMatrix:
-    """Kronecker product; with row-major vec, vec(A X B) = (A kron B^T) vec X."""
-    rows = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            row = []
-            for j in range(a.cols):
-                for l in range(b.cols):
-                    row.append(a.entries[i][j] * b.entries[k][l])
-            rows.append(row)
-    return QMatrix.from_rows(rows)
-
-
-def conjugation_matrix(g: QMatrix) -> QMatrix:
-    return _conjugation_operator(g)
-
-
-def commutator_operator(xi: QMatrix) -> QMatrix:
-    """Matrix of X -> xi X - X xi on row-major vec(X)."""
-    n = xi.rows
-    ident = QMatrix.identity(n)
-    return kron(xi, ident) - kron(ident, xi.transpose())
+    Row (i, j) holds a[i][k] at column (k, j) and -a[k][j] at column (i, k):
+    at most 2n nonzeros.
+    """
+    n = a.rows
+    a_rows = [_nonzeros(a.row(i)) for i in range(n)]
+    a_cols = [_nonzeros(a.col(j)) for j in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            row = [_ZERO] * (n * n)
+            for k, x in a_rows[i]:
+                row[k * n + j] += x
+            for k, x in a_cols[j]:
+                row[i * n + k] -= x
+            out.append(row)
+    return QMatrix._of(out)
 
 
 def invariance_constraints(g: GroupAction) -> list[QMatrix]:
-    """Operators on vec(End(V)) whose joint kernel is End(V)^H."""
-    n = action_dim(g)
-    ident_op = QMatrix.identity(n * n)
-    if isinstance(g, FiniteMatrixAction):
-        return [_conjugation_operator(gen) - ident_op for gen in g.generators]
-    if isinstance(g, TorusAction):
-        return [commutator_operator(j) for j in g.infinitesimal_generators()]
-    return [commutator_operator(xi) for xi in g.lie_generators]
+    """Operators on vec(End(V)) whose joint kernel is End(V)^H.
+
+    For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite
+    groups need no inverses: every action kind gives commutator operators.
+    """
+    return [commutator_operator(a) for a in action_generators(g)]
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:
-    """V^H as a subspace of R^n."""
-    n = action_dim(g)
-    ident = QMatrix.identity(n)
+    """V^H as a subspace of R^n: the joint kernel of g - I over the generators
+    of a finite group, of xi over the infinitesimal generators otherwise."""
+    gens = action_generators(g)
+    if not gens:
+        return Subspace.full(g.dim)
     if isinstance(g, FiniteMatrixAction):
-        ops = [gen - ident for gen in g.generators]
-    elif isinstance(g, TorusAction):
-        ops = g.infinitesimal_generators()
-    else:
-        ops = list(g.lie_generators)
-    if not ops:
-        return Subspace.full(n)
-    return common_nullspace(ops)
+        ident = QMatrix.identity(g.dim)
+        gens = [gen - ident for gen in gens]
+    return common_nullspace(gens)
 
 
 def check_no_trivial_summand(g: GroupAction) -> bool:
     """Whether V^H = 0."""
     return fixed_vectors(g).dim == 0
-
-
-def reynolds_average(g: FiniteMatrixAction, t: QMatrix) -> QMatrix:
-    """(1/|G|) sum over the group of g T g^{-1} on End(V)."""
-    elems = enumerate_group(g)
-    n = t.rows
-    acc = QMatrix.zeros(n, n)
-    for el in elems:
-        acc = acc + (el @ t @ el.inverse())
-    return acc.scale(Fraction(1, len(elems)))

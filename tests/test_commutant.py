@@ -2,6 +2,7 @@
 classification against the independent numeric splitting oracle."""
 
 import pytest
+import sympy
 
 from equivab import catalog as cat
 from equivab.commutant import (
@@ -32,6 +33,21 @@ FINITE_CASES = [
 ]
 
 
+def _conjugation_kernel(g) -> Subspace:
+    """Oracle: End(V)^H as the common kernel of vec(X) -> vec(g X g^-1 - X)
+    over the generators, built with sympy's inverse and Kronecker product."""
+    n = g.dim
+    ops = []
+    for gen in g.generators:
+        s = sympy.Matrix(
+            [[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row]
+             for row in gen.entries]
+        )
+        op = sympy.kronecker_product(s, s.inv().T) - sympy.eye(n * n)
+        ops.append(QMatrix.from_rows([[str(x) for x in row] for row in op.tolist()]))
+    return common_nullspace(ops)
+
+
 class TestCommutant:
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_dimension(self, make, dim, ml, blocks):
@@ -44,6 +60,11 @@ class TestCommutant:
         for b in a.basis:
             for gen in g.generators:
                 assert (gen @ b - b @ gen).is_zero()
+
+    @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
+    def test_matches_conjugation_kernel(self, make, dim, ml, blocks):
+        g = make()
+        assert compute_commutant(g).span() == _conjugation_kernel(g)
 
     def test_trivial_summand_rejected(self):
         from equivab.symmetry import FiniteMatrixAction

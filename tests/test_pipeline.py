@@ -265,6 +265,17 @@ class TestCLI:
         assert "verification passed" in out
         assert "[pass]" in out
 
+    def test_verify_with_emit_json_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [self.write(tmp_path, BASIC_INPUT), "--verify", "--emit-json", str(out_path)]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--verify" in err and "--emit-json" in err
+        assert not out_path.exists()
+
     def test_bad_input_exit_code(self, tmp_path, capsys):
         rc = cli.main([self.write(tmp_path, {"orbits": [{}]})])
         assert rc == 2

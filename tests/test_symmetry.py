@@ -11,14 +11,30 @@ from equivab.symmetry import (
     FiniteMatrixAction,
     GroupNotFiniteError,
     TorusAction,
-    commutator_operator,
-    conjugation_matrix,
+    action_generators,
     check_no_trivial_summand,
+    commutator_operator,
     enumerate_group,
     fixed_vectors,
     invariance_constraints,
-    kron,
-    reynolds_average,
+)
+
+
+def kron(a: QMatrix, b: QMatrix) -> QMatrix:
+    """Oracle: Kronecker product; with row-major vec, vec(A X B) = (A kron B^T) vec X."""
+    return QMatrix.from_rows(
+        [a.entries[i][j] * b.entries[k][l] for j in range(a.cols) for l in range(b.cols)]
+        for i in range(a.rows)
+        for k in range(b.rows)
+    )
+
+
+small_squares = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, "1/3", "-5/2"]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(QMatrix.from_rows)
 )
 
 
@@ -75,17 +91,17 @@ class TestKroneckerConventions:
         rhs = kron(a, b.transpose()).mul_vec(x.vec())
         assert lhs == tuple(rhs)
 
-    def test_conjugation_matrix(self):
-        g = QMatrix.from_rows([[1, 1], [0, 1]])
-        x = QMatrix.from_rows([[1, 2], [3, 4]])
-        expected = (g @ x @ g.inverse()).vec()
-        assert tuple(conjugation_matrix(g).mul_vec(x.vec())) == expected
-
     def test_commutator_operator(self):
         xi = QMatrix.from_rows([[0, 1], [2, 0]])
         x = QMatrix.from_rows([[1, 2], [3, 4]])
         expected = (xi @ x - x @ xi).vec()
         assert tuple(commutator_operator(xi).mul_vec(x.vec())) == expected
+
+    @given(small_squares)
+    @settings(max_examples=60, deadline=None)
+    def test_commutator_operator_matches_kron(self, a):
+        ident = QMatrix.identity(a.rows)
+        assert commutator_operator(a) == kron(a, ident) - kron(ident, a.transpose())
 
 
 class TestFixedVectors:
@@ -118,6 +134,14 @@ class TestFixedVectors:
 
 
 class TestInvarianceConstraints:
+    def test_action_generators_per_kind(self):
+        g = cat.c4_rotation()
+        assert action_generators(g) == list(g.generators)
+        t = TorusAction(((1, -2),))
+        assert action_generators(t) == t.infinitesimal_generators()
+        su2 = cat.su2_on_c2()
+        assert action_generators(su2) == list(su2.lie_generators)
+
     def test_finite_constraints_cut_out_commutant(self):
         g = cat.c4_rotation()
         ops = invariance_constraints(g)
@@ -184,13 +208,3 @@ class TestConnectedLieAction:
         act = cat.su3_on_c3_plus_wedge2()
         assert len(act.lie_generators) == 8
 
-
-class TestReynolds:
-    def test_average_is_equivariant_projection(self):
-        g = cat.s3_standard()
-        t = QMatrix.from_rows([[1, 2], [3, 4]])
-        avg = reynolds_average(g, t)
-        for el in enumerate_group(g):
-            assert (el @ avg @ el.inverse() - avg).is_zero()
-        # averaging an already-equivariant matrix is the identity map
-        assert reynolds_average(g, avg) == avg
