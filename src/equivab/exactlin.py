@@ -262,6 +262,22 @@ class SparseRREF:
             out.append(tuple(dense))
         return tuple(out)
 
+    def kernel(self) -> "Subspace":
+        """Canonical basis of the vectors every held row annihilates, read off
+        the free columns."""
+        pivots = {pc for pc, _ in self.rows}
+        basis = []
+        for fc in range(self.ambient):
+            if fc in pivots:
+                continue
+            v = {fc: _ONE}
+            for pc, row in self.rows:
+                x = row.get(fc)
+                if x:
+                    v[pc] = -x
+            basis.append(v)
+        return Subspace._span_sparse(self.ambient, basis)
+
     @staticmethod
     def _of_reduced(ambient: int, basis) -> "SparseRREF":
         """Engine holding rows that are already exact and in reduced form."""
@@ -403,20 +419,7 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 def nullspace(m: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
-    n = m.cols
-    rows = _eliminate(m.entries, n).rows
-    pivots = {pc for pc, _ in rows}
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = {fc: _ONE}
-        for pc, row in rows:
-            x = row.get(fc)
-            if x:
-                v[pc] = -x
-        basis.append(v)
-    return Subspace._span_sparse(n, basis)
+    return _eliminate(m.entries, m.cols).kernel()
 
 
 def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:

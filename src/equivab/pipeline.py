@@ -297,8 +297,9 @@ def verify_models(
         if model.quotient_requested:
             d = degree_bound if degree_bound is not None else default_degree_bound(g)
             z = comm.center(algebra)
-            ker1 = strata.kernel_s(g, z, d, ml)
-            ker2 = strata.kernel_s(g, z, d + 1, ml)
+            inv = strata.invariants_up_to_degree(g, d + 1)
+            ker1 = strata.kernel_s(g, z, d, ml, invariants=inv.up_to(d))
+            ker2 = strata.kernel_s(g, z, d + 1, ml, invariants=inv)
             add(
                 label,
                 "kernel-monotonicity",

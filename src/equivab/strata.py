@@ -2,6 +2,9 @@
 and the kernel of the central torus acting on the quotient.
 
 Polynomials are exact: dict from exponent tuples to rational coefficients.
+Invariants of finite and connected groups are one sparse common kernel per
+degree, of one operator per generator written on monomial indices; torus
+invariants are built from the weights.
 """
 
 from __future__ import annotations
@@ -10,26 +13,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .commutant import MLClassification
 from .exactlin import (
     QMatrix,
+    SparseRREF,
     Subspace,
+    _ONE,
+    _ZERO,
+    _nonzeros,
     integer_kernel_saturated,
     lattice_contains,
     nullspace,
     _q,
 )
 from .symmetry import (
-    ConnectedLieAction,
     FiniteMatrixAction,
     GroupAction,
     TorusAction,
+    action_generators,
     enumerate_group,
 )
 
 DEFAULT_MONOMIAL_CAP = 100_000
+
+Monomial = tuple[int, ...]
+# {monomial: {monomial: coefficient}}: the image of each basis monomial
+Images = dict[Monomial, dict[Monomial, Fraction]]
 
 
 class DegreeBoundTooLarge(ValueError):
@@ -37,7 +48,7 @@ class DegreeBoundTooLarge(ValueError):
 
 
 class Poly:
-    """Multivariate polynomial over Q: {exponent tuple: coefficient}."""
+    """Multivariate polynomial over Q: {exponent tuple: nonzero coefficient}."""
 
     __slots__ = ("nvars", "terms")
 
@@ -51,14 +62,12 @@ class Poly:
                     self.terms[tuple(e)] = c
 
     @staticmethod
-    def variable(nvars: int, i: int) -> "Poly":
-        e = [0] * nvars
-        e[i] = 1
-        return Poly(nvars, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def monomial(exponents: Sequence[int]) -> "Poly":
-        return Poly(len(exponents), {tuple(exponents): Fraction(1)})
+    def _of(nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
+        """Polynomial from exact nonzero coefficients: no coercion."""
+        p = Poly.__new__(Poly)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,58 +78,8 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Poly":
-        c = _q(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
-
-    def partial(self, i: int) -> "Poly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            de = list(e)
-            de[i] -= 1
-            out[tuple(de)] = c * e[i]
-        return Poly(self.nvars, out)
-
-    def substitute_linear(self, m: QMatrix) -> "Poly":
-        """f(Mx): substitute x_i -> sum_j M[i][j] x_j."""
-        n = self.nvars
-        if m.rows != n or m.cols != n:
-            raise ValueError("substitution matrix shape mismatch")
-        images = [
-            Poly(n, {tuple(1 if k == j else 0 for k in range(n)): m.entries[i][j]
-                     for j in range(n)})
-            for i in range(n)
-        ]
-        out = Poly(n)
-        for e, c in self.terms.items():
-            term = Poly(n, {tuple([0] * n): c})
-            for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * images[i]
-            out = out + term
-        return out
-
-    def coefficients_on(self, monomials: Sequence[tuple[int, ...]]) -> list[Fraction]:
-        return [self.terms.get(m, Fraction(0)) for m in monomials]
+    def coefficients_on(self, monomials: Sequence[Monomial]) -> list[Fraction]:
+        return [self.terms.get(m, _ZERO) for m in monomials]
 
     def __repr__(self):
         if not self.terms:
@@ -136,7 +95,7 @@ class Poly:
         return " + ".join(bits)
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     out = []
     for combo in combinations_with_replacement(range(nvars), degree):
         e = [0] * nvars
@@ -146,24 +105,47 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _accumulate(out: dict, e: Monomial, x: Fraction) -> None:
+    v = out.get(e, _ZERO) + x
+    if v:
+        out[e] = v
+    else:
+        del out[e]
+
+
+def _derive(rows: list, m: Monomial, c: Fraction, out: dict) -> None:
+    """Add c * D(x^m) to out, where rows[j] lists the nonzeros (i, D[j][i]):
+    D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i)."""
+    for j, p in enumerate(m):
+        if not p:
+            continue
+        cp = c * p
+        for i, x in rows[j]:
+            if i == j:
+                e = m
+            else:
+                e = list(m)
+                e[j] -= 1
+                e[i] += 1
+                e = tuple(e)
+            _accumulate(out, e, cp * x)
+
+
+def _matrix_rows(d: QMatrix) -> list:
+    return [_nonzeros(row) for row in d.entries]
+
+
 def derivation_action(d: QMatrix, f: Poly) -> Poly:
     """Linear vector field x -> Dx applied to f as a derivation.
 
     (Df)(x) = sum_{i,j} D_{ji} x_i df/dx_j; degree preserving.  Vanishes
     exactly on polynomials invariant under the one-parameter group of D.
     """
-    n = f.nvars
-    out = Poly(n)
-    for j in range(n):
-        pj = f.partial(j)
-        if pj.is_zero():
-            continue
-        for i in range(n):
-            c = d.entries[j][i]
-            if c == 0:
-                continue
-            out = out + (pj * Poly.variable(n, i)).scale(c)
-    return out
+    rows = _matrix_rows(d)
+    out: dict = {}
+    for m, c in f.terms.items():
+        _derive(rows, m, c, out)
+    return Poly._of(f.nvars, out)
 
 
 @dataclass(frozen=True)
@@ -173,14 +155,31 @@ class InvariantSpace:
     nvars: int
     degree_bound: int
     per_degree: tuple[tuple[Poly, ...], ...]
-    # for torus actions: exponent differences a-b of the invariant monomials
+    # for torus actions: exponent differences a-b of the invariant monomials,
+    # in order of degree, and the degree |a| + |b| of each
     exponent_diffs: tuple[tuple[int, ...], ...] = ()
+    diff_degrees: tuple[int, ...] = ()
 
     def all_polys(self) -> list[Poly]:
         return [p for deg in self.per_degree for p in deg]
 
     def dim_in_degree(self, d: int) -> int:
         return len(self.per_degree[d - 1])
+
+    def up_to(self, degree: int) -> "InvariantSpace":
+        """The invariants of degrees 1..degree, exponent differences included."""
+        if not 1 <= degree <= self.degree_bound:
+            raise ValueError("degree must lie in 1..%d" % self.degree_bound)
+        if len(self.diff_degrees) != len(self.exponent_diffs):
+            raise ValueError("exponent differences carry no degrees")
+        kept = sum(1 for k in self.diff_degrees if k <= degree)
+        return InvariantSpace(
+            nvars=self.nvars,
+            degree_bound=degree,
+            per_degree=self.per_degree[:degree],
+            exponent_diffs=self.exponent_diffs[:kept],
+            diff_degrees=self.diff_degrees[:kept],
+        )
 
 
 def _check_cap(nvars: int, degree: int, cap: int) -> None:
@@ -191,29 +190,97 @@ def _check_cap(nvars: int, degree: int, cap: int) -> None:
         )
 
 
-def _finite_invariants(g: FiniteMatrixAction, degree: int, cap: int) -> list[list[Poly]]:
-    elems = enumerate_group(g)
+def _polys(nvars: int, monoms: Sequence[Monomial], basis) -> list[Poly]:
+    return [
+        Poly._of(nvars, {m: x for m, x in zip(monoms, row) if x}) for row in basis
+    ]
+
+
+# Each operator below is called once per degree 1, 2, ..., with that degree's
+# monomials, and returns their images.
+
+def _difference_operator(a: QMatrix) -> Callable[[list[Monomial]], Images]:
+    """f -> f(ax) - f(x).  x^m(ax) is x^(m - e_i)(ax) times the linear form
+    (ax)_i, so each image of degree d costs one sparse product with an image
+    of degree d - 1."""
+    n = a.rows
+    forms = _matrix_rows(a)
+    unit = (0,) * n
+    substituted = {unit: {unit: _ONE}}
+
+    def images(monoms: list[Monomial]) -> Images:
+        nonlocal substituted
+        nxt = {}
+        out = {}
+        for m in monoms:
+            i = next(k for k, p in enumerate(m) if p)
+            lower = list(m)
+            lower[i] -= 1
+            prod: dict = {}
+            for e, c in substituted[tuple(lower)].items():
+                for j, x in forms[i]:
+                    up = list(e)
+                    up[j] += 1
+                    _accumulate(prod, tuple(up), c * x)
+            nxt[m] = prod
+            diff = dict(prod)
+            _accumulate(diff, m, -_ONE)
+            out[m] = diff
+        substituted = nxt
+        return out
+
+    return images
+
+
+def _derivation_operator(xi: QMatrix) -> Callable[[list[Monomial]], Images]:
+    """The derivation of the vector field x -> xi x, on exponents."""
+    rows = _matrix_rows(xi)
+
+    def images(monoms: list[Monomial]) -> Images:
+        out = {}
+        for m in monoms:
+            out[m] = img = {}
+            _derive(rows, m, _ONE, img)
+        return out
+
+    return images
+
+
+def _common_kernel(monoms: list[Monomial], operators: list[Images]) -> Subspace:
+    """Coefficient vectors on monoms that every operator sends to zero.
+
+    Row e of an operator holds the coefficient of e in each image; all rows
+    go into one sparse elimination."""
+    ncols = len(monoms)
+    index = {m: c for c, m in enumerate(monoms)}
+    engine = SparseRREF(ncols)
+    for images in operators:
+        rows: dict = {}
+        for m, img in images.items():
+            c = index[m]
+            for e, x in img.items():
+                rows.setdefault(e, {})[c] = x
+        for row in rows.values():
+            if engine.rank == ncols:  # the kernel is already zero
+                return engine.kernel()
+            engine.insert(row)
+    return engine.kernel()
+
+
+def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
+    """Invariants of a finite or connected group: per degree, the common
+    kernel of one operator per generator.  A finite group is generated by its
+    generators, whose inverses are their powers, so they suffice."""
     n = g.dim
-    order = len(elems)
+    make = (
+        _difference_operator if isinstance(g, FiniteMatrixAction) else _derivation_operator
+    )
+    operators = [make(a) for a in action_generators(g)]
     out = []
     for d in range(1, degree + 1):
-        _check_cap(n, d, cap)
         monoms = monomials_of_degree(n, d)
-        rows = []
-        for m in monoms:
-            avg = Poly(n)
-            for el in elems:
-                avg = avg + Poly.monomial(m).substitute_linear(el)
-            avg = avg.scale(Fraction(1, order))
-            if not avg.is_zero():
-                rows.append(avg.coefficients_on(monoms))
-        if rows:
-            basis = Subspace._span(len(monoms), rows).basis
-            out.append(
-                [Poly(n, dict(zip(monoms, row))) for row in basis]
-            )
-        else:
-            out.append([])
+        kernel = _common_kernel(monoms, [op(monoms) for op in operators])
+        out.append(_polys(n, monoms, kernel.basis))
     return out
 
 
@@ -240,10 +307,10 @@ class _CPoly:
         return _CPoly(self.nvars, out)
 
     def real_part(self) -> Poly:
-        return Poly(self.nvars, {e: re for e, (re, im) in self.terms.items()})
+        return Poly._of(self.nvars, {e: re for e, (re, im) in self.terms.items() if re})
 
     def imag_part(self) -> Poly:
-        return Poly(self.nvars, {e: im for e, (re, im) in self.terms.items()})
+        return Poly._of(self.nvars, {e: im for e, (re, im) in self.terms.items() if im})
 
 
 def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> _CPoly:
@@ -268,14 +335,14 @@ def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> _CPoly:
 
 
 def _torus_invariants(
-    g: TorusAction, degree: int, cap: int
-) -> tuple[list[list[Poly]], list[tuple[int, ...]]]:
+    g: TorusAction, degree: int
+) -> tuple[list[list[Poly]], list[tuple[int, ...]], list[int]]:
     m = g.blocks
     n = g.dim
     out: list[list[Poly]] = []
     diffs: list[tuple[int, ...]] = []
+    degrees: list[int] = []
     for d in range(1, degree + 1):
-        _check_cap(n, d, cap)
         polys = []
         seen_pairs = set()
         # exponent pairs (a, b) with |a| + |b| = d and weight(a - b) = 0
@@ -292,6 +359,7 @@ def _torus_invariants(
                     ):
                         continue
                     diffs.append(diff)
+                    degrees.append(d)
                     zm = _z_monomial(m, a, b)
                     re = zm.real_part()
                     if not re.is_zero():
@@ -303,60 +371,32 @@ def _torus_invariants(
         # the conjugate-pair pruning above leaves a spanning set; canonicalize
         monoms = monomials_of_degree(n, d)
         rows = [p.coefficients_on(monoms) for p in polys]
-        if rows:
-            basis = Subspace._span(len(monoms), rows).basis
-            out.append([Poly(n, dict(zip(monoms, row))) for row in basis])
-        else:
-            out.append([])
-    return out, diffs
-
-
-def _connected_invariants(
-    g: ConnectedLieAction, degree: int, cap: int
-) -> list[list[Poly]]:
-    n = g.dim
-    out = []
-    for d in range(1, degree + 1):
-        _check_cap(n, d, cap)
-        monoms = monomials_of_degree(n, d)
-        index = {mm: i for i, mm in enumerate(monoms)}
-        rows = []
-        for xi in g.lie_generators:
-            # matrix of the derivation on the degree-d monomial space
-            block = []
-            for mm in monoms:
-                img = derivation_action(xi, Poly.monomial(mm))
-                block.append(img.coefficients_on(monoms))
-            # block rows are images of basis monomials: constraint matrix is
-            # its transpose acting on coefficient vectors
-            rows.extend(list(zip(*block)))
-        if not rows:
-            basis = Subspace.full(len(monoms)).basis
-        else:
-            basis = nullspace(QMatrix._of(rows)).basis
-        out.append([Poly(n, dict(zip(monoms, row))) for row in basis])
-    return out
+        out.append(_polys(n, monoms, Subspace._span(len(monoms), rows).basis))
+    return out, diffs, degrees
 
 
 def invariants_up_to_degree(
     g: GroupAction, degree: int, cap: int = DEFAULT_MONOMIAL_CAP
 ) -> InvariantSpace:
-    """Bases of homogeneous H-invariant polynomials in degrees 1..degree."""
+    """Bases of homogeneous H-invariant polynomials in degrees 1..degree.
+
+    Every degree is checked against the monomial cap before any is built."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    diffs: tuple = ()
-    if isinstance(g, FiniteMatrixAction):
-        per = _finite_invariants(g, degree, cap)
-    elif isinstance(g, TorusAction):
-        per, dlist = _torus_invariants(g, degree, cap)
-        diffs = tuple(dlist)
+    for d in range(1, degree + 1):
+        _check_cap(g.dim, d, cap)
+    diffs: list = []
+    degrees: list = []
+    if isinstance(g, TorusAction):
+        per, diffs, degrees = _torus_invariants(g, degree)
     else:
-        per = _connected_invariants(g, degree, cap)
+        per = _kernel_invariants(g, degree)
     return InvariantSpace(
         nvars=g.dim,
         degree_bound=degree,
         per_degree=tuple(tuple(p) for p in per),
-        exponent_diffs=diffs,
+        exponent_diffs=tuple(diffs),
+        diff_degrees=tuple(degrees),
     )
 
 

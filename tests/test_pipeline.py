@@ -8,6 +8,7 @@ import pytest
 from equivab import catalog as cat
 from equivab import cli
 from equivab import io as eio
+from equivab import strata
 from equivab.exactlin import QMatrix, Subspace
 from equivab.liealg import IsotropyData
 from equivab.pipeline import (
@@ -123,6 +124,26 @@ class TestVerifyModels:
         assert "commutant-residual" in checks
         assert "classification-vs-split-oracle" in checks
         assert "finite-kernel-vanishes" in checks
+
+    def test_invariants_built_once_per_quotient_orbit(self, monkeypatch):
+        calls = []
+        build = strata.invariants_up_to_degree
+
+        def counted(g, degree, *args, **kwargs):
+            calls.append(degree)
+            return build(g, degree, *args, **kwargs)
+
+        monkeypatch.setattr(strata, "invariants_up_to_degree", counted)
+        models = [
+            model("rot", cat.c3_rotation(), quotient_requested=True),
+            model("quat", cat.q8_on_r4()),
+            model("circle", TorusAction(((1, 2),)), quotient_requested=True),
+        ]
+        rep = verify_models(models, seed=0)
+        assert rep.passed
+        assert calls == [4, 3]
+        details = {i.orbit: i.detail for i in rep.items if i.check == "kernel-monotonicity"}
+        assert details == {"rot": "dim at 3: 0, at 4: 0", "circle": "dim at 2: 2, at 3: 1"}
 
     def test_non_commutant_algebra_flagged(self):
         rep = verify_models(

@@ -1,11 +1,17 @@
 """Tests for polynomial invariants, induced derivations, and the central
 kernel on the quotient side."""
 
+import functools
+from fractions import Fraction
+
 import pytest
+import sympy
+from test_commutant import FINITE_CASES
 
 from equivab import catalog as cat
+from equivab import strata
 from equivab.commutant import center, classify_ml, compute_commutant
-from equivab.exactlin import QMatrix
+from equivab.exactlin import QMatrix, Subspace
 from equivab.strata import (
     DegreeBoundTooLarge,
     Poly,
@@ -15,28 +21,114 @@ from equivab.strata import (
     monomials_of_degree,
     quotient_abelianization,
 )
-from equivab.symmetry import TorusAction
+from equivab.symmetry import TorusAction, enumerate_group
+
+# ---------------------------------------------------------------------------
+# test-local polynomial arithmetic: the oracles below are built from these,
+# through the coercing public constructor only
+
+
+def var(n, i):
+    return Poly(n, {tuple(int(k == i) for k in range(n)): 1})
+
+
+def mono(e):
+    return Poly(len(e), {tuple(e): 1})
+
+
+def add(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return Poly(p.nvars, out)
+
+
+def sub(p, q):
+    return add(p, q, -1)
+
+
+def mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.nvars, out)
+
+
+def scale(p, c):
+    return Poly(p.nvars, {e: c * v for e, v in p.terms.items()})
+
+
+def partial(p, i):
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            out[tuple(de)] = c * e[i]
+    return Poly(p.nvars, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_generators(n):
+    return sympy.ring(["x%d" % i for i in range(n)], sympy.QQ)[1:]
+
+
+def substitute(f, m):
+    """Oracle f(Mx), substituting x_i -> sum_j M[i][j] x_j in sympy's sparse
+    polynomial ring."""
+    n = f.nvars
+    xs = _ring_generators(n)
+
+    def q(x):
+        return sympy.QQ(int(x.numerator), int(x.denominator))
+
+    forms = [sum((q(m[i, j]) * xs[j] for j in range(n)), xs[0] * 0) for i in range(n)]
+    acc = xs[0] * 0
+    for e, c in f.terms.items():
+        term = xs[0] ** 0 * q(c)
+        for form, p in zip(forms, e):
+            term *= form**p
+        acc += term
+    return Poly(n, {e: Fraction(int(c.numerator), int(c.denominator))
+                    for e, c in acc.terms()})
 
 
 class TestPoly:
     def test_arithmetic(self):
-        x = Poly.variable(2, 0)
-        y = Poly.variable(2, 1)
-        p = (x + y) * (x - y)
-        assert p == x * x - y * y
+        x = var(2, 0)
+        y = var(2, 1)
+        p = mul(add(x, y), sub(x, y))
+        assert p == sub(mul(x, x), mul(y, y))
 
     def test_partial(self):
-        x = Poly.variable(2, 0)
-        y = Poly.variable(2, 1)
-        f = x * x * y
-        assert f.partial(0) == (x * y).scale(2)
-        assert f.partial(1) == x * x
+        x = var(2, 0)
+        y = var(2, 1)
+        f = mul(mul(x, x), y)
+        assert partial(f, 0) == scale(mul(x, y), 2)
+        assert partial(f, 1) == mul(x, x)
+        # the unit field x_i d/dx_j is the derivation of the matrix unit E_ji
+        for i in range(2):
+            for j in range(2):
+                e = QMatrix.from_rows([[int((r, c) == (j, i)) for c in range(2)]
+                                       for r in range(2)])
+                assert derivation_action(e, f) == mul(var(2, i), partial(f, j))
 
     def test_substitute_linear(self):
         # f(x, y) = x^2 under 90-degree rotation becomes y^2
-        f = Poly.monomial((2, 0))
+        f = mono((2, 0))
         rot = QMatrix.from_rows([[0, -1], [1, 0]])
-        assert f.substitute_linear(rot) == Poly.monomial((0, 2))
+        assert substitute(f, rot) == mono((0, 2))
+        g = Poly(2, {(1, 1): 2, (0, 1): 1})  # 2xy + y at (x + y, 3y)
+        shear = QMatrix.from_rows([[1, 1], [0, 3]])
+        assert substitute(g, shear) == Poly(2, {(1, 1): 6, (0, 2): 6, (0, 1): 3})
+
+    def test_public_constructor_coerces(self):
+        with pytest.raises(TypeError):
+            Poly(2, {(1, 0): 0.5})
+        p = Poly(2, {(1, 0): "1/2", (0, 1): 0})
+        assert p.terms == {(1, 0): Fraction(1, 2)}
 
     def test_monomials_count(self):
         from math import comb
@@ -48,13 +140,13 @@ class TestPoly:
 class TestDerivationAction:
     def test_euler_identity(self):
         # identity matrix acts on degree-d monomials as multiplication by d
-        f = Poly.monomial((2, 1))
+        f = mono((2, 1))
         df = derivation_action(QMatrix.identity(2), f)
-        assert df == f.scale(3)
+        assert df == scale(f, 3)
 
     def test_rotation_kills_radius(self):
         j = QMatrix.from_rows([[0, -1], [1, 0]])
-        r2 = Poly.monomial((2, 0)) + Poly.monomial((0, 2))
+        r2 = add(mono((2, 0)), mono((0, 2)))
         assert derivation_action(j, r2).is_zero()
 
     def test_rotation_on_cubic(self):
@@ -63,14 +155,14 @@ class TestDerivationAction:
         j = QMatrix.from_rows([[0, -1], [1, 0]])
         re_z3 = Poly(2, {(3, 0): 1, (1, 2): -3})
         im_z3 = Poly(2, {(2, 1): 3, (0, 3): -1})
-        assert derivation_action(j, re_z3) == im_z3.scale(-3)
+        assert derivation_action(j, re_z3) == scale(im_z3, -3)
 
     def test_leibniz(self):
         d = QMatrix.from_rows([[1, 2], [0, -1]])
         f = Poly(2, {(2, 0): 1, (1, 1): 3})
         g = Poly(2, {(0, 1): 2, (1, 0): -1})
-        lhs = derivation_action(d, f * g)
-        rhs = derivation_action(d, f) * g + f * derivation_action(d, g)
+        lhs = derivation_action(d, mul(f, g))
+        rhs = add(mul(derivation_action(d, f), g), mul(f, derivation_action(d, g)))
         assert lhs == rhs
 
 
@@ -83,11 +175,9 @@ class TestInvariants:
     def test_invariance_of_finite_basis(self):
         g = cat.s3_standard()
         inv = invariants_up_to_degree(g, 3)
-        from equivab.symmetry import enumerate_group
-
         for f in inv.all_polys():
             for el in enumerate_group(g):
-                assert f.substitute_linear(el) == f
+                assert substitute(f, el) == f
 
     def test_torus_invariant_counts(self):
         # anti-diagonal circle weights (1, -1) on C^2: z1 z2 is invariant
@@ -115,6 +205,68 @@ class TestInvariants:
     def test_degree_cap(self):
         with pytest.raises(DegreeBoundTooLarge):
             invariants_up_to_degree(cat.su2_on_c2(), 60, cap=100)
+
+    def test_degree_cap_checked_before_any_degree_is_built(self, monkeypatch):
+        def no_images(a):
+            raise AssertionError("images built before the cap check")
+
+        monkeypatch.setattr(strata, "_difference_operator", no_images)
+        message = "degree bound too large: 120 monomials in degree 7 exceeds cap 100"
+        with pytest.raises(DegreeBoundTooLarge) as err:
+            invariants_up_to_degree(cat.q8_on_r4(), 60, cap=100)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
+                             ids=[case[0].__name__ for case in FINITE_CASES])
+    def test_finite_invariants_span_reynolds_averages(self, make):
+        g = make()
+        elems = enumerate_group(g)
+        order = len(elems)
+        inv = invariants_up_to_degree(g, order)
+        for d, basis in enumerate(inv.per_degree, 1):
+            monoms = monomials_of_degree(g.dim, d)
+            averages = []
+            for m in monoms:
+                total = Poly(g.dim)
+                for el in elems:
+                    total = add(total, substitute(mono(m), el))
+                averages.append(scale(total, Fraction(1, order)).coefficients_on(monoms))
+            computed = [f.coefficients_on(monoms) for f in basis]
+            assert (Subspace.from_vectors(len(monoms), computed)
+                    == Subspace.from_vectors(len(monoms), averages)), d
+
+    @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
+                             ids=[case[0].__name__ for case in FINITE_CASES])
+    def test_finite_invariant_counts_match_molien_series(self, make):
+        # (1/|G|) sum_g 1/det(I - t g); det(I - t g) is the reversed
+        # characteristic polynomial of g
+        g = make()
+        elems = enumerate_group(g)
+        order = len(elems)
+        series = [sympy.Integer(0)] * (order + 1)
+        for el in elems:
+            mat = sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator))
+                                 for x in row] for row in el.entries])
+            det = mat.charpoly().all_coeffs()  # 1, c_1, ..., c_n
+            inverse = [sympy.Integer(1)]
+            for k in range(1, order + 1):
+                inverse.append(-sum(det[j] * inverse[k - j]
+                                    for j in range(1, min(k, g.dim) + 1)))
+            series = [a + b for a, b in zip(series, inverse)]
+        expected = [c / order for c in series[1:]]
+        inv = invariants_up_to_degree(g, order)
+        assert [inv.dim_in_degree(d) for d in range(1, order + 1)] == expected
+
+    @pytest.mark.parametrize("g, d", [
+        (cat.s3_standard(), 4),
+        (cat.su2_on_c2(), 3),
+        # certified only at degree 3: its exponent differences of degree 3
+        # must not leak into the degree-2 space
+        (TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), 3),
+        (TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), 2),
+    ], ids=["finite", "connected", "torus-3", "torus-2"])
+    def test_up_to_equals_direct_computation(self, g, d):
+        assert invariants_up_to_degree(g, d + 1).up_to(d) == invariants_up_to_degree(g, d)
 
 
 class TestKernel:
