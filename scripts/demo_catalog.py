@@ -14,7 +14,7 @@ from equivab.commutant import (
     verify_center_splits,
 )
 from equivab.strata import kernel_s, quotient_abelianization
-from equivab.symmetry import FiniteMatrixAction, TorusAction, enumerate_group
+from equivab.symmetry import FiniteMatrixAction, TorusAction
 
 CASES = [
     ("sign on R", cat.c2_sign()),
@@ -48,7 +48,7 @@ def main():
             line += "  blocks=%s" % [
                 (b.multiplicity, b.irreducible_dim, b.schur_type) for b in blocks
             ]
-            degree = len(enumerate_group(g))
+            degree = g.order
         elif isinstance(g, TorusAction):
             degree = 4  # enough to certify the small weight matrices here
         else:

@@ -53,7 +53,6 @@ class MatrixAlgebra:
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
-    contains_identity: bool = True
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,9 +66,8 @@ class MatrixAlgebra:
         )
         if not span.contains_subspace(products):
             raise ValueError("basis is not closed under multiplication")
-        if self.contains_identity:
-            if not span.contains(QMatrix.identity(self.ambient_dim).vec()):
-                raise ValueError("identity not in algebra span")
+        if not span.contains(QMatrix.identity(n).vec()):
+            raise ValueError("identity not in algebra span")
         self._memo["span"] = span
 
     @property
@@ -88,7 +86,6 @@ class MLClassification:
     l: int
     center_dim: int
     abelianization_dim: int
-    schur_types: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.center_dim != self.m + self.l:
@@ -114,16 +111,6 @@ def compute_commutant(g: GroupAction, allow_trivial_summand: bool = False) -> Ma
         sol = common_nullspace(constraints)
     basis = tuple(_square(v, n) for v in sol.basis)
     return MatrixAlgebra(n, basis)
-
-
-def full_matrix_algebra(n: int) -> MatrixAlgebra:
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            rows = [[Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n)]
-                    for r in range(n)]
-            basis.append(QMatrix.from_rows(rows))
-    return MatrixAlgebra(n, tuple(basis))
 
 
 def _square(v, n: int) -> QMatrix:

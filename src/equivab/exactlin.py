@@ -140,23 +140,12 @@ class QMatrix:
             out.append(acc)
         return tuple(out)
 
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.rows)), _ZERO)
-
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
     def vec(self) -> tuple[Fraction, ...]:
         """Row-major flattening."""
         return tuple(chain.from_iterable(self.entries))
-
-    @staticmethod
-    def from_vec(v: Sequence, rows: int, cols: int) -> "QMatrix":
-        if len(v) != rows * cols:
-            raise ValueError("length mismatch")
-        return QMatrix.from_rows(
-            [v[i * cols : (i + 1) * cols] for i in range(rows)]
-        )
 
 
 def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
@@ -355,14 +344,6 @@ class Subspace:
         engine = self._engine()
         return all(engine.contains(dict(_nonzeros(b))) for b in other.basis)
 
-    def coordinates(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Coefficients of v in the canonical basis; raises if v is outside."""
-        vec = [_q(x) for x in v]
-        sol = solve(QMatrix._of(self.basis).transpose(), vec)
-        if sol is None:
-            raise ValueError("vector not in subspace")
-        return sol
-
     def _check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -423,30 +404,15 @@ def nullspace(m: QMatrix) -> Subspace:
 
 
 def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
-    """Joint kernel of a family of operators with equal column count.
-
-    Computed by intersecting kernels one operator at a time: after the first
-    kernel, each operator is restricted to the (usually much smaller) current
-    kernel before elimination.
-    """
+    """Joint kernel of a family of operators with equal column count: the
+    rows of every operator go into one sparse elimination."""
     if not mats:
         raise ValueError("empty operator family has no defined ambient")
     cols = mats[0].cols
     for m in mats:
         if m.cols != cols:
             raise ValueError("ambient dimension mismatch")
-    kernel: Subspace | None = None
-    for m in mats:
-        if kernel is None:
-            kernel = nullspace(m)
-        else:
-            if kernel.dim == 0:
-                break
-            restricted = m @ QMatrix(kernel.basis).transpose()
-            coords = nullspace(restricted)
-            kernel = Subspace._span(cols, _combine(coords.basis, kernel.basis, cols))
-    assert kernel is not None
-    return kernel
+    return _eliminate(chain.from_iterable(m.entries for m in mats), cols).kernel()
 
 
 # ---------------------------------------------------------------------------

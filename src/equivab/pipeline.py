@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import commutant as comm
 from . import liealg, strata
@@ -10,7 +10,6 @@ from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
     action_generators,
-    enumerate_group,
     fixed_vectors,
 )
 
@@ -68,74 +67,22 @@ class AbelianizationReport:
     quotient_complex_rank: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "orbits": [
-                {
-                    "label": o.label,
-                    "commutant_dim": o.commutant_dim,
-                    "m": o.m,
-                    "l": o.l,
-                    "center_dim": o.center_dim,
-                    "abelianization_dim": o.abelianization_dim,
-                    "center_split_passed": o.center_split_passed,
-                    "derived_dim": o.derived_dim,
-                    "lie_summand_dim": o.lie_summand_dim,
-                    "quotient": None
-                    if o.quotient is None
-                    else {
-                        "dim": o.quotient.dim,
-                        "real_rank": o.quotient.real_rank,
-                        "complex_rank": o.quotient.complex_rank,
-                        "k": o.quotient.k,
-                        "exactness": o.quotient.exactness,
-                    },
-                }
-                for o in self.orbits
-            ],
-            "totals": {
-                "real_rank": self.real_rank,
-                "complex_rank": self.complex_rank,
-                "lie_dims": list(self.lie_dims),
-                "quotient_real_rank": self.quotient_real_rank,
-                "quotient_complex_rank": self.quotient_complex_rank,
-            },
-        }
+        """The JSON report: {"orbits": [...], "totals": {...}}, fields in
+        declaration order."""
+        totals = asdict(self)
+        return {"orbits": list(totals.pop("orbits")), "totals": totals}
 
     @staticmethod
     def from_dict(doc: dict) -> "AbelianizationReport":
         orbits = []
         for o in doc["orbits"]:
             q = o.get("quotient")
-            orbits.append(
-                OrbitResult(
-                    label=o["label"],
-                    commutant_dim=o["commutant_dim"],
-                    m=o["m"],
-                    l=o["l"],
-                    center_dim=o["center_dim"],
-                    abelianization_dim=o["abelianization_dim"],
-                    center_split_passed=o["center_split_passed"],
-                    derived_dim=o["derived_dim"],
-                    lie_summand_dim=o.get("lie_summand_dim"),
-                    quotient=None
-                    if q is None
-                    else strata.QuotientReport(
-                        dim=q["dim"],
-                        real_rank=q["real_rank"],
-                        complex_rank=q["complex_rank"],
-                        k=q["k"],
-                        exactness=q["exactness"],
-                    ),
-                )
-            )
+            orbits.append(OrbitResult(**{
+                **o, "quotient": None if q is None else strata.QuotientReport(**q)
+            }))
         t = doc["totals"]
         return AbelianizationReport(
-            orbits=tuple(orbits),
-            real_rank=t["real_rank"],
-            complex_rank=t["complex_rank"],
-            lie_dims=tuple(t["lie_dims"]),
-            quotient_real_rank=t.get("quotient_real_rank"),
-            quotient_complex_rank=t.get("quotient_complex_rank"),
+            orbits=tuple(orbits), **{**t, "lie_dims": tuple(t["lie_dims"])}
         )
 
 
@@ -180,7 +127,7 @@ def run_orbit(
 def default_degree_bound(g: GroupAction) -> int:
     """Noether bound for finite groups; small fixed bound otherwise."""
     if isinstance(g, FiniteMatrixAction):
-        return len(enumerate_group(g))
+        return g.order
     return 2
 
 
@@ -306,7 +253,7 @@ def verify_models(
                 ker1.s_basis.contains_subspace(ker2.s_basis),
                 "dim at %d: %d, at %d: %d" % (d, ker1.dim_s, d + 1, ker2.dim_s),
             )
-            if isinstance(g, FiniteMatrixAction) and d >= len(enumerate_group(g)):
+            if isinstance(g, FiniteMatrixAction) and d >= g.order:
                 add(label, "finite-kernel-vanishes", ker1.dim_s == 0)
 
     for name, algebra in extra_algebras or []:

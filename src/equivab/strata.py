@@ -11,21 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .commutant import MLClassification
+from .commutant import MLClassification, _square
 from .exactlin import (
+    Q,
     QMatrix,
     SparseRREF,
     Subspace,
     _ONE,
     _ZERO,
+    _combine,
     _nonzeros,
     integer_kernel_saturated,
     lattice_contains,
-    nullspace,
     _q,
 )
 from .symmetry import (
@@ -33,7 +34,6 @@ from .symmetry import (
     GroupAction,
     TorusAction,
     action_generators,
-    enumerate_group,
 )
 
 DEFAULT_MONOMIAL_CAP = 100_000
@@ -155,10 +155,6 @@ class InvariantSpace:
     nvars: int
     degree_bound: int
     per_degree: tuple[tuple[Poly, ...], ...]
-    # for torus actions: exponent differences a-b of the invariant monomials,
-    # in order of degree, and the degree |a| + |b| of each
-    exponent_diffs: tuple[tuple[int, ...], ...] = ()
-    diff_degrees: tuple[int, ...] = ()
 
     def all_polys(self) -> list[Poly]:
         return [p for deg in self.per_degree for p in deg]
@@ -167,19 +163,10 @@ class InvariantSpace:
         return len(self.per_degree[d - 1])
 
     def up_to(self, degree: int) -> "InvariantSpace":
-        """The invariants of degrees 1..degree, exponent differences included."""
+        """The invariants of degrees 1..degree."""
         if not 1 <= degree <= self.degree_bound:
             raise ValueError("degree must lie in 1..%d" % self.degree_bound)
-        if len(self.diff_degrees) != len(self.exponent_diffs):
-            raise ValueError("exponent differences carry no degrees")
-        kept = sum(1 for k in self.diff_degrees if k <= degree)
-        return InvariantSpace(
-            nvars=self.nvars,
-            degree_bound=degree,
-            per_degree=self.per_degree[:degree],
-            exponent_diffs=self.exponent_diffs[:kept],
-            diff_degrees=self.diff_degrees[:kept],
-        )
+        return InvariantSpace(self.nvars, degree, self.per_degree[:degree])
 
 
 def _check_cap(nvars: int, degree: int, cap: int) -> None:
@@ -284,95 +271,70 @@ def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
     return out
 
 
-class _CPoly:
-    """Polynomial with coefficients in Q[i], used to realify z / zbar monomials."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, (re, im) in terms.items():
-                if re != 0 or im != 0:
-                    self.terms[tuple(e)] = (re, im)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, (a, b) in self.terms.items():
-            for e2, (c, d) in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                re, im = out.get(e, (Fraction(0), Fraction(0)))
-                out[e] = (re + a * c - b * d, im + a * d + b * c)
-        return _CPoly(self.nvars, out)
-
-    def real_part(self) -> Poly:
-        return Poly._of(self.nvars, {e: re for e, (re, im) in self.terms.items() if re})
-
-    def imag_part(self) -> Poly:
-        return Poly._of(self.nvars, {e: im for e, (re, im) in self.terms.items() if im})
-
-
-def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> _CPoly:
-    """z^a zbar^b in real coordinates x_{2j} + i x_{2j+1}."""
-    n = 2 * nblocks
-    one = Fraction(1)
-    acc = _CPoly(n, {tuple([0] * n): (one, Fraction(0))})
-    for j in range(nblocks):
-        zj = _CPoly(n, {
-            tuple(1 if k == 2 * j else 0 for k in range(n)): (one, Fraction(0)),
-            tuple(1 if k == 2 * j + 1 else 0 for k in range(n)): (Fraction(0), one),
-        })
-        zbj = _CPoly(n, {
-            tuple(1 if k == 2 * j else 0 for k in range(n)): (one, Fraction(0)),
-            tuple(1 if k == 2 * j + 1 else 0 for k in range(n)): (Fraction(0), -one),
-        })
-        for _ in range(a[j]):
-            acc = acc * zj
-        for _ in range(b[j]):
-            acc = acc * zbj
-    return acc
-
-
-def _torus_invariants(
-    g: TorusAction, degree: int
-) -> tuple[list[list[Poly]], list[tuple[int, ...]], list[int]]:
+def _torus_pairs(g: TorusAction, d: int) -> Iterator[tuple[Monomial, Monomial]]:
+    """Exponent pairs (a, b), |a| + |b| = d, of the invariant monomials
+    z^a zbar^b: those with weight(a - b) = 0.  Of the conjugates (a, b) and
+    (b, a) only one is listed: |a| < |b|, or |a| = |b| and a comes first in
+    `monomials_of_degree` order."""
     m = g.blocks
+    for total_a in range(d // 2 + 1):
+        bs = monomials_of_degree(m, d - total_a)
+        for i, a in enumerate(monomials_of_degree(m, total_a)):
+            for b in bs[i:] if 2 * total_a == d else bs:
+                if all(
+                    sum(w * (x - y) for w, x, y in zip(row, a, b)) == 0
+                    for row in g.weights
+                ):
+                    yield a, b
+
+
+def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> tuple[Poly, Poly]:
+    """Real and imaginary parts of z^a zbar^b in real coordinates
+    z_j = x_{2j} + i x_{2j+1}.
+
+    Per block, (x + iy)^p (x - iy)^q = sum_s c_s i^s x^(p+q-s) y^s with the
+    integers c_s = sum_t (-1)^t C(p, s-t) C(q, t).  Blocks share no variable,
+    so each choice of one s per block is its own monomial."""
+    per_block = []
+    for p, q in zip(a, b):
+        terms = []
+        for s in range(p + q + 1):
+            c = sum(
+                (-1) ** t * comb(p, s - t) * comb(q, t)
+                for t in range(max(0, s - p), min(s, q) + 1)
+            )
+            if c:
+                terms.append((p + q - s, s, c))
+        per_block.append(terms)
+    parts: tuple[dict, dict] = ({}, {})
+    for choice in product(*per_block):
+        e: list[int] = []
+        coeff, total = 1, 0
+        for x_exp, s, c in choice:
+            e += (x_exp, s)
+            coeff *= c
+            total += s
+        # i^total: the real part for even total, negated when total % 4 >= 2
+        parts[total % 2][tuple(e)] = Q(coeff if total % 4 < 2 else -coeff)
+    n = 2 * nblocks
+    return Poly._of(n, parts[0]), Poly._of(n, parts[1])
+
+
+def _torus_invariants(g: TorusAction, degree: int) -> list[list[Poly]]:
     n = g.dim
-    out: list[list[Poly]] = []
-    diffs: list[tuple[int, ...]] = []
-    degrees: list[int] = []
+    out = []
     for d in range(1, degree + 1):
-        polys = []
-        seen_pairs = set()
-        # exponent pairs (a, b) with |a| + |b| = d and weight(a - b) = 0
-        for total_a in range(d + 1):
-            for a in monomials_of_degree(m, total_a):
-                for b in monomials_of_degree(m, d - total_a):
-                    if (b, a) in seen_pairs:
-                        continue
-                    seen_pairs.add((a, b))
-                    diff = tuple(x - y for x, y in zip(a, b))
-                    if any(
-                        sum(w * c for w, c in zip(row, diff)) != 0
-                        for row in g.weights
-                    ):
-                        continue
-                    diffs.append(diff)
-                    degrees.append(d)
-                    zm = _z_monomial(m, a, b)
-                    re = zm.real_part()
-                    if not re.is_zero():
-                        polys.append(re)
-                    if a != b:
-                        im = zm.imag_part()
-                        if not im.is_zero():
-                            polys.append(im)
+        polys = [
+            p
+            for a, b in _torus_pairs(g, d)
+            for p in _z_monomial(g.blocks, a, b)
+            if not p.is_zero()
+        ]
         # the conjugate-pair pruning above leaves a spanning set; canonicalize
         monoms = monomials_of_degree(n, d)
         rows = [p.coefficients_on(monoms) for p in polys]
         out.append(_polys(n, monoms, Subspace._span(len(monoms), rows).basis))
-    return out, diffs, degrees
+    return out
 
 
 def invariants_up_to_degree(
@@ -385,18 +347,14 @@ def invariants_up_to_degree(
         raise ValueError("degree bound must be >= 1")
     for d in range(1, degree + 1):
         _check_cap(g.dim, d, cap)
-    diffs: list = []
-    degrees: list = []
     if isinstance(g, TorusAction):
-        per, diffs, degrees = _torus_invariants(g, degree)
+        per = _torus_invariants(g, degree)
     else:
         per = _kernel_invariants(g, degree)
     return InvariantSpace(
         nvars=g.dim,
         degree_bound=degree,
         per_degree=tuple(tuple(p) for p in per),
-        exponent_diffs=tuple(diffs),
-        diff_degrees=tuple(degrees),
     )
 
 
@@ -411,14 +369,19 @@ class KernelResult:
     degree_bound: int
 
 
-def _torus_certified(g: TorusAction, inv: InvariantSpace) -> bool:
-    # need every |z_j|^2 (degree >= 2) and the observed exponent-difference
-    # lattice to equal the saturated weight kernel
-    if inv.degree_bound < 2:
+def _torus_certified(g: TorusAction, degree: int) -> bool:
+    """Whether the invariants of degree <= degree determine the kernel: they
+    hold every |z_j|^2 (degree 2), and the exponent differences a - b of
+    their monomials z^a zbar^b span the saturated weight kernel."""
+    if degree < 2:
         return False
-    sat = integer_kernel_saturated(g.weights)
-    observed = [d for d in inv.exponent_diffs if any(x != 0 for x in d)]
-    return all(lattice_contains(observed, v) for v in sat)
+    observed = [
+        tuple(x - y for x, y in zip(a, b))
+        for d in range(1, degree + 1)
+        for a, b in _torus_pairs(g, d)
+        if a != b
+    ]
+    return all(lattice_contains(observed, v) for v in integer_kernel_saturated(g.weights))
 
 
 def kernel_s(
@@ -429,55 +392,51 @@ def kernel_s(
     cap: int = DEFAULT_MONOMIAL_CAP,
     invariants: InvariantSpace | None = None,
 ) -> KernelResult:
-    """Central elements whose induced derivation kills every computed invariant.
+    """Central elements whose induced derivation kills every invariant of
+    degree <= degree.
 
     Certified exact for finite groups at degree >= |G| (Noether bound) and for
     tori once the invariant exponent lattice saturates; otherwise the result
-    is only an upper bound (superset) for the true kernel.
+    is only an upper bound (superset) for the true kernel.  The label is a
+    function of the action and the degree, so `invariants`, when given, must
+    be the invariants up to `degree`.
     """
     n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
-    inv = invariants if invariants is not None else invariants_up_to_degree(g, degree, cap)
-    center_mats = [QMatrix.from_vec(v, n, n) for v in z.basis]
-    if not center_mats:
-        s = Subspace.zero(n * n)
-    else:
-        rows = []
-        for f in inv.all_polys():
-            monoms = sorted(f.terms.keys())
-            # include every monomial reachable from f under the derivations
-            images = [derivation_action(dm, f) for dm in center_mats]
-            support = set(monoms)
-            for img in images:
-                support.update(img.terms.keys())
-            support = sorted(support)
-            for mono in support:
-                rows.append([img.terms.get(mono, Fraction(0)) for img in images])
-        if rows:
-            coeff_kernel = nullspace(QMatrix._of(rows))
-        else:
-            coeff_kernel = Subspace.full(len(center_mats))
-        vecs = []
-        for coords in coeff_kernel.basis:
-            acc = QMatrix.zeros(n, n)
-            for c, dm in zip(coords, center_mats):
-                acc = acc + dm.scale(c)
-            vecs.append(acc.vec())
-        s = Subspace._span(n * n, vecs)
+    if invariants is None:
+        invariants = invariants_up_to_degree(g, degree, cap)
+    elif invariants.degree_bound != degree:
+        raise ValueError(
+            "invariants go up to degree %d, not %d" % (invariants.degree_bound, degree)
+        )
+    center_mats = [_square(v, n) for v in z.basis]
+    # one row per monomial e of an image: the coefficient of e in D_k f for
+    # each central element D_k, all in one sparse elimination
+    engine = SparseRREF(len(center_mats))
+    for f in invariants.all_polys():
+        if engine.rank == len(center_mats):  # the kernel is already zero
+            break
+        rows: dict = {}
+        for k, dm in enumerate(center_mats):
+            for e, x in derivation_action(dm, f).terms.items():
+                rows.setdefault(e, {})[k] = x
+        for row in rows.values():
+            engine.insert(row)
+    coords = engine.kernel().basis
+    s = Subspace._span(n * n, _combine(coords, z.basis, n * n))
 
     if isinstance(g, FiniteMatrixAction):
-        order = len(enumerate_group(g))
-        exact = "certified" if degree >= order else "degree-bounded"
+        certified = degree >= g.order
     elif isinstance(g, TorusAction):
-        exact = "certified" if _torus_certified(g, inv) else "degree-bounded"
+        certified = _torus_certified(g, degree)
     else:
-        exact = "degree-bounded"
+        certified = False
     return KernelResult(
         s_basis=s,
         dim_t=ml.l,
         dim_s=s.dim,
-        exactness=exact,
+        exactness="certified" if certified else "degree-bounded",
         degree_bound=degree,
     )
 

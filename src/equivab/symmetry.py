@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     QMatrix,
@@ -42,6 +43,11 @@ class FiniteMatrixAction:
                 raise ValueError("generator shape mismatch")
             if rank(g) != self.dim:
                 raise ValueError("generator is not invertible")
+
+    @cached_property
+    def order(self) -> int:
+        """|G|, enumerated once per action."""
+        return len(enumerate_group(self))
 
 
 @dataclass(frozen=True)
@@ -94,23 +100,19 @@ class ConnectedLieAction:
 
     dim: int
     lie_generators: tuple[QMatrix, ...]
-    check_closure: bool = True
 
     def __post_init__(self):
         for g in self.lie_generators:
             if g.rows != self.dim or g.cols != self.dim:
                 raise ValueError("Lie generator shape mismatch")
-        if self.check_closure:
-            span = Subspace.from_vectors(
-                self.dim * self.dim, [g.vec() for g in self.lie_generators]
-            )
-            for a in self.lie_generators:
-                for b in self.lie_generators:
-                    br = a @ b - b @ a
-                    if not span.contains(br.vec()):
-                        raise ValueError(
-                            "generators are not closed under the bracket"
-                        )
+        span = Subspace.from_vectors(
+            self.dim * self.dim, [g.vec() for g in self.lie_generators]
+        )
+        for a in self.lie_generators:
+            for b in self.lie_generators:
+                br = a @ b - b @ a
+                if not span.contains(br.vec()):
+                    raise ValueError("generators are not closed under the bracket")
 
 
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction

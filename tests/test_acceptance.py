@@ -142,36 +142,32 @@ def _torus_certificate(g: TorusAction):
     monomial z^(v+) zbar^(v-) per saturated-kernel basis vector v.
 
     Each polynomial is an honest invariant (its exponent difference is killed
-    by the weight matrix), and together their exponent differences span the
-    saturated kernel lattice, which is the certification condition."""
+    by the weight matrix).  Its degree bound is the largest degree of these
+    monomials, at which the invariant monomials' exponent differences span
+    the saturated kernel lattice: the certification condition."""
     from equivab.exactlin import integer_kernel_saturated
     from equivab.strata import InvariantSpace, _z_monomial
 
     m = g.blocks
     polys = []
-    diffs = []
     max_deg = 2
     for j in range(m):
         # |z_j|^2 = real part of z_j zbar_j
         aa = tuple(1 if i == j else 0 for i in range(m))
-        polys.append(_z_monomial(m, aa, aa).real_part())
-        diffs.append(tuple(0 for _ in range(m)))
+        polys.append(_z_monomial(m, aa, aa)[0])
     for v in integer_kernel_saturated(g.weights):
         plus = tuple(max(x, 0) for x in v)
         minus = tuple(max(-x, 0) for x in v)
-        zm = _z_monomial(m, plus, minus)
-        re, im = zm.real_part(), zm.imag_part()
+        re, im = _z_monomial(m, plus, minus)
         if not re.is_zero():
             polys.append(re)
         if not im.is_zero():
             polys.append(im)
-        diffs.append(v)
         max_deg = max(max_deg, sum(plus) + sum(minus))
     return InvariantSpace(
         nvars=g.dim,
         degree_bound=max_deg,
         per_degree=(tuple(polys),),
-        exponent_diffs=tuple(diffs),
     )
 
 

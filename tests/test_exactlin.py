@@ -222,15 +222,6 @@ class TestSubspace:
         assert len(ext) == a.cols - u.dim
         assert Subspace.from_vectors(a.cols, list(u.basis) + ext).dim == a.cols
 
-    def test_coordinates_roundtrip(self):
-        u = Subspace.from_vectors(3, [[1, 0, 1], [0, 1, 1]])
-        v = [2, 3, 5]
-        coords = u.coordinates(v)
-        rebuilt = [
-            sum(c * b[j] for c, b in zip(coords, u.basis)) for j in range(3)
-        ]
-        assert rebuilt == [Fraction(x) for x in v]
-
     @pytest.mark.parametrize("x", [0.0, 0.5])
     def test_float_entries_rejected(self, x):
         # a float zero is rejected like any other float, not dropped as zero
@@ -238,11 +229,6 @@ class TestSubspace:
             Subspace.from_vectors(2, [[x, 1]])
         with pytest.raises(TypeError):
             Subspace.full(2).contains([x, 1])
-
-    def test_coordinates_outside_raises(self):
-        u = Subspace.from_vectors(2, [[1, 0]])
-        with pytest.raises(ValueError):
-            u.coordinates([0, 1])
 
     @given(square_matrices(3), square_matrices(3), square_matrices(3))
     @settings(max_examples=40, deadline=None)

@@ -21,7 +21,11 @@ from equivab.liealg import (
 def _killing_form(g: LieAlgebraSC) -> QMatrix:
     """K(e_i, e_j) = tr(ad e_i ad e_j), from the ad matrices."""
     ads = [g.ad([1 if k == i else 0 for k in range(g.dim)]) for i in range(g.dim)]
-    return QMatrix.from_rows([[(a @ b).trace() for b in ads] for a in ads])
+
+    def trace(m):
+        return sum(m[i, i] for i in range(m.rows))
+
+    return QMatrix.from_rows([[trace(a @ b) for b in ads] for a in ads])
 
 
 class TestValidation:

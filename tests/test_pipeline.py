@@ -8,7 +8,7 @@ import pytest
 from equivab import catalog as cat
 from equivab import cli
 from equivab import io as eio
-from equivab import strata
+from equivab import strata, symmetry
 from equivab.exactlin import QMatrix, Subspace
 from equivab.liealg import IsotropyData
 from equivab.pipeline import (
@@ -95,6 +95,19 @@ class TestRunPipeline:
         rep = run_pipeline([m])
         assert rep.quotient_real_rank == 1
         assert rep.quotient_complex_rank == 0
+
+    def test_group_enumerated_once_per_orbit(self, monkeypatch):
+        calls = []
+        enumerate_all = symmetry.enumerate_group
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_all(g)
+
+        monkeypatch.setattr(symmetry, "enumerate_group", counted)
+        rep = run_pipeline([model("rot", cat.c3_rotation(), quotient_requested=True)])
+        assert rep.orbits[0].quotient.exactness == "certified"
+        assert len(calls) == 1
 
     def test_errors_carry_orbit_label(self):
         calls = []

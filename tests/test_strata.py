@@ -260,13 +260,38 @@ class TestInvariants:
     @pytest.mark.parametrize("g, d", [
         (cat.s3_standard(), 4),
         (cat.su2_on_c2(), 3),
-        # certified only at degree 3: its exponent differences of degree 3
-        # must not leak into the degree-2 space
+        # certified only at degree 3 (see test_certified_only_at_degree_3)
         (TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), 3),
         (TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), 2),
     ], ids=["finite", "connected", "torus-3", "torus-2"])
     def test_up_to_equals_direct_computation(self, g, d):
         assert invariants_up_to_degree(g, d + 1).up_to(d) == invariants_up_to_degree(g, d)
+
+
+class TestZMonomial:
+    @pytest.mark.parametrize("a, b", [
+        ((0,), (0,)), ((1,), (0,)), ((2,), (3,)), ((2,), (2,)),
+        ((1, 0), (0, 2)), ((1, 2), (1, 2)), ((3, 1), (0, 1)),
+        ((1, 0, 2), (0, 1, 1)), ((1, 1, 1), (1, 1, 1)), ((0, 2, 1), (2, 0, 0)),
+    ])
+    def test_matches_sympy_expansion(self, a, b):
+        m = len(a)
+        xs = sympy.symbols("x0:%d" % (2 * m), real=True)
+        zm = sympy.expand(sympy.prod(
+            (xs[2 * j] + sympy.I * xs[2 * j + 1]) ** a[j]
+            * (xs[2 * j] - sympy.I * xs[2 * j + 1]) ** b[j]
+            for j in range(m)
+        ))
+
+        def as_poly(expr):
+            terms = sympy.Poly(expr, *xs).terms() if expr != 0 else []
+            return Poly(2 * m, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+        re, im = strata._z_monomial(m, a, b)
+        assert re == as_poly(sympy.re(zm))
+        assert im == as_poly(sympy.im(zm))
+        if a == b:
+            assert im.is_zero()
 
 
 class TestKernel:
@@ -298,6 +323,27 @@ class TestKernel:
         a = compute_commutant(g)
         res = kernel_s(g, center(a), degree=2, ml=classify_ml(a))
         assert res.exactness == "degree-bounded"
+
+    def test_invariants_must_match_degree(self):
+        g = cat.c3_rotation()
+        a = compute_commutant(g)
+        ml = classify_ml(a)
+        inv = invariants_up_to_degree(g, 3)
+        with pytest.raises(ValueError, match="degree 3, not 2"):
+            kernel_s(g, center(a), degree=2, ml=ml, invariants=inv)
+        assert kernel_s(g, center(a), degree=3, ml=ml, invariants=inv).exactness == "certified"
+
+    def test_certified_only_at_degree_3(self):
+        # the saturated weight kernel needs the exponent differences of
+        # degree-3 invariant monomials: degree 2 does not certify it
+        g = TorusAction(((1, 0, 1, 1), (0, 1, 1, -1)))
+        a = compute_commutant(g)
+        ml = classify_ml(a)
+        z = center(a)
+        inv = invariants_up_to_degree(g, 3)
+        for d, label in [(2, "degree-bounded"), (3, "certified")]:
+            assert kernel_s(g, z, degree=d, ml=ml).exactness == label
+            assert kernel_s(g, z, degree=d, ml=ml, invariants=inv.up_to(d)).exactness == label
 
     def test_torus_certification_needs_saturation(self):
         g = TorusAction(((1, 1),))

@@ -1,8 +1,11 @@
 """Tests for group action descriptors and their linear invariance constraints."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_commutant import FINITE_CASES
 
 from equivab import catalog as cat
 from equivab.exactlin import QMatrix
@@ -54,6 +57,18 @@ class TestEnumeration:
     )
     def test_group_orders(self, action, order):
         assert len(enumerate_group(action)) == order
+
+    @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
+                             ids=[case[0].__name__ for case in FINITE_CASES])
+    def test_order_matches_enumeration(self, make):
+        g = make()
+        assert g.order == len(enumerate_group(g))
+
+    def test_order_is_not_shared_with_a_copy(self):
+        g = cat.q8_on_r4()
+        assert g.order == 8
+        with pytest.raises(GroupNotFiniteError):
+            dataclasses.replace(g, cap=2).order
 
     def test_closure_under_product(self):
         elems = enumerate_group(cat.s3_standard())
@@ -151,7 +166,7 @@ class TestInvarianceConstraints:
         # commutant of a rotation is C acting on R^2: dimension 2
         assert sol.dim == 2
         for v in sol.basis:
-            x = QMatrix.from_vec(v, 2, 2)
+            x = QMatrix.from_rows([v[:2], v[2:]])
             for gen in g.generators:
                 assert (gen @ x - x @ gen).is_zero()
 
