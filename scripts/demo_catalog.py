@@ -7,8 +7,8 @@ import time
 
 from equivab import catalog as cat
 from equivab.commutant import (
-    center,
     classify_ml,
+    commutant_structure,
     compute_commutant,
     schur_split_oracle,
     verify_center_splits,
@@ -37,11 +37,11 @@ CASES = [
 def main():
     for name, g in CASES:
         t0 = time.time()
-        a = compute_commutant(g)
-        ml = classify_ml(a)
-        split = verify_center_splits(a)
+        s = commutant_structure(compute_commutant(g))
+        ml = classify_ml(s)
+        split = verify_center_splits(s)
         line = "%-28s commutant %2d  (m,l)=(%d,%d)  split=%s" % (
-            name, a.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
+            name, s.algebra.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
         )
         if isinstance(g, FiniteMatrixAction):
             blocks = schur_split_oracle(g, seed=0)
@@ -53,7 +53,7 @@ def main():
             degree = 4  # enough to certify the small weight matrices here
         else:
             degree = 2
-        z = center(a)
+        z = s.center
         res = kernel_s(g, z, degree=degree, ml=ml)
         q = quotient_abelianization(z, res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (

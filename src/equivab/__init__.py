@@ -7,11 +7,13 @@ quotient, with independent brute-force verification of each structural claim.
 """
 
 from .commutant import (
+    CommutantStructure,
     MatrixAlgebra,
     MLClassification,
     abelianization,
     center,
     classify_ml,
+    commutant_structure,
     commutator_ideal,
     compute_commutant,
     schur_split_oracle,
@@ -35,6 +37,7 @@ from .symmetry import (
 
 __all__ = [
     "AbelianizationReport",
+    "CommutantStructure",
     "ConnectedLieAction",
     "FiniteMatrixAction",
     "IsotropyData",
@@ -49,6 +52,7 @@ __all__ = [
     "abelianization",
     "center",
     "classify_ml",
+    "commutant_structure",
     "commutator_ideal",
     "compute_commutant",
     "enumerate_group",

@@ -8,11 +8,23 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import io as eio
 from .pipeline import InputError, PipelineError, run_pipeline, verify_models
+
+
+def _at_least(least: int):
+    """An argparse type: a decimal integer >= least, where least >= 0."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (least, text)
+            )
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,10 +41,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run verification mode instead of plain compute",
     )
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="random seed")
     p.add_argument(
         "--degree-bound",
-        type=int,
+        type=_at_least(1),
         default=None,
         help="invariant degree bound for quotient computations",
     )
@@ -44,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-group-order",
-        type=int,
+        dest="group_cap",
+        type=_at_least(1),
         default=None,
         help="cap on finite group enumeration",
     )
@@ -58,38 +71,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--verify does not write a report; drop --emit-json")
     try:
         if args.input == "-":
-            models, options = eio.parse_input(sys.stdin)
+            models, options = eio.parse_input(sys.stdin, vars(args))
         else:
-            models, options = eio.parse_file(args.input)
+            with open(args.input, encoding="utf-8") as fh:
+                models, options = eio.parse_input(fh, vars(args))
     except (InputError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 
-    seed = args.seed
-    if seed is None:
-        seed = options.get("seed")
-    if seed is None:
-        seed = int(os.environ.get("EQUIVAB_SEED", "0"))
-    degree = args.degree_bound
-    if degree is None:
-        degree = options.get("degree_bound")
-    if args.max_group_order is not None:
-        from dataclasses import replace
-
-        from .symmetry import FiniteMatrixAction
-
-        models = [
-            replace(
-                m,
-                slice_action=replace(m.slice_action, cap=args.max_group_order),
-            )
-            if isinstance(m.slice_action, FiniteMatrixAction)
-            else m
-            for m in models
-        ]
-
     if args.verify:
-        report = verify_models(models, seed=seed, degree_bound=degree)
+        report = verify_models(
+            models, seed=options["seed"], degree_bound=options["degree_bound"]
+        )
         for item in report.items:
             status = "pass" if item.passed else "FAIL"
             line = "[%s] %s: %s" % (status, item.orbit, item.check)
@@ -100,7 +93,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
 
     try:
-        report = run_pipeline(models, seed=seed, degree_bound=degree)
+        report = run_pipeline(
+            models, seed=options["seed"], degree_bound=options["degree_bound"]
+        )
     except (PipelineError, InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
@@ -29,14 +29,18 @@ from .exactlin import (
 from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
-    check_no_trivial_summand,
     enumerate_group,
     invariance_constraints,
 )
 
-
-class TrivialSummandError(ValueError):
-    """The action has nonzero fixed vectors, violating V^H = 0."""
+# classify_ml draws random central elements with coefficients in
+# [-range, range], doubling the range after each non-generic draw
+CLASSIFY_RETRIES = 20
+CLASSIFY_COEFF_RANGE = 10
+# schur_split_oracle's relative tolerances: eigenvalues closer than
+# SPLIT_EIG_TOL cluster, singular values below SPLIT_RANK_TOL count as zero
+SPLIT_EIG_TOL = 1e-8
+SPLIT_RANK_TOL = 1e-9
 
 
 class GenericityError(RuntimeError):
@@ -45,19 +49,14 @@ class GenericityError(RuntimeError):
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
-    """Unital associative subalgebra of End(R^n) given by a rational basis.
-
-    Its span, center and commutator ideal are computed at most once and kept
-    in `_memo`, which takes no part in equality or hashing.
-    """
+    """Unital associative subalgebra of End(R^n) given by a rational basis."""
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient_dim
-        span = Subspace._span(n * n, [b.vec() for b in self.basis])
+        span = self.span()
         if span.dim != len(self.basis):
             raise ValueError("algebra basis is linearly dependent")
         sparse = [_sparse_rows(b.vec(), n) for b in self.basis]
@@ -68,14 +67,14 @@ class MatrixAlgebra:
             raise ValueError("basis is not closed under multiplication")
         if not span.contains(QMatrix.identity(n).vec()):
             raise ValueError("identity not in algebra span")
-        self._memo["span"] = span
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def span(self) -> Subspace:
-        return self._memo["span"]
+        n = self.ambient_dim
+        return Subspace._span(n * n, [b.vec() for b in self.basis])
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,8 @@ class MLClassification:
             raise ValueError("need m >= l >= 0")
 
 
-def compute_commutant(g: GroupAction, allow_trivial_summand: bool = False) -> MatrixAlgebra:
+def compute_commutant(g: GroupAction) -> MatrixAlgebra:
     """Basis of {X : X commutes with the action}, as a MatrixAlgebra."""
-    if not allow_trivial_summand and not check_no_trivial_summand(g):
-        raise TrivialSummandError(
-            "action has nonzero fixed vectors; pass allow_trivial_summand=True "
-            "to compute anyway"
-        )
     n = g.dim
     constraints = invariance_constraints(g)
     if not constraints:
@@ -148,46 +142,55 @@ def _bracket(x, y, n: int) -> dict[int, Fraction]:
 
 
 def center(a: MatrixAlgebra) -> Subspace:
-    """Center of A as a subspace of vec(End(V)); computed once per algebra."""
-    if "center" not in a._memo:
-        n = a.ambient_dim
-        basis = [_sparse_rows(b.vec(), n) for b in a.basis]
-        # vecs spans the centralizer in A of the basis elements seen so far;
-        # each basis element b keeps the combinations commuting with b
-        vecs, sparse = [b.vec() for b in a.basis], basis
-        for b in basis:
-            brackets = [_bracket(x, b, n) for x in sparse]
-            # the nonzero rows of the matrix whose columns are vec([x, b])
-            support = sorted(set().union(*brackets))
-            if not support:
-                continue
-            coords = nullspace(
-                QMatrix._of([col.get(i, _ZERO) for col in brackets] for i in support)
-            )
-            vecs = _combine(coords.basis, vecs, n * n)
-            sparse = [_sparse_rows(v, n) for v in vecs]
-        a._memo["center"] = Subspace._span(n * n, vecs)
-    return a._memo["center"]
+    """Center of A as a subspace of vec(End(V))."""
+    n = a.ambient_dim
+    basis = [_sparse_rows(b.vec(), n) for b in a.basis]
+    # vecs spans the centralizer in A of the basis elements seen so far;
+    # each basis element b keeps the combinations commuting with b
+    vecs, sparse = [b.vec() for b in a.basis], basis
+    for b in basis:
+        brackets = [_bracket(x, b, n) for x in sparse]
+        # the nonzero rows of the matrix whose columns are vec([x, b])
+        support = sorted(set().union(*brackets))
+        if not support:
+            continue
+        coords = nullspace(
+            QMatrix._of([col.get(i, _ZERO) for col in brackets] for i in support)
+        )
+        vecs = _combine(coords.basis, vecs, n * n)
+        sparse = [_sparse_rows(v, n) for v in vecs]
+    return Subspace._span(n * n, vecs)
 
 
 def commutator_ideal(a: MatrixAlgebra) -> Subspace:
-    """Span of all brackets of basis elements (= [A, A] by bilinearity);
-    computed once per algebra."""
-    if "derived" not in a._memo:
-        n = a.ambient_dim
-        sparse = [_sparse_rows(b.vec(), n) for b in a.basis]
-        a._memo["derived"] = Subspace._span_sparse(
-            n * n, (_bracket(x, y, n) for x, y in itertools.combinations(sparse, 2))
-        )
-    return a._memo["derived"]
+    """Span of all brackets of basis elements (= [A, A] by bilinearity)."""
+    n = a.ambient_dim
+    sparse = [_sparse_rows(b.vec(), n) for b in a.basis]
+    return Subspace._span_sparse(
+        n * n, (_bracket(x, y, n) for x, y in itertools.combinations(sparse, 2))
+    )
 
 
-def abelianization(a: MatrixAlgebra) -> tuple[int, list[QMatrix]]:
+@dataclass(frozen=True)
+class CommutantStructure:
+    """An algebra A with its center Z(A) and commutator ideal [A, A], both as
+    subspaces of vec(End(V)).  Every answer about A reads them from here."""
+
+    algebra: MatrixAlgebra
+    center: Subspace
+    derived: Subspace
+
+
+def commutant_structure(a: MatrixAlgebra) -> CommutantStructure:
+    """A with its center and commutator ideal, each computed once."""
+    return CommutantStructure(a, center(a), commutator_ideal(a))
+
+
+def abelianization(s: CommutantStructure) -> tuple[int, list[QMatrix]]:
     """(dimension, representative basis) of A / [A, A]."""
-    derived = commutator_ideal(a)
-    span = a.span()
-    reps = derived.complement_in(span)
-    dim = a.dim - derived.dim
+    a = s.algebra
+    reps = s.derived.complement_in(a.span())
+    dim = a.dim - s.derived.dim
     assert dim == len(reps)
     n = a.ambient_dim
     return dim, [_square(v, n) for v in reps]
@@ -217,44 +220,38 @@ class CenterSplitReport:
         return out
 
 
-def verify_center_splits(a: MatrixAlgebra) -> CenterSplitReport:
+def verify_center_splits(s: CommutantStructure) -> CenterSplitReport:
     """Check that the center maps isomorphically onto the abelianization.
 
     Holds whenever A is the commutant of a compact action; may legitimately
     fail for other algebras (e.g. upper-triangular matrices).
     """
-    z = center(a)
-    d = commutator_ideal(a)
+    z, d = s.center, s.derived
     inter = z.intersection(d)
     total = z.sum(d)
     return CenterSplitReport(
-        passed=(inter.dim == 0 and total.dim == a.dim),
+        passed=(inter.dim == 0 and total.dim == s.algebra.dim),
         center_dim=z.dim,
         derived_dim=d.dim,
-        algebra_dim=a.dim,
+        algebra_dim=s.algebra.dim,
         intersection_dim=inter.dim,
         sum_dim=total.dim,
     )
 
 
-def classify_ml(
-    a: MatrixAlgebra,
-    seed: int = 0,
-    max_retries: int = 20,
-    coeff_range: int = 10,
-) -> MLClassification:
+def classify_ml(s: CommutantStructure, seed: int = 0) -> MLClassification:
     """(m, l) via the minimal polynomial of a generic central element.
 
     A generic z in Z(A) ~ R^{m-l} x C^l has squarefree minimal polynomial of
     degree m + l with m - l real roots and l conjugate pairs.
     """
-    z = center(a)
-    n = a.ambient_dim
+    z = s.center
+    n = s.algebra.ambient_dim
     if z.dim == 0:
         raise ValueError("zero algebra has no classification")
     rng = random.Random(seed)
-    rng_range = coeff_range
-    for _ in range(max_retries):
+    rng_range = CLASSIFY_COEFF_RANGE
+    for _ in range(CLASSIFY_RETRIES):
         coords = [rng.randint(-rng_range, rng_range) for _ in z.basis]
         zmat = QMatrix.zeros(n, n)
         for c, v in zip(coords, z.basis):
@@ -274,14 +271,12 @@ def classify_ml(
         if real + 2 * pairs != z.dim:
             rng_range *= 2
             continue
-        derived = commutator_ideal(a)
-        ab_dim = a.dim - derived.dim
+        ab_dim = s.algebra.dim - s.derived.dim
         return MLClassification(
             m=m, l=l, center_dim=z.dim, abelianization_dim=ab_dim
         )
     raise GenericityError(
-        "non-generic central elements after %d retries; bump coefficient range"
-        % max_retries
+        "non-generic central elements after %d retries" % CLASSIFY_RETRIES
     )
 
 
@@ -300,12 +295,7 @@ class IllConditionedSplitError(RuntimeError):
     """A numerical rank decision fell inside the tolerance band."""
 
 
-def schur_split_oracle(
-    g: FiniteMatrixAction,
-    seed: int = 0,
-    eig_tol: float = 1e-8,
-    rank_tol: float = 1e-9,
-) -> list[IsotypicBlock]:
+def schur_split_oracle(g: FiniteMatrixAction, seed: int = 0) -> list[IsotypicBlock]:
     """Independent numeric decomposition into isotypic blocks.
 
     Splits V by eigenspaces of Reynolds-averaged random symmetric operators,
@@ -329,8 +319,10 @@ def schur_split_oracle(
     def _nullity(mat):
         s = np.linalg.svd(mat, compute_uv=False)
         scale = max(1.0, s[0])
-        small = s < rank_tol * scale
-        border = np.logical_and(s >= rank_tol * scale, s < 10 * rank_tol * scale)
+        small = s < SPLIT_RANK_TOL * scale
+        border = np.logical_and(
+            s >= SPLIT_RANK_TOL * scale, s < 10 * SPLIT_RANK_TOL * scale
+        )
         if border.any():
             raise IllConditionedSplitError("rank decision near tolerance; re-randomize")
         return mat.shape[1] - int((~small).sum())
@@ -375,7 +367,7 @@ def schur_split_oracle(
         scale = max(1.0, np.abs(w).max())
         clusters = []
         for i, val in enumerate(w):
-            if clusters and abs(val - w[clusters[-1][-1]]) < eig_tol * scale:
+            if clusters and abs(val - w[clusters[-1][-1]]) < SPLIT_EIG_TOL * scale:
                 clusters[-1].append(i)
             else:
                 clusters.append([i])

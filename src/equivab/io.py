@@ -7,6 +7,8 @@ row-major nested arrays.  See README for the full schema.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Mapping
 from fractions import Fraction
 from typing import IO
 
@@ -36,9 +38,9 @@ def _rational(x, where: str) -> Fraction:
 
 def _matrix(rows, where: str) -> QMatrix:
     if not isinstance(rows, list) or not rows or not all(
-        isinstance(r, list) for r in rows
+        isinstance(r, list) and len(r) == len(rows[0]) for r in rows
     ):
-        raise InputError("%s: expected a nested array" % where)
+        raise InputError("%s: expected a rectangular nested array" % where)
     return QMatrix.from_rows(
         [
             [_rational(x, "%s[%d][%d]" % (where, i, j)) for j, x in enumerate(r)]
@@ -47,52 +49,39 @@ def _matrix(rows, where: str) -> QMatrix:
     )
 
 
+def _matrices(doc: dict, key: str, where: str) -> tuple[QMatrix, ...]:
+    """The array of matrices under `key`; none when the key is absent."""
+    mats = doc.get(key, [])
+    if not isinstance(mats, list):
+        raise InputError("%s.%s: expected an array" % (where, key))
+    return tuple(_matrix(m, "%s.%s[%d]" % (where, key, i)) for i, m in enumerate(mats))
+
+
 def _parse_action(doc: dict, where: str, cap: int):
     kind = doc.get("kind")
-    if kind == "finite":
-        dim = doc.get("dim")
-        gens = doc.get("generators", [])
-        if not isinstance(dim, int):
-            raise InputError("%s: finite action needs integer 'dim'" % where)
-        try:
-            return FiniteMatrixAction(
-                dim,
-                tuple(
-                    _matrix(g, "%s.generators[%d]" % (where, i))
-                    for i, g in enumerate(gens)
-                ),
-                cap=cap,
-            )
-        except ValueError as exc:
-            raise InputError("%s: %s" % (where, exc)) from exc
-    if kind == "torus":
-        weights = doc.get("weights")
-        if not isinstance(weights, list) or not weights:
-            raise InputError("%s: torus action needs a 'weights' matrix" % where)
-        for i, row in enumerate(weights):
-            if not all(isinstance(x, int) for x in row):
-                raise InputError(
-                    "%s.weights[%d]: weights must be integers" % (where, i)
-                )
-        try:
+    try:
+        if kind == "torus":
+            weights = doc.get("weights")
+            if not isinstance(weights, list) or not weights:
+                raise InputError("%s: torus action needs a 'weights' matrix" % where)
+            for i, row in enumerate(weights):
+                if not isinstance(row, list) or not all(type(x) is int for x in row):
+                    raise InputError(
+                        "%s.weights[%d]: weights must be integers" % (where, i)
+                    )
             return TorusAction(tuple(tuple(r) for r in weights))
-        except ValueError as exc:
-            raise InputError("%s: %s" % (where, exc)) from exc
-    if kind == "connected_lie":
-        dim = doc.get("dim")
-        gens = doc.get("generators", [])
-        if not isinstance(dim, int):
-            raise InputError("%s: connected_lie action needs integer 'dim'" % where)
-        try:
-            return ConnectedLieAction(
-                dim,
-                tuple(
-                    _matrix(g, "%s.generators[%d]" % (where, i))
-                    for i, g in enumerate(gens)
-                ),
-            )
-        except ValueError as exc:
-            raise InputError("%s: %s" % (where, exc)) from exc
+        if kind in ("finite", "connected_lie"):
+            dim = doc.get("dim")
+            if not isinstance(dim, int) or dim < 1:
+                raise InputError("%s: %s action needs 'dim' >= 1" % (where, kind))
+            gens = _matrices(doc, "generators", where)
+            if kind == "finite":
+                return FiniteMatrixAction(dim, gens, cap=cap)
+            return ConnectedLieAction(dim, gens)
+    except InputError:
+        raise
+    except ValueError as exc:
+        raise InputError("%s: %s" % (where, exc)) from exc
     raise InputError(
         "%s: unknown action kind %r (expected finite/torus/connected_lie)"
         % (where, kind)
@@ -103,57 +92,74 @@ def _parse_isotropy(doc: dict, where: str) -> liealg.IsotropyData:
     dim = doc.get("dim")
     if not isinstance(dim, int):
         raise InputError("%s: isotropy data needs integer 'dim'" % where)
-    constants = doc.get("structure_constants")
-    if constants is None:
+    if doc.get("structure_constants") is None:
         raise InputError("%s: missing 'structure_constants'" % where)
-    try:
-        parsed = [
-            [
-                [
-                    _rational(x, "%s.structure_constants[%d][%d][%d]" % (where, i, j, k))
-                    for k, x in enumerate(row)
-                ]
-                for j, row in enumerate(plane)
-            ]
-            for i, plane in enumerate(constants)
-        ]
-        algebra = liealg.LieAlgebraSC.from_constants(dim, parsed)
-    except (ValueError, liealg.JacobiError) as exc:
-        raise InputError("%s: %s" % (where, exc)) from exc
+    planes = [p.entries for p in _matrices(doc, "structure_constants", where)]
     h_rows = doc.get("h_basis", [])
-    h = Subspace.from_vectors(
-        dim,
-        [
-            [_rational(x, "%s.h_basis[%d][%d]" % (where, i, j)) for j, x in enumerate(v)]
-            for i, v in enumerate(h_rows)
-        ],
-    )
-    autos = tuple(
-        _matrix(a, "%s.automorphisms[%d]" % (where, i))
-        for i, a in enumerate(doc.get("automorphisms", []))
-    )
-    ders = tuple(
-        _matrix(d, "%s.derivations[%d]" % (where, i))
-        for i, d in enumerate(doc.get("derivations", []))
-    )
+    h = _matrix(h_rows, where + ".h_basis").entries if h_rows != [] else ()
+    autos = _matrices(doc, "automorphisms", where)
+    ders = _matrices(doc, "derivations", where)
     try:
-        return liealg.IsotropyData(algebra, h, autos, ders)
+        algebra = liealg.LieAlgebraSC.from_constants(dim, planes)
+        return liealg.IsotropyData(algebra, Subspace.from_vectors(dim, h), autos, ders)
     except ValueError as exc:
         raise InputError("%s: %s" % (where, exc)) from exc
 
 
-def parse_input(source: str | IO[str] | dict) -> tuple[list[OrbitModel], dict]:
-    """Parse an input document into orbit models and an options dict."""
+def _option(flags: Mapping, options: dict, key: str, least: int) -> int | None:
+    """The flag or document value of option `key`; None when neither is set."""
+    value = flags.get(key)
+    if value is None:
+        value = options.get(key)
+    if value is None or (
+        not isinstance(value, bool) and isinstance(value, int) and value >= least
+    ):
+        return value
+    raise InputError(
+        "options.%s: expected an integer >= %d, got %r" % (key, least, value)
+    )
+
+
+def _run_options(options, flags: Mapping) -> dict:
+    """The run options, each resolved once: the command-line flag wins, then
+    the document's "options" object, then the default (for the seed,
+    EQUIVAB_SEED or 0)."""
+    if options is None:
+        options = {}
+    if not isinstance(options, dict):
+        raise InputError("options: expected an object, got %r" % (options,))
+    seed = _option(flags, options, "seed", 0)
+    if seed is None:
+        env = os.environ.get("EQUIVAB_SEED", "0")
+        if not env.isdecimal():
+            raise InputError("EQUIVAB_SEED: expected an integer >= 0, got %r" % env)
+        seed = int(env)
+    return {
+        "seed": seed,
+        "degree_bound": _option(flags, options, "degree_bound", 1),
+        "group_cap": _option(flags, options, "group_cap", 1) or DEFAULT_GROUP_CAP,
+    }
+
+
+def parse_input(
+    source: str | IO[str] | dict, flags: Mapping
+) -> tuple[list[OrbitModel], dict]:
+    """Parse an input document into orbit models and its resolved options
+    ("seed", "degree_bound", "group_cap"); the values in `flags` under those
+    names override the document's, unless None."""
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, str):
-        doc = json.loads(source)
     else:
-        doc = json.load(source)
+        try:
+            doc = json.loads(source) if isinstance(source, str) else json.load(source)
+        except ValueError as exc:
+            raise InputError("input is not valid JSON: %s" % exc) from exc
     if not isinstance(doc, dict) or "orbits" not in doc:
         raise InputError("top level must be an object with an 'orbits' array")
-    options = doc.get("options", {}) or {}
-    cap = options.get("group_cap", DEFAULT_GROUP_CAP)
+    if not isinstance(doc["orbits"], list):
+        raise InputError("orbits: expected an array, got %r" % (doc["orbits"],))
+    options = _run_options(doc.get("options"), flags)
+    cap = options["group_cap"]
     models = []
     for i, rec in enumerate(doc["orbits"]):
         where = "orbits[%d]" % i
@@ -176,11 +182,6 @@ def parse_input(source: str | IO[str] | dict) -> tuple[list[OrbitModel], dict]:
             )
         )
     return models, options
-
-
-def parse_file(path: str) -> tuple[list[OrbitModel], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_input(fh)
 
 
 def serialize_report(report: AbelianizationReport) -> str:

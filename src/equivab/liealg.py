@@ -91,16 +91,6 @@ class LieAlgebraSC:
                     out[k] += f * self.constants[i][j][k]
         return tuple(out)
 
-    def ad(self, x: Sequence) -> QMatrix:
-        """Matrix of ad(x) = [x, -] in the defining basis."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            ej = [Fraction(0)] * n
-            ej[j] = Fraction(1)
-            cols.append(self.bracket(x, ej))
-        return QMatrix.from_rows(list(zip(*cols)))
-
     def is_subalgebra(self, s: Subspace) -> bool:
         for a in s.basis:
             for b in s.basis:

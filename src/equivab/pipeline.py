@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from . import commutant as comm
@@ -25,7 +26,8 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class OrbitModel:
     """One isolated-orbit record: isotropy action on the slice, plus optional
-    ambient Lie-algebra data."""
+    ambient Lie-algebra data.  The one check of the isolation hypothesis
+    V^H = 0 is made here."""
 
     label: str
     slice_action: GroupAction
@@ -36,8 +38,8 @@ class OrbitModel:
         fixed = fixed_vectors(self.slice_action)
         if fixed.dim != 0:
             raise InputError(
-                "orbit %r is not isolated: the slice has fixed vector %s"
-                % (self.label, fixed.basis[0])
+                "orbit %r is not isolated: the slice has fixed vector (%s)"
+                % (self.label, ", ".join(str(x) for x in fixed.basis[0]))
             )
 
 
@@ -94,25 +96,33 @@ def _lie_summand_dim(data: liealg.IsotropyData) -> int:
     return dim
 
 
+def _classify(
+    g: GroupAction, seed: int
+) -> tuple[comm.CommutantStructure, comm.CenterSplitReport, comm.MLClassification]:
+    """The commutant of the action with its center and commutator ideal, the
+    center-split report and (m, l); compute and verify build them alike."""
+    structure = comm.commutant_structure(comm.compute_commutant(g))
+    split = comm.verify_center_splits(structure)
+    return structure, split, comm.classify_ml(structure, seed=seed)
+
+
 def run_orbit(
     model: OrbitModel, seed: int = 0, degree_bound: int | None = None
 ) -> OrbitResult:
     g = model.slice_action
-    algebra = comm.compute_commutant(g)
-    split = comm.verify_center_splits(algebra)
-    ml = comm.classify_ml(algebra, seed=seed)
+    structure, split, ml = _classify(g, seed)
     lie_dim = None
     if model.isotropy_lie is not None:
         lie_dim = _lie_summand_dim(model.isotropy_lie)
     quotient = None
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else default_degree_bound(g)
-        z = comm.center(algebra)
+        z = structure.center
         ker = strata.kernel_s(g, z, d, ml)
         quotient = strata.quotient_abelianization(z, ker, ml)
     return OrbitResult(
         label=model.label,
-        commutant_dim=algebra.dim,
+        commutant_dim=structure.algebra.dim,
         m=ml.m,
         l=ml.l,
         center_dim=ml.center_dim,
@@ -181,86 +191,79 @@ def verify_models(
     degree_bound: int | None = None,
     extra_algebras: list[tuple[str, comm.MatrixAlgebra]] | None = None,
 ) -> VerificationReport:
-    """Re-derive every structural claim independently and report per check.
+    """Build each orbit's structure as compute mode does, check every
+    structural claim on it, and report per check.
 
-    `extra_algebras` lets tests inject algebras that are not commutants (the
-    center-split check is expected to fail on those and the failure is the
-    report entry, not an exception).
+    An exception while verifying an orbit becomes a failed "error" item for
+    that orbit, and the next orbit is verified.  `extra_algebras` lets tests
+    inject algebras that are not commutants (the center-split check is
+    expected to fail on those and the failure is the report entry, not an
+    exception).
     """
     items: list[VerificationItem] = []
-
-    def add(orbit, check, passed, detail=""):
-        items.append(VerificationItem(orbit, check, bool(passed), detail))
-
     for model in models:
-        g = model.slice_action
-        label = model.label
         try:
-            algebra = comm.compute_commutant(g)
+            for item in _orbit_checks(model, seed, degree_bound):
+                items.append(item)
         except Exception as exc:
-            add(label, "commutant", False, str(exc))
-            continue
-
-        # exact residual: commutant really commutes with the action
-        residual_ok = _commutes_with_action(algebra, g)
-        add(label, "commutant-residual", residual_ok)
-
-        split = comm.verify_center_splits(algebra)
-        add(
-            label,
-            "center-splits",
-            split.passed,
-            "; ".join(split.failures),
-        )
-
-        ml = comm.classify_ml(algebra, seed=seed)
-        add(
-            label,
-            "center-dim-arithmetic",
-            ml.center_dim == ml.m + ml.l
-            and ml.abelianization_dim == ml.m + ml.l,
-        )
-
-        if isinstance(g, FiniteMatrixAction):
-            try:
-                blocks = comm.schur_split_oracle(g, seed=seed)
-                m_oracle = len(blocks)
-                l_oracle = sum(1 for b in blocks if b.schur_type == "C")
-                add(
-                    label,
-                    "classification-vs-split-oracle",
-                    (ml.m, ml.l) == (m_oracle, l_oracle),
-                    "exact (m,l)=(%d,%d), oracle (%d,%d)"
-                    % (ml.m, ml.l, m_oracle, l_oracle),
-                )
-                dims_ok = (
-                    sum(b.multiplicity * b.irreducible_dim for b in blocks)
-                    == g.dim
-                )
-                add(label, "block-dimension-arithmetic", dims_ok)
-            except comm.IllConditionedSplitError as exc:
-                add(label, "classification-vs-split-oracle", False, str(exc))
-
-        if model.quotient_requested:
-            d = degree_bound if degree_bound is not None else default_degree_bound(g)
-            z = comm.center(algebra)
-            inv = strata.invariants_up_to_degree(g, d + 1)
-            ker1 = strata.kernel_s(g, z, d, ml, invariants=inv.up_to(d))
-            ker2 = strata.kernel_s(g, z, d + 1, ml, invariants=inv)
-            add(
-                label,
-                "kernel-monotonicity",
-                ker1.s_basis.contains_subspace(ker2.s_basis),
-                "dim at %d: %d, at %d: %d" % (d, ker1.dim_s, d + 1, ker2.dim_s),
-            )
-            if isinstance(g, FiniteMatrixAction) and d >= g.order:
-                add(label, "finite-kernel-vanishes", ker1.dim_s == 0)
-
+            items.append(VerificationItem(model.label, "error", False, str(exc)))
     for name, algebra in extra_algebras or []:
-        split = comm.verify_center_splits(algebra)
-        add(name, "center-splits", split.passed, "; ".join(split.failures))
-
+        split = comm.verify_center_splits(comm.commutant_structure(algebra))
+        detail = "; ".join(split.failures)
+        items.append(VerificationItem(name, "center-splits", split.passed, detail))
     return VerificationReport(tuple(items))
+
+
+def _orbit_checks(
+    model: OrbitModel, seed: int, degree_bound: int | None
+) -> Iterator[VerificationItem]:
+    """The verify-mode checks of one orbit, in report order."""
+    g = model.slice_action
+
+    def item(check, passed, detail=""):
+        return VerificationItem(model.label, check, bool(passed), detail)
+
+    structure, split, ml = _classify(g, seed)
+    # exact residual: commutant really commutes with the action
+    yield item("commutant-residual", _commutes_with_action(structure.algebra, g))
+    yield item("center-splits", split.passed, "; ".join(split.failures))
+    yield item(
+        "center-dim-arithmetic",
+        ml.center_dim == ml.m + ml.l and ml.abelianization_dim == ml.m + ml.l,
+    )
+
+    if isinstance(g, FiniteMatrixAction):
+        try:
+            blocks = comm.schur_split_oracle(g, seed=seed)
+        except comm.IllConditionedSplitError as exc:
+            yield item("classification-vs-split-oracle", False, str(exc))
+        else:
+            m_oracle = len(blocks)
+            l_oracle = sum(1 for b in blocks if b.schur_type == "C")
+            yield item(
+                "classification-vs-split-oracle",
+                (ml.m, ml.l) == (m_oracle, l_oracle),
+                "exact (m,l)=(%d,%d), oracle (%d,%d)"
+                % (ml.m, ml.l, m_oracle, l_oracle),
+            )
+            yield item(
+                "block-dimension-arithmetic",
+                sum(b.multiplicity * b.irreducible_dim for b in blocks) == g.dim,
+            )
+
+    if model.quotient_requested:
+        d = degree_bound if degree_bound is not None else default_degree_bound(g)
+        z = structure.center
+        inv = strata.invariants_up_to_degree(g, d + 1)
+        ker1 = strata.kernel_s(g, z, d, ml, invariants=inv.up_to(d))
+        ker2 = strata.kernel_s(g, z, d + 1, ml, invariants=inv)
+        yield item(
+            "kernel-monotonicity",
+            ker1.s_basis.contains_subspace(ker2.s_basis),
+            "dim at %d: %d, at %d: %d" % (d, ker1.dim_s, d + 1, ker2.dim_s),
+        )
+        if isinstance(g, FiniteMatrixAction) and d >= g.order:
+            yield item("finite-kernel-vanishes", ker1.dim_s == 0)
 
 
 def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:

@@ -159,9 +159,6 @@ class InvariantSpace:
     def all_polys(self) -> list[Poly]:
         return [p for deg in self.per_degree for p in deg]
 
-    def dim_in_degree(self, d: int) -> int:
-        return len(self.per_degree[d - 1])
-
     def up_to(self, degree: int) -> "InvariantSpace":
         """The invariants of degrees 1..degree."""
         if not 1 <= degree <= self.degree_bound:
@@ -389,7 +386,6 @@ def kernel_s(
     z: Subspace,
     degree: int,
     ml: MLClassification,
-    cap: int = DEFAULT_MONOMIAL_CAP,
     invariants: InvariantSpace | None = None,
 ) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
@@ -405,7 +401,7 @@ def kernel_s(
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
     if invariants is None:
-        invariants = invariants_up_to_degree(g, degree, cap)
+        invariants = invariants_up_to_degree(g, degree)
     elif invariants.degree_bound != degree:
         raise ValueError(
             "invariants go up to degree %d, not %d" % (invariants.degree_bound, degree)

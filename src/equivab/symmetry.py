@@ -192,8 +192,3 @@ def fixed_vectors(g: GroupAction) -> Subspace:
         ident = QMatrix.identity(g.dim)
         gens = [gen - ident for gen in gens]
     return common_nullspace(gens)
-
-
-def check_no_trivial_summand(g: GroupAction) -> bool:
-    """Whether V^H = 0."""
-    return fixed_vectors(g).dim == 0

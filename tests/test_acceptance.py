@@ -12,8 +12,8 @@ from fractions import Fraction
 from equivab import catalog as cat
 from equivab.commutant import (
     abelianization,
-    center,
     classify_ml,
+    commutant_structure,
     compute_commutant,
     schur_split_oracle,
     verify_center_splits,
@@ -59,7 +59,7 @@ def test_criterion_1_matrix_algebra_abelianizations(capsys):
         ("H", cat.gl_n_h, 1),
     ):
         for n in range(1, 5):
-            a = make(n)
+            a = commutant_structure(make(n))
             dim, reps = abelianization(a)
             if dim != expected:
                 failures.append(
@@ -94,7 +94,7 @@ def test_criterion_2_finite_group_suite(capsys):
     assert len(FINITE_SUITE) >= 10
     for name, make in FINITE_SUITE:
         g = make()
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
         blocks = schur_split_oracle(g, seed=0)
         m_oracle = len(blocks)
@@ -107,7 +107,7 @@ def test_criterion_2_finite_group_suite(capsys):
         if not (ml.center_dim == ml.m + ml.l == ml.abelianization_dim):
             failures.append("%s: center/abelianization dims disagree" % name)
         order = len(enumerate_group(g))
-        res = kernel_s(g, center(a), degree=order, ml=ml)
+        res = kernel_s(g, a.center, degree=order, ml=ml)
         if res.dim_s != 0 or res.exactness != "certified":
             failures.append(
                 "%s: kernel dim %d (%s) at degree |G|=%d"
@@ -183,9 +183,9 @@ def test_criterion_3_random_torus_kernels(capsys):
         g = TorusAction(weights)
         k = g.torus_dim
         distinct = len({tuple(col) for col in zip(*weights)})
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         res = kernel_s(g, z, degree=_torus_certificate(g).degree_bound, ml=ml,
                        invariants=_torus_certificate(g))
         if res.exactness != "certified":
@@ -217,16 +217,16 @@ def test_criterion_4_su3_twelve_dimensional_slice(capsys):
     started = time.time()
     failures = []
     g = cat.su3_on_c3_plus_wedge2()
-    a = compute_commutant(g)
+    a = commutant_structure(compute_commutant(g))
     ml = classify_ml(a)
-    z = center(a)
+    z = a.center
     res2 = kernel_s(g, z, degree=2, ml=ml)
     res3 = kernel_s(g, z, degree=3, ml=ml)
     if res2.dim_t != 2:
         failures.append(
             "dim T = %d != 2 (commutant dim %d, (m,l)=(%d,%d): the two "
             "summands are conjugate, hence isomorphic real representations)"
-            % (res2.dim_t, a.dim, ml.m, ml.l)
+            % (res2.dim_t, a.algebra.dim, ml.m, ml.l)
         )
     if res2.dim_s != 1:
         failures.append("kernel dim %d != 1 at degree 2" % res2.dim_s)
@@ -311,7 +311,7 @@ def test_criterion_6_negative_controls(capsys):
         ]
     }
     try:
-        eio.parse_input(bad_constants)
+        eio.parse_input(bad_constants, {})
         failures.append("Jacobi-violating structure constants were accepted")
     except InputError as exc:
         if "Jacobi" not in str(exc):

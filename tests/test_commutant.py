@@ -7,10 +7,10 @@ import sympy
 from equivab import catalog as cat
 from equivab.commutant import (
     MatrixAlgebra,
-    TrivialSummandError,
     abelianization,
     center,
     classify_ml,
+    commutant_structure,
     commutator_ideal,
     compute_commutant,
     schur_split_oracle,
@@ -57,6 +57,10 @@ def _conjugation_kernel(g) -> Subspace:
     return common_nullspace(ops)
 
 
+def _structure(g):
+    return commutant_structure(compute_commutant(g))
+
+
 class TestCommutant:
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_dimension(self, make, dim, ml, blocks):
@@ -79,11 +83,7 @@ class TestCommutant:
         from equivab.symmetry import FiniteMatrixAction
 
         refl = FiniteMatrixAction(2, (QMatrix.from_rows([[1, 0], [0, -1]]),))
-        with pytest.raises(TrivialSummandError):
-            compute_commutant(refl)
-        # explicit override computes anyway
-        a = compute_commutant(refl, allow_trivial_summand=True)
-        assert a.dim == 2
+        assert compute_commutant(refl).dim == 2
 
     def test_torus_commutant_is_complex_matrices(self):
         # diagonal circle on C^2: commutant is gl(2, C), real dim 8
@@ -141,7 +141,7 @@ class TestCenterAndAbelianization:
 
     @pytest.mark.parametrize("n, expected", [(1, 1), (2, 1), (3, 1), (4, 1)])
     def test_full_matrix_algebra_abelianization(self, n, expected):
-        dim, reps = abelianization(full_matrix_algebra(n))
+        dim, reps = abelianization(commutant_structure(full_matrix_algebra(n)))
         assert dim == expected
         assert len(reps) == expected
 
@@ -158,11 +158,11 @@ class TestCenterAndAbelianization:
 
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_center_splits(self, make, dim, ml, blocks):
-        rep = verify_center_splits(compute_commutant(make()))
+        rep = verify_center_splits(_structure(make()))
         assert rep.passed, rep.failures
 
     def test_upper_triangular_fails_split(self):
-        rep = verify_center_splits(cat.upper_triangular_2x2())
+        rep = verify_center_splits(commutant_structure(cat.upper_triangular_2x2()))
         assert not rep.passed
         assert any("Z(A) + [A,A]" in f for f in rep.failures)
 
@@ -170,7 +170,7 @@ class TestCenterAndAbelianization:
 class TestClassification:
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_exact_ml(self, make, dim, ml, blocks):
-        got = classify_ml(compute_commutant(make()))
+        got = classify_ml(_structure(make()))
         assert (got.m, got.l) == ml
         assert got.center_dim == got.m + got.l
         assert got.abelianization_dim == got.m + got.l
@@ -190,12 +190,12 @@ class TestClassification:
         assert len(results) == 1
 
     def test_torus_ml(self):
-        got = classify_ml(compute_commutant(TorusAction(((1, 1),))))
+        got = classify_ml(_structure(TorusAction(((1, 1),))))
         assert (got.m, got.l) == (1, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gl_families(self, n):
         for make, ml in ((cat.gl_n_r, (1, 0)), (cat.gl_n_c, (1, 1)),
                          (cat.gl_n_h, (1, 0))):
-            got = classify_ml(make(n))
+            got = classify_ml(commutant_structure(make(n)))
             assert (got.m, got.l) == ml

@@ -7,8 +7,9 @@ import pytest
 
 from equivab import catalog as cat
 from equivab import cli
+from equivab import commutant as comm
 from equivab import io as eio
-from equivab import strata, symmetry
+from equivab import pipeline, strata, symmetry
 from equivab.exactlin import QMatrix, Subspace
 from equivab.liealg import IsotropyData
 from equivab.pipeline import (
@@ -125,6 +126,27 @@ class TestRunPipeline:
             run_pipeline([m])
 
 
+@pytest.mark.parametrize("run", [run_pipeline, verify_models])
+def test_structure_built_once_per_orbit(run, monkeypatch):
+    calls = {"center": 0, "commutator_ideal": 0, "fixed_vectors": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    fixed = counting("fixed_vectors", symmetry.fixed_vectors)
+    monkeypatch.setattr(symmetry, "fixed_vectors", fixed)
+    monkeypatch.setattr(pipeline, "fixed_vectors", fixed)
+    for name in ("center", "commutator_ideal"):
+        monkeypatch.setattr(comm, name, counting(name, getattr(comm, name)))
+    models, _ = eio.parse_input(BASIC_INPUT, {})
+    run(models)
+    assert calls == {"center": 2, "commutator_ideal": 2, "fixed_vectors": 2}
+
+
 class TestVerifyModels:
     def test_all_checks_pass_on_good_input(self):
         models = [
@@ -170,7 +192,7 @@ class TestVerifyModels:
 
 class TestIO:
     def test_parse_and_run(self):
-        models, options = eio.parse_input(BASIC_INPUT)
+        models, options = eio.parse_input(BASIC_INPUT, {})
         assert [m.label for m in models] == ["a", "b"]
         assert options["seed"] == 3
         rep = run_pipeline(models)
@@ -190,7 +212,7 @@ class TestIO:
                 }
             ]
         }
-        models, _ = eio.parse_input(doc)
+        models, _ = eio.parse_input(doc, {})
         rep = run_pipeline(models)
         assert rep.orbits[0].commutant_dim == 2
 
@@ -208,7 +230,7 @@ class TestIO:
             ]
         }
         with pytest.raises(InputError, match=r"generators\[0\]"):
-            eio.parse_input(doc)
+            eio.parse_input(doc, {})
 
     def test_float_rejected(self):
         doc = {
@@ -224,12 +246,12 @@ class TestIO:
             ]
         }
         with pytest.raises(InputError, match="expected int or 'p/q'"):
-            eio.parse_input(doc)
+            eio.parse_input(doc, {})
 
     def test_unknown_kind_rejected(self):
         doc = {"orbits": [{"label": "x", "slice_action": {"kind": "nope"}}]}
         with pytest.raises(InputError, match="unknown action kind"):
-            eio.parse_input(doc)
+            eio.parse_input(doc, {})
 
     def test_corrupted_structure_constants_rejected(self):
         doc = {
@@ -254,17 +276,17 @@ class TestIO:
             ]
         }
         with pytest.raises(InputError, match="Jacobi"):
-            eio.parse_input(doc)
+            eio.parse_input(doc, {})
 
     def test_report_json_roundtrip(self):
-        models, _ = eio.parse_input(BASIC_INPUT)
+        models, _ = eio.parse_input(BASIC_INPUT, {})
         rep = run_pipeline(models)
         text = eio.serialize_report(rep)
         back = eio.parse_report(text)
         assert back == rep
 
     def test_format_report_mentions_totals(self):
-        models, _ = eio.parse_input(BASIC_INPUT)
+        models, _ = eio.parse_input(BASIC_INPUT, {})
         rep = run_pipeline(models)
         text = eio.format_report(rep)
         assert "totals: R^0 + C^2" in text
@@ -314,6 +336,64 @@ class TestCLI:
         rc = cli.main([self.write(tmp_path, {"orbits": [{}]})])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_verify_reports_orbit_errors(self, tmp_path, capsys):
+        rc = cli.main(
+            [self.write(tmp_path, BASIC_INPUT), "--verify", "--max-group-order", "2"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        # the finite orbit fails where its group is enumerated; the torus
+        # orbit after it is still verified
+        assert "[FAIL] a: error (group not finite under cap 2)" in out
+        assert "[pass] b: kernel-monotonicity" in out
+        assert "verification FAILED" in out
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    @pytest.mark.parametrize("text, flags, message", [
+        ('{"orbits": [', [], "input is not valid JSON: Expecting value: line 1"),
+        ('{"orbits": 5}', [], "orbits: expected an array, got 5"),
+        ('{"orbits": [], "options": [1]}', [], "options: expected an object"),
+        ('{"orbits": [], "options": {"degree_bound": "3"}}', [],
+         "options.degree_bound: expected an integer >= 1, got '3'"),
+        ('{"orbits": [], "options": {"degree_bound": 0}}', [],
+         "options.degree_bound: expected an integer >= 1, got 0"),
+        ('{"orbits": [], "options": {"group_cap": true}}', [],
+         "options.group_cap: expected an integer >= 1, got True"),
+        ('{"orbits": [], "options": {"seed": "abc"}}', [],
+         "options.seed: expected an integer >= 0, got 'abc'"),
+        (json.dumps(BASIC_INPUT), ["--degree-bound", "0"],
+         "argument --degree-bound: expected an integer >= 1, got '0'"),
+        (json.dumps(BASIC_INPUT), ["--max-group-order", "0"],
+         "argument --max-group-order: expected an integer >= 1, got '0'"),
+        (json.dumps({"orbits": [{"label": "refl", "slice_action": {
+            "kind": "finite", "dim": 2, "generators": [[[1, 0], [0, -1]]]}}]}), [],
+         "orbit 'refl' is not isolated: the slice has fixed vector (1, 0)"),
+        ('{"orbits": [{"slice_action": {"kind": "finite", "dim": 2, '
+         '"generators": 5}}]}', [],
+         "orbits[0].slice_action.generators: expected an array"),
+        ('{"orbits": [{"slice_action": {"kind": "finite", "dim": 2, '
+         '"generators": [[[0, -1], [1]]]}}]}', [],
+         "orbits[0].slice_action.generators[0]: expected a rectangular nested array"),
+        ('{"orbits": [{"slice_action": {"kind": "torus", "weights": [1, 2]}}]}', [],
+         "orbits[0].slice_action.weights[0]: weights must be integers"),
+    ], ids=["json-syntax", "orbits-not-array", "options-not-object",
+            "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
+            "seed-string", "degree-bound-flag", "max-group-order-flag",
+            "non-isolated", "generators-not-array", "ragged-generator",
+            "weights-row-not-array"])
+    def test_malformed_input_rejected(self, tmp_path, capsys, text, flags, message, mode):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        try:
+            rc = cli.main([str(path)] + flags + mode)
+        except SystemExit as exc:  # argparse usage error
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         doc = {k: v for k, v in BASIC_INPUT.items() if k != "options"}

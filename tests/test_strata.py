@@ -10,7 +10,7 @@ from test_commutant import FINITE_CASES
 
 from equivab import catalog as cat
 from equivab import strata
-from equivab.commutant import center, classify_ml, compute_commutant
+from equivab.commutant import classify_ml, commutant_structure, compute_commutant
 from equivab.exactlin import QMatrix, Subspace
 from equivab.strata import (
     DegreeBoundTooLarge,
@@ -166,11 +166,16 @@ class TestDerivationAction:
         assert lhs == rhs
 
 
+def dim_in_degree(inv, d):
+    """The number of basis invariants of degree d."""
+    return len(inv.per_degree[d - 1])
+
+
 class TestInvariants:
     def test_c3_invariant_counts(self):
         inv = invariants_up_to_degree(cat.c3_rotation(), 4)
         # Molien series of the rotation C3 on R^2: 1, 0, 1, 2, 1, ...
-        assert [inv.dim_in_degree(d) for d in range(1, 5)] == [0, 1, 2, 1]
+        assert [dim_in_degree(inv, d) for d in range(1, 5)] == [0, 1, 2, 1]
 
     def test_invariance_of_finite_basis(self):
         g = cat.s3_standard()
@@ -182,9 +187,9 @@ class TestInvariants:
     def test_torus_invariant_counts(self):
         # anti-diagonal circle weights (1, -1) on C^2: z1 z2 is invariant
         inv = invariants_up_to_degree(TorusAction(((1, -1),)), 2)
-        assert inv.dim_in_degree(1) == 0
+        assert dim_in_degree(inv, 1) == 0
         # degree 2: |z1|^2, |z2|^2, Re(z1 z2), Im(z1 z2)
-        assert inv.dim_in_degree(2) == 4
+        assert dim_in_degree(inv, 2) == 4
 
     def test_torus_invariants_killed_by_generators(self):
         t = TorusAction(((1, 2),))
@@ -196,8 +201,8 @@ class TestInvariants:
     def test_connected_invariants(self):
         # su(2) on C^2: only the radius in degree 2
         inv = invariants_up_to_degree(cat.su2_on_c2(), 2)
-        assert inv.dim_in_degree(1) == 0
-        assert inv.dim_in_degree(2) == 1
+        assert dim_in_degree(inv, 1) == 0
+        assert dim_in_degree(inv, 2) == 1
         (f,) = inv.per_degree[1]
         for gen in cat.su2_on_c2().lie_generators:
             assert derivation_action(gen, f).is_zero()
@@ -255,7 +260,7 @@ class TestInvariants:
             series = [a + b for a, b in zip(series, inverse)]
         expected = [c / order for c in series[1:]]
         inv = invariants_up_to_degree(g, order)
-        assert [inv.dim_in_degree(d) for d in range(1, order + 1)] == expected
+        assert [dim_in_degree(inv, d) for d in range(1, order + 1)] == expected
 
     @pytest.mark.parametrize("g, d", [
         (cat.s3_standard(), 4),
@@ -299,9 +304,9 @@ class TestKernel:
         # faithful weight-(1, 2) circle: the central rotation field is
         # tangent to every orbit, so it acts trivially on the quotient
         g = TorusAction(((1, 2),))
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         res = kernel_s(g, z, degree=3, ml=ml)
         assert res.dim_s == 1
         assert res.exactness == "certified"
@@ -311,35 +316,35 @@ class TestKernel:
 
     def test_finite_group_kernel_vanishes_at_noether_bound(self):
         g = cat.c3_rotation()
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         res = kernel_s(g, z, degree=3, ml=ml)
         assert res.dim_s == 0
         assert res.exactness == "certified"
 
     def test_low_degree_not_certified_for_finite(self):
         g = cat.c3_rotation()
-        a = compute_commutant(g)
-        res = kernel_s(g, center(a), degree=2, ml=classify_ml(a))
+        a = commutant_structure(compute_commutant(g))
+        res = kernel_s(g, a.center, degree=2, ml=classify_ml(a))
         assert res.exactness == "degree-bounded"
 
     def test_invariants_must_match_degree(self):
         g = cat.c3_rotation()
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
         inv = invariants_up_to_degree(g, 3)
         with pytest.raises(ValueError, match="degree 3, not 2"):
-            kernel_s(g, center(a), degree=2, ml=ml, invariants=inv)
-        assert kernel_s(g, center(a), degree=3, ml=ml, invariants=inv).exactness == "certified"
+            kernel_s(g, a.center, degree=2, ml=ml, invariants=inv)
+        assert kernel_s(g, a.center, degree=3, ml=ml, invariants=inv).exactness == "certified"
 
     def test_certified_only_at_degree_3(self):
         # the saturated weight kernel needs the exponent differences of
         # degree-3 invariant monomials: degree 2 does not certify it
         g = TorusAction(((1, 0, 1, 1), (0, 1, 1, -1)))
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         inv = invariants_up_to_degree(g, 3)
         for d, label in [(2, "degree-bounded"), (3, "certified")]:
             assert kernel_s(g, z, degree=d, ml=ml).exactness == label
@@ -347,9 +352,9 @@ class TestKernel:
 
     def test_torus_certification_needs_saturation(self):
         g = TorusAction(((1, 1),))
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         assert kernel_s(g, z, degree=1, ml=ml).exactness == "degree-bounded"
         assert kernel_s(g, z, degree=2, ml=ml).exactness == "certified"
 
@@ -358,9 +363,9 @@ class TestQuotient:
     def test_diagonal_circle_quotient(self):
         # weights (1, 1) on C^2: quotient side is R^1 with k = 1
         g = TorusAction(((1, 1),))
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         res = kernel_s(g, z, degree=2, ml=ml)
         q = quotient_abelianization(z, res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (1, 0, 1)
@@ -368,9 +373,9 @@ class TestQuotient:
 
     def test_finite_group_quotient_keeps_complex_type(self):
         g = cat.c3_rotation()
-        a = compute_commutant(g)
+        a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
-        z = center(a)
+        z = a.center
         res = kernel_s(g, z, degree=3, ml=ml)
         q = quotient_abelianization(z, res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (0, 1, 0)
