@@ -17,13 +17,12 @@ from fractions import Fraction
 from .exactlin import (
     QMatrix,
     Subspace,
-    _ZERO,
     _combine,
     _nonzeros,
-    common_nullspace,
     count_real_roots,
+    kernel,
     minimal_polynomial,
-    nullspace,
+    rows_of,
     squarefree_part,
 )
 from .symmetry import (
@@ -60,10 +59,8 @@ class MatrixAlgebra:
         if span.dim != len(self.basis):
             raise ValueError("algebra basis is linearly dependent")
         sparse = [_sparse_rows(b.vec(), n) for b in self.basis]
-        products = Subspace._span_sparse(
-            n * n, (_product(x, y, n) for x in sparse for y in sparse)
-        )
-        if not span.contains_subspace(products):
+        engine = span._engine()
+        if not all(engine.contains(_product(x, y, n)) for x in sparse for y in sparse):
             raise ValueError("basis is not closed under multiplication")
         if not span.contains(QMatrix.identity(n).vec()):
             raise ValueError("identity not in algebra span")
@@ -98,13 +95,8 @@ class MLClassification:
 def compute_commutant(g: GroupAction) -> MatrixAlgebra:
     """Basis of {X : X commutes with the action}, as a MatrixAlgebra."""
     n = g.dim
-    constraints = invariance_constraints(g)
-    if not constraints:
-        sol = Subspace.full(n * n)
-    else:
-        sol = common_nullspace(constraints)
-    basis = tuple(_square(v, n) for v in sol.basis)
-    return MatrixAlgebra(n, basis)
+    sol = kernel(n * n, invariance_constraints(g))
+    return MatrixAlgebra(n, tuple(_square(v, n) for v in sol.basis))
 
 
 def _square(v, n: int) -> QMatrix:
@@ -150,13 +142,10 @@ def center(a: MatrixAlgebra) -> Subspace:
     vecs, sparse = [b.vec() for b in a.basis], basis
     for b in basis:
         brackets = [_bracket(x, b, n) for x in sparse]
-        # the nonzero rows of the matrix whose columns are vec([x, b])
-        support = sorted(set().union(*brackets))
-        if not support:
+        if not any(brackets):
             continue
-        coords = nullspace(
-            QMatrix._of([col.get(i, _ZERO) for col in brackets] for i in support)
-        )
+        # the combinations of the x whose bracket with b vanishes
+        coords = kernel(len(brackets), rows_of(brackets))
         vecs = _combine(coords.basis, vecs, n * n)
         sparse = [_sparse_rows(v, n) for v in vecs]
     return Subspace._span(n * n, vecs)

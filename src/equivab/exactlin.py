@@ -168,19 +168,42 @@ def _combine(
     return out
 
 
-def _eliminate(rows: Iterable[Sequence[Fraction]], ncols: int) -> "SparseRREF":
-    """One sparse engine holding the row space of the given exact rows."""
+def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
+    """The exact dense row as {col: value}."""
+    return dict(_nonzeros(row))
+
+
+def _eliminate(ncols: int, rows: Iterable[dict]) -> "SparseRREF":
+    """The one sparse engine holding the span of the rows {col: value}.  Rows
+    are read lazily, and none once the rank is ncols."""
     engine = SparseRREF(ncols)
-    for row in rows:
-        if engine.rank == ncols:
-            break
-        engine.insert(dict(_nonzeros(row)))
+    if ncols:
+        for row in rows:
+            engine.insert(row)
+            if engine.rank == ncols:
+                break
     return engine
+
+
+def kernel(ncols: int, rows: Iterable[dict]) -> "Subspace":
+    """The one kernel routine: canonical basis of the vectors of Q^ncols that
+    every row {col: value} annihilates.  No row is read once it is zero."""
+    return _eliminate(ncols, rows).kernel()
+
+
+def rows_of(columns: Iterable[dict]) -> list[dict]:
+    """The rows {k: value} of the matrix whose k-th column is the sparse vector
+    columns[k]: one row per key of some column, in order of first appearance."""
+    rows: dict = {}
+    for k, col in enumerate(columns):
+        for key, x in col.items():
+            rows.setdefault(key, {})[k] = x
+    return list(rows.values())
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
     """Reduced row-echelon form, padded with zero rows to m.rows, and rank."""
-    basis = _eliminate(m.entries, m.cols).dense_basis()
+    basis = _eliminate(m.cols, map(_sparse, m.entries)).dense_basis()
     zeros = ((_ZERO,) * m.cols,) * (m.rows - len(basis))
     return QMatrix._of(basis + zeros), len(basis)
 
@@ -190,8 +213,8 @@ class SparseRREF:
 
     Rows are dicts {col: coeff}, kept normalized (pivot coefficient 1) and
     mutually reduced, ordered by pivot column.  This is the one elimination
-    engine: `rref`, `nullspace`, `solve` and `Subspace` all run on it, since
-    the large systems here are sparse.
+    engine: `kernel`, `rref`, `solve` and `Subspace` all run on it, since the
+    large systems here are sparse.
     """
 
     __slots__ = ("ambient", "rows")
@@ -302,7 +325,7 @@ class Subspace:
                 v = [coerce(x) for x in v]
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-            return dict(_nonzeros(v))
+            return _sparse(v)
 
         return Subspace._span_sparse(ambient_dim, map(sparse, vectors))
 
@@ -337,12 +360,12 @@ class Subspace:
         vec = [_q(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return self._engine().contains(dict(_nonzeros(vec)))
+        return self._engine().contains(_sparse(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
         engine = self._engine()
-        return all(engine.contains(dict(_nonzeros(b))) for b in other.basis)
+        return all(engine.contains(_sparse(b)) for b in other.basis)
 
     def _check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -375,7 +398,7 @@ class Subspace:
         engine = SparseRREF._of_reduced(self.ambient_dim, self.basis)
         out = []
         for cand in bigger.basis:
-            if engine.insert(dict(_nonzeros(cand))):
+            if engine.insert(_sparse(cand)):
                 out.append(cand)
         return out
 
@@ -386,7 +409,7 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     if len(bvec) != m.rows:
         raise ValueError("rhs length mismatch")
     n = m.cols
-    engine = _eliminate((row + (y,) for row, y in zip(m.entries, bvec)), n + 1)
+    engine = _eliminate(n + 1, (_sparse(row + (y,)) for row, y in zip(m.entries, bvec)))
     x = [_ZERO] * n
     for pc, row in engine.rows:
         if pc == n:
@@ -400,7 +423,7 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 def nullspace(m: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
-    return _eliminate(m.entries, m.cols).kernel()
+    return kernel(m.cols, map(_sparse, m.entries))
 
 
 def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
@@ -412,7 +435,7 @@ def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
     for m in mats:
         if m.cols != cols:
             raise ValueError("ambient dimension mismatch")
-    return _eliminate(chain.from_iterable(m.entries for m in mats), cols).kernel()
+    return kernel(cols, map(_sparse, chain.from_iterable(m.entries for m in mats)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ row-major nested arrays.  See README for the full schema.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import IO
@@ -72,7 +71,7 @@ def _parse_action(doc: dict, where: str, cap: int):
             return TorusAction(tuple(tuple(r) for r in weights))
         if kind in ("finite", "connected_lie"):
             dim = doc.get("dim")
-            if not isinstance(dim, int) or dim < 1:
+            if type(dim) is not int or dim < 1:
                 raise InputError("%s: %s action needs 'dim' >= 1" % (where, kind))
             gens = _matrices(doc, "generators", where)
             if kind == "finite":
@@ -88,9 +87,11 @@ def _parse_action(doc: dict, where: str, cap: int):
     )
 
 
-def _parse_isotropy(doc: dict, where: str) -> liealg.IsotropyData:
+def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
+    if not isinstance(doc, dict):
+        raise InputError("%s: expected an object, got %r" % (where, doc))
     dim = doc.get("dim")
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise InputError("%s: isotropy data needs integer 'dim'" % where)
     if doc.get("structure_constants") is None:
         raise InputError("%s: missing 'structure_constants'" % where)
@@ -122,20 +123,13 @@ def _option(flags: Mapping, options: dict, key: str, least: int) -> int | None:
 
 def _run_options(options, flags: Mapping) -> dict:
     """The run options, each resolved once: the command-line flag wins, then
-    the document's "options" object, then the default (for the seed,
-    EQUIVAB_SEED or 0)."""
+    the document's "options" object, then the default."""
     if options is None:
         options = {}
     if not isinstance(options, dict):
         raise InputError("options: expected an object, got %r" % (options,))
-    seed = _option(flags, options, "seed", 0)
-    if seed is None:
-        env = os.environ.get("EQUIVAB_SEED", "0")
-        if not env.isdecimal():
-            raise InputError("EQUIVAB_SEED: expected an integer >= 0, got %r" % env)
-        seed = int(env)
     return {
-        "seed": seed,
+        "seed": _option(flags, options, "seed", 0) or 0,
         "degree_bound": _option(flags, options, "degree_bound", 1),
         "group_cap": _option(flags, options, "group_cap", 1) or DEFAULT_GROUP_CAP,
     }
@@ -173,12 +167,15 @@ def parse_input(
         iso = None
         if rec.get("isotropy_lie") is not None:
             iso = _parse_isotropy(rec["isotropy_lie"], where + ".isotropy_lie")
+        quotient = rec.get("quotient", False)
+        if not isinstance(quotient, bool):
+            raise InputError("%s.quotient: expected true or false, got %r" % (where, quotient))
         models.append(
             OrbitModel(
                 label=label,
                 slice_action=action,
                 isotropy_lie=iso,
-                quotient_requested=bool(rec.get("quotient", False)),
+                quotient_requested=quotient,
             )
         )
     return models, options

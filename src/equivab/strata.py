@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -19,14 +19,15 @@ from .commutant import MLClassification, _square
 from .exactlin import (
     Q,
     QMatrix,
-    SparseRREF,
     Subspace,
     _ONE,
     _ZERO,
     _combine,
     _nonzeros,
     integer_kernel_saturated,
+    kernel,
     lattice_contains,
+    rows_of,
     _q,
 )
 from .symmetry import (
@@ -166,11 +167,11 @@ class InvariantSpace:
         return InvariantSpace(self.nvars, degree, self.per_degree[:degree])
 
 
-def _check_cap(nvars: int, degree: int, cap: int) -> None:
-    if comb(nvars + degree - 1, degree) > cap:
+def _check_cap(nvars: int, degree: int) -> None:
+    if comb(nvars + degree - 1, degree) > DEFAULT_MONOMIAL_CAP:
         raise DegreeBoundTooLarge(
             "degree bound too large: %d monomials in degree %d exceeds cap %d"
-            % (comb(nvars + degree - 1, degree), degree, cap)
+            % (comb(nvars + degree - 1, degree), degree, DEFAULT_MONOMIAL_CAP)
         )
 
 
@@ -230,27 +231,6 @@ def _derivation_operator(xi: QMatrix) -> Callable[[list[Monomial]], Images]:
     return images
 
 
-def _common_kernel(monoms: list[Monomial], operators: list[Images]) -> Subspace:
-    """Coefficient vectors on monoms that every operator sends to zero.
-
-    Row e of an operator holds the coefficient of e in each image; all rows
-    go into one sparse elimination."""
-    ncols = len(monoms)
-    index = {m: c for c, m in enumerate(monoms)}
-    engine = SparseRREF(ncols)
-    for images in operators:
-        rows: dict = {}
-        for m, img in images.items():
-            c = index[m]
-            for e, x in img.items():
-                rows.setdefault(e, {})[c] = x
-        for row in rows.values():
-            if engine.rank == ncols:  # the kernel is already zero
-                return engine.kernel()
-            engine.insert(row)
-    return engine.kernel()
-
-
 def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
     """Invariants of a finite or connected group: per degree, the common
     kernel of one operator per generator.  A finite group is generated by its
@@ -263,8 +243,11 @@ def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
     out = []
     for d in range(1, degree + 1):
         monoms = monomials_of_degree(n, d)
-        kernel = _common_kernel(monoms, [op(monoms) for op in operators])
-        out.append(_polys(n, monoms, kernel.basis))
+        # every operator runs at every degree, as each builds on its images of
+        # the degree below; row e holds the coefficient of e in each image
+        images = [op(monoms) for op in operators]
+        rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
+        out.append(_polys(n, monoms, kernel(len(monoms), rows).basis))
     return out
 
 
@@ -334,16 +317,14 @@ def _torus_invariants(g: TorusAction, degree: int) -> list[list[Poly]]:
     return out
 
 
-def invariants_up_to_degree(
-    g: GroupAction, degree: int, cap: int = DEFAULT_MONOMIAL_CAP
-) -> InvariantSpace:
+def invariants_up_to_degree(g: GroupAction, degree: int) -> InvariantSpace:
     """Bases of homogeneous H-invariant polynomials in degrees 1..degree.
 
-    Every degree is checked against the monomial cap before any is built."""
+    Every degree is checked against DEFAULT_MONOMIAL_CAP before any is built."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
     for d in range(1, degree + 1):
-        _check_cap(g.dim, d, cap)
+        _check_cap(g.dim, d)
     if isinstance(g, TorusAction):
         per = _torus_invariants(g, degree)
     else:
@@ -408,18 +389,13 @@ def kernel_s(
         )
     center_mats = [_square(v, n) for v in z.basis]
     # one row per monomial e of an image: the coefficient of e in D_k f for
-    # each central element D_k, all in one sparse elimination
-    engine = SparseRREF(len(center_mats))
-    for f in invariants.all_polys():
-        if engine.rank == len(center_mats):  # the kernel is already zero
-            break
-        rows: dict = {}
-        for k, dm in enumerate(center_mats):
-            for e, x in derivation_action(dm, f).terms.items():
-                rows.setdefault(e, {})[k] = x
-        for row in rows.values():
-            engine.insert(row)
-    coords = engine.kernel().basis
+    # each central element D_k.  The rows are lazy, so no invariant is
+    # derived once the kernel is zero.
+    rows = chain.from_iterable(
+        rows_of([derivation_action(dm, f).terms for dm in center_mats])
+        for f in invariants.all_polys()
+    )
+    coords = kernel(len(center_mats), rows).basis
     s = Subspace._span(n * n, _combine(coords, z.basis, n * n))
 
     if isinstance(g, FiniteMatrixAction):

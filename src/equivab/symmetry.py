@@ -26,7 +26,19 @@ DEFAULT_GROUP_CAP = 100_000
 
 
 class GroupNotFiniteError(RuntimeError):
-    """Generated closure exceeded the enumeration cap."""
+    """The generated group has an element of infinite order, or outgrew the
+    enumeration cap."""
+
+
+def _check_trace(m: QMatrix, what: str, error: type[Exception]) -> None:
+    """Raise error unless the trace of m is an integer of absolute value at
+    most n, as for any rational matrix of finite order (its eigenvalues are
+    roots of unity).  O(n); unipotent matrices such as [[1, 1], [0, 1]] pass."""
+    n = m.rows
+    t = sum(m.entries[i][i] for i in range(n))
+    if t.denominator != 1 or abs(t) > n:
+        msg = "%s has infinite order: its trace %s is not an integer in [-%d, %d]"
+        raise error(msg % (what, t, n, n))
 
 
 @dataclass(frozen=True)
@@ -38,11 +50,12 @@ class FiniteMatrixAction:
     cap: int = DEFAULT_GROUP_CAP
 
     def __post_init__(self):
-        for g in self.generators:
+        for i, g in enumerate(self.generators):
             if g.rows != self.dim or g.cols != self.dim:
                 raise ValueError("generator shape mismatch")
             if rank(g) != self.dim:
                 raise ValueError("generator is not invertible")
+            _check_trace(g, "generators[%d]" % i, ValueError)
 
     @cached_property
     def order(self) -> int:
@@ -130,7 +143,8 @@ def action_generators(g: GroupAction) -> list[QMatrix]:
 
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
-    """Full element list by breadth-first closure; deterministic order."""
+    """Full element list by breadth-first closure; deterministic order.  Each
+    new element must pass the trace test for finite order."""
     if not isinstance(g, FiniteMatrixAction):
         raise TypeError("enumerate_group needs a finite matrix action")
     ident = QMatrix.identity(g.dim)
@@ -142,6 +156,7 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
             for gen in g.generators:
                 prod = el @ gen
                 if prod.entries not in seen:
+                    _check_trace(prod, "group not finite: an element", GroupNotFiniteError)
                     if len(seen) >= g.cap:
                         raise GroupNotFiniteError(
                             "group not finite under cap %d" % g.cap
@@ -152,11 +167,11 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     return list(seen.values())
 
 
-def commutator_operator(a: QMatrix) -> QMatrix:
-    """Matrix of X -> a X - X a on row-major vec(X).
+def commutator_rows(a: QMatrix) -> list[dict]:
+    """Sparse rows {col: value} of X -> a X - X a on row-major vec(X).
 
     Row (i, j) holds a[i][k] at column (k, j) and -a[k][j] at column (i, k):
-    at most 2n nonzeros.
+    at most 2n entries.
     """
     n = a.rows
     a_rows = [_nonzeros(a.row(i)) for i in range(n)]
@@ -164,22 +179,20 @@ def commutator_operator(a: QMatrix) -> QMatrix:
     out = []
     for i in range(n):
         for j in range(n):
-            row = [_ZERO] * (n * n)
-            for k, x in a_rows[i]:
-                row[k * n + j] += x
+            row = {k * n + j: x for k, x in a_rows[i]}
             for k, x in a_cols[j]:
-                row[i * n + k] -= x
+                row[i * n + k] = row.get(i * n + k, _ZERO) - x
             out.append(row)
-    return QMatrix._of(out)
+    return out
 
 
-def invariance_constraints(g: GroupAction) -> list[QMatrix]:
-    """Operators on vec(End(V)) whose joint kernel is End(V)^H.
+def invariance_constraints(g: GroupAction) -> list[dict]:
+    """Sparse rows on vec(End(V)) whose joint kernel is End(V)^H.
 
     For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite
-    groups need no inverses: every action kind gives commutator operators.
+    groups need no inverses: every action kind gives commutator rows.
     """
-    return [commutator_operator(a) for a in action_generators(g)]
+    return [row for a in action_generators(g) for row in commutator_rows(a)]
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:

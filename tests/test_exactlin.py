@@ -16,11 +16,13 @@ from equivab.exactlin import (
     count_real_roots,
     hermite_row_basis,
     integer_kernel_saturated,
+    kernel,
     lattice_contains,
     minimal_polynomial,
     nullspace,
     poly_gcd,
     rank,
+    rows_of,
     rref,
     solve,
     squarefree_part,
@@ -157,6 +159,36 @@ class TestSolveAndNullspace:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             QMatrix.from_rows([[0.5]])
+
+
+class TestKernel:
+    @given(st.integers(0, 4).flatmap(lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.lists(sparse_rationals, min_size=r, max_size=r), max_size=5),
+    )))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_of_columns_matches_nullspace(self, shape):
+        # zero columns are frequent, and r = 0 has no rows at all
+        r, cols = shape
+        sparse = [{i: Q(x) for i, x in enumerate(col) if x} for col in cols]
+        dense = [[col[i] for col in cols] for i in range(r)] or [[0] * len(cols)]
+        expected = nullspace(QMatrix.from_rows(dense))
+        assert kernel(len(cols), rows_of(sparse)) == expected
+        if r == 0:
+            assert expected == Subspace.full(len(cols))
+
+    def test_no_row_read_once_rank_is_full(self):
+        read = []
+
+        def rows():
+            for k in range(4):
+                read.append(k)
+                yield {k % 2: Q(1), 2: Q(k)}
+
+        assert kernel(2, rows()).dim == 0
+        assert read == [0, 1]
+        assert kernel(0, rows()).dim == 0
+        assert read == [0, 1]
 
 
 def _is_exact(x) -> bool:

@@ -44,6 +44,7 @@ BASIC_INPUT = {
     ],
     "options": {"seed": 3},
 }
+ROTATION = json.dumps(BASIC_INPUT["orbits"][0]["slice_action"])
 
 
 class TestOrbitModel:
@@ -377,11 +378,28 @@ class TestCLI:
          "orbits[0].slice_action.generators[0]: expected a rectangular nested array"),
         ('{"orbits": [{"slice_action": {"kind": "torus", "weights": [1, 2]}}]}', [],
          "orbits[0].slice_action.weights[0]: weights must be integers"),
+        ('{"orbits": [{"slice_action": %s, "isotropy_lie": [1]}]}' % ROTATION, [],
+         "orbits[0].isotropy_lie: expected an object, got [1]"),
+        ('{"orbits": [{"slice_action": {"kind": "finite", "dim": true, '
+         '"generators": [[[-1]]]}}]}', [],
+         "orbits[0].slice_action: finite action needs 'dim' >= 1"),
+        ('{"orbits": [{"slice_action": %s, "quotient": "no"}]}' % ROTATION, [],
+         "orbits[0].quotient: expected true or false, got 'no'"),
+        ('{"orbits": [{"slice_action": {"kind": "finite", "dim": 2, '
+         '"generators": [[[2, 0], [0, "1/2"]]]}}]}', [],
+         "orbits[0].slice_action: generators[0] has infinite order: "
+         "its trace 5/2 is not an integer in [-2, 2]"),
+        ('{"orbits": [{"slice_action": {"kind": "finite", "dim": 1, '
+         '"generators": [[[100000]]]}}]}', [],
+         "orbits[0].slice_action: generators[0] has infinite order: "
+         "its trace 100000 is not an integer in [-1, 1]"),
     ], ids=["json-syntax", "orbits-not-array", "options-not-object",
             "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
             "seed-string", "degree-bound-flag", "max-group-order-flag",
             "non-isolated", "generators-not-array", "ragged-generator",
-            "weights-row-not-array"])
+            "weights-row-not-array", "isotropy-not-object", "dim-boolean",
+            "quotient-not-boolean", "generator-trace-fraction",
+            "generator-trace-too-large"])
     def test_malformed_input_rejected(self, tmp_path, capsys, text, flags, message, mode):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -394,12 +412,6 @@ class TestCLI:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
-
-    def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
-        doc = {k: v for k, v in BASIC_INPUT.items() if k != "options"}
-        monkeypatch.setenv("EQUIVAB_SEED", "11")
-        rc = cli.main([self.write(tmp_path, doc)])
-        assert rc == 0
 
     def test_max_group_order_cap(self, tmp_path, capsys):
         doc = {

@@ -207,18 +207,20 @@ class TestInvariants:
         for gen in cat.su2_on_c2().lie_generators:
             assert derivation_action(gen, f).is_zero()
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
         with pytest.raises(DegreeBoundTooLarge):
-            invariants_up_to_degree(cat.su2_on_c2(), 60, cap=100)
+            invariants_up_to_degree(cat.su2_on_c2(), 60)
 
     def test_degree_cap_checked_before_any_degree_is_built(self, monkeypatch):
         def no_images(a):
             raise AssertionError("images built before the cap check")
 
         monkeypatch.setattr(strata, "_difference_operator", no_images)
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
         message = "degree bound too large: 120 monomials in degree 7 exceeds cap 100"
         with pytest.raises(DegreeBoundTooLarge) as err:
-            invariants_up_to_degree(cat.q8_on_r4(), 60, cap=100)
+            invariants_up_to_degree(cat.q8_on_r4(), 60)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
@@ -349,6 +351,24 @@ class TestKernel:
         for d, label in [(2, "degree-bounded"), (3, "certified")]:
             assert kernel_s(g, z, degree=d, ml=ml).exactness == label
             assert kernel_s(g, z, degree=d, ml=ml, invariants=inv.up_to(d)).exactness == label
+
+    def test_no_invariant_derived_once_kernel_is_zero(self, monkeypatch):
+        # C3 on R^2 to degree 3: the radius and the first cubic invariant
+        # already kill Z(A) = C, so the second cubic is never derived
+        g = cat.c3_rotation()
+        a = commutant_structure(compute_commutant(g))
+        inv = invariants_up_to_degree(g, 3)
+        assert len(inv.all_polys()) == 3 and a.center.dim == 2
+        calls = []
+
+        def counted(d, f):
+            calls.append(f)
+            return derivation_action(d, f)
+
+        monkeypatch.setattr(strata, "derivation_action", counted)
+        res = kernel_s(g, a.center, degree=3, ml=classify_ml(a), invariants=inv)
+        assert res.dim_s == 0
+        assert calls == [f for f in inv.all_polys()[:2] for _ in range(2)]
 
     def test_torus_certification_needs_saturation(self):
         g = TorusAction(((1, 1),))

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from test_commutant import FINITE_CASES
 
 from equivab import catalog as cat
-from equivab.exactlin import QMatrix
+from equivab.exactlin import QMatrix, kernel
 from equivab.symmetry import (
     ConnectedLieAction,
     FiniteMatrixAction,
     GroupNotFiniteError,
     TorusAction,
     action_generators,
-    commutator_operator,
+    commutator_rows,
     enumerate_group,
     fixed_vectors,
     invariance_constraints,
@@ -29,6 +29,11 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
         for i in range(a.rows)
         for k in range(b.rows)
     )
+
+
+def dense(rows, ncols: int) -> QMatrix:
+    """The matrix whose rows are the sparse rows {col: value}."""
+    return QMatrix.from_rows([row.get(c, 0) for c in range(ncols)] for row in rows)
 
 
 small_squares = st.integers(1, 4).flatmap(
@@ -84,6 +89,20 @@ class TestEnumeration:
         with pytest.raises(GroupNotFiniteError):
             enumerate_group(shear)
 
+    def test_infinite_order_product_raises(self):
+        # two reflections whose product is the rotation [[3/5, 4/5], [-4/5, 3/5]]:
+        # its trace 6/5 is no integer, so the product has infinite order
+        refl = QMatrix.from_rows([[1, 0], [0, -1]])
+        skew = QMatrix.from_rows([["3/5", "4/5"], ["4/5", "-3/5"]])
+        with pytest.raises(GroupNotFiniteError) as err:
+            enumerate_group(FiniteMatrixAction(2, (refl, skew)))
+        assert "trace 6/5 is not an integer in [-2, 2]" in str(err.value)
+
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, "1/2"]], [[0, -1], [1, 3]]])
+    def test_generator_failing_trace_test_rejected(self, rows):
+        with pytest.raises(ValueError, match="generators\\[0\\] has infinite order"):
+            FiniteMatrixAction(2, (QMatrix.from_rows(rows),))
+
     def test_non_invertible_generator_rejected(self):
         with pytest.raises(ValueError):
             FiniteMatrixAction(2, (QMatrix.from_rows([[1, 0], [0, 0]]),))
@@ -109,13 +128,15 @@ class TestKroneckerConventions:
         xi = QMatrix.from_rows([[0, 1], [2, 0]])
         x = QMatrix.from_rows([[1, 2], [3, 4]])
         expected = (xi @ x - x @ xi).vec()
-        assert tuple(commutator_operator(xi).mul_vec(x.vec())) == expected
+        assert tuple(dense(commutator_rows(xi), 4).mul_vec(x.vec())) == expected
 
     @given(small_squares)
     @settings(max_examples=60, deadline=None)
     def test_commutator_operator_matches_kron(self, a):
         ident = QMatrix.identity(a.rows)
-        assert commutator_operator(a) == kron(a, ident) - kron(ident, a.transpose())
+        n = a.rows
+        expected = kron(a, ident) - kron(ident, a.transpose())
+        assert dense(commutator_rows(a), n * n) == expected
 
 
 class TestFixedVectors:
@@ -158,10 +179,7 @@ class TestInvarianceConstraints:
 
     def test_finite_constraints_cut_out_commutant(self):
         g = cat.c4_rotation()
-        ops = invariance_constraints(g)
-        from equivab.exactlin import common_nullspace
-
-        sol = common_nullspace(ops)
+        sol = kernel(4, invariance_constraints(g))
         # commutant of a rotation is C acting on R^2: dimension 2
         assert sol.dim == 2
         for v in sol.basis:
@@ -173,10 +191,8 @@ class TestInvarianceConstraints:
         # commutant of the weight-(1,) circle equals commutant of rotation by
         # 90 degrees inside it
         t = TorusAction(((1,),))
-        from equivab.exactlin import common_nullspace
-
-        circle = common_nullspace(invariance_constraints(t))
-        quarter = common_nullspace(invariance_constraints(cat.c4_rotation()))
+        circle = kernel(4, invariance_constraints(t))
+        quarter = kernel(4, invariance_constraints(cat.c4_rotation()))
         assert circle == quarter
 
 
