@@ -41,7 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run verification mode instead of plain compute",
     )
-    p.add_argument("--seed", type=_at_least(0), default=None, help="random seed")
+    p.add_argument(
+        "--seed",
+        type=_at_least(0),
+        default=None,
+        help="seeds verify mode's float splitting oracle; compute mode ignores it",
+    )
     p.add_argument(
         "--degree-bound",
         type=_at_least(1),
@@ -93,9 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
 
     try:
-        report = run_pipeline(
-            models, seed=options["seed"], degree_bound=options["degree_bound"]
-        )
+        report = run_pipeline(models, degree_bound=options["degree_bound"])
     except (PipelineError, InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -1,25 +1,27 @@
 """The commutant End(V)^H: center, commutator ideal, abelianization, and the
 (m, l) classification of its simple factors.
 
-The exact path never decomposes V: it classifies via the minimal polynomial
-of a generic central element, whose real roots count real-or-quaternionic
-factors and whose conjugate pairs count complex factors.  An independent
-floating-point splitting oracle is provided for cross-checks.
+The exact path never decomposes V.  Z(A) ~ R^{m-l} x C^l, so (m, l) is the
+signature of the trace form (x, y) -> tr(xy) on Z(A), found by one exact
+symmetric elimination.  Verify mode counts (m, l) again from Sturm sequences
+on a generic central element, and an independent floating-point splitting
+oracle cross-checks finite groups.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import (
+    _ZERO,
     QMatrix,
     Subspace,
     _combine,
     _nonzeros,
     count_real_roots,
+    inertia,
     kernel,
     minimal_polynomial,
     rows_of,
@@ -32,18 +34,10 @@ from .symmetry import (
     invariance_constraints,
 )
 
-# classify_ml draws random central elements with coefficients in
-# [-range, range], doubling the range after each non-generic draw
-CLASSIFY_RETRIES = 20
-CLASSIFY_COEFF_RANGE = 10
 # schur_split_oracle's relative tolerances: eigenvalues closer than
 # SPLIT_EIG_TOL cluster, singular values below SPLIT_RANK_TOL count as zero
 SPLIT_EIG_TOL = 1e-8
 SPLIT_RANK_TOL = 1e-9
-
-
-class GenericityError(RuntimeError):
-    """Random central elements failed to be generic within the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -228,45 +222,53 @@ def verify_center_splits(s: CommutantStructure) -> CenterSplitReport:
     )
 
 
-def classify_ml(s: CommutantStructure, seed: int = 0) -> MLClassification:
-    """(m, l) via the minimal polynomial of a generic central element.
+def classify_ml(s: CommutantStructure) -> MLClassification:
+    """(m, l) as the inertia of the trace form (x, y) -> tr(xy) on Z(A).
 
-    A generic z in Z(A) ~ R^{m-l} x C^l has squarefree minimal polynomial of
-    degree m + l with m - l real roots and l conjugate pairs.
+    Z(A) ~ R^{m-l} x C^l, and the trace over V weights every factor
+    positively: a real factor gives one positive square, a complex one
+    a^2 - b^2, one of each sign.  A zero square means Z(A) is not semisimple.
     """
-    z = s.center
-    n = s.algebra.ambient_dim
-    if z.dim == 0:
-        raise ValueError("zero algebra has no classification")
-    rng = random.Random(seed)
-    rng_range = CLASSIFY_COEFF_RANGE
-    for _ in range(CLASSIFY_RETRIES):
-        coords = [rng.randint(-rng_range, rng_range) for _ in z.basis]
-        zmat = QMatrix.zeros(n, n)
-        for c, v in zip(coords, z.basis):
-            zmat = zmat + _square(v, n).scale(c)
-        p = squarefree_part(minimal_polynomial(zmat))
-        if p.degree == 0:
-            rng_range *= 2
-            continue
-        if p.degree < z.dim:
-            # possibly non-generic, but for z.dim to be reachable we need
-            # degree m + l; retry with wider coefficients
-            rng_range *= 2
-            continue
-        real, pairs = count_real_roots(p)
-        m = real + pairs
-        l = pairs
-        if real + 2 * pairs != z.dim:
-            rng_range *= 2
-            continue
-        ab_dim = s.algebra.dim - s.derived.dim
-        return MLClassification(
-            m=m, l=l, center_dim=z.dim, abelianization_dim=ab_dim
-        )
-    raise GenericityError(
-        "non-generic central elements after %d retries" % CLASSIFY_RETRIES
+    z, n = s.center, s.algebra.ambient_dim
+    # tr(XY) is the sum of X_ab Y_ba over the nonzeros X_ab of flattened X
+    gram = QMatrix._of(
+        [sum((x * w[(k % n) * n + k // n] for k, x in xs), _ZERO) for w in z.basis]
+        for xs in map(_nonzeros, z.basis)
     )
+    pos, neg, zero = inertia(gram)
+    if zero:
+        raise ValueError("the trace form on the center is degenerate "
+                         "(%d zero squares): Z(A) is not semisimple" % zero)
+    ab_dim = s.algebra.dim - s.derived.dim
+    return MLClassification(m=pos, l=neg, center_dim=z.dim, abelianization_dim=ab_dim)
+
+
+def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
+    """Why Sturm's count on a generic central element disagrees with ml, or ""
+    when it agrees; shares no code with the trace form.
+
+    z(t) = sum of t^i z_i (i = 1..d = dim Z(A)) is generic once its minimal
+    polynomial has degree d: its roots are then the d eigenvalue functionals
+    of Z(A) at z(t), m - l real and l conjugate pairs.  Two functionals agree
+    at z(t) at the roots of a nonzero polynomial of degree <= d with no
+    constant term, at most d - 1 positive; so some t <= 2 + (d-1) d(d-1)/2
+    is generic.
+    """
+    n, d = s.algebra.ambient_dim, s.center.dim
+    last = 2 + (d - 1) * d * (d - 1) // 2
+    for t in range(2, last + 1):
+        (vec,) = _combine([[t**i for i in range(1, d + 1)]], s.center.basis, n * n)
+        p = minimal_polynomial(_square(vec, n))
+        if p.degree == d:
+            break
+    else:
+        return "no z(t) with t = 2..%d has a minimal polynomial of degree %d" % (last, d)
+    if squarefree_part(p).degree < d:
+        return "minimal polynomial of z(%d) is not squarefree" % t
+    real, pairs = count_real_roots(p)
+    counted = (ml.m, ml.l, real + pairs, pairs)
+    detail = "trace form (m,l)=(%d,%d), root count (%d,%d)" % counted
+    return "" if counted[:2] == counted[2:] else detail
 
 
 # ---------------------------------------------------------------------------

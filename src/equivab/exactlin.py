@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Everything in here is built on :class:`fractions.Fraction`, so there are no
-tolerances anywhere: ranks, kernels and root counts are exact.  All objects
-are immutable; all functions are pure.
+tolerances anywhere: ranks, kernels, inertia and root counts are exact.  All
+objects are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -100,9 +100,6 @@ class QMatrix:
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
-
-    def __neg__(self) -> "QMatrix":
-        return self.scale(Q(-1))
 
     def scale(self, c) -> "QMatrix":
         c = _q(c)
@@ -438,6 +435,39 @@ def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
     return kernel(cols, map(_sparse, chain.from_iterable(m.entries for m in mats)))
 
 
+def inertia(sym: QMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) squares of the symmetric form `sym`, by one
+    symmetric elimination (Sylvester's law of inertia).  It pivots on a nonzero
+    diagonal entry or, when the live diagonal is zero, on a block
+    [[0, b], [b, 0]], one square of each sign, and goes on with the Schur
+    complement."""
+    if sym.transpose() != sym:
+        raise ValueError("inertia of a non-symmetric matrix")
+    a = [list(row) for row in sym.entries]
+    live = list(range(sym.rows))
+    pos = neg = 0
+    while live:
+        i = next((k for k in live if a[k][k]), None)
+        if i is not None:
+            # the pivot rows and the inverse of their block, by (row, col)
+            pivots, inverse = (i,), {(i, i): 1 / a[i][i]}
+            pos, neg = (pos + 1, neg) if a[i][i] > 0 else (pos, neg + 1)
+        else:
+            pair = next(((i, j) for i in live for j in live if a[i][j]), None)
+            if pair is None:
+                break
+            i, j = pair
+            pivots, inverse = (i, j), {(i, j): 1 / a[i][j], (j, i): 1 / a[i][j]}
+            pos, neg = pos + 1, neg + 1
+        live = [k for k in live if k not in pivots]
+        for r in live:
+            # row r of A[r, P] B^-1 for the pivot rows P and their block B
+            f = [(k, a[r][l] * x) for (l, k), x in inverse.items() if a[r][l]]
+            for c in live:
+                a[r][c] -= sum(x * a[k][c] for k, x in f)
+    return pos, neg, len(live)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -455,10 +485,6 @@ class QPolynomial:
             cs.pop()
         return QPolynomial(tuple(cs))
 
-    @staticmethod
-    def zero() -> "QPolynomial":
-        return QPolynomial(())
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -473,34 +499,9 @@ class QPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x) -> Fraction:
-        x = _q(x)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Q(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Q(0)] * (n - len(other.coeffs))
-        return QPolynomial.from_coeffs([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + other.scale(Q(-1))
-
     def scale(self, c) -> "QPolynomial":
         c = _q(c)
         return QPolynomial.from_coeffs([c * a for a in self.coeffs])
-
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        if self.is_zero() or other.is_zero():
-            return QPolynomial.zero()
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial.from_coeffs(out)
 
     def monic(self) -> "QPolynomial":
         return self.scale(1 / self.leading)
@@ -627,9 +628,6 @@ def _hnf_columns(w: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     cols = len(w[0]) if rows else 0
     h = [list(r) for r in w]
     u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col(j):
-        return [h[i][j] for i in range(rows)]
 
     def addmul(dst, src, f):
         for i in range(rows):

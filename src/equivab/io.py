@@ -160,6 +160,8 @@ def parse_input(
         if not isinstance(rec, dict):
             raise InputError("%s: expected an object" % where)
         label = rec.get("label", "orbit-%d" % i)
+        if not isinstance(label, str):
+            raise InputError("%s.label: expected a string, got %r" % (where, label))
         action_doc = rec.get("slice_action")
         if not isinstance(action_doc, dict):
             raise InputError("%s: missing 'slice_action'" % where)

@@ -76,9 +76,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def coefficients_on(self, monomials: Sequence[Monomial]) -> list[Fraction]:
         return [self.terms.get(m, _ZERO) for m in monomials]
 

@@ -7,12 +7,14 @@ import sympy
 from equivab import catalog as cat
 from equivab.commutant import (
     MatrixAlgebra,
+    MLClassification,
     abelianization,
     center,
     classify_ml,
     commutant_structure,
     commutator_ideal,
     compute_commutant,
+    root_count_disagreement,
     schur_split_oracle,
     verify_center_splits,
 )
@@ -32,14 +34,14 @@ FINITE_CASES = [
 ]
 
 
+def _unit(n: int, i: int, j: int) -> QMatrix:
+    """The n x n matrix unit E_ij."""
+    return QMatrix.from_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
 def full_matrix_algebra(n: int) -> MatrixAlgebra:
     """End(R^n), spanned by the matrix units."""
-    basis = [
-        QMatrix.from_rows([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
-        for i in range(n)
-        for j in range(n)
-    ]
-    return MatrixAlgebra(n, tuple(basis))
+    return MatrixAlgebra(n, tuple(_unit(n, i, j) for i in range(n) for j in range(n)))
 
 
 def _conjugation_kernel(g) -> Subspace:
@@ -192,6 +194,25 @@ class TestClassification:
     def test_torus_ml(self):
         got = classify_ml(_structure(TorusAction(((1, 1),))))
         assert (got.m, got.l) == (1, 1)
+
+    def test_degenerate_trace_form_rejected(self):
+        # span{I, E12} is commutative, so it is its own center, and E12 is
+        # nilpotent: tr(E12 x) = 0 for every x, a zero square of the form
+        a = MatrixAlgebra(2, (QMatrix.identity(2), _unit(2, 0, 1)))
+        with pytest.raises(ValueError, match="degenerate.*not semisimple"):
+            classify_ml(commutant_structure(a))
+
+    @pytest.mark.parametrize("basis, detail", [
+        # z(2) = 2I + 4 E12 has minimal polynomial (x - 2)^2
+        ([(0, 1)], "minimal polynomial of z(2) is not squarefree"),
+        # every z(t) has minimal polynomial (x - t)^2, below degree 3 = dim Z
+        ([(0, 1), (0, 2)], "no z(t) with t = 2..8 has a minimal polynomial of degree 3"),
+    ])
+    def test_root_count_reports_non_semisimple_center(self, basis, detail):
+        n = len(basis) + 1
+        a = MatrixAlgebra(n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
+        ml = MLClassification(m=n, l=0, center_dim=n, abelianization_dim=n)
+        assert root_count_disagreement(commutant_structure(a), ml) == detail
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gl_families(self, n):

@@ -1,10 +1,11 @@
 """Property and oracle tests for the exact rational linear algebra kernel."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equivab.exactlin import (
@@ -15,6 +16,7 @@ from equivab.exactlin import (
     common_nullspace,
     count_real_roots,
     hermite_row_basis,
+    inertia,
     integer_kernel_saturated,
     kernel,
     lattice_contains,
@@ -281,6 +283,102 @@ class TestSubspace:
 
 
 # ---------------------------------------------------------------------------
+# inertia of symmetric forms
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
+
+# a diagonal entry with a random sign, or zero; or a hyperbolic plane
+# [[0, b], [b, 0]], one square of each sign, which needs a 2 x 2 pivot
+form_blocks = st.lists(
+    st.one_of(
+        st.tuples(st.just("diag"), st.integers(-1, 1), positive_rationals),
+        st.tuples(st.just("plane"), st.just(0), rationals.filter(bool)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _block_form(blocks):
+    """The block-diagonal form of `blocks` and its (positive, negative, zero)."""
+    entries, counts = [], [0, 0, 0]
+    for kind, sign, x in blocks:
+        if kind == "diag":
+            entries.append([[sign * x]])
+            counts[{1: 0, -1: 1, 0: 2}[sign]] += 1
+        else:
+            entries.append([[0, x], [x, 0]])
+            counts[0] += 1
+            counts[1] += 1
+    n = sum(len(b) for b in entries)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in entries:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return QMatrix.from_rows(rows), tuple(counts)
+
+
+class TestInertia:
+    @given(form_blocks, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_congruence_keeps_sign_counts(self, blocks, data):
+        d, counts = _block_form(blocks)
+        n = d.rows
+        p = data.draw(st.one_of(
+            st.just(QMatrix.identity(n)),
+            st.lists(st.lists(rationals, min_size=n, max_size=n),
+                     min_size=n, max_size=n).map(QMatrix.from_rows),
+        ))
+        assume(rank(p) == n)
+        assert inertia(p.transpose() @ d @ p) == counts
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(rationals, min_size=n * n, max_size=n * n), st.booleans()
+    )))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_characteristic_polynomial(self, shape):
+        # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+        # signs on its characteristic polynomial counts them exactly; a zero
+        # diagonal makes every first pivot a 2 x 2 block
+        xs, hollow = shape
+        n = int(len(xs) ** 0.5)
+        rows = [[xs[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+        if hollow:
+            for i in range(n):
+                rows[i][i] = 0
+        m = QMatrix.from_rows(rows)
+        coeffs = to_sympy(m).charpoly().all_coeffs()  # highest degree first
+
+        def variations(cs):
+            signs = [c > 0 for c in cs if c != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        flipped = [c * (-1) ** k for k, c in enumerate(reversed(coeffs))]
+        zero = len(coeffs) - 1 - max(k for k, c in enumerate(coeffs) if c != 0)
+        assert inertia(m) == (variations(coeffs), variations(flipped), zero)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[0, 1], [1, 0]], (1, 1, 0)),
+        # hollow, so the first pivot is a 2 x 2 block
+        ([[0, 1, 1], [1, 0, -1], [1, -1, 0]], (2, 1, 0)),
+        ([[0, 1, 2, 0], [1, 0, 0, 3], [2, 0, 0, 1], [0, 3, 1, 0]], (2, 2, 0)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
+        # 1 x 1 pivots on the Schur complement of a 2 x 2 one
+        ([[0, -2, 0, -1], [-2, 0, -3, -1], [0, -3, 0, -2], [-1, -1, -2, 0]], (2, 2, 0)),
+        ([[0, 0], [0, 0]], (0, 0, 2)),
+    ])
+    def test_zero_diagonal(self, rows, expected):
+        assert inertia(QMatrix.from_rows(rows)) == expected
+
+    def test_non_symmetric_raises(self):
+        with pytest.raises(ValueError):
+            inertia(QMatrix.from_rows([[0, 1], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 
@@ -298,6 +396,29 @@ poly_strategy = st.lists(st.integers(-6, 6), min_size=1, max_size=7).map(
 )
 
 
+# polynomial arithmetic for the oracles; the library needs none of it
+
+
+def _add(p: QPolynomial, q: QPolynomial) -> QPolynomial:
+    pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=0)
+    return QPolynomial.from_coeffs([a + b for a, b in pairs])
+
+
+def _mul(p: QPolynomial, q: QPolynomial) -> QPolynomial:
+    out = [0] * max(0, len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return QPolynomial.from_coeffs(out)
+
+
+def _value(p: QPolynomial, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolynomials:
     @given(poly_strategy, poly_strategy)
     @settings(max_examples=80, deadline=None)
@@ -305,7 +426,7 @@ class TestPolynomials:
         if b.is_zero():
             return
         q, r = a.divmod(b)
-        assert (q * b + r).coeffs == a.coeffs
+        assert _add(_mul(q, b), r).coeffs == a.coeffs
         assert r.is_zero() or r.degree < b.degree
 
     @given(poly_strategy, poly_strategy)
@@ -332,7 +453,7 @@ class TestPolynomials:
         # same roots: p divides sf^deg(p)
         power = sf
         for _ in range(p.degree):
-            power = power * sf
+            power = _mul(power, sf)
         _, r = power.divmod(p)
         assert r.is_zero()
 
@@ -404,10 +525,10 @@ def _descartes_variations(p: QPolynomial, a: Fraction, b: Fraction) -> int:
     for k, c in enumerate(p.coeffs):
         term = QPolynomial.from_coeffs([c])
         for _ in range(k):
-            term = term * lin_ab
+            term = _mul(term, lin_ab)
         for _ in range(d - k):
-            term = term * lin_1x
-        acc = acc + term
+            term = _mul(term, lin_1x)
+        acc = _add(acc, term)
     signs = [1 if c > 0 else -1 for c in acc.coeffs if c != 0]
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
@@ -427,7 +548,7 @@ def _real_root_count_bisect(p: QPolynomial) -> int:
         if v <= 1:
             return v
         m = (a + b) / 2
-        return count(a, m) + (1 if p(m) == 0 else 0) + count(m, b)
+        return count(a, m) + (1 if _value(p, m) == 0 else 0) + count(m, b)
 
     return count(-bound, bound)
 

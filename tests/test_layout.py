@@ -18,11 +18,39 @@ def _names(tree: ast.AST):
             yield node.name
 
 
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_only_exactlin_names_the_elimination_engine():
     # every kernel goes through exactlin.kernel: no other module holds an engine
     naming = {
-        path.name
-        for path in sorted(SRC.glob("*.py"))
-        if "SparseRREF" in _names(ast.parse(path.read_text(), filename=str(path)))
+        path.name for path in sorted(SRC.glob("*.py")) if "SparseRREF" in _names(_tree(path))
     }
     assert naming == {"exactlin.py"}
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_compute_path_is_deterministic():
+    # no module draws random numbers, and (m, l), an orbit and a run take no seed
+    importing, params = set(), {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        if any(m.split(".")[0] == "random" for m in _imported_modules(tree)):
+            importing.add(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "classify_ml", "run_orbit", "run_pipeline"
+            ):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                params[node.name] = {a.arg for a in args}
+    assert importing == set()
+    assert sorted(params) == ["classify_ml", "run_orbit", "run_pipeline"]
+    assert all("seed" not in names for names in params.values())

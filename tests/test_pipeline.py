@@ -350,6 +350,19 @@ class TestCLI:
         assert "[pass] b: kernel-monotonicity" in out
         assert "verification FAILED" in out
 
+    def test_verify_counts_ml_independently(self, tmp_path, capsys, monkeypatch):
+        # the circle with weights 1 and 2 has center C x C, so (m, l) = (2, 2);
+        # a wrong but self-consistent (2, 0) is caught by the root count
+        monkeypatch.setattr(comm, "classify_ml", lambda s: comm.MLClassification(
+            m=2, l=0, center_dim=2, abelianization_dim=2))
+        doc = {"orbits": [{"label": "circle", "slice_action": {
+            "kind": "torus", "weights": [[1, 2]]}}]}
+        rc = cli.main([self.write(tmp_path, doc), "--verify"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert ("[FAIL] circle: center-dim-arithmetic "
+                "(trace form (m,l)=(2,0), root count (2,2))") in out
+
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
     @pytest.mark.parametrize("text, flags, message", [
         ('{"orbits": [', [], "input is not valid JSON: Expecting value: line 1"),
@@ -393,13 +406,15 @@ class TestCLI:
          '"generators": [[[100000]]]}}]}', [],
          "orbits[0].slice_action: generators[0] has infinite order: "
          "its trace 100000 is not an integer in [-1, 1]"),
+        ('{"orbits": [{"label": [1], "slice_action": %s}]}' % ROTATION, [],
+         "orbits[0].label: expected a string, got [1]"),
     ], ids=["json-syntax", "orbits-not-array", "options-not-object",
             "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
             "seed-string", "degree-bound-flag", "max-group-order-flag",
             "non-isolated", "generators-not-array", "ragged-generator",
             "weights-row-not-array", "isotropy-not-object", "dim-boolean",
             "quotient-not-boolean", "generator-trace-fraction",
-            "generator-trace-too-large"])
+            "generator-trace-too-large", "label-not-string"])
     def test_malformed_input_rejected(self, tmp_path, capsys, text, flags, message, mode):
         path = tmp_path / "input.json"
         path.write_text(text)
