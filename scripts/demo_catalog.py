@@ -54,7 +54,7 @@ def main():
         else:
             degree = 2
         z = s.center
-        res = kernel_s(g, z, degree=degree, ml=ml)
+        res = kernel_s(g, z, degree=degree)
         q = quotient_abelianization(z, res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (
             q.real_rank, q.complex_rank, q.k, q.exactness

@@ -25,9 +25,9 @@ def main():
           % (s.algebra.dim, ml.m, ml.l, z.dim, time.time() - t0))
     for degree in (2, 3):
         t0 = time.time()
-        res = kernel_s(g, z, degree=degree, ml=ml)
+        res = kernel_s(g, z, degree=degree)
         print("degree %d: dim T = %d, dim S = %d (%s)  [%.2fs]"
-              % (degree, res.dim_t, res.dim_s, res.exactness, time.time() - t0))
+              % (degree, ml.l, res.dim_s, res.exactness, time.time() - t0))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ from .exactlin import (
 from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
-    enumerate_group,
     invariance_constraints,
 )
 
@@ -297,7 +296,7 @@ def schur_split_oracle(g: FiniteMatrixAction, seed: int = 0) -> list[IsotypicBlo
     import numpy as np
 
     raw = [np.array([[float(x) for x in row] for row in el.entries])
-           for el in enumerate_group(g)]
+           for el in g.elements]
     n = g.dim
     # orthogonalize the representation: average the Gram matrix and change
     # coordinates so every element becomes orthogonal

@@ -73,9 +73,6 @@ class QMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 

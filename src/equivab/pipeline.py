@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import tee
 
 from . import commutant as comm
 from . import liealg, strata
@@ -116,7 +117,7 @@ def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else default_degree_bound(g)
         z = structure.center
-        ker = strata.kernel_s(g, z, d, ml)
+        ker = strata.kernel_s(g, z, d)
         quotient = strata.quotient_abelianization(z, ker, ml)
     return OrbitResult(
         label=model.label,
@@ -251,9 +252,10 @@ def _orbit_checks(
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else default_degree_bound(g)
         z = structure.center
-        inv = strata.invariants_up_to_degree(g, d + 1)
-        ker1 = strata.kernel_s(g, z, d, ml, invariants=inv.up_to(d))
-        ker2 = strata.kernel_s(g, z, d + 1, ml, invariants=inv)
+        # one build of the invariants feeds both degrees
+        low, high = tee(strata.invariants_up_to_degree(g, d + 1))
+        ker1 = strata.kernel_s(g, z, d, invariants=low)
+        ker2 = strata.kernel_s(g, z, d + 1, invariants=high)
         yield item(
             "kernel-monotonicity",
             ker1.s_basis.contains_subspace(ker2.s_basis),

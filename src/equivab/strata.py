@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .commutant import MLClassification, _square
 from .exactlin import (
@@ -79,19 +79,6 @@ class Poly:
     def coefficients_on(self, monomials: Sequence[Monomial]) -> list[Fraction]:
         return [self.terms.get(m, _ZERO) for m in monomials]
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            vars_ = "*".join(
-                "x%d^%d" % (i, p) if p > 1 else "x%d" % i
-                for i, p in enumerate(e)
-                if p
-            )
-            bits.append("%s%s" % (c, "*" + vars_ if vars_ else ""))
-        return " + ".join(bits)
-
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     out = []
@@ -146,24 +133,6 @@ def derivation_action(d: QMatrix, f: Poly) -> Poly:
     return Poly._of(f.nvars, out)
 
 
-@dataclass(frozen=True)
-class InvariantSpace:
-    """Bases of homogeneous invariants per degree 1..degree_bound."""
-
-    nvars: int
-    degree_bound: int
-    per_degree: tuple[tuple[Poly, ...], ...]
-
-    def all_polys(self) -> list[Poly]:
-        return [p for deg in self.per_degree for p in deg]
-
-    def up_to(self, degree: int) -> "InvariantSpace":
-        """The invariants of degrees 1..degree."""
-        if not 1 <= degree <= self.degree_bound:
-            raise ValueError("degree must lie in 1..%d" % self.degree_bound)
-        return InvariantSpace(self.nvars, degree, self.per_degree[:degree])
-
-
 def _check_cap(nvars: int, degree: int) -> None:
     if comb(nvars + degree - 1, degree) > DEFAULT_MONOMIAL_CAP:
         raise DegreeBoundTooLarge(
@@ -172,10 +141,10 @@ def _check_cap(nvars: int, degree: int) -> None:
         )
 
 
-def _polys(nvars: int, monoms: Sequence[Monomial], basis) -> list[Poly]:
-    return [
+def _polys(nvars: int, monoms: Sequence[Monomial], basis) -> tuple[Poly, ...]:
+    return tuple(
         Poly._of(nvars, {m: x for m, x in zip(monoms, row) if x}) for row in basis
-    ]
+    )
 
 
 # Each operator below is called once per degree 1, 2, ..., with that degree's
@@ -228,7 +197,7 @@ def _derivation_operator(xi: QMatrix) -> Callable[[list[Monomial]], Images]:
     return images
 
 
-def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
+def _kernel_invariants(g: GroupAction, degree: int) -> Iterator[tuple[Poly, ...]]:
     """Invariants of a finite or connected group: per degree, the common
     kernel of one operator per generator.  A finite group is generated by its
     generators, whose inverses are their powers, so they suffice."""
@@ -237,15 +206,13 @@ def _kernel_invariants(g: GroupAction, degree: int) -> list[list[Poly]]:
         _difference_operator if isinstance(g, FiniteMatrixAction) else _derivation_operator
     )
     operators = [make(a) for a in action_generators(g)]
-    out = []
     for d in range(1, degree + 1):
         monoms = monomials_of_degree(n, d)
         # every operator runs at every degree, as each builds on its images of
         # the degree below; row e holds the coefficient of e in each image
         images = [op(monoms) for op in operators]
         rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
-        out.append(_polys(n, monoms, kernel(len(monoms), rows).basis))
-    return out
+        yield _polys(n, monoms, kernel(len(monoms), rows).basis)
 
 
 def _torus_pairs(g: TorusAction, d: int) -> Iterator[tuple[Monomial, Monomial]]:
@@ -297,9 +264,8 @@ def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> tuple[Poly,
     return Poly._of(n, parts[0]), Poly._of(n, parts[1])
 
 
-def _torus_invariants(g: TorusAction, degree: int) -> list[list[Poly]]:
+def _torus_invariants(g: TorusAction, degree: int) -> Iterator[tuple[Poly, ...]]:
     n = g.dim
-    out = []
     for d in range(1, degree + 1):
         polys = [
             p
@@ -310,27 +276,20 @@ def _torus_invariants(g: TorusAction, degree: int) -> list[list[Poly]]:
         # the conjugate-pair pruning above leaves a spanning set; canonicalize
         monoms = monomials_of_degree(n, d)
         rows = [p.coefficients_on(monoms) for p in polys]
-        out.append(_polys(n, monoms, Subspace._span(len(monoms), rows).basis))
-    return out
+        yield _polys(n, monoms, Subspace._span(len(monoms), rows).basis)
 
 
-def invariants_up_to_degree(g: GroupAction, degree: int) -> InvariantSpace:
-    """Bases of homogeneous H-invariant polynomials in degrees 1..degree.
+def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Poly, ...]]:
+    """Bases of homogeneous H-invariant polynomials in degrees 1..degree, one
+    tuple per degree, each built only when it is read.
 
-    Every degree is checked against DEFAULT_MONOMIAL_CAP before any is built."""
+    Every degree is checked against DEFAULT_MONOMIAL_CAP at the call."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
     for d in range(1, degree + 1):
         _check_cap(g.dim, d)
-    if isinstance(g, TorusAction):
-        per = _torus_invariants(g, degree)
-    else:
-        per = _kernel_invariants(g, degree)
-    return InvariantSpace(
-        nvars=g.dim,
-        degree_bound=degree,
-        per_degree=tuple(tuple(p) for p in per),
-    )
+    build = _torus_invariants if isinstance(g, TorusAction) else _kernel_invariants
+    return build(g, degree)
 
 
 @dataclass(frozen=True)
@@ -338,10 +297,8 @@ class KernelResult:
     """The central subalgebra annihilating all computed invariants."""
 
     s_basis: Subspace  # inside vec(End(V))
-    dim_t: int
     dim_s: int
     exactness: str  # "certified" or "degree-bounded"
-    degree_bound: int
 
 
 def _torus_certified(g: TorusAction, degree: int) -> bool:
@@ -363,36 +320,39 @@ def kernel_s(
     g: GroupAction,
     z: Subspace,
     degree: int,
-    ml: MLClassification,
-    invariants: InvariantSpace | None = None,
+    invariants: Iterable[Sequence[Poly]] | None = None,
 ) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
     degree <= degree.
 
+    The invariants are read one degree at a time from `invariants`, the bases
+    of degrees 1, 2, ..., or else from `invariants_up_to_degree(g, degree)`;
+    none is read past `degree`, and no degree is read once the kernel is zero.
     Certified exact for finite groups at degree >= |G| (Noether bound) and for
     tori once the invariant exponent lattice saturates; otherwise the result
     is only an upper bound (superset) for the true kernel.  The label is a
-    function of the action and the degree, so `invariants`, when given, must
-    be the invariants up to `degree`.
+    function of the action and the degree.
     """
     n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
     if invariants is None:
         invariants = invariants_up_to_degree(g, degree)
-    elif invariants.degree_bound != degree:
-        raise ValueError(
-            "invariants go up to degree %d, not %d" % (invariants.degree_bound, degree)
-        )
     center_mats = [_square(v, n) for v in z.basis]
-    # one row per monomial e of an image: the coefficient of e in D_k f for
-    # each central element D_k.  The rows are lazy, so no invariant is
-    # derived once the kernel is zero.
-    rows = chain.from_iterable(
-        rows_of([derivation_action(dm, f).terms for dm in center_mats])
-        for f in invariants.all_polys()
-    )
-    coords = kernel(len(center_mats), rows).basis
+    read = 0
+
+    def rows() -> Iterator[dict]:
+        # one row per monomial e of an image: the coefficient of e in D_k f
+        # for each central element D_k
+        nonlocal read
+        for basis in islice(invariants, degree):
+            read += 1
+            for f in basis:
+                yield from rows_of([derivation_action(dm, f).terms for dm in center_mats])
+
+    coords = kernel(len(center_mats), rows()).basis
+    if coords and read < degree:
+        raise ValueError("invariants go up to degree %d, not %d" % (read, degree))
     s = Subspace._span(n * n, _combine(coords, z.basis, n * n))
 
     if isinstance(g, FiniteMatrixAction):
@@ -403,10 +363,8 @@ def kernel_s(
         certified = False
     return KernelResult(
         s_basis=s,
-        dim_t=ml.l,
         dim_s=s.dim,
         exactness="certified" if certified else "degree-bounded",
-        degree_bound=degree,
     )
 
 

@@ -31,14 +31,21 @@ class GroupNotFiniteError(RuntimeError):
 
 
 def _check_trace(m: QMatrix, what: str, error: type[Exception]) -> None:
-    """Raise error unless the trace of m is an integer of absolute value at
-    most n, as for any rational matrix of finite order (its eigenvalues are
-    roots of unity).  O(n); unipotent matrices such as [[1, 1], [0, 1]] pass."""
+    """Raise error unless m passes the trace test for finite order.  A rational
+    matrix of finite order is diagonalizable with roots of unity as
+    eigenvalues, so its trace is an integer in [-n, n], and is n or -n only
+    for I or -I.  O(n) unless the trace is n or -n."""
     n = m.rows
     t = sum(m.entries[i][i] for i in range(n))
     if t.denominator != 1 or abs(t) > n:
         msg = "%s has infinite order: its trace %s is not an integer in [-%d, %d]"
         raise error(msg % (what, t, n, n))
+    if abs(t) == n:
+        sign = 1 if t > 0 else -1
+        if any(x != (sign if i == j else 0) for i, row in enumerate(m.entries)
+               for j, x in enumerate(row)):
+            msg = "%s has infinite order: its trace is %s but it is not %sI"
+            raise error(msg % (what, t, "" if sign > 0 else "-"))
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,13 @@ class FiniteMatrixAction:
             _check_trace(g, "generators[%d]" % i, ValueError)
 
     @cached_property
+    def elements(self) -> tuple[QMatrix, ...]:
+        """The elements of G, enumerated once per action."""
+        return tuple(enumerate_group(self))
+
+    @property
     def order(self) -> int:
-        """|G|, enumerated once per action."""
-        return len(enumerate_group(self))
+        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -81,10 +92,6 @@ class TorusAction:
             raise ValueError("ragged weight matrix")
         if m == 0:
             raise ValueError("torus acting on zero-dimensional space")
-
-    @property
-    def torus_dim(self) -> int:
-        return len(self.weights)
 
     @property
     def blocks(self) -> int:

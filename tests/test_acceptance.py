@@ -107,7 +107,7 @@ def test_criterion_2_finite_group_suite(capsys):
         if not (ml.center_dim == ml.m + ml.l == ml.abelianization_dim):
             failures.append("%s: center/abelianization dims disagree" % name)
         order = len(enumerate_group(g))
-        res = kernel_s(g, a.center, degree=order, ml=ml)
+        res = kernel_s(g, a.center, degree=order)
         if res.dim_s != 0 or res.exactness != "certified":
             failures.append(
                 "%s: kernel dim %d (%s) at degree |G|=%d"
@@ -138,37 +138,32 @@ def _random_faithful_weights(rng: random.Random):
 
 
 def _torus_certificate(g: TorusAction):
-    """A small certifying invariant set: every block radius |z_j|^2 plus one
-    monomial z^(v+) zbar^(v-) per saturated-kernel basis vector v.
+    """A small certifying invariant set, grouped by degree 1, 2, ...: every
+    block radius |z_j|^2 plus one monomial z^(v+) zbar^(v-) per
+    saturated-kernel basis vector v.
 
     Each polynomial is an honest invariant (its exponent difference is killed
-    by the weight matrix).  Its degree bound is the largest degree of these
-    monomials, at which the invariant monomials' exponent differences span
-    the saturated kernel lattice: the certification condition."""
+    by the weight matrix).  Its degree bound, the number of groups, is the
+    largest degree of these monomials, at which the invariant monomials'
+    exponent differences span the saturated kernel lattice: the certification
+    condition."""
     from equivab.exactlin import integer_kernel_saturated
-    from equivab.strata import InvariantSpace, _z_monomial
+    from equivab.strata import _z_monomial
 
     m = g.blocks
-    polys = []
-    max_deg = 2
+    by_degree = {2: []}
     for j in range(m):
         # |z_j|^2 = real part of z_j zbar_j
         aa = tuple(1 if i == j else 0 for i in range(m))
-        polys.append(_z_monomial(m, aa, aa)[0])
+        by_degree[2].append(_z_monomial(m, aa, aa)[0])
     for v in integer_kernel_saturated(g.weights):
         plus = tuple(max(x, 0) for x in v)
         minus = tuple(max(-x, 0) for x in v)
-        re, im = _z_monomial(m, plus, minus)
-        if not re.is_zero():
-            polys.append(re)
-        if not im.is_zero():
-            polys.append(im)
-        max_deg = max(max_deg, sum(plus) + sum(minus))
-    return InvariantSpace(
-        nvars=g.dim,
-        degree_bound=max_deg,
-        per_degree=(tuple(polys),),
-    )
+        polys = by_degree.setdefault(sum(plus) + sum(minus), [])
+        for p in _z_monomial(m, plus, minus):
+            if not p.is_zero():
+                polys.append(p)
+    return [tuple(by_degree.get(d, ())) for d in range(1, max(by_degree) + 1)]
 
 
 def test_criterion_3_random_torus_kernels(capsys):
@@ -181,13 +176,13 @@ def test_criterion_3_random_torus_kernels(capsys):
     for trial in range(5):
         weights = _random_faithful_weights(rng)
         g = TorusAction(weights)
-        k = g.torus_dim
+        k = len(g.weights)
         distinct = len({tuple(col) for col in zip(*weights)})
         a = commutant_structure(compute_commutant(g))
         ml = classify_ml(a)
         z = a.center
-        res = kernel_s(g, z, degree=_torus_certificate(g).degree_bound, ml=ml,
-                       invariants=_torus_certificate(g))
+        certificate = _torus_certificate(g)
+        res = kernel_s(g, z, degree=len(certificate), invariants=certificate)
         if res.exactness != "certified":
             failures.append("trial %d %r: kernel not certified" % (trial, weights))
             continue
@@ -220,13 +215,13 @@ def test_criterion_4_su3_twelve_dimensional_slice(capsys):
     a = commutant_structure(compute_commutant(g))
     ml = classify_ml(a)
     z = a.center
-    res2 = kernel_s(g, z, degree=2, ml=ml)
-    res3 = kernel_s(g, z, degree=3, ml=ml)
-    if res2.dim_t != 2:
+    res2 = kernel_s(g, z, degree=2)
+    res3 = kernel_s(g, z, degree=3)
+    if ml.l != 2:
         failures.append(
             "dim T = %d != 2 (commutant dim %d, (m,l)=(%d,%d): the two "
             "summands are conjugate, hence isomorphic real representations)"
-            % (res2.dim_t, a.algebra.dim, ml.m, ml.l)
+            % (ml.l, a.algebra.dim, ml.m, ml.l)
         )
     if res2.dim_s != 1:
         failures.append("kernel dim %d != 1 at degree 2" % res2.dim_s)

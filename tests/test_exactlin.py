@@ -208,7 +208,7 @@ class TestCoercion:
         x = Fraction(np.int64(3), np.int64(4))
         assert type(x.numerator) is not int  # the case the coercion guards
         m = QMatrix.from_rows([[x, 1], [0, x]])
-        assert m[0, 0] == Fraction(3, 4)
+        assert m.entries[0][0] == Fraction(3, 4)
         assert all(_is_exact(a) for a in m.vec())
         u = Subspace.from_vectors(3, [[x, 1, 0], [0, x, 2]])
         assert u.dim == 2

@@ -1,6 +1,8 @@
 """Structural checks on the package source."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivab"
@@ -54,3 +56,14 @@ def test_compute_path_is_deterministic():
     assert importing == set()
     assert sorted(params) == ["classify_ml", "run_orbit", "run_pipeline"]
     assert all("seed" not in names for names in params.values())
+
+
+def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
+    # the benchmark's tracer wraps functions by name: renaming or deleting
+    # one of them breaks it
+    monkeypatch.setattr(sys, "path", list(sys.path))  # selftest prepends to it
+    path = SRC.parent.parent / "perfbench" / "selftest.py"
+    spec = importlib.util.spec_from_file_location("perfbench_selftest", path)
+    selftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(selftest)
+    assert selftest.check_bindings() is None

@@ -36,7 +36,7 @@ def _killing_form(g: LieAlgebraSC) -> QMatrix:
     ads = [ad(g, [1 if k == i else 0 for k in range(g.dim)]) for i in range(g.dim)]
 
     def trace(m):
-        return sum(m[i, i] for i in range(m.rows))
+        return sum(m.entries[i][i] for i in range(m.rows))
 
     return QMatrix.from_rows([[trace(a @ b) for b in ads] for a in ads])
 
@@ -86,7 +86,7 @@ class TestBracketsAndForms:
     def test_killing_form_sl2_signature(self):
         k = _killing_form(cat.sl2())
         # h-direction: K(h, h) = 8 > 0
-        assert k[0, 0] == 8
+        assert k.entries[0][0] == 8
 
     def test_derived_subspace(self):
         assert cat.so3().derived_subspace().dim == 3

@@ -26,6 +26,20 @@ def model(label, action, **kw):
     return OrbitModel(label=label, slice_action=action, **kw)
 
 
+@pytest.fixture
+def built_degrees(monkeypatch):
+    """The degrees whose monomials the invariant builders ask for."""
+    degrees = []
+    monomials = strata.monomials_of_degree
+
+    def recorded(nvars, degree):
+        degrees.append(degree)
+        return monomials(nvars, degree)
+
+    monkeypatch.setattr(strata, "monomials_of_degree", recorded)
+    return degrees
+
+
 BASIC_INPUT = {
     "orbits": [
         {
@@ -111,6 +125,13 @@ class TestRunPipeline:
         assert rep.orbits[0].quotient.exactness == "certified"
         assert len(calls) == 1
 
+    def test_no_invariant_degree_built_past_a_zero_kernel(self, built_degrees):
+        # D4 on R^2 (|G| = 8): the radius already kills Z(A) = R at degree 2
+        rep = run_pipeline([model("d4", cat.d4_on_r2(), quotient_requested=True)])
+        q = rep.orbits[0].quotient
+        assert (q.k, q.exactness) == (0, "certified")
+        assert built_degrees == [1, 2]
+
     def test_errors_carry_orbit_label(self):
         calls = []
 
@@ -180,6 +201,39 @@ class TestVerifyModels:
         assert calls == [4, 3]
         details = {i.orbit: i.detail for i in rep.items if i.check == "kernel-monotonicity"}
         assert details == {"rot": "dim at 3: 0, at 4: 0", "circle": "dim at 2: 2, at 3: 1"}
+
+    def test_group_enumerated_once(self, monkeypatch):
+        # the oracle and the degree bound share one enumeration
+        calls = []
+        enumerate_all = symmetry.enumerate_group
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_all(g)
+
+        for module in (symmetry, comm, pipeline, strata):
+            if getattr(module, "enumerate_group", None) is enumerate_all:
+                monkeypatch.setattr(module, "enumerate_group", counted)
+        rep = verify_models([model("rot", cat.c3_rotation(), quotient_requested=True)])
+        assert rep.passed
+        assert len(calls) == 1
+
+    def test_no_invariant_degree_built_past_a_zero_kernel(self, built_degrees, monkeypatch):
+        # D4 on R^2: both kernels vanish at degree 2, short of 8 and 9
+        builds = []
+        build = strata.invariants_up_to_degree
+
+        def counted(g, degree):
+            builds.append(degree)
+            return build(g, degree)
+
+        monkeypatch.setattr(strata, "invariants_up_to_degree", counted)
+        rep = verify_models([model("d4", cat.d4_on_r2(), quotient_requested=True)])
+        assert rep.passed
+        assert builds == [9]
+        assert built_degrees == [1, 2]
+        details = {i.check: i.detail for i in rep.items}
+        assert details["kernel-monotonicity"] == "dim at 8: 0, at 9: 0"
 
     def test_non_commutant_algebra_flagged(self):
         rep = verify_models(

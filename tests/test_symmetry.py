@@ -82,12 +82,15 @@ class TestEnumeration:
                 assert (a @ b).entries in entries
 
     def test_infinite_group_raises(self):
-        # a shear has infinite order
-        shear = FiniteMatrixAction(
-            2, (QMatrix.from_rows([[1, 1], [0, 1]]),), cap=50
+        # the infinite dihedral group: two reflections whose product is the
+        # shear [[1, 1], [0, 1]], of trace 2 but not I, so of infinite order
+        pair = FiniteMatrixAction(
+            2, (QMatrix.from_rows([[-1, 1], [0, 1]]), QMatrix.from_rows([[-1, 0], [0, 1]])),
+            cap=50,
         )
-        with pytest.raises(GroupNotFiniteError):
-            enumerate_group(shear)
+        with pytest.raises(GroupNotFiniteError) as err:
+            enumerate_group(pair)
+        assert "trace is 2 but it is not I" in str(err.value)
 
     def test_infinite_order_product_raises(self):
         # two reflections whose product is the rotation [[3/5, 4/5], [-4/5, 3/5]]:
@@ -98,7 +101,9 @@ class TestEnumeration:
             enumerate_group(FiniteMatrixAction(2, (refl, skew)))
         assert "trace 6/5 is not an integer in [-2, 2]" in str(err.value)
 
-    @pytest.mark.parametrize("rows", [[[2, 0], [0, "1/2"]], [[0, -1], [1, 3]]])
+    @pytest.mark.parametrize("rows", [
+        [[2, 0], [0, "1/2"]], [[0, -1], [1, 3]], [[1, 1], [0, 1]], [[-1, 0], [1, -1]],
+    ])
     def test_generator_failing_trace_test_rejected(self, rows):
         with pytest.raises(ValueError, match="generators\\[0\\] has infinite order"):
             FiniteMatrixAction(2, (QMatrix.from_rows(rows),))
