@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactlin import (
     _ZERO,
@@ -20,10 +19,12 @@ from .exactlin import (
     Subspace,
     _combine,
     _nonzeros,
+    bracket_vec,
     count_real_roots,
     inertia,
     kernel,
     minimal_polynomial,
+    product_vec,
     rows_of,
     squarefree_part,
 )
@@ -51,9 +52,8 @@ class MatrixAlgebra:
         span = self.span()
         if span.dim != len(self.basis):
             raise ValueError("algebra basis is linearly dependent")
-        sparse = [_sparse_rows(b.vec(), n) for b in self.basis]
-        engine = span._engine()
-        if not all(engine.contains(_product(x, y, n)) for x in sparse for y in sparse):
+        engine, basis = span._engine, self.basis
+        if not all(engine.contains(product_vec(x, y)) for x in basis for y in basis):
             raise ValueError("basis is not closed under multiplication")
         if not span.contains(QMatrix.identity(n).vec()):
             raise ValueError("identity not in algebra span")
@@ -97,59 +97,29 @@ def _square(v, n: int) -> QMatrix:
     return QMatrix._of(v[i : i + n] for i in range(0, n * n, n))
 
 
-# Products of basis elements go straight from the nonzeros of their rows to
-# the {index: value} vectors that elimination takes: the basis elements are
-# sparse, and their dense products would be scanned entry by entry.
-
-
-def _sparse_rows(v, n: int) -> list[list[tuple[int, Fraction]]]:
-    """The nonzeros of each row of the n x n matrix flattened to v."""
-    return [_nonzeros(v[i : i + n]) for i in range(0, n * n, n)]
-
-
-def _product(x, y, n: int) -> dict[int, Fraction]:
-    """vec(XY) as {index: value}, from the sparse rows of n x n matrices."""
-    out: dict[int, Fraction] = {}
-    for i, row in enumerate(x):
-        for k, a in row:
-            for j, b in y[k]:
-                key = i * n + j
-                out[key] = out[key] + a * b if key in out else a * b
-    return out
-
-
-def _bracket(x, y, n: int) -> dict[int, Fraction]:
-    """vec(XY - YX) as {index: value}, from the sparse rows of n x n matrices."""
-    out = _product(x, y, n)
-    for key, b in _product(y, x, n).items():
-        out[key] = out[key] - b if key in out else -b
-    return {key: c for key, c in out.items() if c}
-
-
 def center(a: MatrixAlgebra) -> Subspace:
     """Center of A as a subspace of vec(End(V))."""
     n = a.ambient_dim
-    basis = [_sparse_rows(b.vec(), n) for b in a.basis]
-    # vecs spans the centralizer in A of the basis elements seen so far;
-    # each basis element b keeps the combinations commuting with b
-    vecs, sparse = [b.vec() for b in a.basis], basis
-    for b in basis:
-        brackets = [_bracket(x, b, n) for x in sparse]
+    # mats spans the centralizer in A of the basis elements seen so far, vecs
+    # holds their flattenings; each basis element b keeps the combinations
+    # commuting with b
+    mats, vecs = a.basis, [b.vec() for b in a.basis]
+    for b in a.basis:
+        brackets = [bracket_vec(x, b) for x in mats]
         if not any(brackets):
             continue
         # the combinations of the x whose bracket with b vanishes
         coords = kernel(len(brackets), rows_of(brackets))
         vecs = _combine(coords.basis, vecs, n * n)
-        sparse = [_sparse_rows(v, n) for v in vecs]
+        mats = [_square(v, n) for v in vecs]
     return Subspace._span(n * n, vecs)
 
 
 def commutator_ideal(a: MatrixAlgebra) -> Subspace:
     """Span of all brackets of basis elements (= [A, A] by bilinearity)."""
     n = a.ambient_dim
-    sparse = [_sparse_rows(b.vec(), n) for b in a.basis]
     return Subspace._span_sparse(
-        n * n, (_bracket(x, y, n) for x, y in itertools.combinations(sparse, 2))
+        n * n, (bracket_vec(x, y) for x, y in itertools.combinations(a.basis, 2))
     )
 
 

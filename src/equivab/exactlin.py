@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -73,11 +74,11 @@ class QMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+    @cached_property
+    def nonzero_rows(self) -> tuple[list[tuple[int, Fraction]], ...]:
+        """The (column, value) nonzeros of each row, listed once per matrix:
+        most matrices here are sparse."""
+        return tuple(map(_nonzeros, self.entries))
 
     def transpose(self) -> "QMatrix":
         return QMatrix(tuple(zip(*self.entries))) if self.entries else self
@@ -105,19 +106,14 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # skip zero entries: most matrices here are sparse.  The nonzeros of
-        # a row of other are listed once, when a row of self first needs them.
-        sparse_rows: dict[int, list] = {}
+        brows = other.nonzero_rows
         out_cols = other.cols
         out = []
         for row in self.entries:
             acc = [_ZERO] * out_cols
             for k, a in enumerate(row):
                 if a:
-                    brow = sparse_rows.get(k)
-                    if brow is None:
-                        brow = sparse_rows[k] = _nonzeros(other.entries[k])
-                    for j, b in brow:
+                    for j, b in brows[k]:
                         acc[j] += a * b
             out.append(tuple(acc))
         return QMatrix(tuple(out))
@@ -144,6 +140,28 @@ class QMatrix:
 
 def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(j, x) for j, x in enumerate(v) if x]
+
+
+def product_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
+    """vec(XY) as {index: value}, from the nonzero rows of X and Y."""
+    if x.cols != y.rows:
+        raise ValueError("shape mismatch in matrix product")
+    out: dict[int, Fraction] = {}
+    w, y_rows = y.cols, y.nonzero_rows
+    for i, row in enumerate(x.nonzero_rows):
+        for k, a in row:
+            for j, b in y_rows[k]:
+                key = i * w + j
+                out[key] = out[key] + a * b if key in out else a * b
+    return {key: c for key, c in out.items() if c}
+
+
+def bracket_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
+    """vec(XY - YX) as {index: value}, from the nonzero rows of X and Y."""
+    out = product_vec(x, y)
+    for key, b in product_vec(y, x).items():
+        out[key] = out[key] - b if key in out else -b
+    return {key: c for key, c in out.items() if c}
 
 
 def _combine(
@@ -331,12 +349,10 @@ class Subspace:
             engine.insert(v)
         return Subspace(ambient_dim, engine.dense_basis())
 
+    @cached_property
     def _engine(self) -> "SparseRREF":
-        cached = getattr(self, "_engine_cache", None)
-        if cached is None:
-            cached = SparseRREF._of_reduced(self.ambient_dim, self.basis)
-            object.__setattr__(self, "_engine_cache", cached)
-        return cached
+        """The engine holding the canonical basis, built once per subspace."""
+        return SparseRREF._of_reduced(self.ambient_dim, self.basis)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -354,11 +370,11 @@ class Subspace:
         vec = [_q(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return self._engine().contains(_sparse(vec))
+        return self._engine.contains(_sparse(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        engine = self._engine()
+        engine = self._engine
         return all(engine.contains(_sparse(b)) for b in other.basis)
 
     def _check(self, other: "Subspace") -> None:

@@ -8,6 +8,7 @@ from itertools import tee
 
 from . import commutant as comm
 from . import liealg, strata
+from .exactlin import bracket_vec
 from .symmetry import (
     FiniteMatrixAction,
     GroupAction,
@@ -267,4 +268,4 @@ def _orbit_checks(
 
 def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:
     gens = action_generators(g)
-    return all((gen @ b - b @ gen).is_zero() for b in algebra.basis for gen in gens)
+    return not any(bracket_vec(gen, b) for b in algebra.basis for gen in gens)

@@ -23,7 +23,6 @@ from .exactlin import (
     _ONE,
     _ZERO,
     _combine,
-    _nonzeros,
     integer_kernel_saturated,
     kernel,
     lattice_contains,
@@ -116,17 +115,13 @@ def _derive(rows: list, m: Monomial, c: Fraction, out: dict) -> None:
             _accumulate(out, e, cp * x)
 
 
-def _matrix_rows(d: QMatrix) -> list:
-    return [_nonzeros(row) for row in d.entries]
-
-
 def derivation_action(d: QMatrix, f: Poly) -> Poly:
     """Linear vector field x -> Dx applied to f as a derivation.
 
     (Df)(x) = sum_{i,j} D_{ji} x_i df/dx_j; degree preserving.  Vanishes
     exactly on polynomials invariant under the one-parameter group of D.
     """
-    rows = _matrix_rows(d)
+    rows = d.nonzero_rows
     out: dict = {}
     for m, c in f.terms.items():
         _derive(rows, m, c, out)
@@ -155,7 +150,7 @@ def _difference_operator(a: QMatrix) -> Callable[[list[Monomial]], Images]:
     (ax)_i, so each image of degree d costs one sparse product with an image
     of degree d - 1."""
     n = a.rows
-    forms = _matrix_rows(a)
+    forms = a.nonzero_rows
     unit = (0,) * n
     substituted = {unit: {unit: _ONE}}
 
@@ -185,7 +180,7 @@ def _difference_operator(a: QMatrix) -> Callable[[list[Monomial]], Images]:
 
 def _derivation_operator(xi: QMatrix) -> Callable[[list[Monomial]], Images]:
     """The derivation of the vector field x -> xi x, on exponents."""
-    rows = _matrix_rows(xi)
+    rows = xi.nonzero_rows
 
     def images(monoms: list[Monomial]) -> Images:
         out = {}
@@ -283,11 +278,17 @@ def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Poly,
     """Bases of homogeneous H-invariant polynomials in degrees 1..degree, one
     tuple per degree, each built only when it is read.
 
-    Every degree is checked against DEFAULT_MONOMIAL_CAP at the call."""
+    Every degree is checked against DEFAULT_MONOMIAL_CAP at the call: the
+    monomial count never decreases with the degree, so only a failing bound
+    walks the degrees below it, for the first that fails."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    for d in range(1, degree + 1):
-        _check_cap(g.dim, d)
+    try:
+        _check_cap(g.dim, degree)
+    except DegreeBoundTooLarge:
+        for d in range(1, degree):
+            _check_cap(g.dim, d)
+        raise
     build = _torus_invariants if isinstance(g, TorusAction) else _kernel_invariants
     return build(g, degree)
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .exactlin import (
     QMatrix,
     Subspace,
     _ZERO,
-    _nonzeros,
+    bracket_vec,
     common_nullspace,
     rank,
 )
@@ -125,14 +126,12 @@ class ConnectedLieAction:
         for g in self.lie_generators:
             if g.rows != self.dim or g.cols != self.dim:
                 raise ValueError("Lie generator shape mismatch")
-        span = Subspace.from_vectors(
+        engine = Subspace.from_vectors(
             self.dim * self.dim, [g.vec() for g in self.lie_generators]
-        )
-        for a in self.lie_generators:
-            for b in self.lie_generators:
-                br = a @ b - b @ a
-                if not span.contains(br.vec()):
-                    raise ValueError("generators are not closed under the bracket")
+        )._engine
+        if not all(engine.contains(bracket_vec(a, b))
+                   for a, b in combinations(self.lie_generators, 2)):
+            raise ValueError("generators are not closed under the bracket")
 
 
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction
@@ -181,8 +180,7 @@ def commutator_rows(a: QMatrix) -> list[dict]:
     at most 2n entries.
     """
     n = a.rows
-    a_rows = [_nonzeros(a.row(i)) for i in range(n)]
-    a_cols = [_nonzeros(a.col(j)) for j in range(n)]
+    a_rows, a_cols = a.nonzero_rows, a.transpose().nonzero_rows
     out = []
     for i in range(n):
         for j in range(n):

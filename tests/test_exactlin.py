@@ -13,6 +13,7 @@ from equivab.exactlin import (
     QMatrix,
     QPolynomial,
     Subspace,
+    bracket_vec,
     common_nullspace,
     count_real_roots,
     hermite_row_basis,
@@ -23,6 +24,7 @@ from equivab.exactlin import (
     minimal_polynomial,
     nullspace,
     poly_gcd,
+    product_vec,
     rank,
     rows_of,
     rref,
@@ -236,6 +238,27 @@ class TestProduct:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             QMatrix.from_rows([[1, 2]]) @ QMatrix.from_rows([[1, 2]])
+
+    @given(square_matrices(), square_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_products_match_dense(self, x, y):
+        # pad to a common size with zero rows and columns
+        n = max(x.rows, y.rows)
+        x, y = (
+            QMatrix.from_rows([list(r) + [0] * (n - m.cols) for r in m.entries]
+                              + [[0] * n] * (n - m.rows))
+            for m in (x, y)
+        )
+
+        def nonzeros(m):
+            return {k: v for k, v in enumerate(m.vec()) if v}
+
+        assert product_vec(x, y) == nonzeros(x @ y)
+        assert bracket_vec(x, y) == nonzeros(x @ y - y @ x)
+        assert len(x.nonzero_rows) == x.rows
+        listed = {(i, j): v for i, row in enumerate(x.nonzero_rows) for j, v in row}
+        assert listed == {(i, j): v for i, row in enumerate(x.entries)
+                          for j, v in enumerate(row) if v}
 
 
 class TestSubspace:

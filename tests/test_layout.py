@@ -32,6 +32,24 @@ def test_only_exactlin_names_the_elimination_engine():
     assert naming == {"exactlin.py"}
 
 
+def _is_product(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+
+def test_no_dense_brackets():
+    # products and brackets of matrices go through exactlin's sparse
+    # product_vec and bracket_vec: no expression subtracts one product from
+    # another
+    dense = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and _is_product(node.left) and _is_product(node.right)
+    ]
+    assert dense == []
+
+
 def _imported_modules(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -77,7 +77,7 @@ class TestBracketsAndForms:
         for j in range(3):
             ej = [0] * 3
             ej[j] = 1
-            assert tuple(ad_x.col(j)) == g.bracket(x, ej)
+            assert tuple(ad_x.transpose().entries[j]) == g.bracket(x, ej)
 
     def test_killing_form_so3_negative_definite(self):
         k = _killing_form(cat.so3())

@@ -417,6 +417,19 @@ class TestCLI:
         assert ("[FAIL] circle: center-dim-arithmetic "
                 "(trace form (m,l)=(2,0), root count (2,2))") in out
 
+    def test_verify_residual_catches_a_non_commuting_algebra(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # M_2(R) is a unital algebra but does not commute with the rotation
+        monkeypatch.setattr(comm, "compute_commutant", lambda g: cat.gl_n_r(2))
+        doc = {"orbits": [{"label": "rot", "slice_action": {
+            "kind": "finite", "dim": 2, "generators": [[[0, -1], [1, -1]]]}}]}
+        rc = cli.main([self.write(tmp_path, doc), "--verify"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] rot: commutant-residual" in out
+        assert "verification FAILED" in out
+
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
     @pytest.mark.parametrize("text, flags, message", [
         ('{"orbits": [', [], "input is not valid JSON: Expecting value: line 1"),

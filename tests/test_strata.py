@@ -227,6 +227,20 @@ class TestInvariants:
             invariants_up_to_degree(cat.q8_on_r4(), 60)
         assert str(err.value) == message
 
+    def test_degree_cap_checked_once_when_it_holds(self, monkeypatch):
+        # one variable has one monomial per degree: the bound passes the cap
+        # without a walk over its degrees
+        calls = []
+        check = strata._check_cap
+
+        def counted(nvars, degree):
+            calls.append(degree)
+            return check(nvars, degree)
+
+        monkeypatch.setattr(strata, "_check_cap", counted)
+        invariants_up_to_degree(cat.c2_sign(), 10**6)
+        assert calls == [10**6]
+
     @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
                              ids=[case[0].__name__ for case in FINITE_CASES])
     def test_finite_invariants_span_reynolds_averages(self, make):
