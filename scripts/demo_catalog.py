@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Walk the built-in catalog of slice actions and print the full report for
-each: commutant dimension, (m, l) classification, center-split check, and the
-quotient-side decomposition where it applies."""
+each: commutant dimension, (m, l) classification, center-split check, the
+exact finite-group checks against the span of G where they apply, and the
+quotient-side decomposition."""
 
 import time
 
@@ -44,10 +45,10 @@ def main():
             name, s.algebra.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
         )
         if isinstance(g, FiniteMatrixAction):
-            blocks = schur_split_oracle(g, seed=0)
-            line += "  blocks=%s" % [
-                (b.multiplicity, b.irreducible_dim, b.schur_type) for b in blocks
-            ]
+            checks = schur_split_oracle(g, s)
+            line += "  span-G checks=%s" % (
+                "ok" if all(passed for passed, _ in checks) else "FAIL"
+            )
             degree = g.order
         elif isinstance(g, TorusAction):
             degree = 4  # enough to certify the small weight matrices here

@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=_at_least(0),
         default=None,
-        help="seeds verify mode's float splitting oracle; compute mode ignores it",
+        help="accepted for older callers and unused: every result is exact",
     )
     p.add_argument(
         "--degree-bound",
@@ -85,9 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.verify:
-        report = verify_models(
-            models, seed=options["seed"], degree_bound=options["degree_bound"]
-        )
+        report = verify_models(models, degree_bound=options["degree_bound"])
         for item in report.items:
             status = "pass" if item.passed else "FAIL"
             line = "[%s] %s: %s" % (status, item.orbit, item.check)

@@ -123,7 +123,8 @@ def _option(flags: Mapping, options: dict, key: str, least: int) -> int | None:
 
 def _run_options(options, flags: Mapping) -> dict:
     """The run options, each resolved once: the command-line flag wins, then
-    the document's "options" object, then the default."""
+    the document's "options" object, then the default.  "seed" is still
+    validated for older documents and callers, but nothing reads it."""
     if options is None:
         options = {}
     if not isinstance(options, dict):

@@ -187,13 +187,11 @@ class VerificationReport:
 
 def verify_models(
     models: list[OrbitModel],
-    seed: int = 0,
     degree_bound: int | None = None,
     extra_algebras: list[tuple[str, comm.MatrixAlgebra]] | None = None,
 ) -> VerificationReport:
     """Build each orbit's structure as compute mode does, check every
-    structural claim on it, and report per check.  `seed` seeds only the
-    floating-point splitting oracle.
+    structural claim on it, and report per check.  Every check is exact.
 
     An exception while verifying an orbit becomes a failed "error" item for
     that orbit, and the next orbit is verified.  `extra_algebras` lets tests
@@ -204,7 +202,7 @@ def verify_models(
     items: list[VerificationItem] = []
     for model in models:
         try:
-            for item in _orbit_checks(model, seed, degree_bound):
+            for item in _orbit_checks(model, degree_bound):
                 items.append(item)
         except Exception as exc:
             items.append(VerificationItem(model.label, "error", False, str(exc)))
@@ -216,7 +214,7 @@ def verify_models(
 
 
 def _orbit_checks(
-    model: OrbitModel, seed: int, degree_bound: int | None
+    model: OrbitModel, degree_bound: int | None
 ) -> Iterator[VerificationItem]:
     """The verify-mode checks of one orbit, in report order."""
     g = model.slice_action
@@ -232,23 +230,9 @@ def _orbit_checks(
     yield item("center-dim-arithmetic", not disagreement, disagreement)
 
     if isinstance(g, FiniteMatrixAction):
-        try:
-            blocks = comm.schur_split_oracle(g, seed=seed)
-        except comm.IllConditionedSplitError as exc:
-            yield item("classification-vs-split-oracle", False, str(exc))
-        else:
-            m_oracle = len(blocks)
-            l_oracle = sum(1 for b in blocks if b.schur_type == "C")
-            yield item(
-                "classification-vs-split-oracle",
-                (ml.m, ml.l) == (m_oracle, l_oracle),
-                "exact (m,l)=(%d,%d), oracle (%d,%d)"
-                % (ml.m, ml.l, m_oracle, l_oracle),
-            )
-            yield item(
-                "block-dimension-arithmetic",
-                sum(b.multiplicity * b.irreducible_dim for b in blocks) == g.dim,
-            )
+        center_check, dim_check = comm.schur_split_oracle(g, structure)
+        yield item("classification-vs-split-oracle", *center_check)
+        yield item("block-dimension-arithmetic", *dim_check)
 
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else default_degree_bound(g)

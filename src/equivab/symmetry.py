@@ -20,6 +20,7 @@ from .exactlin import (
     _ZERO,
     bracket_vec,
     common_nullspace,
+    product_vec,
     rank,
 )
 
@@ -150,24 +151,30 @@ def action_generators(g: GroupAction) -> list[QMatrix]:
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     """Full element list by breadth-first closure; deterministic order.  Each
-    new element must pass the trace test for finite order."""
+    product is keyed by its sorted nonzeros, and a matrix is built only for a
+    new element, which must pass the trace test for finite order."""
     if not isinstance(g, FiniteMatrixAction):
         raise TypeError("enumerate_group needs a finite matrix action")
-    ident = QMatrix.identity(g.dim)
-    seen = {ident.entries: ident}
+    n = g.dim
+    ident = QMatrix.identity(n)
+    seen = {tuple(sorted(product_vec(ident, ident).items())): ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for el in frontier:
             for gen in g.generators:
-                prod = el @ gen
-                if prod.entries not in seen:
+                key = tuple(sorted(product_vec(el, gen).items()))
+                if key not in seen:
+                    rows = [[_ZERO] * n for _ in range(n)]
+                    for k, x in key:
+                        rows[k // n][k % n] = x
+                    prod = QMatrix._of(rows)
                     _check_trace(prod, "group not finite: an element", GroupNotFiniteError)
                     if len(seen) >= g.cap:
                         raise GroupNotFiniteError(
                             "group not finite under cap %d" % g.cap
                         )
-                    seen[prod.entries] = prod
+                    seen[key] = prod
                     nxt.append(prod)
         frontier = nxt
     return list(seen.values())

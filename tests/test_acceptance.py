@@ -15,9 +15,9 @@ from equivab.commutant import (
     classify_ml,
     commutant_structure,
     compute_commutant,
-    schur_split_oracle,
     verify_center_splits,
 )
+from float_split_oracle import schur_split_oracle
 from equivab.exactlin import (
     QMatrix,
     QPolynomial,

@@ -1,10 +1,14 @@
-"""Tests for commutant computation, center splitting, and the (m, l)
-classification against the independent numeric splitting oracle."""
+"""Tests for commutant computation, center splitting, the (m, l)
+classification against the independent numeric splitting oracle, and verify's
+exact finite-group checks."""
+
+import dataclasses
 
 import pytest
 import sympy
 
 from equivab import catalog as cat
+from equivab import commutant as comm
 from equivab.commutant import (
     MatrixAlgebra,
     MLClassification,
@@ -15,11 +19,11 @@ from equivab.commutant import (
     commutator_ideal,
     compute_commutant,
     root_count_disagreement,
-    schur_split_oracle,
     verify_center_splits,
 )
+from float_split_oracle import schur_split_oracle
 from equivab.exactlin import QMatrix, Subspace, common_nullspace
-from equivab.symmetry import TorusAction
+from equivab.symmetry import FiniteMatrixAction, TorusAction
 
 # (constructor, commutant dim, (m, l), oracle blocks)
 FINITE_CASES = [
@@ -31,6 +35,27 @@ FINITE_CASES = [
     (cat.s3_standard_plus_sign, 2, (2, 0), [(1, 1, "R"), (1, 2, "R")]),
     (cat.q8_on_r4, 4, (1, 0), [(1, 4, "H")]),
     (cat.s3_regular_minus_trivial, 5, (2, 0), [(1, 1, "R"), (2, 2, "R")]),
+]
+
+
+def c2_power_7() -> FiniteMatrixAction:
+    """Sign changes of seven coordinates: seven distinct real characters, and
+    the largest group here, of order 128."""
+    return FiniteMatrixAction(7, tuple(
+        QMatrix.from_rows([[-1 if i == j == k else int(i == j) for j in range(7)]
+                           for i in range(7)])
+        for k in range(7)
+    ))
+
+
+# every finite group of the catalog, and c2^7
+FINITE_GROUPS = [
+    pytest.param(make, id=make.__name__)
+    for make in (
+        cat.c2_sign, cat.c2_minus_identity, cat.c3_rotation, cat.c4_rotation,
+        cat.c2_x_c2, cat.d4_on_r2, cat.s3_standard, cat.s3_standard_plus_sign,
+        cat.q8_on_r4, cat.s3_regular_minus_trivial, c2_power_7,
+    )
 ]
 
 
@@ -220,3 +245,60 @@ class TestClassification:
                          (cat.gl_n_h, (1, 0))):
             got = classify_ml(commutant_structure(make(n)))
             assert (got.m, got.l) == ml
+
+
+class TestExactFiniteGroupChecks:
+    """comm.schur_split_oracle: Z(A) = A meet span G, and
+    dim A = (1/|G|) sum tr(g)^2."""
+
+    @pytest.mark.parametrize("make", FINITE_GROUPS)
+    def test_checks_pass_and_float_oracle_agrees(self, make):
+        g = make()
+        s = _structure(g)
+        (center_ok, center_detail), (dim_ok, dim_detail) = comm.schur_split_oracle(g, s)
+        assert center_ok, center_detail
+        assert dim_ok, dim_detail
+        ml = classify_ml(s)
+        blocks = schur_split_oracle(g, seed=0)
+        assert (ml.m, ml.l) == (len(blocks), sum(b.schur_type == "C" for b in blocks))
+
+    def test_center_check_fails_on_the_whole_algebra(self):
+        # Q8 on R^4: A = H is not commutative, and only its scalars lie in
+        # span G, the other copy of H
+        g = cat.q8_on_r4()
+        s = _structure(g)
+        wrong = dataclasses.replace(s, center=s.algebra.span())
+        (passed, detail), _ = comm.schur_split_oracle(g, wrong)
+        assert not passed
+        assert detail == "dim Z(A) = 4, dim A meet span G = 1, Z(A) not in span G"
+
+    def test_center_check_fails_on_a_line_outside_span_g(self):
+        # Q8 on R^4: A meets span G in the scalars alone, so a non-scalar line
+        # of A has the right dimension but lies outside span G
+        g = cat.q8_on_r4()
+        s = _structure(g)
+        scalars = Subspace.from_vectors(16, [QMatrix.identity(4).vec()])
+        x = next(b for b in s.algebra.basis if not scalars.contains(b.vec()))
+        line = Subspace.from_vectors(16, [x.vec()])
+        (passed, detail), _ = comm.schur_split_oracle(g, dataclasses.replace(s, center=line))
+        assert not passed
+        assert detail == "dim Z(A) = 1, dim A meet span G = 1, Z(A) not in span G"
+
+    def test_center_check_fails_on_a_smaller_center(self):
+        # S3 on standard + sign: Z(A) = R x R, of which span{I} lies in span G
+        # but is too small
+        g = cat.s3_standard_plus_sign()
+        s = _structure(g)
+        scalars = Subspace.from_vectors(9, [QMatrix.identity(3).vec()])
+        (passed, detail), _ = comm.schur_split_oracle(g, dataclasses.replace(s, center=scalars))
+        assert not passed
+        assert detail == "dim Z(A) = 1, dim A meet span G = 2"
+
+    def test_dimension_check_fails_on_a_subgroup_commutant(self):
+        # the swap alone fixes a line of the S3 standard plane: its commutant
+        # is 2-dimensional, but <chi, chi> = 1 for S3
+        g = cat.s3_standard()
+        swap = FiniteMatrixAction(2, g.generators[:1])
+        _, (passed, detail) = comm.schur_split_oracle(g, _structure(swap))
+        assert not passed
+        assert detail == "dim A = 2, (1/|G|) sum tr(g)^2 = 1"

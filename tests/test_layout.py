@@ -58,8 +58,18 @@ def _imported_modules(tree: ast.AST):
             yield node.module
 
 
+def test_no_module_imports_numpy():
+    # every check is exact: numpy is a test-only dependency
+    importing = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if any(m.split(".")[0] == "numpy" for m in _imported_modules(_tree(path)))
+    ]
+    assert importing == []
+
+
 def test_compute_path_is_deterministic():
-    # no module draws random numbers, and (m, l), an orbit and a run take no seed
+    # no module draws random numbers, and (m, l), an orbit, a run and a
+    # verify pass take no seed
     importing, params = set(), {}
     for path in sorted(SRC.glob("*.py")):
         tree = _tree(path)
@@ -67,12 +77,12 @@ def test_compute_path_is_deterministic():
             importing.add(path.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name in (
-                "classify_ml", "run_orbit", "run_pipeline"
+                "classify_ml", "run_orbit", "run_pipeline", "verify_models"
             ):
                 args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 params[node.name] = {a.arg for a in args}
     assert importing == set()
-    assert sorted(params) == ["classify_ml", "run_orbit", "run_pipeline"]
+    assert sorted(params) == ["classify_ml", "run_orbit", "run_pipeline", "verify_models"]
     assert all("seed" not in names for names in params.values())
 
 

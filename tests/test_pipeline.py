@@ -175,7 +175,7 @@ class TestVerifyModels:
             model("rot", cat.c3_rotation(), quotient_requested=True),
             model("quat", cat.q8_on_r4()),
         ]
-        rep = verify_models(models, seed=0)
+        rep = verify_models(models)
         assert rep.passed
         checks = {i.check for i in rep.items}
         assert "commutant-residual" in checks
@@ -196,7 +196,7 @@ class TestVerifyModels:
             model("quat", cat.q8_on_r4()),
             model("circle", TorusAction(((1, 2),)), quotient_requested=True),
         ]
-        rep = verify_models(models, seed=0)
+        rep = verify_models(models)
         assert rep.passed
         assert calls == [4, 3]
         details = {i.orbit: i.detail for i in rep.items if i.check == "kernel-monotonicity"}
@@ -428,6 +428,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL] rot: commutant-residual" in out
+        assert "verification FAILED" in out
+
+    def test_verify_flags_the_commutant_of_a_subgroup(self, tmp_path, capsys, monkeypatch):
+        # the swap alone fixes a line of the S3 standard plane, so its
+        # commutant is 2-dimensional where <chi, chi> = 1 for S3
+        swap_only = comm.compute_commutant(
+            FiniteMatrixAction(2, cat.s3_standard().generators[:1])
+        )
+        monkeypatch.setattr(comm, "compute_commutant", lambda g: swap_only)
+        doc = {"orbits": [{"label": "s3", "slice_action": {
+            "kind": "finite", "dim": 2, "generators": [[[-1, 1], [0, 1]], [[0, -1], [1, -1]]]}}]}
+        rc = cli.main([self.write(tmp_path, doc), "--verify"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "[FAIL] s3: block-dimension-arithmetic (dim A = 2, (1/|G|) sum tr(g)^2 = 1)" in out
         assert "verification FAILED" in out
 
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_commutant import FINITE_CASES
+from test_commutant import FINITE_CASES, FINITE_GROUPS
 
 from equivab import catalog as cat
 from equivab.exactlin import QMatrix, kernel
@@ -45,7 +45,46 @@ small_squares = st.integers(1, 4).flatmap(
 )
 
 
+def dense_key_enumeration(g: FiniteMatrixAction) -> list[QMatrix]:
+    """Reference: the breadth-first closure keyed by the dense entries."""
+    ident = QMatrix.identity(g.dim)
+    seen = {ident.entries: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for gen in g.generators:
+                prod = el @ gen
+                if prod.entries not in seen:
+                    seen[prod.entries] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    return list(seen.values())
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("make", FINITE_GROUPS)
+    def test_matches_dense_key_reference(self, make):
+        g = make()
+        assert enumerate_group(g) == dense_key_enumeration(g)
+
+    def test_key_does_not_depend_on_the_factorization(self):
+        # the dihedral group of order 12 from the swap and [[-1, 0], [1, 1]]:
+        # [[1, 1], [0, -1]] is reached by the swap, whose product lists the
+        # nonzeros of its first row out of column order, and by the other
+        # generator, whose product lists them in order
+        g = FiniteMatrixAction(2, (QMatrix.from_rows([[0, 1], [1, 0]]),
+                                   QMatrix.from_rows([[-1, 0], [1, 1]])))
+        elements = enumerate_group(g)
+        assert elements == dense_key_enumeration(g)
+        assert len(elements) == 12
+
+    def test_cap_error_message(self):
+        g = dataclasses.replace(cat.q8_on_r4(), cap=5)
+        with pytest.raises(GroupNotFiniteError) as err:
+            enumerate_group(g)
+        assert str(err.value) == "group not finite under cap 5"
+
     @pytest.mark.parametrize(
         "action, order",
         [
@@ -90,7 +129,9 @@ class TestEnumeration:
         )
         with pytest.raises(GroupNotFiniteError) as err:
             enumerate_group(pair)
-        assert "trace is 2 but it is not I" in str(err.value)
+        assert str(err.value) == (
+            "group not finite: an element has infinite order: its trace is 2 but it is not I"
+        )
 
     def test_infinite_order_product_raises(self):
         # two reflections whose product is the rotation [[3/5, 4/5], [-4/5, 3/5]]:
