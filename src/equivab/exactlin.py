@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 try:
     # gmpy2.mpq is drop-in compatible with Fraction and much faster
@@ -185,15 +185,20 @@ def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
     return dict(_nonzeros(row))
 
 
-def _eliminate(ncols: int, rows: Iterable[dict]) -> "SparseRREF":
-    """The one sparse engine holding the span of the rows {col: value}.  Rows
-    are read lazily, and none once the rank is ncols."""
-    engine = SparseRREF(ncols)
-    if ncols:
+def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict]) -> None:
+    """Insert the rows {col: value} into engine, read lazily, and none once
+    the rank is the column count."""
+    if engine.rank < engine.ambient:
         for row in rows:
             engine.insert(row)
-            if engine.rank == ncols:
+            if engine.rank == engine.ambient:
                 break
+
+
+def _eliminate(ncols: int, rows: Iterable[dict]) -> "SparseRREF":
+    """The one sparse engine holding the span of the rows {col: value}."""
+    engine = SparseRREF(ncols)
+    _insert_until_full(engine, rows)
     return engine
 
 
@@ -201,6 +206,16 @@ def kernel(ncols: int, rows: Iterable[dict]) -> "Subspace":
     """The one kernel routine: canonical basis of the vectors of Q^ncols that
     every row {col: value} annihilates.  No row is read once it is zero."""
     return _eliminate(ncols, rows).kernel()
+
+
+def kernels(ncols: int, groups: Iterable[Iterable[dict]]) -> Iterator["Subspace"]:
+    """The kernel after each group of rows, from one elimination: the i-th is
+    kernel(ncols, rows of groups 1..i).  A group is read only when its kernel
+    is asked for, and no row of it once the kernel is zero."""
+    engine = SparseRREF(ncols)
+    for rows in groups:
+        _insert_until_full(engine, rows)
+        yield engine.kernel()
 
 
 def rows_of(columns: Iterable[dict]) -> list[dict]:
@@ -566,23 +581,30 @@ def squarefree_part(p: QPolynomial) -> QPolynomial:
 
 
 def minimal_polynomial(m: QMatrix) -> QPolynomial:
-    """Monic least-degree p with p(M) = 0, via the first Krylov dependence."""
+    """Monic least-degree p with p(M) = 0, via the first Krylov dependence.
+
+    One elimination holds the rows [vec(M^j) | e_j] for j < k.  Reducing
+    [vec(M^k) | e_k] against them leaves [vec(M^k) - sum c_j vec(M^j) |
+    e_k - sum c_j e_j], whose vec part is zero at the first dependence: the
+    e part then holds the coefficients of p."""
     n = m.rows
     if n != m.cols:
         raise ValueError("minimal polynomial of non-square matrix")
-    powers = [QMatrix.identity(n)]
-    while True:
-        # look for a dependence among I, M, ..., M^k with M^k having
-        # coefficient 1: solve stack of lower powers against -M^k
-        k = len(powers)
-        powers.append(powers[-1] @ m)
-        cols = QMatrix.from_rows([p.vec() for p in powers[:k]]).transpose()
-        target = [-x for x in powers[k].vec()]
-        sol = solve(cols, target)
-        if sol is not None:
-            return QPolynomial.from_coeffs(list(sol) + [Q(1)])
-        if k > n:
-            raise AssertionError("no minimal polynomial found below n+1")
+    nn = n * n
+    engine = SparseRREF(nn + n + 1)
+    power = QMatrix.identity(n)
+    for k in range(n + 1):
+        row = _sparse(power.vec())
+        row[nn + k] = _ONE
+        engine.insert(row)
+        # rows are ordered by pivot, and only a zero vec part puts one at nn
+        # or past it
+        pc, last = engine.rows[-1]
+        if pc >= nn:
+            lead = last[nn + k]
+            return QPolynomial(tuple(last.get(nn + j, _ZERO) / lead for j in range(k + 1)))
+        power = power @ m
+    raise AssertionError("no minimal polynomial found below n+1")
 
 
 def sturm_sequence(p: QPolynomial) -> list[QPolynomial]:
@@ -617,10 +639,10 @@ def count_real_roots(p: QPolynomial) -> tuple[int, int]:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0, 0
-    g = poly_gcd(p, p.derivative())
-    if g.degree > 0:
-        raise ValueError("polynomial is not squarefree")
     seq = sturm_sequence(p)
+    # the sequence is Euclid's algorithm on (p, p'): it ends at gcd(p, p')
+    if seq[-1].degree > 0:
+        raise ValueError("polynomial is not squarefree")
     at_neg = _variations([_sign_at_inf(q, positive=False) for q in seq])
     at_pos = _variations([_sign_at_inf(q, positive=True) for q in seq])
     real = at_neg - at_pos

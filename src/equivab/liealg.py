@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .exactlin import QMatrix, Subspace, common_nullspace, solve, _q
+from .exactlin import _ZERO, QMatrix, Subspace, _nonzeros, _q, common_nullspace, solve
 
 
 class JacobiError(ValueError):
@@ -77,18 +78,24 @@ class LieAlgebraSC:
                                 "Jacobi identity fails at (%d, %d, %d)" % (i, j, k)
                             )
 
+    @cached_property
+    def _nonzero_constants(self) -> tuple[tuple[list[tuple[int, Fraction]], ...], ...]:
+        """The (k, c[i][j][k]) nonzeros of each plane row (i, j), listed once
+        per algebra."""
+        return tuple(tuple(map(_nonzeros, plane)) for plane in self.constants)
+
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if x[i] == 0:
+        planes = self._nonzero_constants
+        ys = [(j, _q(b)) for j, b in enumerate(y) if b]
+        out = [_ZERO] * self.dim
+        for i, a in enumerate(x):
+            if not a:
                 continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                f = _q(x[i]) * _q(y[j])
-                for k in range(n):
-                    out[k] += f * self.constants[i][j][k]
+            a, plane = _q(a), planes[i]
+            for j, b in ys:
+                f = a * b
+                for k, c in plane[j]:
+                    out[k] += f * c
         return tuple(out)
 
     def is_subalgebra(self, s: Subspace) -> bool:

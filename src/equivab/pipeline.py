@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import tee
 
 from . import commutant as comm
 from . import liealg, strata
@@ -236,11 +235,8 @@ def _orbit_checks(
 
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else default_degree_bound(g)
-        z = structure.center
-        # one build of the invariants feeds both degrees
-        low, high = tee(strata.invariants_up_to_degree(g, d + 1))
-        ker1 = strata.kernel_s(g, z, d, invariants=low)
-        ker2 = strata.kernel_s(g, z, d + 1, invariants=high)
+        invariants = strata.invariants_up_to_degree(g, d + 1)
+        ker1, ker2 = strata.kernel_s_at_degrees(g, structure.center, (d, d + 1), invariants)
         yield item(
             "kernel-monotonicity",
             ker1.s_basis.contains_subspace(ker2.s_basis),

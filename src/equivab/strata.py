@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,6 +25,7 @@ from .exactlin import (
     _combine,
     integer_kernel_saturated,
     kernel,
+    kernels,
     lattice_contains,
     rows_of,
     _q,
@@ -260,18 +261,18 @@ def _z_monomial(nblocks: int, a: Sequence[int], b: Sequence[int]) -> tuple[Poly,
 
 
 def _torus_invariants(g: TorusAction, degree: int) -> Iterator[tuple[Poly, ...]]:
-    n = g.dim
+    """Per degree, the real and imaginary parts of the invariant monomials
+    z^a zbar^b.  They are a basis: the z^a zbar^b of distinct pairs are
+    distinct monomials in z and zbar, each kept pair (a, b) stands for itself
+    and its conjugate (b, a), and the two parts of a pair are independent
+    unless a = b, when the imaginary part is zero."""
     for d in range(1, degree + 1):
-        polys = [
+        yield tuple(
             p
             for a, b in _torus_pairs(g, d)
             for p in _z_monomial(g.blocks, a, b)
             if not p.is_zero()
-        ]
-        # the conjugate-pair pruning above leaves a spanning set; canonicalize
-        monoms = monomials_of_degree(n, d)
-        rows = [p.coefficients_on(monoms) for p in polys]
-        yield _polys(n, monoms, Subspace._span(len(monoms), rows).basis)
+        )
 
 
 def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Poly, ...]]:
@@ -317,6 +318,54 @@ def _torus_certified(g: TorusAction, degree: int) -> bool:
     return all(lattice_contains(observed, v) for v in integer_kernel_saturated(g.weights))
 
 
+def _certified(g: GroupAction, degree: int) -> bool:
+    """Whether the kernel at this degree is exact: for finite groups at
+    degree >= |G| (Noether bound), for tori once the invariant exponent
+    lattice saturates, never for connected groups."""
+    if isinstance(g, FiniteMatrixAction):
+        return degree >= g.order
+    if isinstance(g, TorusAction):
+        return _torus_certified(g, degree)
+    return False
+
+
+def kernel_s_at_degrees(
+    g: GroupAction,
+    z: Subspace,
+    degrees: Sequence[int],
+    invariants: Iterable[Sequence[Poly]],
+) -> list[KernelResult]:
+    """kernel_s(g, z, d, invariants) for each d of the increasing `degrees`,
+    from one elimination over one read of `invariants`: each invariant is
+    derived once per central element, and the kernel after degree d is read
+    off before the rows of degree d + 1 go in."""
+    n = g.dim
+    if z.ambient_dim != n * n:
+        raise ValueError("center must live in vec(End(V))")
+    center_mats = [_square(v, n) for v in z.basis]
+
+    def rows(basis: Sequence[Poly]) -> Iterator[dict]:
+        # one row per monomial e of an image: the coefficient of e in D_k f
+        # for each central element D_k
+        for f in basis:
+            yield from rows_of([derivation_action(dm, f).terms for dm in center_mats])
+
+    # the kernel after degrees 1, 2, ...; no degree is read once it is zero
+    stream = kernels(len(center_mats), map(rows, invariants))
+    coords, read = Subspace.full(len(center_mats)), 0
+    out = []
+    for degree in degrees:
+        while coords.dim and read < degree:
+            coords = next(stream, None)
+            if coords is None:
+                raise ValueError("invariants go up to degree %d, not %d" % (read, degree))
+            read += 1
+        s = Subspace._span(n * n, _combine(coords.basis, z.basis, n * n))
+        exactness = "certified" if _certified(g, degree) else "degree-bounded"
+        out.append(KernelResult(s_basis=s, dim_s=s.dim, exactness=exactness))
+    return out
+
+
 def kernel_s(
     g: GroupAction,
     z: Subspace,
@@ -334,39 +383,10 @@ def kernel_s(
     is only an upper bound (superset) for the true kernel.  The label is a
     function of the action and the degree.
     """
-    n = g.dim
-    if z.ambient_dim != n * n:
-        raise ValueError("center must live in vec(End(V))")
     if invariants is None:
         invariants = invariants_up_to_degree(g, degree)
-    center_mats = [_square(v, n) for v in z.basis]
-    read = 0
-
-    def rows() -> Iterator[dict]:
-        # one row per monomial e of an image: the coefficient of e in D_k f
-        # for each central element D_k
-        nonlocal read
-        for basis in islice(invariants, degree):
-            read += 1
-            for f in basis:
-                yield from rows_of([derivation_action(dm, f).terms for dm in center_mats])
-
-    coords = kernel(len(center_mats), rows()).basis
-    if coords and read < degree:
-        raise ValueError("invariants go up to degree %d, not %d" % (read, degree))
-    s = Subspace._span(n * n, _combine(coords, z.basis, n * n))
-
-    if isinstance(g, FiniteMatrixAction):
-        certified = degree >= g.order
-    elif isinstance(g, TorusAction):
-        certified = _torus_certified(g, degree)
-    else:
-        certified = False
-    return KernelResult(
-        s_basis=s,
-        dim_s=s.dim,
-        exactness="certified" if certified else "degree-bounded",
-    )
+    (result,) = kernel_s_at_degrees(g, z, (degree,), invariants)
+    return result
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from equivab.commutant import (
     verify_center_splits,
 )
 from float_split_oracle import schur_split_oracle
-from equivab.exactlin import QMatrix, Subspace, common_nullspace
+from test_exactlin import _minpoly_by_divisor_search, to_sympy_poly
+from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
 from equivab.symmetry import FiniteMatrixAction, TorusAction
 
 # (constructor, commutant dim, (m, l), oracle blocks)
@@ -160,6 +161,19 @@ CENTER_CASES = (
 )
 
 
+def _equal_diagonal_triangular() -> MatrixAlgebra:
+    """Upper triangular 3 x 3 matrices with equal diagonal entries."""
+    return MatrixAlgebra(
+        3, (QMatrix.identity(3), _unit(3, 0, 1), _unit(3, 0, 2), _unit(3, 1, 2))
+    )
+
+
+SPLIT_CASES = CENTER_CASES + [
+    pytest.param(_equal_diagonal_triangular, id="equal_diagonal_triangular_3x3"),
+    pytest.param(lambda: full_matrix_algebra(3), id="full_matrix_algebra(3)"),
+]
+
+
 class TestCenterAndAbelianization:
     @pytest.mark.parametrize("make_algebra", CENTER_CASES)
     def test_center_matches_common_kernel(self, make_algebra):
@@ -192,6 +206,35 @@ class TestCenterAndAbelianization:
         rep = verify_center_splits(commutant_structure(cat.upper_triangular_2x2()))
         assert not rep.passed
         assert any("Z(A) + [A,A]" in f for f in rep.failures)
+
+    @pytest.mark.parametrize("make_algebra", SPLIT_CASES)
+    def test_intersection_dim_matches_intersection(self, make_algebra):
+        s = commutant_structure(make_algebra())
+        rep = verify_center_splits(s)
+        assert rep.intersection_dim == s.center.intersection(s.derived).dim
+        assert rep.sum_dim == s.center.sum(s.derived).dim
+
+    def test_center_meeting_derived_fails_split(self):
+        # upper triangular 3 x 3 with equal diagonal: Z(A) = span{I, E13} and
+        # [A, A] = span{E13}, so Z(A) + [A,A] is 2-dimensional in dim A = 4
+        rep = verify_center_splits(commutant_structure(_equal_diagonal_triangular()))
+        assert (rep.center_dim, rep.derived_dim, rep.intersection_dim) == (2, 1, 1)
+        assert not rep.passed
+        assert rep.failures == [
+            "Z(A) meets [A,A] in dimension 1",
+            "Z(A) + [A,A] has dimension 2 < dim A = 4",
+        ]
+
+    def test_span_built_once(self):
+        a = compute_commutant(cat.q8_on_r4())
+        assert a.span() is a.span()
+
+
+# actions whose centers give the z(t) of the minimal-polynomial oracle test
+CENTRAL_ELEMENT_ACTIONS = [param for param in FINITE_GROUPS if param.id != "c2_power_7"] + [
+    pytest.param(lambda w=w: TorusAction(w), id="torus%s" % (w,))
+    for w in (((1, 1),), ((1, 2),), ((1, -1), (0, 2)), ((1, 0, 1, 1), (0, 1, 1, -1)))
+] + [pytest.param(cat.su2_on_c2, id="su2_on_c2")]
 
 
 class TestClassification:
@@ -238,6 +281,19 @@ class TestClassification:
         a = MatrixAlgebra(n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
         ml = MLClassification(m=n, l=0, center_dim=n, abelianization_dim=n)
         assert root_count_disagreement(commutant_structure(a), ml) == detail
+
+    @pytest.mark.parametrize("make", CENTRAL_ELEMENT_ACTIONS)
+    def test_minimal_polynomial_of_z_t_matches_divisor_search(self, make):
+        # the generic central elements z(t) = sum t^i z_i that the root count
+        # reads, at its first two points
+        s = _structure(make())
+        n = s.algebra.ambient_dim
+        for t in (2, 3):
+            z = QMatrix.zeros(n, n)
+            for i, v in enumerate(s.center.basis, 1):
+                z = z + comm._square(v, n).scale(t**i)
+            expected = _minpoly_by_divisor_search(z).set_domain("QQ")
+            assert to_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gl_families(self, n):

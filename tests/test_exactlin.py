@@ -20,6 +20,7 @@ from equivab.exactlin import (
     inertia,
     integer_kernel_saturated,
     kernel,
+    kernels,
     lattice_contains,
     minimal_polynomial,
     nullspace,
@@ -193,6 +194,40 @@ class TestKernel:
         assert read == [0, 1]
         assert kernel(0, rows()).dim == 0
         assert read == [0, 1]
+
+    @given(st.integers(1, 4).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.lists(st.lists(sparse_rationals, min_size=c, max_size=c),
+                          max_size=3), max_size=4),
+    )))
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_kernel_of_each_prefix(self, shape):
+        c, groups = shape
+        sparse = [[{j: Q(x) for j, x in enumerate(row) if x} for row in g] for g in groups]
+        got = list(kernels(c, sparse))
+        assert len(got) == len(groups)
+        for i, ker in enumerate(got, 1):
+            assert ker == kernel(c, [row for g in sparse[:i] for row in g])
+
+    def test_kernels_read_a_group_only_when_asked(self):
+        asked, read = [], []
+
+        def group(k):
+            for row in ({k: Q(1)}, {0: Q(1), 1: Q(1)}):
+                read.append(k)
+                yield row
+
+        def groups():
+            for k in range(3):
+                asked.append(k)
+                yield group(k)
+
+        stream = kernels(2, groups())
+        assert next(stream).dim == 0
+        assert (asked, read) == ([0], [0, 0])
+        # the kernel is zero: the next group is asked for, but none of its rows
+        assert next(stream).dim == 0
+        assert (asked, read) == ([0, 1], [0, 0])
 
 
 def _is_exact(x) -> bool:
@@ -510,6 +545,35 @@ def _minpoly_by_divisor_search(m: QMatrix):
     return best
 
 
+def _block_diagonal(*blocks) -> QMatrix:
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(r) + [0] * (n - at - len(r)) for r in b]
+        at += len(b)
+    return QMatrix.from_rows(rows)
+
+
+def _jordan(eigenvalue, k: int) -> list[list]:
+    return [[eigenvalue if i == j else int(j == i + 1) for j in range(k)] for i in range(k)]
+
+
+_ROTATION = [[0, -1], [1, 0]]
+
+# derogatory, nilpotent and repeated-block matrices up to 6 x 6
+STRUCTURED_MATRICES = {
+    "scalar": _block_diagonal(*[[[3]]] * 4),
+    "derogatory": _block_diagonal([[2]], [[2]], [[-1]], [[-1]], [[-1]]),
+    "nilpotent-6": _block_diagonal(_jordan(0, 6)),
+    "nilpotent-2+2+1": _block_diagonal(_jordan(0, 2), _jordan(0, 2), _jordan(0, 1)),
+    "repeated-jordan": _block_diagonal(
+        _jordan(1, 2), _jordan(1, 2), _jordan(-1, 1), _jordan(-1, 1)
+    ),
+    "repeated-rotation": _block_diagonal(_ROTATION, _ROTATION, _ROTATION),
+    "mixed": _block_diagonal(_jordan(2, 3), _jordan(2, 2), [[Fraction(1, 2)]]),
+}
+
+
 class TestMinimalPolynomial:
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
@@ -517,6 +581,23 @@ class TestMinimalPolynomial:
         p = minimal_polynomial(m)
         expected = _minpoly_by_divisor_search(m)
         assert to_sympy_poly(p).set_domain("QQ") == expected.set_domain("QQ")
+
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
+    @pytest.mark.parametrize("name", sorted(STRUCTURED_MATRICES))
+    def test_structured_matches_divisor_search_oracle(self, name, conjugated):
+        # the minimal polynomial is a proper divisor of the characteristic
+        # one; conjugating by a unimodular P makes the matrix dense
+        m = STRUCTURED_MATRICES[name]
+        if conjugated:
+            n = m.rows
+            p = QMatrix.from_rows([[int(j >= i) for j in range(n)] for i in range(n)])
+            p_inv = QMatrix.from_rows(
+                [[int(i == j) - int(j == i + 1) for j in range(n)] for i in range(n)]
+            )
+            assert (p @ p_inv) == QMatrix.identity(n)
+            m = p @ m @ p_inv
+        expected = _minpoly_by_divisor_search(m)
+        assert to_sympy_poly(minimal_polynomial(m)).set_domain("QQ") == expected.set_domain("QQ")
 
     @given(square_matrices(4))
     @settings(max_examples=40, deadline=None)
@@ -605,6 +686,18 @@ class TestSturm:
         p = QPolynomial.from_coeffs([1, 2, 1])  # (x+1)^2
         with pytest.raises(ValueError):
             count_real_roots(p)
+
+    @given(poly_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_when_not_squarefree(self, p):
+        if p.is_zero() or p.degree == 0:
+            return
+        if squarefree_part(p).degree < p.degree:
+            with pytest.raises(ValueError, match="not squarefree"):
+                count_real_roots(p)
+        else:
+            real, pairs = count_real_roots(p)
+            assert real + 2 * pairs == p.degree
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,17 @@ def test_benchmark_tracer_binds_every_traced_function(monkeypatch):
     selftest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(selftest)
     assert selftest.check_bindings() is None
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    (node,) = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+    return node
+
+
+def test_each_exact_system_eliminated_once():
+    # the Krylov dependence is one incremental elimination, not a solve per
+    # power, and verify reads its kernels at d and d + 1 off one elimination
+    # instead of splitting the invariant stream
+    krylov = _function(_tree(SRC / "exactlin.py"), "minimal_polynomial")
+    assert "solve" not in set(_names(krylov))
+    assert "tee" not in set(_names(_tree(SRC / "pipeline.py")))

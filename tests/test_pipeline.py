@@ -2,6 +2,7 @@
 command-line interface, and rejection of invalid inputs."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -201,6 +202,35 @@ class TestVerifyModels:
         assert calls == [4, 3]
         details = {i.orbit: i.detail for i in rep.items if i.check == "kernel-monotonicity"}
         assert details == {"rot": "dim at 3: 0, at 4: 0", "circle": "dim at 2: 2, at 3: 1"}
+
+    def test_one_pass_kernels_match_two_kernel_s_calls(self, monkeypatch):
+        # verify reads the kernels at d and d + 1 off one elimination, and
+        # derives each invariant once per central element
+        actions = {
+            "rot": cat.c3_rotation(),
+            "d4": cat.d4_on_r2(),
+            "circle": TorusAction(((1, 2),)),
+            "su2": cat.su2_on_c2(),
+            "su3": cat.su3_on_c3_plus_wedge2(),
+        }
+        derive = strata.derivation_action
+        for label, g in actions.items():
+            derived = []
+
+            def counted(d, f):
+                derived.append(f)
+                return derive(d, f)
+
+            monkeypatch.setattr(strata, "derivation_action", counted)
+            rep = verify_models([model(label, g, quotient_requested=True)])
+            monkeypatch.undo()
+            assert rep.passed
+            z = comm.commutant_structure(comm.compute_commutant(g)).center
+            assert set(Counter(map(id, derived)).values()) == {z.dim}
+            d = pipeline.default_degree_bound(g)
+            low, high = (strata.kernel_s(g, z, degree).dim_s for degree in (d, d + 1))
+            (detail,) = (i.detail for i in rep.items if i.check == "kernel-monotonicity")
+            assert detail == "dim at %d: %d, at %d: %d" % (d, low, d + 1, high)
 
     def test_group_enumerated_once(self, monkeypatch):
         # the oracle and the degree bound share one enumeration

@@ -2,6 +2,7 @@
 kernel on the quotient side."""
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,13 @@ def all_polys(inv):
     return [f for basis in inv for f in basis]
 
 
+# circles and tori, with repeated weights among them
+TORI = [
+    ((1, 1),), ((1, 2),), ((1, -1),), ((1, 1, 1),), ((2, 2, -1),),
+    ((1, -1), (0, 2)), ((1, 0, 1, 1), (0, 1, 1, -1)),
+]
+
+
 class TestInvariants:
     def test_c3_invariant_counts(self):
         inv = tuple(invariants_up_to_degree(cat.c3_rotation(), 4))
@@ -194,6 +202,15 @@ class TestInvariants:
         assert dim_in_degree(inv, 1) == 0
         # degree 2: |z1|^2, |z2|^2, Re(z1 z2), Im(z1 z2)
         assert dim_in_degree(inv, 2) == 4
+
+    @pytest.mark.parametrize("weights", TORI, ids=str)
+    def test_torus_invariants_are_a_basis(self, weights):
+        # the rank of each degree's invariants equals their count
+        g = TorusAction(weights)
+        for d, basis in enumerate(invariants_up_to_degree(g, 5), 1):
+            monoms = monomials_of_degree(g.dim, d)
+            rows = [f.coefficients_on(monoms) for f in basis]
+            assert Subspace.from_vectors(len(monoms), rows).dim == len(basis), d
 
     def test_torus_invariants_killed_by_generators(self):
         t = TorusAction(((1, 2),))
@@ -390,6 +407,67 @@ class TestKernel:
         z = a.center
         assert kernel_s(g, z, degree=1).exactness == "degree-bounded"
         assert kernel_s(g, z, degree=2).exactness == "certified"
+
+
+# (action, degree d) whose kernels at d and d + 1 are read in one pass
+ONE_PASS_CASES = [
+    pytest.param(cat.c3_rotation, 3, id="c3-zero-at-3"),
+    pytest.param(cat.d4_on_r2, 8, id="d4-zero-at-2"),
+    pytest.param(cat.s3_standard_plus_sign, 6, id="s3-standard-plus-sign"),
+    pytest.param(cat.c2_sign, 1, id="c2-sign-degree-1"),
+    pytest.param(lambda: TorusAction(((1, 2),)), 2, id="circle-1-2"),
+    pytest.param(lambda: TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), 2, id="torus-2"),
+    pytest.param(cat.su2_on_c2, 2, id="su2-on-c2"),
+    pytest.param(cat.su3_on_c3_plus_wedge2, 1, id="su3-on-r12-degree-1"),
+    pytest.param(cat.su3_on_c3_plus_wedge2, 2, id="su3-on-r12"),
+]
+
+
+class TestKernelsAtDegrees:
+    @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
+    def test_equal_two_independent_kernel_s_calls(self, make, d):
+        g = make()
+        z = commutant_structure(compute_commutant(g)).center
+        invariants = invariants_up_to_degree(g, d + 1)
+        got = strata.kernel_s_at_degrees(g, z, (d, d + 1), invariants)
+        assert got == [kernel_s(g, z, degree=d), kernel_s(g, z, degree=d + 1)]
+
+    @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
+    def test_each_invariant_derived_once_per_central_element(self, make, d, monkeypatch):
+        # one pass to d + 1 derives what kernel_s at d + 1 alone derives
+        g = make()
+        z = commutant_structure(compute_commutant(g)).center
+        inv = tuple(invariants_up_to_degree(g, d + 1))
+        calls = []
+
+        def counted(dm, f):
+            calls.append(id(f))
+            return derivation_action(dm, f)
+
+        monkeypatch.setattr(strata, "derivation_action", counted)
+        strata.kernel_s_at_degrees(g, z, (d, d + 1), iter(inv))
+        one_pass = list(calls)
+        calls.clear()
+        kernel_s(g, z, degree=d + 1, invariants=inv)
+        assert one_pass == calls
+        assert set(Counter(one_pass).values()) <= {z.dim}
+
+    def test_no_degree_read_past_a_zero_kernel(self):
+        # D4 on R^2: the kernel is zero at degree 2, so degrees 3..9 stay unread
+        g = cat.d4_on_r2()
+        z = commutant_structure(compute_commutant(g)).center
+        inv = tuple(invariants_up_to_degree(g, 9))
+        bases = iter(inv)
+        ker8, ker9 = strata.kernel_s_at_degrees(g, z, (8, 9), bases)
+        assert (ker8.dim_s, ker9.dim_s) == (0, 0)
+        assert next(bases) is inv[2]
+
+    def test_invariants_must_reach_the_last_degree(self):
+        g = TorusAction(((1, 2),))
+        z = commutant_structure(compute_commutant(g)).center
+        inv = tuple(invariants_up_to_degree(g, 2))
+        with pytest.raises(ValueError, match="invariants go up to degree 2, not 3"):
+            strata.kernel_s_at_degrees(g, z, (2, 3), inv)
 
 
 class TestQuotient:
