@@ -531,9 +531,6 @@ class QPolynomial:
         c = _q(c)
         return QPolynomial.from_coeffs([c * a for a in self.coeffs])
 
-    def monic(self) -> "QPolynomial":
-        return self.scale(1 / self.leading)
-
     def derivative(self) -> "QPolynomial":
         return QPolynomial.from_coeffs(
             [i * c for i, c in enumerate(self.coeffs)][1:]
@@ -558,26 +555,6 @@ class QPolynomial:
                 r[shift + i] -= f * c
             r.pop()
         return QPolynomial.from_coeffs(q), QPolynomial.from_coeffs(r)
-
-
-def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
-def squarefree_part(p: QPolynomial) -> QPolynomial:
-    if p.is_zero():
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    q, r = p.divmod(g)
-    assert r.is_zero()
-    return q.monic()
 
 
 def minimal_polynomial(m: QMatrix) -> QPolynomial:

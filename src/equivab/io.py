@@ -56,10 +56,19 @@ def _matrices(doc: dict, key: str, where: str) -> tuple[QMatrix, ...]:
     return tuple(_matrix(m, "%s.%s[%d]" % (where, key, i)) for i, m in enumerate(mats))
 
 
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """Reject the first key of doc outside `keys`, located under `where`."""
+    for key in doc:
+        if key not in keys:
+            path = "%s.%s" % (where, key) if where else key
+            raise InputError("%s: unknown key (expected one of %s)" % (path, ", ".join(keys)))
+
+
 def _parse_action(doc: dict, where: str, cap: int):
     kind = doc.get("kind")
     try:
         if kind == "torus":
+            _known_keys(doc, ("kind", "weights"), where)
             weights = doc.get("weights")
             if not isinstance(weights, list) or not weights:
                 raise InputError("%s: torus action needs a 'weights' matrix" % where)
@@ -70,6 +79,7 @@ def _parse_action(doc: dict, where: str, cap: int):
                     )
             return TorusAction(tuple(tuple(r) for r in weights))
         if kind in ("finite", "connected_lie"):
+            _known_keys(doc, ("kind", "dim", "generators"), where)
             dim = doc.get("dim")
             if type(dim) is not int or dim < 1:
                 raise InputError("%s: %s action needs 'dim' >= 1" % (where, kind))
@@ -90,6 +100,9 @@ def _parse_action(doc: dict, where: str, cap: int):
 def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
     if not isinstance(doc, dict):
         raise InputError("%s: expected an object, got %r" % (where, doc))
+    _known_keys(
+        doc, ("dim", "structure_constants", "h_basis", "automorphisms", "derivations"), where
+    )
     dim = doc.get("dim")
     if type(dim) is not int:
         raise InputError("%s: isotropy data needs integer 'dim'" % where)
@@ -129,6 +142,7 @@ def _run_options(options, flags: Mapping) -> dict:
         options = {}
     if not isinstance(options, dict):
         raise InputError("options: expected an object, got %r" % (options,))
+    _known_keys(options, ("seed", "degree_bound", "group_cap"), "options")
     return {
         "seed": _option(flags, options, "seed", 0) or 0,
         "degree_bound": _option(flags, options, "degree_bound", 1),
@@ -153,6 +167,7 @@ def parse_input(
         raise InputError("top level must be an object with an 'orbits' array")
     if not isinstance(doc["orbits"], list):
         raise InputError("orbits: expected an array, got %r" % (doc["orbits"],))
+    _known_keys(doc, ("orbits", "options"), "")
     options = _run_options(doc.get("options"), flags)
     cap = options["group_cap"]
     models = []
@@ -160,6 +175,7 @@ def parse_input(
         where = "orbits[%d]" % i
         if not isinstance(rec, dict):
             raise InputError("%s: expected an object" % where)
+        _known_keys(rec, ("label", "slice_action", "isotropy_lie", "quotient"), where)
         label = rec.get("label", "orbit-%d" % i)
         if not isinstance(label, str):
             raise InputError("%s.label: expected a string, got %r" % (where, label))

@@ -8,12 +8,7 @@ from dataclasses import asdict, dataclass
 from . import commutant as comm
 from . import liealg, strata
 from .exactlin import bracket_vec
-from .symmetry import (
-    FiniteMatrixAction,
-    GroupAction,
-    action_generators,
-    fixed_vectors,
-)
+from .symmetry import FiniteMatrixAction, GroupAction, fixed_vectors
 
 
 class InputError(ValueError):
@@ -115,7 +110,7 @@ def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult
         lie_dim = _lie_summand_dim(model.isotropy_lie)
     quotient = None
     if model.quotient_requested:
-        d = degree_bound if degree_bound is not None else default_degree_bound(g)
+        d = degree_bound if degree_bound is not None else g.default_degree_bound
         z = structure.center
         ker = strata.kernel_s(g, z, d)
         quotient = strata.quotient_abelianization(z, ker, ml)
@@ -131,13 +126,6 @@ def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult
         lie_summand_dim=lie_dim,
         quotient=quotient,
     )
-
-
-def default_degree_bound(g: GroupAction) -> int:
-    """Noether bound for finite groups; small fixed bound otherwise."""
-    if isinstance(g, FiniteMatrixAction):
-        return g.order
-    return 2
 
 
 def run_pipeline(
@@ -217,6 +205,8 @@ def _orbit_checks(
 ) -> Iterator[VerificationItem]:
     """The verify-mode checks of one orbit, in report order."""
     g = model.slice_action
+    # the exact finite-group checks read the enumerated elements of G
+    finite = isinstance(g, FiniteMatrixAction)
 
     def item(check, passed, detail=""):
         return VerificationItem(model.label, check, bool(passed), detail)
@@ -228,13 +218,13 @@ def _orbit_checks(
     disagreement = comm.root_count_disagreement(structure, ml)
     yield item("center-dim-arithmetic", not disagreement, disagreement)
 
-    if isinstance(g, FiniteMatrixAction):
+    if finite:
         center_check, dim_check = comm.schur_split_oracle(g, structure)
         yield item("classification-vs-split-oracle", *center_check)
         yield item("block-dimension-arithmetic", *dim_check)
 
     if model.quotient_requested:
-        d = degree_bound if degree_bound is not None else default_degree_bound(g)
+        d = degree_bound if degree_bound is not None else g.default_degree_bound
         invariants = strata.invariants_up_to_degree(g, d + 1)
         ker1, ker2 = strata.kernel_s_at_degrees(g, structure.center, (d, d + 1), invariants)
         yield item(
@@ -242,10 +232,10 @@ def _orbit_checks(
             ker1.s_basis.contains_subspace(ker2.s_basis),
             "dim at %d: %d, at %d: %d" % (d, ker1.dim_s, d + 1, ker2.dim_s),
         )
-        if isinstance(g, FiniteMatrixAction) and d >= g.order:
+        if finite and d >= g.order:
             yield item("finite-kernel-vanishes", ker1.dim_s == 0)
 
 
 def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:
-    gens = action_generators(g)
+    gens = g.action_generators()
     return not any(bracket_vec(gen, b) for b in algebra.basis for gen in gens)

@@ -1,10 +1,19 @@
-"""Descriptors of compact group actions on R^n.
+"""Compact group actions on R^n, one class per kind.
 
 A group is given in one of three finite forms: a finite matrix group by
 generators, a torus by an integer weight matrix acting on complex block
-coordinates, or a connected group by Lie-algebra generator matrices.
-Each form reduces "fixed by the group" to a finite family of exact linear
-constraints.
+coordinates, or a connected group by Lie-algebra generator matrices.  Each
+class is the one place that knows its kind.  It gives the matrices that
+generate the action (`action_generators`), "fixed by the group" as a finite
+family of exact linear operators (`fixed_operators`), its invariant
+polynomials one degree at a time (`invariant_terms`), its default degree
+bound, and the degrees from which the invariants certify the kernel `s`
+(`certified`).
+
+Polynomials here are dicts from exponent tuples to nonzero rational
+coefficients.  Invariants of finite and connected groups are one sparse
+common kernel per degree, of one operator per generator written on monomial
+indices; torus invariants are built from the weights.
 """
 
 from __future__ import annotations
@@ -12,19 +21,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement, product
+from math import comb
+from typing import Callable, Iterator, Sequence
 
 from .exactlin import (
+    Q,
     QMatrix,
     Subspace,
+    _ONE,
     _ZERO,
     bracket_vec,
     common_nullspace,
+    integer_kernel_saturated,
+    kernel,
+    lattice_contains,
     product_vec,
     rank,
+    rows_of,
 )
 
 DEFAULT_GROUP_CAP = 100_000
+
+Monomial = tuple[int, ...]
+# {monomial: nonzero coefficient}: one polynomial
+Terms = dict[Monomial, Fraction]
+# {monomial: {monomial: coefficient}}: the image of each basis monomial
+Images = dict[Monomial, Terms]
+# called once per degree 1, 2, ..., with that degree's monomials
+Operator = Callable[[list[Monomial]], Images]
 
 
 class GroupNotFiniteError(RuntimeError):
@@ -48,6 +73,146 @@ def _check_trace(m: QMatrix, what: str, error: type[Exception]) -> None:
                for j, x in enumerate(row)):
             msg = "%s has infinite order: its trace is %s but it is not %sI"
             raise error(msg % (what, t, "" if sign > 0 else "-"))
+
+
+# ---------------------------------------------------------------------------
+# monomials and the operators that build invariants
+
+
+def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def _accumulate(out: Terms, e: Monomial, x: Fraction) -> None:
+    v = out.get(e, _ZERO) + x
+    if v:
+        out[e] = v
+    else:
+        del out[e]
+
+
+def _derive(rows: list, m: Monomial, c: Fraction, out: Terms) -> None:
+    """Add c * D(x^m) to out, where rows[j] lists the nonzeros (i, D[j][i]):
+    D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i)."""
+    for j, p in enumerate(m):
+        if not p:
+            continue
+        cp = c * p
+        for i, x in rows[j]:
+            if i == j:
+                e = m
+            else:
+                e = list(m)
+                e[j] -= 1
+                e[i] += 1
+                e = tuple(e)
+            _accumulate(out, e, cp * x)
+
+
+def _difference_operator(a: QMatrix) -> Operator:
+    """f -> f(ax) - f(x).  x^m(ax) is x^(m - e_i)(ax) times the linear form
+    (ax)_i, so each image of degree d costs one sparse product with an image
+    of degree d - 1."""
+    n = a.rows
+    forms = a.nonzero_rows
+    unit = (0,) * n
+    substituted = {unit: {unit: _ONE}}
+
+    def images(monoms: list[Monomial]) -> Images:
+        nonlocal substituted
+        nxt = {}
+        out = {}
+        for m in monoms:
+            i = next(k for k, p in enumerate(m) if p)
+            lower = list(m)
+            lower[i] -= 1
+            prod: Terms = {}
+            for e, c in substituted[tuple(lower)].items():
+                for j, x in forms[i]:
+                    up = list(e)
+                    up[j] += 1
+                    _accumulate(prod, tuple(up), c * x)
+            nxt[m] = prod
+            diff = dict(prod)
+            _accumulate(diff, m, -_ONE)
+            out[m] = diff
+        substituted = nxt
+        return out
+
+    return images
+
+
+def _derivation_operator(xi: QMatrix) -> Operator:
+    """The derivation of the vector field x -> xi x, on exponents."""
+    rows = xi.nonzero_rows
+
+    def images(monoms: list[Monomial]) -> Images:
+        out = {}
+        for m in monoms:
+            out[m] = img = {}
+            _derive(rows, m, _ONE, img)
+        return out
+
+    return images
+
+
+def _kernel_invariants(
+    n: int, make: Callable[[QMatrix], Operator], generators: Sequence[QMatrix], degree: int
+) -> Iterator[tuple[Terms, ...]]:
+    """Invariants of a finite or connected group: per degree 1..degree, the
+    common kernel of the operator `make` builds for each generator."""
+    operators = [make(a) for a in generators]
+    for d in range(1, degree + 1):
+        monoms = monomials_of_degree(n, d)
+        # every operator runs at every degree, as each builds on its images of
+        # the degree below; row e holds the coefficient of e in each image
+        images = [op(monoms) for op in operators]
+        rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
+        yield tuple(
+            {m: x for m, x in zip(monoms, row) if x}
+            for row in kernel(len(monoms), rows).basis
+        )
+
+
+def _z_monomial(a: Sequence[int], b: Sequence[int]) -> tuple[Terms, Terms]:
+    """Real and imaginary parts of z^a zbar^b in real coordinates
+    z_j = x_{2j} + i x_{2j+1}.
+
+    Per block, (x + iy)^p (x - iy)^q = sum_s c_s i^s x^(p+q-s) y^s with the
+    integers c_s = sum_t (-1)^t C(p, s-t) C(q, t).  Blocks share no variable,
+    so each choice of one s per block is its own monomial."""
+    per_block = []
+    for p, q in zip(a, b):
+        terms = []
+        for s in range(p + q + 1):
+            c = sum(
+                (-1) ** t * comb(p, s - t) * comb(q, t)
+                for t in range(max(0, s - p), min(s, q) + 1)
+            )
+            if c:
+                terms.append((p + q - s, s, c))
+        per_block.append(terms)
+    parts: tuple[Terms, Terms] = ({}, {})
+    for choice in product(*per_block):
+        e: list[int] = []
+        coeff, total = 1, 0
+        for x_exp, s, c in choice:
+            e += (x_exp, s)
+            coeff *= c
+            total += s
+        # i^total: the real part for even total, negated when total % 4 >= 2
+        parts[total % 2][tuple(e)] = Q(coeff if total % 4 < 2 else -coeff)
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# the three kinds of action
 
 
 @dataclass(frozen=True)
@@ -75,6 +240,28 @@ class FiniteMatrixAction:
     def order(self) -> int:
         return len(self.elements)
 
+    def action_generators(self) -> list[QMatrix]:
+        return list(self.generators)
+
+    def fixed_operators(self) -> list[QMatrix]:
+        """g - I for each generator g."""
+        ident = QMatrix.identity(self.dim)
+        return [gen - ident for gen in self.generators]
+
+    @property
+    def default_degree_bound(self) -> int:
+        """The Noether bound |G|."""
+        return self.order
+
+    def certified(self, degree: int) -> bool:
+        """Invariants of degree <= |G| generate all invariants (Noether)."""
+        return degree >= self.order
+
+    def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
+        """Per degree, the kernel of f -> f(gx) - f(x) over the generators;
+        their inverses are their powers, so they suffice."""
+        return _kernel_invariants(self.dim, _difference_operator, self.generators, degree)
+
 
 @dataclass(frozen=True)
 class TorusAction:
@@ -85,6 +272,7 @@ class TorusAction:
     """
 
     weights: tuple[tuple[int, ...], ...]  # k rows, m columns
+    default_degree_bound = 2  # a small fixed bound
 
     def __post_init__(self):
         if not self.weights:
@@ -103,8 +291,9 @@ class TorusAction:
     def dim(self) -> int:
         return 2 * self.blocks
 
-    def infinitesimal_generators(self) -> list[QMatrix]:
-        """One block-diagonal generator per torus coordinate: weight * J."""
+    def action_generators(self) -> list[QMatrix]:
+        """One block-diagonal infinitesimal generator per torus coordinate:
+        weight * J."""
         out = []
         for row in self.weights:
             n = self.dim
@@ -115,6 +304,52 @@ class TorusAction:
             out.append(QMatrix.from_rows(rows))
         return out
 
+    def fixed_operators(self) -> list[QMatrix]:
+        return self.action_generators()
+
+    def invariant_pairs(self, d: int) -> Iterator[tuple[Monomial, Monomial]]:
+        """Exponent pairs (a, b), |a| + |b| = d, of the invariant monomials
+        z^a zbar^b: those with weight(a - b) = 0.  Of the conjugates (a, b)
+        and (b, a) only one is listed: |a| < |b|, or |a| = |b| and a comes
+        first in `monomials_of_degree` order."""
+        m = self.blocks
+        for total_a in range(d // 2 + 1):
+            bs = monomials_of_degree(m, d - total_a)
+            for i, a in enumerate(monomials_of_degree(m, total_a)):
+                for b in bs[i:] if 2 * total_a == d else bs:
+                    if all(
+                        sum(w * (x - y) for w, x, y in zip(row, a, b)) == 0
+                        for row in self.weights
+                    ):
+                        yield a, b
+
+    def certified(self, degree: int) -> bool:
+        """Whether the invariants of degree <= degree determine the kernel:
+        they hold every |z_j|^2 (degree 2), and the exponent differences a - b
+        of their monomials z^a zbar^b span the saturated weight kernel."""
+        if degree < 2:
+            return False
+        observed = [
+            tuple(x - y for x, y in zip(a, b))
+            for d in range(1, degree + 1)
+            for a, b in self.invariant_pairs(d)
+            if a != b
+        ]
+        return all(
+            lattice_contains(observed, v) for v in integer_kernel_saturated(self.weights)
+        )
+
+    def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
+        """Per degree, the real and imaginary parts of the invariant monomials
+        z^a zbar^b.  They are a basis: the z^a zbar^b of distinct pairs are
+        distinct monomials in z and zbar, each kept pair (a, b) stands for
+        itself and its conjugate (b, a), and the two parts of a pair are
+        independent unless a = b, when the imaginary part is zero."""
+        for d in range(1, degree + 1):
+            yield tuple(
+                p for a, b in self.invariant_pairs(d) for p in _z_monomial(a, b) if p
+            )
+
 
 @dataclass(frozen=True)
 class ConnectedLieAction:
@@ -122,6 +357,7 @@ class ConnectedLieAction:
 
     dim: int
     lie_generators: tuple[QMatrix, ...]
+    default_degree_bound = 2  # a small fixed bound
 
     def __post_init__(self):
         for g in self.lie_generators:
@@ -134,19 +370,22 @@ class ConnectedLieAction:
                    for a, b in combinations(self.lie_generators, 2)):
             raise ValueError("generators are not closed under the bracket")
 
+    def action_generators(self) -> list[QMatrix]:
+        return list(self.lie_generators)
+
+    def fixed_operators(self) -> list[QMatrix]:
+        return self.action_generators()
+
+    def certified(self, degree: int) -> bool:
+        """Never: no degree bound is known to generate the invariants."""
+        return False
+
+    def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
+        """Per degree, the kernel of the derivations of the Lie generators."""
+        return _kernel_invariants(self.dim, _derivation_operator, self.lie_generators, degree)
+
 
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction
-
-
-def action_generators(g: GroupAction) -> list[QMatrix]:
-    """The matrices that generate the action: group generators of a finite
-    group, infinitesimal generators of a torus, Lie generators of a connected
-    group.  X commutes with the action exactly when it commutes with these."""
-    if isinstance(g, FiniteMatrixAction):
-        return list(g.generators)
-    if isinstance(g, TorusAction):
-        return g.infinitesimal_generators()
-    return list(g.lie_generators)
 
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
@@ -201,19 +440,15 @@ def commutator_rows(a: QMatrix) -> list[dict]:
 def invariance_constraints(g: GroupAction) -> list[dict]:
     """Sparse rows on vec(End(V)) whose joint kernel is End(V)^H.
 
+    X commutes with the action exactly when it commutes with its generators.
     For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite
     groups need no inverses: every action kind gives commutator rows.
     """
-    return [row for a in action_generators(g) for row in commutator_rows(a)]
+    return [row for a in g.action_generators() for row in commutator_rows(a)]
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:
-    """V^H as a subspace of R^n: the joint kernel of g - I over the generators
-    of a finite group, of xi over the infinitesimal generators otherwise."""
-    gens = action_generators(g)
-    if not gens:
-        return Subspace.full(g.dim)
-    if isinstance(g, FiniteMatrixAction):
-        ident = QMatrix.identity(g.dim)
-        gens = [gen - ident for gen in gens]
-    return common_nullspace(gens)
+    """V^H as a subspace of R^n: the joint kernel of the action's fixed-vector
+    operators."""
+    ops = g.fixed_operators()
+    return common_nullspace(ops) if ops else Subspace.full(g.dim)

@@ -25,14 +25,13 @@ from equivab.exactlin import (
     count_real_roots,
     nullspace,
     rref,
-    squarefree_part,
 )
 from equivab.pipeline import InputError, OrbitModel, run_pipeline, verify_models
 from equivab.strata import kernel_s, quotient_abelianization
 from equivab.symmetry import TorusAction, enumerate_group
 from equivab import io as eio
 
-from test_exactlin import _real_root_count_bisect
+from test_exactlin import _real_root_count_bisect, squarefree_part
 
 
 def _finish(capsys, name: str, failures: list, started: float, limit: float):
@@ -148,21 +147,22 @@ def _torus_certificate(g: TorusAction):
     exponent differences span the saturated kernel lattice: the certification
     condition."""
     from equivab.exactlin import integer_kernel_saturated
-    from equivab.strata import _z_monomial
+    from equivab.strata import Poly
+    from equivab.symmetry import _z_monomial
 
     m = g.blocks
     by_degree = {2: []}
     for j in range(m):
         # |z_j|^2 = real part of z_j zbar_j
         aa = tuple(1 if i == j else 0 for i in range(m))
-        by_degree[2].append(_z_monomial(m, aa, aa)[0])
+        by_degree[2].append(Poly(g.dim, _z_monomial(aa, aa)[0]))
     for v in integer_kernel_saturated(g.weights):
         plus = tuple(max(x, 0) for x in v)
         minus = tuple(max(-x, 0) for x in v)
         polys = by_degree.setdefault(sum(plus) + sum(minus), [])
-        for p in _z_monomial(m, plus, minus):
-            if not p.is_zero():
-                polys.append(p)
+        for terms in _z_monomial(plus, minus):
+            if terms:
+                polys.append(Poly(g.dim, terms))
     return [tuple(by_degree.get(d, ())) for d in range(1, max(by_degree) + 1)]
 
 

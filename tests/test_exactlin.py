@@ -24,13 +24,11 @@ from equivab.exactlin import (
     lattice_contains,
     minimal_polynomial,
     nullspace,
-    poly_gcd,
     product_vec,
     rank,
     rows_of,
     rref,
     solve,
-    squarefree_part,
 )
 
 rationals = st.builds(
@@ -468,6 +466,31 @@ def _mul(p: QPolynomial, q: QPolynomial) -> QPolynomial:
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return QPolynomial.from_coeffs(out)
+
+
+def _monic(p: QPolynomial) -> QPolynomial:
+    return p.scale(1 / p.leading)
+
+
+def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
+    while not b.is_zero():
+        _, r = a.divmod(b)
+        a, b = b, r
+    if a.is_zero():
+        return a
+    return _monic(a)
+
+
+def squarefree_part(p: QPolynomial) -> QPolynomial:
+    """p divided by gcd(p, p'), made monic: the oracles' squarefree input."""
+    if p.is_zero():
+        return p
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return _monic(p)
+    q, r = p.divmod(g)
+    assert r.is_zero()
+    return _monic(q)
 
 
 def _value(p: QPolynomial, x) -> Fraction:

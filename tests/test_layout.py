@@ -109,3 +109,33 @@ def test_each_exact_system_eliminated_once():
     krylov = _function(_tree(SRC / "exactlin.py"), "minimal_polynomial")
     assert "solve" not in set(_names(krylov))
     assert "tee" not in set(_names(_tree(SRC / "pipeline.py")))
+
+
+ACTION_CLASSES = {"FiniteMatrixAction", "TorusAction", "ConnectedLieAction"}
+
+
+def _isinstance_sites(tree: ast.AST, function: str = "<module>"):
+    """The enclosing function of each isinstance test against an action class."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, ast.FunctionDef) else function
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and ACTION_CLASSES & set(_names(node.args[1]))
+        ):
+            yield function
+        yield from _isinstance_sites(node, inner)
+
+
+def test_one_place_dispatches_on_the_action_kind():
+    # each action class owns its generators, fixed-vector operators,
+    # invariants, certificate and default degree bound: strata names no
+    # action class, and outside symmetry and io only verify's exact
+    # finite-group checks, which read the enumerated elements, ask the kind
+    assert ACTION_CLASSES.isdisjoint(_names(_tree(SRC / "strata.py")))
+    sites = [
+        "%s:%s" % (path.name, function)
+        for path in sorted(SRC.glob("*.py")) if path.name not in ("symmetry.py", "io.py")
+        for function in _isinstance_sites(_tree(path))
+    ]
+    assert sites in ([], ["pipeline.py:_orbit_checks"])

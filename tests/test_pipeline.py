@@ -31,13 +31,13 @@ def model(label, action, **kw):
 def built_degrees(monkeypatch):
     """The degrees whose monomials the invariant builders ask for."""
     degrees = []
-    monomials = strata.monomials_of_degree
+    monomials = symmetry.monomials_of_degree
 
     def recorded(nvars, degree):
         degrees.append(degree)
         return monomials(nvars, degree)
 
-    monkeypatch.setattr(strata, "monomials_of_degree", recorded)
+    monkeypatch.setattr(symmetry, "monomials_of_degree", recorded)
     return degrees
 
 
@@ -138,11 +138,11 @@ class TestRunPipeline:
 
         class Boom(TorusAction):
             # survives the constructor's fixed-vector check, then fails
-            def infinitesimal_generators(self):
+            def action_generators(self):
                 calls.append(1)
                 if len(calls) > 1:
                     raise RuntimeError("boom")
-                return super().infinitesimal_generators()
+                return super().action_generators()
 
         m = model("fragile", Boom(((1, 2),)))
         with pytest.raises(PipelineError, match="fragile"):
@@ -227,7 +227,7 @@ class TestVerifyModels:
             assert rep.passed
             z = comm.commutant_structure(comm.compute_commutant(g)).center
             assert set(Counter(map(id, derived)).values()) == {z.dim}
-            d = pipeline.default_degree_bound(g)
+            d = g.default_degree_bound
             low, high = (strata.kernel_s(g, z, degree).dim_s for degree in (d, d + 1))
             (detail,) = (i.detail for i in rep.items if i.check == "kernel-monotonicity")
             assert detail == "dim at %d: %d, at %d: %d" % (d, low, d + 1, high)
@@ -538,6 +538,31 @@ class TestCLI:
         assert rc == 2
         assert message in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    @pytest.mark.parametrize("doc, location", [
+        ({**BASIC_INPUT, "option": {}}, "option"),
+        ({**BASIC_INPUT, "options": {"degree_bond": 1}}, "options.degree_bond"),
+        ({"orbits": [{**BASIC_INPUT["orbits"][0], "extra_key": 1}]}, "orbits[0].extra_key"),
+        ({"orbits": [{"slice_action": {"kind": "torus", "weights": [[1]], "dim": 2}}]},
+         "orbits[0].slice_action.dim"),
+        ({"orbits": [{"slice_action": {**BASIC_INPUT["orbits"][0]["slice_action"],
+                                       "weights": [[1]]}}]},
+         "orbits[0].slice_action.weights"),
+        ({"orbits": [{"slice_action": {"kind": "connected_lie", "dim": 2,
+                                       "generators": [], "lie_generators": []}}]},
+         "orbits[0].slice_action.lie_generators"),
+        ({"orbits": [{**BASIC_INPUT["orbits"][0], "isotropy_lie": {
+            "dim": 1, "structure_constants": [[[0]]], "automorphism": []}}]},
+         "orbits[0].isotropy_lie.automorphism"),
+    ], ids=["top-level", "options", "orbit", "torus", "finite", "connected-lie",
+            "isotropy-lie"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, doc, location, mode):
+        rc = cli.main([self.write(tmp_path, doc)] + mode)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "input error: %s: unknown key" % location in captured.err
         assert captured.out == ""
 
     def test_max_group_order_cap(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["demo_catalog.py", "su3_slice_experiment.py"])
+@pytest.mark.parametrize("script", ["demo_catalog.py", "su3_slice_experiment.py", "cli_digest.py"])
 def test_script_exits_zero(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

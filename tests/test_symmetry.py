@@ -14,7 +14,6 @@ from equivab.symmetry import (
     FiniteMatrixAction,
     GroupNotFiniteError,
     TorusAction,
-    action_generators,
     commutator_rows,
     enumerate_group,
     fixed_vectors,
@@ -214,14 +213,47 @@ class TestFixedVectors:
         assert fixed_vectors(cat.su2_on_c2()).dim == 0
 
 
+def rotation_blocks(*weights):
+    """Block diagonal of the 2 x 2 blocks w * [[0, -1], [1, 0]]."""
+    n = 2 * len(weights)
+    rows = [[0] * n for _ in range(n)]
+    for j, w in enumerate(weights):
+        rows[2 * j][2 * j + 1], rows[2 * j + 1][2 * j] = -w, w
+    return rows
+
+
+SU2_ON_C2 = [
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+]
+
+# (action, its generators, its fixed-vector operators, default degree bound,
+# first certified degree or None)
+PER_KIND = [
+    (cat.c3_rotation, [[[0, -1], [1, -1]]], [[[-1, -1], [1, -2]]], 3, 3),
+    (lambda: TorusAction(((1,),)), [rotation_blocks(1)], [rotation_blocks(1)], 2, 2),
+    (lambda: TorusAction(((1, 2),)), [rotation_blocks(1, 2)], [rotation_blocks(1, 2)], 2, 3),
+    (lambda: TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))),
+     [rotation_blocks(1, 0, 1, 1), rotation_blocks(0, 1, 1, -1)],
+     [rotation_blocks(1, 0, 1, 1), rotation_blocks(0, 1, 1, -1)], 2, 3),
+    (cat.su2_on_c2, SU2_ON_C2, SU2_ON_C2, 2, None),
+]
+PER_KIND_IDS = ["c3-rotation", "circle-1", "circle-1-2", "torus-2", "su2-on-c2"]
+
+
 class TestInvarianceConstraints:
-    def test_action_generators_per_kind(self):
-        g = cat.c4_rotation()
-        assert action_generators(g) == list(g.generators)
-        t = TorusAction(((1, -2),))
-        assert action_generators(t) == t.infinitesimal_generators()
-        su2 = cat.su2_on_c2()
-        assert action_generators(su2) == list(su2.lie_generators)
+    @pytest.mark.parametrize(
+        "make, generators, fixed, bound, first_certified", PER_KIND, ids=PER_KIND_IDS
+    )
+    def test_action_generators_per_kind(self, make, generators, fixed, bound, first_certified):
+        g = make()
+        assert g.action_generators() == [QMatrix.from_rows(m) for m in generators]
+        assert g.fixed_operators() == [QMatrix.from_rows(m) for m in fixed]
+        assert g.default_degree_bound == bound
+        for d in range(1, 6):
+            expected = first_certified is not None and d >= first_certified
+            assert g.certified(d) == expected, d
 
     def test_finite_constraints_cut_out_commutant(self):
         g = cat.c4_rotation()
@@ -245,7 +277,7 @@ class TestInvarianceConstraints:
 class TestTorusAction:
     def test_generator_shape_and_skewness(self):
         t = TorusAction(((1, -2), (0, 3)))
-        gens = t.infinitesimal_generators()
+        gens = t.action_generators()
         assert len(gens) == 2
         for g in gens:
             assert (g + g.transpose()).is_zero()
@@ -254,7 +286,7 @@ class TestTorusAction:
         # weight 1 on one block: generator sends x -> y, y -> -x columns;
         # e_x image is +e_y (counterclockwise)
         t = TorusAction(((1,),))
-        (j,) = t.infinitesimal_generators()
+        (j,) = t.action_generators()
         assert j.mul_vec([1, 0]) == (0, 1)
         assert j.mul_vec([0, 1]) == (-1, 0)
 
