@@ -1,16 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything in here is built on :class:`fractions.Fraction`, so there are no
-tolerances anywhere: ranks, kernels, inertia and root counts are exact.  All
-objects are immutable; all functions are pure.
+Values are exact rationals (`Q`: ``gmpy2.mpq`` when installed, else
+:class:`fractions.Fraction`), so there are no tolerances anywhere: ranks,
+kernels, inertia and root counts are exact.  Elimination and sparse matrix
+products run on Python ints: a row or a matrix is scaled to integers by the
+lcm of its denominators, and a rational is formed only where a basis, a
+solution or a product value is read.  All objects are immutable; all
+functions are pure.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 try:
@@ -80,6 +86,17 @@ class QMatrix:
         most matrices here are sparse."""
         return tuple(map(_nonzeros, self.entries))
 
+    @cached_property
+    def _integral_rows(self) -> tuple[int, tuple[list[tuple[int, int]], ...]]:
+        """(den, rows): the nonzero rows of den * self as (column, int), where
+        den is the lcm of the entries' denominators."""
+        rows = self.nonzero_rows
+        den = lcm(*(int(x.denominator) for row in rows for _, x in row))
+        return den, tuple(
+            [(j, int(x.numerator) * (den // int(x.denominator))) for j, x in row]
+            for row in rows
+        )
+
     def transpose(self) -> "QMatrix":
         return QMatrix(tuple(zip(*self.entries))) if self.entries else self
 
@@ -142,26 +159,39 @@ def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return [(j, x) for j, x in enumerate(v) if x]
 
 
-def product_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
-    """vec(XY) as {index: value}, from the nonzero rows of X and Y."""
+def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
+    """vec(XY) times the denominators of X and Y, as {index: int} with zeros
+    kept, from the integer rows of X and Y."""
     if x.cols != y.rows:
         raise ValueError("shape mismatch in matrix product")
-    out: dict[int, Fraction] = {}
-    w, y_rows = y.cols, y.nonzero_rows
-    for i, row in enumerate(x.nonzero_rows):
+    out: dict[int, int] = {}
+    w, y_rows = y.cols, y._integral_rows[1]
+    for i, row in enumerate(x._integral_rows[1]):
+        base = i * w
         for k, a in row:
             for j, b in y_rows[k]:
-                key = i * w + j
-                out[key] = out[key] + a * b if key in out else a * b
-    return {key: c for key, c in out.items() if c}
+                key = base + j
+                out[key] = out.get(key, 0) + a * b
+    return out
+
+
+def _rationals(out: dict[int, int], x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
+    """The nonzeros of an integral product of X and Y as rationals."""
+    den = x._integral_rows[0] * y._integral_rows[0]
+    return {key: Q(c, den) for key, c in out.items() if c}
+
+
+def product_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
+    """vec(XY) as {index: value}, from the nonzero rows of X and Y."""
+    return _rationals(_integral_product(x, y), x, y)
 
 
 def bracket_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
     """vec(XY - YX) as {index: value}, from the nonzero rows of X and Y."""
-    out = product_vec(x, y)
-    for key, b in product_vec(y, x).items():
-        out[key] = out[key] - b if key in out else -b
-    return {key: c for key, c in out.items() if c}
+    out = _integral_product(x, y)
+    for key, b in _integral_product(y, x).items():
+        out[key] = out.get(key, 0) - b
+    return _rationals(out, x, y)
 
 
 def _combine(
@@ -236,93 +266,140 @@ def rref(m: QMatrix) -> tuple[QMatrix, int]:
 
 
 class SparseRREF:
-    """Incremental reduced row-echelon basis with sparse rows.
+    """Incremental reduced row-echelon basis with sparse integer rows.
 
-    Rows are dicts {col: coeff}, kept normalized (pivot coefficient 1) and
-    mutually reduced, ordered by pivot column.  This is the one elimination
-    engine: `kernel`, `rref`, `solve` and `Subspace` all run on it, since the
-    large systems here are sparse.
+    Each row is (pivot_col, pivot, {col: int}): primitive (its entries have
+    gcd 1) with a positive pivot, and zero at every other row's pivot column,
+    ordered by pivot column.  So each row is the canonical rational RREF row
+    times its pivot.  Incoming rational rows are scaled to integers, and
+    elimination is fraction-free: reducing v against a row with pivot p where
+    v has c gives (p/g) v - (c/g) row, g = gcd(p, c).  A rational value
+    x / pivot is formed only where a result is read: `dense_basis`, `kernel`
+    and `read`.  This is the one elimination engine: `kernel`, `rref`,
+    `solve` and `Subspace` all run on it, since the large systems here are
+    sparse.
     """
 
     __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.rows: list[tuple[int, dict]] = []  # (pivot_col, row)
+        self.rows: list[tuple[int, int, dict[int, int]]] = []
 
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec after elimination against the current rows."""
-        v = {c: x for c, x in vec.items() if x}
-        for pc, row in self.rows:
+    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
+        """Residual of the integer row v against the current rows, up to a
+        nonzero integer factor; v is consumed."""
+        for pc, p, row in self.rows:
             c = v.get(pc)
             if c:
-                for col, val in row.items():
-                    nv = v.get(col, _ZERO) - c * val
+                g = gcd(p, c)
+                a, b = p // g, c // g
+                if a != 1:
+                    v = {col: a * x for col, x in v.items()}
+                for col, x in row.items():
+                    nv = v.get(col, 0) - b * x
                     if nv:
                         v[col] = nv
                     else:
-                        v.pop(col, None)
+                        del v[col]
         return v
 
     def insert(self, vec: dict) -> bool:
-        """Add vec to the span; returns True if the rank increased."""
-        v = self.reduce(vec)
+        """Add the rational row vec {col: value} to the span; returns True if
+        the rank increased."""
+        v = self._reduce(_integral(vec))
         if not v:
             return False
         pc = min(v)
-        inv = 1 / v[pc]
-        newrow = {c: x * inv for c, x in v.items()}
-        for _, row in self.rows:
+        v = _primitive(v, v[pc])
+        p = v[pc]
+        for i, (qc, q, row) in enumerate(self.rows):
             c = row.get(pc)
             if c:
-                for col, val in newrow.items():
-                    nv = row.get(col, _ZERO) - c * val
+                g = gcd(p, c)
+                a, b = p // g, c // g
+                if a != 1:
+                    row = {col: a * x for col, x in row.items()}
+                for col, x in v.items():
+                    nv = row.get(col, 0) - b * x
                     if nv:
                         row[col] = nv
                     else:
-                        row.pop(col, None)
-        self.rows.append((pc, newrow))
-        self.rows.sort(key=lambda t: t[0])
+                        del row[col]
+                row = _primitive(row, 1)
+                self.rows[i] = (qc, row[qc], row)
+        insort(self.rows, (pc, p, v))
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(_integral(vec))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def read(self, i: int, cols: Iterable[int]) -> tuple[int, tuple[Fraction, ...]]:
+        """The pivot column of the i-th row, in pivot order, and the values of
+        its canonical RREF row at `cols`."""
+        pc, p, row = self.rows[i]
+        return pc, tuple(Q(row[c], p) if c in row else _ZERO for c in cols)
+
     def dense_basis(self) -> tuple[tuple[Fraction, ...], ...]:
         out = []
-        for _, row in self.rows:
+        for _, p, row in self.rows:
             dense = [_ZERO] * self.ambient
             for c, x in row.items():
-                dense[c] = x
+                dense[c] = Q(x, p)
             out.append(tuple(dense))
         return tuple(out)
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the vectors every held row annihilates, read off
-        the free columns."""
-        pivots = {pc for pc, _ in self.rows}
-        basis = []
+        the free columns: the one for free column f is e_f - sum row[f] /
+        pivot e_pc, inserted scaled to integers."""
+        pivots = {pc for pc, _, _ in self.rows}
+        engine = SparseRREF(self.ambient)
         for fc in range(self.ambient):
             if fc in pivots:
                 continue
-            v = {fc: _ONE}
-            for pc, row in self.rows:
-                x = row.get(fc)
-                if x:
-                    v[pc] = -x
-            basis.append(v)
-        return Subspace._span_sparse(self.ambient, basis)
+            hits = [(pc, p, row[fc]) for pc, p, row in self.rows if fc in row]
+            den = lcm(*(p for _, p, _ in hits))
+            v = {fc: den}
+            for pc, p, x in hits:
+                v[pc] = -x * (den // p)
+            engine.insert(v)
+        return Subspace(self.ambient, engine.dense_basis())
 
     @staticmethod
     def _of_reduced(ambient: int, basis) -> "SparseRREF":
-        """Engine holding rows that are already exact and in reduced form."""
+        """Engine holding rational rows that are already in reduced form:
+        scaled by the lcm of its denominators, such a row (pivot 1) is
+        primitive."""
         s = SparseRREF(ambient)
-        s.rows = [(row[0][0], dict(row)) for row in map(_nonzeros, basis)]
+        for row in map(_integral, map(_sparse, basis)):
+            pc = min(row)
+            s.rows.append((pc, row[pc], row))
         return s
+
+
+def _integral(vec: dict) -> dict[int, int]:
+    """The rational row {col: value}, zeros dropped, times the lcm of its
+    denominators: {col: int}.  Parts go through int(), since a Fraction's may
+    be foreign integer types and an mpq's are mpz."""
+    den = lcm(*(int(x.denominator) for x in vec.values()))
+    if den == 1:
+        return {c: int(x.numerator) for c, x in vec.items() if x}
+    return {
+        c: int(x.numerator) * (den // int(x.denominator)) for c, x in vec.items() if x
+    }
+
+
+def _primitive(v: dict[int, int], sign: int) -> dict[int, int]:
+    """v divided by the gcd of its entries, negated as well when sign < 0."""
+    g = gcd(*v.values())
+    if sign < 0:
+        g = -g
+    return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
 def rank(m: QMatrix) -> int:
@@ -436,10 +513,11 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     n = m.cols
     engine = _eliminate(n + 1, (_sparse(row + (y,)) for row, y in zip(m.entries, bvec)))
     x = [_ZERO] * n
-    for pc, row in engine.rows:
+    for i in range(engine.rank):
+        pc, (value,) = engine.read(i, (n,))
         if pc == n:
             return None
-        x[pc] = row.get(n, _ZERO)
+        x[pc] = value
     # verify (free variables set to 0 may not satisfy non-reduced systems)
     if m.mul_vec(x) != tuple(bvec):
         return None
@@ -576,10 +654,9 @@ def minimal_polynomial(m: QMatrix) -> QPolynomial:
         engine.insert(row)
         # rows are ordered by pivot, and only a zero vec part puts one at nn
         # or past it
-        pc, last = engine.rows[-1]
+        pc, coeffs = engine.read(-1, range(nn, nn + k + 1))
         if pc >= nn:
-            lead = last[nn + k]
-            return QPolynomial(tuple(last.get(nn + j, _ZERO) / lead for j in range(k + 1)))
+            return QPolynomial(tuple(c / coeffs[-1] for c in coeffs))
         power = power @ m
     raise AssertionError("no minimal polynomial found below n+1")
 

@@ -323,6 +323,17 @@ class TorusAction:
                     ):
                         yield a, b
 
+    @cached_property
+    def _pairs(self) -> dict[int, tuple[tuple[Monomial, Monomial], ...]]:
+        """Degree -> its invariant pairs, filled by `pairs_of_degree`."""
+        return {}
+
+    def pairs_of_degree(self, d: int) -> tuple[tuple[Monomial, Monomial], ...]:
+        """`invariant_pairs(d)`, enumerated once per degree and action."""
+        if d not in self._pairs:
+            self._pairs[d] = tuple(self.invariant_pairs(d))
+        return self._pairs[d]
+
     def certified(self, degree: int) -> bool:
         """Whether the invariants of degree <= degree determine the kernel:
         they hold every |z_j|^2 (degree 2), and the exponent differences a - b
@@ -332,7 +343,7 @@ class TorusAction:
         observed = [
             tuple(x - y for x, y in zip(a, b))
             for d in range(1, degree + 1)
-            for a, b in self.invariant_pairs(d)
+            for a, b in self.pairs_of_degree(d)
             if a != b
         ]
         return all(
@@ -347,7 +358,7 @@ class TorusAction:
         independent unless a = b, when the imaginary part is zero."""
         for d in range(1, degree + 1):
             yield tuple(
-                p for a, b in self.invariant_pairs(d) for p in _z_monomial(a, b) if p
+                p for a, b in self.pairs_of_degree(d) for p in _z_monomial(a, b) if p
             )
 
 

@@ -2,17 +2,21 @@
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from equivab import exactlin
 from equivab.exactlin import (
     Q,
     QMatrix,
     QPolynomial,
+    SparseRREF,
     Subspace,
+    _integral,
     bracket_vec,
     common_nullspace,
     count_real_roots,
@@ -237,6 +241,173 @@ def _is_exact(x) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# the integer elimination engine against a rational one
+
+
+class FractionRREF:
+    """Oracle: incremental reduced row-echelon basis over Fraction rows
+    {col: value}, normalized (pivot 1), mutually reduced and ordered by pivot
+    column."""
+
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = []  # (pivot_col, row)
+
+    def reduce(self, vec):
+        v = {c: Fraction(x) for c, x in vec.items() if x}
+        for pc, row in self.rows:
+            c = v.get(pc)
+            if c:
+                for col, val in row.items():
+                    nv = v.get(col, 0) - c * val
+                    if nv:
+                        v[col] = nv
+                    else:
+                        v.pop(col, None)
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pc = min(v)
+        inv = 1 / v[pc]
+        newrow = {c: x * inv for c, x in v.items()}
+        for _, row in self.rows:
+            c = row.get(pc)
+            if c:
+                for col, val in newrow.items():
+                    nv = row.get(col, 0) - c * val
+                    if nv:
+                        row[col] = nv
+                    else:
+                        row.pop(col, None)
+        self.rows.append((pc, newrow))
+        self.rows.sort(key=lambda t: t[0])
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def dense_basis(self):
+        return tuple(
+            tuple(row.get(c, Fraction(0)) for c in range(self.ambient)) for _, row in self.rows
+        )
+
+    def kernel_basis(self):
+        """The canonical basis of the kernel, reduced by a second oracle."""
+        pivots = {pc for pc, _ in self.rows}
+        out = FractionRREF(self.ambient)
+        for fc in range(self.ambient):
+            if fc not in pivots:
+                v = {fc: Fraction(1)}
+                for pc, row in self.rows:
+                    if row.get(fc):
+                        v[pc] = -row[fc]
+                out.insert(v)
+        return out.dense_basis()
+
+
+small_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def row_streams(draw, max_cols=6, max_rows=9):
+    """(ncols, rows {col: value}): sparse rows with denominators up to 12 and
+    negative entries, among them zero rows, explicit zeros, repeats, multiples
+    and combinations of earlier rows."""
+    ncols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "repeat", "combine"]))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            row = {c: Fraction(0) for c in draw(st.sets(st.integers(0, ncols - 1)))}
+        elif kind == "fresh":
+            cols = draw(st.sets(st.integers(0, ncols - 1), min_size=1))
+            row = {c: draw(small_rationals) for c in sorted(cols)}
+        elif kind == "repeat":
+            row = dict(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(small_rationals), draw(small_rationals)
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in set(a) | set(b)}
+        rows.append(row)
+    return ncols, rows
+
+
+def _engine_invariants_hold(engine):
+    pivots = [pc for pc, _, _ in engine.rows]
+    assert pivots == sorted(set(pivots))
+    for pc, p, row in engine.rows:
+        assert all(type(x) is int and x for x in row.values())
+        assert pc == min(row) and p == row[pc] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(qc in row for qc in pivots if qc != pc)
+
+
+class TestSparseRREF:
+    @given(row_streams(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, stream, data):
+        ncols, rows = stream
+        engine, oracle = SparseRREF(ncols), FractionRREF(ncols)
+        for row in rows:
+            assert engine.insert(row) == oracle.insert(row)
+            assert engine.rank == len(oracle.rows)
+            probe = {c: data.draw(small_rationals) for c in
+                     data.draw(st.sets(st.integers(0, ncols - 1)))}
+            for v in (row, probe):
+                assert engine.contains(v) == oracle.contains(v)
+            _engine_invariants_hold(engine)
+        basis = engine.dense_basis()
+        assert basis == oracle.dense_basis()
+        assert all(_is_exact(x) for v in basis for x in v)
+        assert engine.kernel().basis == oracle.kernel_basis()
+        # the engine of a canonical basis holds the same integer rows
+        assert SparseRREF._of_reduced(ncols, basis).rows == engine.rows
+        assert Subspace(ncols, basis)._engine.rows == engine.rows
+
+    @given(row_streams(), st.lists(st.integers(0, 9), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_kernels_match_oracle_prefixes(self, stream, cuts):
+        ncols, rows = stream
+        bounds = sorted(set(cuts) | {len(rows)})
+        groups = [rows[a:b] for a, b in zip([0] + bounds, bounds)]
+        oracle = FractionRREF(ncols)
+        for group, ker in zip(groups, kernels(ncols, groups), strict=True):
+            for row in group:
+                oracle.insert(row)
+            assert ker.basis == oracle.kernel_basis()
+
+    def test_integral_accepts_ints_and_foreign_internals(self):
+        np = pytest.importorskip("numpy")
+        x = Fraction(np.int64(3), np.int64(4))
+        assert type(x.numerator) is not int
+        got = _integral({0: 2, 1: x, 2: Fraction(0), 3: Fraction(-5, 6)})
+        assert got == {0: 24, 1: 9, 3: -10}
+        assert all(type(v) is int for v in got.values())
+        assert _integral({4: 7, 1: -3}) == {4: 7, 1: -3}
+        assert _integral({}) == {}
+
+    def test_no_rational_formed_until_a_basis_is_read(self, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exactlin, "Q", counted)
+        engine = SparseRREF(4)
+        for row in ({0: Fraction(1, 2), 2: Fraction(-3, 4)}, {0: Fraction(2, 3), 1: 5},
+                    {1: Fraction(7, 5), 2: 1, 3: Fraction(-1, 9)}, {0: 1, 2: Fraction(-3, 2)}):
+            engine.insert(row)
+            engine.contains({1: Fraction(1, 3), 3: 2})
+        assert made == [] and engine.rank == 3
+        basis = engine.dense_basis()
+        assert made and basis[0][0] == 1
+
+
 class TestCoercion:
     def test_foreign_integer_internals_normalized(self):
         np = pytest.importorskip("numpy")
@@ -292,6 +463,36 @@ class TestProduct:
         listed = {(i, j): v for i, row in enumerate(x.nonzero_rows) for j, v in row}
         assert listed == {(i, j): v for i, row in enumerate(x.entries)
                           for j, v in enumerate(row) if v}
+
+    @staticmethod
+    def dense_product(x, y):
+        """vec(XY) as {index: value}, summed in Fractions entry by entry."""
+        out = {}
+        for i, row in enumerate(x.entries):
+            for j in range(y.cols):
+                v = sum((a * y.entries[k][j] for k, a in enumerate(row)), Fraction(0))
+                if v:
+                    out[i * y.cols + j] = v
+        return out
+
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda rkc: st.tuples(
+                sparse_matrices(rkc[0], rkc[1]), sparse_matrices(rkc[1], rkc[2]),
+                sparse_matrices(rkc[0], rkc[0]), sparse_matrices(rkc[0], rkc[0]),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integer_products_match_fraction_products(self, mats):
+        # non-integer entries, zero rows and columns, non-square shapes
+        x, y, a, b = mats
+        got = [product_vec(x, y), bracket_vec(a, b)]
+        ab, ba = self.dense_product(a, b), self.dense_product(b, a)
+        bracket = {k: ab.get(k, 0) - ba.get(k, 0) for k in set(ab) | set(ba)}
+        assert got == [self.dense_product(x, y), {k: v for k, v in bracket.items() if v}]
+        # enumerate_group hashes these values as group-element keys
+        assert all(_is_exact(v) for out in got for v in out.values())
 
 
 class TestSubspace:

@@ -1,10 +1,17 @@
 """End-to-end tests: orbit records, report assembly, JSON round-trips, the
 command-line interface, and rejection of invalid inputs."""
 
+import io
 import json
+import re
+import string
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivab import catalog as cat
 from equivab import cli
@@ -231,6 +238,22 @@ class TestVerifyModels:
             low, high = (strata.kernel_s(g, z, degree).dim_s for degree in (d, d + 1))
             (detail,) = (i.detail for i in rep.items if i.check == "kernel-monotonicity")
             assert detail == "dim at %d: %d, at %d: %d" % (d, low, d + 1, high)
+
+    def test_torus_pairs_enumerated_once_per_degree(self, monkeypatch):
+        # certification at 3 and 4 and the invariants of degrees 1..4 share
+        # one enumeration of each degree's exponent pairs
+        calls = []
+        pairs = TorusAction.invariant_pairs
+
+        def counted(self, d):
+            calls.append(d)
+            return pairs(self, d)
+
+        monkeypatch.setattr(TorusAction, "invariant_pairs", counted)
+        g = TorusAction(((1, 0, 1, 1), (0, 1, 1, -1)))
+        rep = verify_models([model("torus", g, quotient_requested=True)], degree_bound=3)
+        assert rep.passed
+        assert sorted(calls) == [1, 2, 3, 4]
 
     def test_group_enumerated_once(self, monkeypatch):
         # the oracle and the degree bound share one enumeration
@@ -583,3 +606,110 @@ class TestCLI:
         }
         rc = cli.main([self.write(tmp_path, doc), "--max-group-order", "2"])
         assert rc == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed malformed documents through the command line
+
+# valid documents with every action kind, the options and isotropy data
+SO3_CONSTANTS = [
+    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+    [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+]
+FUZZ_DOCUMENTS = [
+    {**BASIC_INPUT, "options": {"seed": 3, "degree_bound": 2, "group_cap": 50}},
+    {"orbits": [{
+        "label": "with-lie",
+        "slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+        "isotropy_lie": {
+            "dim": 3, "structure_constants": SO3_CONSTANTS, "h_basis": [[1, 0, 0]],
+            "automorphisms": [[[1, 0, 0], [0, -1, 0], [0, 0, -1]]],
+            "derivations": [SO3_CONSTANTS[0]],
+        },
+    }]},
+    {"orbits": [{"label": "circle", "quotient": True, "slice_action": {
+        "kind": "connected_lie", "dim": 2, "generators": [[[0, -1], [1, 0]]]}}]},
+]
+KNOWN_KEYS = {
+    "orbits", "options", "seed", "degree_bound", "group_cap", "label", "slice_action",
+    "isotropy_lie", "quotient", "kind", "weights", "dim", "generators",
+    "structure_constants", "h_basis", "automorphisms", "derivations",
+}
+KEY_CHARS = string.ascii_letters + string.digits + "_"
+floats = st.floats(allow_nan=False, allow_infinity=False)
+# a float is valid nowhere in a document: rationals are ints or 'p/q' strings,
+# and a float is no object, array, string, boolean or integer option
+misplaced = (
+    floats
+    | st.lists(floats, min_size=1, max_size=3)
+    | st.dictionaries(st.sampled_from(["dim", "kind", "x"]), floats, min_size=1)
+)
+
+
+def _nodes(doc, path=()):
+    """(path, node) for every node of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(value, path + (key,))
+
+
+def _where(path) -> str:
+    """The location an input error names for the node at path."""
+    out = ""
+    for key in path:
+        out += "[%d]" % key if isinstance(key, int) else ("." if out else "") + key
+    return out or "top level"
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))  # a copy with no shared parts
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def malformed_documents(draw):
+    """(text, path): a valid document broken in one place, as JSON text, and
+    the path of the broken node, or None for broken syntax."""
+    doc = draw(st.sampled_from(FUZZ_DOCUMENTS))
+    how = draw(st.sampled_from(["syntax", "value", "key"]))
+    if how == "syntax":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))], None
+    nodes = list(_nodes(doc))
+    if how == "value":
+        path, _ = draw(st.sampled_from(nodes))
+        return json.dumps(_replaced(doc, path, draw(misplaced))), path
+    path, obj = draw(st.sampled_from([(p, n) for p, n in nodes if isinstance(n, dict)]))
+    key = draw(st.text(KEY_CHARS, min_size=1, max_size=6).filter(lambda k: k not in KNOWN_KEYS))
+    return json.dumps(_replaced(doc, path, {**obj, key: 0})), path + (key,)
+
+
+@given(malformed_documents(), st.sampled_from([[], ["--verify"]]))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_malformed_documents_exit_2_with_a_located_message(case, mode):
+    text, path = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), \
+            redirect_stderr(err):
+        rc = cli.main(["-"] + mode)
+    assert (rc, out.getvalue()) == (2, "")
+    first, *rest = err.getvalue().splitlines()
+    assert rest == [] and first.startswith("input error: ")
+    message = first[len("input error: "):]
+    if path is None:
+        assert re.match(r"input is not valid JSON: .* line \d+ column \d+", message)
+        return
+    # the broken node, one of its ancestors, or a part of it
+    located = message.split(": ", 1)[0]
+    ancestors = {_where(path[:i]) for i in range(len(path) + 1)}
+    inside = tuple(_where(path) + sep for sep in ".[")
+    assert (located in ancestors or located.startswith(inside)
+            or not path and message.startswith("top level ")), message
