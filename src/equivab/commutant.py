@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 from .exactlin import (
     _ZERO,
@@ -49,7 +50,7 @@ class MatrixAlgebra:
         if span.dim != len(self.basis):
             raise ValueError("algebra basis is linearly dependent")
         engine, basis = span._engine, self.basis
-        if not all(engine.contains(product_vec(x, y)) for x in basis for y in basis):
+        if not all(engine.contains(product_vec(x, y)[1]) for x in basis for y in basis):
             raise ValueError("basis is not closed under multiplication")
         if not span.contains(QMatrix.identity(n).vec()):
             raise ValueError("identity not in algebra span")
@@ -107,10 +108,14 @@ def center(a: MatrixAlgebra) -> Subspace:
     mats, vecs = a.basis, [b.vec() for b in a.basis]
     for b in a.basis:
         brackets = [bracket_vec(x, b) for x in mats]
-        if not any(brackets):
+        if not any(ints for _, ints in brackets):
             continue
-        # the combinations of the x whose bracket with b vanishes
-        coords = kernel(len(brackets), rows_of(brackets))
+        # the combinations of the x whose bracket with b vanishes: the
+        # brackets' integer forms go over one common denominator
+        common = lcm(*(den for den, _ in brackets))
+        columns = [ints if den == common else {k: c * (common // den) for k, c in ints.items()}
+                   for den, ints in brackets]
+        coords = kernel(len(brackets), rows_of(columns))
         vecs = _combine(coords.basis, vecs, n * n)
         mats = [_square(v, n) for v in vecs]
     return Subspace._span(n * n, vecs)
@@ -120,7 +125,7 @@ def commutator_ideal(a: MatrixAlgebra) -> Subspace:
     """Span of all brackets of basis elements (= [A, A] by bilinearity)."""
     n = a.ambient_dim
     return Subspace._span_sparse(
-        n * n, (bracket_vec(x, y) for x, y in itertools.combinations(a.basis, 2))
+        n * n, (bracket_vec(x, y)[1] for x, y in itertools.combinations(a.basis, 2))
     )
 
 

@@ -3,10 +3,15 @@
 Values are exact rationals (`Q`: ``gmpy2.mpq`` when installed, else
 :class:`fractions.Fraction`), so there are no tolerances anywhere: ranks,
 kernels, inertia and root counts are exact.  Elimination and sparse matrix
-products run on Python ints: a row or a matrix is scaled to integers by the
-lcm of its denominators, and a rational is formed only where a basis, a
-solution or a product value is read.  All objects are immutable; all
-functions are pure.
+products run on Python ints.  The engine (`SparseRREF`, `kernel`, `kernels`,
+`Subspace._span_sparse`) takes integer rows {col: int}; a rational row enters
+it through `_sparse` or `_integral`, which scale it by the lcm of its
+denominators, once, at the boundary.  A matrix lists its integer rows once
+(`QMatrix._integral_rows`), and `product_vec` / `bracket_vec` return the
+integer form (den, {index: int}) of a product.  Span, membership and zero
+tests ignore scale, so callers read those ints directly, and a rational is
+formed only where a basis, a solution or a value is read.  All objects are
+immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -175,23 +180,24 @@ def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
     return out
 
 
-def _rationals(out: dict[int, int], x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
-    """The nonzeros of an integral product of X and Y as rationals."""
-    den = x._integral_rows[0] * y._integral_rows[0]
-    return {key: Q(c, den) for key, c in out.items() if c}
+def _integral_form(out: dict[int, int], x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
+    """(den, nonzeros) of an integral product of X and Y: den is the product
+    of their denominators."""
+    return x._integral_rows[0] * y._integral_rows[0], {k: c for k, c in out.items() if c}
 
 
-def product_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
-    """vec(XY) as {index: value}, from the nonzero rows of X and Y."""
-    return _rationals(_integral_product(x, y), x, y)
+def product_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
+    """vec(XY) in integer form (den, {index: int}), zeros dropped: its value
+    is the ints over den.  From the integer rows of X and Y."""
+    return _integral_form(_integral_product(x, y), x, y)
 
 
-def bracket_vec(x: QMatrix, y: QMatrix) -> dict[int, Fraction]:
-    """vec(XY - YX) as {index: value}, from the nonzero rows of X and Y."""
+def bracket_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
+    """vec(XY - YX) in integer form (den, {index: int}), zeros dropped."""
     out = _integral_product(x, y)
     for key, b in _integral_product(y, x).items():
         out[key] = out.get(key, 0) - b
-    return _rationals(out, x, y)
+    return _integral_form(out, x, y)
 
 
 def _combine(
@@ -210,14 +216,15 @@ def _combine(
     return out
 
 
-def _sparse(row: Sequence[Fraction]) -> dict[int, Fraction]:
-    """The exact dense row as {col: value}."""
-    return dict(_nonzeros(row))
+def _sparse(row: Sequence[Fraction]) -> dict[int, int]:
+    """The exact dense row as an engine row {col: int}: its nonzeros times the
+    lcm of their denominators."""
+    return _integral(dict(_nonzeros(row)))
 
 
-def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict]) -> None:
-    """Insert the rows {col: value} into engine, read lazily, and none once
-    the rank is the column count."""
+def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict[int, int]]) -> None:
+    """Insert the integer rows {col: int} into engine, read lazily, and none
+    once the rank is the column count."""
     if engine.rank < engine.ambient:
         for row in rows:
             engine.insert(row)
@@ -225,21 +232,22 @@ def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict]) -> None:
                 break
 
 
-def _eliminate(ncols: int, rows: Iterable[dict]) -> "SparseRREF":
-    """The one sparse engine holding the span of the rows {col: value}."""
+def _eliminate(ncols: int, rows: Iterable[dict[int, int]]) -> "SparseRREF":
+    """The one sparse engine holding the span of the integer rows."""
     engine = SparseRREF(ncols)
     _insert_until_full(engine, rows)
     return engine
 
 
-def kernel(ncols: int, rows: Iterable[dict]) -> "Subspace":
+def kernel(ncols: int, rows: Iterable[dict[int, int]]) -> "Subspace":
     """The one kernel routine: canonical basis of the vectors of Q^ncols that
-    every row {col: value} annihilates.  No row is read once it is zero."""
+    every integer row {col: int} annihilates.  No row is read once the kernel
+    is zero."""
     return _eliminate(ncols, rows).kernel()
 
 
-def kernels(ncols: int, groups: Iterable[Iterable[dict]]) -> Iterator["Subspace"]:
-    """The kernel after each group of rows, from one elimination: the i-th is
+def kernels(ncols: int, groups: Iterable[Iterable[dict[int, int]]]) -> Iterator["Subspace"]:
+    """The kernel after each group of integer rows, from one elimination: the i-th is
     kernel(ncols, rows of groups 1..i).  A group is read only when its kernel
     is asked for, and no row of it once the kernel is zero."""
     engine = SparseRREF(ncols)
@@ -250,7 +258,8 @@ def kernels(ncols: int, groups: Iterable[Iterable[dict]]) -> Iterator["Subspace"
 
 def rows_of(columns: Iterable[dict]) -> list[dict]:
     """The rows {k: value} of the matrix whose k-th column is the sparse vector
-    columns[k]: one row per key of some column, in order of first appearance."""
+    columns[k]: one row per key of some column, in order of first appearance.
+    Integer columns give engine rows."""
     rows: dict = {}
     for k, col in enumerate(columns):
         for key, x in col.items():
@@ -271,13 +280,14 @@ class SparseRREF:
     Each row is (pivot_col, pivot, {col: int}): primitive (its entries have
     gcd 1) with a positive pivot, and zero at every other row's pivot column,
     ordered by pivot column.  So each row is the canonical rational RREF row
-    times its pivot.  Incoming rational rows are scaled to integers, and
-    elimination is fraction-free: reducing v against a row with pivot p where
-    v has c gives (p/g) v - (c/g) row, g = gcd(p, c).  A rational value
-    x / pivot is formed only where a result is read: `dense_basis`, `kernel`
-    and `read`.  This is the one elimination engine: `kernel`, `rref`,
-    `solve` and `Subspace` all run on it, since the large systems here are
-    sparse.
+    times its pivot.  `insert` and `contains` take integer rows {col: int},
+    which a caller may scale freely: a row's span does not depend on it.
+    Elimination is fraction-free (Bareiss): reducing v against a row with
+    pivot p where v has c gives (p/g) v - (c/g) row, g = gcd(p, c).  A
+    rational value x / pivot is formed only where a result is read:
+    `dense_basis`, `kernel` and `read`.  This is the one elimination engine:
+    `kernel`, `rref`, `solve` and `Subspace` all run on it, since the large
+    systems here are sparse.
     """
 
     __slots__ = ("ambient", "rows")
@@ -304,10 +314,10 @@ class SparseRREF:
                         del v[col]
         return v
 
-    def insert(self, vec: dict) -> bool:
-        """Add the rational row vec {col: value} to the span; returns True if
-        the rank increased."""
-        v = self._reduce(_integral(vec))
+    def insert(self, vec: dict[int, int]) -> bool:
+        """Add the integer row vec {col: int} to the span; returns True if the
+        rank increased.  vec is not changed."""
+        v = self._reduce({c: x for c, x in vec.items() if x})
         if not v:
             return False
         pc = min(v)
@@ -331,8 +341,9 @@ class SparseRREF:
         insort(self.rows, (pc, p, v))
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self._reduce(_integral(vec))
+    def contains(self, vec: dict[int, int]) -> bool:
+        """Whether the integer row vec {col: int} lies in the span."""
+        return not self._reduce({c: x for c, x in vec.items() if x})
 
     @property
     def rank(self) -> int:
@@ -376,7 +387,7 @@ class SparseRREF:
         scaled by the lcm of its denominators, such a row (pivot 1) is
         primitive."""
         s = SparseRREF(ambient)
-        for row in map(_integral, map(_sparse, basis)):
+        for row in map(_sparse, basis):
             pc = min(row)
             s.rows.append((pc, row[pc], row))
         return s
@@ -434,8 +445,8 @@ class Subspace:
         return Subspace._span_sparse(ambient_dim, map(sparse, vectors))
 
     @staticmethod
-    def _span_sparse(ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
-        """Span of exact vectors given as {index: value}."""
+    def _span_sparse(ambient_dim: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
+        """Span of integer vectors given as {index: int}."""
         engine = SparseRREF(ambient_dim)
         for v in vectors:
             engine.insert(v)
@@ -638,26 +649,32 @@ class QPolynomial:
 def minimal_polynomial(m: QMatrix) -> QPolynomial:
     """Monic least-degree p with p(M) = 0, via the first Krylov dependence.
 
-    One elimination holds the rows [vec(M^j) | e_j] for j < k.  Reducing
-    [vec(M^k) | e_k] against them leaves [vec(M^k) - sum c_j vec(M^j) |
-    e_k - sum c_j e_j], whose vec part is zero at the first dependence: the
-    e part then holds the coefficients of p."""
+    With M = A / den for the integer matrix A, one elimination holds the rows
+    [vec(A^j) | den^j e_j] = den^j [vec(M^j) | e_j] for j < k; a row's scale
+    leaves the dependence unchanged.  Reducing the row of k against them
+    leaves a row whose vec part is zero at the first dependence, sum p_j
+    vec(M^j) = 0: its e part then holds the coefficients p_j of p."""
     n = m.rows
     if n != m.cols:
         raise ValueError("minimal polynomial of non-square matrix")
     nn = n * n
+    den, a_rows = m._integral_rows
     engine = SparseRREF(nn + n + 1)
-    power = QMatrix.identity(n)
+    power = {i * n + i: 1 for i in range(n)}  # vec(A^k), zeros dropped
     for k in range(n + 1):
-        row = _sparse(power.vec())
-        row[nn + k] = _ONE
-        engine.insert(row)
+        engine.insert({**power, nn + k: den**k})
         # rows are ordered by pivot, and only a zero vec part puts one at nn
         # or past it
         pc, coeffs = engine.read(-1, range(nn, nn + k + 1))
         if pc >= nn:
             return QPolynomial(tuple(c / coeffs[-1] for c in coeffs))
-        power = power @ m
+        # entry (i, j) of A^k, at key = i n + j, adds x A[j][col] at (i, col)
+        nxt: dict[int, int] = {}
+        for key, x in power.items():
+            j = key % n
+            for col, y in a_rows[j]:
+                nxt[key - j + col] = nxt.get(key - j + col, 0) + x * y
+        power = {key: x for key, x in nxt.items() if x}
     raise AssertionError("no minimal polynomial found below n+1")
 
 

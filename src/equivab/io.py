@@ -57,10 +57,13 @@ def _matrices(doc: dict, key: str, where: str) -> tuple[QMatrix, ...]:
 
 
 def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
-    """Reject the first key of doc outside `keys`, located under `where`."""
+    """Reject the first key of doc outside `keys`, located under `where`.  The
+    key is shown as a JSON string shows it, without the quotes: control and
+    non-ASCII characters are escaped, so the message stays one line."""
     for key in doc:
         if key not in keys:
-            path = "%s.%s" % (where, key) if where else key
+            shown = json.dumps(key)[1:-1]
+            path = "%s.%s" % (where, shown) if where else shown
             raise InputError("%s: unknown key (expected one of %s)" % (path, ", ".join(keys)))
 
 

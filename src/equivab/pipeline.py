@@ -238,4 +238,4 @@ def _orbit_checks(
 
 def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:
     gens = g.action_generators()
-    return not any(bracket_vec(gen, b) for b in algebra.basis for gen in gens)
+    return not any(bracket_vec(gen, b)[1] for b in algebra.basis for gen in gens)

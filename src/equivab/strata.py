@@ -4,17 +4,17 @@ and the kernel of the central torus acting on the quotient.
 Polynomials are exact: dict from exponent tuples to rational coefficients.
 Each action builds its own invariants (`invariant_terms` in `symmetry`) and
 says when they certify the kernel; this module caps their monomial space,
-wraps them as `Poly`, and derives them along the center.
+wraps them as `Poly`, and derives them along the center, on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .commutant import MLClassification, _square
-from .exactlin import QMatrix, Subspace, _combine, kernels, rows_of, _q
+from .exactlin import Q, QMatrix, Subspace, _combine, _integral, kernels, rows_of, _q
 from .symmetry import GroupAction, Terms, _derive
 
 DEFAULT_MONOMIAL_CAP = 100_000
@@ -55,11 +55,15 @@ def derivation_action(d: QMatrix, f: Poly) -> Poly:
 
     (Df)(x) = sum_{i,j} D_{ji} x_i df/dx_j; degree preserving.  Vanishes
     exactly on polynomials invariant under the one-parameter group of D.
+    Runs on the integer rows of D, so an integer D and an f with int
+    coefficients give int coefficients and form no rational.
     """
-    rows = d.nonzero_rows
+    den, rows = d._integral_rows
     out: Terms = {}
     for m, c in f.terms.items():
         _derive(rows, m, c, out)
+    if den != 1:
+        out = {e: Q(x, den) for e, x in out.items()}
     return Poly._of(f.nvars, out)
 
 
@@ -110,16 +114,27 @@ def kernel_s_at_degrees(
     """kernel_s(g, z, d, invariants) for each d of the increasing `degrees`,
     from one elimination over one read of `invariants`: each invariant is
     derived once per central element, and the kernel after degree d is read
-    off before the rows of degree d + 1 go in."""
+    off before the rows of degree d + 1 go in.
+
+    The rows are integers.  The central elements D_k go over one common
+    denominator L, so each L D_k is an integer matrix, and each invariant f is
+    scaled to an integer multiple c f: the row of monomial e, the coefficient
+    of e in each (L D_k)(c f), is L c times the true one, a scale its columns
+    share, so the kernel is unchanged."""
     n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
-    center_mats = [_square(v, n) for v in z.basis]
+    common = lcm(*(int(x.denominator) for v in z.basis for x in v))
+    center_mats = [
+        _square([int(x.numerator) * (common // int(x.denominator)) for x in v], n)
+        for v in z.basis
+    ]
 
-    def rows(basis: Sequence[Poly]) -> Iterator[dict]:
+    def rows(basis: Sequence[Poly]) -> Iterator[dict[int, int]]:
         # one row per monomial e of an image: the coefficient of e in D_k f
         # for each central element D_k
         for f in basis:
+            f = Poly._of(n, _integral(f.terms))
             yield from rows_of([derivation_action(dm, f).terms for dm in center_mats])
 
     # the kernel after degrees 1, 2, ...; no degree is read once it is zero

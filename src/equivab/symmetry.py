@@ -13,7 +13,9 @@ bound, and the degrees from which the invariants certify the kernel `s`
 Polynomials here are dicts from exponent tuples to nonzero rational
 coefficients.  Invariants of finite and connected groups are one sparse
 common kernel per degree, of one operator per generator written on monomial
-indices; torus invariants are built from the weights.
+indices; the operators run on each generator's integer rows, so their images
+are integer multiples of the true ones.  Torus invariants are built from the
+weights.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterator, Sequence
 
 from .exactlin import (
     Q,
     QMatrix,
     Subspace,
-    _ONE,
     _ZERO,
     bracket_vec,
     common_nullspace,
@@ -44,7 +45,8 @@ from .exactlin import (
 DEFAULT_GROUP_CAP = 100_000
 
 Monomial = tuple[int, ...]
-# {monomial: nonzero coefficient}: one polynomial
+# {monomial: nonzero coefficient}: one polynomial, or an integer multiple of
+# one with int coefficients
 Terms = dict[Monomial, Fraction]
 # {monomial: {monomial: coefficient}}: the image of each basis monomial
 Images = dict[Monomial, Terms]
@@ -90,7 +92,7 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
 
 
 def _accumulate(out: Terms, e: Monomial, x: Fraction) -> None:
-    v = out.get(e, _ZERO) + x
+    v = out.get(e, 0) + x
     if v:
         out[e] = v
     else:
@@ -99,7 +101,8 @@ def _accumulate(out: Terms, e: Monomial, x: Fraction) -> None:
 
 def _derive(rows: list, m: Monomial, c: Fraction, out: Terms) -> None:
     """Add c * D(x^m) to out, where rows[j] lists the nonzeros (i, D[j][i]):
-    D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i)."""
+    D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i).  Integer rows and an
+    integer c add ints."""
     for j, p in enumerate(m):
         if not p:
             continue
@@ -116,16 +119,21 @@ def _derive(rows: list, m: Monomial, c: Fraction, out: Terms) -> None:
 
 
 def _difference_operator(a: QMatrix) -> Operator:
-    """f -> f(ax) - f(x).  x^m(ax) is x^(m - e_i)(ax) times the linear form
-    (ax)_i, so each image of degree d costs one sparse product with an image
+    """f -> f(ax) - f(x), on integers.  With a = A / den for the integer
+    matrix A, x^m(ax) = x^m(Ax) / den^d in degree d, so the image of x^m is
+    taken as x^m(Ax) - den^d x^m: den^d times the true one, a scale all images
+    of one degree share.  x^m(Ax) is x^(m - e_i)(Ax) times the linear form
+    (Ax)_i, so each image of degree d costs one sparse product with an image
     of degree d - 1."""
     n = a.rows
-    forms = a.nonzero_rows
+    den, forms = a._integral_rows
     unit = (0,) * n
-    substituted = {unit: {unit: _ONE}}
+    substituted = {unit: {unit: 1}}
+    scale = 1  # den^d in degree d
 
     def images(monoms: list[Monomial]) -> Images:
-        nonlocal substituted
+        nonlocal substituted, scale
+        scale *= den
         nxt = {}
         out = {}
         for m in monoms:
@@ -140,7 +148,7 @@ def _difference_operator(a: QMatrix) -> Operator:
                     _accumulate(prod, tuple(up), c * x)
             nxt[m] = prod
             diff = dict(prod)
-            _accumulate(diff, m, -_ONE)
+            _accumulate(diff, m, -scale)
             out[m] = diff
         substituted = nxt
         return out
@@ -149,14 +157,15 @@ def _difference_operator(a: QMatrix) -> Operator:
 
 
 def _derivation_operator(xi: QMatrix) -> Operator:
-    """The derivation of the vector field x -> xi x, on exponents."""
-    rows = xi.nonzero_rows
+    """The derivation of the vector field x -> xi x, on exponents and on
+    integers: den(xi) times the true images."""
+    rows = xi._integral_rows[1]
 
     def images(monoms: list[Monomial]) -> Images:
         out = {}
         for m in monoms:
             out[m] = img = {}
-            _derive(rows, m, _ONE, img)
+            _derive(rows, m, 1, img)
         return out
 
     return images
@@ -374,10 +383,10 @@ class ConnectedLieAction:
         for g in self.lie_generators:
             if g.rows != self.dim or g.cols != self.dim:
                 raise ValueError("Lie generator shape mismatch")
-        engine = Subspace.from_vectors(
+        engine = Subspace._span(
             self.dim * self.dim, [g.vec() for g in self.lie_generators]
         )._engine
-        if not all(engine.contains(bracket_vec(a, b))
+        if not all(engine.contains(bracket_vec(a, b)[1])
                    for a, b in combinations(self.lie_generators, 2)):
             raise ValueError("generators are not closed under the bracket")
 
@@ -399,25 +408,36 @@ class ConnectedLieAction:
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction
 
 
+def _element_key(den: int, ints: dict[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The integer form (den, {index: int}) of a matrix, reduced by the gcd of
+    den and its entries, with its nonzeros sorted: one key per matrix."""
+    if den != 1:
+        g = gcd(den, *ints.values())
+        if g != 1:
+            den, ints = den // g, {k: x // g for k, x in ints.items()}
+    return den, tuple(sorted(ints.items()))
+
+
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     """Full element list by breadth-first closure; deterministic order.  Each
-    product is keyed by its sorted nonzeros, and a matrix is built only for a
-    new element, which must pass the trace test for finite order."""
+    product is keyed by its reduced integer form, and a matrix is built only
+    for a new element, which must pass the trace test for finite order."""
     if not isinstance(g, FiniteMatrixAction):
         raise TypeError("enumerate_group needs a finite matrix action")
     n = g.dim
     ident = QMatrix.identity(n)
-    seen = {tuple(sorted(product_vec(ident, ident).items())): ident}
+    seen = {_element_key(*product_vec(ident, ident)): ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for el in frontier:
             for gen in g.generators:
-                key = tuple(sorted(product_vec(el, gen).items()))
+                key = _element_key(*product_vec(el, gen))
                 if key not in seen:
+                    den, entries = key
                     rows = [[_ZERO] * n for _ in range(n)]
-                    for k, x in key:
-                        rows[k // n][k % n] = x
+                    for k, x in entries:
+                        rows[k // n][k % n] = Q(x, den)
                     prod = QMatrix._of(rows)
                     _check_trace(prod, "group not finite: an element", GroupNotFiniteError)
                     if len(seen) >= g.cap:
@@ -430,26 +450,28 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     return list(seen.values())
 
 
-def commutator_rows(a: QMatrix) -> list[dict]:
-    """Sparse rows {col: value} of X -> a X - X a on row-major vec(X).
+def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
+    """Integer rows {col: int} of X -> A X - X A on row-major vec(X), for the
+    integer form A = den a of a: den times the rows of X -> a X - X a.
 
-    Row (i, j) holds a[i][k] at column (k, j) and -a[k][j] at column (i, k):
+    Row (i, j) holds A[i][k] at column (k, j) and -A[k][j] at column (i, k):
     at most 2n entries.
     """
     n = a.rows
-    a_rows, a_cols = a.nonzero_rows, a.transpose().nonzero_rows
+    # a and its transpose share their entries, so their integer forms share den
+    a_rows, a_cols = a._integral_rows[1], a.transpose()._integral_rows[1]
     out = []
     for i in range(n):
         for j in range(n):
             row = {k * n + j: x for k, x in a_rows[i]}
             for k, x in a_cols[j]:
-                row[i * n + k] = row.get(i * n + k, _ZERO) - x
+                row[i * n + k] = row.get(i * n + k, 0) - x
             out.append(row)
     return out
 
 
-def invariance_constraints(g: GroupAction) -> list[dict]:
-    """Sparse rows on vec(End(V)) whose joint kernel is End(V)^H.
+def invariance_constraints(g: GroupAction) -> list[dict[int, int]]:
+    """Integer rows on vec(End(V)) whose joint kernel is End(V)^H.
 
     X commutes with the action exactly when it commutes with its generators.
     For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite

@@ -3,6 +3,7 @@ classification against the independent numeric splitting oracle, and verify's
 exact finite-group checks."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -145,9 +146,25 @@ def _center_as_common_kernel(a: MatrixAlgebra) -> Subspace:
     return Subspace.from_vectors(n * n, vecs)
 
 
+def _sheared(a: MatrixAlgebra) -> MatrixAlgebra:
+    """a on the basis b_k / (k + 2) + b_(k+1), the last b_k / (k + 2): a
+    triangular basis change after which the basis elements, and their
+    brackets, carry different denominators, and central elements are no
+    multiples of basis elements."""
+    b = a.basis
+    return MatrixAlgebra(a.ambient_dim, tuple(
+        b[k].scale(Fraction(1, k + 2)) + (b[k + 1] if k + 1 < len(b) else b[k].scale(0))
+        for k in range(len(b))
+    ))
+
+
 CENTER_CASES = (
     [pytest.param(lambda make=make: compute_commutant(make()), id=make.__name__)
      for make, *_ in FINITE_CASES]
+    + [pytest.param(lambda make=make: _sheared(compute_commutant(make())),
+                    id=make.__name__ + "-sheared")
+       for make, *_ in FINITE_CASES]
+    + [pytest.param(lambda: _sheared(cat.gl_n_c(2)), id="gl_n_c(2)-sheared")]
     + [pytest.param(lambda make=make, n=n: make(n), id="%s(%d)" % (make.__name__, n))
        for make in (cat.gl_n_r, cat.gl_n_c, cat.gl_n_h) for n in (1, 2, 3)]
     + [pytest.param(cat.upper_triangular_2x2, id="upper_triangular_2x2")]

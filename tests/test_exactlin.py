@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -175,12 +175,13 @@ class TestKernel:
     )))
     @settings(max_examples=100, deadline=None)
     def test_kernel_of_columns_matches_nullspace(self, shape):
-        # zero columns are frequent, and r = 0 has no rows at all
+        # zero columns are frequent, and r = 0 has no rows at all; the engine
+        # takes each row scaled to integers
         r, cols = shape
         sparse = [{i: Q(x) for i, x in enumerate(col) if x} for col in cols]
         dense = [[col[i] for col in cols] for i in range(r)] or [[0] * len(cols)]
         expected = nullspace(QMatrix.from_rows(dense))
-        assert kernel(len(cols), rows_of(sparse)) == expected
+        assert kernel(len(cols), map(_integral, rows_of(sparse))) == expected
         if r == 0:
             assert expected == Subspace.full(len(cols))
 
@@ -190,7 +191,7 @@ class TestKernel:
         def rows():
             for k in range(4):
                 read.append(k)
-                yield {k % 2: Q(1), 2: Q(k)}
+                yield {k % 2: 1, 2: k}
 
         assert kernel(2, rows()).dim == 0
         assert read == [0, 1]
@@ -205,7 +206,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_kernel_of_each_prefix(self, shape):
         c, groups = shape
-        sparse = [[{j: Q(x) for j, x in enumerate(row) if x} for row in g] for g in groups]
+        sparse = [[_integral(dict(enumerate(row))) for row in g] for g in groups]
         got = list(kernels(c, sparse))
         assert len(got) == len(groups)
         for i, ker in enumerate(got, 1):
@@ -215,7 +216,7 @@ class TestKernel:
         asked, read = [], []
 
         def group(k):
-            for row in ({k: Q(1)}, {0: Q(1), 1: Q(1)}):
+            for row in ({k: 1}, {0: 1, 1: 1}):
                 read.append(k)
                 yield row
 
@@ -350,15 +351,23 @@ class TestSparseRREF:
     @given(row_streams(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_oracle(self, stream, data):
+        # the engine takes each rational row as integers, times any nonzero
+        # integer: a row's scale does not change its span
         ncols, rows = stream
         engine, oracle = SparseRREF(ncols), FractionRREF(ncols)
+        scales = st.integers(-6, 6).filter(bool)
+
+        def ints(v):
+            k = data.draw(scales)
+            return {c: k * x for c, x in _integral(v).items()}
+
         for row in rows:
-            assert engine.insert(row) == oracle.insert(row)
+            assert engine.insert(ints(row)) == oracle.insert(row)
             assert engine.rank == len(oracle.rows)
             probe = {c: data.draw(small_rationals) for c in
                      data.draw(st.sets(st.integers(0, ncols - 1)))}
             for v in (row, probe):
-                assert engine.contains(v) == oracle.contains(v)
+                assert engine.contains(ints(v)) == oracle.contains(v)
             _engine_invariants_hold(engine)
         basis = engine.dense_basis()
         assert basis == oracle.dense_basis()
@@ -375,7 +384,8 @@ class TestSparseRREF:
         bounds = sorted(set(cuts) | {len(rows)})
         groups = [rows[a:b] for a, b in zip([0] + bounds, bounds)]
         oracle = FractionRREF(ncols)
-        for group, ker in zip(groups, kernels(ncols, groups), strict=True):
+        int_groups = [[_integral(row) for row in group] for group in groups]
+        for group, ker in zip(groups, kernels(ncols, int_groups), strict=True):
             for row in group:
                 oracle.insert(row)
             assert ker.basis == oracle.kernel_basis()
@@ -401,8 +411,8 @@ class TestSparseRREF:
         engine = SparseRREF(4)
         for row in ({0: Fraction(1, 2), 2: Fraction(-3, 4)}, {0: Fraction(2, 3), 1: 5},
                     {1: Fraction(7, 5), 2: 1, 3: Fraction(-1, 9)}, {0: 1, 2: Fraction(-3, 2)}):
-            engine.insert(row)
-            engine.contains({1: Fraction(1, 3), 3: 2})
+            engine.insert(_integral(row))
+            engine.contains(_integral({1: Fraction(1, 3), 3: 2}))
         assert made == [] and engine.rank == 3
         basis = engine.dense_basis()
         assert made and basis[0][0] == 1
@@ -421,6 +431,15 @@ class TestCoercion:
         assert all(_is_exact(a) for v in u.basis for a in v)
         # the values that elimination derived from x are plain too
         assert u.basis[0][2] == Fraction(-32, 9)
+
+
+def value(form):
+    """The value {index: rational} of an integer form (den, {index: int}),
+    which must hold plain nonzero ints over a positive den."""
+    den, ints = form
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in ints.values())
+    return {k: Fraction(c, den) for k, c in ints.items()}
 
 
 class TestProduct:
@@ -457,12 +476,17 @@ class TestProduct:
         def nonzeros(m):
             return {k: v for k, v in enumerate(m.vec()) if v}
 
-        assert product_vec(x, y) == nonzeros(x @ y)
-        assert bracket_vec(x, y) == nonzeros(x @ y - y @ x)
+        assert value(product_vec(x, y)) == nonzeros(x @ y)
+        assert value(bracket_vec(x, y)) == nonzeros(x @ y - y @ x)
         assert len(x.nonzero_rows) == x.rows
         listed = {(i, j): v for i, row in enumerate(x.nonzero_rows) for j, v in row}
         assert listed == {(i, j): v for i, row in enumerate(x.entries)
                           for j, v in enumerate(row) if v}
+
+    @staticmethod
+    def denominator(m):
+        """The lcm of the denominators of m's entries."""
+        return lcm(*(x.denominator for x in m.vec()))
 
     @staticmethod
     def dense_product(x, y):
@@ -490,9 +514,13 @@ class TestProduct:
         got = [product_vec(x, y), bracket_vec(a, b)]
         ab, ba = self.dense_product(a, b), self.dense_product(b, a)
         bracket = {k: ab.get(k, 0) - ba.get(k, 0) for k in set(ab) | set(ba)}
-        assert got == [self.dense_product(x, y), {k: v for k, v in bracket.items() if v}]
-        # enumerate_group hashes these values as group-element keys
-        assert all(_is_exact(v) for out in got for v in out.values())
+        assert list(map(value, got)) == [
+            self.dense_product(x, y), {k: v for k, v in bracket.items() if v}
+        ]
+        # the integer form's den is the product of the two matrices' own
+        assert [den for den, _ in got] == [
+            self.denominator(x) * self.denominator(y), self.denominator(a) * self.denominator(b)
+        ]
 
 
 class TestSubspace:

@@ -636,7 +636,12 @@ KNOWN_KEYS = {
     "isotropy_lie", "quotient", "kind", "weights", "dim", "generators",
     "structure_constants", "h_basis", "automorphisms", "derivations",
 }
-KEY_CHARS = string.ascii_letters + string.digits + "_"
+# unknown keys: letters, digits and underscore, control characters and the
+# other characters that split a line
+key_chars = (
+    st.sampled_from(string.ascii_letters + string.digits + "_")
+    | st.characters(whitelist_categories=("Cc", "Zl", "Zp"))
+)
 floats = st.floats(allow_nan=False, allow_infinity=False)
 # a float is valid nowhere in a document: rationals are ints or 'p/q' strings,
 # and a float is no object, array, string, boolean or integer option
@@ -656,10 +661,14 @@ def _nodes(doc, path=()):
 
 
 def _where(path) -> str:
-    """The location an input error names for the node at path."""
+    """The location an input error names for the node at path: a key as a
+    JSON string shows it, without the quotes."""
     out = ""
     for key in path:
-        out += "[%d]" % key if isinstance(key, int) else ("." if out else "") + key
+        if isinstance(key, int):
+            out += "[%d]" % key
+        else:
+            out += ("." if out else "") + json.dumps(key)[1:-1]
     return out or "top level"
 
 
@@ -688,7 +697,7 @@ def malformed_documents(draw):
         path, _ = draw(st.sampled_from(nodes))
         return json.dumps(_replaced(doc, path, draw(misplaced))), path
     path, obj = draw(st.sampled_from([(p, n) for p, n in nodes if isinstance(n, dict)]))
-    key = draw(st.text(KEY_CHARS, min_size=1, max_size=6).filter(lambda k: k not in KNOWN_KEYS))
+    key = draw(st.text(key_chars, min_size=1, max_size=6).filter(lambda k: k not in KNOWN_KEYS))
     return json.dumps(_replaced(doc, path, {**obj, key: 0})), path + (key,)
 
 

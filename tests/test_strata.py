@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_commutant import FINITE_CASES
 
 from equivab import catalog as cat
 from equivab import strata, symmetry
 from equivab.commutant import classify_ml, commutant_structure, compute_commutant
-from equivab.exactlin import QMatrix, Subspace
+from equivab.exactlin import QMatrix, Subspace, nullspace
 from equivab.strata import (
     DegreeBoundTooLarge,
     Poly,
@@ -21,7 +23,13 @@ from equivab.strata import (
     kernel_s,
     quotient_abelianization,
 )
-from equivab.symmetry import TorusAction, enumerate_group, monomials_of_degree
+from equivab.symmetry import (
+    ConnectedLieAction,
+    FiniteMatrixAction,
+    TorusAction,
+    enumerate_group,
+    monomials_of_degree,
+)
 
 # ---------------------------------------------------------------------------
 # test-local polynomial arithmetic: the oracles below are built from these,
@@ -168,6 +176,12 @@ class TestDerivationAction:
         lhs = derivation_action(d, mul(f, g))
         rhs = add(mul(derivation_action(d, f), g), mul(f, derivation_action(d, g)))
         assert lhs == rhs
+
+
+def ray(f):
+    """f up to scale: f over its coefficient at its least monomial."""
+    lead = f.terms[min(f.terms)]
+    return tuple(sorted((e, Fraction(c) / lead) for e, c in f.terms.items()))
 
 
 def dim_in_degree(inv, d):
@@ -437,14 +451,18 @@ class TestKernelsAtDegrees:
 
     @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
     def test_each_invariant_derived_once_per_central_element(self, make, d, monkeypatch):
-        # one pass to d + 1 derives what kernel_s at d + 1 alone derives
+        # one pass to d + 1 derives what kernel_s at d + 1 alone derives; a
+        # call derives an integer multiple of an invariant, counted as a call
+        # for that source invariant
         g = make()
         z = commutant_structure(compute_commutant(g)).center
         inv = tuple(invariants_up_to_degree(g, d + 1))
+        source = {ray(f): i for i, f in enumerate(all_polys(inv))}
         calls = []
 
         def counted(dm, f):
-            calls.append(id(f))
+            assert all(type(c) is int for c in f.terms.values())
+            calls.append(source[ray(f)])
             return derivation_action(dm, f)
 
         monkeypatch.setattr(strata, "derivation_action", counted)
@@ -493,3 +511,184 @@ class TestQuotient:
         res = kernel_s(g, z, degree=3)
         q = quotient_abelianization(z, res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (0, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer invariant operators against Fraction ones, with denominators:
+# the operators and the derivation as they were written on Fractions, kept
+# here as the oracle
+
+
+def fraction_accumulate(out, e, x):
+    v = out.get(e, Fraction(0)) + x
+    if v:
+        out[e] = v
+    else:
+        del out[e]
+
+
+def fraction_derive(d, m, c, out):
+    """Add c * D(x^m) to out, in Fractions from the entries of D."""
+    for j, p in enumerate(m):
+        for i, x in enumerate(d.entries[j]):
+            if p and x:
+                e = list(m)
+                e[j] -= 1
+                e[i] += 1
+                fraction_accumulate(out, tuple(e), c * p * x)
+
+
+def fraction_difference_operator(a):
+    """f -> f(ax) - f(x) in Fractions, degree by degree."""
+    n = a.rows
+    unit = (0,) * n
+    substituted = {unit: {unit: Fraction(1)}}
+
+    def images(monoms):
+        nonlocal substituted
+        nxt, out = {}, {}
+        for m in monoms:
+            i = next(k for k, p in enumerate(m) if p)
+            lower = list(m)
+            lower[i] -= 1
+            prod = {}
+            for e, c in substituted[tuple(lower)].items():
+                for j, x in enumerate(a.entries[i]):
+                    if x:
+                        up = list(e)
+                        up[j] += 1
+                        fraction_accumulate(prod, tuple(up), c * x)
+            nxt[m] = prod
+            out[m] = diff = dict(prod)
+            fraction_accumulate(diff, m, Fraction(-1))
+        substituted = nxt
+        return out
+
+    return images
+
+
+def fraction_derivation_operator(xi):
+    def images(monoms):
+        out = {}
+        for m in monoms:
+            out[m] = img = {}
+            fraction_derive(xi, m, Fraction(1), img)
+        return out
+
+    return images
+
+
+def fraction_derivation_action(d, f):
+    out = {}
+    for m, c in f.terms.items():
+        fraction_derive(d, m, c, out)
+    return Poly(f.nvars, out)
+
+
+def fraction_invariants(g, operator, generators, degree):
+    """Per degree, the common kernel of the Fraction images, by `nullspace`
+    of the stacked dense matrix (row: monomial of an image; column: monomial)."""
+    operators = [operator(a) for a in generators]
+    for d in range(1, degree + 1):
+        monoms = monomials_of_degree(g.dim, d)
+        index = {m: i for i, m in enumerate(monoms)}
+        rows = []
+        for images in (op(monoms) for op in operators):
+            block = [[0] * len(monoms) for _ in monoms]
+            for col, m in enumerate(monoms):
+                for e, x in images[m].items():
+                    block[index[e]][col] = x
+            rows += block
+        ker = nullspace(QMatrix.from_rows(rows)) if rows else Subspace.full(len(monoms))
+        yield [{m: x for m, x in zip(monoms, v) if x} for v in ker.basis]
+
+
+def fraction_kernel_s(g, z, invariants):
+    """The central elements whose Fraction derivation kills every invariant."""
+    n = g.dim
+    mats = [QMatrix.from_rows(v[i:i + n] for i in range(0, n * n, n)) for v in z.basis]
+    rows = []
+    for terms in invariants:
+        images = [fraction_derivation_action(dm, Poly(n, terms)).terms for dm in mats]
+        for e in sorted(set().union(*images)):
+            rows.append([img.get(e, 0) for img in images])
+    coords = nullspace(QMatrix.from_rows(rows)) if rows else Subspace.full(len(mats))
+    vecs = [[sum((c * v[i] for c, v in zip(coef, z.basis)), Fraction(0)) for i in range(n * n)]
+            for coef in coords.basis]
+    return Subspace.from_vectors(n * n, vecs)
+
+
+def conjugated(g, p, p_inv):
+    """The action with generators p a p^-1: the same group in another basis."""
+    if isinstance(g, FiniteMatrixAction):
+        return FiniteMatrixAction(g.dim, tuple(p @ a @ p_inv for a in g.generators))
+    return ConnectedLieAction(g.dim, tuple(p @ a @ p_inv for a in g.action_generators()))
+
+
+# (action, highest degree compared); the circle acts through its generator
+OPERATOR_CASES = [
+    (cat.c3_rotation, 4), (cat.c4_rotation, 4), (cat.d4_on_r2, 3), (cat.s3_standard, 4),
+    (cat.s3_standard_plus_sign, 3), (cat.c2_x_c2, 4), (cat.su2_on_c2, 2),
+    (lambda: ConnectedLieAction(4, TorusAction(((1, 2),)).action_generators()), 3),
+]
+basis_scales = st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2, 3)])
+shears = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 4)])
+
+
+@st.composite
+def basis_changes(draw, n):
+    """(p, p^-1) for p = l diag(s): l unit lower triangular with l[1][0] != 0,
+    s_0 = 1 and the other scales no units, so that conjugates carry
+    denominators."""
+    scales = [Fraction(1)] + [draw(basis_scales) for _ in range(n - 1)]
+    rows = [[draw(shears) if j < i else Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    rows[1][0] = draw(shears.filter(bool))
+    p = QMatrix.from_rows([[x * scales[j] for j, x in enumerate(row)] for row in rows])
+    inverse = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                            for row in p.entries]).inv()
+    p_inv = QMatrix.from_rows([[str(inverse[i, j]) for j in range(n)] for i in range(n)])
+    return p, p_inv
+
+
+class TestIntegerOperatorsMatchFractionOracle:
+    @pytest.mark.parametrize("make, degree", OPERATOR_CASES,
+                             ids=[str(i) for i in range(len(OPERATOR_CASES))])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_invariants_and_kernel_under_a_rational_basis_change(self, make, degree, data):
+        base = make()
+        p, p_inv = data.draw(basis_changes(base.dim))
+        g = conjugated(base, p, p_inv)
+        generators = g.action_generators()
+        assume(any(a._integral_rows[0] > 1 for a in generators))
+        finite = isinstance(g, FiniteMatrixAction)
+        integer_op = symmetry._difference_operator if finite else symmetry._derivation_operator
+        fraction_op = fraction_difference_operator if finite else fraction_derivation_operator
+
+        # each integer image is the Fraction one times den^d for a difference,
+        # den for a derivation
+        for a in generators:
+            den = a._integral_rows[0]
+            ints, fracs = integer_op(a), fraction_op(a)
+            for d in range(1, degree + 1):
+                monoms = monomials_of_degree(g.dim, d)
+                scale_d = den**d if finite else den
+                got, want = ints(monoms), fracs(monoms)
+                assert all(type(x) is int for img in got.values() for x in img.values())
+                assert got == {m: {e: scale_d * x for e, x in img.items()}
+                               for m, img in want.items()}
+
+        # the same invariant bases, and the same kernel s at every degree
+        inv = tuple(invariants_up_to_degree(g, degree))
+        oracle = list(fraction_invariants(g, fraction_op, generators, degree))
+        assert [[f.terms for f in basis] for basis in inv] == oracle
+        z = commutant_structure(compute_commutant(g)).center
+        for d in range(1, degree + 1):
+            flat = [terms for basis in oracle[:d] for terms in basis]
+            assert kernel_s(g, z, d, inv[:d]).s_basis == fraction_kernel_s(g, z, flat)
+
+        # a rational D on a rational f: the exact derivative
+        for dm in generators:
+            for f in all_polys(inv):
+                assert derivation_action(dm, f) == fraction_derivation_action(dm, f)

@@ -78,6 +78,22 @@ class TestEnumeration:
         assert elements == dense_key_enumeration(g)
         assert len(elements) == 12
 
+    @pytest.mark.parametrize("make", FINITE_GROUPS)
+    def test_conjugated_group_enumerates_the_conjugates(self, make):
+        # in a rational basis that is not unimodular, products reach one
+        # element with different denominators: its key must not depend on them
+        g = make()
+        n = g.dim
+        # [[1, 1/2], [0, 2]] on the first two coordinates, or [2] on R
+        block, block_inv = ([[1, "1/2"], [0, 2]], [[1, "-1/4"], [0, "1/2"]]) if n > 1 \
+            else ([[2]], [["1/2"]])
+        p, p_inv = (QMatrix.from_rows([[b[i][j] if max(i, j) < len(b) else int(i == j)
+                                        for j in range(n)] for i in range(n)])
+                    for b in (block, block_inv))
+        assert p @ p_inv == QMatrix.identity(n)
+        conj = FiniteMatrixAction(n, tuple(p @ a @ p_inv for a in g.generators))
+        assert enumerate_group(conj) == [p @ el @ p_inv for el in enumerate_group(g)]
+
     def test_cap_error_message(self):
         g = dataclasses.replace(cat.q8_on_r4(), cap=5)
         with pytest.raises(GroupNotFiniteError) as err:
@@ -178,10 +194,18 @@ class TestKroneckerConventions:
     @given(small_squares)
     @settings(max_examples=60, deadline=None)
     def test_commutator_operator_matches_kron(self, a):
+        # the rows are integers, equal to the operator up to one positive
+        # scale shared by all of them
         ident = QMatrix.identity(a.rows)
         n = a.rows
         expected = kron(a, ident) - kron(ident, a.transpose())
-        assert dense(commutator_rows(a), n * n) == expected
+        rows = commutator_rows(a)
+        assert all(type(x) is int for row in rows for x in row.values())
+        got = dense(rows, n * n)
+        ratios = {x / y for x, y in zip(got.vec(), expected.vec()) if y}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+        scale = ratios.pop() if ratios else 1
+        assert got == expected.scale(scale)
 
 
 class TestFixedVectors:
