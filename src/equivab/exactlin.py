@@ -649,32 +649,26 @@ class QPolynomial:
 def minimal_polynomial(m: QMatrix) -> QPolynomial:
     """Monic least-degree p with p(M) = 0, via the first Krylov dependence.
 
-    With M = A / den for the integer matrix A, one elimination holds the rows
-    [vec(A^j) | den^j e_j] = den^j [vec(M^j) | e_j] for j < k; a row's scale
-    leaves the dependence unchanged.  Reducing the row of k against them
-    leaves a row whose vec part is zero at the first dependence, sum p_j
-    vec(M^j) = 0: its e part then holds the coefficients p_j of p."""
+    One elimination holds the rows [vec(M^j) | e_j] for j < k.  Reducing
+    [vec(M^k) | e_k] against them leaves [vec(M^k) - sum c_j vec(M^j) |
+    e_k - sum c_j e_j], whose vec part is zero at the first dependence: the
+    e part then holds the coefficients of p."""
     n = m.rows
     if n != m.cols:
         raise ValueError("minimal polynomial of non-square matrix")
     nn = n * n
-    den, a_rows = m._integral_rows
     engine = SparseRREF(nn + n + 1)
-    power = {i * n + i: 1 for i in range(n)}  # vec(A^k), zeros dropped
+    power = QMatrix.identity(n)
     for k in range(n + 1):
-        engine.insert({**power, nn + k: den**k})
+        row = dict(_nonzeros(power.vec()))
+        row[nn + k] = _ONE
+        engine.insert(_integral(row))
         # rows are ordered by pivot, and only a zero vec part puts one at nn
         # or past it
         pc, coeffs = engine.read(-1, range(nn, nn + k + 1))
         if pc >= nn:
             return QPolynomial(tuple(c / coeffs[-1] for c in coeffs))
-        # entry (i, j) of A^k, at key = i n + j, adds x A[j][col] at (i, col)
-        nxt: dict[int, int] = {}
-        for key, x in power.items():
-            j = key % n
-            for col, y in a_rows[j]:
-                nxt[key - j + col] = nxt.get(key - j + col, 0) + x * y
-        power = {key: x for key, x in nxt.items() if x}
+        power = power @ m
     raise AssertionError("no minimal polynomial found below n+1")
 
 

@@ -194,18 +194,14 @@ class TestKroneckerConventions:
     @given(small_squares)
     @settings(max_examples=60, deadline=None)
     def test_commutator_operator_matches_kron(self, a):
-        # the rows are integers, equal to the operator up to one positive
-        # scale shared by all of them
+        # the rows are integers: the operator times the lcm of a's denominators
         ident = QMatrix.identity(a.rows)
         n = a.rows
         expected = kron(a, ident) - kron(ident, a.transpose())
         rows = commutator_rows(a)
         assert all(type(x) is int for row in rows for x in row.values())
-        got = dense(rows, n * n)
-        ratios = {x / y for x, y in zip(got.vec(), expected.vec()) if y}
-        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-        scale = ratios.pop() if ratios else 1
-        assert got == expected.scale(scale)
+        den = a._integral_rows[0]
+        assert dense(rows, n * n) == expected.scale(den)
 
 
 class TestFixedVectors:
