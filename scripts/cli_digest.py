@@ -16,6 +16,9 @@ so a refactor is checked by running this same script in a copy of the parent
 commit and in the change:
 
     python3 scripts/cli_digest.py
+
+The digests of the current output are pinned in `scripts/cli_digest.txt`,
+which `tests/test_scripts.py` compares with this script's output.
 """
 
 from __future__ import annotations

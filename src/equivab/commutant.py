@@ -17,12 +17,9 @@ from functools import cached_property
 from math import lcm
 
 from .exactlin import (
-    _ZERO,
+    Q,
     QMatrix,
     Subspace,
-    _combine,
-    _nonzeros,
-    _sparse,
     bracket_vec,
     count_real_roots,
     inertia,
@@ -30,6 +27,7 @@ from .exactlin import (
     minimal_polynomial,
     product_vec,
     rows_of,
+    trace_form,
 )
 from .symmetry import (
     FiniteMatrixAction,
@@ -46,27 +44,23 @@ class MatrixAlgebra:
 
     def __post_init__(self):
         n = self.ambient_dim
-        span = self.span()
-        if span.dim != len(self.basis):
+        if self.span.dim != len(self.basis):
             raise ValueError("algebra basis is linearly dependent")
-        engine, basis = span._engine, self.basis
+        engine, basis = self.span._engine(), self.basis
         if not all(engine.contains(product_vec(x, y)[1]) for x in basis for y in basis):
             raise ValueError("basis is not closed under multiplication")
-        if not span.contains(QMatrix.identity(n).vec()):
+        if not engine.contains(QMatrix.identity(n).int_vec()):
             raise ValueError("identity not in algebra span")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def span(self) -> Subspace:
-        return self._span
-
     @cached_property
-    def _span(self) -> Subspace:
-        """The span of the basis, built once per algebra."""
+    def span(self) -> Subspace:
+        """The span of the basis in vec(End(V)), built once per algebra."""
         n = self.ambient_dim
-        return Subspace._span(n * n, [b.vec() for b in self.basis])
+        return Subspace._span(n * n, (b.int_vec() for b in self.basis))
 
 
 @dataclass(frozen=True)
@@ -88,43 +82,35 @@ class MLClassification:
 
 
 def compute_commutant(g: GroupAction) -> MatrixAlgebra:
-    """Basis of {X : X commutes with the action}, as a MatrixAlgebra."""
+    """Basis of {X : X commutes with the action}, as a MatrixAlgebra: the
+    integer rows of the kernel."""
     n = g.dim
     sol = kernel(n * n, invariance_constraints(g))
-    return MatrixAlgebra(n, tuple(_square(v, n) for v in sol.basis))
-
-
-def _square(v, n: int) -> QMatrix:
-    """The n x n matrix whose row-major flattening is the exact vector v."""
-    return QMatrix._of(v[i : i + n] for i in range(0, n * n, n))
+    return MatrixAlgebra(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows))
 
 
 def center(a: MatrixAlgebra) -> Subspace:
     """Center of A as a subspace of vec(End(V))."""
     n = a.ambient_dim
-    # mats spans the centralizer in A of the basis elements seen so far, vecs
-    # holds their flattenings; each basis element b keeps the combinations
-    # commuting with b
-    mats, vecs = a.basis, [b.vec() for b in a.basis]
+    # the integer vectors vecs span the centralizer in A of the basis elements
+    # seen so far, and mats holds them as matrices; each basis element b keeps
+    # the combinations commuting with b
+    vecs = [b.int_vec() for b in a.basis]
+    mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]
     for b in a.basis:
-        brackets = [bracket_vec(x, b) for x in mats]
-        if not any(ints for _, ints in brackets):
+        # every bracket [x, b] is over den(b), since each x is integral
+        brackets = [bracket_vec(x, b)[1] for x in mats]
+        if not any(brackets):
             continue
-        # the combinations of the x whose bracket with b vanishes: the
-        # brackets' integer forms go over one common denominator
-        common = lcm(*(den for den, _ in brackets))
-        columns = [ints if den == common else {k: c * (common // den) for k, c in ints.items()}
-                   for den, ints in brackets]
-        coords = kernel(len(brackets), rows_of(columns))
-        vecs = _combine(coords.basis, vecs, n * n)
-        mats = [_square(v, n) for v in vecs]
+        vecs = kernel(len(brackets), rows_of(brackets)).combinations(vecs)
+        mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]
     return Subspace._span(n * n, vecs)
 
 
 def commutator_ideal(a: MatrixAlgebra) -> Subspace:
     """Span of all brackets of basis elements (= [A, A] by bilinearity)."""
     n = a.ambient_dim
-    return Subspace._span_sparse(
+    return Subspace._span(
         n * n, (bracket_vec(x, y)[1] for x, y in itertools.combinations(a.basis, 2))
     )
 
@@ -147,11 +133,11 @@ def commutant_structure(a: MatrixAlgebra) -> CommutantStructure:
 def abelianization(s: CommutantStructure) -> tuple[int, list[QMatrix]]:
     """(dimension, representative basis) of A / [A, A]."""
     a = s.algebra
-    reps = s.derived.complement_in(a.span())
+    reps = s.derived.complement_in(a.span)
     dim = a.dim - s.derived.dim
     assert dim == len(reps)
     n = a.ambient_dim
-    return dim, [_square(v, n) for v in reps]
+    return dim, [QMatrix.from_rows(v[i : i + n] for i in range(0, n * n, n)) for v in reps]
 
 
 @dataclass(frozen=True)
@@ -205,13 +191,8 @@ def classify_ml(s: CommutantStructure) -> MLClassification:
     positively: a real factor gives one positive square, a complex one
     a^2 - b^2, one of each sign.  A zero square means Z(A) is not semisimple.
     """
-    z, n = s.center, s.algebra.ambient_dim
-    # tr(XY) is the sum of X_ab Y_ba over the nonzeros X_ab of flattened X
-    gram = QMatrix._of(
-        [sum((x * w[(k % n) * n + k // n] for k, x in xs), _ZERO) for w in z.basis]
-        for xs in map(_nonzeros, z.basis)
-    )
-    pos, neg, zero = inertia(gram)
+    z = s.center
+    pos, neg, zero = inertia(trace_form(z, s.algebra.ambient_dim))
     if zero:
         raise ValueError("the trace form on the center is degenerate "
                          "(%d zero squares): Z(A) is not semisimple" % zero)
@@ -230,11 +211,19 @@ def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
     constant term, at most d - 1 positive; so some t <= 2 + (d-1) d(d-1)/2
     is generic.
     """
-    n, d = s.algebra.ambient_dim, s.center.dim
+    n, rows = s.algebra.ambient_dim, s.center.rows
+    d = len(rows)
+    # the basis element z_i is the integer row i over its pivot: z(t) is the
+    # integer vector sum of t^i (den / pivot_i) row_i over den, the lcm of the pivots
+    den = lcm(*(pivot for _, pivot, _ in rows))
     last = 2 + (d - 1) * d * (d - 1) // 2
     for t in range(2, last + 1):
-        (vec,) = _combine([[t**i for i in range(1, d + 1)]], s.center.basis, n * n)
-        p = minimal_polynomial(_square(vec, n))
+        vec: dict[int, int] = {}
+        for i, (_, pivot, row) in enumerate(rows, 1):
+            c = t**i * (den // pivot)
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) + c * x
+        p = minimal_polynomial(QMatrix._of(den, vec.items(), n, n))
         if p.degree == d:
             break
     else:
@@ -264,13 +253,14 @@ def schur_split_oracle(
     """
     a, z, n = structure.algebra, structure.center, g.dim
     elements = g.elements
-    group_span = Subspace._span_sparse(n * n, (_sparse(el.vec()) for el in elements))
-    meet = a.dim + group_span.dim - a.span().sum(group_span).dim
+    group_span = Subspace._span(n * n, (el.int_vec() for el in elements))
+    meet = a.dim + group_span.dim - a.span.sum(group_span).dim
     inside = group_span.contains_subspace(z)
     center_detail = "dim Z(A) = %d, dim A meet span G = %d" % (z.dim, meet)
     if not inside:
         center_detail += ", Z(A) not in span G"
-    traces = [sum(el.entries[i][i] for i in range(n)) for el in elements]
-    norm = sum((t * t for t in traces), _ZERO) / len(traces)
+    # every element passed the trace test for finite order: its trace is an integer
+    traces = [el.int_trace() // el.den for el in elements]
+    norm = Q(sum(t * t for t in traces), len(traces))
     dim_detail = "dim A = %d, (1/|G|) sum tr(g)^2 = %s" % (a.dim, norm)
     return (inside and meet == z.dim, center_detail), (norm == a.dim, dim_detail)

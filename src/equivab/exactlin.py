@@ -1,17 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one representation: integers
+over a denominator.
 
-Values are exact rationals (`Q`: ``gmpy2.mpq`` when installed, else
-:class:`fractions.Fraction`), so there are no tolerances anywhere: ranks,
-kernels, inertia and root counts are exact.  Elimination and sparse matrix
-products run on Python ints.  The engine (`SparseRREF`, `kernel`, `kernels`,
-`Subspace._span_sparse`) takes integer rows {col: int}; a rational row enters
-it through `_sparse` or `_integral`, which scale it by the lcm of its
-denominators, once, at the boundary.  A matrix lists its integer rows once
-(`QMatrix._integral_rows`), and `product_vec` / `bracket_vec` return the
-integer form (den, {index: int}) of a product.  Span, membership and zero
-tests ignore scale, so callers read those ints directly, and a rational is
-formed only where a basis, a solution or a value is read.  All objects are
-immutable; all functions are pure.
+A `QMatrix` stores (den, sparse integer rows), den the least denominator; a
+`Subspace` stores the rows of its canonical basis as the engine holds them,
+each RREF row times its pivot.  Elimination (`SparseRREF`), sparse products
+and every subspace operation run on those Python ints; span, membership and
+zero tests ignore scale, so callers pass the rows on as they are.  A rational
+row enters once, through `_integral`.  A rational (`Q`: ``gmpy2.mpq`` when
+installed, else :class:`fractions.Fraction`) is formed only where a value is
+read: `QMatrix.entries`, `Subspace.basis`, a solution, a polynomial.  There
+are no tolerances: ranks, kernels, inertia and root counts are exact.  All
+objects are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ except ImportError:  # pragma: no cover
 
 _RATIONAL = (type(Q(0)), Fraction, int)
 _ZERO = Q(0)
-_ONE = Q(1)
 
 
 def _q(x):
@@ -49,119 +47,116 @@ def _q(x):
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Immutable matrix with exact rational entries."""
+    """Immutable matrix with exact rational entries, stored as the integer
+    rows of den * self over den, the lcm of the entries' denominators: so
+    equal matrices are equal records."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    den: int
+    # the nonzeros (column, int) of each row of den * self, by column
+    int_rows: tuple[tuple[tuple[int, int], ...], ...]
+    cols: int
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "QMatrix":
-        return QMatrix._of(tuple(_q(x) for x in row) for row in rows)
+        data = [[_q(x) for x in row] for row in rows]
+        cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError("ragged rows")
+        den = lcm(*(int(x.denominator) for row in data for x in row))
+        return QMatrix(den, tuple(
+            tuple((j, int(x.numerator) * (den // int(x.denominator)))
+                  for j, x in enumerate(row) if x)
+            for row in data
+        ), cols)
 
     @staticmethod
-    def _of(rows: Iterable[Iterable[Fraction]]) -> "QMatrix":
-        """Matrix from rows whose entries are already exact: no coercion."""
-        data = tuple(tuple(row) for row in rows)
-        if data:
-            w = len(data[0])
-            if any(len(r) != w for r in data):
-                raise ValueError("ragged rows")
-        return QMatrix(data)
+    def _of(den: int, entries: Iterable[tuple[int, int]], rows: int, cols: int) -> "QMatrix":
+        """The rows x cols matrix holding x / den (den > 0) at each row-major
+        index k of the integer entries (k, x), given in any order, zeros
+        allowed: den and the ints divided by their gcd."""
+        entries = sorted((k, x) for k, x in entries if x)
+        g = gcd(den, *(x for _, x in entries))
+        grid: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+        for k, x in entries:
+            grid[k // cols].append((k % cols, x // g))
+        return QMatrix(den // g, tuple(map(tuple, grid)), cols)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-        )
+        return QMatrix(1, tuple(((i, 1),) for i in range(n)), n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(tuple((_ZERO,) * cols for _ in range(rows)))
+        return QMatrix(1, ((),) * rows, cols)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.int_rows)
 
     @cached_property
-    def nonzero_rows(self) -> tuple[list[tuple[int, Fraction]], ...]:
-        """The (column, value) nonzeros of each row, listed once per matrix:
-        most matrices here are sparse."""
-        return tuple(map(_nonzeros, self.entries))
-
-    @cached_property
-    def _integral_rows(self) -> tuple[int, tuple[list[tuple[int, int]], ...]]:
-        """(den, rows): the nonzero rows of den * self as (column, int), where
-        den is the lcm of the entries' denominators."""
-        rows = self.nonzero_rows
-        den = lcm(*(int(x.denominator) for row in rows for _, x in row))
-        return den, tuple(
-            [(j, int(x.numerator) * (den // int(x.denominator))) for j, x in row]
-            for row in rows
-        )
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            tuple(
-                tuple((a + b) if b else a for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(
-            tuple(
-                tuple((a - b) if b else a for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def scale(self, c) -> "QMatrix":
-        c = _q(c)
-        return QMatrix(tuple(tuple(c * a for a in r) for r in self.entries))
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        brows = other.nonzero_rows
-        out_cols = other.cols
-        out = []
-        for row in self.entries:
-            acc = [_ZERO] * out_cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in brows[k]:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return QMatrix(tuple(out))
-
-    def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise ValueError("shape mismatch in matrix-vector product")
-        out = []
-        for row in self.entries:
-            acc = _ZERO
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rational rows, formed on first read."""
+        return tuple(_dense(self.cols, row, self.den) for row in self.int_rows)
 
     def vec(self) -> tuple[Fraction, ...]:
         """Row-major flattening."""
         return tuple(chain.from_iterable(self.entries))
 
+    def int_vec(self) -> dict[int, int]:
+        """Row-major flattening of den * self as {index: int}, zeros dropped."""
+        w = self.cols
+        return {i * w + j: x for i, row in enumerate(self.int_rows) for j, x in row}
 
-def _nonzeros(v: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(j, x) for j, x in enumerate(v) if x]
+    def int_trace(self) -> int:
+        """The trace of den * self."""
+        return sum(x for i, row in enumerate(self.int_rows) for j, x in row if j == i)
+
+    def transpose(self) -> "QMatrix":
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.int_rows):
+            for j, x in row:
+                cols[j].append((i, x))
+        return QMatrix(self.den, tuple(map(tuple, cols)), self.rows)
+
+    def _plus(self, other: "QMatrix", sign: int) -> "QMatrix":
+        """self + sign * other, over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {k: a * x for k, x in self.int_vec().items()}
+        for k, x in other.int_vec().items():
+            out[k] = out.get(k, 0) + b * x
+        return QMatrix._of(den, out.items(), self.rows, self.cols)
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(other, -1)
+
+    def scale(self, c) -> "QMatrix":
+        c = _q(c)
+        num, den = int(c.numerator), self.den * int(c.denominator)
+        entries = ((k, num * x) for k, x in self.int_vec().items())
+        return QMatrix._of(den, entries, self.rows, self.cols)
+
+    def __matmul__(self, other: "QMatrix") -> "QMatrix":
+        out = _integral_product(self, other)
+        return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
+
+    def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        if self.cols != len(v):
+            raise ValueError("shape mismatch in matrix-vector product")
+        out = []
+        for row in self.int_rows:
+            acc = _ZERO
+            for j, a in row:
+                if v[j]:
+                    acc = acc + a * v[j]
+            out.append(acc / self.den if self.den != 1 else acc)
+        return tuple(out)
+
+    def is_zero(self) -> bool:
+        return not any(self.int_rows)
 
 
 def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
@@ -170,8 +165,8 @@ def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
     if x.cols != y.rows:
         raise ValueError("shape mismatch in matrix product")
     out: dict[int, int] = {}
-    w, y_rows = y.cols, y._integral_rows[1]
-    for i, row in enumerate(x._integral_rows[1]):
+    w, y_rows = y.cols, y.int_rows
+    for i, row in enumerate(x.int_rows):
         base = i * w
         for k, a in row:
             for j, b in y_rows[k]:
@@ -180,16 +175,11 @@ def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
     return out
 
 
-def _integral_form(out: dict[int, int], x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
-    """(den, nonzeros) of an integral product of X and Y: den is the product
-    of their denominators."""
-    return x._integral_rows[0] * y._integral_rows[0], {k: c for k, c in out.items() if c}
-
-
 def product_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
     """vec(XY) in integer form (den, {index: int}), zeros dropped: its value
-    is the ints over den.  From the integer rows of X and Y."""
-    return _integral_form(_integral_product(x, y), x, y)
+    is the ints over den, the product of the denominators of X and Y."""
+    out = _integral_product(x, y)
+    return x.den * y.den, {k: c for k, c in out.items() if c}
 
 
 def bracket_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
@@ -197,29 +187,7 @@ def bracket_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
     out = _integral_product(x, y)
     for key, b in _integral_product(y, x).items():
         out[key] = out.get(key, 0) - b
-    return _integral_form(out, x, y)
-
-
-def _combine(
-    coeffs: Iterable[Sequence[Fraction]], basis: Sequence[Sequence[Fraction]], ambient: int
-) -> list[list[Fraction]]:
-    """The vector sum_i c_i basis_i for each coefficient row c, skipping zeros."""
-    sparse_basis = [_nonzeros(b) for b in basis]
-    out = []
-    for coef in coeffs:
-        v = [_ZERO] * ambient
-        for c, b in zip(coef, sparse_basis):
-            if c:
-                for j, x in b:
-                    v[j] += c * x
-        out.append(v)
-    return out
-
-
-def _sparse(row: Sequence[Fraction]) -> dict[int, int]:
-    """The exact dense row as an engine row {col: int}: its nonzeros times the
-    lcm of their denominators."""
-    return _integral(dict(_nonzeros(row)))
+    return x.den * y.den, {k: c for k, c in out.items() if c}
 
 
 def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict[int, int]]) -> None:
@@ -269,9 +237,14 @@ def rows_of(columns: Iterable[dict]) -> list[dict]:
 
 def rref(m: QMatrix) -> tuple[QMatrix, int]:
     """Reduced row-echelon form, padded with zero rows to m.rows, and rank."""
-    basis = _eliminate(m.cols, map(_sparse, m.entries)).dense_basis()
-    zeros = ((_ZERO,) * m.cols,) * (m.rows - len(basis))
-    return QMatrix._of(basis + zeros), len(basis)
+    engine = _eliminate(m.cols, map(dict, m.int_rows))
+    # row i of the form is row / pivot: over the lcm of the pivots
+    den = lcm(*(p for _, p, _ in engine.rows))
+    entries = (
+        (i * m.cols + c, x * (den // p))
+        for i, (_, p, row) in enumerate(engine.rows) for c, x in row.items()
+    )
+    return QMatrix._of(den, entries, m.rows, m.cols), engine.rank
 
 
 class SparseRREF:
@@ -283,11 +256,11 @@ class SparseRREF:
     times its pivot.  `insert` and `contains` take integer rows {col: int},
     which a caller may scale freely: a row's span does not depend on it.
     Elimination is fraction-free (Bareiss): reducing v against a row with
-    pivot p where v has c gives (p/g) v - (c/g) row, g = gcd(p, c).  A
-    rational value x / pivot is formed only where a result is read:
-    `dense_basis`, `kernel` and `read`.  This is the one elimination engine:
-    `kernel`, `rref`, `solve` and `Subspace` all run on it, since the large
-    systems here are sparse.
+    pivot p where v has c gives (p/g) v - (c/g) row, g = gcd(p, c).  A row,
+    once held, is never changed in place, so a `Subspace` and an engine can
+    share rows.  A rational value x / pivot is formed only by `read`.  This
+    is the one elimination engine: `kernel`, `rref`, `solve` and `Subspace`
+    all run on it, since the large systems here are sparse.
     """
 
     __slots__ = ("ambient", "rows")
@@ -328,8 +301,7 @@ class SparseRREF:
             if c:
                 g = gcd(p, c)
                 a, b = p // g, c // g
-                if a != 1:
-                    row = {col: a * x for col, x in row.items()}
+                row = {col: a * x for col, x in row.items()} if a != 1 else dict(row)
                 for col, x in v.items():
                     nv = row.get(col, 0) - b * x
                     if nv:
@@ -355,14 +327,9 @@ class SparseRREF:
         pc, p, row = self.rows[i]
         return pc, tuple(Q(row[c], p) if c in row else _ZERO for c in cols)
 
-    def dense_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        out = []
-        for _, p, row in self.rows:
-            dense = [_ZERO] * self.ambient
-            for c, x in row.items():
-                dense[c] = Q(x, p)
-            out.append(tuple(dense))
-        return tuple(out)
+    def subspace(self) -> "Subspace":
+        """The span of the held rows."""
+        return Subspace(self.ambient, tuple(self.rows))
 
     def kernel(self) -> "Subspace":
         """Canonical basis of the vectors every held row annihilates, read off
@@ -379,18 +346,23 @@ class SparseRREF:
             for pc, p, x in hits:
                 v[pc] = -x * (den // p)
             engine.insert(v)
-        return Subspace(self.ambient, engine.dense_basis())
+        return engine.subspace()
 
-    @staticmethod
-    def _of_reduced(ambient: int, basis) -> "SparseRREF":
-        """Engine holding rational rows that are already in reduced form:
-        scaled by the lcm of its denominators, such a row (pivot 1) is
-        primitive."""
-        s = SparseRREF(ambient)
-        for row in map(_sparse, basis):
-            pc = min(row)
-            s.rows.append((pc, row[pc], row))
-        return s
+
+def _dense(width: int, entries: Iterable[tuple[int, int]], den: int) -> tuple[Fraction, ...]:
+    """The rational row of length width holding x / den at each (col, x)."""
+    row = [_ZERO] * width
+    for c, x in entries:
+        row[c] = Q(x, den)
+    return tuple(row)
+
+
+def _exact_row(v: Sequence, n: int) -> dict[int, int]:
+    """The vector v of n exact values, coerced, as an engine row {col: int}."""
+    v = [_q(x) for x in v]
+    if len(v) != n:
+        raise ValueError("vector length != ambient dimension")
+    return _integral(dict(enumerate(v)))
 
 
 def _integral(vec: dict) -> dict[int, int]:
@@ -419,43 +391,37 @@ def rank(m: QMatrix) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^n, canonicalized: basis rows are in RREF.
-
-    Equality of subspaces is literal equality of the canonical bases.
+    """Linear subspace of Q^n, canonicalized: its rows are the engine's rows
+    (pivot column, pivot, {col: int}) of its canonical RREF basis, each basis
+    row times its pivot.  Equality of subspaces is literal equality of these
+    rows; `basis` forms the rational RREF rows on read.
     """
 
     ambient_dim: int
-    basis: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, int, dict[int, int]], ...]
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        return Subspace._span(ambient_dim, vectors, _q)
+        return Subspace._span(ambient_dim, (_exact_row(v, ambient_dim) for v in vectors))
 
     @staticmethod
-    def _span(ambient_dim: int, vectors: Iterable[Sequence], coerce=None) -> "Subspace":
-        """Span of vectors whose nonzero entries are exact, or made so by coerce."""
-
-        def sparse(v):
-            if coerce is not None:
-                v = [coerce(x) for x in v]
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-            return _sparse(v)
-
-        return Subspace._span_sparse(ambient_dim, map(sparse, vectors))
-
-    @staticmethod
-    def _span_sparse(ambient_dim: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
+    def _span(ambient_dim: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
         """Span of integer vectors given as {index: int}."""
         engine = SparseRREF(ambient_dim)
         for v in vectors:
             engine.insert(v)
-        return Subspace(ambient_dim, engine.dense_basis())
+        return engine.subspace()
+
+    def _engine(self) -> "SparseRREF":
+        """A new engine holding the rows of this subspace."""
+        engine = SparseRREF(self.ambient_dim)
+        engine.rows = list(self.rows)
+        return engine
 
     @cached_property
-    def _engine(self) -> "SparseRREF":
-        """The engine holding the canonical basis, built once per subspace."""
-        return SparseRREF._of_reduced(self.ambient_dim, self.basis)
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical RREF basis, formed on first read."""
+        return tuple(_dense(self.ambient_dim, row.items(), p) for _, p, row in self.rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -463,22 +429,32 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, QMatrix.identity(ambient_dim).entries)
+        return Subspace(ambient_dim, tuple((i, 1, {i: 1}) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def combinations(self, vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
+        """sum_i c_i vectors[i] for each integer row c of this subspace of
+        Q^len(vectors), zeros dropped: the integer vectors {index: int} its
+        rows map to when e_i maps to vectors[i]."""
+        out = []
+        for _, _, coefs in self.rows:
+            v: dict[int, int] = {}
+            for i, c in coefs.items():
+                for k, x in vectors[i].items():
+                    v[k] = v.get(k, 0) + c * x
+            out.append({k: x for k, x in v.items() if x})
+        return out
 
     def contains(self, v: Sequence) -> bool:
-        vec = [_q(x) for x in v]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-        return self._engine.contains(_sparse(vec))
+        return self._engine().contains(_exact_row(v, self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        engine = self._engine
-        return all(engine.contains(_sparse(b)) for b in other.basis)
+        engine = self._engine()
+        return all(engine.contains(row) for _, _, row in other.rows)
 
     def _check(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -486,34 +462,33 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace._span(self.ambient_dim, self.basis + other.basis)
+        engine = self._engine()
+        for _, _, row in other.rows:
+            engine.insert(row)
+        return engine.subspace()
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        if not self.basis or not other.basis:
+        if not self.rows or not other.rows:
             return Subspace.zero(self.ambient_dim)
-        # coefficient vectors (a, b) with a·U = b·W: kernel of [U^T | -W^T]
-        ut = QMatrix(self.basis).transpose()
-        wt = QMatrix(other.basis).transpose()
-        stacked = QMatrix(
-            tuple(ru + tuple(-x for x in rw) for ru, rw in zip(ut.entries, wt.entries))
-        )
+        # coefficient vectors (a, b) with a·U = b·W over the integer rows U
+        # and W: the kernel of the matrix whose columns are U and -W
+        own = [row for _, _, row in self.rows]
+        columns = own + [{k: -x for k, x in row.items()} for _, _, row in other.rows]
+        # rows_of lists each row's entries by increasing column
+        stacked = QMatrix(1, tuple(tuple(r.items()) for r in rows_of(columns)), len(columns))
         ker = nullspace(stacked)
-        d = self.dim
-        vecs = _combine((coef[:d] for coef in ker.basis), self.basis, self.ambient_dim)
-        return Subspace._span(self.ambient_dim, vecs)
+        return Subspace._span(self.ambient_dim, ker.combinations(own + [{}] * other.dim))
 
     def complement_in(self, bigger: "Subspace") -> list[tuple[Fraction, ...]]:
         """Vectors of `bigger` extending a basis of self to one of bigger."""
         self._check(bigger)
         if not bigger.contains_subspace(self):
             raise ValueError("self is not contained in the bigger subspace")
-        engine = SparseRREF._of_reduced(self.ambient_dim, self.basis)
-        out = []
-        for cand in bigger.basis:
-            if engine.insert(_sparse(cand)):
-                out.append(cand)
-        return out
+        engine = self._engine()
+        return [
+            bigger.basis[i] for i, (_, _, row) in enumerate(bigger.rows) if engine.insert(row)
+        ]
 
 
 def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -522,7 +497,15 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     if len(bvec) != m.rows:
         raise ValueError("rhs length mismatch")
     n = m.cols
-    engine = _eliminate(n + 1, (_sparse(row + (y,)) for row, y in zip(m.entries, bvec)))
+
+    def augmented(row, y):
+        # the row [M_i | y] of the system times den(M) den(y)
+        yd = int(y.denominator)
+        out = {j: x * yd for j, x in row}
+        out[n] = int(y.numerator) * m.den
+        return out
+
+    engine = _eliminate(n + 1, map(augmented, m.int_rows, bvec))
     x = [_ZERO] * n
     for i in range(engine.rank):
         pc, (value,) = engine.read(i, (n,))
@@ -537,7 +520,7 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 def nullspace(m: QMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}."""
-    return kernel(m.cols, map(_sparse, m.entries))
+    return kernel(m.cols, map(dict, m.int_rows))
 
 
 def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
@@ -549,7 +532,22 @@ def common_nullspace(mats: Sequence[QMatrix]) -> Subspace:
     for m in mats:
         if m.cols != cols:
             raise ValueError("ambient dimension mismatch")
-    return kernel(cols, map(_sparse, chain.from_iterable(m.entries for m in mats)))
+    return kernel(cols, map(dict, chain.from_iterable(m.int_rows for m in mats)))
+
+
+def trace_form(s: Subspace, n: int) -> QMatrix:
+    """Gram matrix of (x, y) -> tr(xy) on the integer rows of s, a subspace
+    of vec(End(Q^n)).  The rows are the canonical basis times positive
+    pivots, so the form is congruent to the one on that basis: it has the
+    same inertia."""
+    rows = [row for _, _, row in s.rows]
+    # tr(XY) is the sum of X_ab Y_ba over the nonzeros X_ab of flattened X
+    d = len(rows)
+    gram = (
+        (i * d + j, sum(x * w.get((k % n) * n + k // n, 0) for k, x in v.items()))
+        for i, v in enumerate(rows) for j, w in enumerate(rows)
+    )
+    return QMatrix._of(1, gram, d, d)
 
 
 def inertia(sym: QMatrix) -> tuple[int, int, int]:
@@ -660,9 +658,10 @@ def minimal_polynomial(m: QMatrix) -> QPolynomial:
     engine = SparseRREF(nn + n + 1)
     power = QMatrix.identity(n)
     for k in range(n + 1):
-        row = dict(_nonzeros(power.vec()))
-        row[nn + k] = _ONE
-        engine.insert(_integral(row))
+        # [vec(M^k) | e_k] times the denominator of M^k
+        row = power.int_vec()
+        row[nn + k] = power.den
+        engine.insert(row)
         # rows are ordered by pivot, and only a zero vec part puts one at nn
         # or past it
         pc, coeffs = engine.read(-1, range(nn, nn + k + 1))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .exactlin import _ZERO, QMatrix, Subspace, _nonzeros, _q, common_nullspace, solve
+from .exactlin import _ZERO, QMatrix, Subspace, _q, common_nullspace, solve
 
 
 class JacobiError(ValueError):
@@ -82,7 +82,10 @@ class LieAlgebraSC:
     def _nonzero_constants(self) -> tuple[tuple[list[tuple[int, Fraction]], ...], ...]:
         """The (k, c[i][j][k]) nonzeros of each plane row (i, j), listed once
         per algebra."""
-        return tuple(tuple(map(_nonzeros, plane)) for plane in self.constants)
+        return tuple(
+            tuple([(k, c) for k, c in enumerate(row) if c] for row in plane)
+            for plane in self.constants
+        )
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         planes = self._nonzero_constants

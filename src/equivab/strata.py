@@ -10,11 +10,11 @@ wraps them as `Poly`, and derives them along the center, on integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .commutant import MLClassification, _square
-from .exactlin import Q, QMatrix, Subspace, _combine, _integral, kernels, rows_of, _q
+from .commutant import MLClassification
+from .exactlin import Q, QMatrix, Subspace, _integral, kernels, rows_of, _q
 from .symmetry import GroupAction, Terms, _derive
 
 DEFAULT_MONOMIAL_CAP = 100_000
@@ -58,7 +58,7 @@ def derivation_action(d: QMatrix, f: Poly) -> Poly:
     Runs on the integer rows of D, so an integer D and an f with int
     coefficients give int coefficients and form no rational.
     """
-    den, rows = d._integral_rows
+    den, rows = d.den, d.int_rows
     out: Terms = {}
     for m, c in f.terms.items():
         _derive(rows, m, c, out)
@@ -116,19 +116,16 @@ def kernel_s_at_degrees(
     derived once per central element, and the kernel after degree d is read
     off before the rows of degree d + 1 go in.
 
-    The rows are integers.  The central elements D_k go over one common
-    denominator L, so each L D_k is an integer matrix, and each invariant f is
-    scaled to an integer multiple c f: the row of monomial e, the coefficient
-    of e in each (L D_k)(c f), is L c times the true one, a scale its columns
-    share, so the kernel is unchanged."""
+    The rows are integers.  The central elements D_k are the integer rows of
+    z, and each invariant f is scaled to an integer multiple c f: the row of
+    monomial e, the coefficient of e in each D_k (c f), is c times the true
+    one, a scale its columns share.  The kernel's coordinates then combine the
+    same integer rows D_k."""
     n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
-    common = lcm(*(int(x.denominator) for v in z.basis for x in v))
-    center_mats = [
-        _square([int(x.numerator) * (common // int(x.denominator)) for x in v], n)
-        for v in z.basis
-    ]
+    center_vecs = [row for _, _, row in z.rows]
+    center_mats = [QMatrix._of(1, v.items(), n, n) for v in center_vecs]
 
     def rows(basis: Sequence[Poly]) -> Iterator[dict[int, int]]:
         # one row per monomial e of an image: the coefficient of e in D_k f
@@ -147,7 +144,7 @@ def kernel_s_at_degrees(
             if coords is None:
                 raise ValueError("invariants go up to degree %d, not %d" % (read, degree))
             read += 1
-        s = Subspace._span(n * n, _combine(coords.basis, z.basis, n * n))
+        s = Subspace._span(n * n, coords.combinations(center_vecs))
         exactness = "certified" if g.certified(degree) else "degree-bounded"
         out.append(KernelResult(s_basis=s, dim_s=s.dim, exactness=exactness))
     return out

@@ -31,15 +31,16 @@ from .exactlin import (
     Q,
     QMatrix,
     Subspace,
-    _ZERO,
     bracket_vec,
     common_nullspace,
+    inertia,
     integer_kernel_saturated,
     kernel,
     lattice_contains,
     product_vec,
     rank,
     rows_of,
+    trace_form,
 )
 
 DEFAULT_GROUP_CAP = 100_000
@@ -63,16 +64,15 @@ def _check_trace(m: QMatrix, what: str, error: type[Exception]) -> None:
     """Raise error unless m passes the trace test for finite order.  A rational
     matrix of finite order is diagonalizable with roots of unity as
     eigenvalues, so its trace is an integer in [-n, n], and is n or -n only
-    for I or -I.  O(n) unless the trace is n or -n."""
-    n = m.rows
-    t = sum(m.entries[i][i] for i in range(n))
-    if t.denominator != 1 or abs(t) > n:
+    for I or -I.  On the integer rows of m: O(n + nonzeros)."""
+    n, den, t = m.rows, m.den, m.int_trace()
+    if t % den or abs(t) > n * den:
         msg = "%s has infinite order: its trace %s is not an integer in [-%d, %d]"
-        raise error(msg % (what, t, n, n))
+        raise error(msg % (what, Q(t, den), n, n))
+    t //= den
     if abs(t) == n:
         sign = 1 if t > 0 else -1
-        if any(x != (sign if i == j else 0) for i, row in enumerate(m.entries)
-               for j, x in enumerate(row)):
+        if m != QMatrix(1, tuple(((i, sign),) for i in range(n)), n):
             msg = "%s has infinite order: its trace is %s but it is not %sI"
             raise error(msg % (what, t, "" if sign > 0 else "-"))
 
@@ -126,7 +126,7 @@ def _difference_operator(a: QMatrix) -> Operator:
     (Ax)_i, so each image of degree d costs one sparse product with an image
     of degree d - 1."""
     n = a.rows
-    den, forms = a._integral_rows
+    den, forms = a.den, a.int_rows
     unit = (0,) * n
     substituted = {unit: {unit: 1}}
     scale = 1  # den^d in degree d
@@ -159,7 +159,7 @@ def _difference_operator(a: QMatrix) -> Operator:
 def _derivation_operator(xi: QMatrix) -> Operator:
     """The derivation of the vector field x -> xi x, on exponents and on
     integers: den(xi) times the true images."""
-    rows = xi._integral_rows[1]
+    rows = xi.int_rows
 
     def images(monoms: list[Monomial]) -> Images:
         out = {}
@@ -183,9 +183,10 @@ def _kernel_invariants(
         # the degree below; row e holds the coefficient of e in each image
         images = [op(monoms) for op in operators]
         rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
+        # each canonical basis invariant is an integer row over its pivot
         yield tuple(
-            {m: x for m, x in zip(monoms, row) if x}
-            for row in kernel(len(monoms), rows).basis
+            {monoms[c]: Q(x, p) for c, x in sorted(row.items())}
+            for _, p, row in kernel(len(monoms), rows).rows
         )
 
 
@@ -305,12 +306,10 @@ class TorusAction:
         weight * J."""
         out = []
         for row in self.weights:
-            n = self.dim
-            rows = [[Fraction(0)] * n for _ in range(n)]
+            rows = []
             for j, w in enumerate(row):
-                rows[2 * j][2 * j + 1] = Fraction(-w)
-                rows[2 * j + 1][2 * j] = Fraction(w)
-            out.append(QMatrix.from_rows(rows))
+                rows += [((2 * j + 1, -w),), ((2 * j, w),)] if w else [(), ()]
+            out.append(QMatrix(1, tuple(rows), self.dim))
         return out
 
     def fixed_operators(self) -> list[QMatrix]:
@@ -380,15 +379,21 @@ class ConnectedLieAction:
     default_degree_bound = 2  # a small fixed bound
 
     def __post_init__(self):
+        n = self.dim
         for g in self.lie_generators:
-            if g.rows != self.dim or g.cols != self.dim:
+            if g.rows != n or g.cols != n:
                 raise ValueError("Lie generator shape mismatch")
-        engine = Subspace._span(
-            self.dim * self.dim, [g.vec() for g in self.lie_generators]
-        )._engine
-        if not all(engine.contains(bracket_vec(a, b)[1])
+        span = Subspace._span(n * n, (g.int_vec() for g in self.lie_generators))
+        if not all(span._engine().contains(bracket_vec(a, b)[1])
                    for a, b in combinations(self.lie_generators, 2)):
             raise ValueError("generators are not closed under the bracket")
+        # a compact group's Lie algebra has a negative definite trace form
+        signs = inertia(trace_form(span, n))
+        if signs[0] or signs[2]:
+            raise ValueError(
+                "the trace form on the span of the generators has inertia "
+                "(%d, %d, %d), not (0, %d, 0): the group is not compact" % (*signs, span.dim)
+            )
 
     def action_generators(self) -> list[QMatrix]:
         return list(self.lie_generators)
@@ -420,8 +425,8 @@ def _element_key(den: int, ints: dict[int, int]) -> tuple[int, tuple[tuple[int, 
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
     """Full element list by breadth-first closure; deterministic order.  Each
-    product is keyed by its reduced integer form, and a matrix is built only
-    for a new element, which must pass the trace test for finite order."""
+    product is keyed by its reduced integer form, and a new element is built
+    from its key and must pass the trace test for finite order."""
     if not isinstance(g, FiniteMatrixAction):
         raise TypeError("enumerate_group needs a finite matrix action")
     n = g.dim
@@ -434,11 +439,7 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
             for gen in g.generators:
                 key = _element_key(*product_vec(el, gen))
                 if key not in seen:
-                    den, entries = key
-                    rows = [[_ZERO] * n for _ in range(n)]
-                    for k, x in entries:
-                        rows[k // n][k % n] = Q(x, den)
-                    prod = QMatrix._of(rows)
+                    prod = QMatrix._of(*key, n, n)
                     _check_trace(prod, "group not finite: an element", GroupNotFiniteError)
                     if len(seen) >= g.cap:
                         raise GroupNotFiniteError(
@@ -459,7 +460,7 @@ def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
     """
     n = a.rows
     # a and its transpose share their entries, so their integer forms share den
-    a_rows, a_cols = a._integral_rows[1], a.transpose()._integral_rows[1]
+    a_rows, a_cols = a.int_rows, a.transpose().int_rows
     out = []
     for i in range(n):
         for j in range(n):

@@ -25,7 +25,8 @@ from equivab.commutant import (
 from float_split_oracle import schur_split_oracle
 from test_exactlin import _minpoly_by_divisor_search, to_sympy_poly
 from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
-from equivab.symmetry import FiniteMatrixAction, TorusAction
+from equivab import exactlin, symmetry
+from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction, TorusAction
 
 # (constructor, commutant dim, (m, l), oracle blocks)
 FINITE_CASES = [
@@ -106,7 +107,7 @@ class TestCommutant:
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_matches_conjugation_kernel(self, make, dim, ml, blocks):
         g = make()
-        assert compute_commutant(g).span() == _conjugation_kernel(g)
+        assert compute_commutant(g).span == _conjugation_kernel(g)
 
     def test_trivial_summand_rejected(self):
         from equivab.symmetry import FiniteMatrixAction
@@ -244,7 +245,7 @@ class TestCenterAndAbelianization:
 
     def test_span_built_once(self):
         a = compute_commutant(cat.q8_on_r4())
-        assert a.span() is a.span()
+        assert a.span is a.span
 
 
 # actions whose centers give the z(t) of the minimal-polynomial oracle test
@@ -308,7 +309,7 @@ class TestClassification:
         for t in (2, 3):
             z = QMatrix.zeros(n, n)
             for i, v in enumerate(s.center.basis, 1):
-                z = z + comm._square(v, n).scale(t**i)
+                z = z + QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n)).scale(t**i)
             expected = _minpoly_by_divisor_search(z).set_domain("QQ")
             assert to_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
 
@@ -340,7 +341,7 @@ class TestExactFiniteGroupChecks:
         # span G, the other copy of H
         g = cat.q8_on_r4()
         s = _structure(g)
-        wrong = dataclasses.replace(s, center=s.algebra.span())
+        wrong = dataclasses.replace(s, center=s.algebra.span)
         (passed, detail), _ = comm.schur_split_oracle(g, wrong)
         assert not passed
         assert detail == "dim Z(A) = 4, dim A meet span G = 1, Z(A) not in span G"
@@ -375,3 +376,45 @@ class TestExactFiniteGroupChecks:
         _, (passed, detail) = comm.schur_split_oracle(g, _structure(swap))
         assert not passed
         assert detail == "dim A = 2, (1/|G|) sum tr(g)^2 = 1"
+
+
+class TestIntegerRows:
+    """The commutant, its center and [A, A] run on the integer rows of the
+    action's matrices, even when those have denominators."""
+
+    @staticmethod
+    def basis_change(n: int) -> tuple[QMatrix, QMatrix]:
+        """(P, P^-1) for P block-diagonal with blocks [[1, 1/2], [0, 3]]."""
+        p = [[0] * n for _ in range(n)]
+        p_inv = [[0] * n for _ in range(n)]
+        for i in range(n):
+            p[i][i] = p_inv[i][i] = 1
+        for i in range(0, n - 1, 2):
+            p[i][i + 1], p[i + 1][i + 1] = "1/2", 3
+            p_inv[i][i + 1], p_inv[i + 1][i + 1] = "-1/6", "1/3"
+        return QMatrix.from_rows(p), QMatrix.from_rows(p_inv)
+
+    @pytest.mark.parametrize("make", [cat.q8_on_r4, cat.s3_regular_minus_trivial,
+                                      cat.c3_rotation, cat.su2_on_c2])
+    def test_no_rational_formed(self, make, monkeypatch):
+        base = make()
+        n = base.dim
+        p, p_inv = self.basis_change(n)
+        gens = tuple(p @ a @ p_inv for a in base.action_generators())
+        assert any(a.den > 1 for a in gens)
+        kind = FiniteMatrixAction if isinstance(base, FiniteMatrixAction) else ConnectedLieAction
+        g = kind(n, gens)
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        for module in (exactlin, comm, symmetry):
+            monkeypatch.setattr(module, "Q", counted)
+        a = compute_commutant(g)
+        z, derived = center(a), commutator_ideal(a)
+        assert made == []
+        want = commutant_structure(compute_commutant(base))
+        assert (a.dim, z.dim, derived.dim) == (
+            want.algebra.dim, want.center.dim, want.derived.dim)

@@ -362,20 +362,28 @@ class TestSparseRREF:
             return {c: k * x for c, x in _integral(v).items()}
 
         for row in rows:
+            # a row, once held, is never changed in place: a subspace read
+            # off the engine keeps its rows while more go in
+            held = engine.subspace()
+            snapshot = tuple((pc, p, dict(r)) for pc, p, r in held.rows)
             assert engine.insert(ints(row)) == oracle.insert(row)
+            assert held.rows == snapshot
             assert engine.rank == len(oracle.rows)
             probe = {c: data.draw(small_rationals) for c in
                      data.draw(st.sets(st.integers(0, ncols - 1)))}
             for v in (row, probe):
                 assert engine.contains(ints(v)) == oracle.contains(v)
             _engine_invariants_hold(engine)
-        basis = engine.dense_basis()
+        span = engine.subspace()
+        basis = span.basis
         assert basis == oracle.dense_basis()
         assert all(_is_exact(x) for v in basis for x in v)
         assert engine.kernel().basis == oracle.kernel_basis()
-        # the engine of a canonical basis holds the same integer rows
-        assert SparseRREF._of_reduced(ncols, basis).rows == engine.rows
-        assert Subspace(ncols, basis)._engine.rows == engine.rows
+        # a subspace holds the engine's integer rows, and so does the one
+        # spanned afresh by its rational basis
+        assert span.rows == tuple(engine.rows)
+        assert Subspace.from_vectors(ncols, basis).rows == span.rows
+        assert span._engine().rows == engine.rows
 
     @given(row_streams(), st.lists(st.integers(0, 9), max_size=4))
     @settings(max_examples=80, deadline=None)
@@ -413,9 +421,58 @@ class TestSparseRREF:
                     {1: Fraction(7, 5), 2: 1, 3: Fraction(-1, 9)}, {0: 1, 2: Fraction(-3, 2)}):
             engine.insert(_integral(row))
             engine.contains(_integral({1: Fraction(1, 3), 3: 2}))
-        assert made == [] and engine.rank == 3
-        basis = engine.dense_basis()
+        span = engine.subspace()
+        assert made == [] and engine.rank == 3 and span.dim == 3
+        basis = span.basis
         assert made and basis[0][0] == 1
+
+
+def _stored_once(m: QMatrix) -> None:
+    """m holds the one stored form: den > 0, the lcm of the entries'
+    denominators, over each row's nonzero plain ints by increasing column."""
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *(x for row in m.int_rows for _, x in row)) == 1
+    for row in m.int_rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        assert all(type(x) is int and x for _, x in row)
+    assert m.den == lcm(*(x.denominator for x in m.vec()))
+
+
+class TestQMatrix:
+    @given(q_matrices(), st.data(), rationals)
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation_stores_the_one_form(self, a, data, c):
+        # so equal matrices are equal records, whatever built them
+        b = data.draw(sparse_matrices(a.rows, a.cols))
+        sa, sb = to_sympy(a), to_sympy(b)
+        cases = [
+            (a, sa), (b, sb), (a + b, sa + sb), (a - b, sa - sb), (a - a, sa - sa),
+            (a.scale(c), sa * sympy.Rational(c.numerator, c.denominator)),
+            (a.transpose(), sa.T), (a @ b.transpose(), sa * sb.T),
+            (rref(a)[0], sa.rref()[0]),
+        ]
+        for m, want in cases:
+            _stored_once(m)
+            assert to_sympy(m) == want
+            assert QMatrix.from_rows(m.entries) == m
+        assert (a - b).is_zero() == (a == b)
+
+    def test_no_rational_formed_until_entries_are_read(self, monkeypatch):
+        a = QMatrix.from_rows([["1/2", 0, "-3/4"], [0, "2/3", 5]])
+        b = QMatrix.from_rows([[1, "1/5"], [0, 2], ["7/3", 0]])
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(exactlin, "Q", counted)
+        m = (a @ b + (a @ b).transpose()) - QMatrix.identity(2)
+        assert m == m.transpose() and not m.is_zero() and rref(m)[1] == 2
+        assert m.int_vec() and m.int_trace() and product_vec(m, m) and bracket_vec(a, b)
+        assert made == []
+        assert m.entries[0][0] == Fraction(-7, 2) and made
 
 
 class TestCoercion:
@@ -478,8 +535,8 @@ class TestProduct:
 
         assert value(product_vec(x, y)) == nonzeros(x @ y)
         assert value(bracket_vec(x, y)) == nonzeros(x @ y - y @ x)
-        assert len(x.nonzero_rows) == x.rows
-        listed = {(i, j): v for i, row in enumerate(x.nonzero_rows) for j, v in row}
+        assert len(x.int_rows) == x.rows
+        listed = {(i, j): Fraction(v, x.den) for i, row in enumerate(x.int_rows) for j, v in row}
         assert listed == {(i, j): v for i, row in enumerate(x.entries)
                           for j, v in enumerate(row) if v}
 

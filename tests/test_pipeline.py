@@ -543,13 +543,22 @@ class TestCLI:
          "its trace 100000 is not an integer in [-1, 1]"),
         ('{"orbits": [{"label": [1], "slice_action": %s}]}' % ROTATION, [],
          "orbits[0].label: expected a string, got [1]"),
+        ('{"orbits": [{"slice_action": {"kind": "connected_lie", "dim": 2, '
+         '"generators": [[[1, 0], [0, -1]]]}}]}', [],
+         "orbits[0].slice_action: the trace form on the span of the generators has "
+         "inertia (1, 0, 0), not (0, 1, 0): the group is not compact"),
+        ('{"orbits": [{"quotient": true, "slice_action": {"kind": "connected_lie", '
+         '"dim": 2, "generators": [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]}}]}',
+         [], "orbits[0].slice_action: the trace form on the span of the generators has "
+         "inertia (2, 1, 0), not (0, 3, 0): the group is not compact"),
     ], ids=["json-syntax", "orbits-not-array", "options-not-object",
             "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
             "seed-string", "degree-bound-flag", "max-group-order-flag",
             "non-isolated", "generators-not-array", "ragged-generator",
             "weights-row-not-array", "isotropy-not-object", "dim-boolean",
             "quotient-not-boolean", "generator-trace-fraction",
-            "generator-trace-too-large", "label-not-string"])
+            "generator-trace-too-large", "label-not-string", "non-compact-connected",
+            "non-compact-sl2-quotient"])
     def test_malformed_input_rejected(self, tmp_path, capsys, text, flags, message, mode):
         path = tmp_path / "input.json"
         path.write_text(text)

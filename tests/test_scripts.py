@@ -10,11 +10,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["demo_catalog.py", "su3_slice_experiment.py", "cli_digest.py"])
-def test_script_exits_zero(script):
+def _run(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script)],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", ["demo_catalog.py", "su3_slice_experiment.py"])
+def test_script_exits_zero(script):
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_digests_match_the_pinned_ones():
+    # every report, message and exit code of the digested runs is
+    # byte-identical to the pinned ones; scripts/cli_digest.txt changes only
+    # with an intended change of output
+    proc = _run("cli_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "scripts" / "cli_digest.txt").read_text()

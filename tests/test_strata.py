@@ -661,7 +661,7 @@ class TestIntegerOperatorsMatchFractionOracle:
         p, p_inv = data.draw(basis_changes(base.dim))
         g = conjugated(base, p, p_inv)
         generators = g.action_generators()
-        assume(any(a._integral_rows[0] > 1 for a in generators))
+        assume(any(a.den > 1 for a in generators))
         finite = isinstance(g, FiniteMatrixAction)
         integer_op = symmetry._difference_operator if finite else symmetry._derivation_operator
         fraction_op = fraction_difference_operator if finite else fraction_derivation_operator
@@ -669,7 +669,7 @@ class TestIntegerOperatorsMatchFractionOracle:
         # each integer image is the Fraction one times den^d for a difference,
         # den for a derivation
         for a in generators:
-            den = a._integral_rows[0]
+            den = a.den
             ints, fracs = integer_op(a), fraction_op(a)
             for d in range(1, degree + 1):
                 monoms = monomials_of_degree(g.dim, d)

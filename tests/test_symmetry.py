@@ -1,6 +1,7 @@
 """Tests for group action descriptors and their linear invariance constraints."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,7 @@ class TestKroneckerConventions:
         expected = kron(a, ident) - kron(ident, a.transpose())
         rows = commutator_rows(a)
         assert all(type(x) is int for row in rows for x in row.values())
-        den = a._integral_rows[0]
+        den = a.den
         assert dense(rows, n * n) == expected.scale(den)
 
 
@@ -325,12 +326,21 @@ class TestConnectedLieAction:
         with pytest.raises(ValueError):
             ConnectedLieAction(2, (e, f))
 
-    def test_sl2_triple_accepted(self):
-        h = QMatrix.from_rows([[1, 0], [0, -1]])
-        e = QMatrix.from_rows([[0, 1], [0, 0]])
-        f = QMatrix.from_rows([[0, 0], [1, 0]])
-        act = ConnectedLieAction(2, (h, e, f))
-        assert act.dim == 2
+    def test_compact_triple_accepted(self):
+        # su(2) on C^2 = R^4: closed under the bracket, negative definite
+        gens = cat.su2_on_c2().lie_generators
+        act = ConnectedLieAction(4, gens)
+        assert act.dim == 4 and len(act.lie_generators) == 3
+
+    @pytest.mark.parametrize("gens, signs", [
+        ([[[1, 0], [0, -1]]], "(1, 0, 0), not (0, 1, 0)"),
+        ([[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], "(2, 1, 0), not (0, 3, 0)"),
+        ([[[0, 1], [0, 0]]], "(0, 0, 1), not (0, 1, 0)"),
+    ], ids=["diagonal", "sl2-triple", "nilpotent"])
+    def test_non_compact_rejected(self, gens, signs):
+        # a compact group's Lie algebra has a negative definite trace form
+        with pytest.raises(ValueError, match=re.escape(signs)):
+            ConnectedLieAction(2, tuple(QMatrix.from_rows(g) for g in gens))
 
     def test_su3_generators_close(self):
         act = cat.su3_on_c3_plus_wedge2()
