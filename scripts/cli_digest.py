@@ -4,12 +4,15 @@
 Runs `equivab.cli.main` in process on every document of the three benchmark
 workloads at seeds 1009 and 5, on `scripts/example_input.json`, and on each
 finite and connected action of `equivab.catalog` written in a fixed rational
-basis that is not unimodular, with the quotient asked for: in compute mode
-with `--emit-json` and in `--verify` mode, each once with no flag and once
-with `--degree-bound 3`.  Prints one sha256 per document set and mode over
-(exit code, stdout, stderr, emitted JSON) of its runs.  The workloads'
-matrices are almost all integral; the catalog set puts denominators into
-every generator, center and invariant.
+basis that is not unimodular, with the quotient asked for; and on isotropy
+Lie data in that basis: derivations (ad-matrices), automorphisms and h, and
+data that breaks antisymmetry, the Jacobi identity, an automorphism, a
+derivation or the closure of h.  Each runs in compute mode with `--emit-json`
+and in `--verify` mode, each once with no flag and once with
+`--degree-bound 3`.  Prints one sha256 per document set and mode over (exit
+code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
+almost all integral; the catalog and Lie sets put denominators into every
+generator, structure constant, center and invariant.
 
 Two trees print the same digests exactly when their runs are byte-identical,
 so a refactor is checked by running this same script in a copy of the parent
@@ -29,6 +32,7 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +83,94 @@ def _catalog_documents() -> list[dict]:
     return docs
 
 
+def _heisenberg() -> list:
+    """[e1, e2] = e3."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = 1, -1
+    return c
+
+
+def _broken_jacobi() -> list:
+    """[e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e1: antisymmetric, not Jacobi."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 0)):
+        c[i][j][k], c[j][i][k] = 1, -1
+    return c
+
+
+def _in_basis(c, autos, ders, h) -> dict:
+    """Isotropy data (constants c, automorphisms, derivations, h vectors, all
+    in the standard basis) rewritten in the basis of the columns of P."""
+    n = len(c)
+    p, p_inv = (m.entries for m in _basis_change(n))
+    c = [[[Fraction(x) for x in row] for row in plane] for plane in c]
+
+    def apply(m, v):
+        return [sum((m[i][j] * v[j] for j in range(n)), Fraction(0)) for i in range(n)]
+
+    def bracket(x, y):
+        return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)),
+                    Fraction(0)) for k in range(n)]
+
+    def conj(a):
+        # P^-1 A P, column by column
+        a = [[Fraction(x) for x in row] for row in a]
+        cols = [apply(p_inv, apply(a, [row[j] for row in p])) for j in range(n)]
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    def text(v):
+        return [str(x) if x.denominator > 1 else int(x) for x in v]
+
+    pcols = [[row[j] for row in p] for j in range(n)]
+    planes = [[apply(p_inv, bracket(pcols[i], pcols[j])) for j in range(n)] for i in range(n)]
+    return {
+        "dim": n,
+        "structure_constants": [[text(r) for r in plane] for plane in planes],
+        "h_basis": [text(apply(p_inv, [Fraction(x) for x in v])) for v in h],
+        "automorphisms": [[text(r) for r in conj(a)] for a in autos],
+        "derivations": [[text(r) for r in conj(d)] for d in ders],
+    }
+
+
+def _ad(c, i) -> list:
+    """The matrix of ad(e_i) for the constants c."""
+    n = len(c)
+    return [[c[i][j][k] for j in range(n)] for k in range(n)]
+
+
+def _lie_documents() -> list[dict]:
+    """One document per isotropy Lie datum in the basis of `_basis_change`,
+    each on a rotation of the plane: derivations, automorphisms and h that
+    are valid, then data that breaks each check of the input."""
+    so3 = [[list(row) for row in plane] for plane in catalog.so3().constants]
+    sl2 = [[list(row) for row in plane] for plane in catalog.sl2().constants]
+    two = [[list(row) for row in plane] for plane in catalog.nonabelian_2dim().constants]
+    heis = _heisenberg()
+    half_turn = [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    bad_sign = [[[x for x in row] for row in plane] for plane in so3]
+    bad_sign[0][1][2] += 1
+    cases = {
+        "so3-ad-e3": (so3, [], [_ad(so3, 2)], []),
+        "sl2-ad-h-in-h": (sl2, [], [_ad(sl2, 0)], [[1, 0, 0]]),
+        "heisenberg-ad-e1-mod-center": (heis, [], [_ad(heis, 0)], [[0, 0, 1]]),
+        "heisenberg-mod-center": (heis, [], [], [[0, 0, 1]]),
+        "nonabelian-ad-e2": (two, [], [_ad(two, 1)], []),
+        "so3-half-turn-and-ad-e3": (so3, [half_turn], [_ad(so3, 2)], []),
+        "sl2-two-derivations": (sl2, [], [_ad(sl2, 1), _ad(sl2, 2)], []),
+        "antisymmetry-broken": (bad_sign, [], [], []),
+        "jacobi-broken": (_broken_jacobi(), [], [], []),
+        "not-an-automorphism": (sl2, [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]], [], []),
+        "not-a-derivation": (so3, [], [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]], []),
+        "h-not-a-subalgebra": (so3, [], [], [[1, 0, 0], [0, 1, 0]]),
+    }
+    rotation = {"kind": "finite", "dim": 2, "generators": [[[0, -1], [1, 0]]]}
+    return [
+        {"orbits": [{"label": label, "slice_action": rotation,
+                     "isotropy_lie": _in_basis(*data)}]}
+        for label, data in cases.items()
+    ]
+
+
 def _documents() -> dict[str, list[dict]]:
     """The documents of each workload, in run order."""
     docs = {
@@ -87,6 +179,7 @@ def _documents() -> dict[str, list[dict]]:
     }
     docs["example"] = [json.loads((ROOT / "scripts" / "example_input.json").read_text())]
     docs["catalog-rational"] = _catalog_documents()
+    docs["lie-rational"] = _lie_documents()
     return docs
 
 

@@ -45,6 +45,12 @@ def _q(x):
     return Q(str(x))
 
 
+def _exact(x):
+    """x itself when an int, else `_q(x)`: either has a numerator and a
+    denominator, and an int forms no rational."""
+    return x if type(x) is int else _q(x)
+
+
 @dataclass(frozen=True)
 class QMatrix:
     """Immutable matrix with exact rational entries, stored as the integer
@@ -58,7 +64,7 @@ class QMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "QMatrix":
-        data = [[_q(x) for x in row] for row in rows]
+        data = [[_exact(x) for x in row] for row in rows]
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
@@ -359,7 +365,7 @@ def _dense(width: int, entries: Iterable[tuple[int, int]], den: int) -> tuple[Fr
 
 def _exact_row(v: Sequence, n: int) -> dict[int, int]:
     """The vector v of n exact values, coerced, as an engine row {col: int}."""
-    v = [_q(x) for x in v]
+    v = [_exact(x) for x in v]
     if len(v) != n:
         raise ValueError("vector length != ambient dimension")
     return _integral(dict(enumerate(v)))
@@ -493,7 +499,7 @@ class Subspace:
 
 def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     """One solution of M x = b, or None if inconsistent."""
-    bvec = [_q(x) for x in b]
+    bvec = [_exact(x) for x in b]
     if len(bvec) != m.rows:
         raise ValueError("rhs length mismatch")
     n = m.cols
@@ -555,31 +561,49 @@ def inertia(sym: QMatrix) -> tuple[int, int, int]:
     symmetric elimination (Sylvester's law of inertia).  It pivots on a nonzero
     diagonal entry or, when the live diagonal is zero, on a block
     [[0, b], [b, 0]], one square of each sign, and goes on with the Schur
-    complement."""
+    complement.  It runs on the integer form den * sym: each complement is
+    kept times the positive |pivot| and divided by the gcd of its entries,
+    positive rescalings that keep the inertia."""
     if sym.transpose() != sym:
         raise ValueError("inertia of a non-symmetric matrix")
-    a = [list(row) for row in sym.entries]
-    live = list(range(sym.rows))
+    n = sym.rows
+    a = [[0] * n for _ in range(n)]
+    for i, row in enumerate(sym.int_rows):
+        for j, x in row:
+            a[i][j] = x
+    live = list(range(n))
     pos = neg = 0
     while live:
         i = next((k for k in live if a[k][k]), None)
         if i is not None:
-            # the pivot rows and the inverse of their block, by (row, col)
-            pivots, inverse = (i,), {(i, i): 1 / a[i][i]}
-            pos, neg = (pos + 1, neg) if a[i][i] > 0 else (pos, neg + 1)
+            p = a[i][i]
+            pos, neg = (pos + 1, neg) if p > 0 else (pos, neg + 1)
+            live.remove(i)
+            # |p| (A - a_i a_i^T / p) = sign(p) (p A - a_i a_i^T)
+            sign = 1 if p > 0 else -1
+            for r in live:
+                ar, row = a[r][i], a[r]
+                for c in live:
+                    row[c] = sign * (p * row[c] - ar * a[i][c])
         else:
             pair = next(((i, j) for i in live for j in live if a[i][j]), None)
             if pair is None:
                 break
             i, j = pair
-            pivots, inverse = (i, j), {(i, j): 1 / a[i][j], (j, i): 1 / a[i][j]}
+            b = a[i][j]
             pos, neg = pos + 1, neg + 1
-        live = [k for k in live if k not in pivots]
-        for r in live:
-            # row r of A[r, P] B^-1 for the pivot rows P and their block B
-            f = [(k, a[r][l] * x) for (l, k), x in inverse.items() if a[r][l]]
-            for c in live:
-                a[r][c] -= sum(x * a[k][c] for k, x in f)
+            live = [k for k in live if k not in pair]
+            # |b| (A - [a_i a_j] [[0, 1/b], [1/b, 0]] [a_i a_j]^T)
+            sign = 1 if b > 0 else -1
+            for r in live:
+                ri, rj, row = a[r][i], a[r][j], a[r]
+                for c in live:
+                    row[c] = sign * (b * row[c] - ri * a[j][c] - rj * a[i][c])
+        g = gcd(*(a[r][c] for r in live for c in live))
+        if g > 1:
+            for r in live:
+                for c in live:
+                    a[r][c] //= g
     return pos, neg, len(live)
 
 

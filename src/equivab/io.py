@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from typing import IO
 
 from . import liealg
@@ -22,30 +23,48 @@ from .symmetry import (
 )
 
 
-def _rational(x, where: str) -> Fraction:
+def _rational(x, where: str, i: int, j: int) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of the entry x at where[i][j]:
+    an int or a 'p/q' string, read as `Fraction` reads it."""
     if isinstance(x, bool):
-        raise InputError("%s: expected a rational, got a boolean" % where)
+        raise InputError("%s[%d][%d]: expected a rational, got a boolean" % (where, i, j))
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("%s: bad rational %r (%s)" % (where, x, exc)) from exc
-    raise InputError("%s: expected int or 'p/q' string, got %r" % (where, x))
+            raise InputError(
+                "%s[%d][%d]: bad rational %r (%s)" % (where, i, j, x, exc)
+            ) from exc
+        return q.numerator, q.denominator
+    raise InputError(
+        "%s[%d][%d]: expected int or 'p/q' string, got %r" % (where, i, j, x)
+    )
 
 
-def _matrix(rows, where: str) -> QMatrix:
+def _int_rows(rows, where: str) -> tuple[int, list[list[int]]]:
+    """(den, the rows of den * M) for the rectangular nested array M of
+    rationals, den the lcm of their denominators: each entry becomes an
+    integer once."""
     if not isinstance(rows, list) or not rows or not all(
         isinstance(r, list) and len(r) == len(rows[0]) for r in rows
     ):
         raise InputError("%s: expected a rectangular nested array" % where)
-    return QMatrix.from_rows(
-        [
-            [_rational(x, "%s[%d][%d]" % (where, i, j)) for j, x in enumerate(r)]
-            for i, r in enumerate(rows)
-        ]
-    )
+    parsed = [
+        [(x, 1) if type(x) is int else _rational(x, where, i, j) for j, x in enumerate(r)]
+        for i, r in enumerate(rows)
+    ]
+    den = lcm(*(d for r in parsed for _, d in r))
+    return den, [[x * (den // d) for x, d in r] for r in parsed]
+
+
+def _matrix(rows, where: str) -> QMatrix:
+    """The matrix of a nested array, in its canonical integer form."""
+    den, ints = _int_rows(rows, where)
+    return QMatrix(den, tuple(
+        tuple((j, x) for j, x in enumerate(r) if x) for r in ints
+    ), len(ints[0]))
 
 
 def _matrices(doc: dict, key: str, where: str) -> tuple[QMatrix, ...]:
@@ -111,13 +130,14 @@ def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
         raise InputError("%s: isotropy data needs integer 'dim'" % where)
     if doc.get("structure_constants") is None:
         raise InputError("%s: missing 'structure_constants'" % where)
-    planes = [p.entries for p in _matrices(doc, "structure_constants", where)]
+    planes = _matrices(doc, "structure_constants", where)
     h_rows = doc.get("h_basis", [])
-    h = _matrix(h_rows, where + ".h_basis").entries if h_rows != [] else ()
+    # den * h spans what h does
+    h = _int_rows(h_rows, where + ".h_basis")[1] if h_rows != [] else ()
     autos = _matrices(doc, "automorphisms", where)
     ders = _matrices(doc, "derivations", where)
     try:
-        algebra = liealg.LieAlgebraSC.from_constants(dim, planes)
+        algebra = liealg.LieAlgebraSC.from_planes(dim, planes)
         return liealg.IsotropyData(algebra, Subspace.from_vectors(dim, h), autos, ders)
     except ValueError as exc:
         raise InputError("%s: %s" % (where, exc)) from exc

@@ -1,17 +1,23 @@
 """Finite-dimensional real Lie algebras via rational structure constants.
 
 Handles the Lie-theoretic summand: fixed subalgebras under an isotropy
-action, quotients by fixed ideals, and abelianizations.
+action, quotients by fixed ideals, and abelianizations.  An algebra holds its
+constants as integers over one denominator, and every check and bracket runs
+on integer vectors {index: int}, as the exact engine does; `constants` and
+`bracket` form rationals on read, for tests and messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
-from .exactlin import _ZERO, QMatrix, Subspace, _q, common_nullspace, solve
+from .exactlin import _ZERO, QMatrix, Subspace, _dense, _q, common_nullspace, solve
+
+# the nonzeros (k, x) of one integer vector, by k
+Pairs = tuple[tuple[int, int], ...]
 
 
 class JacobiError(ValueError):
@@ -24,137 +30,166 @@ class NotAnIdealError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebraSC:
-    """Lie algebra on basis e_1..e_n with [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Lie algebra on basis e_1..e_n with [e_i, e_j] = sum_k c[i][j][k] e_k,
+    stored as den, the lcm of the denominators of c, and the integer planes:
+    planes[i][j] lists the nonzeros (k, den * c[i][j][k]) by k.  So equal
+    algebras are equal records."""
 
     dim: int
-    constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    den: int
+    planes: tuple[tuple[Pairs, ...], ...]
 
     @staticmethod
     def from_constants(dim: int, constants) -> "LieAlgebraSC":
-        c = tuple(
-            tuple(tuple(_q(x) for x in row) for row in plane)
-            for plane in constants
-        )
-        if len(c) != dim or any(
-            len(p) != dim or any(len(r) != dim for r in p) for p in c
-        ):
+        """The algebra of the nested rationals constants[i][j][k]."""
+        c = [[list(row) for row in plane] for plane in constants]
+        if len(c) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in c):
             raise ValueError("structure constant tensor must be dim^3")
-        alg = LieAlgebraSC(dim, c)
+        return LieAlgebraSC.from_planes(dim, [QMatrix.from_rows(p) for p in c])
+
+    @staticmethod
+    def from_planes(dim: int, planes: Sequence[QMatrix]) -> "LieAlgebraSC":
+        """The algebra whose i-th plane, the matrix (c[i][j][k]) by (j, k), is
+        planes[i]: each plane's integer rows brought to one denominator."""
+        if len(planes) != dim or any(p.rows != dim or p.cols != dim for p in planes):
+            raise ValueError("structure constant tensor must be dim^3")
+        den = lcm(*(p.den for p in planes))
+        alg = LieAlgebraSC(dim, den, tuple(
+            tuple(tuple((k, x * (den // p.den)) for k, x in row) for row in p.int_rows)
+            for p in planes
+        ))
         alg._validate()
         return alg
 
     @staticmethod
     def abelian(dim: int) -> "LieAlgebraSC":
-        z = Fraction(0)
-        c = tuple(
-            tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-            for _ in range(dim)
-        )
-        return LieAlgebraSC(dim, c)
+        return LieAlgebraSC(dim, 1, tuple(((),) * dim for _ in range(dim)))
 
     def _validate(self) -> None:
-        n = self.dim
-        c = self.constants
+        """Raise JacobiError at the first (i, j, k) where antisymmetry fails,
+        else at the first (i, j, k), i < j < k, where the Jacobi identity
+        fails; the checks compare integers, all over den or den^2."""
+        n, planes = self.dim, self.planes
+        # c[i][j][k] != -c[j][i][k] is symmetric in (i, j), so the first
+        # failing (i, j) has i <= j
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise JacobiError(
-                            "antisymmetry fails at (%d, %d, %d)" % (i, j, k)
-                        )
+            for j in range(i, n):
+                if planes[i][j] != tuple((k, -x) for k, x in planes[j][i]):
+                    a, b = dict(planes[i][j]), dict(planes[j][i])
+                    k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
+                    raise JacobiError("antisymmetry fails at (%d, %d, %d)" % (i, j, k))
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    for m in range(n):
-                        total = Fraction(0)
-                        for p in range(n):
-                            total += (
-                                c[i][j][p] * c[p][k][m]
-                                + c[j][k][p] * c[p][i][m]
-                                + c[k][i][p] * c[p][j][m]
-                            )
-                        if total != 0:
-                            raise JacobiError(
-                                "Jacobi identity fails at (%d, %d, %d)" % (i, j, k)
-                            )
+                    total: dict[int, int] = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for p, x in planes[a][b]:
+                            for m, y in planes[p][c]:
+                                total[m] = total.get(m, 0) + x * y
+                    if any(total.values()):
+                        raise JacobiError("Jacobi identity fails at (%d, %d, %d)" % (i, j, k))
 
     @cached_property
-    def _nonzero_constants(self) -> tuple[tuple[list[tuple[int, Fraction]], ...], ...]:
-        """The (k, c[i][j][k]) nonzeros of each plane row (i, j), listed once
-        per algebra."""
+    def constants(self) -> tuple[tuple[tuple, ...], ...]:
+        """The rationals c[i][j][k], formed on first read."""
         return tuple(
-            tuple([(k, c) for k, c in enumerate(row) if c] for row in plane)
-            for plane in self.constants
+            tuple(_dense(self.dim, row, self.den) for row in plane) for plane in self.planes
         )
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        planes = self._nonzero_constants
-        ys = [(j, _q(b)) for j, b in enumerate(y) if b]
+    def bracket(self, x: Sequence, y: Sequence) -> tuple:
+        """[x, y] of two rational vectors, formed as rationals."""
         out = [_ZERO] * self.dim
+        ys = [(j, _q(b)) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
-            if not a:
-                continue
-            a, plane = _q(a), planes[i]
-            for j, b in ys:
+            if a:
+                a, plane = _q(a), self.planes[i]
+                for j, b in ys:
+                    f = a * b
+                    for k, c in plane[j]:
+                        out[k] += f * c
+        return tuple(v / self.den for v in out)
+
+    def _bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        """den * [x, y] of two integer vectors {index: int}, zeros dropped."""
+        out: dict[int, int] = {}
+        planes = self.planes
+        for i, a in x.items():
+            plane = planes[i]
+            for j, b in y.items():
                 f = a * b
                 for k, c in plane[j]:
-                    out[k] += f * c
-        return tuple(out)
+                    out[k] = out.get(k, 0) + f * c
+        return {k: v for k, v in out.items() if v}
 
     def is_subalgebra(self, s: Subspace) -> bool:
-        for a in s.basis:
-            for b in s.basis:
-                if not s.contains(self.bracket(a, b)):
-                    return False
-        return True
+        """Whether s is bracket-closed: the bracket of each pair of its integer
+        rows goes into one engine holding s.  [b, a] = -[a, b] and [a, a] = 0,
+        so the pairs a < b suffice."""
+        rows = [row for _, _, row in s.rows]
+        engine = s._engine()
+        return all(
+            engine.contains(self._bracket(a, b)) for i, a in enumerate(rows) for b in rows[i + 1:]
+        )
 
     def derived_subspace(self) -> Subspace:
+        """[g, g]: the span of the integer planes [e_i, e_j], i < j."""
         n = self.dim
-        vecs = []
-        for i in range(n):
-            ei = [Fraction(0)] * n
-            ei[i] = Fraction(1)
-            for j in range(i + 1, n):
-                ej = [Fraction(0)] * n
-                ej[j] = Fraction(1)
-                vecs.append(self.bracket(ei, ej))
-        return Subspace.from_vectors(n, vecs)
+        return Subspace._span(n, (dict(self.planes[i][j]) for i in range(n) for j in range(i + 1, n)))
+
+
+def _columns(g: LieAlgebraSC, m: QMatrix) -> list[dict[int, int]] | None:
+    """The columns of den(M) M as integer vectors, or None when M is not
+    dim x dim; an M whose column count is wrong cannot act on g at all."""
+    if m.cols != g.dim:
+        raise ValueError("shape mismatch in matrix-vector product")
+    if m.rows != g.dim:
+        return None
+    return [dict(col) for col in m.transpose().int_rows]
+
+
+def _apply(columns: list[dict[int, int]], v: Pairs) -> dict[int, int]:
+    """M v for M given by its integer columns and v by its nonzeros."""
+    out: dict[int, int] = {}
+    for k, x in v:
+        for r, y in columns[k].items():
+            out[r] = out.get(r, 0) + x * y
+    return {r: y for r, y in out.items() if y}
+
+
+# An action matrix is checked on the pairs e_i, e_j with i < j: both sides
+# of each identity are bilinear and antisymmetric in (x, y) on a validated
+# algebra, so the other pairs follow.
 
 
 def is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
-    """Whether A preserves brackets: A[x,y] = [Ax, Ay] on basis pairs."""
-    n = g.dim
-    for i in range(n):
-        ei = [Fraction(0)] * n
-        ei[i] = Fraction(1)
-        ai = a.mul_vec(ei)
-        for j in range(n):
-            ej = [Fraction(0)] * n
-            ej[j] = Fraction(1)
-            lhs = a.mul_vec(g.bracket(ei, ej))
-            rhs = g.bracket(ai, a.mul_vec(ej))
-            if lhs != rhs:
+    """Whether A preserves brackets: A[x,y] = [Ax, Ay] on basis pairs.  With
+    A = M / d, both sides times d^2 den(g) are d M c_ij and [M e_i, M e_j]."""
+    cols = _columns(g, a)
+    if cols is None:
+        return False
+    d, planes = a.den, g.planes
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = {r: d * y for r, y in _apply(cols, planes[i][j]).items()}
+            if lhs != g._bracket(cols[i], cols[j]):
                 return False
     return True
 
 
 def is_derivation(g: LieAlgebraSC, d: QMatrix) -> bool:
-    """Whether D satisfies Leibniz: D[x,y] = [Dx,y] + [x,Dy] on basis pairs."""
-    n = g.dim
-    for i in range(n):
-        ei = [Fraction(0)] * n
-        ei[i] = Fraction(1)
-        for j in range(n):
-            ej = [Fraction(0)] * n
-            ej[j] = Fraction(1)
-            lhs = d.mul_vec(g.bracket(ei, ej))
-            rhs = tuple(
-                a + b
-                for a, b in zip(
-                    g.bracket(d.mul_vec(ei), ej), g.bracket(ei, d.mul_vec(ej))
-                )
-            )
-            if lhs != rhs:
+    """Whether D satisfies Leibniz: D[x,y] = [Dx,y] + [x,Dy] on basis pairs.
+    With D = M / e, both sides times e den(g) are M c_ij and [M e_i, e_j] +
+    [e_i, M e_j]."""
+    cols = _columns(g, d)
+    if cols is None:
+        return False
+    planes = g.planes
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            rhs = g._bracket(cols[i], {j: 1})
+            for k, x in g._bracket({i: 1}, cols[j]).items():
+                rhs[k] = rhs.get(k, 0) + x
+            if _apply(cols, planes[i][j]) != {k: x for k, x in rhs.items() if x}:
                 return False
     return True
 
@@ -165,6 +200,8 @@ class IsotropyData:
 
     `automorphisms` are adjoint images of generators of a finite isotropy
     group; `derivations` are ad-matrices of Lie generators of a connected one.
+    The fixed algebras k^H and h^H are computed once, and h^H must be an ideal
+    of k^H, so that the quotient k^H / h^H is defined.
     """
 
     k: LieAlgebraSC
@@ -183,6 +220,13 @@ class IsotropyData:
         for d in self.derivations:
             if not is_derivation(self.k, d):
                 raise ValueError("action matrix is not a derivation")
+        _check_ideal(self.k, *self.fixed)
+
+    @cached_property
+    def fixed(self) -> tuple[Subspace, Subspace]:
+        """(k^H, h^H): the fixed subalgebra of k and its meet with h."""
+        k_fixed = fixed_subalgebra(self)
+        return k_fixed, k_fixed.intersection(self.h_basis)
 
 
 def fixed_subalgebra(data: IsotropyData) -> Subspace:
@@ -198,41 +242,59 @@ def fixed_subalgebra(data: IsotropyData) -> Subspace:
     return fixed
 
 
+def _show(v: Sequence) -> str:
+    return "(%s)" % ", ".join(str(x) for x in v)
+
+
+def _check_ideal(ambient: LieAlgebraSC, k_fixed: Subspace, h_fixed: Subspace) -> None:
+    """Raise NotAnIdealError naming the first basis vectors a of k_fixed and b
+    of h_fixed with [a, b] outside h_fixed; the brackets are those of the
+    integer rows, into one engine holding h_fixed."""
+    engine = h_fixed._engine()
+    for i, (_, _, a) in enumerate(k_fixed.rows):
+        for j, (_, _, b) in enumerate(h_fixed.rows):
+            if not engine.contains(ambient._bracket(a, b)):
+                raise NotAnIdealError(
+                    "quotient undefined: bracket of %s and %s leaves the ideal"
+                    % (_show(k_fixed.basis[i]), _show(h_fixed.basis[j]))
+                )
+
+
 def quotient_lie_algebra(
     k_fixed: Subspace, h_fixed: Subspace, ambient: LieAlgebraSC
 ) -> LieAlgebraSC:
-    """Structure constants of k_fixed / h_fixed on a complement basis."""
+    """Structure constants of k_fixed / h_fixed on a complement basis: the
+    integer rows of k_fixed that extend those of h_fixed."""
     if not k_fixed.contains_subspace(h_fixed):
         raise ValueError("h_fixed is not contained in k_fixed")
-    # ideal check: [k_fixed, h_fixed] inside h_fixed
-    for a in k_fixed.basis:
-        for b in h_fixed.basis:
-            br = ambient.bracket(a, b)
-            if not h_fixed.contains(br):
-                raise NotAnIdealError(
-                    "quotient undefined: bracket of %s and %s leaves the ideal"
-                    % (a, b)
-                )
-    comp = h_fixed.complement_in(k_fixed)
+    _check_ideal(ambient, k_fixed, h_fixed)
+    engine = h_fixed._engine()
+    comp = [row for _, _, row in k_fixed.rows if engine.insert(row)]
     q = len(comp)
     if q == 0:
         return LieAlgebraSC.abelian(0)
-    # coordinates of brackets in the (complement + h) basis, drop the h part
-    full_basis = QMatrix.from_rows(list(comp) + list(h_fixed.basis)).transpose()
+    # the columns of M are the complement and h rows times den(ambient), so
+    # M x = den [u_i, u_j] is solved by the coordinates x of [u_i, u_j]; the
+    # first q of them are the quotient's constants
+    columns = comp + [row for _, _, row in h_fixed.rows]
+    n, den = ambient.dim, ambient.den
+    m = QMatrix(1, tuple(
+        tuple((c, den * col[r]) for c, col in enumerate(columns) if r in col) for r in range(n)
+    ), len(columns))
     constants = []
-    for i in range(q):
+    for a in comp:
         plane = []
-        for j in range(q):
-            br = ambient.bracket(comp[i], comp[j])
-            sol = solve(full_basis, br)
+        for b in comp:
+            br = ambient._bracket(a, b)
+            sol = solve(m, [br.get(r, 0) for r in range(n)])
             if sol is None:
                 raise AssertionError("bracket left k_fixed; not a subalgebra")
-            plane.append(tuple(sol[:q]))
-        constants.append(tuple(plane))
-    return LieAlgebraSC.from_constants(q, tuple(constants))
+            plane.append(sol[:q])
+        constants.append(plane)
+    return LieAlgebraSC.from_constants(q, constants)
 
 
-def lie_abelianization(g: LieAlgebraSC) -> tuple[int, list[tuple[Fraction, ...]]]:
+def lie_abelianization(g: LieAlgebraSC) -> tuple[int, list[tuple]]:
     """(dimension, representative vectors) of g / [g, g]."""
     derived = g.derived_subspace()
     reps = derived.complement_in(Subspace.full(g.dim))

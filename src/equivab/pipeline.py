@@ -85,8 +85,7 @@ class AbelianizationReport:
 
 
 def _lie_summand_dim(data: liealg.IsotropyData) -> int:
-    k_fixed = liealg.fixed_subalgebra(data)
-    h_fixed = k_fixed.intersection(data.h_basis)
+    k_fixed, h_fixed = data.fixed
     quotient = liealg.quotient_lie_algebra(k_fixed, h_fixed, data.k)
     dim, _ = liealg.lie_abelianization(quotient)
     return dim

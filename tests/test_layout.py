@@ -139,3 +139,11 @@ def test_one_place_dispatches_on_the_action_kind():
         for function in _isinstance_sites(_tree(path))
     ]
     assert sites in ([], ["pipeline.py:_orbit_checks"])
+
+
+def test_lie_layer_runs_on_integers():
+    # liealg holds its constants as integer rows and checks on integer
+    # vectors: it imports no fractions and names no Fraction
+    tree = _tree(SRC / "liealg.py")
+    assert "fractions" not in set(_imported_modules(tree))
+    assert "Fraction" not in set(_names(tree))

@@ -1,6 +1,7 @@
 """Tests for structure-constant Lie algebras, isotropy fixed points, and
 quotient abelianizations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,302 @@ def _killing_form(g: LieAlgebraSC) -> QMatrix:
         return sum(m.entries[i][i] for i in range(m.rows))
 
     return QMatrix.from_rows([[trace(a @ b) for b in ads] for a in ads])
+
+
+# ---------------------------------------------------------------------------
+# the Fraction versions of the checks, kept as oracles for the integer ones
+
+
+def oracle_validate(n: int, c) -> str | None:
+    """The message of the first antisymmetry or Jacobi failure of the
+    rational constants c, or None."""
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c[i][j][k] != -c[j][i][k]:
+                    return "antisymmetry fails at (%d, %d, %d)" % (i, j, k)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for m in range(n):
+                    total = Fraction(0)
+                    for p in range(n):
+                        total += (
+                            c[i][j][p] * c[p][k][m]
+                            + c[j][k][p] * c[p][i][m]
+                            + c[k][i][p] * c[p][j][m]
+                        )
+                    if total != 0:
+                        return "Jacobi identity fails at (%d, %d, %d)" % (i, j, k)
+    return None
+
+
+def oracle_bracket(g: LieAlgebraSC, x, y) -> tuple[Fraction, ...]:
+    c = g.constants
+    out = [Fraction(0)] * g.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k in range(g.dim):
+                    out[k] += Fraction(a) * Fraction(b) * c[i][j][k]
+    return tuple(out)
+
+
+def _unit(n: int, i: int) -> list[Fraction]:
+    e = [Fraction(0)] * n
+    e[i] = Fraction(1)
+    return e
+
+
+def oracle_is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
+    n = g.dim
+    for i in range(n):
+        ei = _unit(n, i)
+        ai = a.mul_vec(ei)
+        for j in range(n):
+            ej = _unit(n, j)
+            lhs = a.mul_vec(oracle_bracket(g, ei, ej))
+            rhs = oracle_bracket(g, ai, a.mul_vec(ej))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def oracle_is_derivation(g: LieAlgebraSC, d: QMatrix) -> bool:
+    n = g.dim
+    for i in range(n):
+        ei = _unit(n, i)
+        for j in range(n):
+            ej = _unit(n, j)
+            lhs = d.mul_vec(oracle_bracket(g, ei, ej))
+            rhs = tuple(
+                a + b
+                for a, b in zip(
+                    oracle_bracket(g, d.mul_vec(ei), ej), oracle_bracket(g, ei, d.mul_vec(ej))
+                )
+            )
+            if lhs != rhs:
+                return False
+    return True
+
+
+def oracle_is_subalgebra(g: LieAlgebraSC, s: Subspace) -> bool:
+    for a in s.basis:
+        for b in s.basis:
+            if not s.contains(oracle_bracket(g, a, b)):
+                return False
+    return True
+
+
+def heisenberg() -> list:
+    """[e1, e2] = e3."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = 1, -1
+    return c
+
+
+def direct_sum(c1, c2) -> list:
+    n1, n = len(c1), len(c1) + len(c2)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for off, part in ((0, c1), (n1, c2)):
+        for i, plane in enumerate(part):
+            for j, row in enumerate(plane):
+                for k, x in enumerate(row):
+                    c[off + i][off + j][off + k] = Fraction(x)
+    return c
+
+
+def block_diag(a, b) -> list:
+    n1, n = len(a), len(a) + len(b)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for off, part in ((0, a), (n1, b)):
+        for i, row in enumerate(part):
+            for j, x in enumerate(row):
+                out[off + i][off + j] = Fraction(x)
+    return out
+
+
+# (constants, automorphisms, [(spanning vectors, whether they span a
+# subalgebra)]), in the standard basis
+SO3_AUTOS = [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
+SL2_AUTOS = [[[-1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 3, 0], [0, 0, "1/3"]]]
+TWO_AUTOS = [[[1, 0], ["1/2", -3]]]
+HEIS_AUTOS = [[[1, 2, 0], [0, 3, 0], ["1/2", 0, 3]]]
+
+
+def _algebras():
+    so3 = [[list(r) for r in p] for p in cat.so3().constants]
+    sl2 = [[list(r) for r in p] for p in cat.sl2().constants]
+    two = [[list(r) for r in p] for p in cat.nonabelian_2dim().constants]
+    heis = heisenberg()
+    return {
+        "so3": (so3, SO3_AUTOS, [([[0, 0, 1]], True), ([[1, 0, 0], [0, 1, 0]], False)]),
+        "sl2": (sl2, SL2_AUTOS, [([[1, 0, 0], [0, 1, 0]], True),
+                                 ([[0, 1, 0], [0, 0, 1]], False)]),
+        "nonabelian-2": (two, TWO_AUTOS, [([[0, 1]], True), ([[1, 0]], True)]),
+        "heisenberg": (heis, HEIS_AUTOS, [([[1, 0, 0], [0, 0, 1]], True),
+                                          ([[1, 0, 0], [0, 1, 0]], False)]),
+        "so3+heisenberg": (
+            direct_sum(so3, heis), [block_diag(SO3_AUTOS[0], HEIS_AUTOS[0])],
+            [([[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]], True),
+             ([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], False)]),
+        "sl2+nonabelian-2": (
+            direct_sum(sl2, two), [block_diag(SL2_AUTOS[1], TWO_AUTOS[0])],
+            [([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 1]], True),
+             ([[0, 0, 0, 1, 0], [0, 1, 0, 0, 1]], False)]),
+    }
+
+
+ALGEBRAS = _algebras()
+RATIONALS = [Fraction(x) for x in (1, -1, 2, -2, 3)] + [
+    Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(-1, 3)]
+
+
+def rational_basis(rng: random.Random, n: int):
+    """(P, P^-1) for P = E D, E a product of elementary row operations with
+    rational factors and D a diagonal of non-unit rationals: the columns of P
+    form a basis that is not unimodular."""
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice(RATIONALS)
+        # row i += t row j on P; column j -= t column i on P^-1
+        p[i] = [a + t * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= t * row[i]
+    d = [rng.choice((Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(3))) for _ in range(n)]
+    return ([[x * d[j] for j, x in enumerate(row)] for row in p],
+            [[x / d[i] for x in row] for i, row in enumerate(p_inv)])
+
+
+def _mat_vec(m, v):
+    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
+
+
+def _mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def in_basis(c, p, p_inv):
+    """The constants c rewritten in the basis of the columns of P."""
+    n = len(c)
+    cols = [[p[r][i] for r in range(n)] for i in range(n)]
+
+    def bracket(x, y):
+        return [sum((x[i] * y[j] * Fraction(c[i][j][k]) for i in range(n) for j in range(n)),
+                    Fraction(0)) for k in range(n)]
+
+    return [[_mat_vec(p_inv, bracket(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+
+
+def perturbed(rng: random.Random, m):
+    """A copy of the nested rationals m with one entry moved."""
+    out = [list(r) for r in m]
+    i, j = rng.randrange(len(out)), rng.randrange(len(out[0]))
+    out[i][j] += rng.choice(RATIONALS)
+    return out
+
+
+def _cases():
+    return [(name, seed) for name in ALGEBRAS for seed in (1, 2, 3)]
+
+
+class TestIntegerChecksMatchFractionOracles:
+    """The integer checks accept and reject what the Fraction ones did, and
+    name the same (i, j, k), in rational bases that are not unimodular."""
+
+    @staticmethod
+    def setup_case(name: str, seed: int):
+        rng = random.Random("%s/%d" % (name, seed))
+        c, autos, subalgebras = ALGEBRAS[name]
+        n = len(c)
+        p, p_inv = rational_basis(rng, n)
+        return rng, n, p, p_inv, in_basis(c, p, p_inv), autos, subalgebras
+
+    @staticmethod
+    def integer_validate(n, c) -> str | None:
+        try:
+            LieAlgebraSC.from_constants(n, c)
+        except JacobiError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("name, seed", _cases())
+    def test_validate(self, name, seed):
+        rng, n, _, _, c, _, _ = self.setup_case(name, seed)
+        assert oracle_validate(n, c) is None
+        assert self.integer_validate(n, c) is None
+        seen = set()
+        for _ in range(12):
+            bad = [[list(r) for r in plane] for plane in c]
+            i, j = rng.randrange(n), rng.randrange(n)
+            # one entry, or the whole row (i, j), so that several k fail
+            for k in rng.sample(range(n), rng.choice((1, n))):
+                t = rng.choice(RATIONALS)
+                bad[i][j][k] += t
+                if i != j and rng.random() < 0.5:
+                    # keep antisymmetry: only the Jacobi identity can fail
+                    bad[j][i][k] -= t
+            want = oracle_validate(n, bad)
+            seen.add(want.split(" fails")[0] if want else None)
+            assert self.integer_validate(n, bad) == want
+        assert "antisymmetry" in seen
+
+    @pytest.mark.parametrize("name, seed", _cases())
+    def test_automorphisms(self, name, seed):
+        rng, n, p, p_inv, c, autos, _ = self.setup_case(name, seed)
+        g = LieAlgebraSC.from_constants(n, c)
+        for a in autos:
+            a = [[Fraction(x) for x in row] for row in a]
+            moved = _mat_mul(p_inv, _mat_mul(a, p))
+            for m in (moved, perturbed(rng, moved), perturbed(rng, moved)):
+                qm = QMatrix.from_rows(m)
+                assert is_automorphism(g, qm) == oracle_is_automorphism(g, qm)
+            assert is_automorphism(g, QMatrix.from_rows(moved))
+        scale = QMatrix.identity(n).scale(2)
+        assert is_automorphism(g, scale) == oracle_is_automorphism(g, scale)
+
+    @pytest.mark.parametrize("name, seed", _cases())
+    def test_derivations(self, name, seed):
+        rng, n, _, _, c, _, _ = self.setup_case(name, seed)
+        g = LieAlgebraSC.from_constants(n, c)
+        for _ in range(3):
+            x = [rng.choice(RATIONALS + [Fraction(0)]) for _ in range(n)]
+            d = ad(g, x)
+            assert is_derivation(g, d) and oracle_is_derivation(g, d)
+            bad = QMatrix.from_rows(perturbed(rng, d.entries))
+            assert is_derivation(g, bad) == oracle_is_derivation(g, bad)
+        ident = QMatrix.identity(n)
+        assert is_derivation(g, ident) == oracle_is_derivation(g, ident)
+
+    @pytest.mark.parametrize("name, seed", _cases())
+    def test_subalgebras(self, name, seed):
+        rng, n, _, p_inv, c, _, subalgebras = self.setup_case(name, seed)
+        g = LieAlgebraSC.from_constants(n, c)
+        for vs, closed in subalgebras:
+            # the span of P^-1 v is (not) a subalgebra in the new basis
+            s = Subspace.from_vectors(n, [_mat_vec(p_inv, [Fraction(x) for x in v]) for v in vs])
+            assert g.is_subalgebra(s) == oracle_is_subalgebra(g, s) == closed
+        for _ in range(4):
+            vs = [[rng.choice(RATIONALS + [Fraction(0)]) for _ in range(n)]
+                  for _ in range(rng.choice((1, 2)))]
+            s = Subspace.from_vectors(n, vs)
+            assert g.is_subalgebra(s) == oracle_is_subalgebra(g, s)
+
+    @pytest.mark.parametrize("name, seed", _cases())
+    def test_integer_form(self, name, seed):
+        _, n, _, _, c, _, _ = self.setup_case(name, seed)
+        g = LieAlgebraSC.from_constants(n, c)
+        # the rational read gives back the constants, and equal algebras are
+        # equal records
+        assert g.constants == tuple(tuple(tuple(r) for r in plane) for plane in c)
+        assert g == LieAlgebraSC.from_planes(n, [QMatrix.from_rows(p) for p in c])
+        x, y = c[0][n - 1], c[n - 1][0]
+        assert g.bracket(x, y) == oracle_bracket(g, x, y)
+        # the complement of 0 in k is the unit rows: the quotient is g itself
+        assert quotient_lie_algebra(Subspace.full(n), Subspace.zero(n), g) == g
 
 
 class TestValidation:

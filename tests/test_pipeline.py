@@ -7,6 +7,7 @@ import re
 import string
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from equivab import catalog as cat
 from equivab import cli
 from equivab import commutant as comm
 from equivab import io as eio
-from equivab import pipeline, strata, symmetry
+from equivab import exactlin, pipeline, strata, symmetry
 from equivab.exactlin import QMatrix, Subspace
 from equivab.liealg import IsotropyData
 from equivab.pipeline import (
@@ -67,6 +68,12 @@ BASIC_INPUT = {
     "options": {"seed": 3},
 }
 ROTATION = json.dumps(BASIC_INPUT["orbits"][0]["slice_action"])
+# sl(2) on the basis h, e, f
+SL2_CONSTANTS = [
+    [[0, 0, 0], [0, 2, 0], [0, 0, -2]],
+    [[0, -2, 0], [0, 0, 0], [1, 0, 0]],
+    [[0, 0, 2], [-1, 0, 0], [0, 0, 0]],
+]
 
 
 class TestOrbitModel:
@@ -386,6 +393,54 @@ class TestIO:
         with pytest.raises(InputError, match="Jacobi"):
             eio.parse_input(doc, {})
 
+    @staticmethod
+    def so3_document(rational: bool) -> dict:
+        """so(3) with a half-turn, ad(e3) and h = <e3> on a rotation of the
+        plane: in the standard basis, or in the basis (2 e1, e2 / 2, 3 e3),
+        which writes the constants, ad(e3) and h with 'p/q' strings."""
+        if rational:
+            c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+            for (i, j, k), x, minus in (((0, 1, 2), "1/3", "-1/3"), ((1, 2, 0), "3/4", "-3/4"),
+                                        ((2, 0, 1), 12, -12)):
+                c[i][j][k], c[j][i][k] = x, minus
+            ad_e3 = [[0, "-3/4", 0], [12, 0, 0], [0, 0, 0]]
+            h = [[0, 0, "1/3"]]
+        else:
+            c = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]], [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+            ad_e3 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+            h = [[0, 0, 1]]
+        return {"orbits": [{
+            "label": "so3", "slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+            "isotropy_lie": {
+                "dim": 3, "structure_constants": c, "h_basis": h,
+                "automorphisms": [[[-1, 0, 0], [0, -1, 0], [0, 0, 1]]], "derivations": [ad_e3],
+            },
+        }]}
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["integers", "strings"])
+    def test_no_rational_formed(self, rational, monkeypatch):
+        # each JSON entry becomes an integer once: integer entries form no
+        # rational, and a 'p/q' string at most the one that reads it
+        doc = self.so3_document(rational)
+        strings = sum(isinstance(x, str) for _, x in _nodes(doc["orbits"][0]["isotropy_lie"]))
+        assert (strings > 0) == rational
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        with monkeypatch.context() as patch:
+            for module in (exactlin, comm, symmetry, strata):
+                patch.setattr(module, "Q", counted)
+            patch.setattr(eio, "Fraction", counted)
+            models, _ = eio.parse_input(doc, {})
+            k_fixed, h_fixed = models[0].isotropy_lie.fixed
+        assert len(made) <= strings
+        assert (k_fixed.dim, h_fixed.dim) == (1, 1)
+        assert run_pipeline(models).orbits[0].lie_summand_dim == 0
+
     def test_report_json_roundtrip(self):
         models, _ = eio.parse_input(BASIC_INPUT, {})
         rep = run_pipeline(models)
@@ -551,6 +606,11 @@ class TestCLI:
          '"dim": 2, "generators": [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]}}]}',
          [], "orbits[0].slice_action: the trace form on the span of the generators has "
          "inertia (2, 1, 0), not (0, 3, 0): the group is not compact"),
+        ('{"orbits": [{"label": "x", "slice_action": %s, "isotropy_lie": {"dim": 3, '
+         '"structure_constants": %s, "h_basis": [[0, 1, 0]]}}]}'
+         % (ROTATION, json.dumps(SL2_CONSTANTS)), [],
+         "orbits[0].isotropy_lie: quotient undefined: bracket of (0, 0, 1) and (0, 1, 0) "
+         "leaves the ideal"),
     ], ids=["json-syntax", "orbits-not-array", "options-not-object",
             "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
             "seed-string", "degree-bound-flag", "max-group-order-flag",
@@ -558,7 +618,7 @@ class TestCLI:
             "weights-row-not-array", "isotropy-not-object", "dim-boolean",
             "quotient-not-boolean", "generator-trace-fraction",
             "generator-trace-too-large", "label-not-string", "non-compact-connected",
-            "non-compact-sl2-quotient"])
+            "non-compact-sl2-quotient", "h-fixed-not-an-ideal"])
     def test_malformed_input_rejected(self, tmp_path, capsys, text, flags, message, mode):
         path = tmp_path / "input.json"
         path.write_text(text)
