@@ -7,12 +7,16 @@ symmetric elimination.  Verify mode counts (m, l) again from Sturm sequences
 on a generic central element.  For a finite group it also checks, exactly and
 from the enumerated elements alone, that Z(A) = A meet span G and that
 dim A = (1/|G|) sum of tr(g)^2.
+
+The commutant's closure under products is certified by its residual against
+the action, not multiplied out (`Commutant`), and Z(A) and [A, A] read one
+table of brackets of basis elements (`MatrixAlgebra.brackets`).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
@@ -21,6 +25,7 @@ from .exactlin import (
     QMatrix,
     Subspace,
     bracket_vec,
+    combine,
     count_real_roots,
     inertia,
     kernel,
@@ -37,7 +42,12 @@ from .symmetry import (
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
-    """Unital associative subalgebra of End(R^n) given by a rational basis."""
+    """Unital associative subalgebra of End(R^n) given by a rational basis.
+
+    A basis given from outside is checked here: linearly independent, closed
+    under products (dim A squared products, each reduced against the span)
+    and holding the identity.  The commutant forms no such product: see
+    `Commutant`."""
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
@@ -62,6 +72,35 @@ class MatrixAlgebra:
         n = self.ambient_dim
         return Subspace._span(n * n, (b.int_vec() for b in self.basis))
 
+    @cached_property
+    def brackets(self) -> dict[tuple[int, int], dict[int, int]]:
+        """The bracket table, formed once per algebra and read by `center` and
+        `commutator_ideal`: vec [B_i, B_j] as {index: int}, zeros dropped, for
+        i < j and the integral B_i = den(b_i) b_i."""
+        b = self.basis
+        return {(i, j): bracket_vec(b[i], b[j])[1]
+                for i, j in itertools.combinations(range(len(b)), 2)}
+
+
+@dataclass(frozen=True)
+class Commutant(MatrixAlgebra):
+    """End(V)^H as `compute_commutant` builds it: the basis is the integer
+    rows of `kernel`, the kernel of the invariance constraints, so it spans
+    {X : [X, g] = 0 for every action generator g}.  That set holds the
+    identity and is closed under products by the Leibniz rule
+    [XY, g] = X[Y, g] + [X, g]Y, so closure is certified by the residual
+    [b, g] = 0 of each basis element, which `compute_commutant` checks, and
+    no product of two basis elements is formed."""
+
+    kernel: Subspace = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        pass
+
+    @property
+    def span(self) -> Subspace:
+        return self.kernel
+
 
 @dataclass(frozen=True)
 class MLClassification:
@@ -81,38 +120,48 @@ class MLClassification:
             raise ValueError("need m >= l >= 0")
 
 
-def compute_commutant(g: GroupAction) -> MatrixAlgebra:
-    """Basis of {X : X commutes with the action}, as a MatrixAlgebra: the
-    integer rows of the kernel."""
+def compute_commutant(g: GroupAction) -> Commutant:
+    """Basis of {X : X commutes with the action}, as a `Commutant`: the
+    integer rows of the kernel, each checked to commute with every action
+    generator.  Raises ValueError if one does not."""
     n = g.dim
     sol = kernel(n * n, invariance_constraints(g))
-    return MatrixAlgebra(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows))
+    a = Commutant(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows), sol)
+    if not commutes_with_action(a, g):
+        raise ValueError("the commutant's basis does not commute with the action")
+    return a
+
+
+def commutes_with_action(a: MatrixAlgebra, g: GroupAction) -> bool:
+    """Whether [b, g] = 0 for every basis element b of A and every action
+    generator g: dim A times (number of generators) brackets."""
+    gens = g.action_generators()
+    return not any(bracket_vec(gen, b)[1] for b in a.basis for gen in gens)
 
 
 def center(a: MatrixAlgebra) -> Subspace:
-    """Center of A as a subspace of vec(End(V))."""
-    n = a.ambient_dim
-    # the integer vectors vecs span the centralizer in A of the basis elements
-    # seen so far, and mats holds them as matrices; each basis element b keeps
-    # the combinations commuting with b
-    vecs = [b.int_vec() for b in a.basis]
-    mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]
-    for b in a.basis:
-        # every bracket [x, b] is over den(b), since each x is integral
-        brackets = [bracket_vec(x, b)[1] for x in mats]
+    """Center of A as a subspace of vec(End(V)), read off the bracket table:
+    no product is formed."""
+    n, d, table = a.ambient_dim, a.dim, a.brackets
+    # the integer coefficient vectors coefs {i: c_i} over the integral basis
+    # B_i = den(b_i) b_i span the centralizer in A of the basis elements seen
+    # so far; each B_j keeps the combinations x commuting with it, where
+    # [x, B_j] = sum of c_i [B_i, B_j] and [B_i, B_j] = -[B_j, B_i]
+    coefs = [{i: 1} for i in range(d)]
+    for j in range(d):
+        column = [table[i, j] if i < j else table[j, i] if i > j else {} for i in range(d)]
+        signed = [{i: -c if i > j else c for i, c in x.items()} for x in coefs]
+        brackets = combine(signed, column)
         if not any(brackets):
             continue
-        vecs = kernel(len(brackets), rows_of(brackets)).combinations(vecs)
-        mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]
-    return Subspace._span(n * n, vecs)
+        coefs = kernel(len(brackets), rows_of(brackets)).combinations(coefs)
+    return Subspace._span(n * n, combine(coefs, [b.int_vec() for b in a.basis]))
 
 
 def commutator_ideal(a: MatrixAlgebra) -> Subspace:
-    """Span of all brackets of basis elements (= [A, A] by bilinearity)."""
-    n = a.ambient_dim
-    return Subspace._span(
-        n * n, (bracket_vec(x, y)[1] for x, y in itertools.combinations(a.basis, 2))
-    )
+    """Span of all brackets of basis elements (= [A, A] by bilinearity): the
+    span of the bracket table."""
+    return Subspace._span(a.ambient_dim ** 2, a.brackets.values())
 
 
 @dataclass(frozen=True)

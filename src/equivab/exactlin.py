@@ -230,6 +230,21 @@ def kernels(ncols: int, groups: Iterable[Iterable[dict[int, int]]]) -> Iterator[
         yield engine.kernel()
 
 
+def combine(
+    coefs: Iterable[dict[int, int]], vectors: Sequence[dict[int, int]]
+) -> list[dict[int, int]]:
+    """sum_i c_i vectors[i] for each integer coefficient vector c {i: c_i},
+    as {index: int}, zeros dropped."""
+    out = []
+    for c in coefs:
+        v: dict[int, int] = {}
+        for i, ci in c.items():
+            for k, x in vectors[i].items():
+                v[k] = v.get(k, 0) + ci * x
+        out.append({k: x for k, x in v.items() if x})
+    return out
+
+
 def rows_of(columns: Iterable[dict]) -> list[dict]:
     """The rows {k: value} of the matrix whose k-th column is the sparse vector
     columns[k]: one row per key of some column, in order of first appearance.
@@ -442,17 +457,9 @@ class Subspace:
         return len(self.rows)
 
     def combinations(self, vectors: Sequence[dict[int, int]]) -> list[dict[int, int]]:
-        """sum_i c_i vectors[i] for each integer row c of this subspace of
-        Q^len(vectors), zeros dropped: the integer vectors {index: int} its
-        rows map to when e_i maps to vectors[i]."""
-        out = []
-        for _, _, coefs in self.rows:
-            v: dict[int, int] = {}
-            for i, c in coefs.items():
-                for k, x in vectors[i].items():
-                    v[k] = v.get(k, 0) + c * x
-            out.append({k: x for k, x in v.items() if x})
-        return out
+        """The integer vectors {index: int} the rows of this subspace of
+        Q^len(vectors) map to when e_i maps to vectors[i]."""
+        return combine((row for _, _, row in self.rows), vectors)
 
     def contains(self, v: Sequence) -> bool:
         return self._engine().contains(_exact_row(v, self.ambient_dim))
@@ -629,43 +636,8 @@ class QPolynomial:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def scale(self, c) -> "QPolynomial":
-        c = _q(c)
-        return QPolynomial.from_coeffs([c * a for a in self.coeffs])
-
-    def derivative(self) -> "QPolynomial":
-        return QPolynomial.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Q(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        while len(r) - 1 >= d and any(c != 0 for c in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            f = r[-1] / lead
-            shift = len(r) - 1 - d
-            q[shift] = f
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= f * c
-            r.pop()
-        return QPolynomial.from_coeffs(q), QPolynomial.from_coeffs(r)
 
 
 def minimal_polynomial(m: QMatrix) -> QPolynomial:
@@ -695,44 +667,62 @@ def minimal_polynomial(m: QMatrix) -> QPolynomial:
     raise AssertionError("no minimal polynomial found below n+1")
 
 
-def sturm_sequence(p: QPolynomial) -> list[QPolynomial]:
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero():
-        _, r = seq[-2].divmod(seq[-1])
-        seq.append(r.scale(Q(-1)))
-    seq.pop()
-    return seq
+def _primitive_poly(cs: list[int]) -> list[int]:
+    """The integer coefficients cs, low to high, with high zeros dropped and
+    divided by their positive content."""
+    while cs and not cs[-1]:
+        cs.pop()
+    g = gcd(*cs)
+    return cs if g <= 1 else [c // g for c in cs]
 
 
-def _sign_at_inf(p: QPolynomial, positive: bool) -> int:
-    if p.is_zero():
-        return 0
-    s = 1 if p.leading > 0 else -1
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
+def _sturm_next(a: list[int], b: list[int]) -> list[int]:
+    """-rem(a, b) times a positive rational, as primitive integer coefficients,
+    for integer a and b of degrees deg a >= deg b > 0.
+
+    Pseudo-division runs d + 1 = deg a - deg b + 1 steps, each multiplying by
+    lc(b): it leaves r = lc(b)^(d+1) rem(a, b), negated when that factor is
+    positive."""
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    for top in range(len(a) - 1, db - 1, -1):
+        # lead * r minus the multiple of b that cancels its top coefficient
+        c, shift = r.pop(), top - db
+        r = [lead * x for x in r]
+        for i in range(db):
+            r[shift + i] -= c * b[i]
+    if lead > 0 or (len(a) - db) % 2 == 0:
+        r = [-x for x in r]
+    return _primitive_poly(r)
 
 
 def _variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def count_real_roots(p: QPolynomial) -> tuple[int, int]:
     """(distinct real roots, complex conjugate pairs) of a squarefree p.
 
-    Uses Sturm's theorem over (-inf, inf) with exact sign evaluation.
+    Uses Sturm's theorem over (-inf, inf) with exact sign evaluation.  The
+    sequence p, p', -rem(p, p'), ... runs on primitive integer coefficient
+    lists: each term is its rational one times a positive number, which keeps
+    every sign at +-inf.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0, 0
-    seq = sturm_sequence(p)
-    # the sequence is Euclid's algorithm on (p, p'): it ends at gcd(p, p')
-    if seq[-1].degree > 0:
+    den = lcm(*(int(c.denominator) for c in p.coeffs))
+    f = _primitive_poly([int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs])
+    seq = [f, _primitive_poly([i * c for i, c in enumerate(f)][1:])]
+    while len(seq[-1]) > 1:
+        seq.append(_sturm_next(seq[-2], seq[-1]))
+    # the sequence is Euclid's algorithm on (p, p'): a zero remainder leaves
+    # gcd(p, p') nonconstant
+    if not seq[-1]:
         raise ValueError("polynomial is not squarefree")
-    at_neg = _variations([_sign_at_inf(q, positive=False) for q in seq])
-    at_pos = _variations([_sign_at_inf(q, positive=True) for q in seq])
+    at_pos = _variations([1 if q[-1] > 0 else -1 for q in seq])
+    at_neg = _variations([(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in seq])
     real = at_neg - at_pos
     pairs, rem = divmod(p.degree - real, 2)
     if rem:

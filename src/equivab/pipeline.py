@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass
 
 from . import commutant as comm
 from . import liealg, strata
-from .exactlin import bracket_vec
 from .symmetry import FiniteMatrixAction, GroupAction, fixed_vectors
 
 
@@ -212,7 +211,7 @@ def _orbit_checks(
 
     structure, split, ml = _classify(g)
     # exact residual: commutant really commutes with the action
-    yield item("commutant-residual", _commutes_with_action(structure.algebra, g))
+    yield item("commutant-residual", comm.commutes_with_action(structure.algebra, g))
     yield item("center-splits", split.passed, "; ".join(split.failures))
     disagreement = comm.root_count_disagreement(structure, ml)
     yield item("center-dim-arithmetic", not disagreement, disagreement)
@@ -233,8 +232,3 @@ def _orbit_checks(
         )
         if finite and d >= g.order:
             yield item("finite-kernel-vanishes", ker1.dim_s == 0)
-
-
-def _commutes_with_action(algebra: comm.MatrixAlgebra, g: GroupAction) -> bool:
-    gens = g.action_generators()
-    return not any(bracket_vec(gen, b)[1] for b in algebra.basis for gen in gens)

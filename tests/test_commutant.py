@@ -128,6 +128,32 @@ class TestCommutant:
                 (QMatrix.identity(2), QMatrix.from_rows([[0, 1], [1, 0]]),
                  QMatrix.from_rows([[1, 0], [0, -1]])),
             )
+        # the same span on a basis with denominators
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            MatrixAlgebra(2, _shear(
+                (QMatrix.identity(2), QMatrix.from_rows([[0, 1], [1, 0]]),
+                 QMatrix.from_rows([[1, 0], [0, -1]]))
+            ))
+
+    def test_kernel_is_the_span(self, monkeypatch):
+        # the constraint kernel is passed on as the span, not eliminated again
+        kernels = []
+
+        def recorded(ncols, rows):
+            kernels.append(exactlin.kernel(ncols, rows))
+            return kernels[-1]
+
+        monkeypatch.setattr(comm, "kernel", recorded)
+        a = compute_commutant(cat.q8_on_r4())
+        assert a.span is kernels[0]
+
+    def test_non_commuting_kernel_row_rejected(self, monkeypatch):
+        # a kernel holding E_12 beside the identity: E_12 does not commute
+        # with the rotation by a quarter turn
+        wrong = Subspace.from_vectors(4, [[1, 0, 0, 1], [0, 1, 0, 0]])
+        monkeypatch.setattr(comm, "kernel", lambda ncols, rows: wrong)
+        with pytest.raises(ValueError, match="does not commute with the action"):
+            compute_commutant(cat.c4_rotation())
 
 
 def _center_as_common_kernel(a: MatrixAlgebra) -> Subspace:
@@ -147,16 +173,19 @@ def _center_as_common_kernel(a: MatrixAlgebra) -> Subspace:
     return Subspace.from_vectors(n * n, vecs)
 
 
-def _sheared(a: MatrixAlgebra) -> MatrixAlgebra:
-    """a on the basis b_k / (k + 2) + b_(k+1), the last b_k / (k + 2): a
-    triangular basis change after which the basis elements, and their
-    brackets, carry different denominators, and central elements are no
-    multiples of basis elements."""
-    b = a.basis
-    return MatrixAlgebra(a.ambient_dim, tuple(
+def _shear(b: tuple[QMatrix, ...]) -> tuple[QMatrix, ...]:
+    """The basis b_k / (k + 2) + b_(k+1), the last b_k / (k + 2): a
+    triangular basis change of the same span after which the basis elements,
+    and their brackets, carry different denominators, and central elements
+    are no multiples of basis elements."""
+    return tuple(
         b[k].scale(Fraction(1, k + 2)) + (b[k + 1] if k + 1 < len(b) else b[k].scale(0))
         for k in range(len(b))
-    ))
+    )
+
+
+def _sheared(a: MatrixAlgebra) -> MatrixAlgebra:
+    return MatrixAlgebra(a.ambient_dim, _shear(a.basis))
 
 
 CENTER_CASES = (
@@ -203,6 +232,13 @@ class TestCenterAndAbelianization:
         dim, reps = abelianization(commutant_structure(full_matrix_algebra(n)))
         assert dim == expected
         assert len(reps) == expected
+
+    @pytest.mark.parametrize("make_algebra", SPLIT_CASES)
+    def test_commutator_ideal_matches_dense_brackets(self, make_algebra):
+        a = make_algebra()
+        n = a.ambient_dim
+        dense = [(x @ y - y @ x).vec() for x in a.basis for y in a.basis]
+        assert commutator_ideal(a) == Subspace.from_vectors(n * n, dense)
 
     def test_center_of_full_algebra_is_scalars(self):
         z = center(full_matrix_algebra(3))

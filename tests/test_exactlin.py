@@ -754,13 +754,39 @@ def _mul(p: QPolynomial, q: QPolynomial) -> QPolynomial:
     return QPolynomial.from_coeffs(out)
 
 
+def _scale(p: QPolynomial, c) -> QPolynomial:
+    return QPolynomial.from_coeffs([c * a for a in p.coeffs])
+
+
+def _derivative(p: QPolynomial) -> QPolynomial:
+    return QPolynomial.from_coeffs([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _divmod(a: QPolynomial, b: QPolynomial) -> tuple[QPolynomial, QPolynomial]:
+    """Long division over the rationals: (q, r) with a = q b + r, deg r < deg b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
+    r = [Fraction(c) for c in a.coeffs]
+    while len(r) > b.degree and r:
+        f = r[-1] / b.coeffs[-1]
+        shift = len(r) - 1 - b.degree
+        q[shift] = f
+        for i, c in enumerate(b.coeffs):
+            r[shift + i] -= f * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return QPolynomial.from_coeffs(q), QPolynomial.from_coeffs(r)
+
+
 def _monic(p: QPolynomial) -> QPolynomial:
-    return p.scale(1 / p.leading)
+    return _scale(p, 1 / p.coeffs[-1])
 
 
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     while not b.is_zero():
-        _, r = a.divmod(b)
+        _, r = _divmod(a, b)
         a, b = b, r
     if a.is_zero():
         return a
@@ -771,10 +797,10 @@ def squarefree_part(p: QPolynomial) -> QPolynomial:
     """p divided by gcd(p, p'), made monic: the oracles' squarefree input."""
     if p.is_zero():
         return p
-    g = poly_gcd(p, p.derivative())
+    g = poly_gcd(p, _derivative(p))
     if g.degree <= 0:
         return _monic(p)
-    q, r = p.divmod(g)
+    q, r = _divmod(p, g)
     assert r.is_zero()
     return _monic(q)
 
@@ -792,7 +818,7 @@ class TestPolynomials:
     def test_divmod_identity(self, a, b):
         if b.is_zero():
             return
-        q, r = a.divmod(b)
+        q, r = _divmod(a, b)
         assert _add(_mul(q, b), r).coeffs == a.coeffs
         assert r.is_zero() or r.degree < b.degree
 
@@ -815,13 +841,13 @@ class TestPolynomials:
             return
         sf = squarefree_part(p)
         # squarefree: gcd with derivative is constant
-        g = poly_gcd(sf, sf.derivative())
+        g = poly_gcd(sf, _derivative(sf))
         assert g.degree == 0
         # same roots: p divides sf^deg(p)
         power = sf
         for _ in range(p.degree):
             power = _mul(power, sf)
-        _, r = power.divmod(p)
+        _, r = _divmod(power, p)
         assert r.is_zero()
 
 
@@ -953,7 +979,7 @@ def _real_root_count_bisect(p: QPolynomial) -> int:
     carries a zero-or-one-root certificate; independent of Sturm sequences.
     """
     bound = Fraction(
-        1 + max(abs(c / p.leading) for c in p.coeffs[:-1])
+        1 + max(abs(c / p.coeffs[-1]) for c in p.coeffs[:-1])
     )
 
     def count(a: Fraction, b: Fraction) -> int:
@@ -966,7 +992,42 @@ def _real_root_count_bisect(p: QPolynomial) -> int:
     return count(-bound, bound)
 
 
+def _fraction_sturm_count(p: QPolynomial) -> int | None:
+    """Real roots of p by Sturm's sequence p, p', -rem(p, p'), ... in rational
+    long division; None when it ends at a nonconstant gcd(p, p')."""
+    seq = [p, _derivative(p)]
+    while not seq[-1].is_zero():
+        _, r = _divmod(seq[-2], seq[-1])
+        seq.append(_scale(r, -1))
+    seq.pop()
+    if seq[-1].degree > 0:
+        return None
+
+    def variations(sign_of_x):
+        signs = [(1 if q.coeffs[-1] > 0 else -1) * sign_of_x ** q.degree for q in seq]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(-1) - variations(1)
+
+
+rational_polys = st.lists(rationals, min_size=2, max_size=7).map(QPolynomial.from_coeffs)
+
+
 class TestSturm:
+    @given(rational_polys, rational_polys)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sequence_matches_rational_sequence(self, p, f):
+        # p, and p times f^2, which is not squarefree when f is nonconstant
+        for q in (p, _mul(p, _mul(f, f))):
+            if q.degree < 1:
+                continue
+            real = _fraction_sturm_count(q)
+            if real is None:
+                with pytest.raises(ValueError, match="not squarefree"):
+                    count_real_roots(q)
+            else:
+                assert count_real_roots(q) == (real, (q.degree - real) // 2)
+
     @given(poly_strategy)
     @settings(max_examples=80, deadline=None)
     def test_against_sympy_real_roots(self, p):

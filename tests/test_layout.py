@@ -5,6 +5,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
+from equivab import catalog, commutant, exactlin
+from equivab.symmetry import TorusAction
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivab"
 
 
@@ -147,3 +152,27 @@ def test_lie_layer_runs_on_integers():
     tree = _tree(SRC / "liealg.py")
     assert "fractions" not in set(_imported_modules(tree))
     assert "Fraction" not in set(_names(tree))
+
+
+@pytest.mark.parametrize("make", [
+    catalog.q8_on_r4, catalog.s3_regular_minus_trivial, catalog.c2_minus_identity,
+    catalog.su2_on_c2, pytest.param(lambda: TorusAction(((1, 1),)), id="circle_on_c2"),
+])
+def test_commutant_path_forms_no_products(make, monkeypatch):
+    # the commutant is certified by its residual, not by multiplying its
+    # basis out, and Z(A) and [A, A] read one bracket table: at most
+    # d(d - 1)/2 brackets for a d-dimensional algebra
+    calls = {"product_vec": 0, "bracket_vec": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(exactlin, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(commutant, name, counted)
+        monkeypatch.setattr(exactlin, name, counted)
+    a = commutant.compute_commutant(make())
+    assert calls["product_vec"] == 0
+    calls["bracket_vec"] = 0
+    commutant.commutant_structure(a)
+    assert calls["product_vec"] == 0
+    assert 0 < calls["bracket_vec"] <= a.dim * (a.dim - 1) // 2
