@@ -273,13 +273,13 @@ def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
             for k, x in row.items():
                 vec[k] = vec.get(k, 0) + c * x
         p = minimal_polynomial(QMatrix._of(den, vec.items(), n, n))
-        if p.degree == d:
+        if len(p) - 1 == d:
             break
     else:
         return "no z(t) with t = 2..%d has a minimal polynomial of degree %d" % (last, d)
     try:
         real, pairs = count_real_roots(p)
-    except ValueError:  # p is monic, so only a repeated root raises
+    except ValueError:  # p is nonzero, so only a repeated root raises
         return "minimal polynomial of z(%d) is not squarefree" % t
     counted = (ml.m, ml.l, real + pairs, pairs)
     detail = "trace form (m,l)=(%d,%d), root count (%d,%d)" % counted

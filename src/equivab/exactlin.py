@@ -8,9 +8,10 @@ and every subspace operation run on those Python ints; span, membership and
 zero tests ignore scale, so callers pass the rows on as they are.  A rational
 row enters once, through `_integral`.  A rational (`Q`: ``gmpy2.mpq`` when
 installed, else :class:`fractions.Fraction`) is formed only where a value is
-read: `QMatrix.entries`, `Subspace.basis`, a solution, a polynomial.  There
-are no tolerances: ranks, kernels, inertia and root counts are exact.  All
-objects are immutable; all functions are pure.
+read: `QMatrix.entries`, `Subspace.basis`, a solution.  A polynomial is a
+list of integer coefficients, low to high, an integer multiple of the one it
+stands for.  There are no tolerances: ranks, kernels, inertia and root
+counts are exact.  All objects are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -618,35 +619,14 @@ def inertia(sym: QMatrix) -> tuple[int, int, int]:
 # univariate polynomials
 
 
-@dataclass(frozen=True)
-class QPolynomial:
-    """Univariate polynomial with exact rational coefficients, low to high."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable) -> "QPolynomial":
-        cs = [_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return QPolynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def minimal_polynomial(m: QMatrix) -> QPolynomial:
-    """Monic least-degree p with p(M) = 0, via the first Krylov dependence.
+def minimal_polynomial(m: QMatrix) -> list[int]:
+    """Least-degree p with p(M) = 0, via the first Krylov dependence, as
+    primitive integer coefficients, low to high, with a positive leading one.
 
     One elimination holds the rows [vec(M^j) | e_j] for j < k.  Reducing
     [vec(M^k) | e_k] against them leaves [vec(M^k) - sum c_j vec(M^j) |
     e_k - sum c_j e_j], whose vec part is zero at the first dependence: the
-    e part then holds the coefficients of p."""
+    e part of that primitive engine row then holds the coefficients of p."""
     n = m.rows
     if n != m.cols:
         raise ValueError("minimal polynomial of non-square matrix")
@@ -660,9 +640,10 @@ def minimal_polynomial(m: QMatrix) -> QPolynomial:
         engine.insert(row)
         # rows are ordered by pivot, and only a zero vec part puts one at nn
         # or past it
-        pc, coeffs = engine.read(-1, range(nn, nn + k + 1))
+        pc, _, last = engine.rows[-1]
         if pc >= nn:
-            return QPolynomial(tuple(c / coeffs[-1] for c in coeffs))
+            coeffs = [last.get(c, 0) for c in range(nn, nn + k + 1)]
+            return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
         power = power @ m
     raise AssertionError("no minimal polynomial found below n+1")
 
@@ -700,20 +681,20 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_real_roots(p: QPolynomial) -> tuple[int, int]:
-    """(distinct real roots, complex conjugate pairs) of a squarefree p.
+def count_real_roots(p: Sequence[int]) -> tuple[int, int]:
+    """(distinct real roots, complex conjugate pairs) of a squarefree p, given
+    by its integer coefficients, low to high.
 
     Uses Sturm's theorem over (-inf, inf) with exact sign evaluation.  The
     sequence p, p', -rem(p, p'), ... runs on primitive integer coefficient
     lists: each term is its rational one times a positive number, which keeps
     every sign at +-inf.
     """
-    if p.is_zero():
+    f = _primitive_poly(list(p))
+    if not f:
         raise ValueError("zero polynomial")
-    if p.degree == 0:
+    if len(f) == 1:
         return 0, 0
-    den = lcm(*(int(c.denominator) for c in p.coeffs))
-    f = _primitive_poly([int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs])
     seq = [f, _primitive_poly([i * c for i, c in enumerate(f)][1:])]
     while len(seq[-1]) > 1:
         seq.append(_sturm_next(seq[-2], seq[-1]))
@@ -724,7 +705,7 @@ def count_real_roots(p: QPolynomial) -> tuple[int, int]:
     at_pos = _variations([1 if q[-1] > 0 else -1 for q in seq])
     at_neg = _variations([(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in seq])
     real = at_neg - at_pos
-    pairs, rem = divmod(p.degree - real, 2)
+    pairs, rem = divmod(len(f) - 1 - real, 2)
     if rem:
         raise AssertionError("parity violation in root count")
     return real, pairs

@@ -1,10 +1,12 @@
 """Quotient-side computations: polynomial invariants, the induced derivations,
 and the kernel of the central torus acting on the quotient.
 
-Polynomials are exact: dict from exponent tuples to rational coefficients.
-Each action builds its own invariants (`invariant_terms` in `symmetry`) and
-says when they certify the kernel; this module caps their monomial space,
-wraps them as `Poly`, and derives them along the center, on integers.
+A polynomial is a dict from exponent tuples to nonzero integer coefficients
+(`Terms`), an integer multiple of the polynomial it stands for; the kernels
+here depend only on the span of each one.  Each action builds its own
+invariants (`invariant_terms` in `symmetry`) and says when they certify the
+kernel; this module caps their monomial space and derives them along the
+center, on integers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .commutant import MLClassification
-from .exactlin import Q, QMatrix, Subspace, _integral, kernels, rows_of, _q
+from .exactlin import QMatrix, Subspace, kernels, rows_of
 from .symmetry import GroupAction, Terms, _derive
 
 DEFAULT_MONOMIAL_CAP = 100_000
@@ -24,47 +26,19 @@ class DegreeBoundTooLarge(ValueError):
     """Monomial space exceeds the configured cap."""
 
 
-class Poly:
-    """Multivariate polynomial over Q: {exponent tuple: nonzero coefficient}."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = _q(c)
-                if c != 0:
-                    self.terms[tuple(e)] = c
-
-    @staticmethod
-    def _of(nvars: int, terms: Terms) -> "Poly":
-        """Polynomial from exact nonzero coefficients: no coercion."""
-        p = Poly.__new__(Poly)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-
-def derivation_action(d: QMatrix, f: Poly) -> Poly:
-    """Linear vector field x -> Dx applied to f as a derivation.
+def derivation_action(d: QMatrix, f: Terms) -> Terms:
+    """den(D) times the linear vector field x -> Dx applied to f as a
+    derivation.
 
     (Df)(x) = sum_{i,j} D_{ji} x_i df/dx_j; degree preserving.  Vanishes
     exactly on polynomials invariant under the one-parameter group of D.
-    Runs on the integer rows of D, so an integer D and an f with int
-    coefficients give int coefficients and form no rational.
+    Runs on the integer rows of D: integer terms in, integer terms out.
     """
-    den, rows = d.den, d.int_rows
+    rows = d.int_rows
     out: Terms = {}
-    for m, c in f.terms.items():
+    for m, c in f.items():
         _derive(rows, m, c, out)
-    if den != 1:
-        out = {e: Q(x, den) for e, x in out.items()}
-    return Poly._of(f.nvars, out)
+    return out
 
 
 def _check_cap(nvars: int, degree: int) -> None:
@@ -75,7 +49,7 @@ def _check_cap(nvars: int, degree: int) -> None:
         )
 
 
-def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Poly, ...]]:
+def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Terms, ...]]:
     """Bases of homogeneous H-invariant polynomials in degrees 1..degree, one
     tuple per degree, each built only when it is read.
 
@@ -90,10 +64,7 @@ def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Poly,
         for d in range(1, degree):
             _check_cap(g.dim, d)
         raise
-    n = g.dim
-    return (
-        tuple(Poly._of(n, terms) for terms in basis) for basis in g.invariant_terms(degree)
-    )
+    return g.invariant_terms(degree)
 
 
 @dataclass(frozen=True)
@@ -109,7 +80,7 @@ def kernel_s_at_degrees(
     g: GroupAction,
     z: Subspace,
     degrees: Sequence[int],
-    invariants: Iterable[Sequence[Poly]],
+    invariants: Iterable[Sequence[Terms]],
 ) -> list[KernelResult]:
     """kernel_s(g, z, d, invariants) for each d of the increasing `degrees`,
     from one elimination over one read of `invariants`: each invariant is
@@ -117,22 +88,21 @@ def kernel_s_at_degrees(
     off before the rows of degree d + 1 go in.
 
     The rows are integers.  The central elements D_k are the integer rows of
-    z, and each invariant f is scaled to an integer multiple c f: the row of
-    monomial e, the coefficient of e in each D_k (c f), is c times the true
-    one, a scale its columns share.  The kernel's coordinates then combine the
-    same integer rows D_k."""
+    z, and each invariant is an integer multiple c f: the row of monomial e,
+    the coefficient of e in each D_k (c f), is c times the true one, a scale
+    its columns share.  The kernel's coordinates then combine the same
+    integer rows D_k."""
     n = g.dim
     if z.ambient_dim != n * n:
         raise ValueError("center must live in vec(End(V))")
     center_vecs = [row for _, _, row in z.rows]
     center_mats = [QMatrix._of(1, v.items(), n, n) for v in center_vecs]
 
-    def rows(basis: Sequence[Poly]) -> Iterator[dict[int, int]]:
+    def rows(basis: Sequence[Terms]) -> Iterator[dict[int, int]]:
         # one row per monomial e of an image: the coefficient of e in D_k f
         # for each central element D_k
         for f in basis:
-            f = Poly._of(n, _integral(f.terms))
-            yield from rows_of([derivation_action(dm, f).terms for dm in center_mats])
+            yield from rows_of([derivation_action(dm, f) for dm in center_mats])
 
     # the kernel after degrees 1, 2, ...; no degree is read once it is zero
     stream = kernels(len(center_mats), map(rows, invariants))
@@ -154,7 +124,7 @@ def kernel_s(
     g: GroupAction,
     z: Subspace,
     degree: int,
-    invariants: Iterable[Sequence[Poly]] | None = None,
+    invariants: Iterable[Sequence[Terms]] | None = None,
 ) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
     degree <= degree.

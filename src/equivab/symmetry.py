@@ -10,18 +10,18 @@ polynomials one degree at a time (`invariant_terms`), its default degree
 bound, and the degrees from which the invariants certify the kernel `s`
 (`certified`).
 
-Polynomials here are dicts from exponent tuples to nonzero rational
-coefficients.  Invariants of finite and connected groups are one sparse
-common kernel per degree, of one operator per generator written on monomial
-indices; the operators run on each generator's integer rows, so their images
-are integer multiples of the true ones.  Torus invariants are built from the
-weights.
+Polynomials here are dicts from exponent tuples to nonzero integer
+coefficients, each an integer multiple of the polynomial it stands for.
+Invariants of finite and connected groups are one sparse common kernel per
+degree, of one operator per generator written on monomial indices; the
+operators run on each generator's integer rows, so their images are integer
+multiples of the true ones, and each invariant is a kernel row as the engine
+holds it.  Torus invariants are built from the weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, gcd
@@ -46,9 +46,8 @@ from .exactlin import (
 DEFAULT_GROUP_CAP = 100_000
 
 Monomial = tuple[int, ...]
-# {monomial: nonzero coefficient}: one polynomial, or an integer multiple of
-# one with int coefficients
-Terms = dict[Monomial, Fraction]
+# {monomial: nonzero int}: an integer multiple of one polynomial
+Terms = dict[Monomial, int]
 # {monomial: {monomial: coefficient}}: the image of each basis monomial
 Images = dict[Monomial, Terms]
 # called once per degree 1, 2, ..., with that degree's monomials
@@ -91,7 +90,7 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
-def _accumulate(out: Terms, e: Monomial, x: Fraction) -> None:
+def _accumulate(out: Terms, e: Monomial, x: int) -> None:
     v = out.get(e, 0) + x
     if v:
         out[e] = v
@@ -99,10 +98,9 @@ def _accumulate(out: Terms, e: Monomial, x: Fraction) -> None:
         del out[e]
 
 
-def _derive(rows: list, m: Monomial, c: Fraction, out: Terms) -> None:
-    """Add c * D(x^m) to out, where rows[j] lists the nonzeros (i, D[j][i]):
-    D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i).  Integer rows and an
-    integer c add ints."""
+def _derive(rows: list, m: Monomial, c: int, out: Terms) -> None:
+    """Add c * D(x^m) to out, where rows[j] lists the nonzero integers
+    (i, D[j][i]): D(x^m) = sum_{j,i} m_j D[j][i] x^(m - e_j + e_i)."""
     for j, p in enumerate(m):
         if not p:
             continue
@@ -183,16 +181,17 @@ def _kernel_invariants(
         # the degree below; row e holds the coefficient of e in each image
         images = [op(monoms) for op in operators]
         rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
-        # each canonical basis invariant is an integer row over its pivot
+        # each invariant is a kernel row as the engine holds it: the canonical
+        # basis invariant times its pivot
         yield tuple(
-            {monoms[c]: Q(x, p) for c, x in sorted(row.items())}
-            for _, p, row in kernel(len(monoms), rows).rows
+            {monoms[c]: x for c, x in sorted(row.items())}
+            for _, _, row in kernel(len(monoms), rows).rows
         )
 
 
 def _z_monomial(a: Sequence[int], b: Sequence[int]) -> tuple[Terms, Terms]:
     """Real and imaginary parts of z^a zbar^b in real coordinates
-    z_j = x_{2j} + i x_{2j+1}.
+    z_j = x_{2j} + i x_{2j+1}, with integer coefficients.
 
     Per block, (x + iy)^p (x - iy)^q = sum_s c_s i^s x^(p+q-s) y^s with the
     integers c_s = sum_t (-1)^t C(p, s-t) C(q, t).  Blocks share no variable,
@@ -217,7 +216,7 @@ def _z_monomial(a: Sequence[int], b: Sequence[int]) -> tuple[Terms, Terms]:
             coeff *= c
             total += s
         # i^total: the real part for even total, negated when total % 4 >= 2
-        parts[total % 2][tuple(e)] = Q(coeff if total % 4 < 2 else -coeff)
+        parts[total % 2][tuple(e)] = coeff if total % 4 < 2 else -coeff
     return parts
 
 

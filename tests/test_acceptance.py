@@ -20,7 +20,6 @@ from equivab.commutant import (
 from float_split_oracle import schur_split_oracle
 from equivab.exactlin import (
     QMatrix,
-    QPolynomial,
     Subspace,
     count_real_roots,
     nullspace,
@@ -31,7 +30,12 @@ from equivab.strata import kernel_s, quotient_abelianization
 from equivab.symmetry import TorusAction, enumerate_group
 from equivab import io as eio
 
-from test_exactlin import _real_root_count_bisect, squarefree_part
+from test_exactlin import (
+    QPolynomial,
+    _real_root_count_bisect,
+    integer_coeffs,
+    squarefree_part,
+)
 
 
 def _finish(capsys, name: str, failures: list, started: float, limit: float):
@@ -147,7 +151,6 @@ def _torus_certificate(g: TorusAction):
     exponent differences span the saturated kernel lattice: the certification
     condition."""
     from equivab.exactlin import integer_kernel_saturated
-    from equivab.strata import Poly
     from equivab.symmetry import _z_monomial
 
     m = g.blocks
@@ -155,14 +158,14 @@ def _torus_certificate(g: TorusAction):
     for j in range(m):
         # |z_j|^2 = real part of z_j zbar_j
         aa = tuple(1 if i == j else 0 for i in range(m))
-        by_degree[2].append(Poly(g.dim, _z_monomial(aa, aa)[0]))
+        by_degree[2].append(_z_monomial(aa, aa)[0])
     for v in integer_kernel_saturated(g.weights):
         plus = tuple(max(x, 0) for x in v)
         minus = tuple(max(-x, 0) for x in v)
         polys = by_degree.setdefault(sum(plus) + sum(minus), [])
         for terms in _z_monomial(plus, minus):
             if terms:
-                polys.append(Poly(g.dim, terms))
+                polys.append(terms)
     return [tuple(by_degree.get(d, ())) for d in range(1, max(by_degree) + 1)]
 
 
@@ -364,7 +367,7 @@ def test_criterion_7_randomized_exact_linear_algebra(capsys):
         p = squarefree_part(QPolynomial.from_coeffs(coeffs))
         if p.degree < 1:
             p = QPolynomial.from_coeffs([rng.randint(1, 5), 1])
-        real, pairs = count_real_roots(p)
+        real, pairs = count_real_roots(integer_coeffs(p))
         if real + 2 * pairs != p.degree:
             failures.append("root parity fails for %r" % (p.coeffs,))
             break

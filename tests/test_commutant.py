@@ -23,7 +23,7 @@ from equivab.commutant import (
     verify_center_splits,
 )
 from float_split_oracle import schur_split_oracle
-from test_exactlin import _minpoly_by_divisor_search, to_sympy_poly
+from test_exactlin import _minpoly_by_divisor_search, monic_sympy_poly
 from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
 from equivab import exactlin, symmetry
 from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction, TorusAction
@@ -347,7 +347,7 @@ class TestClassification:
             for i, v in enumerate(s.center.basis, 1):
                 z = z + QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n)).scale(t**i)
             expected = _minpoly_by_divisor_search(z).set_domain("QQ")
-            assert to_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
+            assert monic_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gl_families(self, n):
@@ -414,43 +414,65 @@ class TestExactFiniteGroupChecks:
         assert detail == "dim A = 2, (1/|G|) sum tr(g)^2 = 1"
 
 
+def in_rational_basis(base):
+    """The finite or connected action `base` written in the basis of P
+    block-diagonal with blocks [[1, 1/2], [0, 3]], which is not unimodular:
+    generators P a P^-1, which carry denominators."""
+    n = base.dim
+    p = [[0] * n for _ in range(n)]
+    p_inv = [[0] * n for _ in range(n)]
+    for i in range(n):
+        p[i][i] = p_inv[i][i] = 1
+    for i in range(0, n - 1, 2):
+        p[i][i + 1], p[i + 1][i + 1] = "1/2", 3
+        p_inv[i][i + 1], p_inv[i + 1][i + 1] = "-1/6", "1/3"
+    p, p_inv = QMatrix.from_rows(p), QMatrix.from_rows(p_inv)
+    gens = tuple(p @ a @ p_inv for a in base.action_generators())
+    assert any(a.den > 1 for a in gens)
+    kind = FiniteMatrixAction if isinstance(base, FiniteMatrixAction) else ConnectedLieAction
+    return kind(n, gens)
+
+
+def counting_rationals(monkeypatch, modules) -> list:
+    """Patch `Q` in each module to record every rational it forms."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "Q", counted)
+    return made
+
+
 class TestIntegerRows:
     """The commutant, its center and [A, A] run on the integer rows of the
     action's matrices, even when those have denominators."""
-
-    @staticmethod
-    def basis_change(n: int) -> tuple[QMatrix, QMatrix]:
-        """(P, P^-1) for P block-diagonal with blocks [[1, 1/2], [0, 3]]."""
-        p = [[0] * n for _ in range(n)]
-        p_inv = [[0] * n for _ in range(n)]
-        for i in range(n):
-            p[i][i] = p_inv[i][i] = 1
-        for i in range(0, n - 1, 2):
-            p[i][i + 1], p[i + 1][i + 1] = "1/2", 3
-            p_inv[i][i + 1], p_inv[i + 1][i + 1] = "-1/6", "1/3"
-        return QMatrix.from_rows(p), QMatrix.from_rows(p_inv)
 
     @pytest.mark.parametrize("make", [cat.q8_on_r4, cat.s3_regular_minus_trivial,
                                       cat.c3_rotation, cat.su2_on_c2])
     def test_no_rational_formed(self, make, monkeypatch):
         base = make()
-        n = base.dim
-        p, p_inv = self.basis_change(n)
-        gens = tuple(p @ a @ p_inv for a in base.action_generators())
-        assert any(a.den > 1 for a in gens)
-        kind = FiniteMatrixAction if isinstance(base, FiniteMatrixAction) else ConnectedLieAction
-        g = kind(n, gens)
-        made = []
-
-        def counted(*args):
-            made.append(args)
-            return Fraction(*args)
-
-        for module in (exactlin, comm, symmetry):
-            monkeypatch.setattr(module, "Q", counted)
+        g = in_rational_basis(base)
+        made = counting_rationals(monkeypatch, (exactlin, comm, symmetry))
         a = compute_commutant(g)
         z, derived = center(a), commutator_ideal(a)
         assert made == []
         want = commutant_structure(compute_commutant(base))
         assert (a.dim, z.dim, derived.dim) == (
             want.algebra.dim, want.center.dim, want.derived.dim)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: in_rational_basis(cat.s3_regular_minus_trivial()), id="s3"),
+        pytest.param(lambda: TorusAction(((1, 2), (0, 1))), id="torus"),
+        pytest.param(cat.su2_on_c2, id="su2"),
+    ])
+    def test_root_count_forms_no_rational(self, make, monkeypatch):
+        # the minimal polynomial of z(t) is read off the engine's integer row,
+        # and its Sturm sequence runs on integers
+        s = _structure(make())
+        ml = classify_ml(s)
+        made = counting_rationals(monkeypatch, (exactlin, comm, symmetry))
+        assert root_count_disagreement(s, ml) == ""
+        assert made == []

@@ -1,5 +1,6 @@
 """Property and oracle tests for the exact rational linear algebra kernel."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
@@ -13,7 +14,6 @@ from equivab import exactlin
 from equivab.exactlin import (
     Q,
     QMatrix,
-    QPolynomial,
     SparseRREF,
     Subspace,
     _integral,
@@ -724,6 +724,43 @@ class TestInertia:
 # polynomials
 
 
+@dataclass(frozen=True)
+class QPolynomial:
+    """Univariate polynomial with exact rational coefficients, low to high:
+    the oracles' type.  The library's polynomials are integer coefficient
+    lists."""
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def from_coeffs(coeffs) -> "QPolynomial":
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return QPolynomial(tuple(cs))
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+
+def integer_coeffs(p: QPolynomial) -> list[int]:
+    """p times the lcm of its denominators: the integer coefficient list that
+    `count_real_roots` takes."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) for c in p.coeffs]
+
+
+def monic_sympy_poly(coeffs: list[int]):
+    """The integer coefficients of a library polynomial, low to high, as the
+    monic sympy polynomial they are a multiple of."""
+    return to_sympy_poly(QPolynomial.from_coeffs(coeffs)).monic()
+
+
 def to_sympy_poly(p: QPolynomial):
     x = sympy.Symbol("x")
     return sympy.Poly.from_list(
@@ -909,13 +946,18 @@ STRUCTURED_MATRICES = {
 }
 
 
+def _is_primitive_with_positive_lead(p: list[int]) -> bool:
+    return all(type(c) is int for c in p) and gcd(*p) == 1 and p[-1] > 0
+
+
 class TestMinimalPolynomial:
     @given(square_matrices(3))
     @settings(max_examples=30, deadline=None)
     def test_matches_divisor_search_oracle(self, m):
         p = minimal_polynomial(m)
+        assert _is_primitive_with_positive_lead(p)
         expected = _minpoly_by_divisor_search(m)
-        assert to_sympy_poly(p).set_domain("QQ") == expected.set_domain("QQ")
+        assert monic_sympy_poly(p).set_domain("QQ") == expected.set_domain("QQ")
 
     @pytest.mark.parametrize("conjugated", [False, True], ids=["plain", "conjugated"])
     @pytest.mark.parametrize("name", sorted(STRUCTURED_MATRICES))
@@ -931,8 +973,10 @@ class TestMinimalPolynomial:
             )
             assert (p @ p_inv) == QMatrix.identity(n)
             m = p @ m @ p_inv
+        p = minimal_polynomial(m)
+        assert _is_primitive_with_positive_lead(p)
         expected = _minpoly_by_divisor_search(m)
-        assert to_sympy_poly(minimal_polynomial(m)).set_domain("QQ") == expected.set_domain("QQ")
+        assert monic_sympy_poly(p).set_domain("QQ") == expected.set_domain("QQ")
 
     @given(square_matrices(4))
     @settings(max_examples=40, deadline=None)
@@ -941,7 +985,7 @@ class TestMinimalPolynomial:
         # p(M) by Horner's rule
         n = m.rows
         acc = QMatrix.zeros(n, n)
-        for c in reversed(p.coeffs):
+        for c in reversed(p):
             acc = acc @ m + QMatrix.identity(n).scale(c)
         assert acc.is_zero()
 
@@ -1024,9 +1068,9 @@ class TestSturm:
             real = _fraction_sturm_count(q)
             if real is None:
                 with pytest.raises(ValueError, match="not squarefree"):
-                    count_real_roots(q)
+                    count_real_roots(integer_coeffs(q))
             else:
-                assert count_real_roots(q) == (real, (q.degree - real) // 2)
+                assert count_real_roots(integer_coeffs(q)) == (real, (q.degree - real) // 2)
 
     @given(poly_strategy)
     @settings(max_examples=80, deadline=None)
@@ -1034,7 +1078,7 @@ class TestSturm:
         if p.is_zero() or p.degree == 0:
             return
         sf = squarefree_part(p)
-        real, pairs = count_real_roots(sf)
+        real, pairs = count_real_roots(integer_coeffs(sf))
         x = sympy.Symbol("x")
         sym_roots = sympy.real_roots(to_sympy_poly(sf).as_expr(), x)
         assert real == len(set(sym_roots))
@@ -1046,16 +1090,25 @@ class TestSturm:
         if p.is_zero() or p.degree == 0:
             return
         sf = squarefree_part(p)
-        real, _ = count_real_roots(sf)
+        real, _ = count_real_roots(integer_coeffs(sf))
         # bisection can only undercount if two roots share a fine-grid cell;
         # for squarefree integer-coefficient polys of degree <= 6 and the
         # grid used it does not
         assert real == _real_root_count_bisect(sf)
 
     def test_not_squarefree_raises(self):
-        p = QPolynomial.from_coeffs([1, 2, 1])  # (x+1)^2
         with pytest.raises(ValueError):
-            count_real_roots(p)
+            count_real_roots([1, 2, 1])  # (x+1)^2
+
+    def test_integer_coefficient_lists(self):
+        # high zeros are dropped, and the sign of the leading coefficient
+        # does not change the count
+        with pytest.raises(ValueError, match="zero polynomial"):
+            count_real_roots([0, 0])
+        assert count_real_roots([5, 0]) == (0, 0)
+        for p in ([-1, 0, 1], [1, 0, -1], [-2, 0, 2, 0]):
+            assert count_real_roots(p) == (2, 0)
+        assert count_real_roots([1, 0, 1]) == count_real_roots([-3, 0, -3]) == (0, 1)
 
     @given(poly_strategy)
     @settings(max_examples=80, deadline=None)
@@ -1064,9 +1117,9 @@ class TestSturm:
             return
         if squarefree_part(p).degree < p.degree:
             with pytest.raises(ValueError, match="not squarefree"):
-                count_real_roots(p)
+                count_real_roots(integer_coeffs(p))
         else:
-            real, pairs = count_real_roots(p)
+            real, pairs = count_real_roots(integer_coeffs(p))
             assert real + 2 * pairs == p.degree
 
 

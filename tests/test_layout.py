@@ -154,6 +154,19 @@ def test_lie_layer_runs_on_integers():
     assert "Fraction" not in set(_names(tree))
 
 
+def test_one_polynomial_format():
+    # a polynomial is a dict or list of integer coefficients from the engine
+    # to its reader: strata forms and rescales no rational, symmetry imports
+    # no fractions, and no module wraps a polynomial in a class
+    assert {"Q", "_q", "_integral"}.isdisjoint(_names(_tree(SRC / "strata.py")))
+    assert "fractions" not in set(_imported_modules(_tree(SRC / "symmetry.py")))
+    classes = {
+        node.name for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert {"Poly", "QPolynomial"}.isdisjoint(classes)
+
+
 @pytest.mark.parametrize("make", [
     catalog.q8_on_r4, catalog.s3_regular_minus_trivial, catalog.c2_minus_identity,
     catalog.su2_on_c2, pytest.param(lambda: TorusAction(((1, 1),)), id="circle_on_c2"),

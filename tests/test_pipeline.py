@@ -432,7 +432,7 @@ class TestIO:
             return Fraction(*args)
 
         with monkeypatch.context() as patch:
-            for module in (exactlin, comm, symmetry, strata):
+            for module in (exactlin, comm, symmetry):
                 patch.setattr(module, "Q", counted)
             patch.setattr(eio, "Fraction", counted)
             models, _ = eio.parse_input(doc, {})

@@ -4,20 +4,20 @@ kernel on the quotient side."""
 import functools
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_commutant import FINITE_CASES
+from test_commutant import FINITE_CASES, counting_rationals, in_rational_basis
 
 from equivab import catalog as cat
-from equivab import strata, symmetry
+from equivab import commutant, exactlin, strata, symmetry
 from equivab.commutant import classify_ml, commutant_structure, compute_commutant
-from equivab.exactlin import QMatrix, Subspace, nullspace
+from equivab.exactlin import QMatrix, Subspace, _q, nullspace
 from equivab.strata import (
     DegreeBoundTooLarge,
-    Poly,
     derivation_action,
     invariants_up_to_degree,
     kernel_s,
@@ -32,8 +32,27 @@ from equivab.symmetry import (
 )
 
 # ---------------------------------------------------------------------------
-# test-local polynomial arithmetic: the oracles below are built from these,
-# through the coercing public constructor only
+# the tests' polynomial type and its arithmetic: the oracles below are built
+# from these, through the coercing constructor only
+
+
+class Poly:
+    """Multivariate polynomial over Q: {exponent tuple: nonzero coefficient}.
+    The library's polynomials are dicts of integer coefficients (`Terms`);
+    the constructor coerces those and rationals alike."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            c = _q(c)
+            if c != 0:
+                self.terms[tuple(e)] = c
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.terms == other.terms
 
 
 def var(n, i):
@@ -68,8 +87,26 @@ def scale(p, c):
     return Poly(p.nvars, {e: c * v for e, v in p.terms.items()})
 
 
-def coefficients_on(p, monomials):
-    return [p.terms.get(m, 0) for m in monomials]
+def coefficients_on(terms, monomials):
+    return [terms.get(m, 0) for m in monomials]
+
+
+def derive(d, f):
+    """Df, read off the integer terms of den(D) c Df that `derivation_action`
+    returns for the integer multiple c f of f."""
+    c = lcm(*(int(x.denominator) for x in f.terms.values()))
+    got = derivation_action(d, {e: int(x * c) for e, x in f.terms.items()})
+    assert all(type(x) is int for x in got.values())
+    return scale(Poly(f.nvars, got), Fraction(1, c * d.den))
+
+
+def primitive(terms):
+    """The rational terms times the positive rational that makes them coprime
+    integers."""
+    den = lcm(*(int(c.denominator) for c in terms.values()))
+    ints = {e: int(c * den) for e, c in terms.items()}
+    g = gcd(*ints.values())
+    return {e: x // g for e, x in ints.items()}
 
 
 def partial(p, i):
@@ -125,7 +162,7 @@ class TestPoly:
             for j in range(2):
                 e = QMatrix.from_rows([[int((r, c) == (j, i)) for c in range(2)]
                                        for r in range(2)])
-                assert derivation_action(e, f) == mul(var(2, i), partial(f, j))
+                assert derive(e, f) == mul(var(2, i), partial(f, j))
 
     def test_substitute_linear(self):
         # f(x, y) = x^2 under 90-degree rotation becomes y^2
@@ -153,13 +190,13 @@ class TestDerivationAction:
     def test_euler_identity(self):
         # identity matrix acts on degree-d monomials as multiplication by d
         f = mono((2, 1))
-        df = derivation_action(QMatrix.identity(2), f)
+        df = derive(QMatrix.identity(2), f)
         assert df == scale(f, 3)
 
     def test_rotation_kills_radius(self):
         j = QMatrix.from_rows([[0, -1], [1, 0]])
         r2 = add(mono((2, 0)), mono((0, 2)))
-        assert not derivation_action(j, r2).terms
+        assert not derive(j, r2).terms
 
     def test_rotation_on_cubic(self):
         # with z = x + iy: the derivation of the rotation field sends
@@ -167,21 +204,28 @@ class TestDerivationAction:
         j = QMatrix.from_rows([[0, -1], [1, 0]])
         re_z3 = Poly(2, {(3, 0): 1, (1, 2): -3})
         im_z3 = Poly(2, {(2, 1): 3, (0, 3): -1})
-        assert derivation_action(j, re_z3) == scale(im_z3, -3)
+        assert derive(j, re_z3) == scale(im_z3, -3)
 
     def test_leibniz(self):
         d = QMatrix.from_rows([[1, 2], [0, -1]])
         f = Poly(2, {(2, 0): 1, (1, 1): 3})
         g = Poly(2, {(0, 1): 2, (1, 0): -1})
-        lhs = derivation_action(d, mul(f, g))
-        rhs = add(mul(derivation_action(d, f), g), mul(f, derivation_action(d, g)))
+        lhs = derive(d, mul(f, g))
+        rhs = add(mul(derive(d, f), g), mul(f, derive(d, g)))
         assert lhs == rhs
+
+    def test_integer_terms_of_a_rational_field(self):
+        # D = diag(1/2, 1/3) on x^2 y: Df = (2/2 + 1/3) x^2 y = 4/3 x^2 y, and
+        # den(D) = 6
+        d = QMatrix.from_rows([["1/2", 0], [0, "1/3"]])
+        assert derivation_action(d, {(2, 1): 1}) == {(2, 1): 8}
+        assert derivation_action(d, {(2, 1): 3, (0, 3): -1}) == {(2, 1): 24, (0, 3): -6}
 
 
 def ray(f):
     """f up to scale: f over its coefficient at its least monomial."""
-    lead = f.terms[min(f.terms)]
-    return tuple(sorted((e, Fraction(c) / lead) for e, c in f.terms.items()))
+    lead = f[min(f)]
+    return tuple(sorted((e, Fraction(c, lead)) for e, c in f.items()))
 
 
 def dim_in_degree(inv, d):
@@ -209,7 +253,7 @@ class TestInvariants:
     def test_invariance_of_finite_basis(self):
         g = cat.s3_standard()
         inv = tuple(invariants_up_to_degree(g, 3))
-        for f in all_polys(inv):
+        for f in (Poly(g.dim, terms) for terms in all_polys(inv)):
             for el in enumerate_group(g):
                 assert substitute(f, el) == f
 
@@ -234,7 +278,7 @@ class TestInvariants:
         inv = tuple(invariants_up_to_degree(t, 3))
         for f in all_polys(inv):
             for gen in t.action_generators():
-                assert not derivation_action(gen, f).terms
+                assert not derivation_action(gen, f)
 
     def test_connected_invariants(self):
         # su(2) on C^2: only the radius in degree 2
@@ -243,7 +287,7 @@ class TestInvariants:
         assert dim_in_degree(inv, 2) == 1
         (f,) = inv[1]
         for gen in cat.su2_on_c2().lie_generators:
-            assert not derivation_action(gen, f).terms
+            assert not derivation_action(gen, f)
 
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
@@ -289,7 +333,7 @@ class TestInvariants:
                 total = Poly(g.dim)
                 for el in elems:
                     total = add(total, substitute(mono(m), el))
-                averages.append(coefficients_on(scale(total, Fraction(1, order)), monoms))
+                averages.append(coefficients_on(scale(total, Fraction(1, order)).terms, monoms))
             computed = [coefficients_on(f, monoms) for f in basis]
             assert (Subspace.from_vectors(len(monoms), computed)
                     == Subspace.from_vectors(len(monoms), averages)), d
@@ -336,7 +380,9 @@ class TestZMonomial:
             terms = sympy.Poly(expr, *xs).terms() if expr != 0 else []
             return Poly(2 * m, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
 
-        re, im = (Poly(2 * m, terms) for terms in symmetry._z_monomial(a, b))
+        parts = symmetry._z_monomial(a, b)
+        assert all(type(c) is int for terms in parts for c in terms.values())
+        re, im = (Poly(2 * m, terms) for terms in parts)
         assert re == as_poly(sympy.re(zm))
         assert im == as_poly(sympy.im(zm))
         if a == b:
@@ -425,6 +471,22 @@ class TestKernel:
         assert kernel_s(g, z, degree=1).exactness == "degree-bounded"
         assert kernel_s(g, z, degree=2).exactness == "certified"
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: in_rational_basis(cat.s3_standard()), id="s3-rational-basis"),
+        pytest.param(lambda: TorusAction(((1, 0, 1, 1), (0, 1, 1, -1))), id="torus-2"),
+        pytest.param(cat.su2_on_c2, id="su2-on-c2"),
+    ])
+    def test_no_rational_formed(self, make, monkeypatch):
+        # the invariants are the engine's integer rows or the torus's integer
+        # terms, and their derivations along the center's integer rows are
+        # integers: even generators with denominators form no rational
+        g = make()
+        z = commutant_structure(compute_commutant(g)).center
+        want = kernel_s(g, z, g.default_degree_bound)
+        made = counting_rationals(monkeypatch, (exactlin, commutant, symmetry))
+        assert kernel_s(g, z, g.default_degree_bound) == want
+        assert made == []
+
 
 # (action, degree d) whose kernels at d and d + 1 are read in one pass
 ONE_PASS_CASES = [
@@ -461,7 +523,7 @@ class TestKernelsAtDegrees:
         calls = []
 
         def counted(dm, f):
-            assert all(type(c) is int for c in f.terms.values())
+            assert all(type(c) is int for c in f.values())
             calls.append(source[ray(f)])
             return derivation_action(dm, f)
 
@@ -679,16 +741,20 @@ class TestIntegerOperatorsMatchFractionOracle:
                 assert got == {m: {e: scale_d * x for e, x in img.items()}
                                for m, img in want.items()}
 
-        # the same invariant bases, and the same kernel s at every degree
+        # the same invariant bases, each invariant the canonical one made
+        # primitive (its pivot coefficient is 1, so it stays positive), and
+        # the same kernel s at every degree
         inv = tuple(invariants_up_to_degree(g, degree))
         oracle = list(fraction_invariants(g, fraction_op, generators, degree))
-        assert [[f.terms for f in basis] for basis in inv] == oracle
+        assert all(type(c) is int for f in all_polys(inv) for c in f.values())
+        assert [list(basis) for basis in inv] == [list(map(primitive, b)) for b in oracle]
         z = commutant_structure(compute_commutant(g)).center
         for d in range(1, degree + 1):
             flat = [terms for basis in oracle[:d] for terms in basis]
             assert kernel_s(g, z, d, inv[:d]).s_basis == fraction_kernel_s(g, z, flat)
 
-        # a rational D on a rational f: the exact derivative
+        # a rational D on an integer f: den(D) times the exact derivative
         for dm in generators:
             for f in all_polys(inv):
-                assert derivation_action(dm, f) == fraction_derivation_action(dm, f)
+                want = scale(fraction_derivation_action(dm, Poly(g.dim, f)), dm.den)
+                assert Poly(g.dim, derivation_action(dm, f)) == want
