@@ -9,7 +9,6 @@ import time
 from equivab import catalog as cat
 from equivab.commutant import (
     classify_ml,
-    commutant_structure,
     compute_commutant,
     schur_split_oracle,
     verify_center_splits,
@@ -38,14 +37,14 @@ CASES = [
 def main():
     for name, g in CASES:
         t0 = time.time()
-        s = commutant_structure(compute_commutant(g))
-        ml = classify_ml(s)
-        split = verify_center_splits(s)
+        a = compute_commutant(g)
+        ml = classify_ml(a)
+        split = verify_center_splits(a)
         line = "%-28s commutant %2d  (m,l)=(%d,%d)  split=%s" % (
-            name, s.algebra.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
+            name, a.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
         )
         if isinstance(g, FiniteMatrixAction):
-            checks = schur_split_oracle(g, s)
+            checks = schur_split_oracle(g, a)
             line += "  span-G checks=%s" % (
                 "ok" if all(passed for passed, _ in checks) else "FAIL"
             )
@@ -54,7 +53,7 @@ def main():
             degree = 4  # enough to certify the small weight matrices here
         else:
             degree = 2
-        z = s.center
+        z = a.center
         res = kernel_s(g, z, degree=degree)
         q = quotient_abelianization(z, res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (

@@ -12,17 +12,17 @@ isomorphic as real representations, so the commutant is 8-dimensional with
 import time
 
 from equivab import catalog as cat
-from equivab.commutant import classify_ml, commutant_structure, compute_commutant
+from equivab.commutant import classify_ml, compute_commutant
 from equivab.strata import kernel_s
 
 def main():
     g = cat.su3_on_c3_plus_wedge2()
     t0 = time.time()
-    s = commutant_structure(compute_commutant(g))
-    ml = classify_ml(s)
-    z = s.center
+    a = compute_commutant(g)
+    ml = classify_ml(a)
+    z = a.center
     print("commutant dim %d, (m, l) = (%d, %d), center dim %d  [%.2fs]"
-          % (s.algebra.dim, ml.m, ml.l, z.dim, time.time() - t0))
+          % (a.dim, ml.m, ml.l, z.dim, time.time() - t0))
     for degree in (2, 3):
         t0 = time.time()
         res = kernel_s(g, z, degree=degree)

@@ -149,7 +149,7 @@ def gl_n_r(n: int) -> MatrixAlgebra:
                 for r in range(n)
             ]
             basis.append(QMatrix.from_rows(rows))
-    return MatrixAlgebra(n, tuple(basis))
+    return MatrixAlgebra.from_basis(n, tuple(basis))
 
 
 def gl_n_c(n: int) -> MatrixAlgebra:
@@ -166,7 +166,7 @@ def gl_n_c(n: int) -> MatrixAlgebra:
             )
             basis.append(realify_complex(e, zero))
             basis.append(realify_complex(zero, e))
-    return MatrixAlgebra(2 * n, tuple(basis))
+    return MatrixAlgebra.from_basis(2 * n, tuple(basis))
 
 
 _QUAT_LEFT = {
@@ -195,7 +195,7 @@ def gl_n_h(n: int) -> MatrixAlgebra:
                     for b in range(4):
                         rows[4 * i + a][4 * j + b] = block.entries[a][b]
                 basis.append(QMatrix.from_rows(rows))
-    return MatrixAlgebra(4 * n, tuple(basis))
+    return MatrixAlgebra.from_basis(4 * n, tuple(basis))
 
 
 def upper_triangular_2x2() -> MatrixAlgebra:
@@ -205,7 +205,7 @@ def upper_triangular_2x2() -> MatrixAlgebra:
         QMatrix.from_rows([[0, 1], [0, 0]]),
         QMatrix.from_rows([[0, 0], [0, 1]]),
     )
-    return MatrixAlgebra(2, basis)
+    return MatrixAlgebra.from_basis(2, basis)
 
 
 # ---------------------------------------------------------------------------

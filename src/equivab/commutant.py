@@ -8,9 +8,11 @@ on a generic central element.  For a finite group it also checks, exactly and
 from the enumerated elements alone, that Z(A) = A meet span G and that
 dim A = (1/|G|) sum of tr(g)^2.
 
-The commutant's closure under products is certified by its residual against
-the action, not multiplied out (`Commutant`), and Z(A) and [A, A] read one
-table of brackets of basis elements (`MatrixAlgebra.brackets`).
+One record, `MatrixAlgebra`, carries an algebra: its basis and span, and its
+bracket table, Z(A) and [A, A], each formed once on first read.  The
+commutant's closure under products is certified by its residual against the
+action, not multiplied out (`compute_commutant`), and Z(A) and [A, A] read
+the one table of brackets of basis elements (`MatrixAlgebra.brackets`).
 """
 
 from __future__ import annotations
@@ -42,35 +44,35 @@ from .symmetry import (
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
-    """Unital associative subalgebra of End(R^n) given by a rational basis.
+    """Unital associative subalgebra A of End(R^n): a rational basis and its
+    span in vec(End(V)), with the bracket table, Z(A) and [A, A] formed once
+    each, on first read.  Every answer about A reads them from here.
 
-    A basis given from outside is checked here: linearly independent, closed
-    under products (dim A squared products, each reduced against the span)
-    and holding the identity.  The commutant forms no such product: see
-    `Commutant`."""
+    `compute_commutant` builds the commutant with its own certificate; a basis
+    given from outside goes through `from_basis`, which checks it."""
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
+    span: Subspace = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        n = self.ambient_dim
-        if self.span.dim != len(self.basis):
+    @staticmethod
+    def from_basis(n: int, basis: tuple[QMatrix, ...]) -> "MatrixAlgebra":
+        """The algebra spanned by `basis`, checked: linearly independent,
+        closed under products (dim A squared products, each reduced against
+        the span) and holding the identity."""
+        span = Subspace._span(n * n, (b.int_vec() for b in basis))
+        if span.dim != len(basis):
             raise ValueError("algebra basis is linearly dependent")
-        engine, basis = self.span._engine(), self.basis
+        engine = span._engine()
         if not all(engine.contains(product_vec(x, y)[1]) for x in basis for y in basis):
             raise ValueError("basis is not closed under multiplication")
         if not engine.contains(QMatrix.identity(n).int_vec()):
             raise ValueError("identity not in algebra span")
+        return MatrixAlgebra(n, basis, span)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def span(self) -> Subspace:
-        """The span of the basis in vec(End(V)), built once per algebra."""
-        n = self.ambient_dim
-        return Subspace._span(n * n, (b.int_vec() for b in self.basis))
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], dict[int, int]]:
@@ -81,25 +83,15 @@ class MatrixAlgebra:
         return {(i, j): bracket_vec(b[i], b[j])[1]
                 for i, j in itertools.combinations(range(len(b)), 2)}
 
+    @cached_property
+    def center(self) -> Subspace:
+        """Z(A) as a subspace of vec(End(V))."""
+        return center(self)
 
-@dataclass(frozen=True)
-class Commutant(MatrixAlgebra):
-    """End(V)^H as `compute_commutant` builds it: the basis is the integer
-    rows of `kernel`, the kernel of the invariance constraints, so it spans
-    {X : [X, g] = 0 for every action generator g}.  That set holds the
-    identity and is closed under products by the Leibniz rule
-    [XY, g] = X[Y, g] + [X, g]Y, so closure is certified by the residual
-    [b, g] = 0 of each basis element, which `compute_commutant` checks, and
-    no product of two basis elements is formed."""
-
-    kernel: Subspace = field(compare=False, repr=False)
-
-    def __post_init__(self):
-        pass
-
-    @property
-    def span(self) -> Subspace:
-        return self.kernel
+    @cached_property
+    def derived(self) -> Subspace:
+        """[A, A] as a subspace of vec(End(V))."""
+        return commutator_ideal(self)
 
 
 @dataclass(frozen=True)
@@ -120,13 +112,17 @@ class MLClassification:
             raise ValueError("need m >= l >= 0")
 
 
-def compute_commutant(g: GroupAction) -> Commutant:
-    """Basis of {X : X commutes with the action}, as a `Commutant`: the
-    integer rows of the kernel, each checked to commute with every action
-    generator.  Raises ValueError if one does not."""
+def compute_commutant(g: GroupAction) -> MatrixAlgebra:
+    """End(V)^H: its basis is the integer rows of `kernel`, the kernel of the
+    invariance constraints, so it spans {X : [X, g] = 0 for every action
+    generator g}.  That set holds the identity and is closed under products
+    by the Leibniz rule [XY, g] = X[Y, g] + [X, g]Y, so closure is certified
+    by the residual [b, g] = 0 of each basis element, checked here, and no
+    product of two basis elements is formed.  Raises ValueError if some basis
+    element does not commute with the action."""
     n = g.dim
     sol = kernel(n * n, invariance_constraints(g))
-    a = Commutant(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows), sol)
+    a = MatrixAlgebra(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows), sol)
     if not commutes_with_action(a, g):
         raise ValueError("the commutant's basis does not commute with the action")
     return a
@@ -165,35 +161,9 @@ def commutator_ideal(a: MatrixAlgebra) -> Subspace:
 
 
 @dataclass(frozen=True)
-class CommutantStructure:
-    """An algebra A with its center Z(A) and commutator ideal [A, A], both as
-    subspaces of vec(End(V)).  Every answer about A reads them from here."""
-
-    algebra: MatrixAlgebra
-    center: Subspace
-    derived: Subspace
-
-
-def commutant_structure(a: MatrixAlgebra) -> CommutantStructure:
-    """A with its center and commutator ideal, each computed once."""
-    return CommutantStructure(a, center(a), commutator_ideal(a))
-
-
-def abelianization(s: CommutantStructure) -> tuple[int, list[QMatrix]]:
-    """(dimension, representative basis) of A / [A, A]."""
-    a = s.algebra
-    reps = s.derived.complement_in(a.span)
-    dim = a.dim - s.derived.dim
-    assert dim == len(reps)
-    n = a.ambient_dim
-    return dim, [QMatrix.from_rows(v[i : i + n] for i in range(0, n * n, n)) for v in reps]
-
-
-@dataclass(frozen=True)
 class CenterSplitReport:
     """Outcome of checking A = Z(A) + [A,A] with Z(A) meeting [A,A] in 0."""
 
-    passed: bool
     center_dim: int
     derived_dim: int
     algebra_dim: int
@@ -212,44 +182,47 @@ class CenterSplitReport:
             )
         return out
 
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
-def verify_center_splits(s: CommutantStructure) -> CenterSplitReport:
+
+def verify_center_splits(a: MatrixAlgebra) -> CenterSplitReport:
     """Check that the center maps isomorphically onto the abelianization.
 
     Holds whenever A is the commutant of a compact action; may legitimately
     fail for other algebras (e.g. upper-triangular matrices).
     """
-    z, d = s.center, s.derived
+    z, d = a.center, a.derived
     total = z.sum(d)
     # dim(Z meet [A,A]) by the dimension formula: one sum, no intersection
     inter_dim = z.dim + d.dim - total.dim
     return CenterSplitReport(
-        passed=(inter_dim == 0 and total.dim == s.algebra.dim),
         center_dim=z.dim,
         derived_dim=d.dim,
-        algebra_dim=s.algebra.dim,
+        algebra_dim=a.dim,
         intersection_dim=inter_dim,
         sum_dim=total.dim,
     )
 
 
-def classify_ml(s: CommutantStructure) -> MLClassification:
+def classify_ml(a: MatrixAlgebra) -> MLClassification:
     """(m, l) as the inertia of the trace form (x, y) -> tr(xy) on Z(A).
 
     Z(A) ~ R^{m-l} x C^l, and the trace over V weights every factor
     positively: a real factor gives one positive square, a complex one
     a^2 - b^2, one of each sign.  A zero square means Z(A) is not semisimple.
     """
-    z = s.center
-    pos, neg, zero = inertia(trace_form(z, s.algebra.ambient_dim))
+    z = a.center
+    pos, neg, zero = inertia(trace_form(z, a.ambient_dim))
     if zero:
         raise ValueError("the trace form on the center is degenerate "
                          "(%d zero squares): Z(A) is not semisimple" % zero)
-    ab_dim = s.algebra.dim - s.derived.dim
+    ab_dim = a.dim - a.derived.dim
     return MLClassification(m=pos, l=neg, center_dim=z.dim, abelianization_dim=ab_dim)
 
 
-def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
+def root_count_disagreement(a: MatrixAlgebra, ml: MLClassification) -> str:
     """Why Sturm's count on a generic central element disagrees with ml, or ""
     when it agrees; shares no code with the trace form.
 
@@ -260,7 +233,7 @@ def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
     constant term, at most d - 1 positive; so some t <= 2 + (d-1) d(d-1)/2
     is generic.
     """
-    n, rows = s.algebra.ambient_dim, s.center.rows
+    n, rows = a.ambient_dim, a.center.rows
     d = len(rows)
     # the basis element z_i is the integer row i over its pivot: z(t) is the
     # integer vector sum of t^i (den / pivot_i) row_i over den, the lcm of the pivots
@@ -287,7 +260,7 @@ def root_count_disagreement(s: CommutantStructure, ml: MLClassification) -> str:
 
 
 def schur_split_oracle(
-    g: FiniteMatrixAction, structure: CommutantStructure
+    g: FiniteMatrixAction, a: MatrixAlgebra
 ) -> tuple[tuple[bool, str], tuple[bool, str]]:
     """Verify's two exact checks of the commutant A of a finite group, each as
     (passed, detail), from B = span of the enumerated elements; neither shares
@@ -300,7 +273,7 @@ def schur_split_oracle(
     - dim A = (1/|G|) sum of tr(g)^2, the norm <chi, chi> of the real
       character chi = tr.
     """
-    a, z, n = structure.algebra, structure.center, g.dim
+    z, n = a.center, g.dim
     elements = g.elements
     group_span = Subspace._span(n * n, (el.int_vec() for el in elements))
     meet = a.dim + group_span.dim - a.span.sum(group_span).dim

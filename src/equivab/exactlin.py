@@ -429,10 +429,7 @@ class Subspace:
     @staticmethod
     def _span(ambient_dim: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
         """Span of integer vectors given as {index: int}."""
-        engine = SparseRREF(ambient_dim)
-        for v in vectors:
-            engine.insert(v)
-        return engine.subspace()
+        return _eliminate(ambient_dim, vectors).subspace()
 
     def _engine(self) -> "SparseRREF":
         """A new engine holding the rows of this subspace."""
@@ -477,8 +474,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         engine = self._engine()
-        for _, _, row in other.rows:
-            engine.insert(row)
+        _insert_until_full(engine, (row for _, _, row in other.rows))
         return engine.subspace()
 
     def intersection(self, other: "Subspace") -> "Subspace":

@@ -92,29 +92,27 @@ def _lie_summand_dim(data: liealg.IsotropyData) -> int:
 
 def _classify(
     g: GroupAction
-) -> tuple[comm.CommutantStructure, comm.CenterSplitReport, comm.MLClassification]:
-    """The commutant of the action with its center and commutator ideal, the
-    center-split report and (m, l); compute and verify build them alike."""
-    structure = comm.commutant_structure(comm.compute_commutant(g))
-    split = comm.verify_center_splits(structure)
-    return structure, split, comm.classify_ml(structure)
+) -> tuple[comm.MatrixAlgebra, comm.CenterSplitReport, comm.MLClassification]:
+    """The commutant of the action, the center-split report and (m, l);
+    compute and verify build them alike."""
+    a = comm.compute_commutant(g)
+    return a, comm.verify_center_splits(a), comm.classify_ml(a)
 
 
 def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult:
     g = model.slice_action
-    structure, split, ml = _classify(g)
+    a, split, ml = _classify(g)
     lie_dim = None
     if model.isotropy_lie is not None:
         lie_dim = _lie_summand_dim(model.isotropy_lie)
     quotient = None
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else g.default_degree_bound
-        z = structure.center
-        ker = strata.kernel_s(g, z, d)
-        quotient = strata.quotient_abelianization(z, ker, ml)
+        ker = strata.kernel_s(g, a.center, d)
+        quotient = strata.quotient_abelianization(a.center, ker, ml)
     return OrbitResult(
         label=model.label,
-        commutant_dim=structure.algebra.dim,
+        commutant_dim=a.dim,
         m=ml.m,
         l=ml.l,
         center_dim=ml.center_dim,
@@ -175,7 +173,7 @@ def verify_models(
     degree_bound: int | None = None,
     extra_algebras: list[tuple[str, comm.MatrixAlgebra]] | None = None,
 ) -> VerificationReport:
-    """Build each orbit's structure as compute mode does, check every
+    """Build each orbit's commutant as compute mode does, check every
     structural claim on it, and report per check.  Every check is exact.
 
     An exception while verifying an orbit becomes a failed "error" item for
@@ -192,7 +190,7 @@ def verify_models(
         except Exception as exc:
             items.append(VerificationItem(model.label, "error", False, str(exc)))
     for name, algebra in extra_algebras or []:
-        split = comm.verify_center_splits(comm.commutant_structure(algebra))
+        split = comm.verify_center_splits(algebra)
         detail = "; ".join(split.failures)
         items.append(VerificationItem(name, "center-splits", split.passed, detail))
     return VerificationReport(tuple(items))
@@ -209,22 +207,22 @@ def _orbit_checks(
     def item(check, passed, detail=""):
         return VerificationItem(model.label, check, bool(passed), detail)
 
-    structure, split, ml = _classify(g)
+    a, split, ml = _classify(g)
     # exact residual: commutant really commutes with the action
-    yield item("commutant-residual", comm.commutes_with_action(structure.algebra, g))
+    yield item("commutant-residual", comm.commutes_with_action(a, g))
     yield item("center-splits", split.passed, "; ".join(split.failures))
-    disagreement = comm.root_count_disagreement(structure, ml)
+    disagreement = comm.root_count_disagreement(a, ml)
     yield item("center-dim-arithmetic", not disagreement, disagreement)
 
     if finite:
-        center_check, dim_check = comm.schur_split_oracle(g, structure)
+        center_check, dim_check = comm.schur_split_oracle(g, a)
         yield item("classification-vs-split-oracle", *center_check)
         yield item("block-dimension-arithmetic", *dim_check)
 
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else g.default_degree_bound
         invariants = strata.invariants_up_to_degree(g, d + 1)
-        ker1, ker2 = strata.kernel_s_at_degrees(g, structure.center, (d, d + 1), invariants)
+        ker1, ker2 = strata.kernel_s_at_degrees(g, a.center, (d, d + 1), invariants)
         yield item(
             "kernel-monotonicity",
             ker1.s_basis.contains_subspace(ker2.s_basis),

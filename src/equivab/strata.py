@@ -72,8 +72,11 @@ class KernelResult:
     """The central subalgebra annihilating all computed invariants."""
 
     s_basis: Subspace  # inside vec(End(V))
-    dim_s: int
     exactness: str  # "certified" or "degree-bounded"
+
+    @property
+    def dim_s(self) -> int:
+        return self.s_basis.dim
 
 
 def kernel_s_at_degrees(
@@ -116,7 +119,7 @@ def kernel_s_at_degrees(
             read += 1
         s = Subspace._span(n * n, coords.combinations(center_vecs))
         exactness = "certified" if g.certified(degree) else "degree-bounded"
-        out.append(KernelResult(s_basis=s, dim_s=s.dim, exactness=exactness))
+        out.append(KernelResult(s_basis=s, exactness=exactness))
     return out
 
 

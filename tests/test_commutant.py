@@ -13,10 +13,8 @@ from equivab import commutant as comm
 from equivab.commutant import (
     MatrixAlgebra,
     MLClassification,
-    abelianization,
     center,
     classify_ml,
-    commutant_structure,
     commutator_ideal,
     compute_commutant,
     root_count_disagreement,
@@ -69,7 +67,25 @@ def _unit(n: int, i: int, j: int) -> QMatrix:
 
 def full_matrix_algebra(n: int) -> MatrixAlgebra:
     """End(R^n), spanned by the matrix units."""
-    return MatrixAlgebra(n, tuple(_unit(n, i, j) for i in range(n) for j in range(n)))
+    return MatrixAlgebra.from_basis(
+        n, tuple(_unit(n, i, j) for i in range(n) for j in range(n))
+    )
+
+
+def abelianization(a: MatrixAlgebra) -> tuple[int, list[QMatrix]]:
+    """(dimension, representative basis) of A / [A, A]."""
+    reps = a.derived.complement_in(a.span)
+    dim = a.dim - a.derived.dim
+    assert dim == len(reps)
+    n = a.ambient_dim
+    return dim, [QMatrix.from_rows(v[i : i + n] for i in range(0, n * n, n)) for v in reps]
+
+
+def _with_center(a: MatrixAlgebra, z: Subspace) -> MatrixAlgebra:
+    """A copy of a that reads z as its center."""
+    b = dataclasses.replace(a)
+    b.__dict__["center"] = z  # where the cached property keeps it
+    return b
 
 
 def _conjugation_kernel(g) -> Subspace:
@@ -88,7 +104,7 @@ def _conjugation_kernel(g) -> Subspace:
 
 
 def _structure(g):
-    return commutant_structure(compute_commutant(g))
+    return compute_commutant(g)
 
 
 class TestCommutant:
@@ -123,14 +139,14 @@ class TestCommutant:
     def test_algebra_validation(self):
         with pytest.raises(ValueError):
             # not multiplicatively closed: nilpotent part only
-            MatrixAlgebra(
+            MatrixAlgebra.from_basis(
                 2,
                 (QMatrix.identity(2), QMatrix.from_rows([[0, 1], [1, 0]]),
                  QMatrix.from_rows([[1, 0], [0, -1]])),
             )
         # the same span on a basis with denominators
         with pytest.raises(ValueError, match="not closed under multiplication"):
-            MatrixAlgebra(2, _shear(
+            MatrixAlgebra.from_basis(2, _shear(
                 (QMatrix.identity(2), QMatrix.from_rows([[0, 1], [1, 0]]),
                  QMatrix.from_rows([[1, 0], [0, -1]]))
             ))
@@ -185,7 +201,7 @@ def _shear(b: tuple[QMatrix, ...]) -> tuple[QMatrix, ...]:
 
 
 def _sheared(a: MatrixAlgebra) -> MatrixAlgebra:
-    return MatrixAlgebra(a.ambient_dim, _shear(a.basis))
+    return MatrixAlgebra.from_basis(a.ambient_dim, _shear(a.basis))
 
 
 CENTER_CASES = (
@@ -200,7 +216,7 @@ CENTER_CASES = (
     + [pytest.param(cat.upper_triangular_2x2, id="upper_triangular_2x2")]
     # every element commutes with the first basis element, the identity
     + [pytest.param(
-        lambda: MatrixAlgebra(
+        lambda: MatrixAlgebra.from_basis(
             2, (QMatrix.identity(2),) + cat.upper_triangular_2x2().basis[1:]
         ),
         id="upper_triangular_2x2_identity_first",
@@ -210,7 +226,7 @@ CENTER_CASES = (
 
 def _equal_diagonal_triangular() -> MatrixAlgebra:
     """Upper triangular 3 x 3 matrices with equal diagonal entries."""
-    return MatrixAlgebra(
+    return MatrixAlgebra.from_basis(
         3, (QMatrix.identity(3), _unit(3, 0, 1), _unit(3, 0, 2), _unit(3, 1, 2))
     )
 
@@ -229,7 +245,7 @@ class TestCenterAndAbelianization:
 
     @pytest.mark.parametrize("n, expected", [(1, 1), (2, 1), (3, 1), (4, 1)])
     def test_full_matrix_algebra_abelianization(self, n, expected):
-        dim, reps = abelianization(commutant_structure(full_matrix_algebra(n)))
+        dim, reps = abelianization(full_matrix_algebra(n))
         assert dim == expected
         assert len(reps) == expected
 
@@ -257,13 +273,13 @@ class TestCenterAndAbelianization:
         assert rep.passed, rep.failures
 
     def test_upper_triangular_fails_split(self):
-        rep = verify_center_splits(commutant_structure(cat.upper_triangular_2x2()))
+        rep = verify_center_splits(cat.upper_triangular_2x2())
         assert not rep.passed
         assert any("Z(A) + [A,A]" in f for f in rep.failures)
 
     @pytest.mark.parametrize("make_algebra", SPLIT_CASES)
     def test_intersection_dim_matches_intersection(self, make_algebra):
-        s = commutant_structure(make_algebra())
+        s = make_algebra()
         rep = verify_center_splits(s)
         assert rep.intersection_dim == s.center.intersection(s.derived).dim
         assert rep.sum_dim == s.center.sum(s.derived).dim
@@ -271,7 +287,7 @@ class TestCenterAndAbelianization:
     def test_center_meeting_derived_fails_split(self):
         # upper triangular 3 x 3 with equal diagonal: Z(A) = span{I, E13} and
         # [A, A] = span{E13}, so Z(A) + [A,A] is 2-dimensional in dim A = 4
-        rep = verify_center_splits(commutant_structure(_equal_diagonal_triangular()))
+        rep = verify_center_splits(_equal_diagonal_triangular())
         assert (rep.center_dim, rep.derived_dim, rep.intersection_dim) == (2, 1, 1)
         assert not rep.passed
         assert rep.failures == [
@@ -320,9 +336,9 @@ class TestClassification:
     def test_degenerate_trace_form_rejected(self):
         # span{I, E12} is commutative, so it is its own center, and E12 is
         # nilpotent: tr(E12 x) = 0 for every x, a zero square of the form
-        a = MatrixAlgebra(2, (QMatrix.identity(2), _unit(2, 0, 1)))
+        a = MatrixAlgebra.from_basis(2, (QMatrix.identity(2), _unit(2, 0, 1)))
         with pytest.raises(ValueError, match="degenerate.*not semisimple"):
-            classify_ml(commutant_structure(a))
+            classify_ml(a)
 
     @pytest.mark.parametrize("basis, detail", [
         # z(2) = 2I + 4 E12 has minimal polynomial (x - 2)^2
@@ -332,16 +348,17 @@ class TestClassification:
     ])
     def test_root_count_reports_non_semisimple_center(self, basis, detail):
         n = len(basis) + 1
-        a = MatrixAlgebra(n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
+        a = MatrixAlgebra.from_basis(
+            n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
         ml = MLClassification(m=n, l=0, center_dim=n, abelianization_dim=n)
-        assert root_count_disagreement(commutant_structure(a), ml) == detail
+        assert root_count_disagreement(a, ml) == detail
 
     @pytest.mark.parametrize("make", CENTRAL_ELEMENT_ACTIONS)
     def test_minimal_polynomial_of_z_t_matches_divisor_search(self, make):
         # the generic central elements z(t) = sum t^i z_i that the root count
         # reads, at its first two points
         s = _structure(make())
-        n = s.algebra.ambient_dim
+        n = s.ambient_dim
         for t in (2, 3):
             z = QMatrix.zeros(n, n)
             for i, v in enumerate(s.center.basis, 1):
@@ -353,7 +370,7 @@ class TestClassification:
     def test_gl_families(self, n):
         for make, ml in ((cat.gl_n_r, (1, 0)), (cat.gl_n_c, (1, 1)),
                          (cat.gl_n_h, (1, 0))):
-            got = classify_ml(commutant_structure(make(n)))
+            got = classify_ml(make(n))
             assert (got.m, got.l) == ml
 
 
@@ -377,7 +394,7 @@ class TestExactFiniteGroupChecks:
         # span G, the other copy of H
         g = cat.q8_on_r4()
         s = _structure(g)
-        wrong = dataclasses.replace(s, center=s.algebra.span)
+        wrong = _with_center(s, s.span)
         (passed, detail), _ = comm.schur_split_oracle(g, wrong)
         assert not passed
         assert detail == "dim Z(A) = 4, dim A meet span G = 1, Z(A) not in span G"
@@ -388,9 +405,9 @@ class TestExactFiniteGroupChecks:
         g = cat.q8_on_r4()
         s = _structure(g)
         scalars = Subspace.from_vectors(16, [QMatrix.identity(4).vec()])
-        x = next(b for b in s.algebra.basis if not scalars.contains(b.vec()))
+        x = next(b for b in s.basis if not scalars.contains(b.vec()))
         line = Subspace.from_vectors(16, [x.vec()])
-        (passed, detail), _ = comm.schur_split_oracle(g, dataclasses.replace(s, center=line))
+        (passed, detail), _ = comm.schur_split_oracle(g, _with_center(s, line))
         assert not passed
         assert detail == "dim Z(A) = 1, dim A meet span G = 1, Z(A) not in span G"
 
@@ -400,7 +417,7 @@ class TestExactFiniteGroupChecks:
         g = cat.s3_standard_plus_sign()
         s = _structure(g)
         scalars = Subspace.from_vectors(9, [QMatrix.identity(3).vec()])
-        (passed, detail), _ = comm.schur_split_oracle(g, dataclasses.replace(s, center=scalars))
+        (passed, detail), _ = comm.schur_split_oracle(g, _with_center(s, scalars))
         assert not passed
         assert detail == "dim Z(A) = 1, dim A meet span G = 2"
 
@@ -459,9 +476,9 @@ class TestIntegerRows:
         a = compute_commutant(g)
         z, derived = center(a), commutator_ideal(a)
         assert made == []
-        want = commutant_structure(compute_commutant(base))
+        want = compute_commutant(base)
         assert (a.dim, z.dim, derived.dim) == (
-            want.algebra.dim, want.center.dim, want.derived.dim)
+            want.dim, want.center.dim, want.derived.dim)
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: in_rational_basis(cat.s3_regular_minus_trivial()), id="s3"),

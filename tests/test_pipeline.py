@@ -239,7 +239,7 @@ class TestVerifyModels:
             rep = verify_models([model(label, g, quotient_requested=True)])
             monkeypatch.undo()
             assert rep.passed
-            z = comm.commutant_structure(comm.compute_commutant(g)).center
+            z = comm.compute_commutant(g).center
             assert set(Counter(map(id, derived)).values()) == {z.dim}
             d = g.default_degree_bound
             low, high = (strata.kernel_s(g, z, degree).dim_s for degree in (d, d + 1))

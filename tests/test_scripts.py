@@ -31,3 +31,14 @@ def test_cli_digests_match_the_pinned_ones():
     proc = _run("cli_digest.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "scripts" / "cli_digest.txt").read_text()
+
+
+def test_benchmark_selftest_passes():
+    # the selftest runs every workload traced: a traced function that no
+    # workload calls any more reads zero everywhere and fails it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

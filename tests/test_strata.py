@@ -14,7 +14,7 @@ from test_commutant import FINITE_CASES, counting_rationals, in_rational_basis
 
 from equivab import catalog as cat
 from equivab import commutant, exactlin, strata, symmetry
-from equivab.commutant import classify_ml, commutant_structure, compute_commutant
+from equivab.commutant import classify_ml, compute_commutant
 from equivab.exactlin import QMatrix, Subspace, _q, nullspace
 from equivab.strata import (
     DegreeBoundTooLarge,
@@ -394,7 +394,7 @@ class TestKernel:
         # faithful weight-(1, 2) circle: the central rotation field is
         # tangent to every orbit, so it acts trivially on the quotient
         g = TorusAction(((1, 2),))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         z = a.center
         res = kernel_s(g, z, degree=3)
         assert res.dim_s == 1
@@ -405,7 +405,7 @@ class TestKernel:
 
     def test_finite_group_kernel_vanishes_at_noether_bound(self):
         g = cat.c3_rotation()
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         z = a.center
         res = kernel_s(g, z, degree=3)
         assert res.dim_s == 0
@@ -413,7 +413,7 @@ class TestKernel:
 
     def test_low_degree_not_certified_for_finite(self):
         g = cat.c3_rotation()
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         res = kernel_s(g, a.center, degree=2)
         assert res.exactness == "degree-bounded"
 
@@ -421,7 +421,7 @@ class TestKernel:
         # the circle's kernel is still 2-dimensional at degree 2, so bases
         # that stop there cannot answer degree 3
         g = TorusAction(((1, 2),))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         inv = tuple(invariants_up_to_degree(g, 2))
         with pytest.raises(ValueError, match="invariants go up to degree 2, not 3"):
             kernel_s(g, a.center, degree=3, invariants=inv)
@@ -429,7 +429,7 @@ class TestKernel:
 
     def test_no_degree_read_past_the_asked_degree(self):
         g = TorusAction(((1, 2),))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         inv = tuple(invariants_up_to_degree(g, 3))
         bases = iter(inv)
         assert kernel_s(g, a.center, degree=2, invariants=bases).dim_s == 2
@@ -439,7 +439,7 @@ class TestKernel:
         # the saturated weight kernel needs the exponent differences of
         # degree-3 invariant monomials: degree 2 does not certify it
         g = TorusAction(((1, 0, 1, 1), (0, 1, 1, -1)))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         z = a.center
         inv = tuple(invariants_up_to_degree(g, 3))
         for d, label in [(2, "degree-bounded"), (3, "certified")]:
@@ -450,7 +450,7 @@ class TestKernel:
         # C3 on R^2 to degree 3: the radius and the first cubic invariant
         # already kill Z(A) = C, so the second cubic is never derived
         g = cat.c3_rotation()
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         inv = tuple(invariants_up_to_degree(g, 3))
         assert len(all_polys(inv)) == 3 and a.center.dim == 2
         calls = []
@@ -466,7 +466,7 @@ class TestKernel:
 
     def test_torus_certification_needs_saturation(self):
         g = TorusAction(((1, 1),))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         z = a.center
         assert kernel_s(g, z, degree=1).exactness == "degree-bounded"
         assert kernel_s(g, z, degree=2).exactness == "certified"
@@ -481,7 +481,7 @@ class TestKernel:
         # terms, and their derivations along the center's integer rows are
         # integers: even generators with denominators form no rational
         g = make()
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         want = kernel_s(g, z, g.default_degree_bound)
         made = counting_rationals(monkeypatch, (exactlin, commutant, symmetry))
         assert kernel_s(g, z, g.default_degree_bound) == want
@@ -506,7 +506,7 @@ class TestKernelsAtDegrees:
     @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
     def test_equal_two_independent_kernel_s_calls(self, make, d):
         g = make()
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         invariants = invariants_up_to_degree(g, d + 1)
         got = strata.kernel_s_at_degrees(g, z, (d, d + 1), invariants)
         assert got == [kernel_s(g, z, degree=d), kernel_s(g, z, degree=d + 1)]
@@ -517,7 +517,7 @@ class TestKernelsAtDegrees:
         # call derives an integer multiple of an invariant, counted as a call
         # for that source invariant
         g = make()
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         inv = tuple(invariants_up_to_degree(g, d + 1))
         source = {ray(f): i for i, f in enumerate(all_polys(inv))}
         calls = []
@@ -538,7 +538,7 @@ class TestKernelsAtDegrees:
     def test_no_degree_read_past_a_zero_kernel(self):
         # D4 on R^2: the kernel is zero at degree 2, so degrees 3..9 stay unread
         g = cat.d4_on_r2()
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         inv = tuple(invariants_up_to_degree(g, 9))
         bases = iter(inv)
         ker8, ker9 = strata.kernel_s_at_degrees(g, z, (8, 9), bases)
@@ -547,7 +547,7 @@ class TestKernelsAtDegrees:
 
     def test_invariants_must_reach_the_last_degree(self):
         g = TorusAction(((1, 2),))
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         inv = tuple(invariants_up_to_degree(g, 2))
         with pytest.raises(ValueError, match="invariants go up to degree 2, not 3"):
             strata.kernel_s_at_degrees(g, z, (2, 3), inv)
@@ -557,7 +557,7 @@ class TestQuotient:
     def test_diagonal_circle_quotient(self):
         # weights (1, 1) on C^2: quotient side is R^1 with k = 1
         g = TorusAction(((1, 1),))
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         ml = classify_ml(a)
         z = a.center
         res = kernel_s(g, z, degree=2)
@@ -567,7 +567,7 @@ class TestQuotient:
 
     def test_finite_group_quotient_keeps_complex_type(self):
         g = cat.c3_rotation()
-        a = commutant_structure(compute_commutant(g))
+        a = compute_commutant(g)
         ml = classify_ml(a)
         z = a.center
         res = kernel_s(g, z, degree=3)
@@ -748,7 +748,7 @@ class TestIntegerOperatorsMatchFractionOracle:
         oracle = list(fraction_invariants(g, fraction_op, generators, degree))
         assert all(type(c) is int for f in all_polys(inv) for c in f.values())
         assert [list(basis) for basis in inv] == [list(map(primitive, b)) for b in oracle]
-        z = commutant_structure(compute_commutant(g)).center
+        z = compute_commutant(g).center
         for d in range(1, degree + 1):
             flat = [terms for basis in oracle[:d] for terms in basis]
             assert kernel_s(g, z, d, inv[:d]).s_basis == fraction_kernel_s(g, z, flat)
