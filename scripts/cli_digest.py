@@ -138,13 +138,20 @@ def _ad(c, i) -> list:
     return [[c[i][j][k] for j in range(n)] for k in range(n)]
 
 
+def _constants(g) -> list:
+    """The rational constants c[i][j][k] of the algebra g, from its integer
+    planes."""
+    return [[[Fraction(dict(row).get(k, 0), g.den) for k in range(g.dim)] for row in plane]
+            for plane in g.planes]
+
+
 def _lie_documents() -> list[dict]:
     """One document per isotropy Lie datum in the basis of `_basis_change`,
     each on a rotation of the plane: derivations, automorphisms and h that
     are valid, then data that breaks each check of the input."""
-    so3 = [[list(row) for row in plane] for plane in catalog.so3().constants]
-    sl2 = [[list(row) for row in plane] for plane in catalog.sl2().constants]
-    two = [[list(row) for row in plane] for plane in catalog.nonabelian_2dim().constants]
+    so3 = _constants(catalog.so3())
+    sl2 = _constants(catalog.sl2())
+    two = _constants(catalog.nonabelian_2dim())
     heis = _heisenberg()
     half_turn = [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
     bad_sign = [[[x for x in row] for row in plane] for plane in so3]

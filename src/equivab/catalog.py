@@ -23,7 +23,7 @@ def c2_sign() -> FiniteMatrixAction:
 
 def c2_minus_identity(n: int = 2) -> FiniteMatrixAction:
     """{+-I} on R^n."""
-    return FiniteMatrixAction(n, (QMatrix.identity(n).scale(-1),))
+    return FiniteMatrixAction(n, (QMatrix.zeros(n, n) - QMatrix.identity(n),))
 
 
 def c3_rotation() -> FiniteMatrixAction:
@@ -283,8 +283,8 @@ def su3_on_c3_plus_wedge2() -> ConnectedLieAction:
     """
     gens = []
     for re, im in _su_n_basis(3):
-        lam_re = re.transpose().scale(-1)
-        lam_im = im.transpose().scale(-1)
+        lam_re = QMatrix.zeros(3, 3) - re.transpose()
+        lam_im = QMatrix.zeros(3, 3) - im.transpose()
         top = realify_complex(re, im)
         bottom = realify_complex(lam_re, lam_im)
         rows = [[Fraction(0)] * 12 for _ in range(12)]

@@ -102,9 +102,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(eio.format_report(report))
     if args.emit_json:
-        with open(args.emit_json, "w", encoding="utf-8") as fh:
-            fh.write(eio.serialize_report(report))
-            fh.write("\n")
+        try:
+            with open(args.emit_json, "w", encoding="utf-8") as fh:
+                fh.write(eio.serialize_report(report))
+                fh.write("\n")
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.emit_json, exc.strerror or exc),
+                  file=sys.stderr)
+            return 1
     return 0
 
 

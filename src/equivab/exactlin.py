@@ -6,12 +6,13 @@ A `QMatrix` stores (den, sparse integer rows), den the least denominator; a
 each RREF row times its pivot.  Elimination (`SparseRREF`), sparse products
 and every subspace operation run on those Python ints; span, membership and
 zero tests ignore scale, so callers pass the rows on as they are.  A rational
-row enters once, through `_integral`.  A rational (`Q`: ``gmpy2.mpq`` when
-installed, else :class:`fractions.Fraction`) is formed only where a value is
-read: `QMatrix.entries`, `Subspace.basis`, a solution.  A polynomial is a
-list of integer coefficients, low to high, an integer multiple of the one it
-stands for.  There are no tolerances: ranks, kernels, inertia and root
-counts are exact.  All objects are immutable; all functions are pure.
+row enters once, through `_integral`, and a value once, through `_exact`.
+A rational (`Q`, :class:`fractions.Fraction`, the one rational type) is
+formed only where a value is read: `QMatrix.entries`, `Subspace.basis`, a
+solution.  A polynomial is a list of integer coefficients, low to high, an
+integer multiple of the one it stands for.  There are no tolerances: ranks,
+kernels, inertia and root counts are exact.  All objects are immutable; all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -22,34 +23,25 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
-try:
-    # gmpy2.mpq is drop-in compatible with Fraction and much faster
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    Q = Fraction
-
-_RATIONAL = (type(Q(0)), Fraction, int)
+Q = Fraction
 _ZERO = Q(0)
 
 
-def _q(x):
-    """Coerce ints, strings like '2/3' and rationals to the exact type."""
-    if isinstance(x, Fraction):
-        # go through integers: Fraction internals may be foreign int types
-        return Q(int(x.numerator), int(x.denominator))
-    if isinstance(x, _RATIONAL):
-        return Q(x)
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed in exact computations: %r" % (x,))
-    return Q(str(x))
-
-
 def _exact(x):
-    """x itself when an int, else `_q(x)`: either has a numerator and a
-    denominator, and an int forms no rational."""
-    return x if type(x) is int else _q(x)
+    """x as an exact number: an int stays an int, a rational becomes a `Q`
+    with int parts and a string like '2/3' is parsed.  Anything else raises
+    TypeError: floats, numpy's float32 and every other inexact real."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Rational):
+        # go through int(): the parts may be foreign integer types
+        return Q(int(x.numerator), int(x.denominator))
+    if isinstance(x, str):
+        return Q(x)
+    raise TypeError("only ints, rationals and 'p/q' strings are exact: %r" % (x,))
 
 
 @dataclass(frozen=True)
@@ -69,9 +61,9 @@ class QMatrix:
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        den = lcm(*(int(x.denominator) for row in data for x in row))
+        den = lcm(*(x.denominator for row in data for x in row))
         return QMatrix(den, tuple(
-            tuple((j, int(x.numerator) * (den // int(x.denominator)))
+            tuple((j, x.numerator * (den // x.denominator))
                   for j, x in enumerate(row) if x)
             for row in data
         ), cols)
@@ -105,10 +97,6 @@ class QMatrix:
         """The dense rational rows, formed on first read."""
         return tuple(_dense(self.cols, row, self.den) for row in self.int_rows)
 
-    def vec(self) -> tuple[Fraction, ...]:
-        """Row-major flattening."""
-        return tuple(chain.from_iterable(self.entries))
-
     def int_vec(self) -> dict[int, int]:
         """Row-major flattening of den * self as {index: int}, zeros dropped."""
         w = self.cols
@@ -140,12 +128,6 @@ class QMatrix:
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         return self._plus(other, -1)
 
-    def scale(self, c) -> "QMatrix":
-        c = _q(c)
-        num, den = int(c.numerator), self.den * int(c.denominator)
-        entries = ((k, num * x) for k, x in self.int_vec().items())
-        return QMatrix._of(den, entries, self.rows, self.cols)
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         out = _integral_product(self, other)
         return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
@@ -161,9 +143,6 @@ class QMatrix:
                     acc = acc + a * v[j]
             out.append(acc / self.den if self.den != 1 else acc)
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(self.int_rows)
 
 
 def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
@@ -390,7 +369,7 @@ def _exact_row(v: Sequence, n: int) -> dict[int, int]:
 def _integral(vec: dict) -> dict[int, int]:
     """The rational row {col: value}, zeros dropped, times the lcm of its
     denominators: {col: int}.  Parts go through int(), since a Fraction's may
-    be foreign integer types and an mpq's are mpz."""
+    be foreign integer types."""
     den = lcm(*(int(x.denominator) for x in vec.values()))
     if den == 1:
         return {c: int(x.numerator) for c, x in vec.items() if x}
@@ -458,9 +437,6 @@ class Subspace:
         """The integer vectors {index: int} the rows of this subspace of
         Q^len(vectors) map to when e_i maps to vectors[i]."""
         return combine((row for _, _, row in self.rows), vectors)
-
-    def contains(self, v: Sequence) -> bool:
-        return self._engine().contains(_exact_row(v, self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)

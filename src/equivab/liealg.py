@@ -3,8 +3,8 @@
 Handles the Lie-theoretic summand: fixed subalgebras under an isotropy
 action, quotients by fixed ideals, and abelianizations.  An algebra holds its
 constants as integers over one denominator, and every check and bracket runs
-on integer vectors {index: int}, as the exact engine does; `constants` and
-`bracket` form rationals on read, for tests and messages.
+on integer vectors {index: int}, as the exact engine does; rationals are
+formed only for messages and for the quotient's constants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .exactlin import _ZERO, QMatrix, Subspace, _dense, _q, common_nullspace, solve
+from .exactlin import QMatrix, Subspace, common_nullspace, solve
 
 # the nonzeros (k, x) of one integer vector, by k
 Pairs = tuple[tuple[int, int], ...]
@@ -61,10 +61,6 @@ class LieAlgebraSC:
         alg._validate()
         return alg
 
-    @staticmethod
-    def abelian(dim: int) -> "LieAlgebraSC":
-        return LieAlgebraSC(dim, 1, tuple(((),) * dim for _ in range(dim)))
-
     def _validate(self) -> None:
         """Raise JacobiError at the first (i, j, k) where antisymmetry fails,
         else at the first (i, j, k), i < j < k, where the Jacobi identity
@@ -88,26 +84,6 @@ class LieAlgebraSC:
                                 total[m] = total.get(m, 0) + x * y
                     if any(total.values()):
                         raise JacobiError("Jacobi identity fails at (%d, %d, %d)" % (i, j, k))
-
-    @cached_property
-    def constants(self) -> tuple[tuple[tuple, ...], ...]:
-        """The rationals c[i][j][k], formed on first read."""
-        return tuple(
-            tuple(_dense(self.dim, row, self.den) for row in plane) for plane in self.planes
-        )
-
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """[x, y] of two rational vectors, formed as rationals."""
-        out = [_ZERO] * self.dim
-        ys = [(j, _q(b)) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                a, plane = _q(a), self.planes[i]
-                for j, b in ys:
-                    f = a * b
-                    for k, c in plane[j]:
-                        out[k] += f * c
-        return tuple(v / self.den for v in out)
 
     def _bracket(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         """den * [x, y] of two integer vectors {index: int}, zeros dropped."""
@@ -272,7 +248,7 @@ def quotient_lie_algebra(
     comp = [row for _, _, row in k_fixed.rows if engine.insert(row)]
     q = len(comp)
     if q == 0:
-        return LieAlgebraSC.abelian(0)
+        return LieAlgebraSC(0, 1, ())
     # the columns of M are the complement and h rows times den(ambient), so
     # M x = den [u_i, u_j] is solved by the coordinates x of [u_i, u_j]; the
     # first q of them are the quotient's constants

@@ -171,16 +171,12 @@ class VerificationReport:
 def verify_models(
     models: list[OrbitModel],
     degree_bound: int | None = None,
-    extra_algebras: list[tuple[str, comm.MatrixAlgebra]] | None = None,
 ) -> VerificationReport:
     """Build each orbit's commutant as compute mode does, check every
     structural claim on it, and report per check.  Every check is exact.
 
     An exception while verifying an orbit becomes a failed "error" item for
-    that orbit, and the next orbit is verified.  `extra_algebras` lets tests
-    inject algebras that are not commutants (the center-split check is
-    expected to fail on those and the failure is the report entry, not an
-    exception).
+    that orbit, and the next orbit is verified.
     """
     items: list[VerificationItem] = []
     for model in models:
@@ -189,10 +185,6 @@ def verify_models(
                 items.append(item)
         except Exception as exc:
             items.append(VerificationItem(model.label, "error", False, str(exc)))
-    for name, algebra in extra_algebras or []:
-        split = comm.verify_center_splits(algebra)
-        detail = "; ".join(split.failures)
-        items.append(VerificationItem(name, "center-splits", split.passed, detail))
     return VerificationReport(tuple(items))
 
 

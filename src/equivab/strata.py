@@ -123,24 +123,17 @@ def kernel_s_at_degrees(
     return out
 
 
-def kernel_s(
-    g: GroupAction,
-    z: Subspace,
-    degree: int,
-    invariants: Iterable[Sequence[Terms]] | None = None,
-) -> KernelResult:
+def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
     degree <= degree.
 
-    The invariants are read one degree at a time from `invariants`, the bases
-    of degrees 1, 2, ..., or else from `invariants_up_to_degree(g, degree)`;
-    none is read past `degree`, and no degree is read once the kernel is zero.
-    Labelled by the action's `certified(degree)`; a degree-bounded result is
-    only an upper bound (superset) for the true kernel.
+    The invariants are read one degree at a time from
+    `invariants_up_to_degree(g, degree)`; none is read past `degree`, and no
+    degree is read once the kernel is zero.  Labelled by the action's
+    `certified(degree)`; a degree-bounded result is only an upper bound
+    (superset) for the true kernel.
     """
-    if invariants is None:
-        invariants = invariants_up_to_degree(g, degree)
-    (result,) = kernel_s_at_degrees(g, z, (degree,), invariants)
+    (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))
     return result
 
 

@@ -24,8 +24,8 @@ from equivab.exactlin import (
     nullspace,
     rref,
 )
-from equivab.pipeline import InputError, OrbitModel, run_pipeline, verify_models
-from equivab.strata import kernel_s, quotient_abelianization
+from equivab.pipeline import InputError, OrbitModel, run_pipeline
+from equivab.strata import kernel_s, kernel_s_at_degrees, quotient_abelianization
 from equivab.symmetry import TorusAction, enumerate_group
 from equivab import io as eio
 
@@ -184,7 +184,7 @@ def test_criterion_3_random_torus_kernels(capsys):
         ml = classify_ml(a)
         z = a.center
         certificate = _torus_certificate(g)
-        res = kernel_s(g, z, degree=len(certificate), invariants=certificate)
+        res = kernel_s_at_degrees(g, z, (len(certificate),), certificate)[0]
         if res.exactness != "certified":
             failures.append("trial %d %r: kernel not certified" % (trial, weights))
             continue
@@ -270,11 +270,11 @@ def test_criterion_6_negative_controls(capsys):
     started = time.time()
     failures = []
 
-    rep = verify_models([], extra_algebras=[("upper-triangular", cat.upper_triangular_2x2())])
+    rep = verify_center_splits(cat.upper_triangular_2x2())
     if rep.passed:
         failures.append("upper-triangular algebra passed the center-split check")
     else:
-        detail = rep.items[0].detail
+        detail = "; ".join(rep.failures)
         if "Z(A) + [A,A]" not in detail:
             failures.append("center-split failure does not name Z(A)+[A,A]: %r" % detail)
 

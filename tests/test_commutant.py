@@ -20,6 +20,7 @@ from equivab.commutant import (
     root_count_disagreement,
     verify_center_splits,
 )
+from exact_oracles import is_zero, scale, vec
 from float_split_oracle import schur_split_oracle
 from test_exactlin import _minpoly_by_divisor_search, monic_sympy_poly
 from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
@@ -118,7 +119,7 @@ class TestCommutant:
         a = compute_commutant(g)
         for b in a.basis:
             for gen in g.generators:
-                assert (gen @ b - b @ gen).is_zero()
+                assert is_zero(gen @ b - b @ gen)
 
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_matches_conjugation_kernel(self, make, dim, ml, blocks):
@@ -177,15 +178,15 @@ def _center_as_common_kernel(a: MatrixAlgebra) -> Subspace:
     the operators c -> [sum c_i b_i, b], one for each basis element b."""
     ops = []
     for b in a.basis:
-        block = [(bi @ b - b @ bi).vec() for bi in a.basis]
+        block = [vec(bi @ b - b @ bi) for bi in a.basis]
         ops.append(QMatrix.from_rows(list(zip(*block))))
     n = a.ambient_dim
     vecs = []
     for coeffs in common_nullspace(ops).basis:
         element = QMatrix.zeros(n, n)
         for c, b in zip(coeffs, a.basis):
-            element = element + b.scale(c)
-        vecs.append(element.vec())
+            element = element + scale(b, c)
+        vecs.append(vec(element))
     return Subspace.from_vectors(n * n, vecs)
 
 
@@ -195,7 +196,7 @@ def _shear(b: tuple[QMatrix, ...]) -> tuple[QMatrix, ...]:
     and their brackets, carry different denominators, and central elements
     are no multiples of basis elements."""
     return tuple(
-        b[k].scale(Fraction(1, k + 2)) + (b[k + 1] if k + 1 < len(b) else b[k].scale(0))
+        scale(b[k], Fraction(1, k + 2)) + (b[k + 1] if k + 1 < len(b) else scale(b[k], 0))
         for k in range(len(b))
     )
 
@@ -253,13 +254,13 @@ class TestCenterAndAbelianization:
     def test_commutator_ideal_matches_dense_brackets(self, make_algebra):
         a = make_algebra()
         n = a.ambient_dim
-        dense = [(x @ y - y @ x).vec() for x in a.basis for y in a.basis]
+        dense = [vec(x @ y - y @ x) for x in a.basis for y in a.basis]
         assert commutator_ideal(a) == Subspace.from_vectors(n * n, dense)
 
     def test_center_of_full_algebra_is_scalars(self):
         z = center(full_matrix_algebra(3))
         assert z.dim == 1
-        assert z.contains(QMatrix.identity(3).vec())
+        assert z.contains_subspace(Subspace.from_vectors(9, [vec(QMatrix.identity(3))]))
 
     def test_commutator_ideal_of_full_algebra_is_traceless(self):
         d = commutator_ideal(full_matrix_algebra(3))
@@ -362,7 +363,7 @@ class TestClassification:
         for t in (2, 3):
             z = QMatrix.zeros(n, n)
             for i, v in enumerate(s.center.basis, 1):
-                z = z + QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n)).scale(t**i)
+                z = z + scale(QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n)), t**i)
             expected = _minpoly_by_divisor_search(z).set_domain("QQ")
             assert monic_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
 
@@ -404,9 +405,10 @@ class TestExactFiniteGroupChecks:
         # of A has the right dimension but lies outside span G
         g = cat.q8_on_r4()
         s = _structure(g)
-        scalars = Subspace.from_vectors(16, [QMatrix.identity(4).vec()])
-        x = next(b for b in s.basis if not scalars.contains(b.vec()))
-        line = Subspace.from_vectors(16, [x.vec()])
+        scalars = Subspace.from_vectors(16, [vec(QMatrix.identity(4))])
+        x = next(b for b in s.basis
+                 if not scalars.contains_subspace(Subspace.from_vectors(16, [vec(b)])))
+        line = Subspace.from_vectors(16, [vec(x)])
         (passed, detail), _ = comm.schur_split_oracle(g, _with_center(s, line))
         assert not passed
         assert detail == "dim Z(A) = 1, dim A meet span G = 1, Z(A) not in span G"
@@ -416,7 +418,7 @@ class TestExactFiniteGroupChecks:
         # but is too small
         g = cat.s3_standard_plus_sign()
         s = _structure(g)
-        scalars = Subspace.from_vectors(9, [QMatrix.identity(3).vec()])
+        scalars = Subspace.from_vectors(9, [vec(QMatrix.identity(3))])
         (passed, detail), _ = comm.schur_split_oracle(g, _with_center(s, scalars))
         assert not passed
         assert detail == "dim Z(A) = 1, dim A meet span G = 2"

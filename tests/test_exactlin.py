@@ -10,6 +10,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import is_zero, scale, vec
+
 from equivab import exactlin
 from equivab.exactlin import (
     Q,
@@ -34,6 +36,21 @@ from equivab.exactlin import (
     rref,
     solve,
 )
+
+# numpy scalars by (type name, value): no float subclasses, and inexact
+NUMPY_FLOATS = [
+    pytest.param((name, x), id="%s-%s" % (name, x))
+    for name, x in (("float32", 0.1), ("float32", 0.5), ("float16", 0.25))
+]
+
+
+def _inexact(x):
+    """x, or numpy's scalar for x = (type name, value), skipping without numpy."""
+    if isinstance(x, tuple):
+        np = pytest.importorskip("numpy")
+        return getattr(np, x[0])(x[1])
+    return x
+
 
 rationals = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 7)
@@ -166,6 +183,13 @@ class TestSolveAndNullspace:
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
             QMatrix.from_rows([[0.5]])
+
+    @pytest.mark.parametrize("x", NUMPY_FLOATS)
+    def test_numpy_float_entries_rejected(self, x):
+        # numpy's float32 and float16 are no float subclasses; 0.1 as a
+        # float32 is 13421773/134217728, not 1/10
+        with pytest.raises(TypeError):
+            QMatrix.from_rows([[_inexact(x)]])
 
 
 class TestKernel:
@@ -436,7 +460,7 @@ def _stored_once(m: QMatrix) -> None:
         cols = [j for j, _ in row]
         assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
         assert all(type(x) is int and x for _, x in row)
-    assert m.den == lcm(*(x.denominator for x in m.vec()))
+    assert m.den == lcm(*(x.denominator for x in vec(m)))
 
 
 class TestQMatrix:
@@ -448,7 +472,7 @@ class TestQMatrix:
         sa, sb = to_sympy(a), to_sympy(b)
         cases = [
             (a, sa), (b, sb), (a + b, sa + sb), (a - b, sa - sb), (a - a, sa - sa),
-            (a.scale(c), sa * sympy.Rational(c.numerator, c.denominator)),
+            (scale(a, c), sa * sympy.Rational(c.numerator, c.denominator)),
             (a.transpose(), sa.T), (a @ b.transpose(), sa * sb.T),
             (rref(a)[0], sa.rref()[0]),
         ]
@@ -456,7 +480,7 @@ class TestQMatrix:
             _stored_once(m)
             assert to_sympy(m) == want
             assert QMatrix.from_rows(m.entries) == m
-        assert (a - b).is_zero() == (a == b)
+        assert is_zero(a - b) == (a == b)
 
     def test_no_rational_formed_until_entries_are_read(self, monkeypatch):
         a = QMatrix.from_rows([["1/2", 0, "-3/4"], [0, "2/3", 5]])
@@ -469,7 +493,7 @@ class TestQMatrix:
 
         monkeypatch.setattr(exactlin, "Q", counted)
         m = (a @ b + (a @ b).transpose()) - QMatrix.identity(2)
-        assert m == m.transpose() and not m.is_zero() and rref(m)[1] == 2
+        assert m == m.transpose() and not is_zero(m) and rref(m)[1] == 2
         assert m.int_vec() and m.int_trace() and product_vec(m, m) and bracket_vec(a, b)
         assert made == []
         assert m.entries[0][0] == Fraction(-7, 2) and made
@@ -482,7 +506,7 @@ class TestCoercion:
         assert type(x.numerator) is not int  # the case the coercion guards
         m = QMatrix.from_rows([[x, 1], [0, x]])
         assert m.entries[0][0] == Fraction(3, 4)
-        assert all(_is_exact(a) for a in m.vec())
+        assert all(_is_exact(a) for a in vec(m))
         u = Subspace.from_vectors(3, [[x, 1, 0], [0, x, 2]])
         assert u.dim == 2
         assert all(_is_exact(a) for v in u.basis for a in v)
@@ -513,7 +537,7 @@ class TestProduct:
         prod = a @ b
         assert (prod.rows, prod.cols) == (a.rows, b.cols)
         assert to_sympy(prod) == to_sympy(a) * to_sympy(b)
-        assert all(_is_exact(x) for x in prod.vec())
+        assert all(_is_exact(x) for x in vec(prod))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -531,7 +555,7 @@ class TestProduct:
         )
 
         def nonzeros(m):
-            return {k: v for k, v in enumerate(m.vec()) if v}
+            return {k: v for k, v in enumerate(vec(m)) if v}
 
         assert value(product_vec(x, y)) == nonzeros(x @ y)
         assert value(bracket_vec(x, y)) == nonzeros(x @ y - y @ x)
@@ -543,7 +567,7 @@ class TestProduct:
     @staticmethod
     def denominator(m):
         """The lcm of the denominators of m's entries."""
-        return lcm(*(x.denominator for x in m.vec()))
+        return lcm(*(x.denominator for x in vec(m)))
 
     @staticmethod
     def dense_product(x, y):
@@ -598,13 +622,14 @@ class TestSubspace:
         assert len(ext) == a.cols - u.dim
         assert Subspace.from_vectors(a.cols, list(u.basis) + ext).dim == a.cols
 
-    @pytest.mark.parametrize("x", [0.0, 0.5])
+    @pytest.mark.parametrize("x", [0.0, 0.5] + NUMPY_FLOATS)
     def test_float_entries_rejected(self, x):
         # a float zero is rejected like any other float, not dropped as zero
+        x = _inexact(x)
         with pytest.raises(TypeError):
             Subspace.from_vectors(2, [[x, 1]])
         with pytest.raises(TypeError):
-            Subspace.full(2).contains([x, 1])
+            solve(QMatrix.identity(2), [x, 1])
 
     @given(square_matrices(3), square_matrices(3), square_matrices(3))
     @settings(max_examples=40, deadline=None)
@@ -986,8 +1011,8 @@ class TestMinimalPolynomial:
         n = m.rows
         acc = QMatrix.zeros(n, n)
         for c in reversed(p):
-            acc = acc @ m + QMatrix.identity(n).scale(c)
-        assert acc.is_zero()
+            acc = acc @ m + scale(QMatrix.identity(n), c)
+        assert is_zero(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Structural checks on the package source."""
 
 import ast
+import fractions
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from equivab import catalog, commutant, exactlin
+from equivab import catalog, commutant, exactlin, liealg, pipeline, strata
 from equivab.symmetry import TorusAction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivab"
@@ -175,6 +177,34 @@ def test_lie_layer_runs_on_integers():
     tree = _tree(SRC / "liealg.py")
     assert "fractions" not in set(_imported_modules(tree))
     assert "Fraction" not in set(_names(tree))
+    assert {"_q", "_ZERO", "_dense"}.isdisjoint(_names(tree))
+
+
+def test_one_rational_type():
+    # an exact value is an int or a Fraction: no module imports gmpy2, and
+    # a value enters exactlin through _exact alone
+    assert exactlin.Q is fractions.Fraction
+    importing = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if any(m.split(".")[0] == "gmpy2" for m in _imported_modules(_tree(path)))
+    ]
+    assert importing == []
+    assert not hasattr(exactlin, "_q")
+
+
+def test_no_test_only_members():
+    # members and parameters that only tests used live in the tests
+    members = {
+        exactlin.QMatrix: ("vec", "scale", "is_zero"),
+        exactlin.Subspace: ("contains",),
+        liealg.LieAlgebraSC: ("bracket", "constants", "abelian"),
+    }
+    assert [
+        "%s.%s" % (cls.__name__, name)
+        for cls, names in members.items() for name in names if hasattr(cls, name)
+    ] == []
+    assert "invariants" not in inspect.signature(strata.kernel_s).parameters
+    assert "extra_algebras" not in inspect.signature(pipeline.verify_models).parameters
 
 
 def test_one_polynomial_format():

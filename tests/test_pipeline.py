@@ -296,13 +296,10 @@ class TestVerifyModels:
         assert details["kernel-monotonicity"] == "dim at 8: 0, at 9: 0"
 
     def test_non_commutant_algebra_flagged(self):
-        rep = verify_models(
-            [], extra_algebras=[("triangular", cat.upper_triangular_2x2())]
-        )
-        assert not rep.passed
-        (item,) = rep.items
-        assert item.check == "center-splits"
-        assert "Z(A) + [A,A]" in item.detail
+        split = comm.verify_center_splits(cat.upper_triangular_2x2())
+        assert not split.passed
+        (failure,) = split.failures
+        assert "Z(A) + [A,A]" in failure
 
 
 class TestIO:
@@ -476,6 +473,17 @@ class TestCLI:
         assert rc == 0
         rep = eio.parse_report(out_path.read_text())
         assert rep.complex_rank == 2
+
+    def test_emit_json_to_unwritable_path(self, tmp_path, capsys):
+        # the report is printed, then the write fails: one located error line
+        out_path = tmp_path / "missing" / "r.json"
+        rc = cli.main([self.write(tmp_path, BASIC_INPUT), "--emit-json", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "totals: R^0 + C^2" in captured.out
+        assert captured.err.startswith("error: ") and str(out_path) in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out_path.exists()
 
     def test_verify_mode(self, tmp_path, capsys):
         rc = cli.main([self.write(tmp_path, BASIC_INPUT), "--verify"])
