@@ -7,7 +7,9 @@ finite and connected action of `equivab.catalog` written in a fixed rational
 basis that is not unimodular, with the quotient asked for; and on isotropy
 Lie data in that basis: derivations (ad-matrices), automorphisms and h, and
 data that breaks antisymmetry, the Jacobi identity, an automorphism, a
-derivation or the closure of h.  Each runs in compute mode with `--emit-json`
+derivation or the closure of h; and, as the `scale` set, on Q8 acting on
+(R^4)^m for m = 2, 3, 4 in that basis, whose commutants M_m(H) have
+dimension 16, 36 and 64.  Each runs in compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`.  Prints one sha256 per document set and mode over (exit
 code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
@@ -65,22 +67,45 @@ def _basis_change(n: int) -> tuple[QMatrix, QMatrix]:
     return QMatrix.from_rows(p), QMatrix.from_rows(p_inv)
 
 
+def _document(label: str, g, quotient: bool) -> dict:
+    """One orbit of the finite or connected action g, its generators
+    conjugated by P."""
+    p, p_inv = _basis_change(g.dim)
+    gens = [p @ a @ p_inv for a in g.action_generators()]
+    kind = "finite" if isinstance(g, FiniteMatrixAction) else "connected_lie"
+    return {"orbits": [{
+        "label": label,
+        "quotient": quotient,
+        "slice_action": {"kind": kind, "dim": g.dim, "generators": [
+            [[str(x) for x in row] for row in a.entries] for a in gens
+        ]},
+    }]}
+
+
 def _catalog_documents() -> list[dict]:
-    """One document per catalog action, its generators conjugated by P."""
-    docs = []
-    for name in CATALOG_ACTIONS:
-        g = getattr(catalog, name)()
-        p, p_inv = _basis_change(g.dim)
-        gens = [p @ a @ p_inv for a in g.action_generators()]
-        kind = "finite" if isinstance(g, FiniteMatrixAction) else "connected_lie"
-        docs.append({"orbits": [{
-            "label": name,
-            "quotient": True,
-            "slice_action": {"kind": kind, "dim": g.dim, "generators": [
-                [[str(x) for x in row] for row in a.entries] for a in gens
-            ]},
-        }]})
-    return docs
+    """One document per catalog action, with the quotient asked for."""
+    return [_document(name, getattr(catalog, name)(), True) for name in CATALOG_ACTIONS]
+
+
+def _copies(a: QMatrix, m: int) -> QMatrix:
+    """The block-diagonal matrix of m copies of a."""
+    n = a.rows
+    rows = [[0] * (n * m) for _ in range(n * m)]
+    for c in range(m):
+        for i, row in enumerate(a.entries):
+            rows[n * c + i][n * c:n * c + n] = row
+    return QMatrix.from_rows(rows)
+
+
+def _scale_documents() -> list[dict]:
+    """Q8 on (R^4)^m for m = 2, 3, 4, without the quotient, whose degree
+    bound |G| = 8 in up to 16 variables would dwarf the rest."""
+    q8 = catalog.q8_on_r4()
+    return [
+        _document("q8-on-%d-copies" % m, FiniteMatrixAction(
+            4 * m, tuple(_copies(a, m) for a in q8.generators)), False)
+        for m in (2, 3, 4)
+    ]
 
 
 def _heisenberg() -> list:
@@ -187,6 +212,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["example"] = [json.loads((ROOT / "scripts" / "example_input.json").read_text())]
     docs["catalog-rational"] = _catalog_documents()
     docs["lie-rational"] = _lie_documents()
+    docs["scale"] = _scale_documents()
     return docs
 
 

@@ -8,11 +8,17 @@ on a generic central element.  For a finite group it also checks, exactly and
 from the enumerated elements alone, that Z(A) = A meet span G and that
 dim A = (1/|G|) sum of tr(g)^2.
 
-One record, `MatrixAlgebra`, carries an algebra: its basis and span, and its
-bracket table, Z(A) and [A, A], each formed once on first read.  The
-commutant's closure under products is certified by its residual against the
-action, not multiplied out (`compute_commutant`), and Z(A) and [A, A] read
-the one table of brackets of basis elements (`MatrixAlgebra.brackets`).
+One record, `MatrixAlgebra`, carries an algebra: its basis and span, the
+generators of its action when known, and its bracket table, Z(A) and [A, A],
+each formed once on first read.  The commutant's closure under products is
+certified by its residual against the action, not multiplied out
+(`compute_commutant`).  `center` reads Z(A) = A meet W off the span W of the
+words in the action's generators where that is the cheaper route, else off
+the table of brackets of basis elements (`MatrixAlgebra.brackets`), whose
+span is [A, A].  Compute forms no [A, A]: A is semisimple, the trace form is
+nondegenerate on Z(A) (`classify_ml` requires it) and pairs Z(A) with
+[A, A] to zero, so dim [A, A] = dim A - dim Z(A).  Verify builds its record without the
+generators, so its Z(A), [A, A] and their split all come from the table.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .exactlin import (
     product_vec,
     rows_of,
     trace_form,
+    word_basis,
 )
 from .symmetry import (
     FiniteMatrixAction,
@@ -48,12 +55,16 @@ class MatrixAlgebra:
     span in vec(End(V)), with the bracket table, Z(A) and [A, A] formed once
     each, on first read.  Every answer about A reads them from here.
 
-    `compute_commutant` builds the commutant with its own certificate; a basis
-    given from outside goes through `from_basis`, which checks it."""
+    `compute_commutant` builds the commutant with its own certificate and
+    the generators of its action, which `center` may read; a basis given
+    from outside goes through `from_basis`, which checks it and knows no
+    generators."""
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
     span: Subspace = field(compare=False, repr=False)
+    # the matrices A is the commutant of, or () when they are not known
+    generators: tuple[QMatrix, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def from_basis(n: int, basis: tuple[QMatrix, ...]) -> "MatrixAlgebra":
@@ -68,7 +79,7 @@ class MatrixAlgebra:
             raise ValueError("basis is not closed under multiplication")
         if not engine.contains(QMatrix.identity(n).int_vec()):
             raise ValueError("identity not in algebra span")
-        return MatrixAlgebra(n, basis, span)
+        return MatrixAlgebra(n, basis, span, ())
 
     @property
     def dim(self) -> int:
@@ -122,7 +133,8 @@ def compute_commutant(g: GroupAction) -> MatrixAlgebra:
     element does not commute with the action."""
     n = g.dim
     sol = kernel(n * n, invariance_constraints(g))
-    a = MatrixAlgebra(n, tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows), sol)
+    basis = tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows)
+    a = MatrixAlgebra(n, basis, sol, tuple(g.action_generators()))
     if not commutes_with_action(a, g):
         raise ValueError("the commutant's basis does not commute with the action")
     return a
@@ -136,8 +148,45 @@ def commutes_with_action(a: MatrixAlgebra, g: GroupAction) -> bool:
 
 
 def center(a: MatrixAlgebra) -> Subspace:
-    """Center of A as a subspace of vec(End(V)), read off the bracket table:
-    no product is formed."""
+    """Center of A as a subspace of vec(End(V)), by the word route when A
+    knows the generators g_1..g_k of its action and the route is the
+    cheaper, else by the table route.  The choice reads n, d = dim A and k
+    only.
+
+    The word route builds W, the algebra the generators generate with I.
+    For a compact action W = A' (Lang, Algebra, ch. XVII), so
+    Z(A) = A meet W = {w in W : [w, g_i] = 0 for every i}.  dim A dim W >=
+    n^2, so W takes at least ceil(n^2 / d) k products; it is built only when
+    that is at most the table's d(d - 1)/2 brackets, and given up past that
+    many products.  The table route forms no product."""
+    n, d, gens = a.ambient_dim, a.dim, a.generators
+    budget = d * (d - 1) // 2
+    if gens and -(-n * n // d) * len(gens) <= budget:
+        words = word_basis(gens, budget)
+        if words is not None:
+            return _word_center(n, words, gens)
+    return _table_center(a)
+
+
+def _word_center(n: int, words: list[QMatrix], gens: tuple[QMatrix, ...]) -> Subspace:
+    """The w in the span of `words` with [w, g] = 0 for every g in `gens`.
+
+    Column j stacks vec [B_j, g_i] over the generators, B_j = den(w_j) w_j
+    its integer form: block i is scaled by den(g_i) in every column, which
+    leaves the kernel as it is."""
+    nn = n * n
+    columns = []
+    for w in words:
+        column: dict[int, int] = {}
+        for i, g in enumerate(gens):
+            column.update((i * nn + k, x) for k, x in bracket_vec(w, g)[1].items())
+        columns.append(column)
+    coefs = kernel(len(words), rows_of(columns))
+    return Subspace._span(nn, coefs.combinations([w.int_vec() for w in words]))
+
+
+def _table_center(a: MatrixAlgebra) -> Subspace:
+    """Z(A) read off the bracket table: no product is formed."""
     n, d, table = a.ambient_dim, a.dim, a.brackets
     # the integer coefficient vectors coefs {i: c_i} over the integral basis
     # B_i = den(b_i) b_i span the centralizer in A of the basis elements seen
@@ -218,8 +267,10 @@ def classify_ml(a: MatrixAlgebra) -> MLClassification:
     if zero:
         raise ValueError("the trace form on the center is degenerate "
                          "(%d zero squares): Z(A) is not semisimple" % zero)
-    ab_dim = a.dim - a.derived.dim
-    return MLClassification(m=pos, l=neg, center_dim=z.dim, abelianization_dim=ab_dim)
+    # [A, A] is orthogonal to Z(A), tr([x, y] z) = tr(x [y, z]) = 0, and the
+    # form is nondegenerate there: so for semisimple A, A = Z(A) + [A, A]
+    # and A / [A, A] has the dimension of Z(A)
+    return MLClassification(m=pos, l=neg, center_dim=z.dim, abelianization_dim=z.dim)
 
 
 def root_count_disagreement(a: MatrixAlgebra, ml: MLClassification) -> str:

@@ -176,6 +176,33 @@ def bracket_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
     return x.den * y.den, {k: c for k, c in out.items() if c}
 
 
+def word_basis(generators: Sequence[QMatrix], cap: int) -> list[QMatrix] | None:
+    """Words in the square `generators`, I first, that form a basis of the
+    algebra W they generate with I; None if that takes more than `cap`
+    products.
+
+    One incremental elimination holds the span of the words kept.  Each word
+    that raises its rank is multiplied on the right by every generator, so
+    the words kept span a space that holds I and is closed under right
+    multiplication by the generators: that space is W."""
+    n = generators[0].rows
+    ident = QMatrix.identity(n)
+    engine = _eliminate(n * n, [ident.int_vec()])
+    words, products = [ident], 0
+    # the list grows while it is read: each new word is multiplied out in turn
+    for word in words:
+        for g in generators:
+            if engine.rank == engine.ambient:
+                return words
+            if products == cap:
+                return None
+            products += 1
+            den, vec = product_vec(word, g)
+            if engine.insert(vec):
+                words.append(QMatrix._of(den, vec.items(), n, n))
+    return words
+
+
 def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict[int, int]]) -> None:
     """Insert the integer rows {col: int} into engine, read lazily, and none
     once the rank is the column count."""

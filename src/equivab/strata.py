@@ -26,6 +26,10 @@ class DegreeBoundTooLarge(ValueError):
     """Monomial space exceeds the configured cap."""
 
 
+class DegreeBoundTooLow(ValueError):
+    """A degree-bounded kernel too large to be the true one."""
+
+
 def derivation_action(d: QMatrix, f: Terms) -> Terms:
     """den(D) times the linear vector field x -> Dx applied to f as a
     derivation.
@@ -73,6 +77,7 @@ class KernelResult:
 
     s_basis: Subspace  # inside vec(End(V))
     exactness: str  # "certified" or "degree-bounded"
+    degree: int  # the invariants read have degree <= this
 
     @property
     def dim_s(self) -> int:
@@ -119,7 +124,7 @@ def kernel_s_at_degrees(
             read += 1
         s = Subspace._span(n * n, coords.combinations(center_vecs))
         exactness = "certified" if g.certified(degree) else "degree-bounded"
-        out.append(KernelResult(s_basis=s, exactness=exactness))
+        out.append(KernelResult(s_basis=s, exactness=exactness, degree=degree))
     return out
 
 
@@ -151,13 +156,25 @@ class QuotientReport:
 def quotient_abelianization(
     z: Subspace, s: KernelResult, ml: MLClassification
 ) -> QuotientReport:
-    """Dimension and type decomposition of the quotient-side abelianization."""
+    """Dimension and type decomposition of the quotient-side abelianization.
+
+    For a compact action the true kernel has k <= l.  A degree-bounded
+    kernel only bounds it from above, so one with k > l proves its degree
+    bound too low: that raises DegreeBoundTooLow, and any other
+    inconsistency AssertionError."""
     if not z.contains_subspace(s.s_basis):
         raise ValueError("kernel is not inside the center")
     k = s.dim_s
     dim = z.dim - k
     real_rank = ml.m - ml.l + k
     complex_rank = ml.l - k
+    if complex_rank < 0 and s.exactness == "degree-bounded":
+        raise DegreeBoundTooLow(
+            "degree bound %d is too low: the kernel s read from the invariants "
+            "of degree <= %d has dim k = %d > l = %d, while for a compact action "
+            "the true s has k <= l; raise --degree-bound"
+            % (s.degree, s.degree, k, ml.l)
+        )
     if complex_rank < 0 or real_rank + 2 * complex_rank != dim:
         raise AssertionError(
             "inconsistent dimensions: dim %d vs R^%d + C^%d"

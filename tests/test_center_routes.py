@@ -1,0 +1,186 @@
+"""The two routes to Z(A) agree: the word route, which reads Z(A) = A meet W
+off the span W of the words in the action's generators, and the table
+route, which narrows A by its bracket table.  So does dim [A, A] read off
+the trace form, dim A - dim Z(A), with the span of the table.  Each route
+keeps to its budget of d(d - 1)/2 products or brackets."""
+
+import dataclasses
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_commutant import in_rational_basis
+
+from equivab import catalog as cat
+from equivab import commutant as comm
+from equivab import exactlin
+from equivab import io as eio
+from equivab.exactlin import QMatrix
+from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction, TorusAction
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _workloads():
+    """The benchmark's document generator, loaded from its file and only
+    read."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def word_route_center(a: comm.MatrixAlgebra):
+    """Z(A) by the word route whatever its cost: W has dim <= n^2, so it
+    closes within n^2 k products."""
+    n, gens = a.ambient_dim, a.generators
+    words = exactlin.word_basis(gens, n * n * len(gens))
+    assert words is not None
+    return comm._word_center(n, words, gens)
+
+
+def assert_routes_agree(g) -> None:
+    a = comm.compute_commutant(g)
+    table = dataclasses.replace(a, generators=())
+    z = word_route_center(a)
+    assert z == comm.center(table)
+    assert comm.center(a) == z
+    assert a.dim - z.dim == comm.commutator_ideal(table).dim
+
+
+CATALOG_ACTIONS = [
+    cat.c2_sign, cat.c2_minus_identity, cat.c3_rotation, cat.c4_rotation, cat.c2_x_c2,
+    cat.d4_on_r2, cat.s3_standard, cat.s3_standard_plus_sign, cat.q8_on_r4,
+    cat.s3_regular_minus_trivial, cat.su2_on_c2, cat.su3_on_c3_plus_wedge2,
+]
+
+
+def test_every_catalog_action_is_listed():
+    # the catalog's annotations are strings (postponed evaluation)
+    kinds = {"FiniteMatrixAction", "ConnectedLieAction", "TorusAction"}
+    builders = {
+        name for name, fn in vars(cat).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+        and fn.__annotations__.get("return") in kinds
+    }
+    assert builders == {make.__name__ for make in CATALOG_ACTIONS}
+
+
+@pytest.mark.parametrize("make", CATALOG_ACTIONS, ids=lambda make: make.__name__)
+def test_routes_agree_on_the_catalog(make):
+    assert_routes_agree(make())
+
+
+# -I is the same matrix in every basis
+@pytest.mark.parametrize("make", CATALOG_ACTIONS[2:], ids=lambda make: make.__name__)
+def test_routes_agree_in_a_rational_basis(make):
+    assert_routes_agree(in_rational_basis(make()))
+
+
+def _workload_actions():
+    workloads = _workloads()
+    for name in sorted(workloads.WORKLOADS):
+        for seed in (1009, 4242):
+            for doc, _ in workloads.generate(name, seed):
+                models, _ = eio.parse_input(doc, {})
+                for model in models:
+                    yield pytest.param(
+                        model.slice_action, id="%s-%d-%s" % (name, seed, model.label))
+
+
+@pytest.mark.parametrize("g", list(_workload_actions()))
+def test_routes_agree_on_the_workload_orbits(g):
+    assert_routes_agree(g)
+
+
+@st.composite
+def signed_permutation_actions(draw):
+    n = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        gens.append(QMatrix.from_rows(
+            [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]))
+    return FiniteMatrixAction(n, tuple(gens))
+
+
+torus_actions = st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=2,
+).map(lambda rows: TorusAction(tuple(map(tuple, rows)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(signed_permutation_actions(), torus_actions))
+def test_routes_agree_on_generated_actions(g):
+    assert_routes_agree(g)
+
+
+# ---------------------------------------------------------------------------
+# budgets
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of `product_vec` and `bracket_vec`, wherever they are called."""
+    counts = {"product_vec": 0, "bracket_vec": 0}
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(exactlin, name)):
+            counts[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(comm, name, counted)
+        monkeypatch.setattr(exactlin, name, counted)
+    return counts
+
+
+def su3_on_c3() -> ConnectedLieAction:
+    return ConnectedLieAction(6, tuple(
+        cat.realify_complex(re, im) for re, im in cat._su_n_basis(3)))
+
+
+def q8_on_copies_of_r4(m: int) -> FiniteMatrixAction:
+    """Q8 on (R^4)^m, generated by its two generators on every copy."""
+    def block_diagonal(a: QMatrix) -> QMatrix:
+        rows = [[0] * 4 * m for _ in range(4 * m)]
+        for c in range(m):
+            for i, row in enumerate(a.entries):
+                rows[4 * c + i][4 * c:4 * c + 4] = row
+        return QMatrix.from_rows(rows)
+
+    return FiniteMatrixAction(4 * m, tuple(map(block_diagonal, cat.q8_on_r4().generators)))
+
+
+def test_su3_on_c3_takes_the_table_route(calls):
+    # d = 2 and k = 8: W would take at least ceil(36 / 2) 8 = 144 products
+    # against the table's one bracket
+    a = comm.compute_commutant(su3_on_c3())
+    assert (a.ambient_dim, a.dim, len(a.generators)) == (6, 2, 8)
+    calls["bracket_vec"] = 0
+    a.center
+    assert calls == {"product_vec": 0, "bracket_vec": 1}
+
+
+def test_q8_on_four_copies_takes_the_word_route(calls):
+    # n = 16 and d = 64 in a sheared rational basis: W = H, 4 words
+    a = comm.compute_commutant(in_rational_basis(q8_on_copies_of_r4(4)))
+    assert (a.ambient_dim, a.dim) == (16, 64)
+    calls["bracket_vec"] = 0
+    z = a.center
+    assert 0 < calls["product_vec"] <= a.dim * (a.dim - 1) // 2
+    assert calls["bracket_vec"] < a.dim
+    assert z == comm.center(dataclasses.replace(a, generators=()))
+    assert z.dim == 1
+
+
+def test_word_basis_gives_up_past_its_cap():
+    # the circle on C^2 with weights (1, 2): X = diag(J, 2J) has minimal
+    # polynomial (x^2 + 1)(x^2 + 4), so W has the basis I, X, X^2, X^3, and
+    # the fourth product X^3 X is the one that shows W closed
+    gens = TorusAction(((1, 2),)).action_generators()
+    assert len(exactlin.word_basis(gens, 4)) == 4
+    assert exactlin.word_basis(gens, 3) is None

@@ -1,6 +1,7 @@
 """Structural checks on the package source."""
 
 import ast
+import dataclasses
 import fractions
 import importlib.util
 import inspect
@@ -226,8 +227,10 @@ def test_one_polynomial_format():
 ])
 def test_commutant_path_forms_no_products(make, monkeypatch):
     # the commutant is certified by its residual, not by multiplying its
-    # basis out, and Z(A) and [A, A] read one bracket table: at most
-    # d(d - 1)/2 brackets for a d-dimensional algebra
+    # basis out.  Verify's record, which knows no generators, reads Z(A) and
+    # [A, A] off one bracket table: no product and at most d(d - 1)/2
+    # brackets for a d-dimensional algebra.  Compute's Z(A) forms at most
+    # d(d - 1)/2 products, where it takes the word route
     calls = {"product_vec": 0, "bracket_vec": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(exactlin, name)):
@@ -238,7 +241,11 @@ def test_commutant_path_forms_no_products(make, monkeypatch):
         monkeypatch.setattr(exactlin, name, counted)
     a = commutant.compute_commutant(make())
     assert calls["product_vec"] == 0
-    calls["bracket_vec"] = 0
-    a.center, a.derived
+    budget = a.dim * (a.dim - 1) // 2
+    a.center
+    assert calls["product_vec"] <= budget
+    calls.update(product_vec=0, bracket_vec=0)
+    table = dataclasses.replace(a, generators=())
+    table.center, table.derived
     assert calls["product_vec"] == 0
-    assert 0 < calls["bracket_vec"] <= a.dim * (a.dim - 1) // 2
+    assert 0 < calls["bracket_vec"] <= budget

@@ -181,7 +181,10 @@ def test_structure_built_once_per_orbit(run, monkeypatch):
         monkeypatch.setattr(comm, name, counting(name, getattr(comm, name)))
     models, _ = eio.parse_input(BASIC_INPUT, {})
     run(models)
-    assert calls == {"center": 2, "commutator_ideal": 2, "fixed_vectors": 2}
+    # compute reads dim [A, A] off the trace form; verify forms [A, A] from
+    # the bracket table for its center-splits check
+    derived = 2 if run is verify_models else 0
+    assert calls == {"center": 2, "commutator_ideal": derived, "fixed_vectors": 2}
 
 
 class TestVerifyModels:
@@ -507,6 +510,25 @@ class TestCLI:
         rc = cli.main([self.write(tmp_path, {"orbits": [{}]})])
         assert rc == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, k, l", [
+        ({"kind": "finite", "dim": 1, "generators": [[[-1]]]}, 1, 0),
+        ({"kind": "torus", "weights": [[1]]}, 2, 1),
+    ])
+    def test_degree_bound_below_the_first_cut_is_located(
+        self, tmp_path, capsys, action, k, l
+    ):
+        # the first invariant, x^2 or |z|^2, has degree 2: at bound 1 no
+        # invariant cuts the center, so the kernel has k = dim Z(A) > l
+        doc = {"orbits": [{"label": "r", "quotient": True, "slice_action": action}]}
+        path = self.write(tmp_path, doc)
+        assert cli.main([path, "--degree-bound", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: orbit 'r': degree bound 1 is too low: the kernel s read from "
+            "the invariants of degree <= 1 has dim k = %d > l = %d, while for a "
+            "compact action the true s has k <= l; raise --degree-bound\n" % (k, l))
+        assert cli.main([path, "--degree-bound", "2"]) == 0
+        assert "quotient: R^1 + C^0 (k = %d, certified)" % l in capsys.readouterr().out
 
     def test_verify_reports_orbit_errors(self, tmp_path, capsys):
         rc = cli.main(

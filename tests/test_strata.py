@@ -1,6 +1,7 @@
 """Tests for polynomial invariants, induced derivations, and the central
 kernel on the quotient side."""
 
+import dataclasses
 import functools
 from collections import Counter
 from fractions import Fraction
@@ -19,6 +20,7 @@ from equivab.commutant import classify_ml, compute_commutant
 from equivab.exactlin import QMatrix, Subspace, _exact, nullspace
 from equivab.strata import (
     DegreeBoundTooLarge,
+    DegreeBoundTooLow,
     derivation_action,
     invariants_up_to_degree,
     kernel_s,
@@ -565,6 +567,21 @@ class TestQuotient:
         q = quotient_abelianization(z, res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (1, 0, 1)
         assert q.dim == 1
+
+    def test_degree_bounded_kernel_above_l_means_the_bound_is_too_low(self):
+        g = TorusAction(((1, 1),))
+        a = compute_commutant(g)
+        res = kernel_s(g, a.center, degree=1)
+        assert (res.exactness, res.dim_s) == ("degree-bounded", 2)
+        with pytest.raises(DegreeBoundTooLow, match=r"degree bound 1 .* k = 2 > l = 1"):
+            quotient_abelianization(a.center, res, classify_ml(a))
+
+    def test_certified_kernel_above_l_is_an_inconsistency(self):
+        g = TorusAction(((1, 1),))
+        a = compute_commutant(g)
+        res = dataclasses.replace(kernel_s(g, a.center, degree=1), exactness="certified")
+        with pytest.raises(AssertionError, match="inconsistent dimensions"):
+            quotient_abelianization(a.center, res, classify_ml(a))
 
     def test_finite_group_quotient_keeps_complex_type(self):
         g = cat.c3_rotation()
