@@ -9,7 +9,10 @@ Lie data in that basis: derivations (ad-matrices), automorphisms and h, and
 data that breaks antisymmetry, the Jacobi identity, an automorphism, a
 derivation or the closure of h; and, as the `scale` set, on Q8 acting on
 (R^4)^m for m = 2, 3, 4 in that basis, whose commutants M_m(H) have
-dimension 16, 36 and 64.  Each runs in compute mode with `--emit-json`
+dimension 16, 36 and 64; and, as the `finite-scale` set, on the
+hyperoctahedral groups B_3 and B_4 (48 and 384 signed permutations) in that
+basis, whose enumeration keys elements with denominators.  Each runs in
+compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`.  Prints one sha256 per document set and mode over (exit
 code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
@@ -106,6 +109,26 @@ def _scale_documents() -> list[dict]:
             4 * m, tuple(_copies(a, m) for a in q8.generators)), False)
         for m in (2, 3, 4)
     ]
+
+
+def _hyperoctahedral(n: int) -> FiniteMatrixAction:
+    """B_n, the signed permutations of R^n, of order 2^n n!: generated by the
+    n-cycle, the transposition of the first two coordinates and the sign
+    change of the first."""
+    def permutation(image):
+        return QMatrix.from_rows([[int(image[j] == i) for j in range(n)] for i in range(n)])
+
+    cycle = permutation([(j + 1) % n for j in range(n)])
+    swap = permutation([1, 0] + list(range(2, n)))
+    sign = [[int(i == j) for j in range(n)] for i in range(n)]
+    sign[0][0] = -1
+    return FiniteMatrixAction(n, (cycle, swap, QMatrix.from_rows(sign)))
+
+
+def _finite_scale_documents() -> list[dict]:
+    """B_3 and B_4, without the quotient, whose degree bound |G| would dwarf
+    the rest: verify enumerates each group."""
+    return [_document("hyperoctahedral-%d" % n, _hyperoctahedral(n), False) for n in (3, 4)]
 
 
 def _heisenberg() -> list:
@@ -213,6 +236,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["catalog-rational"] = _catalog_documents()
     docs["lie-rational"] = _lie_documents()
     docs["scale"] = _scale_documents()
+    docs["finite-scale"] = _finite_scale_documents()
     return docs
 
 

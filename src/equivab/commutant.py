@@ -123,18 +123,25 @@ class MLClassification:
             raise ValueError("need m >= l >= 0")
 
 
-def compute_commutant(g: GroupAction) -> MatrixAlgebra:
-    """End(V)^H: its basis is the integer rows of `kernel`, the kernel of the
-    invariance constraints, so it spans {X : [X, g] = 0 for every action
-    generator g}.  That set holds the identity and is closed under products
-    by the Leibniz rule [XY, g] = X[Y, g] + [X, g]Y, so closure is certified
-    by the residual [b, g] = 0 of each basis element, checked here, and no
-    product of two basis elements is formed.  Raises ValueError if some basis
-    element does not commute with the action."""
+def commutant_kernel(g: GroupAction) -> MatrixAlgebra:
+    """The kernel of the invariance constraints as an algebra record, not
+    yet certified: its basis is the integer rows of `kernel`, so it spans
+    {X : [X, g] = 0 for every action generator g}.  Verify builds its record
+    here and reports the residual as a check of its own."""
     n = g.dim
     sol = kernel(n * n, invariance_constraints(g))
     basis = tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows)
-    a = MatrixAlgebra(n, basis, sol, tuple(g.action_generators()))
+    return MatrixAlgebra(n, basis, sol, tuple(g.action_generators()))
+
+
+def compute_commutant(g: GroupAction) -> MatrixAlgebra:
+    """End(V)^H, the `commutant_kernel` of g, certified.  The kernel holds the
+    identity and is closed under products by the Leibniz rule
+    [XY, g] = X[Y, g] + [X, g]Y, so closure is certified by the residual
+    [b, g] = 0 of each basis element, checked here, and no product of two
+    basis elements is formed.  Raises ValueError if some basis element does
+    not commute with the action."""
+    a = commutant_kernel(g)
     if not commutes_with_action(a, g):
         raise ValueError("the commutant's basis does not commute with the action")
     return a

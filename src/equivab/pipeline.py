@@ -167,10 +167,11 @@ def verify_models(
     models: list[OrbitModel],
     degree_bound: int | None = None,
 ) -> VerificationReport:
-    """Build each orbit's commutant as compute mode does, but without its
-    action's generators, so that Z(A) and [A, A] come from the bracket
-    table; check every structural claim on it, and report per check.  Every
-    check is exact.
+    """Build each orbit's commutant from the kernel compute mode certifies,
+    but without its action's generators, so that Z(A) and [A, A] come from
+    the bracket table; check every structural claim on it, the residual
+    against the action among them, and report per check.  Every check is
+    exact.
 
     An exception while verifying an orbit becomes a failed "error" item for
     that orbit, and the next orbit is verified.
@@ -198,9 +199,10 @@ def _orbit_checks(
 
     # without the generators, `center` reads the bracket table, a route
     # compute mode does not take where the word route is the cheaper
-    a = replace(comm.compute_commutant(g), generators=())
+    a = replace(comm.commutant_kernel(g), generators=())
     split, ml = comm.verify_center_splits(a), comm.classify_ml(a)
-    # exact residual: commutant really commutes with the action
+    # exact residual, the only one verify forms: the kernel really commutes
+    # with the action
     yield item("commutant-residual", comm.commutes_with_action(a, g))
     yield item("center-splits", split.passed, "; ".join(split.failures))
     disagreement = comm.root_count_disagreement(a, ml)

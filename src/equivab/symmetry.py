@@ -423,30 +423,53 @@ def _element_key(den: int, ints: dict[int, int]) -> tuple[int, tuple[tuple[int, 
 
 
 def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
-    """Full element list by breadth-first closure; deterministic order.  Each
-    product is keyed by its reduced integer form, and a new element is built
-    from its key and must pass the trace test for finite order."""
+    """Full element list by Dimino's algorithm (Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991), which forms each
+    element once.
+
+    G_i = <g_1..g_i> is listed as right cosets of H = G_(i-1): H itself, then
+    H g_i, then H (r s) for each representative r in turn and each s among
+    g_1..g_i with r s not yet listed.  A generator already in H adds nothing.
+    A new coset meets no listed one, so its elements need no lookup; and
+    every coset times every generator is listed, so G_i is closed.  The
+    order is deterministic: I first, each G_i a prefix of the list, each
+    coset a block that starts with its representative.  Each product is
+    keyed by its reduced integer form, and a new element is built from its
+    key and must pass the trace test for finite order."""
     if not isinstance(g, FiniteMatrixAction):
         raise TypeError("enumerate_group needs a finite matrix action")
     n = g.dim
     ident = QMatrix.identity(n)
-    seen = {_element_key(*product_vec(ident, ident)): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for gen in g.generators:
-                key = _element_key(*product_vec(el, gen))
+    seen = {_element_key(1, ident.int_vec()): ident}
+
+    def add(key) -> QMatrix:
+        el = QMatrix._of(*key, n, n)
+        _check_trace(el, "group not finite: an element", GroupNotFiniteError)
+        if len(seen) >= g.cap:
+            raise GroupNotFiniteError("group not finite under cap %d" % g.cap)
+        seen[key] = el
+        return el
+
+    def add_coset(rest: list[QMatrix], key) -> QMatrix:
+        """List the coset H r of the new r of this key, r first, where rest
+        is H without its first element I; return r."""
+        r = add(key)
+        for h in rest:
+            add(_element_key(*product_vec(h, r)))
+        return r
+
+    for i, gen in enumerate(g.generators, 1):
+        key = _element_key(gen.den, gen.int_vec())
+        if key in seen:
+            continue
+        rest = list(seen.values())[1:]
+        reps = [add_coset(rest, key)]
+        # the list grows while it is read: each new representative in turn
+        for r in reps:
+            for s in g.generators[:i]:
+                key = _element_key(*product_vec(r, s))
                 if key not in seen:
-                    prod = QMatrix._of(*key, n, n)
-                    _check_trace(prod, "group not finite: an element", GroupNotFiniteError)
-                    if len(seen) >= g.cap:
-                        raise GroupNotFiniteError(
-                            "group not finite under cap %d" % g.cap
-                        )
-                    seen[key] = prod
-                    nxt.append(prod)
-        frontier = nxt
+                    reps.append(add_coset(rest, key))
     return list(seen.values())
 
 

@@ -165,7 +165,7 @@ class TestRunPipeline:
 
 @pytest.mark.parametrize("run", [run_pipeline, verify_models])
 def test_structure_built_once_per_orbit(run, monkeypatch):
-    calls = {"center": 0, "commutator_ideal": 0, "fixed_vectors": 0}
+    calls = {"center": 0, "commutator_ideal": 0, "fixed_vectors": 0, "commutes_with_action": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -177,14 +177,17 @@ def test_structure_built_once_per_orbit(run, monkeypatch):
     fixed = counting("fixed_vectors", symmetry.fixed_vectors)
     monkeypatch.setattr(symmetry, "fixed_vectors", fixed)
     monkeypatch.setattr(pipeline, "fixed_vectors", fixed)
-    for name in ("center", "commutator_ideal"):
+    for name in ("center", "commutator_ideal", "commutes_with_action"):
         monkeypatch.setattr(comm, name, counting(name, getattr(comm, name)))
     models, _ = eio.parse_input(BASIC_INPUT, {})
     run(models)
     # compute reads dim [A, A] off the trace form; verify forms [A, A] from
-    # the bracket table for its center-splits check
+    # the bracket table for its center-splits check.  Compute certifies the
+    # commutant by its residual; verify reports the residual as its own check
+    # and forms it only there
     derived = 2 if run is verify_models else 0
-    assert calls == {"center": 2, "commutator_ideal": derived, "fixed_vectors": 2}
+    assert calls == {"center": 2, "commutator_ideal": derived, "fixed_vectors": 2,
+                     "commutes_with_action": 2}
 
 
 class TestVerifyModels:
@@ -559,7 +562,7 @@ class TestCLI:
         self, tmp_path, capsys, monkeypatch
     ):
         # M_2(R) is a unital algebra but does not commute with the rotation
-        monkeypatch.setattr(comm, "compute_commutant", lambda g: cat.gl_n_r(2))
+        monkeypatch.setattr(comm, "commutant_kernel", lambda g: cat.gl_n_r(2))
         doc = {"orbits": [{"label": "rot", "slice_action": {
             "kind": "finite", "dim": 2, "generators": [[[0, -1], [1, -1]]]}}]}
         rc = cli.main([self.write(tmp_path, doc), "--verify"])
@@ -574,7 +577,7 @@ class TestCLI:
         swap_only = comm.compute_commutant(
             FiniteMatrixAction(2, cat.s3_standard().generators[:1])
         )
-        monkeypatch.setattr(comm, "compute_commutant", lambda g: swap_only)
+        monkeypatch.setattr(comm, "commutant_kernel", lambda g: swap_only)
         doc = {"orbits": [{"label": "s3", "slice_action": {
             "kind": "finite", "dim": 2, "generators": [[[-1, 1], [0, 1]], [[0, -1], [1, -1]]]}}]}
         rc = cli.main([self.write(tmp_path, doc), "--verify"])

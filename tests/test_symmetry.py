@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from exact_oracles import is_zero, scale, vec
 from hypothesis import strategies as st
-from test_commutant import FINITE_CASES, FINITE_GROUPS
+from test_center_routes import _workload_actions, signed_permutation_actions
+from test_commutant import FINITE_CASES, FINITE_GROUPS, c2_power_7
 
 from equivab import catalog as cat
+from equivab import exactlin, symmetry
 from equivab.exactlin import QMatrix, Subspace, kernel
 from equivab.symmetry import (
     ConnectedLieAction,
@@ -63,11 +65,66 @@ def dense_key_enumeration(g: FiniteMatrixAction) -> list[QMatrix]:
     return list(seen.values())
 
 
+def assert_enumerates_the_group(g: FiniteMatrixAction) -> None:
+    """enumerate_group(g) lists I first and then the other elements of the
+    reference closure, each once."""
+    elements = enumerate_group(g)
+    reference = dense_key_enumeration(g)
+    assert elements[0] == QMatrix.identity(g.dim)
+    assert len(set(elements)) == len(elements) == len(reference)
+    assert set(elements) == set(reference)
+
+
+WORKLOAD_FINITE_ACTIONS = [
+    p for p in _workload_actions() if isinstance(p.values[0], FiniteMatrixAction)
+]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("make", FINITE_GROUPS)
     def test_matches_dense_key_reference(self, make):
+        # the same elements as the breadth-first closure, in coset order
+        assert_enumerates_the_group(make())
+
+    @pytest.mark.parametrize("g", WORKLOAD_FINITE_ACTIONS)
+    def test_matches_the_reference_on_the_workload_orbits(self, g):
+        assert_enumerates_the_group(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_permutation_actions())
+    def test_matches_the_reference_on_generated_groups(self, g):
+        assert_enumerates_the_group(g)
+
+    @pytest.mark.parametrize("make", FINITE_GROUPS)
+    def test_closed_under_the_generators(self, make):
         g = make()
-        assert enumerate_group(g) == dense_key_enumeration(g)
+        elements = set(enumerate_group(g))
+        assert all(el @ gen in elements for el in elements for gen in g.generators)
+
+    def test_redundant_generator_changes_nothing(self):
+        # Q8 from i and j, with k = ij given too: a generator already in the
+        # group so far is skipped, so a last one leaves even the order as it is
+        i, j = cat.q8_on_r4().generators
+        elements = enumerate_group(FiniteMatrixAction(4, (i, j)))
+        assert enumerate_group(FiniteMatrixAction(4, (i, j, i @ j))) == elements
+        assert set(enumerate_group(FiniteMatrixAction(4, (i @ j, i, j)))) == set(elements)
+
+    def test_each_element_is_formed_once(self, monkeypatch):
+        # the breadth-first closure multiplies each of the 128 sign changes by
+        # each of the 7 generators, 897 products with the identity's own;
+        # cosets form each element at most once, plus one product per
+        # representative and generator
+        calls = 0
+
+        def counted(*args, _f=exactlin.product_vec):
+            nonlocal calls
+            calls += 1
+            return _f(*args)
+
+        monkeypatch.setattr(symmetry, "product_vec", counted)
+        monkeypatch.setattr(exactlin, "product_vec", counted)
+        assert len(enumerate_group(c2_power_7())) == 128
+        assert calls < 200
 
     def test_key_does_not_depend_on_the_factorization(self):
         # the dihedral group of order 12 from the swap and [[-1, 0], [1, 1]]:
