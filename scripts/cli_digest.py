@@ -11,7 +11,11 @@ derivation or the closure of h; and, as the `scale` set, on Q8 acting on
 (R^4)^m for m = 2, 3, 4 in that basis, whose commutants M_m(H) have
 dimension 16, 36 and 64; and, as the `finite-scale` set, on the
 hyperoctahedral groups B_3 and B_4 (48 and 384 signed permutations) in that
-basis, whose enumeration keys elements with denominators.  Each runs in
+basis, whose enumeration keys elements with denominators; and, as the
+`torus` set, on the circles of weights (1), (1, 1) and (1, -1) and the
+2-torus of weights ((1, 0, 1), (0, 1, 1)), with the quotient asked for, which
+label each kernel `certified` or `degree-bounded` (the weight-(1) circle has
+an empty kernel lattice).  Each runs in
 compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`.  Prints one sha256 per document set and mode over (exit
@@ -131,6 +135,23 @@ def _finite_scale_documents() -> list[dict]:
     return [_document("hyperoctahedral-%d" % n, _hyperoctahedral(n), False) for n in (3, 4)]
 
 
+TORI = {
+    "circle-1": [[1]],
+    "circle-1-1": [[1, 1]],
+    "circle-1-minus-1": [[1, -1]],
+    "torus-2": [[1, 0, 1], [0, 1, 1]],
+}
+
+
+def _torus_documents() -> list[dict]:
+    """One orbit per torus of `TORI`, with the quotient asked for."""
+    return [
+        {"orbits": [{"label": label, "quotient": True,
+                     "slice_action": {"kind": "torus", "weights": weights}}]}
+        for label, weights in TORI.items()
+    ]
+
+
 def _heisenberg() -> list:
     """[e1, e2] = e3."""
     c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -237,6 +258,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["lie-rational"] = _lie_documents()
     docs["scale"] = _scale_documents()
     docs["finite-scale"] = _finite_scale_documents()
+    docs["torus"] = _torus_documents()
     return docs
 
 

@@ -132,18 +132,6 @@ class QMatrix:
         out = _integral_product(self, other)
         return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
 
-    def mul_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise ValueError("shape mismatch in matrix-vector product")
-        out = []
-        for row in self.int_rows:
-            acc = _ZERO
-            for j, a in row:
-                if v[j]:
-                    acc = acc + a * v[j]
-            out.append(acc / self.den if self.den != 1 else acc)
-        return tuple(out)
-
 
 def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
     """vec(XY) times the denominators of X and Y, as {index: int} with zeros
@@ -413,10 +401,6 @@ def _primitive(v: dict[int, int], sign: int) -> dict[int, int]:
     return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
-def rank(m: QMatrix) -> int:
-    return rref(m)[1]
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace of Q^n, canonicalized: its rows are the engine's rows
@@ -493,19 +477,11 @@ class Subspace:
         ker = nullspace(stacked)
         return Subspace._span(self.ambient_dim, ker.combinations(own + [{}] * other.dim))
 
-    def complement_in(self, bigger: "Subspace") -> list[tuple[Fraction, ...]]:
-        """Vectors of `bigger` extending a basis of self to one of bigger."""
-        self._check(bigger)
-        if not bigger.contains_subspace(self):
-            raise ValueError("self is not contained in the bigger subspace")
-        engine = self._engine()
-        return [
-            bigger.basis[i] for i, (_, _, row) in enumerate(bigger.rows) if engine.insert(row)
-        ]
-
 
 def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """One solution of M x = b, or None if inconsistent."""
+    """One solution of M x = b, or None if inconsistent.  The engine's rows of
+    [M | b] are zero at each other's pivots, so unless b's column holds one,
+    the pivot values with the free variables at 0 satisfy every row."""
     bvec = [_exact(x) for x in b]
     if len(bvec) != m.rows:
         raise ValueError("rhs length mismatch")
@@ -525,9 +501,6 @@ def solve(m: QMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
         if pc == n:
             return None
         x[pc] = value
-    # verify (free variables set to 0 may not satisfy non-reduced systems)
-    if m.mul_vec(x) != tuple(bvec):
-        return None
     return tuple(x)
 
 
@@ -566,11 +539,12 @@ def trace_form(s: Subspace, n: int) -> QMatrix:
 def inertia(sym: QMatrix) -> tuple[int, int, int]:
     """(positive, negative, zero) squares of the symmetric form `sym`, by one
     symmetric elimination (Sylvester's law of inertia).  It pivots on a nonzero
-    diagonal entry or, when the live diagonal is zero, on a block
-    [[0, b], [b, 0]], one square of each sign, and goes on with the Schur
-    complement.  It runs on the integer form den * sym: each complement is
-    kept times the positive |pivot| and divided by the gcd of its entries,
-    positive rescalings that keep the inertia."""
+    diagonal entry and goes on with the Schur complement.  When the live
+    diagonal is zero but some a_ij is not, the congruence that adds row j to
+    row i and column j to column i first makes a_ii = 2 a_ij.  It runs on the
+    integer form den * sym: each complement is kept times the positive
+    |pivot| and divided by the gcd of its entries, positive rescalings that
+    keep the inertia."""
     if sym.transpose() != sym:
         raise ValueError("inertia of a non-symmetric matrix")
     n = sym.rows
@@ -582,30 +556,24 @@ def inertia(sym: QMatrix) -> tuple[int, int, int]:
     pos = neg = 0
     while live:
         i = next((k for k in live if a[k][k]), None)
-        if i is not None:
-            p = a[i][i]
-            pos, neg = (pos + 1, neg) if p > 0 else (pos, neg + 1)
-            live.remove(i)
-            # |p| (A - a_i a_i^T / p) = sign(p) (p A - a_i a_i^T)
-            sign = 1 if p > 0 else -1
-            for r in live:
-                ar, row = a[r][i], a[r]
-                for c in live:
-                    row[c] = sign * (p * row[c] - ar * a[i][c])
-        else:
+        if i is None:
             pair = next(((i, j) for i in live for j in live if a[i][j]), None)
             if pair is None:
                 break
             i, j = pair
-            b = a[i][j]
-            pos, neg = pos + 1, neg + 1
-            live = [k for k in live if k not in pair]
-            # |b| (A - [a_i a_j] [[0, 1/b], [1/b, 0]] [a_i a_j]^T)
-            sign = 1 if b > 0 else -1
+            for c in live:
+                a[i][c] += a[j][c]
             for r in live:
-                ri, rj, row = a[r][i], a[r][j], a[r]
-                for c in live:
-                    row[c] = sign * (b * row[c] - ri * a[j][c] - rj * a[i][c])
+                a[r][i] += a[r][j]
+        p = a[i][i]
+        pos, neg = (pos + 1, neg) if p > 0 else (pos, neg + 1)
+        live.remove(i)
+        # |p| (A - a_i a_i^T / p) = sign(p) (p A - a_i a_i^T)
+        sign = 1 if p > 0 else -1
+        for r in live:
+            ar, row = a[r][i], a[r]
+            for c in live:
+                row[c] = sign * (p * row[c] - ar * a[i][c])
         g = gcd(*(a[r][c] for r in live for c in live))
         if g > 1:
             for r in live:
@@ -778,31 +746,25 @@ def integer_kernel_saturated(w: Sequence[Sequence[int]]) -> list[tuple[int, ...]
     return out
 
 
-def hermite_row_basis(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Row-style Hermite basis of the lattice spanned by the given vectors."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    ht, _ = _hnf_columns([[int(v[i]) for v in vectors] for i in range(n)])
-    out = []
-    for j in range(len(vectors)):
-        colv = tuple(ht[i][j] for i in range(n))
-        if any(x != 0 for x in colv):
-            out.append(colv)
-    return out
-
-
-def lattice_contains(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    """Whether v lies in the integer span of the given lattice basis."""
-    rows = hermite_row_basis(basis)
-    rem = [int(x) for x in v]
-    n = len(rem)
-    for row in rows:
-        piv = next((j for j in range(n) if row[j] != 0), None)
-        if piv is None:
-            continue
-        if rem[piv] % row[piv] != 0:
+def lattice_contains(basis: Sequence[Sequence[int]], vectors: Iterable[Sequence[int]]) -> bool:
+    """Whether every vector lies in the integer span of the basis vectors (an
+    empty basis spans only 0).  Each is reduced against one row-style Hermite
+    basis of that lattice: the nonzero columns of the column reduction of the
+    basis vectors' transpose, whose pivots strictly increase."""
+    hermite = []
+    if basis:
+        n = len(basis[0])
+        ht, _ = _hnf_columns([[int(v[i]) for v in basis] for i in range(n)])
+        hermite = [
+            (next(j for j, x in enumerate(row) if x), row) for row in zip(*ht) if any(row)
+        ]
+    for v in vectors:
+        rem = [int(x) for x in v]
+        for piv, row in hermite:
+            f, r = divmod(rem[piv], row[piv])
+            if r:
+                return False
+            rem = [a - f * b for a, b in zip(rem, row)]
+        if any(rem):
             return False
-        f = rem[piv] // row[piv]
-        rem = [a - f * b for a, b in zip(rem, row)]
-    return all(x == 0 for x in rem)
+    return True

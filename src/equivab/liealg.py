@@ -270,8 +270,6 @@ def quotient_lie_algebra(
     return LieAlgebraSC.from_constants(q, constants)
 
 
-def lie_abelianization(g: LieAlgebraSC) -> tuple[int, list[tuple]]:
-    """(dimension, representative vectors) of g / [g, g]."""
-    derived = g.derived_subspace()
-    reps = derived.complement_in(Subspace.full(g.dim))
-    return g.dim - derived.dim, reps
+def lie_abelianization(g: LieAlgebraSC) -> int:
+    """The dimension of g / [g, g]."""
+    return g.dim - g.derived_subspace().dim

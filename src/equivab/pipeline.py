@@ -86,8 +86,7 @@ class AbelianizationReport:
 def _lie_summand_dim(data: liealg.IsotropyData) -> int:
     k_fixed, h_fixed = data.fixed
     quotient = liealg.quotient_lie_algebra(k_fixed, h_fixed, data.k)
-    dim, _ = liealg.lie_abelianization(quotient)
-    return dim
+    return liealg.lie_abelianization(quotient)
 
 
 def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult:

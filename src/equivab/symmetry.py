@@ -38,8 +38,8 @@ from .exactlin import (
     kernel,
     lattice_contains,
     product_vec,
-    rank,
     rows_of,
+    rref,
     trace_form,
 )
 
@@ -236,7 +236,7 @@ class FiniteMatrixAction:
         for i, g in enumerate(self.generators):
             if g.rows != self.dim or g.cols != self.dim:
                 raise ValueError("generator shape mismatch")
-            if rank(g) != self.dim:
+            if rref(g)[1] != self.dim:
                 raise ValueError("generator is not invertible")
             _check_trace(g, "generators[%d]" % i, ValueError)
 
@@ -353,9 +353,7 @@ class TorusAction:
             for a, b in self.pairs_of_degree(d)
             if a != b
         ]
-        return all(
-            lattice_contains(observed, v) for v in integer_kernel_saturated(self.weights)
-        )
+        return lattice_contains(observed, integer_kernel_saturated(self.weights))
 
     def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
         """Per degree, the real and imaginary parts of the invariant monomials

@@ -1,11 +1,12 @@
-"""Dense rational helpers for tests only: flattening, scaling and zero tests
-of matrices, and the brackets and constants of a Lie algebra as rationals.
-The library runs on integer rows and never forms these."""
+"""Dense rational helpers for tests only: flattening, scaling, zero tests,
+rank and matrix-vector products of matrices, complements of subspaces, and
+the brackets and constants of a Lie algebra as rationals.  The library runs
+on integer rows and never forms these."""
 
 from fractions import Fraction
 from itertools import chain
 
-from equivab.exactlin import QMatrix, _exact
+from equivab.exactlin import QMatrix, Subspace, _exact, rref
 from equivab.liealg import LieAlgebraSC
 
 
@@ -22,6 +23,30 @@ def scale(m: QMatrix, c) -> QMatrix:
 
 def is_zero(m: QMatrix) -> bool:
     return not any(m.int_rows)
+
+
+def rank(m: QMatrix) -> int:
+    return rref(m)[1]
+
+
+def mul_vec(m: QMatrix, v) -> tuple:
+    """M v for a vector v of exact values, as rationals."""
+    if m.cols != len(v):
+        raise ValueError("shape mismatch in matrix-vector product")
+    v = [Fraction(_exact(x)) for x in v]
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m.entries)
+
+
+def complement_in(u: Subspace, bigger: Subspace) -> list:
+    """Basis vectors of `bigger` that extend a basis of u to one of bigger."""
+    if not bigger.contains_subspace(u):
+        raise ValueError("u is not contained in the bigger subspace")
+    kept, out = list(u.basis), []
+    for v in bigger.basis:
+        if Subspace.from_vectors(u.ambient_dim, kept + [v]).dim > len(kept):
+            kept.append(v)
+            out.append(v)
+    return out
 
 
 def constants(g: LieAlgebraSC) -> tuple:

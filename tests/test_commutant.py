@@ -20,7 +20,7 @@ from equivab.commutant import (
     root_count_disagreement,
     verify_center_splits,
 )
-from exact_oracles import is_zero, scale, vec
+from exact_oracles import complement_in, is_zero, scale, vec
 from float_split_oracle import schur_split_oracle
 from test_exactlin import _minpoly_by_divisor_search, monic_sympy_poly
 from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
@@ -75,7 +75,7 @@ def full_matrix_algebra(n: int) -> MatrixAlgebra:
 
 def abelianization(a: MatrixAlgebra) -> tuple[int, list[QMatrix]]:
     """(dimension, representative basis) of A / [A, A]."""
-    reps = a.derived.complement_in(a.span)
+    reps = complement_in(a.derived, a.span)
     dim = a.dim - a.derived.dim
     assert dim == len(reps)
     n = a.ambient_dim

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import is_zero, scale, vec
+from exact_oracles import complement_in, is_zero, mul_vec, rank, scale, vec
 
 from equivab import exactlin
 from equivab.exactlin import (
@@ -22,7 +22,6 @@ from equivab.exactlin import (
     bracket_vec,
     common_nullspace,
     count_real_roots,
-    hermite_row_basis,
     inertia,
     integer_kernel_saturated,
     kernel,
@@ -31,7 +30,6 @@ from equivab.exactlin import (
     minimal_polynomial,
     nullspace,
     product_vec,
-    rank,
     rows_of,
     rref,
     solve,
@@ -150,7 +148,7 @@ class TestSolveAndNullspace:
     def test_nullspace_vectors_annihilate(self, m):
         ker = nullspace(m)
         for v in ker.basis:
-            assert all(x == 0 for x in m.mul_vec(v))
+            assert all(x == 0 for x in mul_vec(m, v))
 
     @given(square_matrices(), st.lists(st.integers(-5, 5), min_size=1, max_size=4))
     @settings(max_examples=60, deadline=None)
@@ -158,7 +156,7 @@ class TestSolveAndNullspace:
         b = (b * m.rows)[: m.rows]
         sol = solve(m, b)
         if sol is not None:
-            assert m.mul_vec(sol) == tuple(Fraction(x) for x in b)
+            assert mul_vec(m, sol) == tuple(Fraction(x) for x in b)
         else:
             # sympy agrees the system is inconsistent
             aug = to_sympy(m).row_join(sympy.Matrix([[x] for x in b]))
@@ -172,13 +170,26 @@ class TestSolveAndNullspace:
     @settings(max_examples=80, deadline=None)
     def test_solve_tall_and_wide(self, m, xs, consistent):
         # b = M x0 is consistent by construction; otherwise b is arbitrary
-        b = m.mul_vec(xs[: m.cols]) if consistent else tuple(xs[: m.rows])
+        b = mul_vec(m, xs[: m.cols]) if consistent else tuple(xs[: m.rows])
         sol = solve(m, b)
         aug = to_sympy(m).row_join(to_sympy(QMatrix.from_rows([[x] for x in b])))
         assert (sol is None) == (aug.rank() > to_sympy(m).rank())
         if sol is not None:
             assert len(sol) == m.cols
-            assert m.mul_vec(sol) == tuple(b)
+            assert mul_vec(m, sol) == tuple(b)
+
+    @pytest.mark.parametrize("rows, b", [
+        # rank 2: the reduced rows [1, 0, 1] and [0, 1, 1] are nonzero at the
+        # free column, which the solution sets to 0
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [6, 12, 2]),
+        # rank 2 with two free columns, both nonzero in the reduced rows
+        ([[2, 1, 0, 3], [4, 2, 1, 0], [6, 3, 1, 3]], [1, "1/2", "3/2"]),
+    ])
+    def test_solve_rank_deficient_with_free_columns(self, rows, b):
+        m = QMatrix.from_rows(rows)
+        assert rank(m) == 2
+        sol = solve(m, b)
+        assert mul_vec(m, sol) == tuple(Fraction(x) for x in b)
 
     def test_float_entries_rejected(self):
         with pytest.raises(TypeError):
@@ -618,7 +629,7 @@ class TestSubspace:
     def test_complement_extends_basis(self, a):
         u = Subspace.from_vectors(a.cols, a.entries)
         full = Subspace.full(a.cols)
-        ext = u.complement_in(full)
+        ext = complement_in(u, full)
         assert len(ext) == a.cols - u.dim
         assert Subspace.from_vectors(a.cols, list(u.basis) + ext).dim == a.cols
 
@@ -656,7 +667,8 @@ class TestSubspace:
 positive_rationals = st.builds(Fraction, st.integers(1, 30), st.integers(1, 7))
 
 # a diagonal entry with a random sign, or zero; or a hyperbolic plane
-# [[0, b], [b, 0]], one square of each sign, which needs a 2 x 2 pivot
+# [[0, b], [b, 0]], one square of each sign, whose zero diagonal needs the
+# congruence step before a pivot
 form_blocks = st.lists(
     st.one_of(
         st.tuples(st.just("diag"), st.integers(-1, 1), positive_rationals),
@@ -709,7 +721,7 @@ class TestInertia:
     def test_matches_characteristic_polynomial(self, shape):
         # a symmetric matrix has only real eigenvalues, so Descartes' rule of
         # signs on its characteristic polynomial counts them exactly; a zero
-        # diagonal makes every first pivot a 2 x 2 block
+        # diagonal makes every first pivot follow a congruence step
         xs, hollow = shape
         n = int(len(xs) ** 0.5)
         rows = [[xs[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
@@ -729,13 +741,16 @@ class TestInertia:
 
     @pytest.mark.parametrize("rows, expected", [
         ([[0, 1], [1, 0]], (1, 1, 0)),
-        # hollow, so the first pivot is a 2 x 2 block
+        # hollow, so the first pivot follows a congruence step
         ([[0, 1, 1], [1, 0, -1], [1, -1, 0]], (2, 1, 0)),
         ([[0, 1, 2, 0], [1, 0, 0, 3], [2, 0, 0, 1], [0, 3, 1, 0]], (2, 2, 0)),
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 2, 0)),
-        # 1 x 1 pivots on the Schur complement of a 2 x 2 one
+        # pivots on the Schur complement of a pivot made by congruence
         ([[0, -2, 0, -1], [-2, 0, -3, -1], [0, -3, 0, -2], [-1, -1, -2, 0]], (2, 2, 0)),
         ([[0, 0], [0, 0]], (0, 0, 2)),
+        # degenerate: the congruence step leaves a zero square
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], (1, 1, 1)),
+        ([[0, 3, 0], [3, 0, 0], [0, 0, -2]], (1, 2, 0)),
     ])
     def test_zero_diagonal(self, rows, expected):
         assert inertia(QMatrix.from_rows(rows)) == expected
@@ -1170,7 +1185,7 @@ class TestLattices:
         ker = integer_kernel_saturated(w)
         m = QMatrix.from_rows(w)
         for v in ker:
-            assert all(x == 0 for x in m.mul_vec(list(v)))
+            assert all(x == 0 for x in mul_vec(m, list(v)))
         # dimension check against rational rank
         assert len(ker) == len(w[0]) - rank(m)
         # saturation: the Hermite basis of the kernel consists of vectors
@@ -1180,7 +1195,7 @@ class TestLattices:
         for v in sm.nullspace():
             scaled = v * sympy.lcm([sympy.fraction(x)[1] for x in v])
             scaled = scaled / sympy.gcd(list(scaled))
-            assert lattice_contains(ker, [int(x) for x in scaled])
+            assert lattice_contains(ker, [[int(x) for x in scaled]])
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=1, max_size=4),
@@ -1189,14 +1204,21 @@ class TestLattices:
     def test_lattice_membership(self, basis, coeffs):
         coeffs = (coeffs * len(basis))[: len(basis)]
         combo = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(3)]
-        assert lattice_contains(basis, combo)
+        assert lattice_contains(basis, [combo])
 
-    def test_lattice_non_membership(self):
-        assert not lattice_contains([[2, 0], [0, 2]], [1, 0])
-        assert lattice_contains([[2, 0], [0, 2]], [2, -4])
-
-    def test_hermite_row_basis_spans(self):
-        basis = hermite_row_basis([[2, 4], [4, 2]])
-        assert lattice_contains(basis, [2, 4])
-        assert lattice_contains(basis, [4, 2])
-        assert not lattice_contains(basis, [1, 1])
+    @pytest.mark.parametrize("basis, vectors, expected", [
+        ([[2, 0], [0, 2]], [[1, 0]], False),
+        ([[2, 0], [0, 2]], [[2, -4]], True),
+        # the basis vectors themselves, then a vector of the rational span
+        # that is not in the lattice
+        ([[2, 4], [4, 2]], [[2, 4], [4, 2]], True),
+        ([[2, 4], [4, 2]], [[2, 4], [4, 2], [1, 1]], False),
+        ([[2, 4], [4, 2]], [[6, 6], [0, 6], [2, 1]], False),
+        # an empty basis spans only 0; no vector at all is always contained
+        ([], [[0, 0], [0, 0]], True),
+        ([], [[0, 0], [0, 1]], False),
+        ([], [], True),
+        ([[1, 1]], [], True),
+    ])
+    def test_lattice_membership_of_several_vectors(self, basis, vectors, expected):
+        assert lattice_contains(basis, vectors) is expected

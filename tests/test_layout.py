@@ -112,10 +112,12 @@ def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
 
 def test_each_exact_system_eliminated_once():
     # the Krylov dependence is one incremental elimination, not a solve per
-    # power, and verify reads its kernels at d and d + 1 off one elimination
-    # instead of splitting the invariant stream
-    krylov = _function(_tree(SRC / "exactlin.py"), "minimal_polynomial")
-    assert "solve" not in set(_names(krylov))
+    # power; solve reads its answer off the reduced rows without multiplying
+    # it back; and verify reads its kernels at d and d + 1 off one
+    # elimination instead of splitting the invariant stream
+    exact = _tree(SRC / "exactlin.py")
+    assert "solve" not in set(_names(_function(exact, "minimal_polynomial")))
+    assert "mul_vec" not in set(_names(_function(exact, "solve")))
     assert "tee" not in set(_names(_tree(SRC / "pipeline.py")))
 
 
@@ -196,14 +198,16 @@ def test_one_rational_type():
 def test_no_test_only_members():
     # members and parameters that only tests used live in the tests
     members = {
-        exactlin.QMatrix: ("vec", "scale", "is_zero"),
-        exactlin.Subspace: ("contains",),
+        exactlin.QMatrix: ("vec", "scale", "is_zero", "mul_vec"),
+        exactlin.Subspace: ("contains", "complement_in"),
         liealg.LieAlgebraSC: ("bracket", "constants", "abelian"),
     }
     assert [
         "%s.%s" % (cls.__name__, name)
         for cls, names in members.items() for name in names if hasattr(cls, name)
     ] == []
+    assert not hasattr(exactlin, "rank")
+    assert not hasattr(exactlin, "hermite_row_basis")
     assert "invariants" not in inspect.signature(strata.kernel_s).parameters
     assert "extra_algebras" not in inspect.signature(pipeline.verify_models).parameters
 

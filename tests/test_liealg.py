@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from exact_oracles import bracket, constants, scale
+from exact_oracles import bracket, constants, mul_vec, scale
 
 from equivab import catalog as cat
 from equivab.exactlin import QMatrix, Subspace
@@ -92,11 +92,11 @@ def oracle_is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
     n = g.dim
     for i in range(n):
         ei = _unit(n, i)
-        ai = a.mul_vec(ei)
+        ai = mul_vec(a, ei)
         for j in range(n):
             ej = _unit(n, j)
-            lhs = a.mul_vec(oracle_bracket(g, ei, ej))
-            rhs = oracle_bracket(g, ai, a.mul_vec(ej))
+            lhs = mul_vec(a, oracle_bracket(g, ei, ej))
+            rhs = oracle_bracket(g, ai, mul_vec(a, ej))
             if lhs != rhs:
                 return False
     return True
@@ -108,11 +108,11 @@ def oracle_is_derivation(g: LieAlgebraSC, d: QMatrix) -> bool:
         ei = _unit(n, i)
         for j in range(n):
             ej = _unit(n, j)
-            lhs = d.mul_vec(oracle_bracket(g, ei, ej))
+            lhs = mul_vec(d, oracle_bracket(g, ei, ej))
             rhs = tuple(
                 a + b
                 for a, b in zip(
-                    oracle_bracket(g, d.mul_vec(ei), ej), oracle_bracket(g, ei, d.mul_vec(ej))
+                    oracle_bracket(g, mul_vec(d, ei), ej), oracle_bracket(g, ei, mul_vec(d, ej))
                 )
             )
             if lhs != rhs:
@@ -395,16 +395,14 @@ class TestBracketsAndForms:
 
 class TestAbelianization:
     def test_semisimple_has_zero(self):
-        assert lie_abelianization(cat.so3())[0] == 0
-        assert lie_abelianization(cat.sl2())[0] == 0
+        assert lie_abelianization(cat.so3()) == 0
+        assert lie_abelianization(cat.sl2()) == 0
 
     def test_abelian_is_identity(self):
-        dim, reps = lie_abelianization(LieAlgebraSC.from_constants(3, [[[0] * 3] * 3] * 3))
-        assert dim == 3 and len(reps) == 3
+        assert lie_abelianization(LieAlgebraSC.from_constants(3, [[[0] * 3] * 3] * 3)) == 3
 
     def test_solvable_2dim(self):
-        dim, _ = lie_abelianization(cat.nonabelian_2dim())
-        assert dim == 1
+        assert lie_abelianization(cat.nonabelian_2dim()) == 1
 
 
 class TestAutomorphismsAndDerivations:
@@ -470,7 +468,7 @@ class TestQuotients:
         centre = Subspace.from_vectors(3, [[0, 0, 1]])
         q = quotient_lie_algebra(full, centre, g)
         assert q.dim == 2
-        assert lie_abelianization(q)[0] == 2
+        assert lie_abelianization(q) == 2
 
     def test_quotient_by_non_ideal_rejected(self):
         g = cat.sl2()
@@ -483,7 +481,7 @@ class TestQuotients:
         g = cat.nonabelian_2dim()
         q = quotient_lie_algebra(Subspace.full(2), Subspace.zero(2), g)
         assert q.dim == 2
-        assert lie_abelianization(q)[0] == 1
+        assert lie_abelianization(q) == 1
 
     def test_full_quotient_is_zero(self):
         g = cat.so3()

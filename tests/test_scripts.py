@@ -18,7 +18,7 @@ def _run(script: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("script", ["demo_catalog.py", "su3_slice_experiment.py"])
+@pytest.mark.parametrize("script", ["demo_catalog.py"])
 def test_script_exits_zero(script):
     proc = _run(script)
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from exact_oracles import is_zero, scale, vec
+from exact_oracles import is_zero, mul_vec, scale, vec
 from hypothesis import strategies as st
 from test_center_routes import _workload_actions, signed_permutation_actions
 from test_commutant import FINITE_CASES, FINITE_GROUPS, c2_power_7
@@ -133,9 +133,8 @@ class TestEnumeration:
         # generator, whose product lists them in order
         g = FiniteMatrixAction(2, (QMatrix.from_rows([[0, 1], [1, 0]]),
                                    QMatrix.from_rows([[-1, 0], [1, 1]])))
-        elements = enumerate_group(g)
-        assert elements == dense_key_enumeration(g)
-        assert len(elements) == 12
+        assert_enumerates_the_group(g)
+        assert len(enumerate_group(g)) == 12
 
     @pytest.mark.parametrize("make", FINITE_GROUPS)
     def test_conjugated_group_enumerates_the_conjugates(self, make):
@@ -241,14 +240,14 @@ class TestKroneckerConventions:
     def test_vec_of_sandwich(self, a, x, b):
         a, x, b = (QMatrix.from_rows(m) for m in (a, x, b))
         lhs = vec(a @ x @ b)
-        rhs = kron(a, b.transpose()).mul_vec(vec(x))
+        rhs = mul_vec(kron(a, b.transpose()), vec(x))
         assert lhs == tuple(rhs)
 
     def test_commutator_operator(self):
         xi = QMatrix.from_rows([[0, 1], [2, 0]])
         x = QMatrix.from_rows([[1, 2], [3, 4]])
         expected = vec(xi @ x - x @ xi)
-        assert tuple(dense(commutator_rows(xi), 4).mul_vec(vec(x))) == expected
+        assert tuple(mul_vec(dense(commutator_rows(xi), 4), vec(x))) == expected
 
     @given(small_squares)
     @settings(max_examples=60, deadline=None)
@@ -366,8 +365,8 @@ class TestTorusAction:
         # e_x image is +e_y (counterclockwise)
         t = TorusAction(((1,),))
         (j,) = t.action_generators()
-        assert j.mul_vec([1, 0]) == (0, 1)
-        assert j.mul_vec([0, 1]) == (-1, 0)
+        assert mul_vec(j, [1, 0]) == (0, 1)
+        assert mul_vec(j, [0, 1]) == (-1, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
