@@ -18,7 +18,9 @@ label each kernel `certified` or `degree-bounded` (the weight-(1) circle has
 an empty kernel lattice).  Each runs in
 compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
-`--degree-bound 3`.  Prints one sha256 per document set and mode over (exit
+`--degree-bound 3`; and, as the `deep-bound` set, the tori of the `torus`
+set once with `--degree-bound 8` and once with `--degree-bound 12`, well past
+the degree (2 or 3) at which each kernel reaches Z(A) meet Lie(T).  Prints one sha256 per document set and mode over (exit
 code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
 almost all integral; the catalog and Lie sets put denominators into every
 generator, structure constant, center and invariant.
@@ -54,6 +56,7 @@ from equivab.symmetry import FiniteMatrixAction  # noqa: E402
 
 SEEDS = (1009, 5)
 FLAGS = ([], ["--degree-bound", "3"])
+DEEP_FLAGS = (["--degree-bound", "8"], ["--degree-bound", "12"])
 CATALOG_ACTIONS = (
     "c2_sign", "c2_minus_identity", "c3_rotation", "c4_rotation", "c2_x_c2", "d4_on_r2",
     "s3_standard", "s3_standard_plus_sign", "q8_on_r4", "s3_regular_minus_trivial",
@@ -259,6 +262,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["scale"] = _scale_documents()
     docs["finite-scale"] = _finite_scale_documents()
     docs["torus"] = _torus_documents()
+    docs["deep-bound"] = _torus_documents()
     return docs
 
 
@@ -285,7 +289,7 @@ def main() -> None:
                 digest = hashlib.sha256()
                 for doc in docs:
                     path.write_text(json.dumps(doc))
-                    for flags in FLAGS:
+                    for flags in DEEP_FLAGS if name == "deep-bound" else FLAGS:
                         if mode == "verify":
                             run = _run([str(path), "--verify"] + flags, None)
                         else:

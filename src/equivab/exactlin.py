@@ -191,20 +191,20 @@ def word_basis(generators: Sequence[QMatrix], cap: int) -> list[QMatrix] | None:
     return words
 
 
-def _insert_until_full(engine: "SparseRREF", rows: Iterable[dict[int, int]]) -> None:
+def _insert_until(engine: "SparseRREF", rows: Iterable[dict[int, int]], rank: int) -> None:
     """Insert the integer rows {col: int} into engine, read lazily, and none
-    once the rank is the column count."""
-    if engine.rank < engine.ambient:
+    once the engine has the rank the rows cannot pass."""
+    if engine.rank < rank:
         for row in rows:
             engine.insert(row)
-            if engine.rank == engine.ambient:
+            if engine.rank == rank:
                 break
 
 
 def _eliminate(ncols: int, rows: Iterable[dict[int, int]]) -> "SparseRREF":
     """The one sparse engine holding the span of the integer rows."""
     engine = SparseRREF(ncols)
-    _insert_until_full(engine, rows)
+    _insert_until(engine, rows, ncols)
     return engine
 
 
@@ -215,13 +215,18 @@ def kernel(ncols: int, rows: Iterable[dict[int, int]]) -> "Subspace":
     return _eliminate(ncols, rows).kernel()
 
 
-def kernels(ncols: int, groups: Iterable[Iterable[dict[int, int]]]) -> Iterator["Subspace"]:
+def kernels(
+    ncols: int, groups: Iterable[Iterable[dict[int, int]]], rank: int
+) -> Iterator["Subspace"]:
     """The kernel after each group of integer rows, from one elimination: the i-th is
-    kernel(ncols, rows of groups 1..i).  A group is read only when its kernel
-    is asked for, and no row of it once the kernel is zero."""
+    kernel(ncols, rows of groups 1..i).  The caller knows the rows span at
+    most `rank` dimensions, as they all vanish on a known subspace of
+    dimension ncols - rank.  A group is read only when its kernel is asked
+    for, and no row of it once the rank is `rank`: the kernel is then that
+    subspace, and no row can change it."""
     engine = SparseRREF(ncols)
     for rows in groups:
-        _insert_until_full(engine, rows)
+        _insert_until(engine, rows, rank)
         yield engine.kernel()
 
 
@@ -461,7 +466,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
         engine = self._engine()
-        _insert_until_full(engine, (row for _, _, row in other.rows))
+        _insert_until(engine, (row for _, _, row in other.rows), self.ambient_dim)
         return engine.subspace()
 
     def intersection(self, other: "Subspace") -> "Subspace":

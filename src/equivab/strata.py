@@ -95,6 +95,14 @@ def kernel_s_at_degrees(
     derived once per central element, and the kernel after degree d is read
     off before the rows of degree d + 1 go in.
 
+    The kernel has a floor, L = Z(A) meet Lie(K): a central field in the Lie
+    algebra is tangent to every orbit, so it kills every invariant.  Once
+    the kernel is L, no further row, and no further degree, is read; for a
+    finite group L is zero.  A kernel read to degree r < d is labelled by
+    `certified(r)` when that holds: `certified` is monotone in the degree,
+    so it is `certified(d)` as well, and only otherwise is `certified(d)`
+    asked.
+
     The rows are integers.  The central elements D_k are the integer rows of
     z, and each invariant is an integer multiple c f: the row of monomial e,
     the coefficient of e in each D_k (c f), is c times the true one, a scale
@@ -105,6 +113,12 @@ def kernel_s_at_degrees(
         raise ValueError("center must live in vec(End(V))")
     center_vecs = [row for _, _, row in z.rows]
     center_mats = [QMatrix._of(1, v.items(), n, n) for v in center_vecs]
+    # dim L = dim Z + dim span - dim (Z + span); a finite group has no Lie
+    # generators, and L = 0
+    floor, lie_gens = 0, g.lie_algebra_generators()
+    if lie_gens:
+        lie = Subspace._span(n * n, (a.int_vec() for a in lie_gens))
+        floor = z.dim + lie.dim - z.sum(lie).dim
 
     def rows(basis: Sequence[Terms]) -> Iterator[dict[int, int]]:
         # one row per monomial e of an image: the coefficient of e in D_k f
@@ -112,18 +126,19 @@ def kernel_s_at_degrees(
         for f in basis:
             yield from rows_of([derivation_action(dm, f) for dm in center_mats])
 
-    # the kernel after degrees 1, 2, ...; no degree is read once it is zero
-    stream = kernels(len(center_mats), map(rows, invariants))
+    # the kernel after degrees 1, 2, ...; no degree is read once it is L
+    stream = kernels(len(center_mats), map(rows, invariants), z.dim - floor)
     coords, read = Subspace.full(len(center_mats)), 0
     out = []
     for degree in degrees:
-        while coords.dim and read < degree:
+        while coords.dim > floor and read < degree:
             coords = next(stream, None)
             if coords is None:
                 raise ValueError("invariants go up to degree %d, not %d" % (read, degree))
             read += 1
         s = Subspace._span(n * n, coords.combinations(center_vecs))
-        exactness = "certified" if g.certified(degree) else "degree-bounded"
+        certified = g.certified(read) or (read < degree and g.certified(degree))
+        exactness = "certified" if certified else "degree-bounded"
         out.append(KernelResult(s_basis=s, exactness=exactness, degree=degree))
     return out
 
@@ -134,8 +149,9 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
 
     The invariants are read one degree at a time from
     `invariants_up_to_degree(g, degree)`; none is read past `degree`, and no
-    degree is read once the kernel is zero.  Labelled by the action's
-    `certified(degree)`; a degree-bounded result is only an upper bound
+    degree is read once the kernel is its floor Z(A) meet Lie(K).  Labelled
+    "certified" when the action's `certified` holds at the degree read to
+    or at `degree`; a degree-bounded result is only an upper bound
     (superset) for the true kernel.
     """
     (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))

@@ -4,8 +4,9 @@ A group is given in one of three finite forms: a finite matrix group by
 generators, a torus by an integer weight matrix acting on complex block
 coordinates, or a connected group by Lie-algebra generator matrices.  Each
 class is the one place that knows its kind.  It gives the matrices that
-generate the action (`action_generators`), "fixed by the group" as a finite
-family of exact linear operators (`fixed_operators`), its invariant
+generate the action (`action_generators`), those of them that lie in the
+group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
+finite family of exact linear operators (`fixed_operators`), its invariant
 polynomials one degree at a time (`invariant_terms`), its default degree
 bound, and the degrees from which the invariants certify the kernel `s`
 (`certified`).
@@ -16,7 +17,8 @@ Invariants of finite and connected groups are one sparse common kernel per
 degree, of one operator per generator written on monomial indices; the
 operators run on each generator's integer rows, so their images are integer
 multiples of the true ones, and each invariant is a kernel row as the engine
-holds it.  Torus invariants are built from the weights.
+holds it.  An operator's images of a degree are formed only when the
+elimination reads them.  Torus invariants are built from the weights.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ Monomial = tuple[int, ...]
 Terms = dict[Monomial, int]
 # {monomial: {monomial: coefficient}}: the image of each basis monomial
 Images = dict[Monomial, Terms]
-# called once per degree 1, 2, ..., with that degree's monomials
-Operator = Callable[[list[Monomial]], Images]
+# called with the monomial lists of degrees 1..d, for the images of degree d's
+# monomials; called at some of the degrees 1, 2, ..., in increasing order
+Operator = Callable[[Sequence[list[Monomial]]], Images]
 
 
 class GroupNotFiniteError(RuntimeError):
@@ -122,33 +125,36 @@ def _difference_operator(a: QMatrix) -> Operator:
     taken as x^m(Ax) - den^d x^m: den^d times the true one, a scale all images
     of one degree share.  x^m(Ax) is x^(m - e_i)(Ax) times the linear form
     (Ax)_i, so each image of degree d costs one sparse product with an image
-    of degree d - 1."""
+    of degree d - 1; a call first substitutes into the degrees skipped since
+    the last, from their monomial lists."""
     n = a.rows
     den, forms = a.den, a.int_rows
     unit = (0,) * n
-    substituted = {unit: {unit: 1}}
-    scale = 1  # den^d in degree d
+    substituted = {unit: {unit: 1}}  # x^m(Ax) for the monomials m of degree `done`
+    done = 0
 
-    def images(monoms: list[Monomial]) -> Images:
-        nonlocal substituted, scale
-        scale *= den
-        nxt = {}
+    def images(lists: Sequence[list[Monomial]]) -> Images:
+        nonlocal substituted, done
+        for monoms in lists[done:]:
+            nxt = {}
+            for m in monoms:
+                i = next(k for k, p in enumerate(m) if p)
+                lower = list(m)
+                lower[i] -= 1
+                prod: Terms = {}
+                for e, c in substituted[tuple(lower)].items():
+                    for j, x in forms[i]:
+                        up = list(e)
+                        up[j] += 1
+                        _accumulate(prod, tuple(up), c * x)
+                nxt[m] = prod
+            substituted = nxt
+        done = len(lists)
+        scale = den**done
         out = {}
-        for m in monoms:
-            i = next(k for k, p in enumerate(m) if p)
-            lower = list(m)
-            lower[i] -= 1
-            prod: Terms = {}
-            for e, c in substituted[tuple(lower)].items():
-                for j, x in forms[i]:
-                    up = list(e)
-                    up[j] += 1
-                    _accumulate(prod, tuple(up), c * x)
-            nxt[m] = prod
-            diff = dict(prod)
+        for m, prod in substituted.items():
+            out[m] = diff = dict(prod)
             _accumulate(diff, m, -scale)
-            out[m] = diff
-        substituted = nxt
         return out
 
     return images
@@ -159,9 +165,9 @@ def _derivation_operator(xi: QMatrix) -> Operator:
     integers: den(xi) times the true images."""
     rows = xi.int_rows
 
-    def images(monoms: list[Monomial]) -> Images:
+    def images(lists: Sequence[list[Monomial]]) -> Images:
         out = {}
-        for m in monoms:
+        for m in lists[-1]:
             out[m] = img = {}
             _derive(rows, m, 1, img)
         return out
@@ -173,14 +179,18 @@ def _kernel_invariants(
     n: int, make: Callable[[QMatrix], Operator], generators: Sequence[QMatrix], degree: int
 ) -> Iterator[tuple[Terms, ...]]:
     """Invariants of a finite or connected group: per degree 1..degree, the
-    common kernel of the operator `make` builds for each generator."""
+    common kernel of the operator `make` builds for each generator.  An
+    operator runs only when the elimination reads its rows, so none runs at
+    a degree once the kernel is zero."""
     operators = [make(a) for a in generators]
+    lists: list[list[Monomial]] = []  # the monomials of degrees 1, 2, ...
     for d in range(1, degree + 1):
         monoms = monomials_of_degree(n, d)
-        # every operator runs at every degree, as each builds on its images of
-        # the degree below; row e holds the coefficient of e in each image
-        images = [op(monoms) for op in operators]
-        rows = chain.from_iterable(rows_of([im[m] for m in monoms]) for im in images)
+        lists.append(monoms)
+        # row e holds the coefficient of e in each image
+        rows = chain.from_iterable(
+            rows_of([im[m] for m in monoms]) for im in (op(lists) for op in operators)
+        )
         # each invariant is a kernel row as the engine holds it: the canonical
         # basis invariant times its pivot
         yield tuple(
@@ -252,6 +262,10 @@ class FiniteMatrixAction:
     def action_generators(self) -> list[QMatrix]:
         return list(self.generators)
 
+    def lie_algebra_generators(self) -> list[QMatrix]:
+        """None: the Lie algebra of a finite group is zero."""
+        return []
+
     def fixed_operators(self) -> list[QMatrix]:
         """g - I for each generator g."""
         ident = QMatrix.identity(self.dim)
@@ -310,6 +324,10 @@ class TorusAction:
                 rows += [((2 * j + 1, -w),), ((2 * j, w),)] if w else [(), ()]
             out.append(QMatrix(1, tuple(rows), self.dim))
         return out
+
+    def lie_algebra_generators(self) -> list[QMatrix]:
+        """All of them: they span the torus's Lie algebra."""
+        return self.action_generators()
 
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()
@@ -394,6 +412,10 @@ class ConnectedLieAction:
 
     def action_generators(self) -> list[QMatrix]:
         return list(self.lie_generators)
+
+    def lie_algebra_generators(self) -> list[QMatrix]:
+        """All of them: they span the group's Lie algebra."""
+        return self.action_generators()
 
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()

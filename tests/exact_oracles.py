@@ -1,13 +1,15 @@
 """Dense rational helpers for tests only: flattening, scaling, zero tests,
 rank and matrix-vector products of matrices, complements of subspaces, and
 the brackets and constants of a Lie algebra as rationals.  The library runs
-on integer rows and never forms these."""
+on integer rows and never forms these.  Also the quotient kernel read from
+every invariant, with none of the library's early stops."""
 
 from fractions import Fraction
 from itertools import chain
 
-from equivab.exactlin import QMatrix, Subspace, _exact, rref
+from equivab.exactlin import QMatrix, SparseRREF, Subspace, _exact, rows_of, rref
 from equivab.liealg import LieAlgebraSC
+from equivab.strata import KernelResult, derivation_action, invariants_up_to_degree
 
 
 def vec(m: QMatrix) -> tuple:
@@ -67,3 +69,19 @@ def bracket(g: LieAlgebraSC, x, y) -> tuple:
                 for k, c in g.planes[i][j]:
                     out[k] += f * c
     return tuple(v / g.den for v in out)
+
+
+def kernel_reading_every_degree(g, z: Subspace, degree: int) -> KernelResult:
+    """kernel_s(g, z, degree) with no stop: the rows of every central
+    derivation of every invariant of degree <= degree go into one engine,
+    whatever its rank, and the label is the action's certified(degree)."""
+    n = g.dim
+    vecs = [row for _, _, row in z.rows]
+    mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]
+    engine = SparseRREF(len(mats))
+    for basis in list(invariants_up_to_degree(g, degree)):
+        for f in basis:
+            for row in rows_of([derivation_action(dm, f) for dm in mats]):
+                engine.insert(row)
+    s = Subspace._span(n * n, engine.kernel().combinations(vecs))
+    return KernelResult(s, "certified" if g.certified(degree) else "degree-bounded", degree)

@@ -242,7 +242,7 @@ class TestKernel:
     def test_kernels_match_kernel_of_each_prefix(self, shape):
         c, groups = shape
         sparse = [[_integral(dict(enumerate(row))) for row in g] for g in groups]
-        got = list(kernels(c, sparse))
+        got = list(kernels(c, sparse, c))
         assert len(got) == len(groups)
         for i, ker in enumerate(got, 1):
             assert ker == kernel(c, [row for g in sparse[:i] for row in g])
@@ -260,12 +260,30 @@ class TestKernel:
                 asked.append(k)
                 yield group(k)
 
-        stream = kernels(2, groups())
+        stream = kernels(2, groups(), 2)
         assert next(stream).dim == 0
         assert (asked, read) == ([0], [0, 0])
         # the kernel is zero: the next group is asked for, but none of its rows
         assert next(stream).dim == 0
         assert (asked, read) == ([0, 1], [0, 0])
+
+    def test_kernels_read_no_row_once_at_the_known_rank(self):
+        # every row vanishes on e_2, so the rank cannot pass 2: once it is 2
+        # the kernel is the span of e_2, and no further row is read
+        read = []
+
+        def group(rows):
+            for row in rows:
+                read.append(row)
+                yield row
+
+        groups = [[{0: 1, 1: 1}], [{0: 2, 1: 2}, {1: 3}, {0: 1}], [{0: 5, 1: 7}]]
+        got = list(kernels(3, map(group, groups), 2))
+        assert [ker.rows for ker in got] == [
+            ((0, 1, {0: 1, 1: -1}), (2, 1, {2: 1})), ((2, 1, {2: 1}),), ((2, 1, {2: 1}),)
+        ]
+        assert read == [{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 3}]
+        assert got == list(kernels(3, groups, 3))
 
 
 def _is_exact(x) -> bool:
@@ -428,7 +446,7 @@ class TestSparseRREF:
         groups = [rows[a:b] for a, b in zip([0] + bounds, bounds)]
         oracle = FractionRREF(ncols)
         int_groups = [[_integral(row) for row in group] for group in groups]
-        for group, ker in zip(groups, kernels(ncols, int_groups), strict=True):
+        for group, ker in zip(groups, kernels(ncols, int_groups, ncols), strict=True):
             for row in group:
                 oracle.insert(row)
             assert ker.basis == oracle.kernel_basis()

@@ -11,7 +11,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from exact_oracles import vec
+from exact_oracles import kernel_reading_every_degree, vec
+from test_center_routes import _workload_orbits, su3_on_c3, torus_actions
 from test_commutant import FINITE_CASES, counting_rationals, in_rational_basis
 
 from equivab import catalog as cat
@@ -247,6 +248,35 @@ TORI = [
 ]
 
 
+def s3_standard_cycle_first() -> FiniteMatrixAction:
+    """S3 on R^2 with its 3-cycle first, whose images alone fill degree 1, so
+    the transposition's are first formed at degree 2."""
+    return FiniteMatrixAction(2, tuple(reversed(cat.s3_standard().generators)))
+
+
+REYNOLDS_CASES = [case[0] for case in FINITE_CASES] + [s3_standard_cycle_first]
+
+
+def operator_degrees(monkeypatch, name):
+    """For each operator the symmetry factory `name` makes, the degrees at
+    which its images are formed."""
+    make = getattr(symmetry, name)
+    made = []
+
+    def counted(a):
+        op, degrees = make(a), []
+        made.append(degrees)
+
+        def images(lists):
+            degrees.append(len(lists))
+            return op(lists)
+
+        return images
+
+    monkeypatch.setattr(symmetry, name, counted)
+    return made
+
+
 class TestInvariants:
     def test_c3_invariant_counts(self):
         inv = tuple(invariants_up_to_degree(cat.c3_rotation(), 4))
@@ -292,6 +322,24 @@ class TestInvariants:
         for gen in cat.su2_on_c2().lie_generators:
             assert not derivation_action(gen, f)
 
+    def test_su3_on_c3_forms_degree_3_images_of_few_generators(self, monkeypatch):
+        # no cubic is SU(3)-invariant on C^3: the elimination is at full rank
+        # before it reads the images of all 8 generators
+        made = operator_degrees(monkeypatch, "_derivation_operator")
+        inv = tuple(invariants_up_to_degree(su3_on_c3(), 3))
+        assert [len(basis) for basis in inv] == [0, 1, 0]
+        assert len(made) == 8
+        assert all(2 in degrees for degrees in made)
+        assert 0 < sum(3 in degrees for degrees in made) < 8
+
+    def test_an_operator_skipped_at_a_degree_catches_up(self, monkeypatch):
+        made = operator_degrees(monkeypatch, "_difference_operator")
+        g = s3_standard_cycle_first()
+        inv = tuple(invariants_up_to_degree(g, 6))
+        assert made == [[1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6]]
+        monkeypatch.undo()
+        assert inv == tuple(invariants_up_to_degree(cat.s3_standard(), 6))
+
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
         with pytest.raises(DegreeBoundTooLarge):
@@ -322,8 +370,7 @@ class TestInvariants:
         invariants_up_to_degree(cat.c2_sign(), 10**6)
         assert calls == [10**6]
 
-    @pytest.mark.parametrize("make", [case[0] for case in FINITE_CASES],
-                             ids=[case[0].__name__ for case in FINITE_CASES])
+    @pytest.mark.parametrize("make", REYNOLDS_CASES, ids=lambda make: make.__name__)
     def test_finite_invariants_span_reynolds_averages(self, make):
         g = make()
         elems = enumerate_group(g)
@@ -556,6 +603,71 @@ class TestKernelsAtDegrees:
             strata.kernel_s_at_degrees(g, z, (2, 3), inv)
 
 
+def lie_floor(g, z) -> Subspace:
+    """L = Z(A) meet Lie(K), by intersection: zero for a finite group, and
+    Z(A) meet the span of the generators otherwise."""
+    finite = isinstance(g, FiniteMatrixAction)
+    gens = [] if finite else g.action_generators()
+    assert g.lie_algebra_generators() == gens
+    n2 = g.dim * g.dim
+    return z.intersection(Subspace.from_vectors(n2, [vec(a) for a in gens] or [[0] * n2]))
+
+
+def assert_stops_at_floor_as_if_reading_every_degree(g, d):
+    """kernel_s at d, and kernel_s_at_degrees at 1..d + 1, equal the kernels
+    read from every invariant with no stop, and each contains L."""
+    z = compute_commutant(g).center
+    degrees = range(1, d + 2)
+    want = [kernel_reading_every_degree(g, z, e) for e in degrees]
+    assert kernel_s(g, z, d) == want[d - 1]
+    assert strata.kernel_s_at_degrees(g, z, degrees, invariants_up_to_degree(g, d + 1)) == want
+    floor = lie_floor(g, z)
+    for ker in want:
+        assert ker.s_basis.contains_subspace(floor)
+        assert floor.dim <= ker.dim_s
+
+
+QUOTIENT_ORBITS = [
+    pytest.param(
+        model.slice_action,
+        options["degree_bound"] or model.slice_action.default_degree_bound,
+        id=ident,
+    )
+    for ident, model, options in _workload_orbits() if model.quotient_requested
+]
+CONNECTED_ACTIONS = [cat.su2_on_c2, cat.su3_on_c3_plus_wedge2, su3_on_c3]
+
+
+class TestKernelFloor:
+    """The kernel stops at its floor L = Z(A) meet Lie(K), and labels at the
+    degree it was read to, with the kernels and labels of reading every
+    degree."""
+
+    @pytest.mark.parametrize("g, d", QUOTIENT_ORBITS)
+    def test_workload_quotient_orbits(self, g, d):
+        assert_stops_at_floor_as_if_reading_every_degree(g, d)
+
+    @pytest.mark.parametrize("make", CONNECTED_ACTIONS, ids=lambda make: make.__name__)
+    def test_catalog_connected_actions(self, make):
+        assert_stops_at_floor_as_if_reading_every_degree(make(), 2)
+
+    @given(torus_actions, st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_tori(self, g, d):
+        assert_stops_at_floor_as_if_reading_every_degree(g, d)
+
+    def test_floor_reached_reads_no_further_degree(self):
+        # the weight-(1) circle: |z|^2 at degree 2 leaves L = R J, so a bound
+        # of 200 reads two degrees and is certified at the second
+        g = TorusAction(((1,),))
+        z = compute_commutant(g).center
+        inv = invariants_up_to_degree(g, 200)
+        res = strata.kernel_s_at_degrees(g, z, (200,), inv)[0]
+        assert (res.dim_s, res.exactness) == (1, "certified")
+        assert res.s_basis == lie_floor(g, z)
+        assert sorted(g._pairs) == [1, 2]
+
+
 class TestQuotient:
     def test_diagonal_circle_quotient(self):
         # weights (1, 1) on C^2: quotient side is R^1 with k = 1
@@ -747,17 +859,21 @@ class TestIntegerOperatorsMatchFractionOracle:
         fraction_op = fraction_difference_operator if finite else fraction_derivation_operator
 
         # each integer image is the Fraction one times den^d for a difference,
-        # den for a derivation
+        # den for a derivation; an operator first called at the last degree
+        # catches up on the degrees below
         for a in generators:
             den = a.den
             ints, fracs = integer_op(a), fraction_op(a)
+            lists = []
             for d in range(1, degree + 1):
                 monoms = monomials_of_degree(g.dim, d)
+                lists.append(monoms)
                 scale_d = den**d if finite else den
-                got, want = ints(monoms), fracs(monoms)
+                got, want = ints(lists), fracs(monoms)
                 assert all(type(x) is int for img in got.values() for x in img.values())
                 assert got == {m: {e: scale_d * x for e, x in img.items()}
                                for m, img in want.items()}
+            assert integer_op(a)(lists) == got
 
         # the same invariant bases, each invariant the canonical one made
         # primitive (its pivot coefficient is 1, so it stays positive), and
