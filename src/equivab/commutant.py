@@ -107,20 +107,20 @@ class MatrixAlgebra:
 
 @dataclass(frozen=True)
 class MLClassification:
-    """Counts of simple factors: m total, l of complex type."""
+    """Counts of simple factors: m total, l of complex type.  Z(A) ~
+    R^{m-l} x C^l, and A / [A, A] ~ Z(A) for semisimple A: both have
+    dimension m + l."""
 
     m: int
     l: int
-    center_dim: int
-    abelianization_dim: int
 
-    def __post_init__(self):
-        if self.center_dim != self.m + self.l:
-            raise ValueError("center_dim must equal m + l")
-        if self.abelianization_dim != self.m + self.l:
-            raise ValueError("abelianization_dim must equal m + l")
-        if not (self.m >= self.l >= 0):
-            raise ValueError("need m >= l >= 0")
+    @property
+    def center_dim(self) -> int:
+        return self.m + self.l
+
+    @property
+    def abelianization_dim(self) -> int:
+        return self.m + self.l
 
 
 def commutant_kernel(g: GroupAction) -> MatrixAlgebra:
@@ -276,8 +276,8 @@ def classify_ml(a: MatrixAlgebra) -> MLClassification:
                          "(%d zero squares): Z(A) is not semisimple" % zero)
     # [A, A] is orthogonal to Z(A), tr([x, y] z) = tr(x [y, z]) = 0, and the
     # form is nondegenerate there: so for semisimple A, A = Z(A) + [A, A]
-    # and A / [A, A] has the dimension of Z(A)
-    return MLClassification(m=pos, l=neg, center_dim=z.dim, abelianization_dim=z.dim)
+    # and A / [A, A] has the dimension of Z(A), pos + neg
+    return MLClassification(m=pos, l=neg)
 
 
 def root_count_disagreement(a: MatrixAlgebra, ml: MLClassification) -> str:

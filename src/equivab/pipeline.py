@@ -83,19 +83,13 @@ class AbelianizationReport:
         )
 
 
-def _lie_summand_dim(data: liealg.IsotropyData) -> int:
-    k_fixed, h_fixed = data.fixed
-    quotient = liealg.quotient_lie_algebra(k_fixed, h_fixed, data.k)
-    return liealg.lie_abelianization(quotient)
-
-
 def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult:
     g = model.slice_action
     a = comm.compute_commutant(g)
     ml = comm.classify_ml(a)
     lie_dim = None
     if model.isotropy_lie is not None:
-        lie_dim = _lie_summand_dim(model.isotropy_lie)
+        lie_dim = liealg.lie_abelianization(liealg.quotient_lie_algebra(model.isotropy_lie))
     quotient = None
     if model.quotient_requested:
         d = degree_bound if degree_bound is not None else g.default_degree_bound
@@ -221,5 +215,8 @@ def _orbit_checks(
             ker1.s_basis.contains_subspace(ker2.s_basis),
             "dim at %d: %d, at %d: %d" % (d, ker1.dim_s, d + 1, ker2.dim_s),
         )
+        # compute's refusal, and the orbit's error item: a degree-bounded
+        # kernel with k > l raises DegreeBoundTooLow
+        strata.quotient_abelianization(a.center, ker1, ml)
         if finite and d >= g.order:
             yield item("finite-kernel-vanishes", ker1.dim_s == 0)

@@ -351,7 +351,7 @@ class TestClassification:
         n = len(basis) + 1
         a = MatrixAlgebra.from_basis(
             n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
-        ml = MLClassification(m=n, l=0, center_dim=n, abelianization_dim=n)
+        ml = MLClassification(m=n, l=0)
         assert root_count_disagreement(a, ml) == detail
 
     @pytest.mark.parametrize("make", CENTRAL_ELEMENT_ACTIONS)

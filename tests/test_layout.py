@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from equivab import catalog, commutant, exactlin, liealg, pipeline, strata
+from equivab import io as eio
 from equivab.symmetry import TorusAction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equivab"
@@ -253,3 +254,53 @@ def test_commutant_path_forms_no_products(make, monkeypatch):
     table.center, table.derived
     assert calls["product_vec"] == 0
     assert 0 < calls["bracket_vec"] <= budget
+
+
+def _call_sites(tree: ast.AST, name: str, scope: str = "<module>"):
+    """The qualified enclosing function or method of each call to `name`."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = node.name if scope == "<module>" else "%s.%s" % (scope, node.name)
+        if isinstance(node, ast.Call) and name in set(_names(node.func)):
+            yield scope
+        yield from _call_sites(node, name, inner)
+
+
+def test_each_lie_and_quotient_fact_proved_once():
+    # IsotropyData proves h^H an ideal of k^H once; the quotient takes the
+    # record, and the fixed algebra, the Lie quotient and the quotient's
+    # decomposition re-prove nothing their inputs guarantee
+    sites = [
+        "%s:%s" % (path.name, site)
+        for path in sorted(SRC.glob("*.py")) for site in _call_sites(_tree(path), "_check_ideal")
+    ]
+    assert sites == ["liealg.py:IsotropyData.__post_init__"]
+    assert len(inspect.signature(liealg.quotient_lie_algebra).parameters) == 1
+    for module, name in (("liealg", "fixed_subalgebra"), ("liealg", "quotient_lie_algebra"),
+                         ("strata", "quotient_abelianization")):
+        named = set(_names(_function(_tree(SRC / ("%s.py" % module)), name)))
+        assert {"contains_subspace", "is_subalgebra", "_check_ideal"}.isdisjoint(named), name
+    # (m, l) is the whole record: dim Z(A) and dim A / [A, A] are m + l
+    assert [f.name for f in dataclasses.fields(commutant.MLClassification)] == ["m", "l"]
+
+
+def test_ideal_checked_once_per_lie_orbit(monkeypatch):
+    calls = []
+    check = liealg._check_ideal
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(liealg, "_check_ideal", counted)
+    rotation = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    so3 = [[[0, 0, 0], [0, 0, 1], [0, -1, 0]], [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+           [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]]
+    doc = {"orbits": [{
+        "slice_action": {"kind": "finite", "dim": 2, "generators": [[[0, -1], [1, -1]]]},
+        "isotropy_lie": {"dim": 3, "structure_constants": so3, "automorphisms": [rotation]},
+    }]}
+    models, _ = eio.parse_input(doc, {})
+    assert pipeline.run_pipeline(models).lie_dims == (1,)
+    assert len(calls) == 1

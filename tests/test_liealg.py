@@ -337,7 +337,7 @@ class TestIntegerChecksMatchFractionOracles:
         x, y = c[0][n - 1], c[n - 1][0]
         assert bracket(g, x, y) == oracle_bracket(g, x, y)
         # the complement of 0 in k is the unit rows: the quotient is g itself
-        assert quotient_lie_algebra(Subspace.full(n), Subspace.zero(n), g) == g
+        assert quotient_lie_algebra(IsotropyData(g, Subspace.zero(n))) == g
 
 
 class TestValidation:
@@ -459,38 +459,39 @@ class TestIsotropyFixedPoints:
 
 
 class TestQuotients:
+    # with no action, k^H = k and h^H = h
     def test_quotient_by_center_of_heisenberg(self):
         # Heisenberg: [e1, e2] = e3
         c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
         c[0][1][2], c[1][0][2] = 1, -1
         g = LieAlgebraSC.from_constants(3, c)
-        full = Subspace.full(3)
         centre = Subspace.from_vectors(3, [[0, 0, 1]])
-        q = quotient_lie_algebra(full, centre, g)
+        q = quotient_lie_algebra(IsotropyData(g, centre))
         assert q.dim == 2
         assert lie_abelianization(q) == 2
 
     def test_quotient_by_non_ideal_rejected(self):
-        g = cat.sl2()
-        full = Subspace.full(3)
+        # the record refuses it: no quotient is asked
         e_line = Subspace.from_vectors(3, [[0, 1, 0]])
         with pytest.raises(NotAnIdealError):
-            quotient_lie_algebra(full, e_line, g)
+            IsotropyData(cat.sl2(), e_line)
 
     def test_quotient_by_zero_is_isomorphic(self):
-        g = cat.nonabelian_2dim()
-        q = quotient_lie_algebra(Subspace.full(2), Subspace.zero(2), g)
+        q = quotient_lie_algebra(IsotropyData(cat.nonabelian_2dim(), Subspace.zero(2)))
         assert q.dim == 2
         assert lie_abelianization(q) == 1
 
     def test_full_quotient_is_zero(self):
-        g = cat.so3()
-        q = quotient_lie_algebra(Subspace.full(3), Subspace.full(3), g)
+        q = quotient_lie_algebra(IsotropyData(cat.so3(), Subspace.full(3)))
         assert q.dim == 0
 
     def test_containment_required(self):
-        g = cat.so3()
-        small = Subspace.from_vectors(3, [[1, 0, 0]])
-        big = Subspace.from_vectors(3, [[0, 1, 0]])
-        with pytest.raises(ValueError):
-            quotient_lie_algebra(big, small, g)
+        # h^H is read as the meet of k^H with h, so it lies in k^H even
+        # where h does not: here k^H is the rotation axis and h another line
+        rot = QMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        h = Subspace.from_vectors(3, [[1, 0, 0]])
+        data = IsotropyData(cat.so3(), h, automorphisms=(rot,))
+        k_fixed, h_fixed = data.fixed
+        assert not k_fixed.contains_subspace(h)
+        assert k_fixed.contains_subspace(h_fixed)
+        assert quotient_lie_algebra(data).dim == 1

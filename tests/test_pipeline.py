@@ -120,6 +120,9 @@ class TestRunPipeline:
         rep = run_pipeline([m])
         # fixed subalgebra is the 1-dim rotation axis, h is zero: abelian R
         assert rep.lie_dims == (1,)
+        text = eio.format_report(rep)
+        assert "  Lie summand dim 1\n" in text
+        assert text.endswith("totals: R^0 + C^1 + Lie summands of dims [1]")
 
     def test_quotient_totals(self):
         m = model("circle", TorusAction(((1, 1),)), quotient_requested=True)
@@ -534,6 +537,16 @@ class TestCLI:
             "compact action the true s has k <= l; raise --degree-bound\n" % (k, l))
         assert cli.main([path, "--degree-bound", "2"]) == 0
         assert "quotient: R^1 + C^0 (k = %d, certified)" % l in capsys.readouterr().out
+        # verify refuses the same kernel, after the line that reads it
+        assert cli.main([path, "--verify", "--degree-bound", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "[pass] r: kernel-monotonicity (dim at 1: %d, at 2: %d)" % (k, l),
+            "[FAIL] r: error (degree bound 1 is too low: the kernel s read from the "
+            "invariants of degree <= 1 has dim k = %d > l = %d, while for a compact "
+            "action the true s has k <= l; raise --degree-bound)" % (k, l),
+            "verification FAILED",
+        ]
+        assert cli.main([path, "--verify", "--degree-bound", "2"]) == 0
 
     def test_verify_reports_orbit_errors(self, tmp_path, capsys):
         rc = cli.main(
@@ -550,8 +563,7 @@ class TestCLI:
     def test_verify_counts_ml_independently(self, tmp_path, capsys, monkeypatch):
         # the circle with weights 1 and 2 has center C x C, so (m, l) = (2, 2);
         # a wrong but self-consistent (2, 0) is caught by the root count
-        monkeypatch.setattr(comm, "classify_ml", lambda s: comm.MLClassification(
-            m=2, l=0, center_dim=2, abelianization_dim=2))
+        monkeypatch.setattr(comm, "classify_ml", lambda s: comm.MLClassification(m=2, l=0))
         doc = {"orbits": [{"label": "circle", "slice_action": {
             "kind": "torus", "weights": [[1, 2]]}}]}
         rc = cli.main([self.write(tmp_path, doc), "--verify"])
@@ -665,6 +677,25 @@ class TestCLI:
         assert rc == 2
         assert message in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    @pytest.mark.parametrize("key, matrix, shape", [
+        ("automorphisms", [[1, 0], [0, 1], [0, 0]], "3 x 2"),
+        ("automorphisms", [[1, 0, 0], [0, 1, 0]], "2 x 3"),
+        ("derivations", [[0, 1], [-1, 0]], "2 x 2"),
+    ], ids=["automorphism-3x2", "automorphism-2x3", "derivation-2x2"])
+    def test_wrong_shaped_action_matrix_rejected(self, tmp_path, capsys, key, matrix, shape,
+                                                 mode):
+        # so(3) data: each action matrix must be 3 x 3, and is refused by its index
+        doc = {"orbits": [{"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+                           "isotropy_lie": {"dim": 3, "structure_constants": SO3_CONSTANTS,
+                                            key: [matrix]}}]}
+        rc = cli.main([self.write(tmp_path, doc)] + mode)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            "input error: orbits[0].isotropy_lie: %s[0] is %s, not 3 x 3\n" % (key, shape))
         assert captured.out == ""
 
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
