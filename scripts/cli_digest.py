@@ -11,8 +11,10 @@ derivation or the closure of h; and, as the `scale` set, on Q8 acting on
 (R^4)^m for m = 2, 3, 4 in that basis, whose commutants M_m(H) have
 dimension 16, 36 and 64; and, as the `finite-scale` set, on the
 hyperoctahedral groups B_3 and B_4 (48 and 384 signed permutations) in that
-basis, whose enumeration keys elements with denominators; and, as the
-`torus` set, on the circles of weights (1), (1, 1) and (1, -1) and the
+basis, whose enumeration keys elements with denominators, and the same two
+with the quotient asked for as the `finite-quotient-scale` set (B_4's
+default bound |G| = 384 lies past the monomial cap, which no degree read
+reaches); and, as the `torus` set, on the circles of weights (1), (1, 1) and (1, -1) and the
 2-torus of weights ((1, 0, 1), (0, 1, 1)), with the quotient asked for, which
 label each kernel `certified` or `degree-bounded` (the weight-(1) circle has
 an empty kernel lattice).  Each runs in
@@ -132,10 +134,10 @@ def _hyperoctahedral(n: int) -> FiniteMatrixAction:
     return FiniteMatrixAction(n, (cycle, swap, QMatrix.from_rows(sign)))
 
 
-def _finite_scale_documents() -> list[dict]:
-    """B_3 and B_4, without the quotient, whose degree bound |G| would dwarf
-    the rest: verify enumerates each group."""
-    return [_document("hyperoctahedral-%d" % n, _hyperoctahedral(n), False) for n in (3, 4)]
+def _finite_scale_documents(quotient: bool) -> list[dict]:
+    """B_3 and B_4: verify enumerates each group, and with the quotient each
+    kernel is zero at degree 2, far below the bound |G| of 48 or 384."""
+    return [_document("hyperoctahedral-%d" % n, _hyperoctahedral(n), quotient) for n in (3, 4)]
 
 
 TORI = {
@@ -260,9 +262,10 @@ def _documents() -> dict[str, list[dict]]:
     docs["catalog-rational"] = _catalog_documents()
     docs["lie-rational"] = _lie_documents()
     docs["scale"] = _scale_documents()
-    docs["finite-scale"] = _finite_scale_documents()
+    docs["finite-scale"] = _finite_scale_documents(False)
     docs["torus"] = _torus_documents()
     docs["deep-bound"] = _torus_documents()
+    docs["finite-quotient-scale"] = _finite_scale_documents(True)
     return docs
 
 

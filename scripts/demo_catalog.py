@@ -39,9 +39,9 @@ def main():
         t0 = time.time()
         a = compute_commutant(g)
         ml = classify_ml(a)
-        split = verify_center_splits(a)
+        split_passed, _ = verify_center_splits(a)
         line = "%-28s commutant %2d  (m,l)=(%d,%d)  split=%s" % (
-            name, a.dim, ml.m, ml.l, "ok" if split.passed else "FAIL"
+            name, a.dim, ml.m, ml.l, "ok" if split_passed else "FAIL"
         )
         if isinstance(g, FiniteMatrixAction):
             checks = schur_split_oracle(g, a)
@@ -53,9 +53,8 @@ def main():
             degree = 4  # enough to certify the small weight matrices here
         else:
             degree = 2
-        z = a.center
-        res = kernel_s(g, z, degree=degree)
-        q = quotient_abelianization(z, res, ml)
+        res = kernel_s(g, a.center, degree=degree)
+        q = quotient_abelianization(res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (
             q.real_rank, q.complex_rank, q.k, q.exactness
         )

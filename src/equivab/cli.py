@@ -76,16 +76,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--verify does not write a report; drop --emit-json")
     try:
         if args.input == "-":
-            models, options = eio.parse_input(sys.stdin, vars(args))
+            models = eio.parse_input(sys.stdin, vars(args))
         else:
             with open(args.input, encoding="utf-8") as fh:
-                models, options = eio.parse_input(fh, vars(args))
+                models = eio.parse_input(fh, vars(args))
     except (InputError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
 
     if args.verify:
-        report = verify_models(models, degree_bound=options["degree_bound"])
+        report = verify_models(models)
         for item in report.items:
             status = "pass" if item.passed else "FAIL"
             line = "[%s] %s: %s" % (status, item.orbit, item.check)
@@ -96,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.passed else 1
 
     try:
-        report = run_pipeline(models, degree_bound=options["degree_bound"])
+        report = run_pipeline(models)
     except (PipelineError, InputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

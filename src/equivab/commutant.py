@@ -216,35 +216,10 @@ def commutator_ideal(a: MatrixAlgebra) -> Subspace:
     return Subspace._span(a.ambient_dim ** 2, a.brackets.values())
 
 
-@dataclass(frozen=True)
-class CenterSplitReport:
-    """Outcome of checking A = Z(A) + [A,A] with Z(A) meeting [A,A] in 0."""
-
-    center_dim: int
-    derived_dim: int
-    algebra_dim: int
-    intersection_dim: int
-    sum_dim: int
-
-    @property
-    def failures(self) -> list[str]:
-        out = []
-        if self.intersection_dim != 0:
-            out.append("Z(A) meets [A,A] in dimension %d" % self.intersection_dim)
-        if self.sum_dim != self.algebra_dim:
-            out.append(
-                "Z(A) + [A,A] has dimension %d < dim A = %d"
-                % (self.sum_dim, self.algebra_dim)
-            )
-        return out
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def verify_center_splits(a: MatrixAlgebra) -> CenterSplitReport:
-    """Check that the center maps isomorphically onto the abelianization.
+def verify_center_splits(a: MatrixAlgebra) -> tuple[bool, str]:
+    """Whether the center maps isomorphically onto the abelianization,
+    A = Z(A) + [A, A] with Z(A) meeting [A, A] in 0, as (passed, detail):
+    the detail names each failure.
 
     Holds whenever A is the commutant of a compact action; may legitimately
     fail for other algebras (e.g. upper-triangular matrices).
@@ -253,13 +228,12 @@ def verify_center_splits(a: MatrixAlgebra) -> CenterSplitReport:
     total = z.sum(d)
     # dim(Z meet [A,A]) by the dimension formula: one sum, no intersection
     inter_dim = z.dim + d.dim - total.dim
-    return CenterSplitReport(
-        center_dim=z.dim,
-        derived_dim=d.dim,
-        algebra_dim=a.dim,
-        intersection_dim=inter_dim,
-        sum_dim=total.dim,
-    )
+    failures = []
+    if inter_dim:
+        failures.append("Z(A) meets [A,A] in dimension %d" % inter_dim)
+    if total.dim != a.dim:
+        failures.append("Z(A) + [A,A] has dimension %d < dim A = %d" % (total.dim, a.dim))
+    return not failures, "; ".join(failures)
 
 
 def classify_ml(a: MatrixAlgebra) -> MLClassification:
@@ -280,9 +254,10 @@ def classify_ml(a: MatrixAlgebra) -> MLClassification:
     return MLClassification(m=pos, l=neg)
 
 
-def root_count_disagreement(a: MatrixAlgebra, ml: MLClassification) -> str:
-    """Why Sturm's count on a generic central element disagrees with ml, or ""
-    when it agrees; shares no code with the trace form.
+def root_count_agrees(a: MatrixAlgebra, ml: MLClassification) -> tuple[bool, str]:
+    """Whether Sturm's count on a generic central element agrees with ml, as
+    (passed, detail): the detail says why not, and is "" on agreement.  Shares
+    no code with the trace form.
 
     z(t) = sum of t^i z_i (i = 1..d = dim Z(A)) is generic once its minimal
     polynomial has degree d: its roots are then the d eigenvalue functionals
@@ -307,14 +282,15 @@ def root_count_disagreement(a: MatrixAlgebra, ml: MLClassification) -> str:
         if len(p) - 1 == d:
             break
     else:
-        return "no z(t) with t = 2..%d has a minimal polynomial of degree %d" % (last, d)
+        return False, "no z(t) with t = 2..%d has a minimal polynomial of degree %d" % (last, d)
     try:
         real, pairs = count_real_roots(p)
     except ValueError:  # p is nonzero, so only a repeated root raises
-        return "minimal polynomial of z(%d) is not squarefree" % t
+        return False, "minimal polynomial of z(%d) is not squarefree" % t
     counted = (ml.m, ml.l, real + pairs, pairs)
-    detail = "trace form (m,l)=(%d,%d), root count (%d,%d)" % counted
-    return "" if counted[:2] == counted[2:] else detail
+    if counted[:2] == counted[2:]:
+        return True, ""
+    return False, "trace form (m,l)=(%d,%d), root count (%d,%d)" % counted
 
 
 def schur_split_oracle(

@@ -134,6 +134,8 @@ def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
     h_rows = doc.get("h_basis", [])
     # den * h spans what h does
     h = _int_rows(h_rows, where + ".h_basis")[1] if h_rows != [] else ()
+    if h and len(h[0]) != dim:
+        raise InputError("%s: h_basis rows have %d entries, not %d" % (where, len(h[0]), dim))
     autos = _matrices(doc, "automorphisms", where)
     ders = _matrices(doc, "derivations", where)
     try:
@@ -157,28 +159,27 @@ def _option(flags: Mapping, options: dict, key: str, least: int) -> int | None:
     )
 
 
-def _run_options(options, flags: Mapping) -> dict:
-    """The run options, each resolved once: the command-line flag wins, then
-    the document's "options" object, then the default.  "seed" is still
-    validated for older documents and callers, but nothing reads it."""
+def _run_options(options, flags: Mapping) -> tuple[int | None, int]:
+    """(degree bound or None, group cap), each resolved once: the
+    command-line flag wins, then the document's "options" object, then the
+    default.  "seed" is still validated for older documents and callers, but
+    nothing reads it."""
     if options is None:
         options = {}
     if not isinstance(options, dict):
         raise InputError("options: expected an object, got %r" % (options,))
     _known_keys(options, ("seed", "degree_bound", "group_cap"), "options")
-    return {
-        "seed": _option(flags, options, "seed", 0) or 0,
-        "degree_bound": _option(flags, options, "degree_bound", 1),
-        "group_cap": _option(flags, options, "group_cap", 1) or DEFAULT_GROUP_CAP,
-    }
+    _option(flags, options, "seed", 0)
+    return (
+        _option(flags, options, "degree_bound", 1),
+        _option(flags, options, "group_cap", 1) or DEFAULT_GROUP_CAP,
+    )
 
 
-def parse_input(
-    source: str | IO[str] | dict, flags: Mapping
-) -> tuple[list[OrbitModel], dict]:
-    """Parse an input document into orbit models and its resolved options
-    ("seed", "degree_bound", "group_cap"); the values in `flags` under those
-    names override the document's, unless None."""
+def parse_input(source: str | IO[str] | dict, flags: Mapping) -> list[OrbitModel]:
+    """Parse an input document into orbit models, each carrying the run's
+    degree bound; the values in `flags` under the option names ("seed",
+    "degree_bound", "group_cap") override the document's, unless None."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -191,8 +192,7 @@ def parse_input(
     if not isinstance(doc["orbits"], list):
         raise InputError("orbits: expected an array, got %r" % (doc["orbits"],))
     _known_keys(doc, ("orbits", "options"), "")
-    options = _run_options(doc.get("options"), flags)
-    cap = options["group_cap"]
+    degree_bound, cap = _run_options(doc.get("options"), flags)
     models = []
     for i, rec in enumerate(doc["orbits"]):
         where = "orbits[%d]" % i
@@ -218,9 +218,10 @@ def parse_input(
                 slice_action=action,
                 isotropy_lie=iso,
                 quotient_requested=quotient,
+                degree_bound=degree_bound,
             )
         )
-    return models, options
+    return models
 
 
 def serialize_report(report: AbelianizationReport) -> str:

@@ -51,8 +51,12 @@ class LieAlgebraSC:
     def from_planes(dim: int, planes: Sequence[QMatrix]) -> "LieAlgebraSC":
         """The algebra whose i-th plane, the matrix (c[i][j][k]) by (j, k), is
         planes[i]: each plane's integer rows brought to one denominator."""
-        if len(planes) != dim or any(p.rows != dim or p.cols != dim for p in planes):
-            raise ValueError("structure constant tensor must be dim^3")
+        if len(planes) != dim:
+            raise ValueError("structure_constants has %d planes, not %d" % (len(planes), dim))
+        for i, p in enumerate(planes):
+            if (p.rows, p.cols) != (dim, dim):
+                raise ValueError("structure_constants[%d] is %d x %d, not %d x %d"
+                                 % (i, p.rows, p.cols, dim, dim))
         den = lcm(*(p.den for p in planes))
         alg = LieAlgebraSC(dim, den, tuple(
             tuple(tuple((k, x * (den // p.den)) for k, x in row) for row in p.int_rows)

@@ -21,13 +21,15 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class OrbitModel:
     """One isolated-orbit record: isotropy action on the slice, plus optional
-    ambient Lie-algebra data.  The one check of the isolation hypothesis
-    V^H = 0 is made here."""
+    ambient Lie-algebra data, and the invariant degree bound of its quotient
+    when one was given.  The one check of the isolation hypothesis V^H = 0 is
+    made here."""
 
     label: str
     slice_action: GroupAction
     isotropy_lie: liealg.IsotropyData | None = None
     quotient_requested: bool = False
+    degree_bound: int | None = None
 
     def __post_init__(self):
         fixed = fixed_vectors(self.slice_action)
@@ -36,6 +38,15 @@ class OrbitModel:
                 "orbit %r is not isolated: the slice has fixed vector (%s)"
                 % (self.label, ", ".join(str(x) for x in fixed.basis[0]))
             )
+
+    @property
+    def degree(self) -> int:
+        """The degree bound of the quotient: the given one, else the action's
+        default, which is read only here and only when asked (a finite group
+        enumerates itself for it)."""
+        if self.degree_bound is not None:
+            return self.degree_bound
+        return self.slice_action.default_degree_bound
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ class AbelianizationReport:
         )
 
 
-def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult:
+def run_orbit(model: OrbitModel) -> OrbitResult:
     g = model.slice_action
     a = comm.compute_commutant(g)
     ml = comm.classify_ml(a)
@@ -92,9 +103,8 @@ def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult
         lie_dim = liealg.lie_abelianization(liealg.quotient_lie_algebra(model.isotropy_lie))
     quotient = None
     if model.quotient_requested:
-        d = degree_bound if degree_bound is not None else g.default_degree_bound
-        ker = strata.kernel_s(g, a.center, d)
-        quotient = strata.quotient_abelianization(a.center, ker, ml)
+        ker = strata.kernel_s(g, a.center, model.degree)
+        quotient = strata.quotient_abelianization(ker, ml)
     return OrbitResult(
         label=model.label,
         commutant_dim=a.dim,
@@ -112,13 +122,11 @@ def run_orbit(model: OrbitModel, degree_bound: int | None = None) -> OrbitResult
     )
 
 
-def run_pipeline(
-    models: list[OrbitModel], degree_bound: int | None = None
-) -> AbelianizationReport:
+def run_pipeline(models: list[OrbitModel]) -> AbelianizationReport:
     results = []
     for model in models:
         try:
-            results.append(run_orbit(model, degree_bound=degree_bound))
+            results.append(run_orbit(model))
         except Exception as exc:
             raise PipelineError("orbit %r: %s" % (model.label, exc)) from exc
     real = sum(r.m - r.l for r in results)
@@ -156,10 +164,7 @@ class VerificationReport:
         return all(i.passed for i in self.items)
 
 
-def verify_models(
-    models: list[OrbitModel],
-    degree_bound: int | None = None,
-) -> VerificationReport:
+def verify_models(models: list[OrbitModel]) -> VerificationReport:
     """Build each orbit's commutant from the kernel compute mode certifies,
     but without its action's generators, so that Z(A) and [A, A] come from
     the bracket table; check every structural claim on it, the residual
@@ -172,16 +177,14 @@ def verify_models(
     items: list[VerificationItem] = []
     for model in models:
         try:
-            for item in _orbit_checks(model, degree_bound):
+            for item in _orbit_checks(model):
                 items.append(item)
         except Exception as exc:
             items.append(VerificationItem(model.label, "error", False, str(exc)))
     return VerificationReport(tuple(items))
 
 
-def _orbit_checks(
-    model: OrbitModel, degree_bound: int | None
-) -> Iterator[VerificationItem]:
+def _orbit_checks(model: OrbitModel) -> Iterator[VerificationItem]:
     """The verify-mode checks of one orbit, in report order."""
     g = model.slice_action
     # the exact finite-group checks read the enumerated elements of G
@@ -197,9 +200,8 @@ def _orbit_checks(
     # exact residual, the only one verify forms: the kernel really commutes
     # with the action
     yield item("commutant-residual", comm.commutes_with_action(a, g))
-    yield item("center-splits", split.passed, "; ".join(split.failures))
-    disagreement = comm.root_count_disagreement(a, ml)
-    yield item("center-dim-arithmetic", not disagreement, disagreement)
+    yield item("center-splits", *split)
+    yield item("center-dim-arithmetic", *comm.root_count_agrees(a, ml))
 
     if finite:
         center_check, dim_check = comm.schur_split_oracle(g, a)
@@ -207,7 +209,7 @@ def _orbit_checks(
         yield item("block-dimension-arithmetic", *dim_check)
 
     if model.quotient_requested:
-        d = degree_bound if degree_bound is not None else g.default_degree_bound
+        d = model.degree
         invariants = strata.invariants_up_to_degree(g, d + 1)
         ker1, ker2 = strata.kernel_s_at_degrees(g, a.center, (d, d + 1), invariants)
         yield item(
@@ -217,6 +219,6 @@ def _orbit_checks(
         )
         # compute's refusal, and the orbit's error item: a degree-bounded
         # kernel with k > l raises DegreeBoundTooLow
-        strata.quotient_abelianization(a.center, ker1, ml)
+        strata.quotient_abelianization(ker1, ml)
         if finite and d >= g.order:
             yield item("finite-kernel-vanishes", ker1.dim_s == 0)

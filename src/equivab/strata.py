@@ -57,18 +57,18 @@ def invariants_up_to_degree(g: GroupAction, degree: int) -> Iterator[tuple[Terms
     """Bases of homogeneous H-invariant polynomials in degrees 1..degree, one
     tuple per degree, each built only when it is read.
 
-    Every degree is checked against DEFAULT_MONOMIAL_CAP at the call: the
-    monomial count never decreases with the degree, so only a failing bound
-    walks the degrees below it, for the first that fails."""
+    Each degree is checked against DEFAULT_MONOMIAL_CAP just before it is
+    built: a reader that stops early, at a kernel's floor, never meets the cap
+    of a degree it does not read."""
     if degree < 1:
         raise ValueError("degree bound must be >= 1")
-    try:
-        _check_cap(g.dim, degree)
-    except DegreeBoundTooLarge:
-        for d in range(1, degree):
-            _check_cap(g.dim, d)
-        raise
-    return g.invariant_terms(degree)
+    bases = g.invariant_terms(degree)
+
+    def built(d: int) -> tuple[Terms, ...]:
+        _check_cap(g.dim, d)
+        return next(bases)
+
+    return map(built, range(1, degree + 1))
 
 
 @dataclass(frozen=True)
@@ -169,19 +169,17 @@ class QuotientReport:
     exactness: str
 
 
-def quotient_abelianization(
-    z: Subspace, s: KernelResult, ml: MLClassification
-) -> QuotientReport:
+def quotient_abelianization(s: KernelResult, ml: MLClassification) -> QuotientReport:
     """Dimension and type decomposition of the quotient-side abelianization.
 
     For a compact action the true kernel has k <= l.  A degree-bounded
     kernel only bounds it from above, so one with k > l proves its degree
     bound too low: that raises DegreeBoundTooLow, and a certified one
-    AssertionError.  Nothing else is checked: s is inside z, as
-    `kernel_s_at_degrees` builds it from z's rows, and dim z = m + l makes
-    dim = (m - l + k) + 2 (l - k)."""
+    AssertionError.  Nothing else is checked: s is inside Z(A), as
+    `kernel_s_at_degrees` builds it from the rows of Z(A), and dim Z(A) =
+    m + l makes dim = (m - l + k) + 2 (l - k)."""
     k = s.dim_s
-    dim = z.dim - k
+    dim = ml.center_dim - k
     real_rank = ml.m - ml.l + k
     complex_rank = ml.l - k
     if complex_rank < 0 and s.exactness == "degree-bounded":

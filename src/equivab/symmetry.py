@@ -79,6 +79,12 @@ def _check_trace(m: QMatrix, what: str, error: type[Exception]) -> None:
             raise error(msg % (what, t, "" if sign > 0 else "-"))
 
 
+def _check_shape(m: QMatrix, i: int, n: int) -> None:
+    """Raise ValueError unless generator i is n x n."""
+    if (m.rows, m.cols) != (n, n):
+        raise ValueError("generators[%d] is %d x %d, not %d x %d" % (i, m.rows, m.cols, n, n))
+
+
 # ---------------------------------------------------------------------------
 # monomials and the operators that build invariants
 
@@ -244,10 +250,9 @@ class FiniteMatrixAction:
 
     def __post_init__(self):
         for i, g in enumerate(self.generators):
-            if g.rows != self.dim or g.cols != self.dim:
-                raise ValueError("generator shape mismatch")
+            _check_shape(g, i, self.dim)
             if rref(g)[1] != self.dim:
-                raise ValueError("generator is not invertible")
+                raise ValueError("generators[%d] is not invertible" % i)
             _check_trace(g, "generators[%d]" % i, ValueError)
 
     @cached_property
@@ -395,9 +400,8 @@ class ConnectedLieAction:
 
     def __post_init__(self):
         n = self.dim
-        for g in self.lie_generators:
-            if g.rows != n or g.cols != n:
-                raise ValueError("Lie generator shape mismatch")
+        for i, g in enumerate(self.lie_generators):
+            _check_shape(g, i, n)
         span = Subspace._span(n * n, (g.int_vec() for g in self.lie_generators))
         if not all(span._engine().contains(bracket_vec(a, b)[1])
                    for a, b in combinations(self.lie_generators, 2)):

@@ -82,19 +82,18 @@ def test_routes_agree_in_a_rational_basis(make):
 
 
 def _workload_orbits():
-    """(id, orbit model, resolved options) of every orbit of the benchmark's
-    documents at seeds 1009 and 4242."""
+    """(id, orbit model) of every orbit of the benchmark's documents at seeds
+    1009 and 4242."""
     workloads = _workloads()
     for name in sorted(workloads.WORKLOADS):
         for seed in (1009, 4242):
             for doc, _ in workloads.generate(name, seed):
-                models, options = eio.parse_input(doc, {})
-                for model in models:
-                    yield "%s-%d-%s" % (name, seed, model.label), model, options
+                for model in eio.parse_input(doc, {}):
+                    yield "%s-%d-%s" % (name, seed, model.label), model
 
 
 def _workload_actions():
-    for ident, model, _ in _workload_orbits():
+    for ident, model in _workload_orbits():
         yield pytest.param(model.slice_action, id=ident)
 
 

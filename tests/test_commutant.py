@@ -17,7 +17,7 @@ from equivab.commutant import (
     classify_ml,
     commutator_ideal,
     compute_commutant,
-    root_count_disagreement,
+    root_count_agrees,
     verify_center_splits,
 )
 from exact_oracles import complement_in, is_zero, scale, vec
@@ -270,31 +270,29 @@ class TestCenterAndAbelianization:
 
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_center_splits(self, make, dim, ml, blocks):
-        rep = verify_center_splits(_structure(make()))
-        assert rep.passed, rep.failures
+        assert verify_center_splits(_structure(make())) == (True, "")
 
     def test_upper_triangular_fails_split(self):
-        rep = verify_center_splits(cat.upper_triangular_2x2())
-        assert not rep.passed
-        assert any("Z(A) + [A,A]" in f for f in rep.failures)
+        passed, detail = verify_center_splits(cat.upper_triangular_2x2())
+        assert not passed
+        assert "Z(A) + [A,A]" in detail
 
     @pytest.mark.parametrize("make_algebra", SPLIT_CASES)
     def test_intersection_dim_matches_intersection(self, make_algebra):
         s = make_algebra()
-        rep = verify_center_splits(s)
-        assert rep.intersection_dim == s.center.intersection(s.derived).dim
-        assert rep.sum_dim == s.center.sum(s.derived).dim
+        passed, _ = verify_center_splits(s)
+        meet = s.center.intersection(s.derived).dim
+        assert passed == (meet == 0 and s.center.sum(s.derived).dim == s.dim)
 
     def test_center_meeting_derived_fails_split(self):
         # upper triangular 3 x 3 with equal diagonal: Z(A) = span{I, E13} and
         # [A, A] = span{E13}, so Z(A) + [A,A] is 2-dimensional in dim A = 4
-        rep = verify_center_splits(_equal_diagonal_triangular())
-        assert (rep.center_dim, rep.derived_dim, rep.intersection_dim) == (2, 1, 1)
-        assert not rep.passed
-        assert rep.failures == [
-            "Z(A) meets [A,A] in dimension 1",
-            "Z(A) + [A,A] has dimension 2 < dim A = 4",
-        ]
+        a = _equal_diagonal_triangular()
+        assert (a.center.dim, a.derived.dim) == (2, 1)
+        assert verify_center_splits(a) == (
+            False,
+            "Z(A) meets [A,A] in dimension 1; Z(A) + [A,A] has dimension 2 < dim A = 4",
+        )
 
     def test_span_built_once(self):
         a = compute_commutant(cat.q8_on_r4())
@@ -352,7 +350,7 @@ class TestClassification:
         a = MatrixAlgebra.from_basis(
             n, (QMatrix.identity(n),) + tuple(_unit(n, *ij) for ij in basis))
         ml = MLClassification(m=n, l=0)
-        assert root_count_disagreement(a, ml) == detail
+        assert root_count_agrees(a, ml) == (False, detail)
 
     @pytest.mark.parametrize("make", CENTRAL_ELEMENT_ACTIONS)
     def test_minimal_polynomial_of_z_t_matches_divisor_search(self, make):
@@ -493,5 +491,5 @@ class TestIntegerRows:
         s = _structure(make())
         ml = classify_ml(s)
         made = counting_rationals(monkeypatch, (exactlin, comm, symmetry))
-        assert root_count_disagreement(s, ml) == ""
+        assert root_count_agrees(s, ml) == (True, "")
         assert made == []

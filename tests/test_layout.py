@@ -256,15 +256,21 @@ def test_commutant_path_forms_no_products(make, monkeypatch):
     assert 0 < calls["bracket_vec"] <= budget
 
 
-def _call_sites(tree: ast.AST, name: str, scope: str = "<module>"):
-    """The qualified enclosing function or method of each call to `name`."""
+def _sites(tree: ast.AST, hit, scope: str = "<module>"):
+    """The qualified enclosing function or method of each node that `hit`
+    holds for."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = node.name if scope == "<module>" else "%s.%s" % (scope, node.name)
-        if isinstance(node, ast.Call) and name in set(_names(node.func)):
+        if hit(node):
             yield scope
-        yield from _call_sites(node, name, inner)
+        yield from _sites(node, hit, inner)
+
+
+def _call_sites(tree: ast.AST, name: str):
+    """The qualified enclosing function or method of each call to `name`."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and name in set(_names(node.func)))
 
 
 def test_each_lie_and_quotient_fact_proved_once():
@@ -301,6 +307,30 @@ def test_ideal_checked_once_per_lie_orbit(monkeypatch):
         "slice_action": {"kind": "finite", "dim": 2, "generators": [[[0, -1], [1, -1]]]},
         "isotropy_lie": {"dim": 3, "structure_constants": so3, "automorphisms": [rotation]},
     }]}
-    models, _ = eio.parse_input(doc, {})
+    models = eio.parse_input(doc, {})
     assert pipeline.run_pipeline(models).lie_dims == (1,)
     assert len(calls) == 1
+
+
+def test_each_orbit_step_takes_only_what_it_reads():
+    # the degree bound rides on the orbit model, whose `degree` is the one
+    # reader of the action's default outside symmetry; the quotient's
+    # decomposition reads the kernel and (m, l), not Z(A); and the center
+    # split and the root count return (passed, detail), as the finite-group
+    # oracle's checks do
+    assert not hasattr(commutant, "CenterSplitReport")
+    for fn in (pipeline.run_pipeline, pipeline.verify_models, pipeline.run_orbit,
+               pipeline._orbit_checks):
+        assert len(inspect.signature(fn).parameters) == 1, fn.__name__
+    assert list(inspect.signature(strata.quotient_abelianization).parameters) == ["s", "ml"]
+    sites = [
+        "%s:%s" % (path.name, site)
+        for path in sorted(SRC.glob("*.py")) if path.name != "symmetry.py"
+        for site in _sites(_tree(path), lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "default_degree_bound")
+    ]
+    assert sites == ["pipeline.py:OrbitModel.degree"]
+    a = commutant.compute_commutant(catalog.c3_rotation())
+    ml = commutant.classify_ml(a)
+    assert commutant.verify_center_splits(a) == (True, "")
+    assert commutant.root_count_agrees(a, ml) == (True, "")

@@ -68,6 +68,19 @@ BASIC_INPUT = {
     "options": {"seed": 3},
 }
 ROTATION = json.dumps(BASIC_INPUT["orbits"][0]["slice_action"])
+# B_4, the signed permutations of R^4, of order 384: the 4-cycle, the swap of
+# the first two coordinates and the sign change of the first
+B4_GENERATORS = [
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+]
+# so(3) on the basis e1, e2, e3
+SO3_CONSTANTS = [
+    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+    [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+]
 # sl(2) on the basis h, e, f
 SL2_CONSTANTS = [
     [[0, 0, 0], [0, 2, 0], [0, 0, -2]],
@@ -182,7 +195,7 @@ def test_structure_built_once_per_orbit(run, monkeypatch):
     monkeypatch.setattr(pipeline, "fixed_vectors", fixed)
     for name in ("center", "commutator_ideal", "commutes_with_action"):
         monkeypatch.setattr(comm, name, counting(name, getattr(comm, name)))
-    models, _ = eio.parse_input(BASIC_INPUT, {})
+    models = eio.parse_input(BASIC_INPUT, {})
     run(models)
     # compute reads dim [A, A] off the trace form; verify forms [A, A] from
     # the bracket table for its center-splits check.  Compute certifies the
@@ -269,7 +282,7 @@ class TestVerifyModels:
 
         monkeypatch.setattr(TorusAction, "invariant_pairs", counted)
         g = TorusAction(((1, 0, 1, 1), (0, 1, 1, -1)))
-        rep = verify_models([model("torus", g, quotient_requested=True)], degree_bound=3)
+        rep = verify_models([model("torus", g, quotient_requested=True, degree_bound=3)])
         assert rep.passed
         assert sorted(calls) == [1, 2, 3]
 
@@ -307,17 +320,15 @@ class TestVerifyModels:
         assert details["kernel-monotonicity"] == "dim at 8: 0, at 9: 0"
 
     def test_non_commutant_algebra_flagged(self):
-        split = comm.verify_center_splits(cat.upper_triangular_2x2())
-        assert not split.passed
-        (failure,) = split.failures
-        assert "Z(A) + [A,A]" in failure
+        passed, detail = comm.verify_center_splits(cat.upper_triangular_2x2())
+        assert not passed
+        assert "Z(A) + [A,A]" in detail
 
 
 class TestIO:
     def test_parse_and_run(self):
-        models, options = eio.parse_input(BASIC_INPUT, {})
+        models = eio.parse_input(BASIC_INPUT, {})
         assert [m.label for m in models] == ["a", "b"]
-        assert options["seed"] == 3
         rep = run_pipeline(models)
         assert (rep.real_rank, rep.complex_rank) == (0, 2)
 
@@ -335,7 +346,7 @@ class TestIO:
                 }
             ]
         }
-        models, _ = eio.parse_input(doc, {})
+        models = eio.parse_input(doc, {})
         rep = run_pipeline(models)
         assert rep.orbits[0].commutant_dim == 2
 
@@ -443,25 +454,50 @@ class TestIO:
             for module in (exactlin, comm, symmetry):
                 patch.setattr(module, "Q", counted)
             patch.setattr(eio, "Fraction", counted)
-            models, _ = eio.parse_input(doc, {})
+            models = eio.parse_input(doc, {})
             k_fixed, h_fixed = models[0].isotropy_lie.fixed
         assert len(made) <= strings
         assert (k_fixed.dim, h_fixed.dim) == (1, 1)
         assert run_pipeline(models).orbits[0].lie_summand_dim == 0
 
     def test_report_json_roundtrip(self):
-        models, _ = eio.parse_input(BASIC_INPUT, {})
+        models = eio.parse_input(BASIC_INPUT, {})
         rep = run_pipeline(models)
         text = eio.serialize_report(rep)
         back = eio.parse_report(text)
         assert back == rep
 
     def test_format_report_mentions_totals(self):
-        models, _ = eio.parse_input(BASIC_INPUT, {})
+        models = eio.parse_input(BASIC_INPUT, {})
         rep = run_pipeline(models)
         text = eio.format_report(rep)
         assert "totals: R^0 + C^2" in text
         assert "quotient: R^1 + C^0" in text
+
+    @pytest.mark.parametrize("action, options, flags, degree", [
+        (BASIC_INPUT["orbits"][0]["slice_action"], {}, {}, 3),
+        (BASIC_INPUT["orbits"][1]["slice_action"], {}, {}, 2),
+        (BASIC_INPUT["orbits"][0]["slice_action"], {"degree_bound": 5}, {}, 5),
+        (BASIC_INPUT["orbits"][0]["slice_action"], {"degree_bound": 5}, {"degree_bound": 3}, 3),
+    ], ids=["finite-default-order", "torus-default", "option", "flag-over-option"])
+    def test_degree_bound_resolved_on_the_model(self, action, options, flags, degree):
+        # the flag wins, then the document, then the action's default: |G|
+        # for the C3 rotation, 2 for a torus
+        models = eio.parse_input({"orbits": [{"slice_action": action}], "options": options},
+                                 flags)
+        assert isinstance(models, list)
+        (orbit,) = models
+        assert orbit.degree_bound == {**options, **flags}.get("degree_bound")
+        assert orbit.degree == degree
+
+    def test_parsing_enumerates_no_group(self):
+        # the default bound |G| is read only where a quotient runs
+        models = eio.parse_input(BASIC_INPUT, {})
+        g = models[0].slice_action
+        assert not models[0].quotient_requested
+        assert "elements" not in g.__dict__
+        run_pipeline(models)
+        assert "elements" not in g.__dict__
 
 
 class TestCLI:
@@ -723,6 +759,73 @@ class TestCLI:
         assert "input error: %s: unknown key" % location in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    def test_order_384_quotient_at_the_default_bound(self, tmp_path, capsys, built_degrees,
+                                                     mode):
+        # B_4, the signed permutations of R^4: at the Noether bound |G| = 384
+        # the monomial cap fails from degree 83, but the kernel is zero at
+        # degree 2, so no degree past 2 is built
+        doc = {"orbits": [{"label": "b4", "quotient": True, "slice_action": {
+            "kind": "finite", "dim": 4, "generators": B4_GENERATORS}}]}
+        assert cli.main([self.write(tmp_path, doc)] + mode) == 0
+        out = capsys.readouterr().out
+        if mode:
+            assert "[pass] b4: kernel-monotonicity (dim at 384: 0, at 385: 0)" in out
+            assert "[pass] b4: finite-kernel-vanishes" in out
+            assert out.endswith("verification passed\n")
+        else:
+            assert "quotient: R^1 + C^0 (k = 0, certified)" in out
+        assert built_degrees == [1, 2]
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    @pytest.mark.parametrize("orbit, message", [
+        ({"slice_action": {"kind": "finite", "dim": 1, "generators": [[[True]]]}},
+         "orbits[0].slice_action.generators[0][0][0]: expected a rational, got a boolean"),
+        ({"slice_action": {"kind": "torus"}},
+         "orbits[0].slice_action: torus action needs a 'weights' matrix"),
+        ({"slice_action": {"kind": "torus", "weights": [[]]}},
+         "orbits[0].slice_action: torus acting on zero-dimensional space"),
+        ({"slice_action": {"kind": "finite", "dim": 2, "generators": [
+            [[0, -1], [1, -1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}},
+         "orbits[0].slice_action: generators[1] is 3 x 3, not 2 x 2"),
+        ({"slice_action": {"kind": "finite", "dim": 2, "generators": [[[1, 0], [0, 0]]]}},
+         "orbits[0].slice_action: generators[0] is not invertible"),
+        ({"slice_action": {"kind": "connected_lie", "dim": 2, "generators": [
+            [[0, -1], [1, 0]], [[0, -1, 0], [1, 0, 0], [0, 0, 0]]]}},
+         "orbits[0].slice_action: generators[1] is 3 x 3, not 2 x 2"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3}},
+         "orbits[0].isotropy_lie: missing 'structure_constants'"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3, "structure_constants": SO3_CONSTANTS[:2]}},
+         "orbits[0].isotropy_lie: structure_constants has 2 planes, not 3"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3, "structure_constants": [
+              SO3_CONSTANTS[0], [row[:2] for row in SO3_CONSTANTS[1]], SO3_CONSTANTS[2]]}},
+         "orbits[0].isotropy_lie: structure_constants[1] is 3 x 2, not 3 x 3"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3, "structure_constants": SO3_CONSTANTS,
+                           "h_basis": [[1, 0]]}},
+         "orbits[0].isotropy_lie: h_basis rows have 2 entries, not 3"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3, "structure_constants": SO3_CONSTANTS,
+                           "automorphisms": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]}},
+         "orbits[0].isotropy_lie: action matrix is not a Lie automorphism"),
+        ({"slice_action": BASIC_INPUT["orbits"][0]["slice_action"],
+          "isotropy_lie": {"dim": 3, "structure_constants": SO3_CONSTANTS,
+                           "derivations": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]]}},
+         "orbits[0].isotropy_lie: action matrix is not a derivation"),
+    ], ids=["boolean-entry", "torus-without-weights", "torus-without-blocks",
+            "generator-shape", "generator-not-invertible", "lie-generator-shape",
+            "no-structure-constants", "plane-count", "plane-shape", "h-basis-row-length",
+            "not-an-automorphism", "not-a-derivation"])
+    def test_input_error_names_what_is_wrong(self, tmp_path, capsys, orbit, message, mode):
+        rc = cli.main([self.write(tmp_path, {"orbits": [orbit]})] + mode)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "input error: %s\n" % message
+        assert captured.out == ""
+
     def test_max_group_order_cap(self, tmp_path, capsys):
         doc = {
             "orbits": [
@@ -747,11 +850,6 @@ class TestCLI:
 # fuzzed malformed documents through the command line
 
 # valid documents with every action kind, the options and isotropy data
-SO3_CONSTANTS = [
-    [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
-    [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
-    [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
-]
 FUZZ_DOCUMENTS = [
     {**BASIC_INPUT, "options": {"seed": 3, "degree_bound": 2, "group_cap": 50}},
     {"orbits": [{

@@ -343,22 +343,37 @@ class TestInvariants:
     def test_degree_cap(self, monkeypatch):
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
         with pytest.raises(DegreeBoundTooLarge):
-            invariants_up_to_degree(cat.su2_on_c2(), 60)
+            tuple(invariants_up_to_degree(cat.su2_on_c2(), 60))
 
-    def test_degree_cap_checked_before_any_degree_is_built(self, monkeypatch):
-        def no_images(a):
-            raise AssertionError("images built before the cap check")
+    def test_no_degree_past_the_cap_is_built(self, monkeypatch):
+        # Q8 on R^4 has 84 monomials in degree 6 and 120 in degree 7: degrees
+        # 1-6 are built, and degree 7 is refused before any of its images
+        imaged = []
+        operator = symmetry._difference_operator
 
-        monkeypatch.setattr(symmetry, "_difference_operator", no_images)
+        def recorded(a):
+            images = operator(a)
+
+            def counted(lists):
+                imaged.append(len(lists))
+                return images(lists)
+
+            return counted
+
+        monkeypatch.setattr(symmetry, "_difference_operator", recorded)
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 100)
-        message = "degree bound too large: 120 monomials in degree 7 exceeds cap 100"
+        read = []
         with pytest.raises(DegreeBoundTooLarge) as err:
-            invariants_up_to_degree(cat.q8_on_r4(), 60)
-        assert str(err.value) == message
+            for basis in invariants_up_to_degree(cat.q8_on_r4(), 60):
+                read.append(basis)
+        assert str(err.value) == (
+            "degree bound too large: 120 monomials in degree 7 exceeds cap 100")
+        assert len(read) == 6
+        assert sorted(set(imaged)) == [1, 2, 3, 4, 5, 6]
 
-    def test_degree_cap_checked_once_when_it_holds(self, monkeypatch):
-        # one variable has one monomial per degree: the bound passes the cap
-        # without a walk over its degrees
+    def test_cap_checked_once_per_degree_read(self, monkeypatch):
+        # one check per degree, just before it is built: none at the call,
+        # and none past the bound when the stream is read to its end
         calls = []
         check = strata._check_cap
 
@@ -367,8 +382,13 @@ class TestInvariants:
             return check(nvars, degree)
 
         monkeypatch.setattr(strata, "_check_cap", counted)
-        invariants_up_to_degree(cat.c2_sign(), 10**6)
-        assert calls == [10**6]
+        stream = invariants_up_to_degree(cat.c2_sign(), 10**6)
+        assert calls == []
+        next(stream), next(stream)
+        assert calls == [1, 2]
+        calls.clear()
+        assert len(tuple(invariants_up_to_degree(cat.c2_sign(), 3))) == 3
+        assert calls == [1, 2, 3]
 
     @pytest.mark.parametrize("make", REYNOLDS_CASES, ids=lambda make: make.__name__)
     def test_finite_invariants_span_reynolds_averages(self, make):
@@ -628,12 +648,8 @@ def assert_stops_at_floor_as_if_reading_every_degree(g, d):
 
 
 QUOTIENT_ORBITS = [
-    pytest.param(
-        model.slice_action,
-        options["degree_bound"] or model.slice_action.default_degree_bound,
-        id=ident,
-    )
-    for ident, model, options in _workload_orbits() if model.quotient_requested
+    pytest.param(model.slice_action, model.degree, id=ident)
+    for ident, model in _workload_orbits() if model.quotient_requested
 ]
 CONNECTED_ACTIONS = [cat.su2_on_c2, cat.su3_on_c3_plus_wedge2, su3_on_c3]
 
@@ -676,7 +692,7 @@ class TestQuotient:
         ml = classify_ml(a)
         z = a.center
         res = kernel_s(g, z, degree=2)
-        q = quotient_abelianization(z, res, ml)
+        q = quotient_abelianization(res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (1, 0, 1)
         assert q.dim == 1
 
@@ -686,14 +702,14 @@ class TestQuotient:
         res = kernel_s(g, a.center, degree=1)
         assert (res.exactness, res.dim_s) == ("degree-bounded", 2)
         with pytest.raises(DegreeBoundTooLow, match=r"degree bound 1 .* k = 2 > l = 1"):
-            quotient_abelianization(a.center, res, classify_ml(a))
+            quotient_abelianization(res, classify_ml(a))
 
     def test_certified_kernel_above_l_is_an_inconsistency(self):
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
         res = dataclasses.replace(kernel_s(g, a.center, degree=1), exactness="certified")
         with pytest.raises(AssertionError, match="inconsistent dimensions"):
-            quotient_abelianization(a.center, res, classify_ml(a))
+            quotient_abelianization(res, classify_ml(a))
 
     def test_finite_group_quotient_keeps_complex_type(self):
         g = cat.c3_rotation()
@@ -701,7 +717,7 @@ class TestQuotient:
         ml = classify_ml(a)
         z = a.center
         res = kernel_s(g, z, degree=3)
-        q = quotient_abelianization(z, res, ml)
+        q = quotient_abelianization(res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (0, 1, 0)
 
 
