@@ -17,7 +17,9 @@ default bound |G| = 384 lies past the monomial cap, which no degree read
 reaches); and, as the `torus` set, on the circles of weights (1), (1, 1) and (1, -1) and the
 2-torus of weights ((1, 0, 1), (0, 1, 1)), with the quotient asked for, which
 label each kernel `certified` or `degree-bounded` (the weight-(1) circle has
-an empty kernel lattice).  Each runs in
+an empty kernel lattice); and, as the `lie-redundant` set, on su(2) on C^2
+and su(3) on C^3 in that basis, each with one generator repeated, rescaled
+or the bracket of two others, with the quotient asked for.  Each runs in
 compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`; and, as the `deep-bound` set, the tori of the `torus`
@@ -54,7 +56,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from equivab import catalog, cli  # noqa: E402
 from equivab.exactlin import QMatrix  # noqa: E402
-from equivab.symmetry import FiniteMatrixAction  # noqa: E402
+from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction  # noqa: E402
 
 SEEDS = (1009, 5)
 FLAGS = ([], ["--degree-bound", "3"])
@@ -146,6 +148,25 @@ TORI = {
     "circle-1-minus-1": [[1, -1]],
     "torus-2": [[1, 0, 1], [0, 1, 1]],
 }
+
+
+def _lie_redundant_documents() -> list[dict]:
+    """su(2) on C^2 and su(3) on C^3, each with one redundant generator, in
+    the basis of `_basis_change`, with the quotient asked for: the second
+    generator repeated last, -2/3 times the first put second, or the bracket
+    of the first two put first."""
+    su3 = ConnectedLieAction(6, tuple(
+        catalog.realify_complex(re, im) for re, im in catalog._su_n_basis(3)))
+    docs = []
+    for name, g in (("su2-on-c2", catalog.su2_on_c2()), ("su3-on-c3", su3)):
+        a, b = g.lie_generators[:2]
+        rescaled = QMatrix.from_rows([[Fraction(-2, 3) * x for x in row] for row in a.entries])
+        for how, gens in (("repeated", g.lie_generators + (b,)),
+                          ("rescaled", (a, rescaled) + g.lie_generators[1:]),
+                          ("bracket", (a @ b - b @ a,) + g.lie_generators)):
+            label = "%s-%s" % (name, how)
+            docs.append(_document(label, ConnectedLieAction(g.dim, gens), True))
+    return docs
 
 
 def _torus_documents() -> list[dict]:
@@ -266,6 +287,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["torus"] = _torus_documents()
     docs["deep-bound"] = _torus_documents()
     docs["finite-quotient-scale"] = _finite_scale_documents(True)
+    docs["lie-redundant"] = _lie_redundant_documents()
     return docs
 
 

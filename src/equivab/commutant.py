@@ -10,8 +10,11 @@ dim A = (1/|G|) sum of tr(g)^2.
 
 One record, `MatrixAlgebra`, carries an algebra: its basis and span, the
 generators of its action when known, and its bracket table, Z(A) and [A, A],
-each formed once on first read.  The commutant's closure under products is
-certified by its residual against the action, not multiplied out
+each formed once on first read.  The commutant's span is the action's own
+`commutant_span` (read off a torus's weights, or the kernel of the
+commutator rows of a finite group's generators or of a Lie-generating subset
+of a connected group's), and its closure under products is certified by its
+residual against every action generator, not multiplied out
 (`compute_commutant`).  `center` reads Z(A) = A meet W off the span W of the
 words in the action's generators where that is the cheaper route, else off
 the table of brackets of basis elements (`MatrixAlgebra.brackets`), whose
@@ -43,11 +46,7 @@ from .exactlin import (
     trace_form,
     word_basis,
 )
-from .symmetry import (
-    FiniteMatrixAction,
-    GroupAction,
-    invariance_constraints,
-)
+from .symmetry import FiniteMatrixAction, GroupAction
 
 @dataclass(frozen=True)
 class MatrixAlgebra:
@@ -124,12 +123,12 @@ class MLClassification:
 
 
 def commutant_kernel(g: GroupAction) -> MatrixAlgebra:
-    """The kernel of the invariance constraints as an algebra record, not
-    yet certified: its basis is the integer rows of `kernel`, so it spans
-    {X : [X, g] = 0 for every action generator g}.  Verify builds its record
-    here and reports the residual as a check of its own."""
+    """The action's `commutant_span` as an algebra record, not yet
+    certified: its basis is the integer rows of that canonical span, so it
+    spans {X : [X, g] = 0 for every action generator g}.  Verify builds its
+    record here and reports the residual as a check of its own."""
     n = g.dim
-    sol = kernel(n * n, invariance_constraints(g))
+    sol = g.commutant_span()
     basis = tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows)
     return MatrixAlgebra(n, basis, sol, tuple(g.action_generators()))
 

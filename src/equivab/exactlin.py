@@ -191,6 +191,41 @@ def word_basis(generators: Sequence[QMatrix], cap: int) -> list[QMatrix] | None:
     return words
 
 
+def lie_generating_subset(generators: Sequence[QMatrix], dim: int) -> list[int]:
+    """The indices of the square `generators` that generate their Lie
+    algebra, of dimension `dim`, in order: each is kept unless it lies in
+    the span L of the right-normed brackets [s_1, [s_2, [..., s_r]]] of the
+    kept ones before it.
+
+    One incremental elimination holds L, the least subspace that holds the
+    kept generators and is closed under ad(s) for every kept s.  Once L has
+    dimension `dim`, every later generator lies in it, and none is read."""
+    kept: list[int] = []
+    if not dim:
+        return kept
+    span: list[QMatrix] = []  # a basis of L, each a right-normed bracket
+    engine = SparseRREF(generators[0].rows ** 2)
+    for i, g in enumerate(generators):
+        if engine.rank == dim:
+            break
+        if not engine.insert(g.int_vec()):
+            continue
+        # L was closed under the ad of the generators kept before g: its
+        # elements, those generators among them, take ad(g), and each new
+        # element the ad of every kept generator
+        work = [(g, x) for x in span]
+        kept.append(i)
+        span.append(g)
+        while work and engine.rank < dim:
+            s, x = work.pop()
+            den, vec = bracket_vec(s, x)
+            if engine.insert(vec):
+                y = QMatrix._of(den, vec.items(), g.rows, g.rows)
+                span.append(y)
+                work += [(generators[k], y) for k in kept]
+    return kept
+
+
 def _insert_until(engine: "SparseRREF", rows: Iterable[dict[int, int]], rank: int) -> None:
     """Insert the integer rows {col: int} into engine, read lazily, and none
     once the engine has the rank the rows cannot pass."""

@@ -6,10 +6,18 @@ coordinates, or a connected group by Lie-algebra generator matrices.  Each
 class is the one place that knows its kind.  It gives the matrices that
 generate the action (`action_generators`), those of them that lie in the
 group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
-finite family of exact linear operators (`fixed_operators`), its invariant
-polynomials one degree at a time (`invariant_terms`), its default degree
-bound, and the degrees from which the invariants certify the kernel `s`
-(`certified`).
+finite family of exact linear operators (`fixed_operators`), the span of
+its commutant End(V)^H (`commutant_span`), its invariant polynomials one
+degree at a time (`invariant_terms`), its default degree bound, and the
+degrees from which the invariants certify the kernel `s` (`certified`).
+
+Each commutant and each set of invariants reads as little as fixes it.  A
+torus's commutant is read off its weight columns, with no commutator row.
+A connected group's commutant and invariants read only a subset of its
+generators that generates its Lie algebra (`lie_generating`), since
+commuting with, or a derivation vanishing for, two elements holds for their
+bracket too.  A finite group reads every generator.  `action_generators`,
+`lie_algebra_generators` and `fixed_operators` return every generator.
 
 Polynomials here are dicts from exponent tuples to nonzero integer
 coefficients, each an integer multiple of the polynomial it stands for.
@@ -23,7 +31,7 @@ elimination reads them.  Torus invariants are built from the weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, gcd
@@ -35,10 +43,13 @@ from .exactlin import (
     Subspace,
     bracket_vec,
     common_nullspace,
+    count_real_roots,
     inertia,
     integer_kernel_saturated,
     kernel,
     lattice_contains,
+    lie_generating_subset,
+    minimal_polynomial,
     product_vec,
     rows_of,
     rref,
@@ -236,6 +247,35 @@ def _z_monomial(a: Sequence[int], b: Sequence[int]) -> tuple[Terms, Terms]:
     return parts
 
 
+def _check_torus_element(z: QMatrix, i: int) -> None:
+    """Raise ValueError unless z, basis element i of the center of a Lie
+    span, generates a torus: z is semisimple with a purely imaginary
+    spectrum (Knapp, Lie Groups Beyond an Introduction, ch. IV).
+
+    That holds exactly when the minimal polynomial p of z is squarefree and
+    p(t) = t^e q(t^2), e in {0, 1}, where every root of q is real and
+    negative.  Then p is squarefree exactly when q is and q(0) != 0; and q,
+    with all roots real, has none >= 0 exactly when no coefficient is zero
+    and none changes sign (Descartes' rule is exact then): when all are
+    positive, as the leading one is.  Commuting elements of that kind have
+    combinations of that kind, so a basis of the center suffices."""
+    p = minimal_polynomial(z)
+    e = (len(p) - 1) % 2
+    q = p[e::2]
+    failure = ("basis element %d of the center of the span has the minimal polynomial "
+               "with coefficients %s, low to high, %%s: the group is not compact" % (i, p))
+    if any(p[1 - e::2]):
+        raise ValueError(failure % "neither even nor odd")
+    try:
+        real = count_real_roots(q)[0] if q[0] else None
+    except ValueError:  # q is nonzero, so only a repeated root raises
+        real = None
+    if real is None:
+        raise ValueError(failure % "not squarefree")
+    if real < len(q) - 1 or min(q) <= 0:
+        raise ValueError(failure % "with a root off the imaginary axis")
+
+
 # ---------------------------------------------------------------------------
 # the three kinds of action
 
@@ -275,6 +315,14 @@ class FiniteMatrixAction:
         """g - I for each generator g."""
         ident = QMatrix.identity(self.dim)
         return [gen - ident for gen in self.generators]
+
+    def constraint_generators(self) -> list[QMatrix]:
+        """All of them: X commutes with G exactly when it commutes with each."""
+        return self.action_generators()
+
+    def commutant_span(self) -> Subspace:
+        """End(V)^H in vec(End(V)): the joint kernel of the commutator rows."""
+        return kernel(self.dim * self.dim, invariance_constraints(self))
 
     @property
     def default_degree_bound(self) -> int:
@@ -337,6 +385,33 @@ class TorusAction:
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()
 
+    def constraint_generators(self) -> list[QMatrix]:
+        """All of them; `commutant_span` reads the weights instead."""
+        return self.action_generators()
+
+    def commutant_span(self) -> Subspace:
+        """End(V)^H in vec(End(V)), read off the weight columns: no
+        commutator row is formed.
+
+        X commutes with the generators exactly when each 2 x 2 block X_jj'
+        has w J X_jj' = w' X_jj' J for the entries w, w' of columns j and j'
+        in every weight row.  Conjugation by J fixes I and J and negates
+        K = diag(1, -1) and KJ, so the blocks that pass are aI + bJ when the
+        columns are equal, aK + bKJ when they are opposite, both when the
+        column is zero, and 0 otherwise (Broecker-tom Dieck, Representations
+        of Compact Lie Groups, ch. II)."""
+        n, columns = self.dim, list(zip(*self.weights))
+        vectors = []
+        for j, c in enumerate(columns):
+            for jj, cc in enumerate(columns):
+                # the indices in vec(X) of the entries (2j, 2j') and (2j + 1, 2j')
+                top, low = 2 * j * n + 2 * jj, (2 * j + 1) * n + 2 * jj
+                if c == cc:
+                    vectors += [{top: 1, low + 1: 1}, {top + 1: -1, low: 1}]  # I, J
+                if all(x == -y for x, y in zip(c, cc)):
+                    vectors += [{top: 1, low + 1: -1}, {top + 1: -1, low: -1}]  # K, KJ
+        return Subspace._span(n * n, vectors)
+
     def invariant_pairs(self, d: int) -> Iterator[tuple[Monomial, Monomial]]:
         """Exponent pairs (a, b), |a| + |b| = d, of the invariant monomials
         z^a zbar^b: those with weight(a - b) = 0.  Of the conjugates (a, b)
@@ -396,15 +471,24 @@ class ConnectedLieAction:
 
     dim: int
     lie_generators: tuple[QMatrix, ...]
+    # the generators that generate the Lie algebra (`lie_generating_subset`),
+    # found once per action.  X commutes with the group, and an invariant is
+    # killed by the derivation of every element of its Lie algebra, exactly
+    # when that holds for these: [X, xi] = 0 for xi and xi' gives
+    # [X, [xi, xi']] = 0 by the Jacobi identity, and D_[xi, xi'] = [D_xi', D_xi]
+    lie_generating: tuple[QMatrix, ...] = field(init=False, repr=False, compare=False)
     default_degree_bound = 2  # a small fixed bound
 
     def __post_init__(self):
-        n = self.dim
-        for i, g in enumerate(self.lie_generators):
+        n, gens = self.dim, self.lie_generators
+        for i, g in enumerate(gens):
             _check_shape(g, i, n)
-        span = Subspace._span(n * n, (g.int_vec() for g in self.lie_generators))
-        if not all(span._engine().contains(bracket_vec(a, b)[1])
-                   for a, b in combinations(self.lie_generators, 2)):
+        span = Subspace._span(n * n, (g.int_vec() for g in gens))
+        # vec [G_i, G_j] for the integral G_i = den(g_i) g_i, i < j
+        table = {(i, j): bracket_vec(gens[i], gens[j])[1]
+                 for i, j in combinations(range(len(gens)), 2)}
+        engine = span._engine()
+        if not all(engine.contains(b) for b in table.values()):
             raise ValueError("generators are not closed under the bracket")
         # a compact group's Lie algebra has a negative definite trace form
         signs = inertia(trace_form(span, n))
@@ -413,6 +497,26 @@ class ConnectedLieAction:
                 "the trace form on the span of the generators has inertia "
                 "(%d, %d, %d), not (0, %d, 0): the group is not compact" % (*signs, span.dim)
             )
+        # the span is closed, so it is the Lie algebra the generators generate
+        kept = lie_generating_subset(gens, span.dim)
+        object.__setattr__(self, "lie_generating", tuple(gens[i] for i in kept))
+        # and its center is a torus.  The center is the combinations of the
+        # G_i that commute with each kept G_j, so column i stacks [G_i, G_j]
+        # over the kept j.  Each bracket lies in the span, so it is zero
+        # exactly when its entries at the span's pivot columns are, and only
+        # those are stacked
+        nn, pivots = n * n, {pc for pc, _, _ in span.rows}
+        columns: list[dict[int, int]] = [{} for _ in gens]
+        for (i, j), b in table.items():
+            at_pivots = [(k, x) for k, x in b.items() if k in pivots]
+            if j in kept:
+                columns[i].update((j * nn + k, x) for k, x in at_pivots)
+            if i in kept:
+                columns[j].update((i * nn + k, -x) for k, x in at_pivots)
+        coefs = kernel(len(gens), rows_of(columns))
+        center = Subspace._span(nn, coefs.combinations([g.int_vec() for g in gens]))
+        for i, (_, _, row) in enumerate(center.rows):
+            _check_torus_element(QMatrix._of(1, row.items(), n, n), i)
 
     def action_generators(self) -> list[QMatrix]:
         return list(self.lie_generators)
@@ -424,13 +528,23 @@ class ConnectedLieAction:
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()
 
+    def constraint_generators(self) -> list[QMatrix]:
+        """The Lie-generating ones."""
+        return list(self.lie_generating)
+
+    def commutant_span(self) -> Subspace:
+        """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
+        of the Lie-generating generators."""
+        return kernel(self.dim * self.dim, invariance_constraints(self))
+
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
         return False
 
     def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
-        """Per degree, the kernel of the derivations of the Lie generators."""
-        return _kernel_invariants(self.dim, _derivation_operator, self.lie_generators, degree)
+        """Per degree, the kernel of the derivations of the Lie-generating
+        generators."""
+        return _kernel_invariants(self.dim, _derivation_operator, self.lie_generating, degree)
 
 
 GroupAction = FiniteMatrixAction | TorusAction | ConnectedLieAction
@@ -518,13 +632,14 @@ def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
 
 
 def invariance_constraints(g: GroupAction) -> list[dict[int, int]]:
-    """Integer rows on vec(End(V)) whose joint kernel is End(V)^H.
+    """Integer rows on vec(End(V)) whose joint kernel is End(V)^H: the
+    commutator rows of the action's `constraint_generators`.
 
-    X commutes with the action exactly when it commutes with its generators.
-    For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite
-    groups need no inverses: every action kind gives commutator rows.
+    X commutes with the action exactly when it commutes with those.  For an
+    invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite groups
+    need no inverses.
     """
-    return [row for a in g.action_generators() for row in commutator_rows(a)]
+    return [row for a in g.constraint_generators() for row in commutator_rows(a)]
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:

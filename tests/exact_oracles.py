@@ -2,7 +2,8 @@
 rank and matrix-vector products of matrices, complements of subspaces, and
 the brackets and constants of a Lie algebra as rationals.  The library runs
 on integer rows and never forms these.  Also the quotient kernel read from
-every invariant, with none of the library's early stops."""
+every invariant, with none of the library's early stops, and the commutant
+and invariants of an action read from every one of its generators."""
 
 from fractions import Fraction
 from itertools import chain
@@ -10,6 +11,7 @@ from itertools import chain
 from equivab.exactlin import QMatrix, SparseRREF, Subspace, _exact, rows_of, rref
 from equivab.liealg import LieAlgebraSC
 from equivab.strata import KernelResult, derivation_action, invariants_up_to_degree
+from equivab.symmetry import _derivation_operator, _kernel_invariants, commutator_rows
 
 
 def vec(m: QMatrix) -> tuple:
@@ -85,3 +87,39 @@ def kernel_reading_every_degree(g, z: Subspace, degree: int) -> KernelResult:
                 engine.insert(row)
     s = Subspace._span(n * n, engine.kernel().combinations(vecs))
     return KernelResult(s, "certified" if g.certified(degree) else "degree-bounded", degree)
+
+
+def commutant_of_every_generator(g) -> Subspace:
+    """End(V)^H as the joint kernel of the commutator rows of every action
+    generator, whatever the action kind."""
+    n = g.dim
+    rows = [row for a in g.action_generators() for row in commutator_rows(a)]
+    engine = SparseRREF(n * n)
+    for row in rows:
+        engine.insert(row)
+    return engine.kernel()
+
+
+def invariants_of_every_generator(g, degree: int) -> tuple:
+    """The invariant bases of a connected action in degrees 1..degree, each
+    the kernel of the derivations of every one of its generators."""
+    gens = g.action_generators()
+    return tuple(_kernel_invariants(g.dim, _derivation_operator, gens, degree))
+
+
+def lie_closure(gens) -> Subspace:
+    """The Lie algebra the square matrices `gens` generate: their span, with
+    the brackets of every two basis elements added until it stops growing."""
+    n = gens[0].rows
+
+    def matrix(v) -> QMatrix:
+        return QMatrix.from_rows([v[i * n:(i + 1) * n] for i in range(n)])
+
+    span = Subspace.from_vectors(n * n, [vec(a) for a in gens])
+    while True:
+        basis = [matrix(v) for v in span.basis]
+        brackets = [vec(x @ y - y @ x) for x in basis for y in basis]
+        bigger = Subspace.from_vectors(n * n, list(span.basis) + brackets)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger

@@ -160,7 +160,7 @@ class TestCommutant:
             kernels.append(exactlin.kernel(ncols, rows))
             return kernels[-1]
 
-        monkeypatch.setattr(comm, "kernel", recorded)
+        monkeypatch.setattr(symmetry, "kernel", recorded)
         a = compute_commutant(cat.q8_on_r4())
         assert a.span is kernels[0]
 
@@ -168,7 +168,7 @@ class TestCommutant:
         # a kernel holding E_12 beside the identity: E_12 does not commute
         # with the rotation by a quarter turn
         wrong = Subspace.from_vectors(4, [[1, 0, 0, 1], [0, 1, 0, 0]])
-        monkeypatch.setattr(comm, "kernel", lambda ncols, rows: wrong)
+        monkeypatch.setattr(symmetry, "kernel", lambda ncols, rows: wrong)
         with pytest.raises(ValueError, match="does not commute with the action"):
             compute_commutant(cat.c4_rotation())
 
