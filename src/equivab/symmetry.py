@@ -316,13 +316,11 @@ class FiniteMatrixAction:
         ident = QMatrix.identity(self.dim)
         return [gen - ident for gen in self.generators]
 
-    def constraint_generators(self) -> list[QMatrix]:
-        """All of them: X commutes with G exactly when it commutes with each."""
-        return self.action_generators()
-
     def commutant_span(self) -> Subspace:
-        """End(V)^H in vec(End(V)): the joint kernel of the commutator rows."""
-        return kernel(self.dim * self.dim, invariance_constraints(self))
+        """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
+        of the generators, since X commutes with G exactly when it commutes
+        with each."""
+        return kernel(self.dim * self.dim, invariance_constraints(self.generators))
 
     @property
     def default_degree_bound(self) -> int:
@@ -383,10 +381,6 @@ class TorusAction:
         return self.action_generators()
 
     def fixed_operators(self) -> list[QMatrix]:
-        return self.action_generators()
-
-    def constraint_generators(self) -> list[QMatrix]:
-        """All of them; `commutant_span` reads the weights instead."""
         return self.action_generators()
 
     def commutant_span(self) -> Subspace:
@@ -528,14 +522,10 @@ class ConnectedLieAction:
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()
 
-    def constraint_generators(self) -> list[QMatrix]:
-        """The Lie-generating ones."""
-        return list(self.lie_generating)
-
     def commutant_span(self) -> Subspace:
         """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
         of the Lie-generating generators."""
-        return kernel(self.dim * self.dim, invariance_constraints(self))
+        return kernel(self.dim * self.dim, invariance_constraints(self.lie_generating))
 
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
@@ -631,15 +621,14 @@ def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
     return out
 
 
-def invariance_constraints(g: GroupAction) -> list[dict[int, int]]:
-    """Integer rows on vec(End(V)) whose joint kernel is End(V)^H: the
-    commutator rows of the action's `constraint_generators`.
+def invariance_constraints(gens: Sequence[QMatrix]) -> list[dict[int, int]]:
+    """Integer rows on vec(End(V)) whose joint kernel is the commutant of
+    `gens`: the commutator rows of each.
 
-    X commutes with the action exactly when it commutes with those.  For an
-    invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite groups
-    need no inverses.
+    For an invertible g, g X g^-1 = X exactly when g X - X g = 0, so finite
+    groups need no inverses.
     """
-    return [row for a in g.constraint_generators() for row in commutator_rows(a)]
+    return [row for a in gens for row in commutator_rows(a)]
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:
