@@ -24,7 +24,12 @@ compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`; and, as the `deep-bound` set, the tori of the `torus`
 set once with `--degree-bound 8` and once with `--degree-bound 12`, well past
-the degree (2 or 3) at which each kernel reaches Z(A) meet Lie(T).  Prints one sha256 per document set and mode over (exit
+the degree (2 or 3) at which each kernel reaches Z(A) meet Lie(T); and, as
+the `certified-floor` set, D4 and S3 std+sign in that basis at degree bounds
+1, 2 and 2|G|, and the tori of weights (1, 3) and ((1, 0, 1, 1),
+(0, 1, 1, -1)) at 2, 3, 4 and 40, below, at and past the degree that
+certifies each kernel, each bound carried by its document's options and run
+once per mode.  Prints one sha256 per document set and mode over (exit
 code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
 almost all integral; the catalog and Lie sets put denominators into every
 generator, structure constant, center and invariant.
@@ -61,6 +66,8 @@ from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction  # noqa: E40
 SEEDS = (1009, 5)
 FLAGS = ([], ["--degree-bound", "3"])
 DEEP_FLAGS = (["--degree-bound", "8"], ["--degree-bound", "12"])
+# the flags each set runs with, where they are not FLAGS
+SET_FLAGS = {"deep-bound": DEEP_FLAGS, "certified-floor": ([],)}
 CATALOG_ACTIONS = (
     "c2_sign", "c2_minus_identity", "c3_rotation", "c4_rotation", "c2_x_c2", "d4_on_r2",
     "s3_standard", "s3_standard_plus_sign", "q8_on_r4", "s3_regular_minus_trivial",
@@ -178,6 +185,25 @@ def _torus_documents() -> list[dict]:
     ]
 
 
+def _certified_floor_documents() -> list[dict]:
+    """D4 and S3 std+sign in the basis of `_basis_change` at degree bounds 1,
+    2 and 2|G|, and two tori certified at 4 and at 3, each at bounds 2, 3, 4
+    and 40, with the quotient asked for."""
+    docs = []
+    for name in ("d4_on_r2", "s3_standard_plus_sign"):
+        g = getattr(catalog, name)()
+        for bound in (1, 2, 2 * g.order):
+            doc = _document("%s-at-%d" % (name, bound), g, True)
+            docs.append({**doc, "options": {"degree_bound": bound}})
+    for label, weights in (("circle-1-3", [[1, 3]]),
+                           ("torus-2-on-c4", [[1, 0, 1, 1], [0, 1, 1, -1]])):
+        for bound in (2, 3, 4, 40):
+            docs.append({"orbits": [{"label": "%s-at-%d" % (label, bound), "quotient": True,
+                                     "slice_action": {"kind": "torus", "weights": weights}}],
+                         "options": {"degree_bound": bound}})
+    return docs
+
+
 def _heisenberg() -> list:
     """[e1, e2] = e3."""
     c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -288,6 +314,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["deep-bound"] = _torus_documents()
     docs["finite-quotient-scale"] = _finite_scale_documents(True)
     docs["lie-redundant"] = _lie_redundant_documents()
+    docs["certified-floor"] = _certified_floor_documents()
     return docs
 
 
@@ -314,7 +341,7 @@ def main() -> None:
                 digest = hashlib.sha256()
                 for doc in docs:
                     path.write_text(json.dumps(doc))
-                    for flags in DEEP_FLAGS if name == "deep-bound" else FLAGS:
+                    for flags in SET_FLAGS.get(name, FLAGS):
                         if mode == "verify":
                             run = _run([str(path), "--verify"] + flags, None)
                         else:

@@ -4,14 +4,16 @@ and the kernel of the central torus acting on the quotient.
 A polynomial is a dict from exponent tuples to nonzero integer coefficients
 (`Terms`), an integer multiple of the polynomial it stands for; the kernels
 here depend only on the span of each one.  Each action builds its own
-invariants (`invariant_terms` in `symmetry`) and says when they certify the
-kernel; this module caps their monomial space and derives them along the
-center, on integers.
+invariants (`invariant_terms` in `symmetry`), says when they certify the
+kernel and whether a certified kernel is always its floor; this module caps
+their monomial space, derives them along the center, on integers, and reads
+a certified floor off the action with no invariant at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -45,8 +47,12 @@ def derivation_action(d: QMatrix, f: Terms) -> Terms:
     return out
 
 
+def _within_cap(nvars: int, degree: int) -> bool:
+    return comb(nvars + degree - 1, degree) <= DEFAULT_MONOMIAL_CAP
+
+
 def _check_cap(nvars: int, degree: int) -> None:
-    if comb(nvars + degree - 1, degree) > DEFAULT_MONOMIAL_CAP:
+    if not _within_cap(nvars, degree):
         raise DegreeBoundTooLarge(
             "degree bound too large: %d monomials in degree %d exceeds cap %d"
             % (comb(nvars + degree - 1, degree), degree, DEFAULT_MONOMIAL_CAP)
@@ -147,15 +153,34 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
     degree <= degree.
 
-    The invariants are read one degree at a time from
+    When the action's kernel is always its floor L = Z(A) meet Lie(K)
+    (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Z(A) meet
+    Lie(T)) and some degree <= `degree` certifies it (`certifying_degree`:
+    |G|, or a torus's first saturating degree, walked within the monomial
+    cap), the kernel is L, labelled "certified": no invariant is built,
+    derived or eliminated.
+
+    Otherwise the invariants are read one degree at a time from
     `invariants_up_to_degree(g, degree)`; none is read past `degree`, and no
-    degree is read once the kernel is its floor Z(A) meet Lie(K).  Labelled
-    "certified" when the action's `certified` holds at the degree read to
-    or at `degree`; a degree-bounded result is only an upper bound
-    (superset) for the true kernel.
+    degree is read once the kernel is L.  Labelled "certified" when the
+    action's `certified` holds at the degree read to or at `degree`; a
+    degree-bounded result is only an upper bound (superset) for the true
+    kernel.  `kernel_s_at_degrees` always eliminates, so verify checks this
+    reading independently.
     """
+    affordable = partial(_within_cap, g.dim)
+    if g.kernel_is_floor and g.certifying_degree(degree, affordable) is not None:
+        return KernelResult(s_basis=_floor(g, z), exactness="certified", degree=degree)
     (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))
     return result
+
+
+def _floor(g: GroupAction, z: Subspace) -> Subspace:
+    """L = Z(A) meet Lie(K): zero for a finite group, which has no Lie
+    generators."""
+    nn = z.ambient_dim
+    lie = Subspace._span(nn, (a.int_vec() for a in g.lie_algebra_generators()))
+    return z.intersection(lie)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ generate the action (`action_generators`), those of them that lie in the
 group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
 finite family of exact linear operators (`fixed_operators`), the span of
 its commutant End(V)^H (`commutant_span`), its invariant polynomials one
-degree at a time (`invariant_terms`), its default degree bound, and the
-degrees from which the invariants certify the kernel `s` (`certified`).
+degree at a time (`invariant_terms`), its default degree bound, the
+degrees from which the invariants certify the kernel `s` (`certified`) and
+the least of them up to a bound (`certifying_degree`), and whether its
+certified `s` is always the floor Z(A) meet Lie(H) (`kernel_is_floor`).
 
 Each commutant and each set of invariants reads as little as fixes it.  A
 torus's commutant is read off its weight columns, with no commutator row.
@@ -331,6 +333,23 @@ class FiniteMatrixAction:
         """Invariants of degree <= |G| generate all invariants (Noether)."""
         return degree >= self.order
 
+    def certifying_degree(
+        self, bound: int, affordable: Callable[[int], bool] | None = None
+    ) -> int | None:
+        """The least degree <= bound that certifies the kernel, |G|, or None:
+        O(1) once G is enumerated.  No degree is built, so `affordable` is
+        not asked."""
+        return self.order if self.order <= bound else None
+
+    @property
+    def kernel_is_floor(self) -> bool:
+        """Yes: s = 0 = Z(A) meet Lie(G).  A central X in s has exp(tX) fix
+        every invariant, so it maps each orbit to itself, as the invariants
+        of a compact group separate its orbits.  An orbit of a finite group
+        is finite, so the curve exp(tX) v stays at v, and Xv = 0 for every
+        v."""
+        return True
+
     def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
         """Per degree, the kernel of f -> f(gx) - f(x) over the generators;
         their inverses are their powers, so they suffice."""
@@ -437,15 +456,50 @@ class TorusAction:
         """Whether the invariants of degree <= degree determine the kernel:
         they hold every |z_j|^2 (degree 2), and the exponent differences a - b
         of their monomials z^a zbar^b span the saturated weight kernel."""
-        if degree < 2:
-            return False
-        observed = [
-            tuple(x - y for x, y in zip(a, b))
-            for d in range(1, degree + 1)
-            for a, b in self.pairs_of_degree(d)
-            if a != b
-        ]
-        return lattice_contains(observed, integer_kernel_saturated(self.weights))
+        return self.certifying_degree(degree) is not None
+
+    @cached_property
+    def _weight_kernel(self) -> list[tuple[int, ...]]:
+        """A basis of the saturated lattice ker W, found once per action."""
+        return integer_kernel_saturated(self.weights)
+
+    def certifying_degree(
+        self, bound: int, affordable: Callable[[int], bool] | None = None
+    ) -> int | None:
+        """The least degree <= bound at which `certified` holds, or None.
+
+        A walk up from degree 1 that enumerates each degree's pairs once
+        (`pairs_of_degree`) and stops at the first degree that saturates ker
+        W; nothing past it is enumerated.  Degree d's pairs are drawn from
+        the comb(2m + d - 1, d) monomials of degree d in z and zbar, as many
+        as a degree of real monomials, so the walk asks `affordable(d)`
+        before each degree, as the invariant stream checks its cap, and
+        stops with None at the first it refuses."""
+        observed: list[tuple[int, ...]] = []
+        for d in range(1, bound + 1):
+            if affordable is not None and not affordable(d):
+                return None
+            observed += [
+                tuple(x - y for x, y in zip(a, b)) for a, b in self.pairs_of_degree(d) if a != b
+            ]
+            if d >= 2 and lattice_contains(observed, self._weight_kernel):
+                return d
+        return None
+
+    @property
+    def kernel_is_floor(self) -> bool:
+        """Yes: s = Z(A) meet Lie(T).  A central element of the commutant is
+        a scalar on the blocks of zero columns, and aI + bJ on the blocks of
+        each other column up to sign, J oriented by that sign.  Its
+        derivation sends |z_j|^2 to 2a|z_j|^2, so an element of s has every
+        real-scalar part a = 0.  What is left is diag(theta_j J), with
+        theta_j = 0 on the zero columns, whose derivation multiplies
+        z^a zbar^b by i theta . (a - b).  The exponent differences of the
+        invariant monomials span ker W (each v in ker W is the difference
+        of the invariant z^(v+) zbar^(v-)), so theta is orthogonal to ker W
+        and lies in rowspace(W): the element is a combination of the
+        generators, in Lie(T)."""
+        return True
 
     def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:
         """Per degree, the real and imaginary parts of the invariant monomials
@@ -529,6 +583,22 @@ class ConnectedLieAction:
 
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
+        return False
+
+    def certifying_degree(
+        self, bound: int, affordable: Callable[[int], bool] | None = None
+    ) -> int | None:
+        """None: no degree certifies the kernel."""
+        return None
+
+    @property
+    def kernel_is_floor(self) -> bool:
+        """No: s can exceed Z(A) meet Lie(H).  su(3) on C^3 acts
+        irreducibly of complex type, so Z(A) is spanned by I and J = iI,
+        and L = 0, as J is not traceless.  But exp(tJ) = e^(it) I keeps
+        each sphere |z| = r, which is one SU(3) orbit, so J is in s: the
+        kernel has k = 1 at degree 2, where |z|^2 is the one invariant,
+        and at every degree."""
         return False
 
     def invariant_terms(self, degree: int) -> Iterator[tuple[Terms, ...]]:

@@ -157,11 +157,12 @@ class TestRunPipeline:
         assert len(calls) == 1
 
     def test_no_invariant_degree_built_past_a_zero_kernel(self, built_degrees):
-        # D4 on R^2 (|G| = 8): the radius already kills Z(A) = R at degree 2
+        # D4 on R^2 (|G| = 8): the Noether bound certifies the kernel, which
+        # for a finite group is its floor 0, so compute builds no degree
         rep = run_pipeline([model("d4", cat.d4_on_r2(), quotient_requested=True)])
         q = rep.orbits[0].quotient
         assert (q.k, q.exactness) == (0, "certified")
-        assert built_degrees == [1, 2]
+        assert built_degrees == []
 
     def test_errors_carry_orbit_label(self):
         calls = []
@@ -763,8 +764,9 @@ class TestCLI:
     def test_order_384_quotient_at_the_default_bound(self, tmp_path, capsys, built_degrees,
                                                      mode):
         # B_4, the signed permutations of R^4: at the Noether bound |G| = 384
-        # the monomial cap fails from degree 83, but the kernel is zero at
-        # degree 2, so no degree past 2 is built
+        # the monomial cap fails from degree 83.  Verify's kernel is zero at
+        # degree 2, so it builds no degree past 2; compute reads the certified
+        # floor 0 and builds none
         doc = {"orbits": [{"label": "b4", "quotient": True, "slice_action": {
             "kind": "finite", "dim": 4, "generators": B4_GENERATORS}}]}
         assert cli.main([self.write(tmp_path, doc)] + mode) == 0
@@ -775,7 +777,60 @@ class TestCLI:
             assert out.endswith("verification passed\n")
         else:
             assert "quotient: R^1 + C^0 (k = 0, certified)" in out
-        assert built_degrees == [1, 2]
+        assert built_degrees == ([1, 2] if mode else [])
+
+    def test_torus_at_a_high_bound_enumerates_pairs_to_its_certifying_degree(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # certified at 3: compute walks degrees 1..3 and stops, short of the
+        # monomial cap that degree 40 in 8 variables is far past
+        calls = []
+        pairs = TorusAction.invariant_pairs
+
+        def counted(self, d):
+            calls.append(d)
+            return pairs(self, d)
+
+        monkeypatch.setattr(TorusAction, "invariant_pairs", counted)
+        doc = {"orbits": [{"label": "t", "quotient": True, "slice_action": {
+            "kind": "torus", "weights": [[1, 0, 1, 1], [0, 1, 1, -1]]}}]}
+        assert cli.main([self.write(tmp_path, doc), "--degree-bound", "40"]) == 0
+        assert "quotient: R^2 + C^2 (k = 2, certified)" in capsys.readouterr().out
+        assert calls == [1, 2, 3]
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    def test_circle_past_the_cap_is_refused(self, tmp_path, capsys, monkeypatch, mode):
+        # degree 2 has 10 monomials: the certificate walk stops before it,
+        # and the elimination refuses it with its own message
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
+        doc = {"orbits": [{"label": "circle", "quotient": True, "slice_action": {
+            "kind": "torus", "weights": [[1, 1]]}}]}
+        assert cli.main([self.write(tmp_path, doc), "--degree-bound", "2"] + mode) == 1
+        captured = capsys.readouterr()
+        message = "degree bound too large: 10 monomials in degree 2 exceeds cap 5"
+        if mode:
+            assert "[FAIL] circle: error (%s)\n" % message in captured.out
+        else:
+            assert captured.err == "error: orbit 'circle': %s\n" % message
+
+    @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
+    def test_finite_group_past_the_cap_at_its_order(self, tmp_path, capsys, monkeypatch, mode):
+        # D4 at |G| = 8 with degree 2 (3 monomials) past the cap: compute
+        # reads the certified floor 0 and builds no degree, while verify's
+        # elimination meets the cap
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 2)
+        gens = [[[str(x) for x in row] for row in a.entries] for a in cat.d4_on_r2().generators]
+        doc = {"orbits": [{"label": "d4", "quotient": True, "slice_action": {
+            "kind": "finite", "dim": 2, "generators": gens}}]}
+        code = cli.main([self.write(tmp_path, doc)] + mode)
+        out = capsys.readouterr().out
+        if mode:
+            assert code == 1
+            assert ("[FAIL] d4: error (degree bound too large: 3 monomials in degree 2 "
+                    "exceeds cap 2)\n") in out
+        else:
+            assert code == 0
+            assert "quotient: R^1 + C^0 (k = 0, certified)" in out
 
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
     @pytest.mark.parametrize("orbit, message", [

@@ -649,7 +649,7 @@ def assert_stops_at_floor_as_if_reading_every_degree(g, d):
 
 QUOTIENT_ORBITS = [
     pytest.param(model.slice_action, model.degree, id=ident)
-    for ident, model in _workload_orbits() if model.quotient_requested
+    for ident, model in _workload_orbits((1009, 4242, 5)) if model.quotient_requested
 ]
 CONNECTED_ACTIONS = [cat.su2_on_c2, cat.su3_on_c3_plus_wedge2, su3_on_c3]
 
@@ -682,6 +682,124 @@ class TestKernelFloor:
         assert (res.dim_s, res.exactness) == (1, "certified")
         assert res.s_basis == lie_floor(g, z)
         assert sorted(g._pairs) == [1, 2]
+
+
+FINITE_CATALOG = [
+    cat.c2_sign, cat.c2_minus_identity, cat.c3_rotation, cat.c4_rotation, cat.c2_x_c2,
+    cat.d4_on_r2, cat.s3_standard, cat.s3_standard_plus_sign, cat.q8_on_r4,
+    cat.s3_regular_minus_trivial,
+]
+TORUS_1_3 = ((1, 3),)  # certified at 4, where z1^3 zbar2 first appears
+TORUS_ON_C4 = ((1, 0, 1, 1), (0, 1, 1, -1))  # certified at 3
+
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """What the kernel builds: the degrees whose monomials the invariant
+    builders ask for, the invariant streams opened and the derivations
+    taken."""
+    seen = {"monomials": [], "streams": 0, "derivations": 0}
+    monomials, stream, derive = (
+        symmetry.monomials_of_degree, strata.invariants_up_to_degree, strata.derivation_action)
+
+    def recorded_monomials(nvars, degree):
+        seen["monomials"].append(degree)
+        return monomials(nvars, degree)
+
+    def recorded_stream(g, degree):
+        seen["streams"] += 1
+        return stream(g, degree)
+
+    def recorded_derivation(d, f):
+        seen["derivations"] += 1
+        return derive(d, f)
+
+    monkeypatch.setattr(symmetry, "monomials_of_degree", recorded_monomials)
+    monkeypatch.setattr(strata, "invariants_up_to_degree", recorded_stream)
+    monkeypatch.setattr(strata, "derivation_action", recorded_derivation)
+    return seen
+
+
+class TestCertifiedFloor:
+    """A finite group or a torus certified at a degree <= the bound has the
+    kernel L = Z(A) meet Lie(K), read off with no invariant: the kernel and
+    label of reading every invariant, with nothing built, derived or
+    eliminated.  Below the certifying degree the kernel is still eliminated.
+    The workloads' quotient orbits are checked against the same oracle in
+    `TestKernelFloor`."""
+
+    @pytest.mark.parametrize("make", FINITE_CATALOG, ids=lambda make: make.__name__)
+    def test_catalog_finite_actions_build_nothing(self, make, eliminated):
+        g = make()
+        z = compute_commutant(g).center
+        eliminated["monomials"].clear()
+        assert g.kernel_is_floor and g.certifying_degree(2 * g.order) == g.order
+        got = [kernel_s(g, z, d) for d in (g.order, 2 * g.order)]
+        assert eliminated == {"monomials": [], "streams": 0, "derivations": 0}
+        assert [(k.dim_s, k.exactness) for k in got] == [(0, "certified")] * 2
+        want = kernel_reading_every_degree(g, z, g.order)
+        assert got[0] == want
+        if g.dim < 5:  # S3 on R^5 read in full to degree 12 takes 26 s
+            assert got[1] == kernel_reading_every_degree(g, z, 2 * g.order)
+        else:
+            # certified at |G|: the true kernel, so that of every higher degree
+            assert got[1] == dataclasses.replace(want, degree=2 * g.order)
+
+    @pytest.mark.parametrize("weights, certifying", [(TORUS_1_3, 4), (TORUS_ON_C4, 3)])
+    def test_tori_build_no_invariant(self, weights, certifying, eliminated):
+        g = TorusAction(weights)
+        z = compute_commutant(g).center
+        assert g.kernel_is_floor and g.certifying_degree(40) == certifying
+        got = [kernel_s(g, z, d) for d in (certifying, 40)]
+        assert (eliminated["streams"], eliminated["derivations"]) == (0, 0)
+        assert sorted(g._pairs) == list(range(1, certifying + 1))
+        want = kernel_reading_every_degree(g, z, certifying)
+        assert got[0] == want
+        assert want.exactness == "certified" and want.s_basis == lie_floor(g, z)
+        if len(g.weights[0]) == 2:
+            assert got[1] == kernel_reading_every_degree(g, z, 40)
+        else:
+            # degree 40 in 8 variables is past the monomial cap: the kernel
+            # certified at 3 is the true one, so that of every higher degree
+            assert got[1] == dataclasses.replace(want, degree=40)
+
+    @pytest.mark.parametrize("make, d", [
+        pytest.param(lambda: TorusAction(TORUS_ON_C4), 2, id="torus-on-c4-at-2"),
+        pytest.param(cat.d4_on_r2, 1, id="d4-at-1"),
+    ])
+    def test_uncertified_degrees_still_eliminate(self, make, d, eliminated):
+        g = make()
+        z = compute_commutant(g).center
+        eliminated["monomials"].clear()
+        got = kernel_s(g, z, d)
+        # D4 has no invariant of degree 1 to derive, but builds that degree
+        assert eliminated["streams"] == 1 and eliminated["monomials"]
+        assert got == kernel_reading_every_degree(g, z, d)
+        assert got.exactness == "degree-bounded" and got.dim_s > lie_floor(g, z).dim
+
+    def test_su3_on_c3_kernel_exceeds_its_floor(self):
+        # why ConnectedLieAction.kernel_is_floor is False: SU(3) is
+        # transitive on each sphere of C^3, so J = iI, central and not in
+        # su(3), is tangent to every orbit and kills |z|^2, the one
+        # invariant of degree 2
+        g = su3_on_c3()
+        z = compute_commutant(g).center
+        got = kernel_s(g, z, 2)
+        assert not g.kernel_is_floor and g.certifying_degree(40) is None
+        assert (got.dim_s, lie_floor(g, z).dim) == (1, 0)
+        assert got == kernel_reading_every_degree(g, z, 2)
+
+    def test_certifying_walk_stops_before_a_degree_past_the_cap(self, monkeypatch):
+        # the weight-(1, 1) circle certifies at 2, which has 10 monomials;
+        # under a cap of 5 the walk refuses it, and the elimination reports
+        # the cap on its own terms
+        g = TorusAction(((1, 1),))
+        z = compute_commutant(g).center
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
+        assert g.certifying_degree(2, functools.partial(strata._within_cap, g.dim)) is None
+        assert sorted(g._pairs) == [1]
+        with pytest.raises(DegreeBoundTooLarge, match="10 monomials in degree 2 exceeds cap 5"):
+            kernel_s(g, z, 2)
 
 
 class TestQuotient:
