@@ -29,8 +29,11 @@ the `certified-floor` set, D4 and S3 std+sign in that basis at degree bounds
 1, 2 and 2|G|, and the tori of weights (1, 3) and ((1, 0, 1, 1),
 (0, 1, 1, -1)) at 2, 3, 4 and 40, below, at and past the degree that
 certifies each kernel, each bound carried by its document's options and run
-once per mode.  Prints one sha256 per document set and mode over (exit
-code, stdout, stderr, emitted JSON) of its runs.  The workloads' matrices are
+once per mode; and, as the `torus-classes` set, on the tori of
+`TORUS_CLASSES`, whose columns repeat and oppose each other in two or three
+classes, with the quotient asked for, run as the `torus` set.  Prints one
+sha256 per document set and mode over (exit code, stdout, stderr, emitted
+JSON) of its runs.  The workloads' matrices are
 almost all integral; the catalog and Lie sets put denominators into every
 generator, structure constant, center and invariant.
 
@@ -157,6 +160,15 @@ TORI = {
 }
 
 
+# tori whose weight columns fall into two or three classes up to sign, with
+# repeated and opposite columns in a class
+TORUS_CLASSES = {
+    "circle-1-1-minus-1-2": [[1, 1, -1, 2]],
+    "torus-2-three-classes": [[1, 0, -1, 1], [0, 1, 0, -1]],
+    "torus-2-two-classes": [[1, -1, 1, 2, -2], [1, -1, 1, 0, 0]],
+}
+
+
 def _lie_redundant_documents() -> list[dict]:
     """su(2) on C^2 and su(3) on C^3, each with one redundant generator, in
     the basis of `_basis_change`, with the quotient asked for: the second
@@ -176,12 +188,12 @@ def _lie_redundant_documents() -> list[dict]:
     return docs
 
 
-def _torus_documents() -> list[dict]:
-    """One orbit per torus of `TORI`, with the quotient asked for."""
+def _torus_documents(tori: dict[str, list] = TORI) -> list[dict]:
+    """One orbit per torus of `tori`, with the quotient asked for."""
     return [
         {"orbits": [{"label": label, "quotient": True,
                      "slice_action": {"kind": "torus", "weights": weights}}]}
-        for label, weights in TORI.items()
+        for label, weights in tori.items()
     ]
 
 
@@ -315,6 +327,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["finite-quotient-scale"] = _finite_scale_documents(True)
     docs["lie-redundant"] = _lie_redundant_documents()
     docs["certified-floor"] = _certified_floor_documents()
+    docs["torus-classes"] = _torus_documents(TORUS_CLASSES)
     return docs
 
 

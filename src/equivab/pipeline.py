@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import commutant as comm
 from . import liealg, strata
@@ -76,9 +76,16 @@ class AbelianizationReport:
 
     def to_dict(self) -> dict:
         """The JSON report: {"orbits": [...], "totals": {...}}, fields in
-        declaration order."""
-        totals = asdict(self)
-        return {"orbits": list(totals.pop("orbits")), "totals": totals}
+        declaration order.  Every record is flat but for an orbit's
+        quotient, so each is read field by field, with no deep copy."""
+        totals = _fields(self)
+        orbits = []
+        for o in totals.pop("orbits"):
+            orbit = _fields(o)
+            if o.quotient is not None:
+                orbit["quotient"] = _fields(o.quotient)
+            orbits.append(orbit)
+        return {"orbits": orbits, "totals": totals}
 
     @staticmethod
     def from_dict(doc: dict) -> "AbelianizationReport":
@@ -92,6 +99,11 @@ class AbelianizationReport:
         return AbelianizationReport(
             orbits=tuple(orbits), **{**t, "lie_dims": tuple(t["lie_dims"])}
         )
+
+
+def _fields(record) -> dict:
+    """The fields of a dataclass record by name, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def run_orbit(model: OrbitModel) -> OrbitResult:
@@ -166,8 +178,8 @@ class VerificationReport:
 
 def verify_models(models: list[OrbitModel]) -> VerificationReport:
     """Build each orbit's commutant from the kernel compute mode certifies,
-    but without its action's generators, so that Z(A) and [A, A] come from
-    the bracket table; check every structural claim on it, the residual
+    but without its action's generators or a center read off the action, so
+    that Z(A) and [A, A] come from the bracket table; check every structural claim on it, the residual
     against the action among them, and report per check.  Every check is
     exact.
 
@@ -193,8 +205,9 @@ def _orbit_checks(model: OrbitModel) -> Iterator[VerificationItem]:
     def item(check, passed, detail=""):
         return VerificationItem(model.label, check, bool(passed), detail)
 
-    # without the generators, `center` reads the bracket table, a route
-    # compute mode does not take where the word route is the cheaper
+    # with no center read off the action and without the generators,
+    # `center` reads the bracket table, a route compute mode takes for no
+    # torus and nowhere the word route is the cheaper
     a = replace(comm.commutant_kernel(g), generators=())
     split, ml = comm.verify_center_splits(a), comm.classify_ml(a)
     # exact residual, the only one verify forms: the kernel really commutes

@@ -154,11 +154,11 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     degree <= degree.
 
     When the action's kernel is always its floor L = Z(A) meet Lie(K)
-    (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Z(A) meet
-    Lie(T)) and some degree <= `degree` certifies it (`certifying_degree`:
-    |G|, or a torus's first saturating degree, walked within the monomial
-    cap), the kernel is L, labelled "certified": no invariant is built,
-    derived or eliminated.
+    (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Lie(T)) and
+    some degree <= `degree` certifies it (`certifying_degree`: |G|, or a
+    torus's first saturating degree, walked within the monomial cap), the
+    kernel is L (`_floor`), labelled "certified": no invariant is built,
+    derived or eliminated, and Z(A) is not read.
 
     Otherwise the invariants are read one degree at a time from
     `invariants_up_to_degree(g, degree)`; none is read past `degree`, and no
@@ -170,17 +170,22 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     """
     affordable = partial(_within_cap, g.dim)
     if g.kernel_is_floor and g.certifying_degree(degree, affordable) is not None:
-        return KernelResult(s_basis=_floor(g, z), exactness="certified", degree=degree)
+        return KernelResult(s_basis=_floor(g), exactness="certified", degree=degree)
     (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))
     return result
 
 
-def _floor(g: GroupAction, z: Subspace) -> Subspace:
-    """L = Z(A) meet Lie(K): zero for a finite group, which has no Lie
-    generators."""
-    nn = z.ambient_dim
-    lie = Subspace._span(nn, (a.int_vec() for a in g.lie_algebra_generators()))
-    return z.intersection(lie)
+def _floor(g: GroupAction) -> Subspace:
+    """L = Z(A) meet Lie(K) of a `kernel_is_floor` action, read as the span
+    of its Lie generators, with no intersection: zero for a finite group,
+    which has none.
+
+    Exact because Lie(K) lies in Z(A) for these K.  A finite group's Lie
+    algebra is zero.  A torus T is abelian, so each xi in Lie(T) commutes
+    with every element exp(t eta) of T and lies in A = End(V)^T; and each X
+    in A commutes with exp(t xi) for every t, so, differentiating at t = 0,
+    with xi: xi is in Z(A)."""
+    return Subspace._span(g.dim * g.dim, (a.int_vec() for a in g.lie_algebra_generators()))
 
 
 @dataclass(frozen=True)

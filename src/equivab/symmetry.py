@@ -7,14 +7,20 @@ class is the one place that knows its kind.  It gives the matrices that
 generate the action (`action_generators`), those of them that lie in the
 group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
 finite family of exact linear operators (`fixed_operators`), the span of
-its commutant End(V)^H (`commutant_span`), its invariant polynomials one
+its commutant A = End(V)^H (`commutant_span`), the center Z(A) where the
+action alone fixes it (`center_span`), its invariant polynomials one
 degree at a time (`invariant_terms`), its default degree bound, the
 degrees from which the invariants certify the kernel `s` (`certified`) and
 the least of them up to a bound (`certifying_degree`), and whether its
 certified `s` is always the floor Z(A) meet Lie(H) (`kernel_is_floor`).
 
 Each commutant and each set of invariants reads as little as fixes it.  A
-torus's commutant is read off its weight columns, with no commutator row.
+torus's commutant and center are read off its weight classes, the blocks
+grouped by weight column up to sign, with no commutator row and no
+product: a nonzero class gives A a factor M_r(C) and Z(A) its C, spanned by
+I and by J oriented by each column's sign on the class's blocks; the zero
+columns give A a factor M_2z(R) and Z(A) its R, spanned by I on their
+blocks.  A finite or connected group's center is left to the commutant.
 A connected group's commutant and invariants read only a subset of its
 generators that generates its Lie algebra (`lie_generating`), since
 commuting with, or a derivation vanishing for, two elements holds for their
@@ -324,6 +330,10 @@ class FiniteMatrixAction:
         with each."""
         return kernel(self.dim * self.dim, invariance_constraints(self.generators))
 
+    def center_span(self) -> None:
+        """None: only the commutant fixes Z(A)."""
+        return None
+
     @property
     def default_degree_bound(self) -> int:
         """The Noether bound |G|."""
@@ -361,7 +371,9 @@ class TorusAction:
     """k-torus acting on C^m = R^{2m}; column j of `weights` drives block j.
 
     Real coordinates (x_{2j}, x_{2j+1}) are the real and imaginary part of
-    the j-th complex coordinate; rotations are counterclockwise.
+    the j-th complex coordinate; rotations are counterclockwise.  The
+    commutant and its center are read off the weight classes, the blocks
+    grouped by column up to sign (`weight_classes`).
     """
 
     weights: tuple[tuple[int, ...], ...]  # k rows, m columns
@@ -402,8 +414,24 @@ class TorusAction:
     def fixed_operators(self) -> list[QMatrix]:
         return self.action_generators()
 
+    @cached_property
+    def weight_classes(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+        """The blocks grouped by weight column up to sign, found once per
+        action: per class, its first column c and its (block, sign) pairs,
+        sign 1 where the block's column is c and -1 where it is -c, in the
+        order of their first blocks.  The zero columns form one class, all
+        of sign 1."""
+        classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for j, c in enumerate(zip(*self.weights)):
+            opposite = tuple(-x for x in c)
+            if opposite != c and opposite in classes:
+                classes[opposite].append((j, -1))
+            else:
+                classes.setdefault(c, []).append((j, 1))
+        return tuple((c, tuple(members)) for c, members in classes.items())
+
     def commutant_span(self) -> Subspace:
-        """End(V)^H in vec(End(V)), read off the weight columns: no
+        """End(V)^H in vec(End(V)), read off the weight classes: no
         commutator row is formed.
 
         X commutes with the generators exactly when each 2 x 2 block X_jj'
@@ -411,18 +439,45 @@ class TorusAction:
         in every weight row.  Conjugation by J fixes I and J and negates
         K = diag(1, -1) and KJ, so the blocks that pass are aI + bJ when the
         columns are equal, aK + bKJ when they are opposite, both when the
-        column is zero, and 0 otherwise (Broecker-tom Dieck, Representations
-        of Compact Lie Groups, ch. II)."""
-        n, columns = self.dim, list(zip(*self.weights))
-        vectors = []
-        for j, c in enumerate(columns):
-            for jj, cc in enumerate(columns):
-                # the indices in vec(X) of the entries (2j, 2j') and (2j + 1, 2j')
-                top, low = 2 * j * n + 2 * jj, (2 * j + 1) * n + 2 * jj
-                if c == cc:
-                    vectors += [{top: 1, low + 1: 1}, {top + 1: -1, low: 1}]  # I, J
-                if all(x == -y for x, y in zip(c, cc)):
-                    vectors += [{top: 1, low + 1: -1}, {top + 1: -1, low: -1}]  # K, KJ
+        column is zero, and 0 otherwise, as between blocks of two classes
+        (Broecker-tom Dieck, Representations of Compact Lie Groups, ch. II).
+        So a nonzero class of r blocks gives A a factor M_r(C), and the z
+        zero columns give it M_2z(R)."""
+        n, vectors = self.dim, []
+        for c, members in self.weight_classes:
+            zero = not any(c)
+            for j, sign in members:
+                for jj, other in members:
+                    # the indices in vec(X) of the entries (2j, 2j') and (2j + 1, 2j')
+                    top, low = 2 * j * n + 2 * jj, (2 * j + 1) * n + 2 * jj
+                    if sign == other or zero:
+                        vectors += [{top: 1, low + 1: 1}, {top + 1: -1, low: 1}]  # I, J
+                    if sign != other or zero:
+                        vectors += [{top: 1, low + 1: -1}, {top + 1: -1, low: -1}]  # K, KJ
+        return Subspace._span(n * n, vectors)
+
+    def center_span(self) -> Subspace:
+        """Z(A) in vec(End(V)), read off the weight classes: no product and
+        no bracket is formed.
+
+        Each class spans a factor of A = End(V)^T (`commutant_span`), so
+        Z(A) is the sum of the factors' centers.  The zero class's factor
+        M_2z(R) has the center R, spanned by E = I on its blocks.  A nonzero
+        class's factor is M_r(C) once each block of sign -1 is conjugated by
+        K, which sends aK + bKJ to aI - bJ (KJK = -J): its center C is
+        spanned by E = I on its blocks and F = sign J on each of them.  So
+        Z(A) ~ R^(m - l) + C^l, with m classes and l nonzero ones."""
+        n, vectors = self.dim, []
+        for c, members in self.weight_classes:
+            # the diagonal entries of E, and the entries (2j, 2j + 1) and
+            # (2j + 1, 2j) of F: the index in vec(X) of (i, i') is i n + i'
+            vectors.append({i * (n + 1): 1 for j, _ in members for i in (2 * j, 2 * j + 1)})
+            if any(c):
+                f = {}
+                for j, sign in members:
+                    f[2 * j * (n + 1) + 1] = -sign
+                    f[(2 * j + 1) * (n + 1) - 1] = sign
+                vectors.append(f)
         return Subspace._span(n * n, vectors)
 
     def invariant_pairs(self, d: int) -> Iterator[tuple[Monomial, Monomial]]:
@@ -488,9 +543,13 @@ class TorusAction:
 
     @property
     def kernel_is_floor(self) -> bool:
-        """Yes: s = Z(A) meet Lie(T).  A central element of the commutant is
-        a scalar on the blocks of zero columns, and aI + bJ on the blocks of
-        each other column up to sign, J oriented by that sign.  Its
+        """Yes: s = Z(A) meet Lie(T), which is Lie(T) itself.  T is abelian,
+        so each xi in Lie(T) commutes with T and lies in A; and each X in A
+        commutes with exp(t xi) for every t, so with xi: xi is central.
+
+        A central element of the commutant is a scalar on the blocks of zero
+        columns, and aI + bJ on the blocks of each other class, J oriented
+        by the column's sign (`center_span`).  Its
         derivation sends |z_j|^2 to 2a|z_j|^2, so an element of s has every
         real-scalar part a = 0.  What is left is diag(theta_j J), with
         theta_j = 0 on the zero columns, whose derivation multiplies
@@ -580,6 +639,10 @@ class ConnectedLieAction:
         """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
         of the Lie-generating generators."""
         return kernel(self.dim * self.dim, invariance_constraints(self.lie_generating))
+
+    def center_span(self) -> None:
+        """None: only the commutant fixes Z(A)."""
+        return None
 
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
@@ -672,11 +735,14 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
 
 
 def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
-    """Integer rows {col: int} of X -> A X - X A on row-major vec(X), for the
-    integer form A = den a of a: den times the rows of X -> a X - X a.
+    """The nonzero integer rows {col: nonzero int} of X -> A X - X A on
+    row-major vec(X), for the integer form A = den a of a: den times the rows
+    of X -> a X - X a, in the order of their indices (i, j).
 
     Row (i, j) holds A[i][k] at column (k, j) and -A[k][j] at column (i, k):
-    at most 2n entries.
+    at most 2n entries.  The two meet only at column (i, j), which holds
+    A[i][i] - A[j][j], zero when i = j.  A zero entry is dropped, and a row
+    left empty, as every row of a scalar a is, is not listed.
     """
     n = a.rows
     # a and its transpose share their entries, so their integer forms share den
@@ -686,8 +752,9 @@ def commutator_rows(a: QMatrix) -> list[dict[int, int]]:
         for j in range(n):
             row = {k * n + j: x for k, x in a_rows[i]}
             for k, x in a_cols[j]:
-                row[i * n + k] = row.get(i * n + k, 0) - x
-            out.append(row)
+                _accumulate(row, i * n + k, -x)
+            if row:
+                out.append(row)
     return out
 
 

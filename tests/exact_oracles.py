@@ -2,8 +2,9 @@
 rank and matrix-vector products of matrices, complements of subspaces, and
 the brackets and constants of a Lie algebra as rationals.  The library runs
 on integer rows and never forms these.  Also the quotient kernel read from
-every invariant, with none of the library's early stops, and the commutant
-and invariants of an action read from every one of its generators."""
+every invariant, with none of the library's early stops, the kernel's
+floor Z(A) meet Lie(K) by intersection, and the commutant and invariants of
+an action read from every one of its generators."""
 
 from fractions import Fraction
 from itertools import chain
@@ -11,7 +12,12 @@ from itertools import chain
 from equivab.exactlin import QMatrix, SparseRREF, Subspace, _exact, rows_of, rref
 from equivab.liealg import LieAlgebraSC
 from equivab.strata import KernelResult, derivation_action, invariants_up_to_degree
-from equivab.symmetry import _derivation_operator, _kernel_invariants, commutator_rows
+from equivab.symmetry import (
+    FiniteMatrixAction,
+    _derivation_operator,
+    _kernel_invariants,
+    commutator_rows,
+)
 
 
 def vec(m: QMatrix) -> tuple:
@@ -87,6 +93,17 @@ def kernel_reading_every_degree(g, z: Subspace, degree: int) -> KernelResult:
                 engine.insert(row)
     s = Subspace._span(n * n, engine.kernel().combinations(vecs))
     return KernelResult(s, "certified" if g.certified(degree) else "degree-bounded", degree)
+
+
+def lie_floor(g, z: Subspace) -> Subspace:
+    """L = Z(A) meet Lie(K) by intersecting z with the span of the Lie
+    generators, with no use of Lie(K) lying in Z(A): zero for a finite
+    group, and Z(A) meet the span of the generators otherwise."""
+    finite = isinstance(g, FiniteMatrixAction)
+    gens = [] if finite else g.action_generators()
+    assert g.lie_algebra_generators() == gens
+    n2 = g.dim * g.dim
+    return z.intersection(Subspace.from_vectors(n2, [vec(a) for a in gens] or [[0] * n2]))
 
 
 def commutant_of_every_generator(g) -> Subspace:

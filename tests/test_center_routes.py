@@ -1,8 +1,11 @@
-"""The two routes to Z(A) agree: the word route, which reads Z(A) = A meet W
-off the span W of the words in the action's generators, and the table
-route, which narrows A by its bracket table.  So does dim [A, A] read off
-the trace form, dim A - dim Z(A), with the span of the table.  Each route
-keeps to its budget of d(d - 1)/2 products or brackets."""
+"""The routes to Z(A) agree: the word route, which reads Z(A) = A meet W
+off the span W of the words in the action's generators, the table route,
+which narrows A by its bracket table, and, for a torus, the weight route,
+which reads Z(A) off the weight classes.  So does dim [A, A] read off the
+trace form, dim A - dim Z(A), with the span of the table.  Each of the
+first two keeps to its budget of d(d - 1)/2 products or brackets; compute
+takes the weight route for a torus and never the other two, and verify
+never takes it."""
 
 import dataclasses
 import importlib.util
@@ -16,7 +19,7 @@ from test_commutant import in_rational_basis
 
 from equivab import catalog as cat
 from equivab import commutant as comm
-from equivab import exactlin
+from equivab import exactlin, pipeline
 from equivab import io as eio
 from equivab.exactlin import QMatrix
 from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction, TorusAction
@@ -43,12 +46,21 @@ def word_route_center(a: comm.MatrixAlgebra):
     return comm._word_center(n, words, gens)
 
 
+def table_record(g) -> comm.MatrixAlgebra:
+    """The commutant record verify builds: it knows no generators and
+    carries no center read off the action, so `center` takes the table
+    route."""
+    return dataclasses.replace(comm.commutant_kernel(g), generators=())
+
+
 def assert_routes_agree(g) -> None:
     a = comm.compute_commutant(g)
-    table = dataclasses.replace(a, generators=())
+    table = table_record(g)
     z = word_route_center(a)
     assert z == comm.center(table)
     assert comm.center(a) == z
+    # compute's record of a torus carries the weight route's center
+    assert a.action_center == (g.center_span() if isinstance(g, TorusAction) else None)
     assert a.dim - z.dim == comm.commutator_ideal(table).dim
 
 
@@ -114,15 +126,78 @@ def signed_permutation_actions(draw):
     return FiniteMatrixAction(n, tuple(gens))
 
 
-torus_actions = st.integers(1, 3).flatmap(lambda m: st.lists(
+random_tori = st.integers(1, 3).flatmap(lambda m: st.lists(
     st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=1, max_size=2,
 ).map(lambda rows: TorusAction(tuple(map(tuple, rows)))))
+
+
+@st.composite
+def classed_tori(draw):
+    """Tori whose columns repeat, oppose or vanish: each of two to four
+    columns is zero or plus or minus one of one or two base columns."""
+    k = draw(st.integers(1, 2))
+    bases = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=2))
+    choices = [(0,) * k] + bases + [tuple(-x for x in b) for b in bases]
+    columns = draw(st.lists(st.sampled_from(choices), min_size=2, max_size=4))
+    return TorusAction(tuple(zip(*columns)))
+
+
+torus_actions = st.one_of(random_tori, classed_tori())
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(signed_permutation_actions(), torus_actions))
 def test_routes_agree_on_generated_actions(g):
     assert_routes_agree(g)
+
+
+# ---------------------------------------------------------------------------
+# the weight route
+
+
+def test_weight_classes_group_columns_up_to_sign():
+    # columns 0, 2 and 3 are (1, 2) up to sign, 1 and 5 are zero, 4 is its own
+    g = TorusAction(((1, 0, -1, 1, 1, 0), (2, 0, -2, 2, 0, 0)))
+    assert g.weight_classes == (
+        ((1, 2), ((0, 1), (2, -1), (3, 1))),
+        ((0, 0), ((1, 1), (5, 1))),
+        ((1, 0), ((4, 1),)),
+    )
+    # three classes, two of them nonzero: Z(A) ~ R + C^2, and A ~ M_3(C) x
+    # M_4(R) x C
+    a = comm.compute_commutant(g)
+    assert comm.classify_ml(a) == comm.MLClassification(m=3, l=2)
+    assert (a.dim, g.center_span().dim) == (18 + 16 + 2, 5)
+    assert g.center_span() == comm.center(table_record(g))
+
+
+# the weight route's agreement on them is in test_routes_agree_on_the_workload_orbits
+WORKLOAD_TORI = [
+    pytest.param(model, id=ident)
+    for ident, model in _workload_orbits() if isinstance(model.slice_action, TorusAction)
+]
+
+
+@pytest.mark.parametrize("model", WORKLOAD_TORI)
+def test_compute_reads_a_torus_center_off_its_weights(model, monkeypatch):
+    def refused(*args):
+        raise AssertionError("compute took the word or the table route")
+
+    for name in ("word_basis", "_word_center", "_table_center"):
+        monkeypatch.setattr(comm, name, refused)
+    result = pipeline.run_orbit(model)
+    assert result.center_dim == model.slice_action.center_span().dim
+
+
+@pytest.mark.parametrize("model", WORKLOAD_TORI)
+def test_verify_never_takes_the_weight_route(model, monkeypatch):
+    def refused(self):
+        raise AssertionError("verify read the center off the weights")
+
+    monkeypatch.setattr(TorusAction, "center_span", refused)
+    report = pipeline.verify_models([model])
+    assert report.passed
+    assert {"center-splits", "center-dim-arithmetic"} <= {item.check for item in report.items}
 
 
 # ---------------------------------------------------------------------------

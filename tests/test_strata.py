@@ -11,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from exact_oracles import kernel_reading_every_degree, vec
+from exact_oracles import kernel_reading_every_degree, lie_floor, vec
 from test_center_routes import _workload_orbits, su3_on_c3, torus_actions
 from test_commutant import FINITE_CASES, counting_rationals, in_rational_basis
 
@@ -623,16 +623,6 @@ class TestKernelsAtDegrees:
             strata.kernel_s_at_degrees(g, z, (2, 3), inv)
 
 
-def lie_floor(g, z) -> Subspace:
-    """L = Z(A) meet Lie(K), by intersection: zero for a finite group, and
-    Z(A) meet the span of the generators otherwise."""
-    finite = isinstance(g, FiniteMatrixAction)
-    gens = [] if finite else g.action_generators()
-    assert g.lie_algebra_generators() == gens
-    n2 = g.dim * g.dim
-    return z.intersection(Subspace.from_vectors(n2, [vec(a) for a in gens] or [[0] * n2]))
-
-
 def assert_stops_at_floor_as_if_reading_every_degree(g, d):
     """kernel_s at d, and kernel_s_at_degrees at 1..d + 1, equal the kernels
     read from every invariant with no stop, and each contains L."""
@@ -652,6 +642,22 @@ QUOTIENT_ORBITS = [
     for ident, model in _workload_orbits((1009, 4242, 5)) if model.quotient_requested
 ]
 CONNECTED_ACTIONS = [cat.su2_on_c2, cat.su3_on_c3_plus_wedge2, su3_on_c3]
+# the finite and torus quotient orbits, whose certified kernel is the floor
+FLOOR_ORBITS = [
+    pytest.param(model.slice_action, id=ident)
+    for ident, model in _workload_orbits()
+    if model.quotient_requested and model.slice_action.kernel_is_floor
+]
+
+
+def assert_floor_by_intersection(g):
+    """The floor read as the span of the Lie generators is Z(A) meet Lie(K)
+    by intersection, with Z(A) read off the bracket table, as verify reads
+    it, and lies in Z(A)."""
+    z = dataclasses.replace(commutant.commutant_kernel(g), generators=()).center
+    floor = strata._floor(g)
+    assert floor == lie_floor(g, z)
+    assert z.contains_subspace(floor)
 
 
 class TestKernelFloor:
@@ -671,6 +677,15 @@ class TestKernelFloor:
     @settings(max_examples=40, deadline=None)
     def test_generated_tori(self, g, d):
         assert_stops_at_floor_as_if_reading_every_degree(g, d)
+
+    @pytest.mark.parametrize("g", FLOOR_ORBITS)
+    def test_workload_floor_equals_the_intersection(self, g):
+        assert_floor_by_intersection(g)
+
+    @given(torus_actions)
+    @settings(max_examples=40, deadline=None)
+    def test_generated_torus_floor_equals_the_intersection(self, g):
+        assert_floor_by_intersection(g)
 
     def test_floor_reached_reads_no_further_degree(self):
         # the weight-(1) circle: |z|^2 at degree 2 leaves L = R J, so a bound
