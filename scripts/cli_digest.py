@@ -31,7 +31,14 @@ the `certified-floor` set, D4 and S3 std+sign in that basis at degree bounds
 certifies each kernel, each bound carried by its document's options and run
 once per mode; and, as the `torus-classes` set, on the tori of
 `TORUS_CLASSES`, whose columns repeat and oppose each other in two or three
-classes, with the quotient asked for, run as the `torus` set.  Prints one
+classes, with the quotient asked for, run as the `torus` set; and, as the
+`finite-classes` set, on finite orbits on each side of the rule
+|G| k <= n^2 that sends compute to the class sums: the sign group C2^7 on
+R^7 (896 > 49), S3 on the sum-zero part of its regular representation
+(12 <= 25) and Q8 on (R^4)^3 (16 <= 144) without the quotient, and the
+rotation group C4 on R^2 (4 = 4) with it, all in that basis, each once with
+no flag and once with `--max-group-order 4`, below the order of all but C4.
+Prints one
 sha256 per document set and mode over (exit code, stdout, stderr, emitted
 JSON) of its runs.  The workloads' matrices are
 almost all integral; the catalog and Lie sets put denominators into every
@@ -70,7 +77,8 @@ SEEDS = (1009, 5)
 FLAGS = ([], ["--degree-bound", "3"])
 DEEP_FLAGS = (["--degree-bound", "8"], ["--degree-bound", "12"])
 # the flags each set runs with, where they are not FLAGS
-SET_FLAGS = {"deep-bound": DEEP_FLAGS, "certified-floor": ([],)}
+SET_FLAGS = {"deep-bound": DEEP_FLAGS, "certified-floor": ([],),
+             "finite-classes": ([], ["--max-group-order", "4"])}
 CATALOG_ACTIONS = (
     "c2_sign", "c2_minus_identity", "c3_rotation", "c4_rotation", "c2_x_c2", "d4_on_r2",
     "s3_standard", "s3_standard_plus_sign", "q8_on_r4", "s3_regular_minus_trivial",
@@ -144,6 +152,23 @@ def _hyperoctahedral(n: int) -> FiniteMatrixAction:
     sign = [[int(i == j) for j in range(n)] for i in range(n)]
     sign[0][0] = -1
     return FiniteMatrixAction(n, (cycle, swap, QMatrix.from_rows(sign)))
+
+
+def _finite_classes_documents() -> list[dict]:
+    """C2^7 on R^7, the seven sign changes, S3 on its regular part and Q8 on
+    (R^4)^3 without the quotient, and C4 on R^2 with it."""
+    signs = FiniteMatrixAction(7, tuple(
+        QMatrix.from_rows([[(-1 if i == j == k else int(i == j)) for j in range(7)]
+                           for i in range(7)])
+        for k in range(7)))
+    q8 = catalog.q8_on_r4()
+    q8_copies = FiniteMatrixAction(12, tuple(_copies(a, 3) for a in q8.generators))
+    return [
+        _document("c2-power-7", signs, False),
+        _document("s3-regular-minus-trivial", catalog.s3_regular_minus_trivial(), False),
+        _document("q8-on-3-copies", q8_copies, False),
+        _document("c4-rotation", catalog.c4_rotation(), True),
+    ]
 
 
 def _finite_scale_documents(quotient: bool) -> list[dict]:
@@ -328,6 +353,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["lie-redundant"] = _lie_redundant_documents()
     docs["certified-floor"] = _certified_floor_documents()
     docs["torus-classes"] = _torus_documents(TORUS_CLASSES)
+    docs["finite-classes"] = _finite_classes_documents()
     return docs
 
 

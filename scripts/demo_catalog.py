@@ -38,7 +38,7 @@ def main():
     for name, g in CASES:
         t0 = time.time()
         a = compute_commutant(g)
-        ml = classify_ml(a)
+        ml = classify_ml(a.center)
         split_passed, _ = verify_center_splits(a)
         line = "%-28s commutant %2d  (m,l)=(%d,%d)  split=%s" % (
             name, a.dim, ml.m, ml.l, "ok" if split_passed else "FAIL"

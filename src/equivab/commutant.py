@@ -8,31 +8,35 @@ on a generic central element.  For a finite group it also checks, exactly and
 from the enumerated elements alone, that Z(A) = A meet span G and that
 dim A = (1/|G|) sum of tr(g)^2.
 
+Compute reads dim A and Z(A) off the group where its data fix them
+(`commutant_center` in `symmetry`: a torus's weight classes, or a finite
+group's class sums and character norm under the rule |G| k <= n^2), with no
+commutant basis, residual, word or bracket.  Otherwise it builds the
+commutant here.
+
 One record, `MatrixAlgebra`, carries an algebra: its basis and span, the
 generators of its action when known, and its bracket table, Z(A) and [A, A],
 each formed once on first read.  The commutant's span is the action's own
-`commutant_span` (read off a torus's weights, or the kernel of the
-commutator rows of a finite group's generators or of a Lie-generating subset
-of a connected group's), and its closure under products is certified by its
+`commutant_span` (the kernel of the commutator rows of a finite group's
+generators or of a Lie-generating subset of a connected group's, or read
+off a torus's weights), and its closure under products is certified by its
 residual against every action generator, not multiplied out
-(`compute_commutant`).  Compute's record of a torus carries Z(A) as the
-action reads it off its weight classes (`center_span`), with no product and
-no bracket.  Otherwise `center` reads Z(A) = A meet W off the span W of the
-words in the action's generators where that is the cheaper route, else off
-the table of brackets of basis elements (`MatrixAlgebra.brackets`), whose
-span is [A, A].  Compute forms no [A, A]: A is semisimple, the trace form is
-nondegenerate on Z(A) (`classify_ml` requires it) and pairs Z(A) with
-[A, A] to zero, so dim [A, A] = dim A - dim Z(A).  Verify builds its record
-without the generators or the action's center, so its Z(A), [A, A] and
-their split all come from the table.
+(`compute_commutant`).  `center` reads Z(A) = A meet W off the span W of
+the words in the action's generators where that is the cheaper route, else
+off the table of brackets of basis elements (`MatrixAlgebra.brackets`),
+whose span is [A, A].  Compute forms no [A, A]: A is semisimple, the trace
+form is nondegenerate on Z(A) (`classify_ml` requires it) and pairs Z(A)
+with [A, A] to zero, so dim [A, A] = dim A - dim Z(A).  Verify builds its
+record without the generators, so its Z(A), [A, A] and their split all come
+from the table.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 
 from .exactlin import (
     Q,
@@ -57,19 +61,16 @@ class MatrixAlgebra:
     span in vec(End(V)), with the bracket table, Z(A) and [A, A] formed once
     each, on first read.  Every answer about A reads them from here.
 
-    `compute_commutant` builds the commutant with its own certificate, the
-    generators of its action and the center the action reads off its own
-    data, which `center` may read; a basis given from outside goes through
-    `from_basis`, which checks it and knows neither."""
+    `compute_commutant` builds the commutant with its own certificate and
+    the generators of its action, which `center` may read; a basis given
+    from outside goes through `from_basis`, which checks it and knows no
+    generators."""
 
     ambient_dim: int
     basis: tuple[QMatrix, ...]
     span: Subspace = field(compare=False, repr=False)
     # the matrices A is the commutant of, or () when they are not known
     generators: tuple[QMatrix, ...] = field(compare=False, repr=False)
-    # Z(A) as the action reads it off its own data (`center_span`: a
-    # torus's weight classes), or None when it is to be found from A
-    action_center: Subspace | None = field(compare=False, repr=False)
 
     @staticmethod
     def from_basis(n: int, basis: tuple[QMatrix, ...]) -> "MatrixAlgebra":
@@ -84,7 +85,7 @@ class MatrixAlgebra:
             raise ValueError("basis is not closed under multiplication")
         if not engine.contains(QMatrix.identity(n).int_vec()):
             raise ValueError("identity not in algebra span")
-        return MatrixAlgebra(n, basis, span, (), None)
+        return MatrixAlgebra(n, basis, span, ())
 
     @property
     def dim(self) -> int:
@@ -130,28 +131,27 @@ class MLClassification:
 
 def commutant_kernel(g: GroupAction) -> MatrixAlgebra:
     """The action's `commutant_span` as an algebra record, not yet
-    certified and with no center read off the action: its basis is the
-    integer rows of that canonical span, so it spans
-    {X : [X, g] = 0 for every action generator g}.  Verify builds its
+    certified: its basis is the integer rows of that canonical span, so it
+    spans {X : [X, g] = 0 for every action generator g}.  Verify builds its
     record here and reports the residual as a check of its own."""
     n = g.dim
     sol = g.commutant_span()
     basis = tuple(QMatrix._of(1, row.items(), n, n) for _, _, row in sol.rows)
-    return MatrixAlgebra(n, basis, sol, tuple(g.action_generators()), None)
+    return MatrixAlgebra(n, basis, sol, tuple(g.action_generators()))
 
 
 def compute_commutant(g: GroupAction) -> MatrixAlgebra:
-    """End(V)^H, the `commutant_kernel` of g, certified, carrying the center
-    the action reads off its own data (`center_span`) where it does.  The
-    kernel holds the identity and is closed under products by the Leibniz
-    rule [XY, g] = X[Y, g] + [X, g]Y, so closure is certified by the
-    residual [b, g] = 0 of each basis element, checked here, and no product
-    of two basis elements is formed.  Raises ValueError if some basis
-    element does not commute with the action."""
+    """End(V)^H, the `commutant_kernel` of g, certified: compute's route for
+    a connected group and for a finite group past the rule of
+    `commutant_center`.  The kernel holds the identity and is closed under
+    products by the Leibniz rule [XY, g] = X[Y, g] + [X, g]Y, so closure is
+    certified by the residual [b, g] = 0 of each basis element, checked
+    here, and no product of two basis elements is formed.  Raises
+    ValueError if some basis element does not commute with the action."""
     a = commutant_kernel(g)
     if not commutes_with_action(a, g):
         raise ValueError("the commutant's basis does not commute with the action")
-    return replace(a, action_center=g.center_span())
+    return a
 
 
 def commutes_with_action(a: MatrixAlgebra, g: GroupAction) -> bool:
@@ -162,11 +162,10 @@ def commutes_with_action(a: MatrixAlgebra, g: GroupAction) -> bool:
 
 
 def center(a: MatrixAlgebra) -> Subspace:
-    """Center of A as a subspace of vec(End(V)): the one A's record carries
-    when its action reads Z(A) off its own data (a torus, `center_span`);
-    else by the word route when A knows the generators g_1..g_k of its
-    action and the route is the cheaper, else by the table route.  The
-    choice between the two reads n, d = dim A and k only.
+    """Center of A as a subspace of vec(End(V)): by the word route when A
+    knows the generators g_1..g_k of its action and the route is the
+    cheaper, else by the table route.  The choice reads n, d = dim A and k
+    only.
 
     The word route builds W, the algebra the generators generate with I.
     For a compact action W = A' (Lang, Algebra, ch. XVII), so
@@ -174,8 +173,6 @@ def center(a: MatrixAlgebra) -> Subspace:
     n^2, so W takes at least ceil(n^2 / d) k products; it is built only when
     that is at most the table's d(d - 1)/2 brackets, and given up past that
     many products.  The table route forms no product."""
-    if a.action_center is not None:
-        return a.action_center
     n, d, gens = a.ambient_dim, a.dim, a.generators
     budget = d * (d - 1) // 2
     if gens and -(-n * n // d) * len(gens) <= budget:
@@ -246,15 +243,15 @@ def verify_center_splits(a: MatrixAlgebra) -> tuple[bool, str]:
     return not failures, "; ".join(failures)
 
 
-def classify_ml(a: MatrixAlgebra) -> MLClassification:
-    """(m, l) as the inertia of the trace form (x, y) -> tr(xy) on Z(A).
+def classify_ml(z: Subspace) -> MLClassification:
+    """(m, l) as the inertia of the trace form (x, y) -> tr(xy) on Z(A),
+    given as the subspace z of vec(End(V)), which fixes n = dim V.
 
     Z(A) ~ R^{m-l} x C^l, and the trace over V weights every factor
     positively: a real factor gives one positive square, a complex one
     a^2 - b^2, one of each sign.  A zero square means Z(A) is not semisimple.
     """
-    z = a.center
-    pos, neg, zero = inertia(trace_form(z, a.ambient_dim))
+    pos, neg, zero = inertia(trace_form(z, isqrt(z.ambient_dim)))
     if zero:
         raise ValueError("the trace form on the center is degenerate "
                          "(%d zero squares): Z(A) is not semisimple" % zero)

@@ -108,18 +108,24 @@ def _fields(record) -> dict:
 
 def run_orbit(model: OrbitModel) -> OrbitResult:
     g = model.slice_action
-    a = comm.compute_commutant(g)
-    ml = comm.classify_ml(a)
+    # dim A and Z(A) off the group where its data fix them, else off the
+    # certified commutant; a quotient enumerates a finite group anyway
+    read = g.commutant_center(whole_group=model.quotient_requested)
+    if read is None:
+        a = comm.compute_commutant(g)
+        read = a.dim, a.center
+    dim, z = read
+    ml = comm.classify_ml(z)
     lie_dim = None
     if model.isotropy_lie is not None:
         lie_dim = liealg.lie_abelianization(liealg.quotient_lie_algebra(model.isotropy_lie))
     quotient = None
     if model.quotient_requested:
-        ker = strata.kernel_s(g, a.center, model.degree)
+        ker = strata.kernel_s(g, z, model.degree)
         quotient = strata.quotient_abelianization(ker, ml)
     return OrbitResult(
         label=model.label,
-        commutant_dim=a.dim,
+        commutant_dim=dim,
         m=ml.m,
         l=ml.l,
         center_dim=ml.center_dim,
@@ -128,7 +134,7 @@ def run_orbit(model: OrbitModel) -> OrbitResult:
         # is orthogonal to Z(A) under it: so the semisimple commutant splits
         # as Z(A) + [A, A].  Verify checks the split on the bracket table.
         center_split_passed=True,
-        derived_dim=a.dim - ml.center_dim,
+        derived_dim=dim - ml.center_dim,
         lie_summand_dim=lie_dim,
         quotient=quotient,
     )
@@ -177,11 +183,10 @@ class VerificationReport:
 
 
 def verify_models(models: list[OrbitModel]) -> VerificationReport:
-    """Build each orbit's commutant from the kernel compute mode certifies,
-    but without its action's generators or a center read off the action, so
-    that Z(A) and [A, A] come from the bracket table; check every structural claim on it, the residual
-    against the action among them, and report per check.  Every check is
-    exact.
+    """Build each orbit's commutant from the kernel, without its action's
+    generators, so that Z(A) and [A, A] come from the bracket table; check
+    every structural claim on it, the residual against the action among
+    them, and report per check.  Every check is exact.
 
     An exception while verifying an orbit becomes a failed "error" item for
     that orbit, and the next orbit is verified.
@@ -205,11 +210,11 @@ def _orbit_checks(model: OrbitModel) -> Iterator[VerificationItem]:
     def item(check, passed, detail=""):
         return VerificationItem(model.label, check, bool(passed), detail)
 
-    # with no center read off the action and without the generators,
-    # `center` reads the bracket table, a route compute mode takes for no
-    # torus and nowhere the word route is the cheaper
+    # without the generators `center` reads the bracket table, a route
+    # compute mode takes for no torus, for no finite group under the rule of
+    # `commutant_center` and nowhere the word route is the cheaper
     a = replace(comm.commutant_kernel(g), generators=())
-    split, ml = comm.verify_center_splits(a), comm.classify_ml(a)
+    split, ml = comm.verify_center_splits(a), comm.classify_ml(a.center)
     # exact residual, the only one verify forms: the kernel really commutes
     # with the action
     yield item("commutant-residual", comm.commutes_with_action(a, g))

@@ -119,12 +119,11 @@ def kernel_s_at_degrees(
         raise ValueError("center must live in vec(End(V))")
     center_vecs = [row for _, _, row in z.rows]
     center_mats = [QMatrix._of(1, v.items(), n, n) for v in center_vecs]
-    # dim L = dim Z + dim span - dim (Z + span); a finite group has no Lie
-    # generators, and L = 0
-    floor, lie_gens = 0, g.lie_algebra_generators()
-    if lie_gens:
-        lie = Subspace._span(n * n, (a.int_vec() for a in lie_gens))
-        floor = z.dim + lie.dim - z.sum(lie).dim
+    # dim L: the span of the Lie generators for a `kernel_is_floor` action,
+    # whose Lie algebra lies in Z(A) (`_floor`), else dim Z + dim span -
+    # dim (Z + span)
+    lie = _floor(g)
+    floor = lie.dim if g.kernel_is_floor else z.dim + lie.dim - z.sum(lie).dim
 
     def rows(basis: Sequence[Terms]) -> Iterator[dict[int, int]]:
         # one row per monomial e of an image: the coefficient of e in D_k f
@@ -176,9 +175,9 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
 
 
 def _floor(g: GroupAction) -> Subspace:
-    """L = Z(A) meet Lie(K) of a `kernel_is_floor` action, read as the span
-    of its Lie generators, with no intersection: zero for a finite group,
-    which has none.
+    """The span of the action's Lie generators: L = Z(A) meet Lie(K) of a
+    `kernel_is_floor` action, with no intersection, zero for a finite
+    group, which has none.
 
     Exact because Lie(K) lies in Z(A) for these K.  A finite group's Lie
     algebra is zero.  A torus T is abelian, so each xi in Lie(T) commutes

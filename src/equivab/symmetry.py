@@ -7,24 +7,28 @@ class is the one place that knows its kind.  It gives the matrices that
 generate the action (`action_generators`), those of them that lie in the
 group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
 finite family of exact linear operators (`fixed_operators`), the span of
-its commutant A = End(V)^H (`commutant_span`), the center Z(A) where the
-action alone fixes it (`center_span`), its invariant polynomials one
-degree at a time (`invariant_terms`), its default degree bound, the
-degrees from which the invariants certify the kernel `s` (`certified`) and
-the least of them up to a bound (`certifying_degree`), and whether its
-certified `s` is always the floor Z(A) meet Lie(H) (`kernel_is_floor`).
+its commutant A = End(V)^H (`commutant_span`), dim A and the center Z(A)
+where the group's own data fix them (`commutant_center`), its invariant
+polynomials one degree at a time (`invariant_terms`), its default degree
+bound, the degrees from which the invariants certify the kernel `s`
+(`certified`) and the least of them up to a bound (`certifying_degree`), and
+whether its certified `s` is always the floor Z(A) meet Lie(H)
+(`kernel_is_floor`).
 
 Each commutant and each set of invariants reads as little as fixes it.  A
-torus's commutant and center are read off its weight classes, the blocks
-grouped by weight column up to sign, with no commutator row and no
-product: a nonzero class gives A a factor M_r(C) and Z(A) its C, spanned by
-I and by J oriented by each column's sign on the class's blocks; the zero
-columns give A a factor M_2z(R) and Z(A) its R, spanned by I on their
-blocks.  A finite or connected group's center is left to the commutant.
-A connected group's commutant and invariants read only a subset of its
-generators that generates its Lie algebra (`lie_generating`), since
-commuting with, or a derivation vanishing for, two elements holds for their
-bracket too.  A finite group reads every generator.  `action_generators`,
+torus's commutant, its dimension and its center are read off its weight
+classes, the blocks grouped by weight column up to sign, with no commutator
+row and no product: a nonzero class of r blocks gives A a factor M_r(C) and
+Z(A) its C, spanned by I and by J oriented by each column's sign on the
+class's blocks; the z zero columns give A a factor M_2z(R) and Z(A) its R,
+spanned by I on their blocks.  A finite group G with k generators on R^n
+with |G| k <= n^2 gives Z(A) as the span of its class sums and dim A as
+its character norm, from 2 k |G| products; past that rule, and for a
+connected group, dim A and Z(A) are left to the commutant.  A connected
+group's commutant and invariants read only a subset of its generators that
+generates its Lie algebra (`lie_generating`), since commuting with, or a
+derivation vanishing for, two elements holds for their bracket too.  A
+finite group reads every generator.  `action_generators`,
 `lie_algebra_generators` and `fixed_operators` return every generator.
 
 Polynomials here are dicts from exponent tuples to nonzero integer
@@ -42,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from .exactlin import (
@@ -330,9 +334,28 @@ class FiniteMatrixAction:
         with each."""
         return kernel(self.dim * self.dim, invariance_constraints(self.generators))
 
-    def center_span(self) -> None:
-        """None: only the commutant fixes Z(A)."""
-        return None
+    def commutant_center(self, whole_group: bool = False) -> tuple[int, Subspace] | None:
+        """(dim A, Z(A)) read off the group (`_class_sum_center`) when
+        |G| k <= n^2 for its k generators, else None: past that rule the
+        kernel of the commutator rows (`commutant_span`) is the cheaper.
+
+        G is enumerated once.  When the orbit enumerates G anyway
+        (`whole_group`: its quotient reads |G|), G is the cached `elements`.
+        Otherwise it is listed within the budget floor(n^2 / k), and the
+        answer is None once the list outgrows the budget, meets the group
+        cap or an element of infinite order: the kernel, which reads the
+        generators alone, then answers as for any group past the rule."""
+        n, k = self.dim, max(len(self.generators), 1)
+        if whole_group:
+            elements = self.elements
+        else:
+            try:
+                elements = enumerate_group(self, n * n // k)
+            except GroupNotFiniteError:
+                return None
+        if len(elements) * k > n * n:
+            return None
+        return _class_sum_center(n, elements, self.generators)
 
     @property
     def default_degree_bound(self) -> int:
@@ -456,19 +479,22 @@ class TorusAction:
                         vectors += [{top: 1, low + 1: -1}, {top + 1: -1, low: -1}]  # K, KJ
         return Subspace._span(n * n, vectors)
 
-    def center_span(self) -> Subspace:
-        """Z(A) in vec(End(V)), read off the weight classes: no product and
-        no bracket is formed.
+    def commutant_center(self, whole_group: bool = False) -> tuple[int, Subspace]:
+        """(dim A, Z(A)), read off the weight classes: no commutator row, no
+        product and no bracket is formed.
 
-        Each class spans a factor of A = End(V)^T (`commutant_span`), so
-        Z(A) is the sum of the factors' centers.  The zero class's factor
-        M_2z(R) has the center R, spanned by E = I on its blocks.  A nonzero
-        class's factor is M_r(C) once each block of sign -1 is conjugated by
-        K, which sends aK + bKJ to aI - bJ (KJK = -J): its center C is
-        spanned by E = I on its blocks and F = sign J on each of them.  So
-        Z(A) ~ R^(m - l) + C^l, with m classes and l nonzero ones."""
-        n, vectors = self.dim, []
+        Each class spans a factor of A = End(V)^T (`commutant_span`):
+        M_r(C), of dimension 2 r^2, for a nonzero class of r blocks, and
+        M_2z(R), of dimension 4 z^2, for the z zero columns.  So Z(A) is the
+        sum of the factors' centers.  The zero class's factor has the center
+        R, spanned by E = I on its blocks.  A nonzero class's factor is
+        M_r(C) once each block of sign -1 is conjugated by K, which sends
+        aK + bKJ to aI - bJ (KJK = -J): its center C is spanned by E = I on
+        its blocks and F = sign J on each of them.  So Z(A) ~ R^(m - l) +
+        C^l, with m classes and l nonzero ones.  `whole_group` is not read."""
+        n, dim, vectors = self.dim, 0, []
         for c, members in self.weight_classes:
+            dim += (2 if any(c) else 4) * len(members) ** 2
             # the diagonal entries of E, and the entries (2j, 2j + 1) and
             # (2j + 1, 2j) of F: the index in vec(X) of (i, i') is i n + i'
             vectors.append({i * (n + 1): 1 for j, _ in members for i in (2 * j, 2 * j + 1)})
@@ -478,7 +504,7 @@ class TorusAction:
                     f[2 * j * (n + 1) + 1] = -sign
                     f[(2 * j + 1) * (n + 1) - 1] = sign
                 vectors.append(f)
-        return Subspace._span(n * n, vectors)
+        return dim, Subspace._span(n * n, vectors)
 
     def invariant_pairs(self, d: int) -> Iterator[tuple[Monomial, Monomial]]:
         """Exponent pairs (a, b), |a| + |b| = d, of the invariant monomials
@@ -549,7 +575,7 @@ class TorusAction:
 
         A central element of the commutant is a scalar on the blocks of zero
         columns, and aI + bJ on the blocks of each other class, J oriented
-        by the column's sign (`center_span`).  Its
+        by the column's sign (`commutant_center`).  Its
         derivation sends |z_j|^2 to 2a|z_j|^2, so an element of s has every
         real-scalar part a = 0.  What is left is diag(theta_j J), with
         theta_j = 0 on the zero columns, whose derivation multiplies
@@ -640,8 +666,8 @@ class ConnectedLieAction:
         of the Lie-generating generators."""
         return kernel(self.dim * self.dim, invariance_constraints(self.lie_generating))
 
-    def center_span(self) -> None:
-        """None: only the commutant fixes Z(A)."""
+    def commutant_center(self, whole_group: bool = False) -> None:
+        """None: only the commutant fixes dim A and Z(A)."""
         return None
 
     def certified(self, degree: int) -> bool:
@@ -683,10 +709,16 @@ def _element_key(den: int, ints: dict[int, int]) -> tuple[int, tuple[tuple[int, 
     return den, tuple(sorted(ints.items()))
 
 
-def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
+class _OverBudget(Exception):
+    """An enumeration listed more elements than its budget."""
+
+
+def enumerate_group(g: FiniteMatrixAction, budget: int | None = None) -> list[QMatrix]:
     """Full element list by Dimino's algorithm (Butler, Fundamental
     Algorithms for Permutation Groups, LNCS 559, 1991), which forms each
-    element once.
+    element once.  With a budget the listing stops as soon as it holds more
+    than `budget` elements, and returns them: G has more than `budget`
+    elements exactly when the list does.
 
     G_i = <g_1..g_i> is listed as right cosets of H = G_(i-1): H itself, then
     H g_i, then H (r s) for each representative r in turn and each s among
@@ -709,6 +741,8 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
         if len(seen) >= g.cap:
             raise GroupNotFiniteError("group not finite under cap %d" % g.cap)
         seen[key] = el
+        if budget is not None and len(seen) > budget:
+            raise _OverBudget
         return el
 
     def add_coset(rest: list[QMatrix], key) -> QMatrix:
@@ -719,19 +753,66 @@ def enumerate_group(g: FiniteMatrixAction) -> list[QMatrix]:
             add(_element_key(*product_vec(h, r)))
         return r
 
-    for i, gen in enumerate(g.generators, 1):
-        key = _element_key(gen.den, gen.int_vec())
-        if key in seen:
-            continue
-        rest = list(seen.values())[1:]
-        reps = [add_coset(rest, key)]
-        # the list grows while it is read: each new representative in turn
-        for r in reps:
-            for s in g.generators[:i]:
-                key = _element_key(*product_vec(r, s))
-                if key not in seen:
-                    reps.append(add_coset(rest, key))
+    try:
+        for i, gen in enumerate(g.generators, 1):
+            key = _element_key(gen.den, gen.int_vec())
+            if key in seen:
+                continue
+            rest = list(seen.values())[1:]
+            reps = [add_coset(rest, key)]
+            # the list grows while it is read: each new representative in turn
+            for r in reps:
+                for s in g.generators[:i]:
+                    key = _element_key(*product_vec(r, s))
+                    if key not in seen:
+                        reps.append(add_coset(rest, key))
+    except _OverBudget:
+        pass
     return list(seen.values())
+
+
+def _class_sum_center(
+    n: int, elements: Sequence[QMatrix], generators: Sequence[QMatrix]
+) -> tuple[int, Subspace]:
+    """(dim A, Z(A)) of the commutant A of the finite group G listed in
+    `elements`, read off G: no commutator row, kernel or bracket is formed.
+
+    B = span G is an algebra, semisimple by Maschke's theorem, and A = B',
+    B = A' (Lang, Algebra, ch. XVII).  So Z(A) = A meet B = Z(B), the image
+    of the center of Q[G], which the class sums span (Serre, Linear
+    Representations of Finite Groups, 6.3).  dim A is the norm
+    (1/|G|) sum of tr(g)^2 of the real character (Serre 2.3 and 13.2).
+
+    The classes are the orbits of conjugation by the generators, joined by
+    union-find: y = s x s^-1 exactly when y s = s x, so each generator s
+    keys y s for every y and looks up s x for every x, 2 k |G| products in
+    all.  Each class sum is taken over the lcm of its members'
+    denominators; its scale does not change the span."""
+    parent = list(range(len(elements)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for s in generators:
+        conjugate = {_element_key(*product_vec(y, s)): j for j, y in enumerate(elements)}
+        for i, x in enumerate(elements):
+            parent[root(i)] = root(conjugate[_element_key(*product_vec(s, x))])
+    classes: dict[int, list[QMatrix]] = {}
+    for i, el in enumerate(elements):
+        classes.setdefault(root(i), []).append(el)
+    sums = []
+    for members in classes.values():
+        den, total = lcm(*(el.den for el in members)), {}
+        for el in members:
+            for k, x in el.int_vec().items():
+                _accumulate(total, k, den // el.den * x)
+        sums.append(total)
+    # every element passed the trace test for finite order: its trace is an integer
+    norm = sum((el.int_trace() // el.den) ** 2 for el in elements) // len(elements)
+    return norm, Subspace._span(n * n, sums)
 
 
 def commutator_rows(a: QMatrix) -> list[dict[int, int]]:

@@ -97,7 +97,7 @@ def test_criterion_2_finite_group_suite(capsys):
     for name, make in FINITE_SUITE:
         g = make()
         a = compute_commutant(g)
-        ml = classify_ml(a)
+        ml = classify_ml(a.center)
         blocks = schur_split_oracle(g, seed=0)
         m_oracle = len(blocks)
         l_oracle = sum(1 for b in blocks if b.schur_type == "C")
@@ -181,7 +181,7 @@ def test_criterion_3_random_torus_kernels(capsys):
         k = len(g.weights)
         distinct = len({tuple(col) for col in zip(*weights)})
         a = compute_commutant(g)
-        ml = classify_ml(a)
+        ml = classify_ml(a.center)
         z = a.center
         certificate = _torus_certificate(g)
         res = kernel_s_at_degrees(g, z, (len(certificate),), certificate)[0]
@@ -215,7 +215,7 @@ def test_criterion_4_su3_twelve_dimensional_slice(capsys):
     failures = []
     g = cat.su3_on_c3_plus_wedge2()
     a = compute_commutant(g)
-    ml = classify_ml(a)
+    ml = classify_ml(a.center)
     z = a.center
     res2 = kernel_s(g, z, degree=2)
     res3 = kernel_s(g, z, degree=3)

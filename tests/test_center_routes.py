@@ -1,11 +1,12 @@
 """The routes to Z(A) agree: the word route, which reads Z(A) = A meet W
 off the span W of the words in the action's generators, the table route,
-which narrows A by its bracket table, and, for a torus, the weight route,
-which reads Z(A) off the weight classes.  So does dim [A, A] read off the
-trace form, dim A - dim Z(A), with the span of the table.  Each of the
-first two keeps to its budget of d(d - 1)/2 products or brackets; compute
-takes the weight route for a torus and never the other two, and verify
-never takes it."""
+which narrows A by its bracket table, and the routes that read dim A and
+Z(A) off the group (`commutant_center`): a torus's weight classes, and a
+finite group's class sums and character norm under the rule |G| k <= n^2.
+So does dim [A, A] read off the trace form, dim A - dim Z(A), with the span
+of the table.  Each of the first two keeps to its budget of d(d - 1)/2
+products or brackets; compute takes the weight route for a torus and never
+the other two, and verify never takes it."""
 
 import dataclasses
 import importlib.util
@@ -59,8 +60,12 @@ def assert_routes_agree(g) -> None:
     z = word_route_center(a)
     assert z == comm.center(table)
     assert comm.center(a) == z
-    # compute's record of a torus carries the weight route's center
-    assert a.action_center == (g.center_span() if isinstance(g, TorusAction) else None)
+    # compute reads dim A and Z(A) off a torus and off a finite group under
+    # the rule, and off the commutant otherwise
+    read = g.commutant_center()
+    assert (read is None) == (isinstance(g, ConnectedLieAction) or (
+        isinstance(g, FiniteMatrixAction) and g.order * len(g.generators) > g.dim ** 2))
+    assert read in (None, (a.dim, z))
     assert a.dim - z.dim == comm.commutator_ideal(table).dim
 
 
@@ -165,10 +170,10 @@ def test_weight_classes_group_columns_up_to_sign():
     )
     # three classes, two of them nonzero: Z(A) ~ R + C^2, and A ~ M_3(C) x
     # M_4(R) x C
-    a = comm.compute_commutant(g)
-    assert comm.classify_ml(a) == comm.MLClassification(m=3, l=2)
-    assert (a.dim, g.center_span().dim) == (18 + 16 + 2, 5)
-    assert g.center_span() == comm.center(table_record(g))
+    dim, z = g.commutant_center()
+    assert comm.classify_ml(z) == comm.MLClassification(m=3, l=2)
+    assert (dim, z.dim) == (18 + 16 + 2, 5)
+    assert (dim, z) == (g.commutant_span().dim, comm.center(table_record(g)))
 
 
 # the weight route's agreement on them is in test_routes_agree_on_the_workload_orbits
@@ -186,15 +191,16 @@ def test_compute_reads_a_torus_center_off_its_weights(model, monkeypatch):
     for name in ("word_basis", "_word_center", "_table_center"):
         monkeypatch.setattr(comm, name, refused)
     result = pipeline.run_orbit(model)
-    assert result.center_dim == model.slice_action.center_span().dim
+    dim, z = model.slice_action.commutant_center()
+    assert (result.commutant_dim, result.center_dim) == (dim, z.dim)
 
 
 @pytest.mark.parametrize("model", WORKLOAD_TORI)
 def test_verify_never_takes_the_weight_route(model, monkeypatch):
-    def refused(self):
+    def refused(self, *args, **kwargs):
         raise AssertionError("verify read the center off the weights")
 
-    monkeypatch.setattr(TorusAction, "center_span", refused)
+    monkeypatch.setattr(TorusAction, "commutant_center", refused)
     report = pipeline.verify_models([model])
     assert report.passed
     assert {"center-splits", "center-dim-arithmetic"} <= {item.check for item in report.items}

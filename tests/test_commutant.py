@@ -309,7 +309,7 @@ CENTRAL_ELEMENT_ACTIONS = [param for param in FINITE_GROUPS if param.id != "c2_p
 class TestClassification:
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_exact_ml(self, make, dim, ml, blocks):
-        got = classify_ml(_structure(make()))
+        got = classify_ml(_structure(make()).center)
         assert (got.m, got.l) == ml
         assert got.center_dim == got.m + got.l
         assert got.abelianization_dim == got.m + got.l
@@ -329,7 +329,7 @@ class TestClassification:
         assert len(results) == 1
 
     def test_torus_ml(self):
-        got = classify_ml(_structure(TorusAction(((1, 1),))))
+        got = classify_ml(_structure(TorusAction(((1, 1),))).center)
         assert (got.m, got.l) == (1, 1)
 
     def test_degenerate_trace_form_rejected(self):
@@ -337,7 +337,7 @@ class TestClassification:
         # nilpotent: tr(E12 x) = 0 for every x, a zero square of the form
         a = MatrixAlgebra.from_basis(2, (QMatrix.identity(2), _unit(2, 0, 1)))
         with pytest.raises(ValueError, match="degenerate.*not semisimple"):
-            classify_ml(a)
+            classify_ml(a.center)
 
     @pytest.mark.parametrize("basis, detail", [
         # z(2) = 2I + 4 E12 has minimal polynomial (x - 2)^2
@@ -369,7 +369,7 @@ class TestClassification:
     def test_gl_families(self, n):
         for make, ml in ((cat.gl_n_r, (1, 0)), (cat.gl_n_c, (1, 1)),
                          (cat.gl_n_h, (1, 0))):
-            got = classify_ml(make(n))
+            got = classify_ml(make(n).center)
             assert (got.m, got.l) == ml
 
 
@@ -384,7 +384,7 @@ class TestExactFiniteGroupChecks:
         (center_ok, center_detail), (dim_ok, dim_detail) = comm.schur_split_oracle(g, s)
         assert center_ok, center_detail
         assert dim_ok, dim_detail
-        ml = classify_ml(s)
+        ml = classify_ml(s.center)
         blocks = schur_split_oracle(g, seed=0)
         assert (ml.m, ml.l) == (len(blocks), sum(b.schur_type == "C" for b in blocks))
 
@@ -489,7 +489,7 @@ class TestIntegerRows:
         # the minimal polynomial of z(t) is read off the engine's integer row,
         # and its Sturm sequence runs on integers
         s = _structure(make())
-        ml = classify_ml(s)
+        ml = classify_ml(s.center)
         made = counting_rationals(monkeypatch, (exactlin, comm, symmetry))
         assert root_count_agrees(s, ml) == (True, "")
         assert made == []

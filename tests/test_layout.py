@@ -332,6 +332,6 @@ def test_each_orbit_step_takes_only_what_it_reads():
     ]
     assert sites == ["pipeline.py:OrbitModel.degree"]
     a = commutant.compute_commutant(catalog.c3_rotation())
-    ml = commutant.classify_ml(a)
+    ml = commutant.classify_ml(a.center)
     assert commutant.verify_center_splits(a) == (True, "")
     assert commutant.root_count_agrees(a, ml) == (True, "")

@@ -165,15 +165,11 @@ class TestRunPipeline:
         assert built_degrees == []
 
     def test_errors_carry_orbit_label(self):
-        calls = []
-
         class Boom(TorusAction):
             # survives the constructor's fixed-vector check, then fails
-            def action_generators(self):
-                calls.append(1)
-                if len(calls) > 1:
-                    raise RuntimeError("boom")
-                return super().action_generators()
+            # where compute reads dim A and Z(A)
+            def commutant_center(self, whole_group=False):
+                raise RuntimeError("boom")
 
         m = model("fragile", Boom(((1, 2),)))
         with pytest.raises(PipelineError, match="fragile"):
@@ -198,13 +194,14 @@ def test_structure_built_once_per_orbit(run, monkeypatch):
         monkeypatch.setattr(comm, name, counting(name, getattr(comm, name)))
     models = eio.parse_input(BASIC_INPUT, {})
     run(models)
-    # compute reads dim [A, A] off the trace form; verify forms [A, A] from
-    # the bracket table for its center-splits check.  Compute certifies the
-    # commutant by its residual; verify reports the residual as its own check
-    # and forms it only there
-    derived = 2 if run is verify_models else 0
-    assert calls == {"center": 2, "commutator_ideal": derived, "fixed_vectors": 2,
-                     "commutes_with_action": 2}
+    # compute reads dim A and Z(A) off the rotation's class sums and the
+    # torus's weights, so it forms no commutant, center or residual, and
+    # reads dim [A, A] off the trace form; verify forms [A, A] from the
+    # bracket table for its center-splits check, and reports the residual
+    # as its own check
+    built = 2 if run is verify_models else 0
+    assert calls == {"center": built, "commutator_ideal": built, "fixed_vectors": 2,
+                     "commutes_with_action": built}
 
 
 class TestVerifyModels:

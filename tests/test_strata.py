@@ -822,7 +822,7 @@ class TestQuotient:
         # weights (1, 1) on C^2: quotient side is R^1 with k = 1
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
-        ml = classify_ml(a)
+        ml = classify_ml(a.center)
         z = a.center
         res = kernel_s(g, z, degree=2)
         q = quotient_abelianization(res, ml)
@@ -835,19 +835,19 @@ class TestQuotient:
         res = kernel_s(g, a.center, degree=1)
         assert (res.exactness, res.dim_s) == ("degree-bounded", 2)
         with pytest.raises(DegreeBoundTooLow, match=r"degree bound 1 .* k = 2 > l = 1"):
-            quotient_abelianization(res, classify_ml(a))
+            quotient_abelianization(res, classify_ml(a.center))
 
     def test_certified_kernel_above_l_is_an_inconsistency(self):
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
         res = dataclasses.replace(kernel_s(g, a.center, degree=1), exactness="certified")
         with pytest.raises(AssertionError, match="inconsistent dimensions"):
-            quotient_abelianization(res, classify_ml(a))
+            quotient_abelianization(res, classify_ml(a.center))
 
     def test_finite_group_quotient_keeps_complex_type(self):
         g = cat.c3_rotation()
         a = compute_commutant(g)
-        ml = classify_ml(a)
+        ml = classify_ml(a.center)
         z = a.center
         res = kernel_s(g, z, degree=3)
         q = quotient_abelianization(res, ml)
