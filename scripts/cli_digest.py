@@ -14,10 +14,11 @@ hyperoctahedral groups B_3 and B_4 (48 and 384 signed permutations) in that
 basis, whose enumeration keys elements with denominators, and the same two
 with the quotient asked for as the `finite-quotient-scale` set (B_4's
 default bound |G| = 384 lies past the monomial cap, which no degree read
-reaches); and, as the `torus` set, on the circles of weights (1), (1, 1) and (1, -1) and the
-2-torus of weights ((1, 0, 1), (0, 1, 1)), with the quotient asked for, which
-label each kernel `certified` or `degree-bounded` (the weight-(1) circle has
-an empty kernel lattice); and, as the `lie-redundant` set, on su(2) on C^2
+reaches); and, as the `torus` set, on the circles of weights (1), (1, 1) and
+(1, -1) and the 2-torus of weights ((1, 0, 1), (0, 1, 1)), with the quotient
+asked for, whose kernels compute answers by the floor theorem, `certified`
+at every bound, and verify eliminates, labelling each `certified` or
+`degree-bounded` (the weight-(1) circle has an empty kernel lattice); and, as the `lie-redundant` set, on su(2) on C^2
 and su(3) on C^3 in that basis, each with one generator repeated, rescaled
 or the bracket of two others, with the quotient asked for.  Each runs in
 compute mode with `--emit-json`
@@ -28,8 +29,10 @@ the degree (2 or 3) at which each kernel reaches Z(A) meet Lie(T); and, as
 the `certified-floor` set, D4 and S3 std+sign in that basis at degree bounds
 1, 2 and 2|G|, and the tori of weights (1, 3) and ((1, 0, 1, 1),
 (0, 1, 1, -1)) at 2, 3, 4 and 40, below, at and past the degree that
-certifies each kernel, each bound carried by its document's options and run
-once per mode; and, as the `torus-classes` set, on the tori of
+certifies each eliminated kernel, each bound carried by its document's
+options and run once per mode: compute answers every one by the floor
+theorem, and verify eliminates, refusing the two finite groups at bound 1,
+where no invariant cuts Z(A); and, as the `torus-classes` set, on the tori of
 `TORUS_CLASSES`, whose columns repeat and oppose each other in two or three
 classes, with the quotient asked for, run as the `torus` set; and, as the
 `finite-classes` set, on finite orbits on each side of the rule

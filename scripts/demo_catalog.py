@@ -48,12 +48,9 @@ def main():
             line += "  span-G checks=%s" % (
                 "ok" if all(passed for passed, _ in checks) else "FAIL"
             )
-            degree = g.order
-        elif isinstance(g, TorusAction):
-            degree = 4  # enough to certify the small weight matrices here
-        else:
-            degree = 2
-        res = kernel_s(g, a.center, degree=degree)
+        # a finite group's or a torus's kernel is its floor at every bound;
+        # a connected group's is read from its invariants to degree 2
+        res = kernel_s(g, a.center, degree=g.default_degree_bound)
         q = quotient_abelianization(res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (
             q.real_rank, q.complex_rank, q.k, q.exactness

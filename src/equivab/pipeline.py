@@ -43,7 +43,8 @@ class OrbitModel:
     def degree(self) -> int:
         """The degree bound of the quotient: the given one, else the action's
         default, which is read only here and only when asked (a finite group
-        enumerates itself for it)."""
+        enumerates itself for it, as its quotient does anyway: the floor
+        theorem answers s = 0 only once the listing proves G finite)."""
         if self.degree_bound is not None:
             return self.degree_bound
         return self.slice_action.default_degree_bound
@@ -109,7 +110,8 @@ def _fields(record) -> dict:
 def run_orbit(model: OrbitModel) -> OrbitResult:
     g = model.slice_action
     # dim A and Z(A) off the group where its data fix them, else off the
-    # certified commutant; a quotient enumerates a finite group anyway
+    # certified commutant.  A quotient lists a finite group whole: the floor
+    # theorem answers its s = 0 only once the listing has proved G finite
     read = g.commutant_center(whole_group=model.quotient_requested)
     if read is None:
         a = comm.compute_commutant(g)

@@ -5,15 +5,17 @@ A polynomial is a dict from exponent tuples to nonzero integer coefficients
 (`Terms`), an integer multiple of the polynomial it stands for; the kernels
 here depend only on the span of each one.  Each action builds its own
 invariants (`invariant_terms` in `symmetry`), says when they certify the
-kernel and whether a certified kernel is always its floor; this module caps
-their monomial space, derives them along the center, on integers, and reads
-a certified floor off the action with no invariant at all.
+kernel and whether its true kernel is always its floor L = Z(A) meet Lie(H)
+(`kernel_is_floor`).  For a finite group or a torus compute reads the
+kernel off the action as L, at every degree bound, with no invariant at
+all.  For a connected group, and in verify for every kind, this module caps
+the invariants' monomial space and derives them along the center, on
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -47,15 +49,12 @@ def derivation_action(d: QMatrix, f: Terms) -> Terms:
     return out
 
 
-def _within_cap(nvars: int, degree: int) -> bool:
-    return comb(nvars + degree - 1, degree) <= DEFAULT_MONOMIAL_CAP
-
-
 def _check_cap(nvars: int, degree: int) -> None:
-    if not _within_cap(nvars, degree):
+    monomials = comb(nvars + degree - 1, degree)
+    if monomials > DEFAULT_MONOMIAL_CAP:
         raise DegreeBoundTooLarge(
             "degree bound too large: %d monomials in degree %d exceeds cap %d"
-            % (comb(nvars + degree - 1, degree), degree, DEFAULT_MONOMIAL_CAP)
+            % (monomials, degree, DEFAULT_MONOMIAL_CAP)
         )
 
 
@@ -153,22 +152,20 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     degree <= degree.
 
     When the action's kernel is always its floor L = Z(A) meet Lie(K)
-    (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Lie(T)) and
-    some degree <= `degree` certifies it (`certifying_degree`: |G|, or a
-    torus's first saturating degree, walked within the monomial cap), the
-    kernel is L (`_floor`), labelled "certified": no invariant is built,
+    (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Lie(T)), the
+    kernel is L (`_floor`), labelled "certified", at every degree bound: the
+    floor theorem is about all invariants, so no invariant is built,
     derived or eliminated, and Z(A) is not read.
 
-    Otherwise the invariants are read one degree at a time from
-    `invariants_up_to_degree(g, degree)`; none is read past `degree`, and no
-    degree is read once the kernel is L.  Labelled "certified" when the
-    action's `certified` holds at the degree read to or at `degree`; a
-    degree-bounded result is only an upper bound (superset) for the true
-    kernel.  `kernel_s_at_degrees` always eliminates, so verify checks this
-    reading independently.
+    Otherwise (a connected group) the invariants are read one degree at a
+    time from `invariants_up_to_degree(g, degree)`; none is read past
+    `degree`, and no degree is read once the kernel is L.  Labelled
+    "certified" when the action's `certified` holds at the degree read to or
+    at `degree`; a degree-bounded result is only an upper bound (superset)
+    for the true kernel.  `kernel_s_at_degrees` always eliminates, so verify
+    checks this reading independently.
     """
-    affordable = partial(_within_cap, g.dim)
-    if g.kernel_is_floor and g.certifying_degree(degree, affordable) is not None:
+    if g.kernel_is_floor:
         return KernelResult(s_basis=_floor(g), exactness="certified", degree=degree)
     (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))
     return result

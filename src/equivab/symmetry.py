@@ -11,9 +11,11 @@ its commutant A = End(V)^H (`commutant_span`), dim A and the center Z(A)
 where the group's own data fix them (`commutant_center`), its invariant
 polynomials one degree at a time (`invariant_terms`), its default degree
 bound, the degrees from which the invariants certify the kernel `s`
-(`certified`) and the least of them up to a bound (`certifying_degree`), and
-whether its certified `s` is always the floor Z(A) meet Lie(H)
-(`kernel_is_floor`).
+(`certified`), and whether its true `s` is always the floor Z(A) meet
+Lie(H) (`kernel_is_floor`): a finite group's and a torus's is, so compute
+answers their `s` by that theorem at every degree bound, and the degree
+bound, the invariants and `certified` serve compute for connected groups
+only, and verify for every kind.
 
 Each commutant and each set of invariants reads as little as fixes it.  A
 torus's commutant, its dimension and its center are read off its weight
@@ -339,8 +341,10 @@ class FiniteMatrixAction:
         |G| k <= n^2 for its k generators, else None: past that rule the
         kernel of the commutator rows (`commutant_span`) is the cheaper.
 
-        G is enumerated once.  When the orbit enumerates G anyway
-        (`whole_group`: its quotient reads |G|), G is the cached `elements`.
+        G is enumerated once.  When the orbit asks for the whole group
+        (`whole_group`: its quotient is answered s = 0 by the floor theorem,
+        which holds only for a finite group), G is the cached `elements`,
+        listed whole or refused with GroupNotFiniteError.
         Otherwise it is listed within the budget floor(n^2 / k), and the
         answer is None once the list outgrows the budget, meets the group
         cap or an element of infinite order: the kernel, which reads the
@@ -365,14 +369,6 @@ class FiniteMatrixAction:
     def certified(self, degree: int) -> bool:
         """Invariants of degree <= |G| generate all invariants (Noether)."""
         return degree >= self.order
-
-    def certifying_degree(
-        self, bound: int, affordable: Callable[[int], bool] | None = None
-    ) -> int | None:
-        """The least degree <= bound that certifies the kernel, |G|, or None:
-        O(1) once G is enumerated.  No degree is built, so `affordable` is
-        not asked."""
-        return self.order if self.order <= bound else None
 
     @property
     def kernel_is_floor(self) -> bool:
@@ -536,36 +532,25 @@ class TorusAction:
     def certified(self, degree: int) -> bool:
         """Whether the invariants of degree <= degree determine the kernel:
         they hold every |z_j|^2 (degree 2), and the exponent differences a - b
-        of their monomials z^a zbar^b span the saturated weight kernel."""
-        return self.certifying_degree(degree) is not None
+        of their monomials z^a zbar^b span the saturated weight kernel.
+
+        A walk up from degree 1 that enumerates each degree's pairs once
+        (`pairs_of_degree`) and stops at the first degree that saturates
+        ker W; nothing past it is enumerated.  Verify's label reads it;
+        compute answers a torus's kernel by `kernel_is_floor` alone."""
+        observed: list[tuple[int, ...]] = []
+        for d in range(1, degree + 1):
+            observed += [
+                tuple(x - y for x, y in zip(a, b)) for a, b in self.pairs_of_degree(d) if a != b
+            ]
+            if d >= 2 and lattice_contains(observed, self._weight_kernel):
+                return True
+        return False
 
     @cached_property
     def _weight_kernel(self) -> list[tuple[int, ...]]:
         """A basis of the saturated lattice ker W, found once per action."""
         return integer_kernel_saturated(self.weights)
-
-    def certifying_degree(
-        self, bound: int, affordable: Callable[[int], bool] | None = None
-    ) -> int | None:
-        """The least degree <= bound at which `certified` holds, or None.
-
-        A walk up from degree 1 that enumerates each degree's pairs once
-        (`pairs_of_degree`) and stops at the first degree that saturates ker
-        W; nothing past it is enumerated.  Degree d's pairs are drawn from
-        the comb(2m + d - 1, d) monomials of degree d in z and zbar, as many
-        as a degree of real monomials, so the walk asks `affordable(d)`
-        before each degree, as the invariant stream checks its cap, and
-        stops with None at the first it refuses."""
-        observed: list[tuple[int, ...]] = []
-        for d in range(1, bound + 1):
-            if affordable is not None and not affordable(d):
-                return None
-            observed += [
-                tuple(x - y for x, y in zip(a, b)) for a, b in self.pairs_of_degree(d) if a != b
-            ]
-            if d >= 2 and lattice_contains(observed, self._weight_kernel):
-                return d
-        return None
 
     @property
     def kernel_is_floor(self) -> bool:
@@ -673,12 +658,6 @@ class ConnectedLieAction:
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
         return False
-
-    def certifying_degree(
-        self, bound: int, affordable: Callable[[int], bool] | None = None
-    ) -> int | None:
-        """None: no degree certifies the kernel."""
-        return None
 
     @property
     def kernel_is_floor(self) -> bool:

@@ -80,9 +80,10 @@ def bracket(g: LieAlgebraSC, x, y) -> tuple:
 
 
 def kernel_reading_every_degree(g, z: Subspace, degree: int) -> KernelResult:
-    """kernel_s(g, z, degree) with no stop: the rows of every central
-    derivation of every invariant of degree <= degree go into one engine,
-    whatever its rank, and the label is the action's certified(degree)."""
+    """The one-degree elimination kernel_s_at_degrees(g, z, (degree,), ...)
+    with no stop: the rows of every central derivation of every invariant of
+    degree <= degree go into one engine, whatever its rank, and the label is
+    the action's certified(degree)."""
     n = g.dim
     vecs = [row for _, _, row in z.rows]
     mats = [QMatrix._of(1, v.items(), n, n) for v in vecs]

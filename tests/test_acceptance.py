@@ -15,6 +15,7 @@ from equivab.commutant import (
     compute_commutant,
     verify_center_splits,
 )
+from exact_oracles import rank
 from float_split_oracle import schur_split_oracle
 from test_commutant import abelianization
 from equivab.exactlin import (
@@ -234,6 +235,30 @@ def test_criterion_4_su3_twelve_dimensional_slice(capsys):
     if res2.exactness != "degree-bounded":
         failures.append("expected degree-bounded exactness, got %s" % res2.exactness)
     _finish(capsys, "criterion-4 su(3) twelve-dimensional slice", failures, started, 120.0)
+
+
+def test_criterion_4_diagnosis_summands_isomorphic_over_r():
+    """The diagnosis of criterion 4, checked exactly: the commutant has an
+    element whose block from the C^3 summand (coordinates 0-5) to the
+    Lambda^2 C^3 summand (6-11) has rank 6.  The generators are block
+    diagonal, so that block intertwines the two summands: an R-linear
+    isomorphism between them, which leaves Z(A) one complex factor, not
+    two."""
+    g = cat.su3_on_c3_plus_wedge2()
+    a = compute_commutant(g)
+    low, high = range(6), range(6, 12)
+
+    def block(m, rows, cols):
+        return QMatrix.from_rows([[m.entries[i][j] for j in cols] for i in rows])
+
+    assert all(block(x, low, high) == QMatrix.zeros(6, 6) == block(x, high, low)
+               for x in g.lie_generators)
+    across = [block(b, high, low) for b in a.basis]
+    isomorphisms = [c for c in across if rank(c) == 6]
+    # the kernel's basis has two such elements; the diagnosis needs one
+    assert a.dim == 8 and isomorphisms
+    for c in isomorphisms:
+        assert all(c @ block(x, low, low) == block(x, high, high) @ c for x in g.lie_generators)
 
 
 def test_criterion_5_report_additivity_and_permutation_invariance(capsys):

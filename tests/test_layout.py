@@ -152,6 +152,56 @@ def test_one_place_dispatches_on_the_action_kind():
     assert sites in ([], ["pipeline.py:_orbit_checks"])
 
 
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The names a class body defines, methods, properties and fields, but
+    for dunders."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets)
+    return {name for name in names if not name.startswith("__")}
+
+
+def test_every_shared_action_member_has_a_reader():
+    # the action protocol keeps only what compute and verify read: each
+    # member that all three action classes define is read as an attribute
+    # somewhere in src/ outside their bodies.  A reader is matched by name,
+    # so this catches a member nothing reads, not a misread one
+    classes = [
+        node for node in _tree(SRC / "symmetry.py").body
+        if isinstance(node, ast.ClassDef) and node.name in ACTION_CLASSES
+    ]
+    assert {cls.name for cls in classes} == ACTION_CLASSES
+    shared = set.intersection(*(_members(cls) for cls in classes))
+    trees = [_tree(path) for path in sorted(SRC.glob("*.py"))]
+
+    def readers(name):
+        return [
+            site for tree in trees
+            for site in _sites(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == name)
+            if site.split(".")[0] not in ACTION_CLASSES
+        ]
+
+    assert "kernel_is_floor" in shared
+    assert sorted(name for name in shared if not readers(name)) == []
+
+
+def test_no_certifying_degree_walk():
+    # compute answers every finite and torus quotient by the floor theorem,
+    # so no action states a least certifying degree, and the kernel takes no
+    # cap callback
+    naming = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        if {"certifying_degree", "affordable", "_within_cap"} & set(_names(_tree(path)))
+    ]
+    assert naming == []
+    assert list(inspect.signature(strata.kernel_s).parameters) == ["g", "z", "degree"]
+
+
 def test_one_algebra_record():
     # an algebra is one MatrixAlgebra record, which carries its span, center
     # and [A, A]: no class under src/ extends one defined there, and the

@@ -35,6 +35,11 @@ def model(label, action, **kw):
     return OrbitModel(label=label, slice_action=action, **kw)
 
 
+# su(2) on C^2 = R^4 as an input document's slice action
+SU2_ON_C2 = {"kind": "connected_lie", "dim": 4, "generators": [
+    [[str(x) for x in row] for row in a.entries] for a in cat.su2_on_c2().lie_generators]}
+
+
 @pytest.fixture
 def built_degrees(monkeypatch):
     """The degrees whose monomials the invariant builders ask for."""
@@ -237,7 +242,7 @@ class TestVerifyModels:
         details = {i.orbit: i.detail for i in rep.items if i.check == "kernel-monotonicity"}
         assert details == {"rot": "dim at 3: 0, at 4: 0", "circle": "dim at 2: 2, at 3: 1"}
 
-    def test_one_pass_kernels_match_two_kernel_s_calls(self, monkeypatch):
+    def test_one_pass_kernels_match_two_one_degree_calls(self, monkeypatch):
         # verify reads the kernels at d and d + 1 off one elimination, and
         # derives each invariant once per central element
         actions = {
@@ -262,7 +267,10 @@ class TestVerifyModels:
             z = comm.compute_commutant(g).center
             assert set(Counter(map(id, derived)).values()) == {z.dim}
             d = g.default_degree_bound
-            low, high = (strata.kernel_s(g, z, degree).dim_s for degree in (d, d + 1))
+            low, high = (
+                strata.kernel_s_at_degrees(g, z, (e,), strata.invariants_up_to_degree(g, e))[0]
+                .dim_s for e in (d, d + 1)
+            )
             (detail,) = (i.detail for i in rep.items if i.check == "kernel-monotonicity")
             assert detail == "dim at %d: %d, at %d: %d" % (d, low, d + 1, high)
 
@@ -561,17 +569,15 @@ class TestCLI:
         self, tmp_path, capsys, action, k, l
     ):
         # the first invariant, x^2 or |z|^2, has degree 2: at bound 1 no
-        # invariant cuts the center, so the kernel has k = dim Z(A) > l
+        # invariant cuts the center, so verify's elimination has
+        # k = dim Z(A) > l.  Compute answers s by the floor theorem at every
+        # bound: s = 0 for the finite group and s = Lie(T) for the circle
         doc = {"orbits": [{"label": "r", "quotient": True, "slice_action": action}]}
         path = self.write(tmp_path, doc)
-        assert cli.main([path, "--degree-bound", "1"]) == 1
-        assert capsys.readouterr().err == (
-            "error: orbit 'r': degree bound 1 is too low: the kernel s read from "
-            "the invariants of degree <= 1 has dim k = %d > l = %d, while for a "
-            "compact action the true s has k <= l; raise --degree-bound\n" % (k, l))
-        assert cli.main([path, "--degree-bound", "2"]) == 0
-        assert "quotient: R^1 + C^0 (k = %d, certified)" % l in capsys.readouterr().out
-        # verify refuses the same kernel, after the line that reads it
+        for bound in ("1", "2"):
+            assert cli.main([path, "--degree-bound", bound]) == 0
+            assert "quotient: R^1 + C^0 (k = %d, certified)" % l in capsys.readouterr().out
+        # verify refuses its elimination's kernel, after the line that reads it
         assert cli.main([path, "--verify", "--degree-bound", "1"]) == 1
         assert capsys.readouterr().out.splitlines()[-3:] == [
             "[pass] r: kernel-monotonicity (dim at 1: %d, at 2: %d)" % (k, l),
@@ -776,11 +782,36 @@ class TestCLI:
             assert "quotient: R^1 + C^0 (k = 0, certified)" in out
         assert built_degrees == ([1, 2] if mode else [])
 
-    def test_torus_at_a_high_bound_enumerates_pairs_to_its_certifying_degree(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # certified at 3: compute walks degrees 1..3 and stops, short of the
-        # monomial cap that degree 40 in 8 variables is far past
+    def test_connected_degree_bound_below_the_first_cut_is_refused(self, tmp_path, capsys):
+        # su(2) on C^2: |z|^2 of degree 2 is the first invariant, so at bound
+        # 1 the kernel is Z(A) = R, k = 1 > l = 0, and compute, which reads a
+        # connected group's invariants, refuses it
+        doc = {"orbits": [{"label": "r", "quotient": True, "slice_action": SU2_ON_C2}]}
+        path = self.write(tmp_path, doc)
+        assert cli.main([path, "--degree-bound", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: orbit 'r': degree bound 1 is too low: the kernel s read from "
+            "the invariants of degree <= 1 has dim k = 1 > l = 0, while for a "
+            "compact action the true s has k <= l; raise --degree-bound\n")
+        assert cli.main([path, "--degree-bound", "2"]) == 0
+        assert "quotient: R^1 + C^0 (k = 0, degree-bounded)" in capsys.readouterr().out
+
+    def test_infinite_dihedral_quotient_is_refused(self, tmp_path, capsys):
+        # the floor theorem answers s = 0 only for a finite group: compute
+        # lists the whole group before it answers, and this pair generates
+        # an element of infinite order
+        doc = {"orbits": [{"label": "dinf", "quotient": True, "slice_action": {
+            "kind": "finite", "dim": 2,
+            "generators": [[[-1, 1], [0, 1]], [[-1, 0], [0, 1]]]}}]}
+        assert cli.main([self.write(tmp_path, doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: orbit 'dinf': group not finite")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_torus_at_a_high_bound_enumerates_no_pairs(self, tmp_path, capsys, monkeypatch):
+        # compute answers s = Lie(T) by the floor theorem: it walks no
+        # degree, so it never meets the monomial cap that degree 40 in 8
+        # variables is far past
         calls = []
         pairs = TorusAction.invariant_pairs
 
@@ -793,22 +824,33 @@ class TestCLI:
             "kind": "torus", "weights": [[1, 0, 1, 1], [0, 1, 1, -1]]}}]}
         assert cli.main([self.write(tmp_path, doc), "--degree-bound", "40"]) == 0
         assert "quotient: R^2 + C^2 (k = 2, certified)" in capsys.readouterr().out
-        assert calls == [1, 2, 3]
+        assert calls == []
 
+    @pytest.mark.parametrize("action", [
+        pytest.param({"kind": "torus", "weights": [[1, 1]]}, id="circle"),
+        pytest.param(SU2_ON_C2, id="su2"),
+    ])
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
-    def test_circle_past_the_cap_is_refused(self, tmp_path, capsys, monkeypatch, mode):
-        # degree 2 has 10 monomials: the certificate walk stops before it,
-        # and the elimination refuses it with its own message
+    def test_degree_past_the_cap_is_refused_where_it_is_built(
+        self, tmp_path, capsys, monkeypatch, action, mode
+    ):
+        # degree 2 in 4 variables has 10 monomials: the elimination refuses
+        # it with its own message.  Compute builds no degree of the circle,
+        # whose s = Lie(T) it reads by the floor theorem, and refuses su(2)
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
-        doc = {"orbits": [{"label": "circle", "quotient": True, "slice_action": {
-            "kind": "torus", "weights": [[1, 1]]}}]}
-        assert cli.main([self.write(tmp_path, doc), "--degree-bound", "2"] + mode) == 1
+        doc = {"orbits": [{"label": "r", "quotient": True, "slice_action": action}]}
+        code = cli.main([self.write(tmp_path, doc), "--degree-bound", "2"] + mode)
         captured = capsys.readouterr()
         message = "degree bound too large: 10 monomials in degree 2 exceeds cap 5"
         if mode:
-            assert "[FAIL] circle: error (%s)\n" % message in captured.out
+            assert code == 1
+            assert "[FAIL] r: error (%s)\n" % message in captured.out
+        elif action["kind"] == "torus":
+            assert code == 0
+            assert "quotient: R^1 + C^0 (k = 1, certified)" in captured.out
         else:
-            assert captured.err == "error: orbit 'circle': %s\n" % message
+            assert code == 1
+            assert captured.err == "error: orbit 'r': %s\n" % message
 
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
     def test_finite_group_past_the_cap_at_its_order(self, tmp_path, capsys, monkeypatch, mode):

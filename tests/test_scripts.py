@@ -24,13 +24,21 @@ def test_script_exits_zero(script):
     assert proc.returncode == 0, proc.stderr
 
 
+def _digests(text: str) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """{(set, mode): the rest of its line} of a digest listing."""
+    return {tuple(line.split()[:2]): tuple(line.split()[2:]) for line in text.splitlines()}
+
+
 def test_cli_digests_match_the_pinned_ones():
     # every report, message and exit code of the digested runs is
     # byte-identical to the pinned ones; scripts/cli_digest.txt changes only
-    # with an intended change of output
+    # with an intended change of output.  A mismatch names its set/mode lines
     proc = _run("cli_digest.py")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "scripts" / "cli_digest.txt").read_text()
+    pinned = (ROOT / "scripts" / "cli_digest.txt").read_text()
+    got, want = _digests(proc.stdout), _digests(pinned)
+    differing = [" ".join(key) for key in {**want, **got} if got.get(key) != want.get(key)]
+    assert proc.stdout == pinned, "digests differ for: %s" % ", ".join(differing)
 
 
 def test_benchmark_selftest_passes():

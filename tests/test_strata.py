@@ -16,12 +16,13 @@ from test_center_routes import _workload_orbits, su3_on_c3, torus_actions
 from test_commutant import FINITE_CASES, counting_rationals, in_rational_basis
 
 from equivab import catalog as cat
-from equivab import commutant, exactlin, strata, symmetry
+from equivab import commutant, exactlin, pipeline, strata, symmetry
 from equivab.commutant import classify_ml, compute_commutant
 from equivab.exactlin import QMatrix, Subspace, _exact, nullspace
 from equivab.strata import (
     DegreeBoundTooLarge,
     DegreeBoundTooLow,
+    KernelResult,
     derivation_action,
     invariants_up_to_degree,
     kernel_s,
@@ -459,6 +460,11 @@ class TestZMonomial:
             assert not im.terms
 
 
+def one_degree_kernel(g, z, d):
+    """The kernel at d alone, eliminated from the invariants of degree <= d."""
+    return strata.kernel_s_at_degrees(g, z, (d,), strata.invariants_up_to_degree(g, d))[0]
+
+
 class TestKernel:
     def test_faithful_circle_kernel_is_rotation(self):
         # faithful weight-(1, 2) circle: the central rotation field is
@@ -481,11 +487,14 @@ class TestKernel:
         assert res.dim_s == 0
         assert res.exactness == "certified"
 
-    def test_low_degree_not_certified_for_finite(self):
+    def test_low_degree_certified_by_the_floor_theorem_alone(self):
+        # below the Noether bound |G| = 3 compute still answers s = 0 by the
+        # floor theorem; only the elimination is degree-bounded there
         g = cat.c3_rotation()
         a = compute_commutant(g)
         res = kernel_s(g, a.center, degree=2)
-        assert res.exactness == "degree-bounded"
+        assert (res.dim_s, res.exactness) == (0, "certified")
+        assert one_degree_kernel(g, a.center, 2).exactness == "degree-bounded"
 
     def test_invariants_must_match_degree(self):
         # the circle's kernel is still 2-dimensional at degree 2, so bases
@@ -512,9 +521,11 @@ class TestKernel:
         a = compute_commutant(g)
         z = a.center
         inv = tuple(invariants_up_to_degree(g, 3))
+        assert not g.certified(2) and g.certified(3)
         for d, label in [(2, "degree-bounded"), (3, "certified")]:
-            assert kernel_s(g, z, degree=d).exactness == label
             assert strata.kernel_s_at_degrees(g, z, (d,), inv[:d])[0].exactness == label
+            # compute answers s = Lie(T) by the floor theorem at either degree
+            assert kernel_s(g, z, degree=d) == KernelResult(lie_floor(g, z), "certified", d)
 
     def test_no_invariant_derived_once_kernel_is_zero(self, monkeypatch):
         # C3 on R^2 to degree 3: the radius and the first cubic invariant
@@ -538,8 +549,9 @@ class TestKernel:
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
         z = a.center
-        assert kernel_s(g, z, degree=1).exactness == "degree-bounded"
-        assert kernel_s(g, z, degree=2).exactness == "certified"
+        for d, label in [(1, "degree-bounded"), (2, "certified")]:
+            assert one_degree_kernel(g, z, d).exactness == label
+            assert kernel_s(g, z, degree=d).exactness == "certified"
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: in_rational_basis(cat.s3_standard()), id="s3-rational-basis"),
@@ -549,12 +561,14 @@ class TestKernel:
     def test_no_rational_formed(self, make, monkeypatch):
         # the invariants are the engine's integer rows or the torus's integer
         # terms, and their derivations along the center's integer rows are
-        # integers: even generators with denominators form no rational
+        # integers: even generators with denominators form no rational.  The
+        # elimination is read on verify's route, which every kind takes
         g = make()
         z = compute_commutant(g).center
-        want = kernel_s(g, z, g.default_degree_bound)
+        d = g.default_degree_bound
+        want = one_degree_kernel(g, z, d)
         made = counting_rationals(monkeypatch, (exactlin, commutant, symmetry))
-        assert kernel_s(g, z, g.default_degree_bound) == want
+        assert one_degree_kernel(g, z, d) == want
         assert made == []
 
 
@@ -574,12 +588,15 @@ ONE_PASS_CASES = [
 
 class TestKernelsAtDegrees:
     @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
-    def test_equal_two_independent_kernel_s_calls(self, make, d):
+    def test_equal_two_independent_one_degree_calls(self, make, d):
         g = make()
         z = compute_commutant(g).center
         invariants = invariants_up_to_degree(g, d + 1)
         got = strata.kernel_s_at_degrees(g, z, (d, d + 1), invariants)
-        assert got == [kernel_s(g, z, degree=d), kernel_s(g, z, degree=d + 1)]
+        assert got == [one_degree_kernel(g, z, d), one_degree_kernel(g, z, d + 1)]
+        if not g.kernel_is_floor:
+            # a connected group's compute route is that one-degree elimination
+            assert got == [kernel_s(g, z, degree=d), kernel_s(g, z, degree=d + 1)]
 
     @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
     def test_each_invariant_derived_once_per_central_element(self, make, d, monkeypatch):
@@ -624,17 +641,24 @@ class TestKernelsAtDegrees:
 
 
 def assert_stops_at_floor_as_if_reading_every_degree(g, d):
-    """kernel_s at d, and kernel_s_at_degrees at 1..d + 1, equal the kernels
-    read from every invariant with no stop, and each contains L."""
+    """kernel_s_at_degrees at 1..d + 1 equals the kernels read from every
+    invariant with no stop, and each contains L, which a certified one
+    equals for a `kernel_is_floor` action.  kernel_s at d is that reading
+    for a connected group, and L, certified, for the others."""
     z = compute_commutant(g).center
     degrees = range(1, d + 2)
     want = [kernel_reading_every_degree(g, z, e) for e in degrees]
-    assert kernel_s(g, z, d) == want[d - 1]
     assert strata.kernel_s_at_degrees(g, z, degrees, invariants_up_to_degree(g, d + 1)) == want
     floor = lie_floor(g, z)
     for ker in want:
         assert ker.s_basis.contains_subspace(floor)
         assert floor.dim <= ker.dim_s
+        if g.kernel_is_floor and ker.exactness == "certified":
+            assert ker.s_basis == floor
+    if g.kernel_is_floor:
+        assert kernel_s(g, z, d) == KernelResult(floor, "certified", d)
+    else:
+        assert kernel_s(g, z, d) == want[d - 1]
 
 
 QUOTIENT_ORBITS = [
@@ -736,11 +760,12 @@ def eliminated(monkeypatch):
 
 
 class TestCertifiedFloor:
-    """A finite group or a torus certified at a degree <= the bound has the
-    kernel L = Z(A) meet Lie(K), read off with no invariant: the kernel and
-    label of reading every invariant, with nothing built, derived or
-    eliminated.  Below the certifying degree the kernel is still eliminated.
-    The workloads' quotient orbits are checked against the same oracle in
+    """A finite group or a torus has the kernel L = Z(A) meet Lie(K) at every
+    degree bound, read off with no invariant: at a certifying degree it is
+    the kernel and label of reading every invariant, and nothing is built,
+    derived or eliminated at any bound.  Below the certifying degree only
+    verify's route, `kernel_s_at_degrees`, eliminates.  The workloads'
+    quotient orbits are checked against the same oracle in
     `TestKernelFloor`."""
 
     @pytest.mark.parametrize("make", FINITE_CATALOG, ids=lambda make: make.__name__)
@@ -748,49 +773,52 @@ class TestCertifiedFloor:
         g = make()
         z = compute_commutant(g).center
         eliminated["monomials"].clear()
-        assert g.kernel_is_floor and g.certifying_degree(2 * g.order) == g.order
-        got = [kernel_s(g, z, d) for d in (g.order, 2 * g.order)]
+        assert g.kernel_is_floor and not g.certified(g.order - 1) and g.certified(g.order)
+        degrees = (1, g.order, 2 * g.order)
+        got = [kernel_s(g, z, d) for d in degrees]
         assert eliminated == {"monomials": [], "streams": 0, "derivations": 0}
-        assert [(k.dim_s, k.exactness) for k in got] == [(0, "certified")] * 2
+        assert [(k.dim_s, k.exactness) for k in got] == [(0, "certified")] * 3
         want = kernel_reading_every_degree(g, z, g.order)
-        assert got[0] == want
         if g.dim < 5:  # S3 on R^5 read in full to degree 12 takes 26 s
-            assert got[1] == kernel_reading_every_degree(g, z, 2 * g.order)
-        else:
-            # certified at |G|: the true kernel, so that of every higher degree
-            assert got[1] == dataclasses.replace(want, degree=2 * g.order)
+            assert got[2] == kernel_reading_every_degree(g, z, 2 * g.order)
+        # certified at |G|: the true kernel, so that of every degree
+        assert got == [dataclasses.replace(want, degree=d) for d in degrees]
 
     @pytest.mark.parametrize("weights, certifying", [(TORUS_1_3, 4), (TORUS_ON_C4, 3)])
     def test_tori_build_no_invariant(self, weights, certifying, eliminated):
         g = TorusAction(weights)
         z = compute_commutant(g).center
-        assert g.kernel_is_floor and g.certifying_degree(40) == certifying
-        got = [kernel_s(g, z, d) for d in (certifying, 40)]
+        degrees = (1, certifying, 40)
+        got = [kernel_s(g, z, d) for d in degrees]
         assert (eliminated["streams"], eliminated["derivations"]) == (0, 0)
+        assert not g._pairs  # no degree's pairs are walked
+        assert g.kernel_is_floor and not g.certified(certifying - 1) and g.certified(certifying)
         assert sorted(g._pairs) == list(range(1, certifying + 1))
         want = kernel_reading_every_degree(g, z, certifying)
-        assert got[0] == want
         assert want.exactness == "certified" and want.s_basis == lie_floor(g, z)
         if len(g.weights[0]) == 2:
-            assert got[1] == kernel_reading_every_degree(g, z, 40)
-        else:
-            # degree 40 in 8 variables is past the monomial cap: the kernel
-            # certified at 3 is the true one, so that of every higher degree
-            assert got[1] == dataclasses.replace(want, degree=40)
+            assert got[2] == kernel_reading_every_degree(g, z, 40)
+        # degree 40 in 8 variables is past the monomial cap, but the kernel
+        # certified at the certifying degree is the true one, so that of every
+        # degree
+        assert got == [dataclasses.replace(want, degree=d) for d in degrees]
 
     @pytest.mark.parametrize("make, d", [
         pytest.param(lambda: TorusAction(TORUS_ON_C4), 2, id="torus-on-c4-at-2"),
         pytest.param(cat.d4_on_r2, 1, id="d4-at-1"),
     ])
-    def test_uncertified_degrees_still_eliminate(self, make, d, eliminated):
+    def test_uncertified_degrees_eliminate_on_verifys_route_only(self, make, d, eliminated):
         g = make()
         z = compute_commutant(g).center
         eliminated["monomials"].clear()
-        got = kernel_s(g, z, d)
+        floor = lie_floor(g, z)
+        assert kernel_s(g, z, d) == KernelResult(floor, "certified", d)
+        assert eliminated == {"monomials": [], "streams": 0, "derivations": 0}
+        got = one_degree_kernel(g, z, d)
         # D4 has no invariant of degree 1 to derive, but builds that degree
         assert eliminated["streams"] == 1 and eliminated["monomials"]
         assert got == kernel_reading_every_degree(g, z, d)
-        assert got.exactness == "degree-bounded" and got.dim_s > lie_floor(g, z).dim
+        assert got.exactness == "degree-bounded" and got.dim_s > floor.dim
 
     def test_su3_on_c3_kernel_exceeds_its_floor(self):
         # why ConnectedLieAction.kernel_is_floor is False: SU(3) is
@@ -800,21 +828,74 @@ class TestCertifiedFloor:
         g = su3_on_c3()
         z = compute_commutant(g).center
         got = kernel_s(g, z, 2)
-        assert not g.kernel_is_floor and g.certifying_degree(40) is None
+        assert not g.kernel_is_floor and not g.certified(40)
         assert (got.dim_s, lie_floor(g, z).dim) == (1, 0)
         assert got == kernel_reading_every_degree(g, z, 2)
 
-    def test_certifying_walk_stops_before_a_degree_past_the_cap(self, monkeypatch):
-        # the weight-(1, 1) circle certifies at 2, which has 10 monomials;
-        # under a cap of 5 the walk refuses it, and the elimination reports
-        # the cap on its own terms
-        g = TorusAction(((1, 1),))
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: TorusAction(((1, 1),)), id="circle-1-1"),
+        pytest.param(cat.su2_on_c2, id="su2-on-c2"),
+    ])
+    def test_only_a_degree_that_is_built_meets_the_cap(self, make, monkeypatch):
+        # degree 2 in 4 variables has 10 monomials.  Under a cap of 5 the
+        # elimination refuses it on its own terms; compute answers the
+        # weight-(1, 1) circle's s = Lie(T) by the floor theorem, walking no
+        # pair, and refuses su(2) on C^2, whose invariants it reads
+        g = make()
         z = compute_commutant(g).center
         monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
-        assert g.certifying_degree(2, functools.partial(strata._within_cap, g.dim)) is None
-        assert sorted(g._pairs) == [1]
-        with pytest.raises(DegreeBoundTooLarge, match="10 monomials in degree 2 exceeds cap 5"):
-            kernel_s(g, z, 2)
+        refused = "10 monomials in degree 2 exceeds cap 5"
+        if g.kernel_is_floor:
+            assert kernel_s(g, z, 2) == KernelResult(lie_floor(g, z), "certified", 2)
+            assert not g._pairs
+        else:
+            with pytest.raises(DegreeBoundTooLarge, match=refused):
+                kernel_s(g, z, 2)
+        with pytest.raises(DegreeBoundTooLarge, match=refused):
+            one_degree_kernel(g, z, 2)
+
+
+# every finite and torus quotient orbit of the workloads at seeds 1009 and
+# 4242, and the actions of the `certified-floor` digest set at bounds 1, 2
+# and 40
+FLOOR_MODELS = [
+    pytest.param(model, id=ident)
+    for ident, model in _workload_orbits()
+    if model.quotient_requested and model.slice_action.kernel_is_floor
+] + [
+    pytest.param(
+        pipeline.OrbitModel(name, make(), quotient_requested=True, degree_bound=bound),
+        id="%s-at-%d" % (name, bound))
+    for name, make in (("d4", cat.d4_on_r2), ("s3-std-sign", cat.s3_standard_plus_sign),
+                       ("circle-1-3", lambda: TorusAction(TORUS_1_3)),
+                       ("torus-on-c4", lambda: TorusAction(TORUS_ON_C4)))
+    for bound in (1, 2, 40)
+]
+
+
+@pytest.mark.parametrize("model", FLOOR_MODELS)
+def test_compute_reads_no_invariant_of_a_floor_action(model, monkeypatch):
+    # compute answers a finite group's or a torus's s by the floor theorem:
+    # it builds no invariant, walks no torus pair and forms no weight
+    # lattice, at any degree bound
+    called = []
+
+    def recorded(owner, name):
+        def call(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
+
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, call)
+
+    for cls in (FiniteMatrixAction, TorusAction, ConnectedLieAction):
+        recorded(cls, "invariant_terms")
+    recorded(TorusAction, "pairs_of_degree")
+    recorded(symmetry, "lattice_contains")
+    recorded(symmetry, "integer_kernel_saturated")
+    q = pipeline.run_orbit(model).quotient
+    assert called == []
+    assert (q.k, q.exactness) == (strata._floor(model.slice_action).dim, "certified")
 
 
 class TestQuotient:
@@ -832,7 +913,7 @@ class TestQuotient:
     def test_degree_bounded_kernel_above_l_means_the_bound_is_too_low(self):
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
-        res = kernel_s(g, a.center, degree=1)
+        res = one_degree_kernel(g, a.center, 1)
         assert (res.exactness, res.dim_s) == ("degree-bounded", 2)
         with pytest.raises(DegreeBoundTooLow, match=r"degree bound 1 .* k = 2 > l = 1"):
             quotient_abelianization(res, classify_ml(a.center))
@@ -840,7 +921,7 @@ class TestQuotient:
     def test_certified_kernel_above_l_is_an_inconsistency(self):
         g = TorusAction(((1, 1),))
         a = compute_commutant(g)
-        res = dataclasses.replace(kernel_s(g, a.center, degree=1), exactness="certified")
+        res = dataclasses.replace(one_degree_kernel(g, a.center, 1), exactness="certified")
         with pytest.raises(AssertionError, match="inconsistent dimensions"):
             quotient_abelianization(res, classify_ml(a.center))
 
