@@ -40,7 +40,9 @@ classes, with the quotient asked for, run as the `torus` set; and, as the
 R^7 (896 > 49), S3 on the sum-zero part of its regular representation
 (12 <= 25) and Q8 on (R^4)^3 (16 <= 144) without the quotient, and the
 rotation group C4 on R^2 (4 = 4) with it, all in that basis, each once with
-no flag and once with `--max-group-order 4`, below the order of all but C4.
+no flag and once with `--max-group-order 4`, below the order of all but C4;
+and, as the `scale-large` set, on Q8 on (R^4)^6 in that basis, whose
+commutant M_6(H) has dimension 144, run as the `scale` set.
 Prints one
 sha256 per document set and mode over (exit code, stdout, stderr, emitted
 JSON) of its runs.  The workloads' matrices are
@@ -132,14 +134,15 @@ def _copies(a: QMatrix, m: int) -> QMatrix:
     return QMatrix.from_rows(rows)
 
 
-def _scale_documents() -> list[dict]:
-    """Q8 on (R^4)^m for m = 2, 3, 4, without the quotient, whose degree
-    bound |G| = 8 in up to 16 variables would dwarf the rest."""
+def _scale_documents(copies: tuple[int, ...] = (2, 3, 4)) -> list[dict]:
+    """Q8 on (R^4)^m for each m of `copies`, by default 2, 3 and 4, without
+    the quotient, whose degree bound |G| = 8 in up to 4m variables would
+    dwarf the rest."""
     q8 = catalog.q8_on_r4()
     return [
         _document("q8-on-%d-copies" % m, FiniteMatrixAction(
             4 * m, tuple(_copies(a, m) for a in q8.generators)), False)
-        for m in (2, 3, 4)
+        for m in copies
     ]
 
 
@@ -357,6 +360,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["certified-floor"] = _certified_floor_documents()
     docs["torus-classes"] = _torus_documents(TORUS_CLASSES)
     docs["finite-classes"] = _finite_classes_documents()
+    docs["scale-large"] = _scale_documents((6,))
     return docs
 
 

@@ -15,20 +15,33 @@ commutant basis, residual, word or bracket.  Otherwise it builds the
 commutant here.
 
 One record, `MatrixAlgebra`, carries an algebra: its basis and span, the
-generators of its action when known, and its bracket table, Z(A) and [A, A],
-each formed once on first read.  The commutant's span is the action's own
+generators of its action when known, and its bracket table, Z(A), the trace
+form's inertia on Z(A) and [A, A], each formed once on first read, the
+table one bracket at a time.  The commutant's span is the action's own
 `commutant_span` (the kernel of the commutator rows of a finite group's
 generators or of a Lie-generating subset of a connected group's, or read
 off a torus's weights), and its closure under products is certified by its
 residual against every action generator, not multiplied out
 (`compute_commutant`).  `center` reads Z(A) = A meet W off the span W of
 the words in the action's generators where that is the cheaper route, else
-off the table of brackets of basis elements (`MatrixAlgebra.brackets`),
+off the table of brackets of basis elements (`MatrixAlgebra.bracket`),
 whose span is [A, A].  Compute forms no [A, A]: A is semisimple, the trace
 form is nondegenerate on Z(A) (`classify_ml` requires it) and pairs Z(A)
 with [A, A] to zero, so dim [A, A] = dim A - dim Z(A).  Verify builds its
 record without the generators, so its Z(A), [A, A] and their split all come
 from the table.
+
+The table is read only as far as two exact stopping rules allow:
+
+- Z(A): the centralizer C_j of the first j basis elements holds Z(A), and
+  Z(A) holds I.  Once dim C_j = 1, C_j = span{I} = Z(A), and no later
+  column is read (`_table_center`).
+- [A, A]: for central z, tr([x, y] z) = tr(x [y, z]) = 0, so [A, A] lies
+  in the kernel of a -> tr(a .) restricted to Z(A).  When the trace form is
+  nondegenerate on Z(A) that map is onto, its kernel has dimension
+  d - dim Z(A), and brackets spanning that rank span [A, A]
+  (`commutator_ideal`).  With a degenerate form (A not semisimple) every
+  bracket is read.
 """
 
 from __future__ import annotations
@@ -58,8 +71,9 @@ from .symmetry import FiniteMatrixAction, GroupAction
 @dataclass(frozen=True)
 class MatrixAlgebra:
     """Unital associative subalgebra A of End(R^n): a rational basis and its
-    span in vec(End(V)), with the bracket table, Z(A) and [A, A] formed once
-    each, on first read.  Every answer about A reads them from here.
+    span in vec(End(V)), with each bracket of the table, Z(A), the inertia
+    of the trace form on Z(A) and [A, A] formed once, on first read.  Every
+    answer about A reads them from here.
 
     `compute_commutant` builds the commutant with its own certificate and
     the generators of its action, which `center` may read; a basis given
@@ -71,6 +85,9 @@ class MatrixAlgebra:
     span: Subspace = field(compare=False, repr=False)
     # the matrices A is the commutant of, or () when they are not known
     generators: tuple[QMatrix, ...] = field(compare=False, repr=False)
+    # the bracket table as far as it has been read: (i, j) -> vec [B_i, B_j]
+    _table: dict[tuple[int, int], dict[int, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_basis(n: int, basis: tuple[QMatrix, ...]) -> "MatrixAlgebra":
@@ -91,19 +108,26 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def brackets(self) -> dict[tuple[int, int], dict[int, int]]:
-        """The bracket table, formed once per algebra and read by `center` and
-        `commutator_ideal`: vec [B_i, B_j] as {index: int}, zeros dropped, for
-        i < j and the integral B_i = den(b_i) b_i."""
-        b = self.basis
-        return {(i, j): bracket_vec(b[i], b[j])[1]
-                for i, j in itertools.combinations(range(len(b)), 2)}
+    def bracket(self, i: int, j: int) -> dict[int, int]:
+        """The table entry vec [B_i, B_j] for i < j, as {index: int} with zeros
+        dropped, for the integral B_i = den(b_i) b_i: formed on first read and
+        kept, so `center` and `commutator_ideal` bracket no pair twice."""
+        vec = self._table.get((i, j))
+        if vec is None:
+            vec = self._table[i, j] = bracket_vec(self.basis[i], self.basis[j])[1]
+        return vec
 
     @cached_property
     def center(self) -> Subspace:
         """Z(A) as a subspace of vec(End(V))."""
         return center(self)
+
+    @cached_property
+    def center_form(self) -> tuple[int, int, int]:
+        """The inertia (positive, negative, zero squares) of the trace form on
+        Z(A), found once: `classify_ml` reads (m, l) off it, and
+        `commutator_ideal` its stopping rank."""
+        return inertia(trace_form(self.center, self.ambient_dim))
 
     @cached_property
     def derived(self) -> Subspace:
@@ -172,7 +196,12 @@ def center(a: MatrixAlgebra) -> Subspace:
     Z(A) = A meet W = {w in W : [w, g_i] = 0 for every i}.  dim A dim W >=
     n^2, so W takes at least ceil(n^2 / d) k products; it is built only when
     that is at most the table's d(d - 1)/2 brackets, and given up past that
-    many products.  The table route forms no product."""
+    many products.
+
+    The table route forms no product, and at most d(d - 1)/2 brackets.  It
+    narrows the centralizer C_j of the first j basis elements column by
+    column and stops at the scalars: C_j holds Z(A), which holds I, so once
+    dim C_j = 1 it is Z(A) = span{I}."""
     n, d, gens = a.ambient_dim, a.dim, a.generators
     budget = d * (d - 1) // 2
     if gens and -(-n * n // d) * len(gens) <= budget:
@@ -200,15 +229,23 @@ def _word_center(n: int, words: list[QMatrix], gens: tuple[QMatrix, ...]) -> Sub
 
 
 def _table_center(a: MatrixAlgebra) -> Subspace:
-    """Z(A) read off the bracket table: no product is formed."""
-    n, d, table = a.ambient_dim, a.dim, a.brackets
+    """Z(A) read off the bracket table: no product is formed.
+
+    C_j, the centralizer in A of B_0..B_(j-1), narrows column by column to
+    C_d = Z(A), and column j reads [B_i, B_j] only for the i that some
+    element of C_j involves.  It stops once dim C_j = 1 (see `center`)."""
+    n, d = a.ambient_dim, a.dim
     # the integer coefficient vectors coefs {i: c_i} over the integral basis
-    # B_i = den(b_i) b_i span the centralizer in A of the basis elements seen
-    # so far; each B_j keeps the combinations x commuting with it, where
-    # [x, B_j] = sum of c_i [B_i, B_j] and [B_i, B_j] = -[B_j, B_i]
+    # B_i = den(b_i) b_i span C_j; each B_j keeps the combinations x
+    # commuting with it, where [x, B_j] = sum of c_i [B_i, B_j] and
+    # [B_i, B_j] = -[B_j, B_i]
     coefs = [{i: 1} for i in range(d)]
     for j in range(d):
-        column = [table[i, j] if i < j else table[j, i] if i > j else {} for i in range(d)]
+        if len(coefs) == 1:
+            break
+        column = [{}] * d
+        for i in set().union(*coefs) - {j}:
+            column[i] = a.bracket(i, j) if i < j else a.bracket(j, i)
         signed = [{i: -c if i > j else c for i, c in x.items()} for x in coefs]
         brackets = combine(signed, column)
         if not any(brackets):
@@ -218,9 +255,22 @@ def _table_center(a: MatrixAlgebra) -> Subspace:
 
 
 def commutator_ideal(a: MatrixAlgebra) -> Subspace:
-    """Span of all brackets of basis elements (= [A, A] by bilinearity): the
-    span of the bracket table."""
-    return Subspace._span(a.ambient_dim ** 2, a.brackets.values())
+    """[A, A], the span of the brackets of basis elements (by bilinearity),
+    read off the table pair by pair.
+
+    When the trace form on Z(A) is nondegenerate (`center_form`), the
+    elimination stops at rank d - dim Z(A).  For central z, tr([x, y] z) =
+    tr(x [y, z]) = 0, so [A, A] lies in the kernel of a -> tr(a .) on Z(A).
+    That map is onto Z(A)*, as its restriction to Z(A) is the nondegenerate
+    form, so its kernel has dimension d - dim Z(A); brackets of that rank
+    span all of [A, A].  With a degenerate form (A not semisimple) [A, A]
+    can be larger, and every bracket is read."""
+    d = a.dim
+    pos, neg, zero = a.center_form
+    pairs = itertools.combinations(range(d), 2)
+    return Subspace._span(
+        a.ambient_dim ** 2, (a.bracket(i, j) for i, j in pairs),
+        None if zero else d - pos - neg)
 
 
 def verify_center_splits(a: MatrixAlgebra) -> tuple[bool, str]:
@@ -229,7 +279,16 @@ def verify_center_splits(a: MatrixAlgebra) -> tuple[bool, str]:
     the detail names each failure.
 
     Holds whenever A is the commutant of a compact action; may legitimately
-    fail for other algebras (e.g. upper-triangular matrices).
+    fail for other algebras (e.g. upper-triangular matrices).  Z(A) and
+    [A, A] come from the bracket table, each with its exact early stop:
+    - `center` stops at the scalars, once the centralizer C of the first
+      basis elements is span{I}: C holds Z(A), which holds I;
+    - `commutator_ideal` stops at rank d - dim Z(A) when the trace form on
+      Z(A) is nondegenerate: [A, A] lies in the kernel of a -> tr(a .) on
+      Z(A), as tr([x, y] z) = tr(x [y, z]) = 0 for central z, and that map
+      is then onto, with a kernel of dimension d - dim Z(A).
+    Neither stop assumes the split: with a degenerate form every bracket is
+    read, so a meet is still found.
     """
     z, d = a.center, a.derived
     total = z.sum(d)
@@ -243,15 +302,20 @@ def verify_center_splits(a: MatrixAlgebra) -> tuple[bool, str]:
     return not failures, "; ".join(failures)
 
 
-def classify_ml(z: Subspace) -> MLClassification:
+def classify_ml(z: Subspace | MatrixAlgebra) -> MLClassification:
     """(m, l) as the inertia of the trace form (x, y) -> tr(xy) on Z(A),
-    given as the subspace z of vec(End(V)), which fixes n = dim V.
+    given as the subspace z of vec(End(V)), which fixes n = dim V, or as the
+    algebra A, whose `center_form` is read: verify's classification and the
+    stop of its `commutator_ideal` then share one inertia.
 
     Z(A) ~ R^{m-l} x C^l, and the trace over V weights every factor
     positively: a real factor gives one positive square, a complex one
     a^2 - b^2, one of each sign.  A zero square means Z(A) is not semisimple.
     """
-    pos, neg, zero = inertia(trace_form(z, isqrt(z.ambient_dim)))
+    if isinstance(z, MatrixAlgebra):
+        pos, neg, zero = z.center_form
+    else:
+        pos, neg, zero = inertia(trace_form(z, isqrt(z.ambient_dim)))
     if zero:
         raise ValueError("the trace form on the center is degenerate "
                          "(%d zero squares): Z(A) is not semisimple" % zero)

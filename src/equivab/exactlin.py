@@ -133,19 +133,25 @@ class QMatrix:
         return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
 
 
-def _integral_product(x: QMatrix, y: QMatrix) -> dict[int, int]:
-    """vec(XY) times the denominators of X and Y, as {index: int} with zeros
-    kept, from the integer rows of X and Y."""
+def _integral_product(
+    x: QMatrix, y: QMatrix, out: dict[int, int] | None = None, sign: int = 1
+) -> dict[int, int]:
+    """vec(XY) times the denominators of X and Y and by sign, added into out
+    (a new dict by default) as {index: int} with zeros kept, from the integer
+    rows of X and Y."""
     if x.cols != y.rows:
         raise ValueError("shape mismatch in matrix product")
-    out: dict[int, int] = {}
+    if out is None:
+        out = {}
+    get = out.get
     w, y_rows = y.cols, y.int_rows
     for i, row in enumerate(x.int_rows):
         base = i * w
         for k, a in row:
+            a *= sign
             for j, b in y_rows[k]:
                 key = base + j
-                out[key] = out.get(key, 0) + a * b
+                out[key] = get(key, 0) + a * b
     return out
 
 
@@ -157,10 +163,9 @@ def product_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
 
 
 def bracket_vec(x: QMatrix, y: QMatrix) -> tuple[int, dict[int, int]]:
-    """vec(XY - YX) in integer form (den, {index: int}), zeros dropped."""
-    out = _integral_product(x, y)
-    for key, b in _integral_product(y, x).items():
-        out[key] = out.get(key, 0) - b
+    """vec(XY - YX) in integer form (den, {index: int}), zeros dropped: both
+    products accumulate into one dict."""
+    out = _integral_product(y, x, _integral_product(x, y), -1)
     return x.den * y.den, {k: c for k, c in out.items() if c}
 
 
@@ -236,10 +241,13 @@ def _insert_until(engine: "SparseRREF", rows: Iterable[dict[int, int]], rank: in
                 break
 
 
-def _eliminate(ncols: int, rows: Iterable[dict[int, int]]) -> "SparseRREF":
-    """The one sparse engine holding the span of the integer rows."""
+def _eliminate(
+    ncols: int, rows: Iterable[dict[int, int]], rank: int | None = None
+) -> "SparseRREF":
+    """The one sparse engine holding the span of the integer rows, read
+    lazily: none once the engine has `rank`, by default ncols."""
     engine = SparseRREF(ncols)
-    _insert_until(engine, rows, ncols)
+    _insert_until(engine, rows, ncols if rank is None else rank)
     return engine
 
 
@@ -327,20 +335,24 @@ class SparseRREF:
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         """Residual of the integer row v against the current rows, up to a
-        nonzero integer factor; v is consumed."""
+        nonzero integer factor; v is consumed.  A row with pivot 1, the
+        common case, is subtracted c times with no gcd and no rescale."""
         for pc, p, row in self.rows:
             c = v.get(pc)
-            if c:
+            if not c:
+                continue
+            if p != 1:
                 g = gcd(p, c)
-                a, b = p // g, c // g
+                a, c = p // g, c // g
                 if a != 1:
                     v = {col: a * x for col, x in v.items()}
-                for col, x in row.items():
-                    nv = v.get(col, 0) - b * x
-                    if nv:
-                        v[col] = nv
-                    else:
-                        del v[col]
+            get = v.get
+            for col, x in row.items():
+                nv = get(col, 0) - c * x
+                if nv:
+                    v[col] = nv
+                else:
+                    del v[col]
         return v
 
     def insert(self, vec: dict[int, int]) -> bool:
@@ -354,18 +366,23 @@ class SparseRREF:
         p = v[pc]
         for i, (qc, q, row) in enumerate(self.rows):
             c = row.get(pc)
-            if c:
+            if not c:
+                continue
+            if p == 1:
+                row = dict(row)
+            else:
                 g = gcd(p, c)
-                a, b = p // g, c // g
+                a, c = p // g, c // g
                 row = {col: a * x for col, x in row.items()} if a != 1 else dict(row)
-                for col, x in v.items():
-                    nv = row.get(col, 0) - b * x
-                    if nv:
-                        row[col] = nv
-                    else:
-                        del row[col]
-                row = _primitive(row, 1)
-                self.rows[i] = (qc, row[qc], row)
+            get = row.get
+            for col, x in v.items():
+                nv = get(col, 0) - c * x
+                if nv:
+                    row[col] = nv
+                else:
+                    del row[col]
+            row = _primitive(row, 1)
+            self.rows[i] = (qc, row[qc], row)
         insort(self.rows, (pc, p, v))
         return True
 
@@ -457,9 +474,14 @@ class Subspace:
         return Subspace._span(ambient_dim, (_exact_row(v, ambient_dim) for v in vectors))
 
     @staticmethod
-    def _span(ambient_dim: int, vectors: Iterable[dict[int, int]]) -> "Subspace":
-        """Span of integer vectors given as {index: int}."""
-        return _eliminate(ambient_dim, vectors).subspace()
+    def _span(
+        ambient_dim: int, vectors: Iterable[dict[int, int]], rank: int | None = None
+    ) -> "Subspace":
+        """Span of integer vectors given as {index: int}, read lazily.  A
+        caller that knows they span at most `rank` dimensions passes it: no
+        vector is read once the span has that rank, which is then the whole
+        span."""
+        return _eliminate(ambient_dim, vectors, rank).subspace()
 
     def _engine(self) -> "SparseRREF":
         """A new engine holding the rows of this subspace."""

@@ -216,7 +216,10 @@ def _orbit_checks(model: OrbitModel) -> Iterator[VerificationItem]:
     # compute mode takes for no torus, for no finite group under the rule of
     # `commutant_center` and nowhere the word route is the cheaper
     a = replace(comm.commutant_kernel(g), generators=())
-    split, ml = comm.verify_center_splits(a), comm.classify_ml(a.center)
+    # (m, l) is the inertia of the trace form on Z(A), found once: the
+    # split's [A, A] stops at the rank that inertia fixes
+    ml = comm.classify_ml(a)
+    split = comm.verify_center_splits(a)
     # exact residual, the only one verify forms: the kernel really commutes
     # with the action
     yield item("commutant-residual", comm.commutes_with_action(a, g))

@@ -688,6 +688,16 @@ def _element_key(den: int, ints: dict[int, int]) -> tuple[int, tuple[tuple[int, 
     return den, tuple(sorted(ints.items()))
 
 
+def _key_element(key: tuple[int, tuple[tuple[int, int], ...]], n: int) -> QMatrix:
+    """The n x n matrix of an `_element_key`, read straight off it: the key is
+    already reduced and sorted, as `QMatrix` stores a matrix."""
+    den, entries = key
+    grid: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, x in entries:
+        grid[k // n].append((k % n, x))
+    return QMatrix(den, tuple(map(tuple, grid)), n)
+
+
 class _OverBudget(Exception):
     """An enumeration listed more elements than its budget."""
 
@@ -715,7 +725,7 @@ def enumerate_group(g: FiniteMatrixAction, budget: int | None = None) -> list[QM
     seen = {_element_key(1, ident.int_vec()): ident}
 
     def add(key) -> QMatrix:
-        el = QMatrix._of(*key, n, n)
+        el = _key_element(key, n)
         _check_trace(el, "group not finite: an element", GroupNotFiniteError)
         if len(seen) >= g.cap:
             raise GroupNotFiniteError("group not finite under cap %d" % g.cap)

@@ -11,18 +11,20 @@ the other two, and verify never takes it."""
 import dataclasses
 import importlib.util
 import inspect
+import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from exact_oracles import vec
 from test_commutant import in_rational_basis
 
 from equivab import catalog as cat
 from equivab import commutant as comm
 from equivab import exactlin, pipeline
 from equivab import io as eio
-from equivab.exactlin import QMatrix
+from equivab.exactlin import QMatrix, Subspace
 from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction, TorusAction
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,6 +263,23 @@ def test_q8_on_four_copies_takes_the_word_route(calls):
     assert calls["bracket_vec"] < a.dim
     assert z == comm.center(dataclasses.replace(a, generators=()))
     assert z.dim == 1
+
+
+def test_table_route_stops_early_at_scale(calls):
+    # verify's record of Q8 on (R^4)^4 in a sheared rational basis: d = 64
+    # and Z(A) = span{I}.  The centralizer of the first basis elements is
+    # already span{I}, and [A, A] stops at rank d - 1, so fewer than half of
+    # the table's 2016 brackets are formed
+    table = table_record(in_rational_basis(q8_on_copies_of_r4(4)))
+    n, d = table.ambient_dim, table.dim
+    assert (n, d) == (16, 64)
+    calls["bracket_vec"] = 0
+    z, derived = table.center, table.derived
+    assert calls["product_vec"] == 0
+    assert calls["bracket_vec"] < d * (d - 1) // 4
+    assert (z.dim, derived.dim) == (1, 63)
+    dense = [vec(x @ y - y @ x) for x, y in itertools.combinations(table.basis, 2)]
+    assert derived == Subspace.from_vectors(n * n, dense)
 
 
 def test_word_basis_gives_up_past_its_cap():

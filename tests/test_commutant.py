@@ -205,6 +205,24 @@ def _sheared(a: MatrixAlgebra) -> MatrixAlgebra:
     return MatrixAlgebra.from_basis(a.ambient_dim, _shear(a.basis))
 
 
+def _truncated_free_algebra() -> MatrixAlgebra:
+    """The regular representation of the unital algebra on x1..x4 in which
+    every product of three generators is zero: the words of length <= 2, so
+    d = 21.  Z(A) is spanned by 1 and the 16 words x_i x_j, and [A, A] by the
+    6 brackets [x_i, x_j], all central: dim [A, A] = 6 > d - dim Z(A) = 4.
+    The trace form on Z(A) has 16 zero squares."""
+    words = [()] + [(i,) for i in range(4)] + [(i, j) for i in range(4) for j in range(4)]
+    index = {w: k for k, w in enumerate(words)}
+    n = len(words)
+
+    def left(w):
+        return QMatrix.from_rows(
+            [[int(len(w) + len(u) <= 2 and index[w + u] == r) for u in words]
+             for r in range(n)])
+
+    return MatrixAlgebra.from_basis(n, tuple(left(w) for w in words))
+
+
 CENTER_CASES = (
     [pytest.param(lambda make=make: compute_commutant(make()), id=make.__name__)
      for make, *_ in FINITE_CASES]
@@ -222,6 +240,8 @@ CENTER_CASES = (
         ),
         id="upper_triangular_2x2_identity_first",
     )]
+    # the trace form on Z(A) is degenerate, and [A, A] exceeds d - dim Z(A)
+    + [pytest.param(_truncated_free_algebra, id="truncated_free_algebra")]
 )
 
 
@@ -284,15 +304,24 @@ class TestCenterAndAbelianization:
         meet = s.center.intersection(s.derived).dim
         assert passed == (meet == 0 and s.center.sum(s.derived).dim == s.dim)
 
-    def test_center_meeting_derived_fails_split(self):
+    @pytest.mark.parametrize("make_algebra, dims, detail", [
         # upper triangular 3 x 3 with equal diagonal: Z(A) = span{I, E13} and
         # [A, A] = span{E13}, so Z(A) + [A,A] is 2-dimensional in dim A = 4
-        a = _equal_diagonal_triangular()
-        assert (a.center.dim, a.derived.dim) == (2, 1)
-        assert verify_center_splits(a) == (
-            False,
+        pytest.param(
+            _equal_diagonal_triangular, (4, 2, 1, (1, 0, 1)),
             "Z(A) meets [A,A] in dimension 1; Z(A) + [A,A] has dimension 2 < dim A = 4",
-        )
+            id="equal_diagonal_triangular_3x3"),
+        # [A, A] lies in Z(A); a stop at rank d - dim Z(A) = 4 would miss two
+        # of its brackets
+        pytest.param(
+            _truncated_free_algebra, (21, 17, 6, (1, 0, 16)),
+            "Z(A) meets [A,A] in dimension 6; Z(A) + [A,A] has dimension 17 < dim A = 21",
+            id="truncated_free_algebra"),
+    ])
+    def test_center_meeting_derived_fails_split(self, make_algebra, dims, detail):
+        a = make_algebra()
+        assert (a.dim, a.center.dim, a.derived.dim, a.center_form) == dims
+        assert verify_center_splits(a) == (False, detail)
 
     def test_span_built_once(self):
         a = compute_commutant(cat.q8_on_r4())
