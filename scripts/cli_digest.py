@@ -24,8 +24,10 @@ or the bracket of two others, with the quotient asked for.  Each runs in
 compute mode with `--emit-json`
 and in `--verify` mode, each once with no flag and once with
 `--degree-bound 3`; and, as the `deep-bound` set, the tori of the `torus`
-set once with `--degree-bound 8` and once with `--degree-bound 12`, well past
-the degree (2 or 3) at which each kernel reaches Z(A) meet Lie(T); and, as
+set, and su(2) and u(2) on C^2 in that basis, with the quotient asked for,
+once with `--degree-bound 8` and once with `--degree-bound 12`, well past
+the degree (2 or 3) at which each kernel reaches its floor Z(A) meet
+Lie(K), which for su(2) and u(2) has dimension l, 0 and 1; and, as
 the `certified-floor` set, D4 and S3 std+sign in that basis at degree bounds
 1, 2 and 2|G|, and the tori of weights (1, 3) and ((1, 0, 1, 1),
 (0, 1, 1, -1)) at 2, 3, 4 and 40, below, at and past the degree that
@@ -200,6 +202,24 @@ TORUS_CLASSES = {
 }
 
 
+def _bracket(a: QMatrix, b: QMatrix) -> QMatrix:
+    """[a, b] = ab - ba."""
+    return QMatrix.from_rows([[x - y for x, y in zip(r, t)]
+                              for r, t in zip((a @ b).entries, (b @ a).entries)])
+
+
+def _deep_bound_documents() -> list[dict]:
+    """The tori of the `torus` set, then su(2) on C^2 and u(2) on C^2, su(2)
+    with the complex structure J, in the basis of `_basis_change`, with the
+    quotient asked for."""
+    su2 = catalog.su2_on_c2()
+    zero = QMatrix.zeros(2, 2)
+    j = catalog.realify_complex(zero, QMatrix.identity(2))
+    u2 = ConnectedLieAction(4, su2.lie_generators + (j,))
+    return _torus_documents() + [_document("su2-on-c2", su2, True),
+                                 _document("u2-on-c2", u2, True)]
+
+
 def _lie_redundant_documents() -> list[dict]:
     """su(2) on C^2 and su(3) on C^3, each with one redundant generator, in
     the basis of `_basis_change`, with the quotient asked for: the second
@@ -213,7 +233,7 @@ def _lie_redundant_documents() -> list[dict]:
         rescaled = QMatrix.from_rows([[Fraction(-2, 3) * x for x in row] for row in a.entries])
         for how, gens in (("repeated", g.lie_generators + (b,)),
                           ("rescaled", (a, rescaled) + g.lie_generators[1:]),
-                          ("bracket", (a @ b - b @ a,) + g.lie_generators)):
+                          ("bracket", (_bracket(a, b),) + g.lie_generators)):
             label = "%s-%s" % (name, how)
             docs.append(_document(label, ConnectedLieAction(g.dim, gens), True))
     return docs
@@ -354,7 +374,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["scale"] = _scale_documents()
     docs["finite-scale"] = _finite_scale_documents(False)
     docs["torus"] = _torus_documents()
-    docs["deep-bound"] = _torus_documents()
+    docs["deep-bound"] = _deep_bound_documents()
     docs["finite-quotient-scale"] = _finite_scale_documents(True)
     docs["lie-redundant"] = _lie_redundant_documents()
     docs["certified-floor"] = _certified_floor_documents()

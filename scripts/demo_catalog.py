@@ -49,8 +49,9 @@ def main():
                 "ok" if all(passed for passed, _ in checks) else "FAIL"
             )
         # a finite group's or a torus's kernel is its floor at every bound;
-        # a connected group's is read from its invariants to degree 2
-        res = kernel_s(g, a.center, degree=g.default_degree_bound)
+        # a connected group's is zero where l = 0, else it is read from its
+        # invariants to degree 2
+        res = kernel_s(g, a.center, g.default_degree_bound, ml.l)
         q = quotient_abelianization(res, ml)
         line += "  quotient R^%d+C^%d (k=%d, %s)" % (
             q.real_rank, q.complex_rank, q.k, q.exactness

@@ -23,7 +23,7 @@ def c2_sign() -> FiniteMatrixAction:
 
 def c2_minus_identity(n: int = 2) -> FiniteMatrixAction:
     """{+-I} on R^n."""
-    return FiniteMatrixAction(n, (QMatrix.zeros(n, n) - QMatrix.identity(n),))
+    return FiniteMatrixAction(n, (QMatrix(1, tuple(((i, -1),) for i in range(n)), n),))
 
 
 def c3_rotation() -> FiniteMatrixAction:
@@ -257,21 +257,20 @@ def _su_n_basis(n: int) -> list[tuple[QMatrix, QMatrix]]:
     """su(n) as (real part, imaginary part) pairs of complex n x n matrices."""
     out = []
 
-    def unit(i, j):
-        return QMatrix.from_rows(
-            [
-                [Fraction(1) if (r, c) == (i, j) else Fraction(0) for c in range(n)]
-                for r in range(n)
-            ]
-        )
+    def units(*signed):
+        # the sum of sign * E_ij over the (i, j, sign) of `signed`
+        rows = [[0] * n for _ in range(n)]
+        for i, j, sign in signed:
+            rows[i][j] = sign
+        return QMatrix.from_rows(rows)
 
     zero = QMatrix.zeros(n, n)
     for i in range(n):
         for j in range(i + 1, n):
-            out.append((unit(i, j) - unit(j, i), zero))  # real antisymmetric
-            out.append((zero, unit(i, j) + unit(j, i)))  # i * symmetric
+            out.append((units((i, j, 1), (j, i, -1)), zero))  # real antisymmetric
+            out.append((zero, units((i, j, 1), (j, i, 1))))  # i * symmetric
     for i in range(n - 1):
-        out.append((zero, unit(i, i) - unit(i + 1, i + 1)))  # i * traceless diag
+        out.append((zero, units((i, i, 1), (i + 1, i + 1, -1))))  # i * traceless diag
     return out
 
 
@@ -283,8 +282,8 @@ def su3_on_c3_plus_wedge2() -> ConnectedLieAction:
     """
     gens = []
     for re, im in _su_n_basis(3):
-        lam_re = QMatrix.zeros(3, 3) - re.transpose()
-        lam_im = QMatrix.zeros(3, 3) - im.transpose()
+        lam_re = QMatrix.from_rows([[-x for x in row] for row in re.transpose().entries])
+        lam_im = QMatrix.from_rows([[-x for x in row] for row in im.transpose().entries])
         top = realify_complex(re, im)
         bottom = realify_complex(lam_re, lam_im)
         rows = [[Fraction(0)] * 12 for _ in range(12)]

@@ -113,24 +113,22 @@ class QMatrix:
                 cols[j].append((i, x))
         return QMatrix(self.den, tuple(map(tuple, cols)), self.rows)
 
-    def _plus(self, other: "QMatrix", sign: int) -> "QMatrix":
-        """self + sign * other, over the lcm of the two denominators."""
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        out = {k: a * x for k, x in self.int_vec().items()}
-        for k, x in other.int_vec().items():
-            out[k] = out.get(k, 0) + b * x
-        return QMatrix._of(den, out.items(), self.rows, self.cols)
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self._plus(other, -1)
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         out = _integral_product(self, other)
         return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
+
+
+def minus_identity(m: QMatrix) -> QMatrix:
+    """M - I for a square M, straight on its integer rows: den(M) M minus
+    den(M) on the diagonal, over den(M).  That den stays the least: a
+    common factor of den and every entry of den(M) (M - I) divides every
+    entry of den(M) M."""
+    den, rows = m.den, []
+    for i, row in enumerate(m.int_rows):
+        entries = dict(row)
+        entries[i] = entries.get(i, 0) - den
+        rows.append(tuple((j, x) for j, x in sorted(entries.items()) if x))
+    return QMatrix(den, tuple(rows), m.cols)
 
 
 def _integral_product(

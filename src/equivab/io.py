@@ -46,11 +46,13 @@ def _rational(x, where: str, i: int, j: int) -> tuple[int, int]:
 def _int_rows(rows, where: str) -> tuple[int, list[list[int]]]:
     """(den, the rows of den * M) for the rectangular nested array M of
     rationals, den the lcm of their denominators: each entry becomes an
-    integer once."""
+    integer once.  An all-int array is returned as it is, with den 1."""
     if not isinstance(rows, list) or not rows or not all(
         isinstance(r, list) and len(r) == len(rows[0]) for r in rows
     ):
         raise InputError("%s: expected a rectangular nested array" % where)
+    if all(type(x) is int for r in rows for x in r):
+        return 1, rows
     parsed = [
         [(x, 1) if type(x) is int else _rational(x, where, i, j) for j, x in enumerate(r)]
         for i, r in enumerate(rows)

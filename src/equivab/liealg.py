@@ -14,7 +14,7 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .exactlin import QMatrix, Subspace, combine, common_nullspace, solve
+from .exactlin import QMatrix, Subspace, combine, common_nullspace, minus_identity, solve
 
 # the nonzeros (k, x) of one integer vector, by k
 Pairs = tuple[tuple[int, int], ...]
@@ -203,8 +203,7 @@ class IsotropyData:
 def fixed_subalgebra(data: IsotropyData) -> Subspace:
     """Fixed points of the isotropy action on the ambient algebra."""
     n = data.k.dim
-    ident = QMatrix.identity(n)
-    ops = [a - ident for a in data.automorphisms] + list(data.derivations)
+    ops = [minus_identity(a) for a in data.automorphisms] + list(data.derivations)
     # bracket-closed with no check: an automorphism fixing x and y fixes
     # [x, y], and a derivation killing x and y kills [x, y]; `IsotropyData`
     # has checked every action matrix before `fixed` is read

@@ -123,7 +123,7 @@ def run_orbit(model: OrbitModel) -> OrbitResult:
         lie_dim = liealg.lie_abelianization(liealg.quotient_lie_algebra(model.isotropy_lie))
     quotient = None
     if model.quotient_requested:
-        ker = strata.kernel_s(g, z, model.degree)
+        ker = strata.kernel_s(g, z, model.degree, ml.l)
         quotient = strata.quotient_abelianization(ker, ml)
     return OrbitResult(
         label=model.label,

@@ -11,6 +11,22 @@ kernel off the action as L, at every degree bound, with no invariant at
 all.  For a connected group, and in verify for every kind, this module caps
 the invariants' monomial space and derives them along the center, on
 integers.
+
+The kernel also has a ceiling.  A compact group preserves an inner product
+B, so q(x) = B(x, x) is an invariant of degree 2, and a central z kills it
+exactly when B(x, zx) = 0 for all x: when z is B-skew.  The B-adjoint
+maps the commutant A, hence Z(A), to itself.  In Z(A), which is
+R^(m-l) x C^l, each real unit e is a primitive central idempotent, and so
+is its adjoint; B(ex, ex) > 0 for some x rules out e* e = 0, so e* = e: e
+is a B-orthogonal projection, symmetric.  Each complex unit J has J^2 = -1
+on its block, so it is not symmetric (B(Jx, Jx) = -B(x, x) would be
+negative); the adjoint maps its factor C to itself, so J* = -J: J is
+skew.  So the skew part of Z(A) has dimension l.  L is in s, s is in the
+kernel ker_d of the invariants of degree <= d, and for d >= 2 ker_d is in
+that skew part: dim L <= l always, and where dim L = l, ker_d = L at
+every d >= 2.  Compute uses this where l = 0, so that L = ker_d = 0: it
+answers such a connected group's kernel with no invariant built (the floor
+rule of `kernel_s`).  Where l > 0 it still eliminates.
 """
 
 from __future__ import annotations
@@ -147,9 +163,10 @@ def kernel_s_at_degrees(
     return out
 
 
-def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
+def kernel_s(g: GroupAction, z: Subspace, degree: int, l: int) -> KernelResult:
     """Central elements whose induced derivation kills every invariant of
-    degree <= degree.
+    degree <= degree; `l` is the number of complex factors of Z(A)
+    (`classify_ml`).
 
     When the action's kernel is always its floor L = Z(A) meet Lie(K)
     (`kernel_is_floor`: a finite group, L = 0, or a torus, L = Lie(T)), the
@@ -157,16 +174,25 @@ def kernel_s(g: GroupAction, z: Subspace, degree: int) -> KernelResult:
     floor theorem is about all invariants, so no invariant is built,
     derived or eliminated, and Z(A) is not read.
 
-    Otherwise (a connected group) the invariants are read one degree at a
-    time from `invariants_up_to_degree(g, degree)`; none is read past
-    `degree`, and no degree is read once the kernel is L.  Labelled
-    "certified" when the action's `certified` holds at the degree read to or
-    at `degree`; a degree-bounded result is only an upper bound (superset)
-    for the true kernel.  `kernel_s_at_degrees` always eliminates, so verify
-    checks this reading independently.
+    Otherwise (a connected group) the floor rule comes first.  The
+    invariants of degree <= 2 hold B(x, x) for an invariant inner product B,
+    so at degree >= 2 the kernel lies in the B-skew part of Z(A), of
+    dimension l (module docstring).  So where l = 0 the kernel is zero, with
+    no invariant built, derived or eliminated.  Past the rule the invariants
+    are read one degree at a time from `invariants_up_to_degree(g, degree)`;
+    none is read past `degree`, and no degree is read once the kernel is L.
+    Either way the label is the action's `certified`, at the degree read to
+    or at `degree`; a degree-bounded result is only an upper bound
+    (superset) for the true kernel.  `kernel_s_at_degrees` always
+    eliminates, so verify checks this reading independently.  Degree 1
+    holds no quadratic, so it always eliminates, and a kernel there with
+    k > l is refused by `quotient_abelianization`.
     """
     if g.kernel_is_floor:
         return KernelResult(s_basis=_floor(g), exactness="certified", degree=degree)
+    if degree >= 2 and not l:
+        exactness = "certified" if g.certified(degree) else "degree-bounded"
+        return KernelResult(Subspace.zero(z.ambient_dim), exactness, degree)
     (result,) = kernel_s_at_degrees(g, z, (degree,), invariants_up_to_degree(g, degree))
     return result
 

@@ -64,6 +64,7 @@ from .exactlin import (
     lattice_contains,
     lie_generating_subset,
     minimal_polynomial,
+    minus_identity,
     product_vec,
     rows_of,
     rref,
@@ -327,8 +328,7 @@ class FiniteMatrixAction:
 
     def fixed_operators(self) -> list[QMatrix]:
         """g - I for each generator g."""
-        ident = QMatrix.identity(self.dim)
-        return [gen - ident for gen in self.generators]
+        return [minus_identity(gen) for gen in self.generators]
 
     def commutant_span(self) -> Subspace:
         """End(V)^H in vec(End(V)): the joint kernel of the commutator rows

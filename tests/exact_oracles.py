@@ -1,6 +1,7 @@
-"""Dense rational helpers for tests only: flattening, scaling, zero tests,
-rank and matrix-vector products of matrices, complements of subspaces, and
-the brackets and constants of a Lie algebra as rationals.  The library runs
+"""Dense rational helpers for tests only: flattening, sums, differences,
+scaling, zero tests, rank and matrix-vector products of matrices,
+complements of subspaces, and the brackets and constants of a Lie algebra
+as rationals.  The library runs
 on integer rows and never forms these.  Also the quotient kernel read from
 every invariant, with none of the library's early stops, the kernel's
 floor Z(A) meet Lie(K) by intersection, and the commutant and invariants of
@@ -8,6 +9,7 @@ an action read from every one of its generators."""
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from equivab.exactlin import QMatrix, SparseRREF, Subspace, _exact, rows_of, rref
 from equivab.liealg import LieAlgebraSC
@@ -23,6 +25,26 @@ from equivab.symmetry import (
 def vec(m: QMatrix) -> tuple:
     """Row-major flattening of m, as rationals."""
     return tuple(chain.from_iterable(m.entries))
+
+
+def _plus(a: QMatrix, b: QMatrix, sign: int) -> QMatrix:
+    """a + sign * b, over the lcm of the two denominators."""
+    den = lcm(a.den, b.den)
+    x, y = den // a.den, sign * (den // b.den)
+    out = {k: x * v for k, v in a.int_vec().items()}
+    for k, v in b.int_vec().items():
+        out[k] = out.get(k, 0) + y * v
+    return QMatrix._of(den, out.items(), a.rows, a.cols)
+
+
+def plus(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a + b."""
+    return _plus(a, b, 1)
+
+
+def minus(a: QMatrix, b: QMatrix) -> QMatrix:
+    """a - b."""
+    return _plus(a, b, -1)
 
 
 def scale(m: QMatrix, c) -> QMatrix:
@@ -136,7 +158,7 @@ def lie_closure(gens) -> Subspace:
     span = Subspace.from_vectors(n * n, [vec(a) for a in gens])
     while True:
         basis = [matrix(v) for v in span.basis]
-        brackets = [vec(x @ y - y @ x) for x in basis for y in basis]
+        brackets = [vec(minus(x @ y, y @ x)) for x in basis for y in basis]
         bigger = Subspace.from_vectors(n * n, list(span.basis) + brackets)
         if bigger.dim == span.dim:
             return span

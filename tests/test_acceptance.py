@@ -110,7 +110,7 @@ def test_criterion_2_finite_group_suite(capsys):
         if not (ml.center_dim == ml.m + ml.l == ml.abelianization_dim):
             failures.append("%s: center/abelianization dims disagree" % name)
         order = len(enumerate_group(g))
-        res = kernel_s(g, a.center, degree=order)
+        res = kernel_s(g, a.center, order, ml.l)
         if res.dim_s != 0 or res.exactness != "certified":
             failures.append(
                 "%s: kernel dim %d (%s) at degree |G|=%d"
@@ -218,8 +218,8 @@ def test_criterion_4_su3_twelve_dimensional_slice(capsys):
     a = compute_commutant(g)
     ml = classify_ml(a.center)
     z = a.center
-    res2 = kernel_s(g, z, degree=2)
-    res3 = kernel_s(g, z, degree=3)
+    res2 = kernel_s(g, z, 2, ml.l)
+    res3 = kernel_s(g, z, 3, ml.l)
     if ml.l != 2:
         failures.append(
             "dim T = %d != 2 (commutant dim %d, (m,l)=(%d,%d): the two "

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from exact_oracles import vec
+from exact_oracles import minus, vec
 from test_commutant import in_rational_basis
 
 from equivab import catalog as cat
@@ -278,7 +278,7 @@ def test_table_route_stops_early_at_scale(calls):
     assert calls["product_vec"] == 0
     assert calls["bracket_vec"] < d * (d - 1) // 4
     assert (z.dim, derived.dim) == (1, 63)
-    dense = [vec(x @ y - y @ x) for x, y in itertools.combinations(table.basis, 2)]
+    dense = [vec(minus(x @ y, y @ x)) for x, y in itertools.combinations(table.basis, 2)]
     assert derived == Subspace.from_vectors(n * n, dense)
 
 

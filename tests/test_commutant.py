@@ -20,7 +20,7 @@ from equivab.commutant import (
     root_count_agrees,
     verify_center_splits,
 )
-from exact_oracles import complement_in, is_zero, scale, vec
+from exact_oracles import complement_in, is_zero, minus, plus, scale, vec
 from float_split_oracle import schur_split_oracle
 from test_exactlin import _minpoly_by_divisor_search, monic_sympy_poly
 from equivab.exactlin import QMatrix, Subspace, common_nullspace, minimal_polynomial
@@ -119,7 +119,7 @@ class TestCommutant:
         a = compute_commutant(g)
         for b in a.basis:
             for gen in g.generators:
-                assert is_zero(gen @ b - b @ gen)
+                assert is_zero(minus(gen @ b, b @ gen))
 
     @pytest.mark.parametrize("make, dim, ml, blocks", FINITE_CASES)
     def test_matches_conjugation_kernel(self, make, dim, ml, blocks):
@@ -178,14 +178,14 @@ def _center_as_common_kernel(a: MatrixAlgebra) -> Subspace:
     the operators c -> [sum c_i b_i, b], one for each basis element b."""
     ops = []
     for b in a.basis:
-        block = [vec(bi @ b - b @ bi) for bi in a.basis]
+        block = [vec(minus(bi @ b, b @ bi)) for bi in a.basis]
         ops.append(QMatrix.from_rows(list(zip(*block))))
     n = a.ambient_dim
     vecs = []
     for coeffs in common_nullspace(ops).basis:
         element = QMatrix.zeros(n, n)
         for c, b in zip(coeffs, a.basis):
-            element = element + scale(b, c)
+            element = plus(element, scale(b, c))
         vecs.append(vec(element))
     return Subspace.from_vectors(n * n, vecs)
 
@@ -196,7 +196,7 @@ def _shear(b: tuple[QMatrix, ...]) -> tuple[QMatrix, ...]:
     and their brackets, carry different denominators, and central elements
     are no multiples of basis elements."""
     return tuple(
-        scale(b[k], Fraction(1, k + 2)) + (b[k + 1] if k + 1 < len(b) else scale(b[k], 0))
+        plus(scale(b[k], Fraction(1, k + 2)), b[k + 1] if k + 1 < len(b) else scale(b[k], 0))
         for k in range(len(b))
     )
 
@@ -274,7 +274,7 @@ class TestCenterAndAbelianization:
     def test_commutator_ideal_matches_dense_brackets(self, make_algebra):
         a = make_algebra()
         n = a.ambient_dim
-        dense = [vec(x @ y - y @ x) for x in a.basis for y in a.basis]
+        dense = [vec(minus(x @ y, y @ x)) for x in a.basis for y in a.basis]
         assert commutator_ideal(a) == Subspace.from_vectors(n * n, dense)
 
     def test_center_of_full_algebra_is_scalars(self):
@@ -390,7 +390,8 @@ class TestClassification:
         for t in (2, 3):
             z = QMatrix.zeros(n, n)
             for i, v in enumerate(s.center.basis, 1):
-                z = z + scale(QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n)), t**i)
+                zi = QMatrix.from_rows(v[k : k + n] for k in range(0, n * n, n))
+                z = plus(z, scale(zi, t**i))
             expected = _minpoly_by_divisor_search(z).set_domain("QQ")
             assert monic_sympy_poly(minimal_polynomial(z)).set_domain("QQ") == expected
 

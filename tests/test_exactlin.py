@@ -10,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import complement_in, is_zero, mul_vec, rank, scale, vec
+from exact_oracles import complement_in, is_zero, minus, mul_vec, plus, rank, scale, vec
 
 from equivab import exactlin
 from equivab.exactlin import (
@@ -28,6 +28,7 @@ from equivab.exactlin import (
     kernels,
     lattice_contains,
     minimal_polynomial,
+    minus_identity,
     nullspace,
     product_vec,
     rows_of,
@@ -500,7 +501,8 @@ class TestQMatrix:
         b = data.draw(sparse_matrices(a.rows, a.cols))
         sa, sb = to_sympy(a), to_sympy(b)
         cases = [
-            (a, sa), (b, sb), (a + b, sa + sb), (a - b, sa - sb), (a - a, sa - sa),
+            (a, sa), (b, sb), (plus(a, b), sa + sb), (minus(a, b), sa - sb),
+            (minus(a, a), sa - sa),
             (scale(a, c), sa * sympy.Rational(c.numerator, c.denominator)),
             (a.transpose(), sa.T), (a @ b.transpose(), sa * sb.T),
             (rref(a)[0], sa.rref()[0]),
@@ -509,7 +511,18 @@ class TestQMatrix:
             _stored_once(m)
             assert to_sympy(m) == want
             assert QMatrix.from_rows(m.entries) == m
-        assert is_zero(a - b) == (a == b)
+        assert is_zero(minus(a, b)) == (a == b)
+
+    @given(q_matrices(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_minus_identity_stores_the_one_form(self, a, data):
+        # M - I on the integer rows equals the difference formed over the lcm
+        # of the denominators, and is stored in the one form
+        m = data.draw(sparse_matrices(a.rows, a.rows))
+        for x in (m, QMatrix.identity(a.rows), QMatrix.zeros(a.rows, a.rows)):
+            got = minus_identity(x)
+            _stored_once(got)
+            assert got == minus(x, QMatrix.identity(a.rows))
 
     def test_no_rational_formed_until_entries_are_read(self, monkeypatch):
         a = QMatrix.from_rows([["1/2", 0, "-3/4"], [0, "2/3", 5]])
@@ -521,7 +534,7 @@ class TestQMatrix:
             return Fraction(*args)
 
         monkeypatch.setattr(exactlin, "Q", counted)
-        m = (a @ b + (a @ b).transpose()) - QMatrix.identity(2)
+        m = minus_identity(plus(a @ b, (a @ b).transpose()))
         assert m == m.transpose() and not is_zero(m) and rref(m)[1] == 2
         assert m.int_vec() and m.int_trace() and product_vec(m, m) and bracket_vec(a, b)
         assert made == []
@@ -587,7 +600,7 @@ class TestProduct:
             return {k: v for k, v in enumerate(vec(m)) if v}
 
         assert value(product_vec(x, y)) == nonzeros(x @ y)
-        assert value(bracket_vec(x, y)) == nonzeros(x @ y - y @ x)
+        assert value(bracket_vec(x, y)) == nonzeros(minus(x @ y, y @ x))
         assert len(x.int_rows) == x.rows
         listed = {(i, j): Fraction(v, x.den) for i, row in enumerate(x.int_rows) for j, v in row}
         assert listed == {(i, j): v for i, row in enumerate(x.entries)
@@ -1044,7 +1057,7 @@ class TestMinimalPolynomial:
         n = m.rows
         acc = QMatrix.zeros(n, n)
         for c in reversed(p):
-            acc = acc @ m + scale(QMatrix.identity(n), c)
+            acc = plus(acc @ m, scale(QMatrix.identity(n), c))
         assert is_zero(acc)
 
 

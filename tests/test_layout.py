@@ -193,13 +193,13 @@ def test_every_shared_action_member_has_a_reader():
 def test_no_certifying_degree_walk():
     # compute answers every finite and torus quotient by the floor theorem,
     # so no action states a least certifying degree, and the kernel takes no
-    # cap callback
+    # cap callback; it takes the l that `run_orbit` holds, for its floor rule
     naming = [
         path.name for path in sorted(SRC.glob("*.py"))
         if {"certifying_degree", "affordable", "_within_cap"} & set(_names(_tree(path)))
     ]
     assert naming == []
-    assert list(inspect.signature(strata.kernel_s).parameters) == ["g", "z", "degree"]
+    assert list(inspect.signature(strata.kernel_s).parameters) == ["g", "z", "degree", "l"]
 
 
 def test_one_algebra_record():
@@ -249,7 +249,9 @@ def test_one_rational_type():
 def test_no_test_only_members():
     # members and parameters that only tests used live in the tests
     members = {
-        exactlin.QMatrix: ("vec", "scale", "is_zero", "mul_vec"),
+        exactlin.QMatrix: (
+            "vec", "scale", "is_zero", "mul_vec", "__add__", "__sub__", "_plus",
+        ),
         exactlin.Subspace: ("contains", "complement_in"),
         liealg.LieAlgebraSC: ("bracket", "constants", "abelian"),
     }

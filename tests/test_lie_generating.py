@@ -23,6 +23,7 @@ from exact_oracles import (
     commutant_of_every_generator,
     invariants_of_every_generator,
     lie_closure,
+    minus,
     vec,
 )
 from test_center_routes import _workloads
@@ -49,7 +50,7 @@ def redundant(make, how: str) -> ConnectedLieAction:
     elif how == "rescaled":
         gens = (a, scaled(a, Fraction(-2, 3))) + gens[1:]
     else:
-        gens = (a @ b - b @ a,) + gens
+        gens = (minus(a @ b, b @ a),) + gens
     return ConnectedLieAction(g.dim, gens)
 
 

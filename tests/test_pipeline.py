@@ -38,6 +38,9 @@ def model(label, action, **kw):
 # su(2) on C^2 = R^4 as an input document's slice action
 SU2_ON_C2 = {"kind": "connected_lie", "dim": 4, "generators": [
     [[str(x) for x in row] for row in a.entries] for a in cat.su2_on_c2().lie_generators]}
+SU3_ON_C3 = {"kind": "connected_lie", "dim": 6, "generators": [
+    [[str(x) for x in row] for row in cat.realify_complex(re, im).entries]
+    for re, im in cat._su_n_basis(3)]}
 
 
 @pytest.fixture
@@ -826,28 +829,34 @@ class TestCLI:
         assert "quotient: R^2 + C^2 (k = 2, certified)" in capsys.readouterr().out
         assert calls == []
 
-    @pytest.mark.parametrize("action", [
-        pytest.param({"kind": "torus", "weights": [[1, 1]]}, id="circle"),
-        pytest.param(SU2_ON_C2, id="su2"),
+    @pytest.mark.parametrize("action, monomials", [
+        pytest.param({"kind": "torus", "weights": [[1, 1]]}, 10, id="circle"),
+        pytest.param(SU2_ON_C2, 10, id="su2"),
+        pytest.param(SU3_ON_C3, 21, id="su3"),
     ])
     @pytest.mark.parametrize("mode", [[], ["--verify"]], ids=["compute", "verify"])
     def test_degree_past_the_cap_is_refused_where_it_is_built(
-        self, tmp_path, capsys, monkeypatch, action, mode
+        self, tmp_path, capsys, monkeypatch, action, monomials, mode
     ):
-        # degree 2 in 4 variables has 10 monomials: the elimination refuses
-        # it with its own message.  Compute builds no degree of the circle,
-        # whose s = Lie(T) it reads by the floor theorem, and refuses su(2)
-        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
+        # degree 2 has 10 monomials in 4 variables and 21 in 6: the
+        # elimination refuses it with its own message.  Compute builds no
+        # degree of the circle, whose s = Lie(T) it reads by the floor
+        # theorem, nor of su(2) on C^2, whose s = L = 0 it reads by the floor
+        # rule (l = 0), and refuses su(3) on C^3 (dim L = 0 < l = 1)
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 9)
         doc = {"orbits": [{"label": "r", "quotient": True, "slice_action": action}]}
         code = cli.main([self.write(tmp_path, doc), "--degree-bound", "2"] + mode)
         captured = capsys.readouterr()
-        message = "degree bound too large: 10 monomials in degree 2 exceeds cap 5"
+        message = "degree bound too large: %d monomials in degree 2 exceeds cap 9" % monomials
         if mode:
             assert code == 1
             assert "[FAIL] r: error (%s)\n" % message in captured.out
         elif action["kind"] == "torus":
             assert code == 0
             assert "quotient: R^1 + C^0 (k = 1, certified)" in captured.out
+        elif action is SU2_ON_C2:
+            assert code == 0
+            assert "quotient: R^1 + C^0 (k = 0, degree-bounded)" in captured.out
         else:
             assert code == 1
             assert captured.err == "error: orbit 'r': %s\n" % message

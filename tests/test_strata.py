@@ -472,7 +472,7 @@ class TestKernel:
         g = TorusAction(((1, 2),))
         a = compute_commutant(g)
         z = a.center
-        res = kernel_s(g, z, degree=3)
+        res = kernel_s(g, z, 3, classify_ml(z).l)
         assert res.dim_s == 1
         assert res.exactness == "certified"
         # the kernel contains the infinitesimal rotation itself
@@ -483,7 +483,7 @@ class TestKernel:
         g = cat.c3_rotation()
         a = compute_commutant(g)
         z = a.center
-        res = kernel_s(g, z, degree=3)
+        res = kernel_s(g, z, 3, classify_ml(z).l)
         assert res.dim_s == 0
         assert res.exactness == "certified"
 
@@ -492,7 +492,7 @@ class TestKernel:
         # floor theorem; only the elimination is degree-bounded there
         g = cat.c3_rotation()
         a = compute_commutant(g)
-        res = kernel_s(g, a.center, degree=2)
+        res = kernel_s(g, a.center, 2, classify_ml(a.center).l)
         assert (res.dim_s, res.exactness) == (0, "certified")
         assert one_degree_kernel(g, a.center, 2).exactness == "degree-bounded"
 
@@ -525,7 +525,8 @@ class TestKernel:
         for d, label in [(2, "degree-bounded"), (3, "certified")]:
             assert strata.kernel_s_at_degrees(g, z, (d,), inv[:d])[0].exactness == label
             # compute answers s = Lie(T) by the floor theorem at either degree
-            assert kernel_s(g, z, degree=d) == KernelResult(lie_floor(g, z), "certified", d)
+            got = kernel_s(g, z, d, classify_ml(z).l)
+            assert got == KernelResult(lie_floor(g, z), "certified", d)
 
     def test_no_invariant_derived_once_kernel_is_zero(self, monkeypatch):
         # C3 on R^2 to degree 3: the radius and the first cubic invariant
@@ -551,7 +552,7 @@ class TestKernel:
         z = a.center
         for d, label in [(1, "degree-bounded"), (2, "certified")]:
             assert one_degree_kernel(g, z, d).exactness == label
-            assert kernel_s(g, z, degree=d).exactness == "certified"
+            assert kernel_s(g, z, d, classify_ml(z).l).exactness == "certified"
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: in_rational_basis(cat.s3_standard()), id="s3-rational-basis"),
@@ -596,7 +597,8 @@ class TestKernelsAtDegrees:
         assert got == [one_degree_kernel(g, z, d), one_degree_kernel(g, z, d + 1)]
         if not g.kernel_is_floor:
             # a connected group's compute route is that one-degree elimination
-            assert got == [kernel_s(g, z, degree=d), kernel_s(g, z, degree=d + 1)]
+            l = classify_ml(z).l
+            assert got == [kernel_s(g, z, d, l), kernel_s(g, z, d + 1, l)]
 
     @pytest.mark.parametrize("make, d", ONE_PASS_CASES)
     def test_each_invariant_derived_once_per_central_element(self, make, d, monkeypatch):
@@ -656,9 +658,9 @@ def assert_stops_at_floor_as_if_reading_every_degree(g, d):
         if g.kernel_is_floor and ker.exactness == "certified":
             assert ker.s_basis == floor
     if g.kernel_is_floor:
-        assert kernel_s(g, z, d) == KernelResult(floor, "certified", d)
+        assert kernel_s(g, z, d, classify_ml(z).l) == KernelResult(floor, "certified", d)
     else:
-        assert kernel_s(g, z, d) == want[d - 1]
+        assert kernel_s(g, z, d, classify_ml(z).l) == want[d - 1]
 
 
 QUOTIENT_ORBITS = [
@@ -775,7 +777,7 @@ class TestCertifiedFloor:
         eliminated["monomials"].clear()
         assert g.kernel_is_floor and not g.certified(g.order - 1) and g.certified(g.order)
         degrees = (1, g.order, 2 * g.order)
-        got = [kernel_s(g, z, d) for d in degrees]
+        got = [kernel_s(g, z, d, classify_ml(z).l) for d in degrees]
         assert eliminated == {"monomials": [], "streams": 0, "derivations": 0}
         assert [(k.dim_s, k.exactness) for k in got] == [(0, "certified")] * 3
         want = kernel_reading_every_degree(g, z, g.order)
@@ -789,7 +791,7 @@ class TestCertifiedFloor:
         g = TorusAction(weights)
         z = compute_commutant(g).center
         degrees = (1, certifying, 40)
-        got = [kernel_s(g, z, d) for d in degrees]
+        got = [kernel_s(g, z, d, classify_ml(z).l) for d in degrees]
         assert (eliminated["streams"], eliminated["derivations"]) == (0, 0)
         assert not g._pairs  # no degree's pairs are walked
         assert g.kernel_is_floor and not g.certified(certifying - 1) and g.certified(certifying)
@@ -812,7 +814,7 @@ class TestCertifiedFloor:
         z = compute_commutant(g).center
         eliminated["monomials"].clear()
         floor = lie_floor(g, z)
-        assert kernel_s(g, z, d) == KernelResult(floor, "certified", d)
+        assert kernel_s(g, z, d, classify_ml(z).l) == KernelResult(floor, "certified", d)
         assert eliminated == {"monomials": [], "streams": 0, "derivations": 0}
         got = one_degree_kernel(g, z, d)
         # D4 has no invariant of degree 1 to derive, but builds that degree
@@ -827,30 +829,37 @@ class TestCertifiedFloor:
         # invariant of degree 2
         g = su3_on_c3()
         z = compute_commutant(g).center
-        got = kernel_s(g, z, 2)
+        got = kernel_s(g, z, 2, classify_ml(z).l)
         assert not g.kernel_is_floor and not g.certified(40)
         assert (got.dim_s, lie_floor(g, z).dim) == (1, 0)
         assert got == kernel_reading_every_degree(g, z, 2)
 
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: TorusAction(((1, 1),)), id="circle-1-1"),
-        pytest.param(cat.su2_on_c2, id="su2-on-c2"),
+    @pytest.mark.parametrize("make, monomials", [
+        pytest.param(lambda: TorusAction(((1, 1),)), 10, id="circle-1-1"),
+        pytest.param(cat.su2_on_c2, 10, id="su2-on-c2"),
+        pytest.param(su3_on_c3, 21, id="su3-on-c3"),
     ])
-    def test_only_a_degree_that_is_built_meets_the_cap(self, make, monkeypatch):
-        # degree 2 in 4 variables has 10 monomials.  Under a cap of 5 the
-        # elimination refuses it on its own terms; compute answers the
-        # weight-(1, 1) circle's s = Lie(T) by the floor theorem, walking no
-        # pair, and refuses su(2) on C^2, whose invariants it reads
+    def test_only_a_degree_that_is_built_meets_the_cap(self, make, monomials, monkeypatch):
+        # degree 2 has 10 monomials in 4 variables and 21 in 6.  Under a cap
+        # of 9 the elimination refuses it on its own terms.  Compute answers
+        # the weight-(1, 1) circle's s = Lie(T) by the floor theorem, walking
+        # no pair, and su(2) on C^2's s = L = 0 by the floor rule (l = 0),
+        # and refuses su(3) on C^3 (dim L = 0 < l = 1), whose invariants it
+        # reads
         g = make()
         z = compute_commutant(g).center
-        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 5)
-        refused = "10 monomials in degree 2 exceeds cap 5"
+        l = classify_ml(z).l
+        monkeypatch.setattr(strata, "DEFAULT_MONOMIAL_CAP", 9)
+        refused = "%d monomials in degree 2 exceeds cap 9" % monomials
+        floor = lie_floor(g, z)
         if g.kernel_is_floor:
-            assert kernel_s(g, z, 2) == KernelResult(lie_floor(g, z), "certified", 2)
+            assert kernel_s(g, z, 2, l) == KernelResult(floor, "certified", 2)
             assert not g._pairs
+        elif l == 0:
+            assert kernel_s(g, z, 2, l) == KernelResult(floor, "degree-bounded", 2)
         else:
             with pytest.raises(DegreeBoundTooLarge, match=refused):
-                kernel_s(g, z, 2)
+                kernel_s(g, z, 2, l)
         with pytest.raises(DegreeBoundTooLarge, match=refused):
             one_degree_kernel(g, z, 2)
 
@@ -898,6 +907,143 @@ def test_compute_reads_no_invariant_of_a_floor_action(model, monkeypatch):
     assert (q.k, q.exactness) == (strata._floor(model.slice_action).dim, "certified")
 
 
+# ---------------------------------------------------------------------------
+# the ceiling: at degree >= 2 a connected group's kernel lies between L and
+# the B-skew part of Z(A), of dimension l, so where dim L = l it is L.  The
+# floor rule reads it so where l = 0
+
+
+J_ON_C2 = cat.realify_complex(QMatrix.zeros(2, 2), QMatrix.identity(2))  # i on C^2
+
+
+def block_diagonal(*blocks: QMatrix) -> QMatrix:
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[at + i][at:at + b.rows] = row
+        at += b.rows
+    return QMatrix.from_rows(rows)
+
+
+def su2_on_c2_plus_c2() -> ConnectedLieAction:
+    """su(2) on C^2 + C^2, as the benchmark's su2-on-c2+c2: A = M_2(H), so
+    (m, l) = (1, 0)."""
+    return ConnectedLieAction(8, tuple(
+        block_diagonal(a, a) for a in cat.su2_on_c2().lie_generators))
+
+
+def u2_on_c2() -> ConnectedLieAction:
+    """su(2) and i on C^2: A = C = Z(A), which is Lie(K)'s center, so
+    (m, l) = (1, 1) and dim L = 1."""
+    return ConnectedLieAction(4, cat.su2_on_c2().lie_generators + (J_ON_C2,))
+
+
+def circle_on_one_summand() -> ConnectedLieAction:
+    """su(2) on C^2 + C^2 and i on the first summand alone: A = C + H, so
+    (m, l) = (2, 1), and L is spanned by i on the first summand."""
+    su2 = su2_on_c2_plus_c2()
+    circle = block_diagonal(J_ON_C2, QMatrix.zeros(4, 4))
+    return ConnectedLieAction(8, su2.lie_generators + (circle,))
+
+
+# (action, (m, l)) with dim L = l: the kernel is L at degree >= 2, read by the
+# floor rule where l = 0 and by the elimination where l = 1
+CEILING_ACTIONS = [
+    pytest.param(cat.su2_on_c2, (1, 0), id="su2-on-c2"),
+    pytest.param(su2_on_c2_plus_c2, (1, 0), id="su2-on-c2+c2"),
+    pytest.param(u2_on_c2, (1, 1), id="u2-on-c2"),
+    pytest.param(circle_on_one_summand, (2, 1), id="circle-on-one-summand"),
+    pytest.param(lambda: in_rational_basis(u2_on_c2()), (1, 1), id="u2-rational-basis"),
+]
+# connected actions with l = 1 and L = 0, whose kernel compute still reads
+# from the invariants
+ELIMINATED_ACTIONS = [
+    pytest.param(su3_on_c3, id="su3-on-c3"),
+    pytest.param(cat.su3_on_c3_plus_wedge2, id="su3-on-c3+wedge2"),
+]
+
+
+class TestFloorRule:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("make, ml", CEILING_ACTIONS)
+    def test_kernel_is_the_floor_where_dim_l_is_l(self, make, ml, d, eliminated):
+        g = make()
+        z = compute_commutant(g).center
+        m, l = ml
+        assert (classify_ml(z).m, classify_ml(z).l) == ml and m >= 1
+        floor = lie_floor(g, z)
+        assert floor.dim == l and not g.kernel_is_floor
+        eliminated["monomials"].clear()
+        got = kernel_s(g, z, d, l)
+        # only l = 0 skips the invariants
+        assert (eliminated["streams"] == 0) == (l == 0)
+        label = "certified" if g.certified(d) else "degree-bounded"
+        assert got == KernelResult(floor, label, d)
+        # the kernel of every invariant of degree <= d, and verify's reading
+        assert got == kernel_reading_every_degree(g, z, d)
+        assert got == one_degree_kernel(g, z, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("make", ELIMINATED_ACTIONS)
+    def test_kernel_above_the_floor_reads_the_invariants(self, make, d, eliminated):
+        g = make()
+        z = compute_commutant(g).center
+        l = classify_ml(z).l
+        assert (l, lie_floor(g, z).dim) == (1, 0)
+        got = kernel_s(g, z, d, l)
+        assert eliminated["streams"] == 1 and eliminated["derivations"]
+        assert got == kernel_reading_every_degree(g, z, d)
+        assert got.dim_s == 1
+
+    @pytest.mark.parametrize("make, ml", CEILING_ACTIONS)
+    def test_degree_1_eliminates_and_is_too_low(self, make, ml, eliminated):
+        # degree 1 holds no quadratic, so no ceiling: the kernel is read,
+        # and it is all of Z(A) (V^H = 0), with k = m + l > l
+        g = make()
+        z = compute_commutant(g).center
+        got = kernel_s(g, z, 1, ml[1])
+        assert eliminated["streams"] == 1
+        assert got == kernel_reading_every_degree(g, z, 1)
+        assert got.s_basis == z
+        with pytest.raises(DegreeBoundTooLow, match="degree bound 1 is too low"):
+            quotient_abelianization(got, classify_ml(z))
+
+
+def su2_on_c2_plus_c2_orbit() -> pipeline.OrbitModel:
+    """The benchmark's su2-on-c2+c2 orbit at seed 1009, as compute reads it."""
+    return next(model for ident, model in _workload_orbits((1009,))
+                if ident.startswith("continuous-quotient") and model.label == "su2-on-c2+c2")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(su2_on_c2_plus_c2_orbit, id="workload-su2-on-c2+c2"),
+    pytest.param(lambda: pipeline.OrbitModel("su2", cat.su2_on_c2(), quotient_requested=True,
+                                             degree_bound=3), id="su2-on-c2-at-3"),
+])
+def test_compute_reads_no_invariant_where_the_floor_rule_fires(make, monkeypatch):
+    # compute answers s = L = 0 with no invariant stream opened; verify still
+    # eliminates, and prints the kernel-monotonicity line it printed before
+    # the rule
+    model = make()
+
+    def refused(g, degree):
+        raise AssertionError("compute read the invariants")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(strata, "invariants_up_to_degree", refused)
+        q = pipeline.run_orbit(model).quotient
+    g = model.slice_action
+    assert (q.k, q.exactness) == (0, "degree-bounded")
+    assert lie_floor(g, compute_commutant(g).center).dim == 0
+    items = [i for i in pipeline.verify_models([model]).items if i.check == "kernel-monotonicity"]
+    d = model.degree
+    assert items == [pipeline.VerificationItem(
+        model.label, "kernel-monotonicity", True,
+        "dim at %d: %d, at %d: %d" % (d, q.k, d + 1, q.k))]
+
+
 class TestQuotient:
     def test_diagonal_circle_quotient(self):
         # weights (1, 1) on C^2: quotient side is R^1 with k = 1
@@ -905,7 +1051,7 @@ class TestQuotient:
         a = compute_commutant(g)
         ml = classify_ml(a.center)
         z = a.center
-        res = kernel_s(g, z, degree=2)
+        res = kernel_s(g, z, 2, classify_ml(z).l)
         q = quotient_abelianization(res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (1, 0, 1)
         assert q.dim == 1
@@ -930,7 +1076,7 @@ class TestQuotient:
         a = compute_commutant(g)
         ml = classify_ml(a.center)
         z = a.center
-        res = kernel_s(g, z, degree=3)
+        res = kernel_s(g, z, 3, classify_ml(z).l)
         q = quotient_abelianization(res, ml)
         assert (q.real_rank, q.complex_rank, q.k) == (0, 1, 0)
 

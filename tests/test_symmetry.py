@@ -5,7 +5,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from exact_oracles import is_zero, mul_vec, scale, vec
+from exact_oracles import is_zero, minus, mul_vec, plus, scale, vec
 from hypothesis import strategies as st
 from test_center_routes import _workload_actions, signed_permutation_actions
 from test_commutant import FINITE_CASES, FINITE_GROUPS, c2_power_7
@@ -246,7 +246,7 @@ class TestKroneckerConventions:
     def test_commutator_operator(self):
         xi = QMatrix.from_rows([[0, 1], [2, 0]])
         x = QMatrix.from_rows([[1, 2], [3, 4]])
-        expected = vec(xi @ x - x @ xi)
+        expected = vec(minus(xi @ x, x @ xi))
         assert tuple(mul_vec(dense(commutator_rows(xi), 4), vec(x))) == expected
 
     @given(small_squares)
@@ -256,7 +256,7 @@ class TestKroneckerConventions:
         # operator times the lcm of a's denominators
         ident = QMatrix.identity(a.rows)
         n = a.rows
-        expected = scale(kron(a, ident) - kron(ident, a.transpose()), a.den)
+        expected = scale(minus(kron(a, ident), kron(ident, a.transpose())), a.den)
         rows = commutator_rows(a)
         assert all(type(x) is int and x for row in rows for x in row.values())
         nonzero = [row for row in expected.entries if any(row)]
@@ -342,7 +342,7 @@ class TestInvarianceConstraints:
         for v in sol.basis:
             x = QMatrix.from_rows([v[:2], v[2:]])
             for gen in g.generators:
-                assert is_zero(gen @ x - x @ gen)
+                assert is_zero(minus(gen @ x, x @ gen))
 
     def test_torus_constraints_match_finite_subgroup(self):
         # commutant of the weight-(1,) circle equals commutant of rotation by
@@ -359,7 +359,7 @@ class TestTorusAction:
         gens = t.action_generators()
         assert len(gens) == 2
         for g in gens:
-            assert is_zero(g + g.transpose())
+            assert is_zero(plus(g, g.transpose()))
 
     def test_rotation_direction(self):
         # weight 1 on one block: generator sends x -> y, y -> -x columns;
