@@ -44,7 +44,13 @@ R^7 (896 > 49), S3 on the sum-zero part of its regular representation
 rotation group C4 on R^2 (4 = 4) with it, all in that basis, each once with
 no flag and once with `--max-group-order 4`, below the order of all but C4;
 and, as the `scale-large` set, on Q8 on (R^4)^6 in that basis, whose
-commutant M_6(H) has dimension 144, run as the `scale` set.
+commutant M_6(H) has dimension 144, run as the `scale` set; and, as the
+`connected-words` set, on the sums of su(2) and u(2) modules of
+`CONNECTED_WORDS` and su(3) on C^3 + Lambda^2 C^3 in that basis, with the
+quotient asked for, run as the `torus` set: compute reads dim A and Z(A)
+of su(2) on 3C^2 + R^3 and u(2) on 2C^2 + C^2 off the algebra W their
+generators generate, and gives up on the rest, whose W has more than n
+words.
 Prints one
 sha256 per document set and mode over (exit code, stdout, stderr, emitted
 JSON) of its runs.  The workloads' matrices are
@@ -77,7 +83,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from equivab import catalog, cli  # noqa: E402
-from equivab.exactlin import QMatrix  # noqa: E402
+from equivab.exactlin import QMatrix, solve  # noqa: E402
 from equivab.symmetry import ConnectedLieAction, FiniteMatrixAction  # noqa: E402
 
 SEEDS = (1009, 5)
@@ -126,13 +132,15 @@ def _catalog_documents() -> list[dict]:
     return [_document(name, getattr(catalog, name)(), True) for name in CATALOG_ACTIONS]
 
 
-def _copies(a: QMatrix, m: int) -> QMatrix:
-    """The block-diagonal matrix of m copies of a."""
-    n = a.rows
-    rows = [[0] * (n * m) for _ in range(n * m)]
-    for c in range(m):
-        for i, row in enumerate(a.entries):
-            rows[n * c + i][n * c:n * c + n] = row
+def _block_diagonal(blocks: list[QMatrix]) -> QMatrix:
+    """The block-diagonal matrix of the square `blocks`, in order."""
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[at + i][at:at + b.rows] = row
+        at += b.rows
     return QMatrix.from_rows(rows)
 
 
@@ -143,7 +151,7 @@ def _scale_documents(copies: tuple[int, ...] = (2, 3, 4)) -> list[dict]:
     q8 = catalog.q8_on_r4()
     return [
         _document("q8-on-%d-copies" % m, FiniteMatrixAction(
-            4 * m, tuple(_copies(a, m) for a in q8.generators)), False)
+            4 * m, tuple(_block_diagonal([a] * m) for a in q8.generators)), False)
         for m in copies
     ]
 
@@ -170,7 +178,7 @@ def _finite_classes_documents() -> list[dict]:
                            for i in range(7)])
         for k in range(7)))
     q8 = catalog.q8_on_r4()
-    q8_copies = FiniteMatrixAction(12, tuple(_copies(a, 3) for a in q8.generators))
+    q8_copies = FiniteMatrixAction(12, tuple(_block_diagonal([a] * 3) for a in q8.generators))
     return [
         _document("c2-power-7", signs, False),
         _document("s3-regular-minus-trivial", catalog.s3_regular_minus_trivial(), False),
@@ -237,6 +245,59 @@ def _lie_redundant_documents() -> list[dict]:
             label = "%s-%s" % (name, how)
             docs.append(_document(label, ConnectedLieAction(g.dim, gens), True))
     return docs
+
+
+def _su2_adjoint() -> list[QMatrix]:
+    """ad(e_i) on su(2) = R^3 for the generators e_i of `catalog.su2_on_c2`,
+    in the basis e_1, e_2, e_3: column j holds the coordinates of
+    [e_i, e_j]."""
+    gens = catalog.su2_on_c2().lie_generators
+    flat = [[x for row in e.entries for x in row] for e in gens]
+    basis = QMatrix.from_rows([list(column) for column in zip(*flat)])
+    ads = []
+    for x in gens:
+        columns = [solve(basis, [v for row in _bracket(x, y).entries for v in row])
+                   for y in gens]
+        ads.append(QMatrix.from_rows([list(row) for row in zip(*columns)]))
+    return ads
+
+
+# su(2) or u(2) on copies of C^2, of su(2)'s adjoint R^3 and of C^2 moved
+# by J alone: (label, copies of C^2, of R^3, of C^2 under J alone, with J)
+CONNECTED_WORDS = (
+    ("su2-on-c2+r3", 1, 1, 0, False),
+    ("su2-on-2c2+r3", 2, 1, 0, False),
+    ("su2-on-c2+2r3", 1, 2, 0, False),
+    ("su2-on-3c2+r3", 3, 1, 0, False),
+    ("u2-on-c2+r3", 1, 1, 0, True),
+    ("u2-on-2c2+r3+c2", 2, 1, 1, True),
+    ("u2-on-2c2+c2", 2, 0, 1, True),
+)
+
+
+def _connected_words_actions() -> dict[str, ConnectedLieAction]:
+    """The actions of `CONNECTED_WORDS`, with su(2) acting by
+    `catalog.su2_on_c2` on each C^2 and by its adjoint on each R^3, and J,
+    the complex structure of C^2, on the copies of C^2 where u(2) acts; then
+    su(3) on C^3 + Lambda^2 C^3."""
+    su2, ads = catalog.su2_on_c2().lie_generators, _su2_adjoint()
+    j = catalog.realify_complex(QMatrix.zeros(2, 2), QMatrix.identity(2))
+    zero_c2, zero_r3 = QMatrix.zeros(4, 4), QMatrix.zeros(3, 3)
+    actions = {}
+    for label, c2, r3, alone, u2 in CONNECTED_WORDS:
+        gens = [_block_diagonal([e] * c2 + [ad] * r3 + [zero_c2] * alone)
+                for e, ad in zip(su2, ads)]
+        if u2:
+            gens.append(_block_diagonal([j] * c2 + [zero_r3] * r3 + [j] * alone))
+        actions[label] = ConnectedLieAction(4 * (c2 + alone) + 3 * r3, tuple(gens))
+    actions["su3-on-c3+wedge2"] = catalog.su3_on_c3_plus_wedge2()
+    return actions
+
+
+def _connected_words_documents() -> list[dict]:
+    """One document per action of `_connected_words_actions`, in the basis
+    of `_basis_change`, with the quotient asked for."""
+    return [_document(label, g, True) for label, g in _connected_words_actions().items()]
 
 
 def _torus_documents(tori: dict[str, list] = TORI) -> list[dict]:
@@ -381,6 +442,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["torus-classes"] = _torus_documents(TORUS_CLASSES)
     docs["finite-classes"] = _finite_classes_documents()
     docs["scale-large"] = _scale_documents((6,))
+    docs["connected-words"] = _connected_words_documents()
     return docs
 
 

@@ -9,10 +9,11 @@ from the enumerated elements alone, that Z(A) = A meet span G and that
 dim A = (1/|G|) sum of tr(g)^2.
 
 Compute reads dim A and Z(A) off the group where its data fix them
-(`commutant_center` in `symmetry`: a torus's weight classes, or a finite
-group's class sums and character norm under the rule |G| k <= n^2), with no
-commutant basis, residual, word or bracket.  Otherwise it builds the
-commutant here.
+(`commutant_center` in `symmetry`: a torus's weight classes, a finite
+group's class sums and character norm under the rule |G| k <= n^2, or the
+algebra W a connected group's Lie-generating generators generate, when
+1 + dim k <= n and W has at most n words), with no commutant basis or
+residual.  Otherwise it builds the commutant here.
 
 One record, `MatrixAlgebra`, carries an algebra: its basis and span, the
 generators of its action when known, and its bracket table, Z(A), the trace
@@ -23,7 +24,8 @@ generators or of a Lie-generating subset of a connected group's, or read
 off a torus's weights), and its closure under products is certified by its
 residual against every action generator, not multiplied out
 (`compute_commutant`).  `center` reads Z(A) = A meet W off the span W of
-the words in the action's generators where that is the cheaper route, else
+the words in the action's generators (`exactlin.word_center`, which the
+connected group's route shares) where that is the cheaper route, else
 off the table of brackets of basis elements (`MatrixAlgebra.bracket`),
 whose span is [A, A].  Compute forms no [A, A]: A is semisimple, the trace
 form is nondegenerate on Z(A) (`classify_ml` requires it) and pairs Z(A)
@@ -65,6 +67,7 @@ from .exactlin import (
     rows_of,
     trace_form,
     word_basis,
+    word_center,
 )
 from .symmetry import FiniteMatrixAction, GroupAction
 
@@ -207,25 +210,8 @@ def center(a: MatrixAlgebra) -> Subspace:
     if gens and -(-n * n // d) * len(gens) <= budget:
         words = word_basis(gens, budget)
         if words is not None:
-            return _word_center(n, words, gens)
+            return word_center(n, words, gens)
     return _table_center(a)
-
-
-def _word_center(n: int, words: list[QMatrix], gens: tuple[QMatrix, ...]) -> Subspace:
-    """The w in the span of `words` with [w, g] = 0 for every g in `gens`.
-
-    Column j stacks vec [B_j, g_i] over the generators, B_j = den(w_j) w_j
-    its integer form: block i is scaled by den(g_i) in every column, which
-    leaves the kernel as it is."""
-    nn = n * n
-    columns = []
-    for w in words:
-        column: dict[int, int] = {}
-        for i, g in enumerate(gens):
-            column.update((i * nn + k, x) for k, x in bracket_vec(w, g)[1].items())
-        columns.append(column)
-    coefs = kernel(len(words), rows_of(columns))
-    return Subspace._span(nn, coefs.combinations([w.int_vec() for w in words]))
 
 
 def _table_center(a: MatrixAlgebra) -> Subspace:

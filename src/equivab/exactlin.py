@@ -194,6 +194,25 @@ def word_basis(generators: Sequence[QMatrix], cap: int) -> list[QMatrix] | None:
     return words
 
 
+def word_center(n: int, words: Sequence[QMatrix], gens: Sequence[QMatrix]) -> "Subspace":
+    """The w in the span of `words` with [w, g] = 0 for every g in `gens`, as
+    a subspace of vec(End(Q^n)).  For the words of `word_basis(gens, ...)`
+    that is the center of the algebra W they span, as gens and I generate W.
+
+    Column j stacks vec [B_j, g_i] over the generators, B_j = den(w_j) w_j
+    its integer form: block i is scaled by den(g_i) in every column, which
+    leaves the kernel as it is."""
+    nn = n * n
+    columns = []
+    for w in words:
+        column: dict[int, int] = {}
+        for i, g in enumerate(gens):
+            column.update((i * nn + k, x) for k, x in bracket_vec(w, g)[1].items())
+        columns.append(column)
+    coefs = kernel(len(words), rows_of(columns))
+    return Subspace._span(nn, coefs.combinations([w.int_vec() for w in words]))
+
+
 def lie_generating_subset(generators: Sequence[QMatrix], dim: int) -> list[int]:
     """The indices of the square `generators` that generate their Lie
     algebra, of dimension `dim`, in order: each is kept unless it lies in

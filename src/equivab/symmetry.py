@@ -25,8 +25,11 @@ Z(A) its C, spanned by I and by J oriented by each column's sign on the
 class's blocks; the z zero columns give A a factor M_2z(R) and Z(A) its R,
 spanned by I on their blocks.  A finite group G with k generators on R^n
 with |G| k <= n^2 gives Z(A) as the span of its class sums and dim A as
-its character norm, from 2 k |G| products; past that rule, and for a
-connected group, dim A and Z(A) are left to the commutant.  A connected
+its character norm, from 2 k |G| products.  A connected group with
+1 + dim k <= n gives them off the algebra W its Lie-generating generators
+generate with I, when W has at most n words: Z(A) = Z(W), and dim A is
+c^T G^-1 c for the traces c on V and G on W of a basis of Z(W).  Past
+these rules dim A and Z(A) are left to the commutant.  A connected
 group's commutant and invariants read only a subset of its generators that
 generates its Lie algebra (`lie_generating`), since commuting with, or a
 derivation vanishing for, two elements holds for their bracket too.  A
@@ -68,7 +71,10 @@ from .exactlin import (
     product_vec,
     rows_of,
     rref,
+    solve,
     trace_form,
+    word_basis,
+    word_center,
 )
 
 DEFAULT_GROUP_CAP = 100_000
@@ -595,6 +601,8 @@ class ConnectedLieAction:
     # when that holds for these: [X, xi] = 0 for xi and xi' gives
     # [X, [xi, xi']] = 0 by the Jacobi identity, and D_[xi, xi'] = [D_xi', D_xi]
     lie_generating: tuple[QMatrix, ...] = field(init=False, repr=False, compare=False)
+    # dim of the Lie algebra, the span of the generators
+    lie_dim: int = field(init=False, repr=False, compare=False)
     default_degree_bound = 2  # a small fixed bound
 
     def __post_init__(self):
@@ -618,6 +626,7 @@ class ConnectedLieAction:
         # the span is closed, so it is the Lie algebra the generators generate
         kept = lie_generating_subset(gens, span.dim)
         object.__setattr__(self, "lie_generating", tuple(gens[i] for i in kept))
+        object.__setattr__(self, "lie_dim", span.dim)
         # and its center is a torus.  The center is the combinations of the
         # G_i that commute with each kept G_j, so column i stacks [G_i, G_j]
         # over the kept j.  Each bracket lies in the span, so it is zero
@@ -651,9 +660,45 @@ class ConnectedLieAction:
         of the Lie-generating generators."""
         return kernel(self.dim * self.dim, invariance_constraints(self.lie_generating))
 
-    def commutant_center(self, whole_group: bool = False) -> None:
-        """None: only the commutant fixes dim A and Z(A)."""
-        return None
+    def commutant_center(self, whole_group: bool = False) -> tuple[int, Subspace] | None:
+        """(dim A, Z(A)) read off W, the algebra the Lie-generating
+        generators generate with I (`_word_commutant_center`), when W is
+        small, else None: the kernel of the commutator rows
+        (`commutant_span`) then answers.  W holds I and the Lie algebra, so
+        it is tried only when 1 + dim k <= n, and given up once it needs more
+        than n words: past n k products of a word by a generator.
+        `whole_group` is not read.
+
+        Z(A) = Z(W).  A is the commutant of the connected group, which is
+        the commutant of its Lie algebra, of the Lie-generating generators
+        and so of W.  The group is compact (its trace form is negative
+        definite and its center a torus, both checked on construction), so V
+        is a sum of simple W-modules and W is semisimple; by the double
+        centralizer theorem (Lang, Algebra, ch. XVII) A = W' and W = A'.  So
+        Z(A) = A meet W = Z(W), the words' combinations that commute with
+        each Lie-generating generator (`exactlin.word_center`).
+
+        dim A = c^T G^-1 c, for any basis z_1..z_r of Z(W), c_a = tr_V(z_a)
+        and G_ab = tr_W(L_(z_a z_b)), the trace of left multiplication on
+        W.  Let M_k(D) be a simple factor of W whose simple module occurs m
+        times in V.  A central element acts on that factor as some l in the
+        center of D, with trace m k tr_D(l) on V and k^2 tr_D(l) on W: so
+        tr_V = (m / k) tr_W factor by factor.  Hence u = sum of (m_i / k_i)
+        e_i over the central idempotents e_i satisfies G(u, y) = c(y) for
+        every y in Z(W), and c(u) = sum of m_i^2 dim D_i = dim A, as A =
+        W' = product of M_(m_i)(D_i^op).  A complex factor's J has trace 0
+        on both V and W, so the count holds with complex factors.  On each
+        factor G is a positive multiple of the trace form of the field
+        Z(D_i), so it is nonsingular, and c^T G^-1 c does not depend on the
+        basis."""
+        n, gens = self.dim, self.lie_generating
+        if 1 + self.lie_dim > n:
+            return None
+        # with no generator W = span{I}: A = End(V)
+        words = word_basis(gens, n * len(gens)) if gens else [QMatrix.identity(n)]
+        if words is None:
+            return None
+        return _word_commutant_center(n, words, gens)
 
     def certified(self, degree: int) -> bool:
         """Never: no degree bound is known to generate the invariants."""
@@ -802,6 +847,46 @@ def _class_sum_center(
     # every element passed the trace test for finite order: its trace is an integer
     norm = sum((el.int_trace() // el.den) ** 2 for el in elements) // len(elements)
     return norm, Subspace._span(n * n, sums)
+
+
+def _word_commutant_center(
+    n: int, words: Sequence[QMatrix], gens: Sequence[QMatrix]
+) -> tuple[int, Subspace]:
+    """(dim A, Z(A)) of the commutant A of a compact connected group on R^n
+    whose Lie-generating generators `gens` generate with I the algebra W
+    that `words` span (`word_basis`): Z(A) = Z(W) and dim A = c^T G^-1 c
+    (`ConnectedLieAction.commutant_center` has both proofs).  No commutator
+    row, kernel over vec(End(V)) or residual is formed.
+
+    W's canonical rows r_i, with pivot p_i at column pc_i, are zero at each
+    other's pivots, so the coordinate of w in W on r_i / p_i is w[pc_i],
+    and tr_W(L_x) = sum over i of (x r_i)[pc_i] / p_i: one length-n dot
+    product per row, of row pc_i // n of x with column pc_i % n of r_i.
+    Raises ValueError if G is singular or dim A is not a positive integer,
+    which no compact action gives."""
+    z = word_center(n, words, gens)
+    # per row of W: the offset of its pivot's row in vec(x), its pivot, and
+    # its pivot's column {k: int}
+    reads = []
+    for pc, p, row in Subspace._span(n * n, (w.int_vec() for w in words)).rows:
+        a, b = divmod(pc, n)
+        reads.append((a * n, p, {k // n: x for k, x in row.items() if k % n == b}))
+    centrals = [QMatrix._of(1, row.items(), n, n) for _, _, row in z.rows]
+    r = len(centrals)
+    gram = [[Q(0)] * r for _ in range(r)]
+    for i, j in combinations_with_replacement(range(r), 2):
+        den, x = product_vec(centrals[i], centrals[j])
+        gram[i][j] = gram[j][i] = sum(
+            (Q(sum(x.get(base + k, 0) * y for k, y in col.items()), den * p)
+             for base, p, col in reads), Q(0))
+    gram = QMatrix.from_rows(gram)
+    if rref(gram)[1] < r:
+        raise ValueError("the trace form of W on its center is singular: W is not semisimple")
+    traces = [m.int_trace() for m in centrals]
+    dim = sum(t * u for t, u in zip(traces, solve(gram, traces)))
+    if dim.denominator != 1 or dim <= 0:
+        raise ValueError("c^T G^-1 c = %s is not a positive integer" % dim)
+    return int(dim), z
 
 
 def commutator_rows(a: QMatrix) -> list[dict[int, int]]:

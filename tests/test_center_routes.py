@@ -1,10 +1,11 @@
 """The routes to Z(A) agree: the word route, which reads Z(A) = A meet W
 off the span W of the words in the action's generators, the table route,
 which narrows A by its bracket table, and the routes that read dim A and
-Z(A) off the group (`commutant_center`): a torus's weight classes, and a
-finite group's class sums and character norm under the rule |G| k <= n^2.
-So does dim [A, A] read off the trace form, dim A - dim Z(A), with the span
-of the table.  Each of the first two keeps to its budget of d(d - 1)/2
+Z(A) off the group (`commutant_center`): a torus's weight classes, a
+finite group's class sums and character norm under the rule |G| k <= n^2,
+and a connected group's algebra W under the rule 1 + dim k <= n, with W of
+at most n words.  So does dim [A, A] read off the trace form,
+dim A - dim Z(A), with the span of the table.  Each of the first two keeps to its budget of d(d - 1)/2
 products or brackets; compute takes the weight route for a torus and never
 the other two, and verify never takes it."""
 
@@ -46,7 +47,29 @@ def word_route_center(a: comm.MatrixAlgebra):
     n, gens = a.ambient_dim, a.generators
     words = exactlin.word_basis(gens, n * n * len(gens))
     assert words is not None
-    return comm._word_center(n, words, gens)
+    return exactlin.word_center(n, words, gens)
+
+
+def algebra_words(g: ConnectedLieAction) -> list[QMatrix]:
+    """Every word of a basis of W, the algebra the Lie-generating generators
+    of g generate with I, whatever its size: W has dim <= n^2."""
+    n, gens = g.dim, g.lie_generating
+    if not gens:
+        return [QMatrix.identity(n)]
+    words = exactlin.word_basis(gens, n * n * len(gens))
+    assert words is not None
+    return words
+
+
+def past_the_rule(g) -> bool:
+    """Whether compute sends g to the commutant kernel: a finite group past
+    |G| k <= n^2, or a connected group with 1 + dim k > n or whose W has
+    more than n words.  A torus never goes there."""
+    if isinstance(g, FiniteMatrixAction):
+        return g.order * len(g.generators) > g.dim ** 2
+    if isinstance(g, ConnectedLieAction):
+        return 1 + g.lie_dim > g.dim or len(algebra_words(g)) > g.dim
+    return False
 
 
 def table_record(g) -> comm.MatrixAlgebra:
@@ -62,11 +85,11 @@ def assert_routes_agree(g) -> None:
     z = word_route_center(a)
     assert z == comm.center(table)
     assert comm.center(a) == z
-    # compute reads dim A and Z(A) off a torus and off a finite group under
-    # the rule, and off the commutant otherwise
+    # compute reads dim A and Z(A) off a torus, off a finite group under the
+    # class rule and off a connected group under the word rule, and off the
+    # commutant otherwise
     read = g.commutant_center()
-    assert (read is None) == (isinstance(g, ConnectedLieAction) or (
-        isinstance(g, FiniteMatrixAction) and g.order * len(g.generators) > g.dim ** 2))
+    assert (read is None) == past_the_rule(g)
     assert read in (None, (a.dim, z))
     assert a.dim - z.dim == comm.commutator_ideal(table).dim
 
@@ -190,7 +213,7 @@ def test_compute_reads_a_torus_center_off_its_weights(model, monkeypatch):
     def refused(*args):
         raise AssertionError("compute took the word or the table route")
 
-    for name in ("word_basis", "_word_center", "_table_center"):
+    for name in ("word_basis", "word_center", "_table_center"):
         monkeypatch.setattr(comm, name, refused)
     result = pipeline.run_orbit(model)
     dim, z = model.slice_action.commutant_center()
