@@ -50,7 +50,9 @@ commutant M_6(H) has dimension 144, run as the `scale` set; and, as the
 quotient asked for, run as the `torus` set: compute reads dim A and Z(A)
 of su(2) on 3C^2 + R^3 and u(2) on 2C^2 + C^2 off the algebra W their
 generators generate, and gives up on the rest, whose W has more than n
-words.
+words; and, as the `parse-errors` set, on one document per error the
+parser locates in an input (`_parse_error_documents`), each run once per
+mode with no flag.
 Prints one
 sha256 per document set and mode over (exit code, stdout, stderr, emitted
 JSON) of its runs.  The workloads' matrices are
@@ -91,7 +93,7 @@ FLAGS = ([], ["--degree-bound", "3"])
 DEEP_FLAGS = (["--degree-bound", "8"], ["--degree-bound", "12"])
 # the flags each set runs with, where they are not FLAGS
 SET_FLAGS = {"deep-bound": DEEP_FLAGS, "certified-floor": ([],),
-             "finite-classes": ([], ["--max-group-order", "4"])}
+             "finite-classes": ([], ["--max-group-order", "4"]), "parse-errors": ([],)}
 CATALOG_ACTIONS = (
     "c2_sign", "c2_minus_identity", "c3_rotation", "c4_rotation", "c2_x_c2", "d4_on_r2",
     "s3_standard", "s3_standard_plus_sign", "q8_on_r4", "s3_regular_minus_trivial",
@@ -115,13 +117,19 @@ def _basis_change(n: int) -> tuple[QMatrix, QMatrix]:
 def _document(label: str, g, quotient: bool) -> dict:
     """One orbit of the finite or connected action g, its generators
     conjugated by P."""
-    p, p_inv = _basis_change(g.dim)
-    gens = [p @ a @ p_inv for a in g.action_generators()]
     kind = "finite" if isinstance(g, FiniteMatrixAction) else "connected_lie"
+    return _generators_document(label, kind, g.dim, g.action_generators(), quotient)
+
+
+def _generators_document(label: str, kind: str, n: int, generators, quotient: bool) -> dict:
+    """One orbit of the given kind on R^n, its n x n generators conjugated by
+    P; they need not define a valid action."""
+    p, p_inv = _basis_change(n)
+    gens = [p @ a @ p_inv for a in generators]
     return {"orbits": [{
         "label": label,
         "quotient": quotient,
-        "slice_action": {"kind": kind, "dim": g.dim, "generators": [
+        "slice_action": {"kind": kind, "dim": n, "generators": [
             [[str(x) for x in row] for row in a.entries] for a in gens
         ]},
     }]}
@@ -423,6 +431,114 @@ def _lie_documents() -> list[dict]:
     ]
 
 
+def _parse_error_documents() -> list[dict]:
+    """One document per error the parser locates in an input, most in the
+    basis of `_basis_change`: slices with a fixed vector, of each kind; a
+    finite generator that is singular, of infinite order or of the wrong
+    shape; connected generators that are not closed, not compact or whose
+    center is no torus; malformed arrays and entries; and isotropy Lie data
+    with wrong-shaped planes, h rows or action matrices, broken
+    antisymmetry or Jacobi identity, a non-automorphism, a non-derivation,
+    an h that is no subalgebra and an h^H that is no ideal of k^H.  Two
+    valid documents spell their rationals in the other forms the input
+    accepts."""
+    def m(rows) -> QMatrix:
+        return QMatrix.from_rows(rows)
+
+    def block(*parts: QMatrix) -> QMatrix:
+        return _block_diagonal(list(parts))
+
+    su2 = list(catalog.su2_on_c2().lie_generators)
+    su3 = [catalog.realify_complex(re, im) for re, im in catalog._su_n_basis(3)]
+    swap, cycle = m([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), m([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    zero2 = QMatrix.zeros(2, 2)
+    docs = [
+        _generators_document("finite-permutations-fix-a-line", "finite", 3, [swap, cycle], False),
+        _generators_document("finite-reflection", "finite", 2, [m([[1, 0], [0, -1]])], True),
+        _generators_document("finite-without-generators", "finite", 2, [], False),
+        _generators_document("su2-on-c2+r2", "connected_lie", 6,
+                             [block(a, zero2) for a in su2], True),
+        _generators_document("su3-on-c3+r2", "connected_lie", 8,
+                             [block(a, zero2) for a in su3], False),
+        _generators_document("connected-without-generators", "connected_lie", 2, [], False),
+        _generators_document("singular", "finite", 2, [m([[1, "1/2"], [2, 1]])], False),
+        _generators_document("trace-not-integral", "finite", 2, [m([[2, 0], [0, "1/2"]])], False),
+        _generators_document("trace-2-not-identity", "finite", 2, [m([[1, 1], [0, 1]])], False),
+        _generators_document("trace-too-large", "finite", 1, [m([[3]])], False),
+        _generators_document("not-closed", "connected_lie", 4, su2[:2], False),
+        _generators_document("trace-form-indefinite", "connected_lie", 2,
+                             [m([[1, 0], [0, -1]])], False),
+        _generators_document("center-not-a-torus", "connected_lie", 2,
+                             [m([[1, -2], [2, 1]])], False),
+    ]
+    for label, weights in (("torus-zero-column", [[1, 0, 2], [0, 0, -1]]),
+                           ("torus-all-zero", [[0, 0]])):
+        docs.append({"orbits": [{"label": label, "quotient": True,
+                                 "slice_action": {"kind": "torus", "weights": weights}}]})
+    rotation = {"kind": "finite", "dim": 2, "generators": [[[0, -1], [1, 0]]]}
+    slices = {
+        "generator-shape": {"kind": "finite", "dim": 2, "generators": [
+            [[0, -1], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+        "lie-generator-shape": {"kind": "connected_lie", "dim": 2, "generators": [
+            [[0, "-1/2"], [2, 0], [0, 0]]]},
+        "ragged-generator": {"kind": "finite", "dim": 2, "generators": [[["0", -1], [1]]]},
+        "empty-generator": {"kind": "finite", "dim": 2, "generators": [[]]},
+        "generators-not-array": {"kind": "finite", "dim": 2, "generators": {"0": 1}},
+        "row-not-array": {"kind": "finite", "dim": 2, "generators": [[[0, -1], "1 0"]]},
+        "boolean-entry": {"kind": "finite", "dim": 2, "generators": [[[0, -1], [True, 0]]]},
+        "float-entry": {"kind": "finite", "dim": 2, "generators": [[[0, -1.0], [1, 0]]]},
+        "null-entry": {"kind": "finite", "dim": 2, "generators": [[["0", None], [1, 0]]]},
+        "zero-denominator": {"kind": "finite", "dim": 2, "generators": [[[0, "-1/0"], [1, 0]]]},
+        "bad-rational": {"kind": "finite", "dim": 2, "generators": [[[0, "-1/2/3"], [1, 0]]]},
+        "rational-weight": {"kind": "torus", "weights": [[1, "2"]]},
+        "float-weight": {"kind": "torus", "weights": [[1, 2.0]]},
+        "exotic-rationals": {"kind": "finite", "dim": 2, "generators": [
+            [[" 0 ", "-1.0"], ["+1", "0/7"]], [["-1e0", "0.0"], ["0/3", "-2/2"]]]},
+    }
+    docs += [{"orbits": [{"label": label, "slice_action": action}]}
+             for label, action in slices.items()]
+
+    so3 = _constants(catalog.so3())
+    sl2 = _constants(catalog.sl2())
+    bad_sign = [[list(row) for row in plane] for plane in so3]
+    bad_sign[2][1][0] -= 1
+    ideal = _in_basis(sl2, [], [], [[0, 1, 0]])
+    lie = {
+        "antisymmetry-broken": _in_basis(bad_sign, [], [], []),
+        "jacobi-broken": _in_basis(_broken_jacobi(), [], [], []),
+        "not-an-automorphism": _in_basis(so3, [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], [], []),
+        "not-a-derivation": _in_basis(sl2, [], [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]], []),
+        "h-not-a-subalgebra": _in_basis(sl2, [], [], [[0, 1, 0], [0, 0, 1]]),
+        "h-fixed-not-an-ideal": ideal,
+        "h-fixed-not-an-ideal-under-zero": _in_basis(so3, [], [[[0] * 3] * 3], [[0, 0, 1]]),
+        "plane-count": {**ideal, "structure_constants": ideal["structure_constants"][:2]},
+        "plane-shape": {**ideal, "structure_constants": [
+            plane if i != 1 else [row[:2] for row in plane]
+            for i, plane in enumerate(ideal["structure_constants"])]},
+        "plane-rows": {**ideal, "structure_constants": [
+            plane[:2] if i == 2 else plane
+            for i, plane in enumerate(ideal["structure_constants"])]},
+        "plane-ragged": {**ideal, "structure_constants": [
+            [row[:2] if j == 0 else row for j, row in enumerate(plane)]
+            for plane in ideal["structure_constants"]]},
+        "planes-not-array": {**ideal, "structure_constants": 3},
+        "plane-entry-boolean": {**ideal, "structure_constants": [
+            [[False if (i, j, k) == (2, 1, 0) else x for k, x in enumerate(row)]
+             for j, row in enumerate(plane)]
+            for i, plane in enumerate(ideal["structure_constants"])]},
+        "h-row-length": {**ideal, "h_basis": [[1, "1/2"]]},
+        "h-ragged": {**ideal, "h_basis": [[1, 0, 0], [1, 0]]},
+        "h-entry-bad": {**ideal, "h_basis": [[1, "x", 0]]},
+        "automorphism-shape": {**ideal, "automorphisms": [[[1, 0, 0], [0, 1, 0]]]},
+        "derivation-shape": {**ideal, "h_basis": [], "derivations": [[[0, 1], [-1, 0]]]},
+        "dim-not-integer": {**ideal, "dim": "3"},
+        "no-constants": {"dim": 3},
+    }
+    docs += [{"orbits": [{"label": label, "slice_action": rotation, "isotropy_lie": data}]}
+             for label, data in lie.items()]
+    return docs
+
+
 def _documents() -> dict[str, list[dict]]:
     """The documents of each workload, in run order."""
     docs = {
@@ -443,6 +559,7 @@ def _documents() -> dict[str, list[dict]]:
     docs["finite-classes"] = _finite_classes_documents()
     docs["scale-large"] = _scale_documents((6,))
     docs["connected-words"] = _connected_words_documents()
+    docs["parse-errors"] = _parse_error_documents()
     return docs
 
 

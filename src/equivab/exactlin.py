@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Q = Fraction
@@ -116,6 +117,12 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         out = _integral_product(self, other)
         return QMatrix._of(self.den * other.den, out.items(), self.rows, other.cols)
+
+
+def sparse_rows(rows: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzeros (column, int) of each dense integer row, by column: the
+    rows a `QMatrix` stores."""
+    return tuple(tuple(filter(itemgetter(1), enumerate(r))) for r in rows)
 
 
 def minus_identity(m: QMatrix) -> QMatrix:
@@ -213,11 +220,17 @@ def word_center(n: int, words: Sequence[QMatrix], gens: Sequence[QMatrix]) -> "S
     return Subspace._span(nn, coefs.combinations([w.int_vec() for w in words]))
 
 
-def lie_generating_subset(generators: Sequence[QMatrix], dim: int) -> list[int]:
+def lie_generating_subset(
+    generators: Sequence[QMatrix],
+    dim: int,
+    brackets: dict[tuple[int, int], tuple[int, dict[int, int]]],
+) -> list[int]:
     """The indices of the square `generators` that generate their Lie
     algebra, of dimension `dim`, in order: each is kept unless it lies in
     the span L of the right-normed brackets [s_1, [s_2, [..., s_r]]] of the
-    kept ones before it.
+    kept ones before it.  `brackets` maps each pair i < j to
+    `bracket_vec(generators[i], generators[j])`: the bracket of two
+    generators is read there, not formed again.
 
     One incremental elimination holds L, the least subspace that holds the
     kept generators and is closed under ad(s) for every kept s.  Once L has
@@ -225,26 +238,34 @@ def lie_generating_subset(generators: Sequence[QMatrix], dim: int) -> list[int]:
     kept: list[int] = []
     if not dim:
         return kept
-    span: list[QMatrix] = []  # a basis of L, each a right-normed bracket
-    engine = SparseRREF(generators[0].rows ** 2)
+    n = generators[0].rows
+    engine = SparseRREF(n * n)
+    nested: list[QMatrix] = []  # the rest of a basis of L: brackets of two or more
+    work: list[tuple[QMatrix, QMatrix]] = []
+
+    def add(den: int, vec: dict[int, int]) -> None:
+        # a new element of L takes the ad of every kept generator
+        if engine.insert(vec):
+            y = QMatrix._of(den, vec.items(), n, n)
+            nested.append(y)
+            work.extend((generators[k], y) for k in kept)
+
     for i, g in enumerate(generators):
         if engine.rank == dim:
             break
         if not engine.insert(g.int_vec()):
             continue
-        # L was closed under the ad of the generators kept before g: its
-        # elements, those generators among them, take ad(g), and each new
-        # element the ad of every kept generator
-        work = [(g, x) for x in span]
+        # L was closed under the ad of the generators kept before g, and no
+        # pair is pending: each element of its basis takes ad(g), a kept
+        # generator's bracket with g read off the table
+        work.extend((g, x) for x in nested)
         kept.append(i)
-        span.append(g)
+        for k in kept[:-1]:
+            if engine.rank == dim:
+                break
+            add(*brackets[k, i])
         while work and engine.rank < dim:
-            s, x = work.pop()
-            den, vec = bracket_vec(s, x)
-            if engine.insert(vec):
-                y = QMatrix._of(den, vec.items(), g.rows, g.rows)
-                span.append(y)
-                work += [(generators[k], y) for k in kept]
+            add(*bracket_vec(*work.pop()))
     return kept
 
 
@@ -606,13 +627,17 @@ def trace_form(s: Subspace, n: int) -> QMatrix:
     pivots, so the form is congruent to the one on that basis: it has the
     same inertia."""
     rows = [row for _, _, row in s.rows]
-    # tr(XY) is the sum of X_ab Y_ba over the nonzeros X_ab of flattened X
+    # tr(XY) is the sum of X_ab Y_ba over the nonzeros X_ab of flattened X:
+    # each row's nonzeros at their transposed indices, once.  The form is
+    # symmetric, so the entries i <= j are formed and mirrored
+    flipped = [[((k % n) * n + k // n, x) for k, x in v.items()] for v in rows]
     d = len(rows)
-    gram = (
-        (i * d + j, sum(x * w.get((k % n) * n + k // n, 0) for k, x in v.items()))
-        for i, v in enumerate(rows) for j, w in enumerate(rows)
-    )
-    return QMatrix._of(1, gram, d, d)
+    gram = [[0] * d for _ in range(d)]
+    for i, v in enumerate(flipped):
+        for j in range(i, d):
+            get = rows[j].get
+            gram[i][j] = gram[j][i] = sum(x * get(k, 0) for k, x in v)
+    return QMatrix(1, sparse_rows(gram), d)
 
 
 def inertia(sym: QMatrix) -> tuple[int, int, int]:

@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import IO
 
 from . import liealg
-from .exactlin import QMatrix, Subspace
+from .exactlin import QMatrix, Subspace, sparse_rows
 from .pipeline import AbelianizationReport, InputError, OrbitModel
 from .symmetry import (
     DEFAULT_GROUP_CAP,
@@ -23,58 +24,67 @@ from .symmetry import (
 )
 
 
-def _rational(x, where: str, i: int, j: int) -> tuple[int, int]:
-    """(numerator, denominator) in lowest terms of the entry x at where[i][j]:
-    an int or a 'p/q' string, read as `Fraction` reads it."""
+def _rational(x, where: str, i: int, j: int) -> Fraction:
+    """The entry x at where[i][j], not an int: a 'p/q' string, read as
+    `Fraction` reads it."""
     if isinstance(x, bool):
         raise InputError("%s[%d][%d]: expected a rational, got a boolean" % (where, i, j))
     if isinstance(x, int):
-        return int(x), 1
+        return Fraction(x)
     if isinstance(x, str):
         try:
-            q = Fraction(x)
+            return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(
                 "%s[%d][%d]: bad rational %r (%s)" % (where, i, j, x, exc)
             ) from exc
-        return q.numerator, q.denominator
     raise InputError(
         "%s[%d][%d]: expected int or 'p/q' string, got %r" % (where, i, j, x)
     )
 
 
+_INT = {int}
+
+
 def _int_rows(rows, where: str) -> tuple[int, list[list[int]]]:
     """(den, the rows of den * M) for the rectangular nested array M of
-    rationals, den the lcm of their denominators: each entry becomes an
-    integer once.  An all-int array is returned as it is, with den 1."""
-    if not isinstance(rows, list) or not rows or not all(
-        isinstance(r, list) and len(r) == len(rows[0]) for r in rows
-    ):
+    rationals, den the lcm of their denominators, in one pass: an array of
+    ints, told by one type check, is returned as it is; otherwise each
+    other entry is read once, and den scales the rows."""
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
         raise InputError("%s: expected a rectangular nested array" % where)
-    if all(type(x) is int for r in rows for x in r):
+    width = len(rows[0])
+    for r in rows:
+        if not isinstance(r, list) or len(r) != width:
+            raise InputError("%s: expected a rectangular nested array" % where)
+    if set(map(type, chain.from_iterable(rows))) <= _INT:
         return 1, rows
-    parsed = [
-        [(x, 1) if type(x) is int else _rational(x, where, i, j) for j, x in enumerate(r)]
+    read = [
+        [x if type(x) is int else _rational(x, where, i, j) for j, x in enumerate(r)]
         for i, r in enumerate(rows)
     ]
-    den = lcm(*(d for r in parsed for _, d in r))
-    return den, [[x * (den // d) for x, d in r] for r in parsed]
+    den = lcm(*[x.denominator for x in chain.from_iterable(read) if type(x) is not int])
+    return den, [
+        [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in r]
+        for r in read
+    ]
 
 
-def _matrix(rows, where: str) -> QMatrix:
-    """The matrix of a nested array, in its canonical integer form."""
-    den, ints = _int_rows(rows, where)
-    return QMatrix(den, tuple(
-        tuple((j, x) for j, x in enumerate(r) if x) for r in ints
-    ), len(ints[0]))
+def _arrays(doc: dict, key: str, where: str) -> list:
+    """The array of nested arrays under `key`; none when the key is absent."""
+    arrays = doc.get(key, [])
+    if not isinstance(arrays, list):
+        raise InputError("%s.%s: expected an array" % (where, key))
+    return arrays
 
 
 def _matrices(doc: dict, key: str, where: str) -> tuple[QMatrix, ...]:
-    """The array of matrices under `key`; none when the key is absent."""
-    mats = doc.get(key, [])
-    if not isinstance(mats, list):
-        raise InputError("%s.%s: expected an array" % (where, key))
-    return tuple(_matrix(m, "%s.%s[%d]" % (where, key, i)) for i, m in enumerate(mats))
+    """The matrices under `key`, each in its canonical integer form."""
+    out = []
+    for i, m in enumerate(_arrays(doc, key, where)):
+        den, rows = _int_rows(m, "%s.%s[%d]" % (where, key, i))
+        out.append(QMatrix(den, sparse_rows(rows), len(rows[0])))
+    return tuple(out)
 
 
 def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
@@ -97,11 +107,11 @@ def _parse_action(doc: dict, where: str, cap: int):
             if not isinstance(weights, list) or not weights:
                 raise InputError("%s: torus action needs a 'weights' matrix" % where)
             for i, row in enumerate(weights):
-                if not isinstance(row, list) or not all(type(x) is int for x in row):
+                if not isinstance(row, list) or not set(map(type, row)) <= _INT:
                     raise InputError(
                         "%s.weights[%d]: weights must be integers" % (where, i)
                     )
-            return TorusAction(tuple(tuple(r) for r in weights))
+            return TorusAction(tuple(map(tuple, weights)))
         if kind in ("finite", "connected_lie"):
             _known_keys(doc, ("kind", "dim", "generators"), where)
             dim = doc.get("dim")
@@ -132,7 +142,10 @@ def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
         raise InputError("%s: isotropy data needs integer 'dim'" % where)
     if doc.get("structure_constants") is None:
         raise InputError("%s: missing 'structure_constants'" % where)
-    planes = _matrices(doc, "structure_constants", where)
+    read = [
+        _int_rows(p, "%s.structure_constants[%d]" % (where, i))
+        for i, p in enumerate(_arrays(doc, "structure_constants", where))
+    ]
     h_rows = doc.get("h_basis", [])
     # den * h spans what h does
     h = _int_rows(h_rows, where + ".h_basis")[1] if h_rows != [] else ()
@@ -141,7 +154,11 @@ def _parse_isotropy(doc, where: str) -> liealg.IsotropyData:
     autos = _matrices(doc, "automorphisms", where)
     ders = _matrices(doc, "derivations", where)
     try:
-        algebra = liealg.LieAlgebraSC.from_planes(dim, planes)
+        # the planes' integer rows at one denominator, the lcm of theirs
+        den = lcm(*(d for d, _ in read))
+        planes = [rows if d == den else [[x * (den // d) for x in r] for r in rows]
+                  for d, rows in read]
+        algebra = liealg.LieAlgebraSC.from_planes(dim, den, planes)
         return liealg.IsotropyData(algebra, Subspace.from_vectors(dim, h), autos, ders)
     except ValueError as exc:
         raise InputError("%s: %s" % (where, exc)) from exc

@@ -14,7 +14,9 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .exactlin import QMatrix, Subspace, combine, common_nullspace, minus_identity, solve
+from .exactlin import (
+    QMatrix, Subspace, _exact, common_nullspace, minus_identity, solve, sparse_rows
+)
 
 # the nonzeros (k, x) of one integer vector, by k
 Pairs = tuple[tuple[int, int], ...]
@@ -45,23 +47,28 @@ class LieAlgebraSC:
         c = [[list(row) for row in plane] for plane in constants]
         if len(c) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in c):
             raise ValueError("structure constant tensor must be dim^3")
-        return LieAlgebraSC.from_planes(dim, [QMatrix.from_rows(p) for p in c])
+        c = [[[_exact(x) for x in r] for r in p] for p in c]
+        den = lcm(*(x.denominator for p in c for r in p for x in r))
+        return LieAlgebraSC.from_planes(dim, den, [
+            [[x.numerator * (den // x.denominator) for x in r] for r in p] for p in c
+        ])
 
     @staticmethod
-    def from_planes(dim: int, planes: Sequence[QMatrix]) -> "LieAlgebraSC":
+    def from_planes(
+        dim: int, den: int, planes: Sequence[Sequence[Sequence[int]]]
+    ) -> "LieAlgebraSC":
         """The algebra whose i-th plane, the matrix (c[i][j][k]) by (j, k), is
-        planes[i]: each plane's integer rows brought to one denominator."""
+        planes[i] / den: den the lcm of the constants' denominators, and
+        each plane's rows dense lists of integers, read straight into the
+        integer planes."""
         if len(planes) != dim:
             raise ValueError("structure_constants has %d planes, not %d" % (len(planes), dim))
         for i, p in enumerate(planes):
-            if (p.rows, p.cols) != (dim, dim):
+            shape = (len(p), len(p[0]) if p else 0)
+            if shape != (dim, dim):
                 raise ValueError("structure_constants[%d] is %d x %d, not %d x %d"
-                                 % (i, p.rows, p.cols, dim, dim))
-        den = lcm(*(p.den for p in planes))
-        alg = LieAlgebraSC(dim, den, tuple(
-            tuple(tuple((k, x * (den // p.den)) for k, x in row) for row in p.int_rows)
-            for p in planes
-        ))
+                                 % (i, *shape, dim, dim))
+        alg = LieAlgebraSC(dim, den, tuple(map(sparse_rows, planes)))
         alg._validate()
         return alg
 
@@ -74,7 +81,7 @@ class LieAlgebraSC:
         # failing (i, j) has i <= j
         for i in range(n):
             for j in range(i, n):
-                if planes[i][j] != tuple((k, -x) for k, x in planes[j][i]):
+                if planes[i][j] != tuple([(k, -x) for k, x in planes[j][i]]):
                     a, b = dict(planes[i][j]), dict(planes[j][i])
                     k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                     raise JacobiError("antisymmetry fails at (%d, %d, %d)" % (i, j, k))
@@ -122,10 +129,21 @@ def _columns(m: QMatrix) -> list[dict[int, int]]:
     return [dict(col) for col in m.transpose().int_rows]
 
 
+def _image(cols: list[dict[int, int]], v: Pairs, scale: int = 1) -> dict[int, int]:
+    """scale M v, zeros dropped, for the matrix M of columns `cols` and the
+    integer vector v of pairs (k, x)."""
+    out: dict[int, int] = {}
+    for k, x in v:
+        x *= scale
+        for r, y in cols[k].items():
+            out[r] = out.get(r, 0) + x * y
+    return {r: y for r, y in out.items() if y}
+
+
 # An action matrix is a dim x dim matrix (`IsotropyData` checks the shape),
 # checked on the pairs e_i, e_j with i < j: both sides of each identity are
 # bilinear and antisymmetric in (x, y) on a validated algebra, so the other
-# pairs follow.  M c_ij is the `combine` of M's columns by c_ij.
+# pairs follow.  M c_ij is the `_image` of the plane row c_ij.
 
 
 def is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
@@ -133,12 +151,10 @@ def is_automorphism(g: LieAlgebraSC, a: QMatrix) -> bool:
     A = M / d, both sides times d^2 den(g) are d M c_ij and [M e_i, M e_j]."""
     cols = _columns(a)
     d, planes = a.den, g.planes
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            (image,) = combine([dict(planes[i][j])], cols)
-            if {r: d * y for r, y in image.items()} != g._bracket(cols[i], cols[j]):
-                return False
-    return True
+    return all(
+        _image(cols, planes[i][j], d) == g._bracket(cols[i], cols[j])
+        for i in range(g.dim) for j in range(i + 1, g.dim)
+    )
 
 
 def is_derivation(g: LieAlgebraSC, d: QMatrix) -> bool:
@@ -152,8 +168,7 @@ def is_derivation(g: LieAlgebraSC, d: QMatrix) -> bool:
             rhs = g._bracket(cols[i], {j: 1})
             for k, x in g._bracket({i: 1}, cols[j]).items():
                 rhs[k] = rhs.get(k, 0) + x
-            (image,) = combine([dict(planes[i][j])], cols)
-            if image != {k: x for k, x in rhs.items() if x}:
+            if _image(cols, planes[i][j]) != {k: x for k, x in rhs.items() if x}:
                 return False
     return True
 

@@ -5,8 +5,8 @@ generators, a torus by an integer weight matrix acting on complex block
 coordinates, or a connected group by Lie-algebra generator matrices.  Each
 class is the one place that knows its kind.  It gives the matrices that
 generate the action (`action_generators`), those of them that lie in the
-group's Lie algebra (`lie_algebra_generators`), "fixed by the group" as a
-finite family of exact linear operators (`fixed_operators`), the span of
+group's Lie algebra (`lie_algebra_generators`), its fixed vectors V^H read
+off its own data (`fixed_space`), the span of
 its commutant A = End(V)^H (`commutant_span`), dim A and the center Z(A)
 where the group's own data fix them (`commutant_center`), its invariant
 polynomials one degree at a time (`invariant_terms`), its default degree
@@ -30,11 +30,14 @@ its character norm, from 2 k |G| products.  A connected group with
 generate with I, when W has at most n words: Z(A) = Z(W), and dim A is
 c^T G^-1 c for the traces c on V and G on W of a basis of Z(W).  Past
 these rules dim A and Z(A) are left to the commutant.  A connected
-group's commutant and invariants read only a subset of its generators that
-generates its Lie algebra (`lie_generating`), since commuting with, or a
-derivation vanishing for, two elements holds for their bracket too.  A
-finite group reads every generator.  `action_generators`,
-`lie_algebra_generators` and `fixed_operators` return every generator.
+group's commutant, invariants and fixed vectors read only a subset of its
+generators that generates its Lie algebra (`lie_generating`), since
+commuting with, a derivation vanishing for, or a vector killed by two
+elements holds for their bracket too.  A torus's fixed vectors are the
+blocks of its zero weight columns, with no kernel.  A finite group reads
+every generator, and its fixed vectors are the kernel of the rows of
+den(g) g - den(g) I taken off each generator's integer rows.
+`action_generators` and `lie_algebra_generators` return every generator.
 
 Polynomials here are dicts from exponent tuples to nonzero integer
 coefficients, each an integer multiple of the polynomial it stands for.
@@ -59,7 +62,6 @@ from .exactlin import (
     QMatrix,
     Subspace,
     bracket_vec,
-    common_nullspace,
     count_real_roots,
     inertia,
     integer_kernel_saturated,
@@ -67,7 +69,6 @@ from .exactlin import (
     lattice_contains,
     lie_generating_subset,
     minimal_polynomial,
-    minus_identity,
     product_vec,
     rows_of,
     rref,
@@ -310,9 +311,12 @@ class FiniteMatrixAction:
     cap: int = DEFAULT_GROUP_CAP
 
     def __post_init__(self):
+        n = self.dim
         for i, g in enumerate(self.generators):
-            _check_shape(g, i, self.dim)
-            if rref(g)[1] != self.dim:
+            _check_shape(g, i, n)
+            # the rank of the engine holding g's integer rows: no rational
+            # form is read
+            if Subspace._span(n, map(dict, g.int_rows)).dim != n:
                 raise ValueError("generators[%d] is not invertible" % i)
             _check_trace(g, "generators[%d]" % i, ValueError)
 
@@ -332,9 +336,17 @@ class FiniteMatrixAction:
         """None: the Lie algebra of a finite group is zero."""
         return []
 
-    def fixed_operators(self) -> list[QMatrix]:
-        """g - I for each generator g."""
-        return [minus_identity(gen) for gen in self.generators]
+    def fixed_space(self) -> Subspace:
+        """V^G: the joint kernel of g - I over the generators, its rows those
+        of den(g) g less den(g) on the diagonal, read lazily off the integer
+        rows of g."""
+        def rows(g: QMatrix) -> Iterator[dict[int, int]]:
+            for i, row in enumerate(g.int_rows):
+                out = dict(row)
+                out[i] = out.get(i, 0) - g.den
+                yield out
+
+        return kernel(self.dim, chain.from_iterable(map(rows, self.generators)))
 
     def commutant_span(self) -> Subspace:
         """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
@@ -436,8 +448,14 @@ class TorusAction:
         """All of them: they span the torus's Lie algebra."""
         return self.action_generators()
 
-    def fixed_operators(self) -> list[QMatrix]:
-        return self.action_generators()
+    def fixed_space(self) -> Subspace:
+        """V^T: the blocks of the zero weight columns, read off the weights
+        with no kernel.  A block with a nonzero weight w is moved by w J,
+        which is invertible; and the generators are block diagonal."""
+        return Subspace(self.dim, tuple(
+            (i, 1, {i: 1})
+            for j, c in enumerate(zip(*self.weights)) if not any(c) for i in (2 * j, 2 * j + 1)
+        ))
 
     @cached_property
     def weight_classes(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
@@ -610,11 +628,12 @@ class ConnectedLieAction:
         for i, g in enumerate(gens):
             _check_shape(g, i, n)
         span = Subspace._span(n * n, (g.int_vec() for g in gens))
-        # vec [G_i, G_j] for the integral G_i = den(g_i) g_i, i < j
-        table = {(i, j): bracket_vec(gens[i], gens[j])[1]
+        # [g_i, g_j] in integer form (den, vec [G_i, G_j]) for the integral
+        # G_i = den(g_i) g_i, i < j
+        table = {(i, j): bracket_vec(gens[i], gens[j])
                  for i, j in combinations(range(len(gens)), 2)}
         engine = span._engine()
-        if not all(engine.contains(b) for b in table.values()):
+        if not all(engine.contains(b) for _, b in table.values()):
             raise ValueError("generators are not closed under the bracket")
         # a compact group's Lie algebra has a negative definite trace form
         signs = inertia(trace_form(span, n))
@@ -624,7 +643,7 @@ class ConnectedLieAction:
                 "(%d, %d, %d), not (0, %d, 0): the group is not compact" % (*signs, span.dim)
             )
         # the span is closed, so it is the Lie algebra the generators generate
-        kept = lie_generating_subset(gens, span.dim)
+        kept = lie_generating_subset(gens, span.dim, table)
         object.__setattr__(self, "lie_generating", tuple(gens[i] for i in kept))
         object.__setattr__(self, "lie_dim", span.dim)
         # and its center is a torus.  The center is the combinations of the
@@ -634,7 +653,7 @@ class ConnectedLieAction:
         # those are stacked
         nn, pivots = n * n, {pc for pc, _, _ in span.rows}
         columns: list[dict[int, int]] = [{} for _ in gens]
-        for (i, j), b in table.items():
+        for (i, j), (_, b) in table.items():
             at_pivots = [(k, x) for k, x in b.items() if k in pivots]
             if j in kept:
                 columns[i].update((j * nn + k, x) for k, x in at_pivots)
@@ -652,8 +671,11 @@ class ConnectedLieAction:
         """All of them: they span the group's Lie algebra."""
         return self.action_generators()
 
-    def fixed_operators(self) -> list[QMatrix]:
-        return self.action_generators()
+    def fixed_space(self) -> Subspace:
+        """V^H: the joint kernel of the Lie-generating generators, as xi x =
+        xi' x = 0 gives [xi, xi'] x = 0."""
+        return kernel(self.dim, map(dict, chain.from_iterable(
+            g.int_rows for g in self.lie_generating)))
 
     def commutant_span(self) -> Subspace:
         """End(V)^H in vec(End(V)): the joint kernel of the commutator rows
@@ -924,7 +946,6 @@ def invariance_constraints(gens: Sequence[QMatrix]) -> list[dict[int, int]]:
 
 
 def fixed_vectors(g: GroupAction) -> Subspace:
-    """V^H as a subspace of R^n: the joint kernel of the action's fixed-vector
-    operators."""
-    ops = g.fixed_operators()
-    return common_nullspace(ops) if ops else Subspace.full(g.dim)
+    """V^H as a subspace of R^n, read off the action's own data
+    (`fixed_space`)."""
+    return g.fixed_space()

@@ -4,8 +4,8 @@ complements of subspaces, and the brackets and constants of a Lie algebra
 as rationals.  The library runs
 on integer rows and never forms these.  Also the quotient kernel read from
 every invariant, with none of the library's early stops, the kernel's
-floor Z(A) meet Lie(K) by intersection, and the commutant and invariants of
-an action read from every one of its generators."""
+floor Z(A) meet Lie(K) by intersection, and the commutant, invariants and
+fixed vectors of an action read from every one of its generators."""
 
 from fractions import Fraction
 from itertools import chain
@@ -137,6 +137,26 @@ def commutant_of_every_generator(g) -> Subspace:
     engine = SparseRREF(n * n)
     for row in rows:
         engine.insert(row)
+    return engine.kernel()
+
+
+def fixed_operators(g) -> list:
+    """One operator per generator whose joint kernel is V^H, whatever the
+    action kind: g - I for each generator g of a finite group, and each
+    generator itself otherwise."""
+    gens = g.action_generators()
+    if isinstance(g, FiniteMatrixAction):
+        return [minus(a, QMatrix.identity(g.dim)) for a in gens]
+    return gens
+
+
+def fixed_by_every_operator(g) -> Subspace:
+    """V^H as the kernel of the stacked `fixed_operators` of g, with no rule
+    of the action's kind: no Lie-generating subset and no weight column."""
+    engine = SparseRREF(g.dim)
+    for a in fixed_operators(g):
+        for row in a.int_rows:
+            engine.insert(dict(row))
     return engine.kernel()
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from equivab import catalog, commutant, exactlin, liealg, pipeline, strata
+from equivab import catalog, commutant, exactlin, liealg, pipeline, strata, symmetry
 from equivab import io as eio
 from equivab.symmetry import TorusAction
 
@@ -139,7 +139,7 @@ def _isinstance_sites(tree: ast.AST, function: str = "<module>"):
 
 
 def test_one_place_dispatches_on_the_action_kind():
-    # each action class owns its generators, fixed-vector operators,
+    # each action class owns its generators, fixed vectors,
     # invariants, certificate and default degree bound: strata names no
     # action class, and outside symmetry and io only verify's exact
     # finite-group checks, which read the enumerated elements, ask the kind
@@ -387,3 +387,51 @@ def test_each_orbit_step_takes_only_what_it_reads():
     ml = commutant.classify_ml(a.center)
     assert commutant.verify_center_splits(a) == (True, "")
     assert commutant.root_count_agrees(a, ml) == (True, "")
+
+
+def test_parse_proves_each_hypothesis_off_integer_rows(monkeypatch):
+    # parse reads a finite generator's invertibility off an engine's rank,
+    # with no rational RREF, and V^H = 0 off each kind's own data:
+    # `fixed_vectors` forms no g - I matrix, and a torus's fixed space, read
+    # off its zero weight columns, eliminates nothing
+    from test_center_routes import _workloads
+
+    calls = []
+    inside = []
+
+    def patch(name, wrapper):
+        original = getattr(exactlin, name)
+        wrapped = wrapper(original)
+        for module in (exactlin, symmetry, liealg):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+
+    patch("rref", lambda f: lambda *a: calls.append("rref") or f(*a))
+    patch("minus_identity",
+          lambda f: lambda *a: (inside and calls.append("minus_identity")) or f(*a))
+    fixed = symmetry.fixed_vectors
+
+    def traced(g):
+        inside.append(g)
+        try:
+            return fixed(g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(symmetry, "fixed_vectors", traced)
+    monkeypatch.setattr(pipeline, "fixed_vectors", traced)
+    workloads = _workloads()
+    models = [
+        model for name in sorted(workloads.WORKLOADS)
+        for doc, _ in workloads.generate(name, 1009) for model in eio.parse_input(doc, {})
+    ]
+    assert calls == []
+    tori = [m.slice_action for m in models if isinstance(m.slice_action, TorusAction)]
+    assert tori
+
+    def no_engine(*args):
+        raise AssertionError("a torus's fixed space eliminated")
+
+    monkeypatch.setattr(exactlin.SparseRREF, "__init__", no_engine)
+    for t in tori + [TorusAction(((1, 0, 2), (0, 0, -1)))]:
+        assert fixed(t).dim == 2 * sum(not any(c) for c in zip(*t.weights))

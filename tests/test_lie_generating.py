@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivab import catalog as cat
-from equivab import cli, pipeline, symmetry
+from equivab import cli, exactlin, pipeline, symmetry
 from equivab import io as eio
 from equivab.commutant import commutant_kernel, compute_commutant
-from equivab.exactlin import QMatrix, Subspace, lie_generating_subset
+from equivab.exactlin import QMatrix, Subspace, bracket_vec, lie_generating_subset
 from equivab.strata import invariants_up_to_degree
 from equivab.symmetry import ConnectedLieAction, TorusAction
 from exact_oracles import (
@@ -27,6 +27,13 @@ from exact_oracles import (
     vec,
 )
 from test_center_routes import _workloads
+
+
+def bracket_table(gens) -> dict:
+    """bracket_vec of every pair of generators i < j, as a connected action
+    forms them for its closure check."""
+    return {(i, j): bracket_vec(gens[i], gens[j])
+            for i in range(len(gens)) for j in range(i + 1, len(gens))}
 
 
 def su3_on_c3() -> ConnectedLieAction:
@@ -134,7 +141,7 @@ def test_subset_generates_the_whole_span(make):
     # the span of all the generators is closed under the bracket
     span = Subspace.from_vectors(g.dim ** 2, [vec(a) for a in g.lie_generators])
     assert lie_closure(list(subset)) == span
-    kept = lie_generating_subset(g.lie_generators, span.dim)
+    kept = lie_generating_subset(g.lie_generators, span.dim, bracket_table(g.lie_generators))
     assert subset == tuple(g.lie_generators[i] for i in kept)
 
 
@@ -150,9 +157,29 @@ def test_subset_sizes(make, kept):
 
 def test_subset_keeps_a_generator_only_outside_the_earlier_closure():
     j = QMatrix.from_rows([[0, -1], [1, 0]])
-    assert lie_generating_subset([j, scaled(j, Fraction(3)), j], 1) == [0]
-    assert lie_generating_subset([], 0) == []
-    assert lie_generating_subset([QMatrix.zeros(2, 2)], 0) == []
+    gens = [j, scaled(j, Fraction(3)), j]
+    assert lie_generating_subset(gens, 1, bracket_table(gens)) == [0]
+    assert lie_generating_subset([], 0, {}) == []
+    assert lie_generating_subset([QMatrix.zeros(2, 2)], 0, {}) == []
+
+
+def test_subset_reads_the_generator_brackets_off_the_table(monkeypatch):
+    # the closure check formed every [g_i, g_j]: the subset forms only
+    # brackets with a nested bracket in them, none of two generators
+    g = su3_on_c3()
+    gens = g.lie_generators
+    table = bracket_table(gens)
+    formed = []
+
+    def counted(x, y):
+        formed.append((x, y))
+        return bracket_vec(x, y)
+
+    monkeypatch.setattr(exactlin, "bracket_vec", counted)
+    kept = lie_generating_subset(gens, g.lie_dim, table)
+    assert [gens[i] for i in kept] == list(g.lie_generating)
+    assert formed and not any(
+        any(x is a for a in gens) and any(y is a for a in gens) for x, y in formed)
 
 
 @pytest.mark.parametrize("make", CONNECTED)

@@ -3,6 +3,7 @@ quotient abelianizations."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from exact_oracles import bracket, constants, mul_vec, scale
@@ -333,7 +334,9 @@ class TestIntegerChecksMatchFractionOracles:
         # the rational read gives back the constants, and equal algebras are
         # equal records
         assert constants(g) == tuple(tuple(tuple(r) for r in plane) for plane in c)
-        assert g == LieAlgebraSC.from_planes(n, [QMatrix.from_rows(p) for p in c])
+        den = lcm(*(x.denominator for plane in c for row in plane for x in row))
+        assert g == LieAlgebraSC.from_planes(
+            n, den, [[[int(x * den) for x in row] for row in plane] for plane in c])
         x, y = c[0][n - 1], c[n - 1][0]
         assert bracket(g, x, y) == oracle_bracket(g, x, y)
         # the complement of 0 in k is the unit rows: the quotient is g itself

@@ -663,6 +663,13 @@ class TestCLI:
         (json.dumps({"orbits": [{"label": "refl", "slice_action": {
             "kind": "finite", "dim": 2, "generators": [[[1, 0], [0, -1]]]}}]}), [],
          "orbit 'refl' is not isolated: the slice has fixed vector (1, 0)"),
+        (json.dumps({"orbits": [{"label": "circle", "slice_action": {
+            "kind": "torus", "weights": [[2, 0, 1], [1, 0, -1]]}}]}), [],
+         "orbit 'circle' is not isolated: the slice has fixed vector (0, 0, 1, 0, 0, 0)"),
+        (json.dumps({"orbits": [{"label": "spin", "slice_action": {
+            "kind": "connected_lie", "dim": 3,
+            "generators": [[[0, "-1/2", 0], [2, 0, 0], [0, 0, 0]]]}}]}), [],
+         "orbit 'spin' is not isolated: the slice has fixed vector (0, 0, 1)"),
         ('{"orbits": [{"slice_action": {"kind": "finite", "dim": 2, '
          '"generators": 5}}]}', [],
          "orbits[0].slice_action.generators: expected an array"),
@@ -704,7 +711,8 @@ class TestCLI:
     ], ids=["json-syntax", "orbits-not-array", "options-not-object",
             "degree-bound-string", "degree-bound-zero", "group-cap-boolean",
             "seed-string", "degree-bound-flag", "max-group-order-flag",
-            "non-isolated", "generators-not-array", "ragged-generator",
+            "non-isolated", "non-isolated-torus", "non-isolated-connected",
+            "generators-not-array", "ragged-generator",
             "weights-row-not-array", "isotropy-not-object", "dim-boolean",
             "quotient-not-boolean", "generator-trace-fraction",
             "generator-trace-too-large", "label-not-string", "non-compact-connected",

@@ -5,10 +5,20 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from exact_oracles import is_zero, minus, mul_vec, plus, scale, vec
+from exact_oracles import (
+    fixed_by_every_operator,
+    fixed_operators,
+    is_zero,
+    minus,
+    mul_vec,
+    plus,
+    scale,
+    vec,
+)
 from hypothesis import strategies as st
 from test_center_routes import _workload_actions, signed_permutation_actions
 from test_commutant import FINITE_CASES, FINITE_GROUPS, c2_power_7
+from test_lie_generating import CONNECTED, weight_matrices
 
 from equivab import catalog as cat
 from equivab import exactlin, symmetry
@@ -263,6 +273,16 @@ class TestKroneckerConventions:
         assert [dense([row], n * n).entries[0] for row in rows] == nonzero
 
 
+def with_trivial_blocks(g: ConnectedLieAction, z: int) -> ConnectedLieAction:
+    """g on R^n + R^z, acting trivially on R^z."""
+    n = g.dim + z
+    return ConnectedLieAction(n, tuple(
+        QMatrix(a.den, a.int_rows + ((),) * z, n) for a in g.lie_generators))
+
+
+CONNECTED_MAKERS = [param.values[0] for param in CONNECTED]
+
+
 class TestFixedVectors:
     def test_rotation_has_no_fixed_vectors(self):
         assert fixed_vectors(cat.c3_rotation()).dim == 0
@@ -290,6 +310,21 @@ class TestFixedVectors:
 
     def test_su2_no_fixed_vectors(self):
         assert fixed_vectors(cat.su2_on_c2()).dim == 0
+
+    @given(g=st.one_of(
+        weight_matrices().map(TorusAction),
+        st.tuples(st.sampled_from(CONNECTED_MAKERS), st.integers(0, 2)).map(
+            lambda made: with_trivial_blocks(made[0](), made[1])),
+        signed_permutation_actions(),
+        st.integers(1, 4).map(lambda n: FiniteMatrixAction(n, ())),
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_each_kind_matches_the_stacked_kernel(self, g):
+        # a torus reads its zero weight columns, a connected group its
+        # Lie-generating generators, and a finite group g - I off each
+        # generator's integer rows: each gives the kernel of every operator
+        assert fixed_vectors(g) == fixed_by_every_operator(g)
+
 
 
 def rotation_blocks(*weights):
@@ -328,7 +363,8 @@ class TestInvarianceConstraints:
     def test_action_generators_per_kind(self, make, generators, fixed, bound, first_certified):
         g = make()
         assert g.action_generators() == [QMatrix.from_rows(m) for m in generators]
-        assert g.fixed_operators() == [QMatrix.from_rows(m) for m in fixed]
+        assert fixed_operators(g) == [QMatrix.from_rows(m) for m in fixed]
+        assert fixed_vectors(g) == fixed_by_every_operator(g)
         assert g.default_degree_bound == bound
         for d in range(1, 6):
             expected = first_certified is not None and d >= first_certified
